@@ -1,8 +1,9 @@
 """Micro-benchmarks of the core kernels (supporting Table III's TCR column).
 
 These time the actual software kernels on this machine: dense mat-vec vs the
-FFT-based block-circulant mat-vec at several block sizes, plus the functional
-accelerator datapath.  They demonstrate that the measured FLOP reduction
+FFT-based block-circulant mat-vec at several block sizes, the functional
+accelerator datapath, and the edge-wise aggregation kernel
+(``segment_reduce``) in absolute terms.  They demonstrate that the measured FLOP reduction
 follows the theoretical ``n / log2(n)`` trend (wall-clock gains on NumPy are
 smaller than on dedicated hardware, which is exactly the gap the CirCore
 architecture addresses).
@@ -10,6 +11,7 @@ architecture addresses).
 
 from __future__ import annotations
 
+import functools
 import os
 import time
 
@@ -28,6 +30,7 @@ from repro.compression import (
 from repro.graph import load_dataset
 from repro.hardware import BlockGNNAccelerator, CirCoreConfig
 from repro.models import Trainer, TrainingConfig, create_model
+from repro.models.base import segment_reduce
 from repro.models.trainer import compare_inference_modes
 from repro.nn import BlockCirculantLinear
 from repro.tensor import Tensor
@@ -197,6 +200,41 @@ def test_full_graph_vs_sampled_inference(save_result):
     assert comparison.accuracy_difference <= 0.01
     if STRICT_PERF:
         assert comparison.full_seconds < comparison.sampled_seconds
+
+
+def test_segment_reduce_ledger(save_result):
+    """Absolute timings of the edge-wise aggregation kernel at the ``rd1`` shape.
+
+    ``segment_reduce`` over the synthetic reddit x0.01 graph (the end-to-end
+    ``offline_full`` workload's graph: 140 192 edges) with 128 features per
+    edge, for the max (GS-Pool) and the sum (G-GCN, GAT) reductions.  Each
+    result is checked against a left-to-right fold of every CSR segment —
+    bitwise, since the kernel promises exactly that order.
+    """
+    graph = load_dataset("reddit", scale=0.01, seed=0, num_features=128)
+    indptr = graph.indptr
+    values = np.random.default_rng(0).standard_normal((graph.num_edges, 128))
+    max_degree = int(np.diff(indptr).max())
+    timings = {}
+    for name, ufunc in (("add", np.add), ("max", np.maximum)):
+        out, nonempty = segment_reduce(values, indptr, ufunc)
+        for row in np.flatnonzero(nonempty):
+            expected = functools.reduce(ufunc, values[indptr[row]: indptr[row + 1]])
+            assert np.array_equal(out[row], expected), (name, row)
+        assert not out[~nonempty].any()
+        timings[name] = _best_of(lambda: segment_reduce(values, indptr, ufunc)) * 1e3
+    gathered_gb = values.nbytes / 1e9
+    save_result(
+        "kernels_segment_reduce",
+        f"segment_reduce on reddit x0.01: N={graph.num_nodes} E={graph.num_edges} F=128, "
+        f"{max_degree - 1} sweep steps (max degree {max_degree})\n"
+        f"  np.add     : {timings['add']:.2f} ms ({gathered_gb / timings['add'] * 1e3:.1f} GB/s)\n"
+        f"  np.maximum : {timings['max']:.2f} ms ({gathered_gb / timings['max'] * 1e3:.1f} GB/s)",
+        add_ms=timings["add"],
+        max_ms=timings["max"],
+        num_edges=graph.num_edges,
+        max_degree=max_degree,
+    )
 
 
 def test_accelerator_functional_datapath(benchmark):

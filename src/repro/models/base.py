@@ -17,7 +17,7 @@ compressing the aggregation phase, the combination phase, or both
 from __future__ import annotations
 
 import contextlib
-from typing import Dict, List, Optional, Type
+from typing import Callable, Dict, List, Optional, Type, Union
 
 import numpy as np
 
@@ -87,27 +87,50 @@ def apply_linear(layer: Module, x: Tensor) -> Tensor:
     return out.reshape(*leading, out.shape[-1])
 
 
-def segment_reduce(values: np.ndarray, indptr: np.ndarray, ufunc: np.ufunc):
-    """Reduce per-edge ``values`` into per-node rows along CSR segments.
+def segment_reduce(
+    values: Union[np.ndarray, Callable[[np.ndarray], np.ndarray]],
+    indptr: np.ndarray,
+    ufunc: np.ufunc,
+):
+    """Reduce per-edge values into per-node rows along CSR segments.
 
-    ``values`` is ``(num_edges, ...)`` in CSR edge order; segment ``i`` spans
-    ``indptr[i]:indptr[i + 1]``.  Returns ``(out, nonempty)`` where ``out`` is
-    ``(num_nodes, ...)`` and ``nonempty`` marks nodes with at least one edge —
-    empty segments are left as zeros and must be filled by the caller (the
-    models mirror the sampler's self-loop fallback for isolated nodes).
+    Segment ``i`` spans edges ``indptr[i]:indptr[i + 1]``.  ``values`` is
+    either an ``(num_edges, ...)`` array in CSR edge order or a callable
+    mapping an array of edge ids to a *new* ``(len(edges), ...)`` array of
+    those edges' values — the callable form lets a layer produce its
+    per-edge operand only for the edges being folded in, so no
+    ``(num_edges, features)`` array is ever built.  Returns ``(out,
+    nonempty)`` where ``out`` is ``(num_nodes, ...)`` and ``nonempty`` marks
+    nodes with at least one edge — empty segments are left as zeros and must
+    be filled by the caller (the models mirror the sampler's self-loop
+    fallback for isolated nodes).
 
-    Built on ``ufunc.reduceat``: empty segments are *filtered out first*
-    because ``reduceat`` mis-handles zero-width slices; the remaining starts
-    still tile ``[0, num_edges)`` exactly, so one vectorised call covers every
-    connected node.
+    Order: every segment is combined sequentially in CSR edge order,
+    ``ufunc(...ufunc(ufunc(v[s], v[s+1]), v[s+2])..., v[e-1])``, so a row's
+    result depends only on its own edges — never on which other rows are
+    reduced alongside it (served rows equal full-graph rows bitwise).
+
+    Cost: the non-empty rows are sorted by degree, longest first, and the
+    sweep runs ``max_degree - 1`` vectorised steps; step ``k`` folds the
+    ``k``-th edge of every row that still has one into a contiguous prefix of
+    the accumulator, so each edge is gathered exactly once.
     """
+    take = values if callable(values) else values.__getitem__
     indptr = np.asarray(indptr)
     lengths = np.diff(indptr)
     nonempty = lengths > 0
-    out = np.zeros((len(lengths),) + values.shape[1:], dtype=np.float64)
-    if nonempty.any():
-        starts = indptr[:-1][nonempty].astype(np.intp)
-        out[nonempty] = ufunc.reduceat(values, starts, axis=0)
+    rows = np.flatnonzero(nonempty)
+    order = rows[np.argsort(-lengths[rows], kind="stable")]
+    sorted_lengths = lengths[order]
+    starts = indptr[:-1][order].astype(np.intp)
+    max_degree = int(sorted_lengths[0]) if len(order) else 0
+    # active[k - 1]: how many rows have a k-th edge (lengths sorted descending).
+    active = np.searchsorted(-sorted_lengths, -np.arange(1, max_degree), side="left")
+    acc = np.asarray(take(starts), dtype=np.float64)
+    for k, count in enumerate(active.tolist(), start=1):
+        ufunc(acc[:count], take(starts[:count] + k), out=acc[:count])
+    out = np.zeros((len(lengths),) + acc.shape[1:], dtype=np.float64)
+    out[order] = acc
     return out, nonempty
 
 
@@ -116,7 +139,7 @@ def edge_destinations(graph: Graph) -> np.ndarray:
 
     The ``(num_edges,)`` companion of ``graph.indices`` (which holds the
     neighbours ``u``): per-edge gathers in the full-graph layers index
-    node-level arrays with it before a :func:`segment_reduce`.  Memoised on
+    node-level arrays with it inside a :func:`segment_reduce`.  Memoised on
     the graph (alongside its propagation operators) and returned read-only,
     since the adjacency structure is immutable.
     """

@@ -87,11 +87,13 @@ class GATHead(Module):
             dst = edge_destinations(graph)
         logits = logit_neigh[src] + logit_self[dst]                     # (E,)
         logits = np.where(logits > 0.0, logits, self.negative_slope * logits)
-        seg_max, nonempty = segment_reduce(logits[:, None], graph.indptr, np.maximum)
-        exponentials = np.exp(logits - seg_max[dst, 0])
-        seg_sum, _ = segment_reduce(exponentials[:, None], graph.indptr, np.add)
-        attention = exponentials / seg_sum[dst, 0]                      # (E,)
-        out, _ = segment_reduce(z[src] * attention[:, None], graph.indptr, np.add)
+        seg_max, nonempty = segment_reduce(logits, graph.indptr, np.maximum)
+        exponentials = np.exp(logits - seg_max[dst])
+        seg_sum, _ = segment_reduce(exponentials, graph.indptr, np.add)
+        attention = exponentials / seg_sum[dst]                         # (E,)
+        out, _ = segment_reduce(
+            lambda edges: z[src[edges]] * attention[edges, None], graph.indptr, np.add
+        )
         # Isolated nodes attend to themselves (softmax over {v} is 1).
         out[~nonempty] = z[~nonempty]
         return Tensor(out)
@@ -111,11 +113,13 @@ class GATHead(Module):
         dst = restriction.edge_rows()                                   # (E,) row ordinal per edge
         logits = logit_neigh[src] + logit_self[row_positions][dst]      # (E,)
         logits = np.where(logits > 0.0, logits, self.negative_slope * logits)
-        seg_max, nonempty = segment_reduce(logits[:, None], restriction.indptr, np.maximum)
-        exponentials = np.exp(logits - seg_max[dst, 0])
-        seg_sum, _ = segment_reduce(exponentials[:, None], restriction.indptr, np.add)
-        attention = exponentials / seg_sum[dst, 0]                      # (E,)
-        out, _ = segment_reduce(z[src] * attention[:, None], restriction.indptr, np.add)
+        seg_max, nonempty = segment_reduce(logits, restriction.indptr, np.maximum)
+        exponentials = np.exp(logits - seg_max[dst])
+        seg_sum, _ = segment_reduce(exponentials, restriction.indptr, np.add)
+        attention = exponentials / seg_sum[dst]                         # (E,)
+        out, _ = segment_reduce(
+            lambda edges: z[src[edges]] * attention[edges, None], restriction.indptr, np.add
+        )
         out[~nonempty] = z[row_positions[~nonempty]]
         return Tensor(out)
 

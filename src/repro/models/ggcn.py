@@ -30,6 +30,24 @@ from .base import (
 __all__ = ["GGCNLayer", "GGCN"]
 
 
+def _gated_messages(gate_n, gate_s, features, src, dst):
+    """Per-edge ``sigma(gate_n[u] + gate_s[v]) * h_u`` for a slice of edges.
+
+    Handed to :func:`segment_reduce` as its callable operand, so only the
+    edges being folded in are materialised — never an ``(E, F)`` array.
+    """
+
+    def messages(edges: np.ndarray) -> np.ndarray:
+        neighbours = src[edges]
+        x = gate_n[neighbours]
+        x += gate_s[dst[edges]]
+        expit(x, out=x)
+        x *= features[neighbours]
+        return x
+
+    return messages
+
+
 class GGCNLayer(GNNLayer):
     """One G-GCN layer: gated neighbour sum, then a dense/circulant FC."""
 
@@ -72,12 +90,11 @@ class GGCNLayer(GNNLayer):
         gate_n = apply_linear(self.gate_neighbor, h).data                            # (N, F)
         gate_s = apply_linear(self.gate_self, h).data                                # (N, F)
         features = h.data
-        src = graph.indices                                                          # (E,) neighbour u per edge
-        degrees = np.diff(graph.indptr)
-        dst = edge_destinations(graph)                                               # (E,) centre node v
-        gates = expit(gate_n[src] + gate_s[dst])                                     # (E, F)
-        summed, nonempty = segment_reduce(gates * features[src], graph.indptr, np.add)
-        aggregated = summed / np.maximum(degrees, 1)[:, None]
+        messages = _gated_messages(
+            gate_n, gate_s, features, graph.indices, edge_destinations(graph)
+        )
+        aggregated, nonempty = segment_reduce(messages, graph.indptr, np.add)
+        aggregated /= np.maximum(np.diff(graph.indptr), 1)[:, None]
         if not nonempty.all():
             # Sampler fallback: isolated nodes gate and aggregate themselves.
             isolated = ~nonempty
@@ -93,12 +110,13 @@ class GGCNLayer(GNNLayer):
             gate_n = apply_linear(self.gate_neighbor, h).data                         # (C, F)
             gate_s = apply_linear(self.gate_self, h).data                             # (C, F)
             features = h.data
-            src = restriction.col_positions                                           # (E,) neighbour u
             row_positions = restriction.row_positions
-            dst = row_positions[restriction.edge_rows()]                              # (E,) centre v
-            gates = expit(gate_n[src] + gate_s[dst])                                  # (E, F)
-            summed, nonempty = segment_reduce(gates * features[src], restriction.indptr, np.add)
-            aggregated = summed / np.maximum(restriction.row_degrees(), 1)[:, None]
+            messages = _gated_messages(
+                gate_n, gate_s, features, restriction.col_positions,
+                row_positions[restriction.edge_rows()],
+            )
+            aggregated, nonempty = segment_reduce(messages, restriction.indptr, np.add)
+            aggregated /= np.maximum(restriction.row_degrees(), 1)[:, None]
             if not nonempty.all():
                 isolated = ~nonempty
                 own = row_positions[isolated]

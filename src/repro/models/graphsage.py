@@ -68,7 +68,10 @@ class GraphSAGEPoolLayer(GNNLayer):
         # segment reduction — each node's pooled representation is shared by
         # all of its neighbours instead of being recomputed per sampled block.
         projected = apply_linear(self.pool_fc, h).relu().data                        # (N, P)
-        pooled, nonempty = segment_reduce(projected[graph.indices], graph.indptr, np.maximum)
+        src = graph.indices
+        pooled, nonempty = segment_reduce(
+            lambda edges: projected[src[edges]], graph.indptr, np.maximum
+        )
         # Isolated nodes mirror the sampler's self-loop fallback.
         pooled[~nonempty] = projected[~nonempty]
         combined = np.concatenate([pooled, h.data], axis=1)                          # (N, P + F)
@@ -80,8 +83,9 @@ class GraphSAGEPoolLayer(GNNLayer):
             # Project the restriction's column set once (every pooled
             # neighbour is in it), then max-reduce along the sliced CSR rows.
             projected = apply_linear(self.pool_fc, h).relu().data                    # (C, P)
+            src = restriction.col_positions
             pooled, nonempty = segment_reduce(
-                projected[restriction.col_positions], restriction.indptr, np.maximum
+                lambda edges: projected[src[edges]], restriction.indptr, np.maximum
             )
             row_positions = restriction.row_positions
             pooled[~nonempty] = projected[row_positions[~nonempty]]

@@ -4,7 +4,9 @@ The exactness claim: on a graph where the sampler can cover every
 neighbourhood exactly — every node has degree 1, sampled with fanout 1 — the
 full-graph logits must *equal* the sampled-forward logits for all four model
 variants, dense and compressed, including the sampler's self-loop fallback
-for isolated nodes.
+for isolated nodes.  A skewed graph (a hub, low-degree nodes and isolated
+nodes) repeats the claim for the three edge-wise aggregators, whose segment
+reductions sweep rows of very different lengths.
 """
 
 from __future__ import annotations
@@ -14,12 +16,16 @@ import pytest
 
 from repro.compression import CompressionConfig
 from repro.graph.graph import Graph
+from repro.graph.restriction import Restriction
 from repro.graph.sampling import NeighborSampler
 from repro.models import Trainer, TrainingConfig, create_model
 from repro.models.trainer import evaluate_accuracy
-from repro.tensor.tensor import no_grad
+from repro.tensor.tensor import Tensor, no_grad
 
 MODELS = ["GCN", "GS-Pool", "G-GCN", "GAT"]
+#: The models whose aggregation is a per-edge ``segment_reduce``.
+EDGE_WISE = ["GS-Pool", "G-GCN", "GAT"]
+HUB_FANOUT = 12
 
 
 @pytest.fixture
@@ -37,19 +43,58 @@ def matching_graph():
     return Graph.from_edges(num_nodes, edges, features, labels, name="matching")
 
 
+@pytest.fixture
+def hub_graph():
+    """Node 0 is a hub of degree 12; nodes 1–12 have degree 1–3; 13–15 are isolated.
+
+    Every degree divides ``HUB_FANOUT``, which :class:`TilingSampler` relies on.
+    """
+    num_nodes = 16
+    edges = [[0, leaf] for leaf in range(1, 13)] + [[1, 2], [3, 4], [4, 5]]
+    rng = np.random.default_rng(0)
+    features = rng.standard_normal((num_nodes, 12))
+    labels = rng.integers(0, 3, num_nodes)
+    graph = Graph.from_edges(num_nodes, np.array(edges), features, labels, name="hub")
+    assert all(HUB_FANOUT % degree == 0 for degree in graph.degrees() if degree)
+    return graph
+
+
+class TilingSampler(NeighborSampler):
+    """Repeats each true neighbourhood cyclically up to the fanout.
+
+    When every degree divides the fanout, each neighbour appears equally
+    often, so a sampled max, mean or softmax-weighted sum equals the
+    full-neighbourhood one up to rounding.  (GCN's sampled mean weights the
+    node itself by ``1 / (fanout + 1)`` rather than ``1 / (degree + 1)``, so
+    this holds for the edge-wise aggregators only.)
+    """
+
+    def _sample_neighbors(self, nodes: np.ndarray, fanout: int) -> np.ndarray:
+        rows = []
+        for node in nodes:
+            neighborhood = self.graph.neighbors(node)
+            rows.append(np.resize(neighborhood if len(neighborhood) else [node], fanout))
+        return np.asarray(rows, dtype=np.int64).reshape(len(nodes), fanout)
+
+
+def _model(graph, model_name, block_size):
+    model = create_model(
+        model_name,
+        in_features=graph.num_features,
+        hidden_features=8,
+        num_classes=graph.num_classes,
+        compression=CompressionConfig(block_size=block_size),
+        seed=1,
+    )
+    model.eval()
+    return model
+
+
 class TestFullForwardEquivalence:
     @pytest.mark.parametrize("model_name", MODELS)
     @pytest.mark.parametrize("block_size", [1, 4])
     def test_matches_full_fanout_sampled_forward(self, matching_graph, model_name, block_size):
-        model = create_model(
-            model_name,
-            in_features=matching_graph.num_features,
-            hidden_features=8,
-            num_classes=matching_graph.num_classes,
-            compression=CompressionConfig(block_size=block_size),
-            seed=1,
-        )
-        model.eval()
+        model = _model(matching_graph, model_name, block_size)
         sampler = NeighborSampler(matching_graph, fanouts=(1, 1), seed=0)
         batch = sampler.sample(np.arange(matching_graph.num_nodes))
         with no_grad():
@@ -57,6 +102,34 @@ class TestFullForwardEquivalence:
         full = model.full_forward(matching_graph).data
         assert full.shape == (matching_graph.num_nodes, matching_graph.num_classes)
         assert np.allclose(sampled, full, atol=1e-10)
+
+    @pytest.mark.parametrize("model_name", EDGE_WISE)
+    @pytest.mark.parametrize("block_size", [1, 4])
+    def test_skewed_degrees_match_tiled_sampled_forward(self, hub_graph, model_name, block_size):
+        model = _model(hub_graph, model_name, block_size)
+        sampler = TilingSampler(hub_graph, fanouts=(HUB_FANOUT, HUB_FANOUT))
+        batch = sampler.sample(np.arange(hub_graph.num_nodes))
+        with no_grad():
+            sampled = model.forward(batch, graph=hub_graph).data
+        full = model.full_forward(hub_graph).data
+        assert np.allclose(sampled, full, atol=1e-10)
+
+    @pytest.mark.parametrize("model_name", EDGE_WISE)
+    @pytest.mark.parametrize("graph_name", ["small_graph", "hub_graph"])
+    def test_restricted_layers_over_all_rows_equal_full_forward(
+        self, request, graph_name, model_name
+    ):
+        """Served == offline at the kernel seam: both paths reduce through one
+        ``segment_reduce``, so the serving layers over the full row set
+        reproduce ``full_forward`` bit for bit."""
+        graph = request.getfixturevalue(graph_name)
+        model = _model(graph, model_name, block_size=4)
+        restriction = Restriction(graph, np.arange(graph.num_nodes))
+        h = Tensor(graph.features)
+        with no_grad():
+            for layer in model.layers:
+                h = layer.forward_restricted(h, restriction)
+        assert np.array_equal(h.data, model.full_forward(graph).data)
 
     def test_rejects_mismatched_features(self, matching_graph):
         model = create_model("GCN", 12, 8, 3, seed=0)
