@@ -2,11 +2,12 @@
 
 These time the actual software kernels on this machine: dense mat-vec vs the
 FFT-based block-circulant mat-vec at several block sizes, the functional
-accelerator datapath, and the edge-wise aggregation kernel
-(``segment_reduce``) in absolute terms.  They demonstrate that the measured FLOP reduction
-follows the theoretical ``n / log2(n)`` trend (wall-clock gains on NumPy are
-smaller than on dedicated hardware, which is exactly the gap the CirCore
-architecture addresses).
+accelerator datapath, and the edge-wise aggregation kernels
+(``segment_reduce``, ``weighted_segment_sum``) in absolute terms.  They
+demonstrate that the measured FLOP reduction follows the theoretical
+``n / log2(n)`` trend (wall-clock gains on NumPy are smaller than on
+dedicated hardware, which is exactly the gap the CirCore architecture
+addresses).
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import time
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from repro.compression import (
     BlockCirculantSpec,
@@ -30,7 +32,8 @@ from repro.compression import (
 from repro.graph import load_dataset
 from repro.hardware import BlockGNNAccelerator, CirCoreConfig
 from repro.models import Trainer, TrainingConfig, create_model
-from repro.models.base import segment_reduce
+from repro.models.base import edge_destinations, segment_reduce, weighted_segment_sum
+from repro.models.ggcn import _gated_messages
 from repro.models.trainer import compare_inference_modes
 from repro.nn import BlockCirculantLinear
 from repro.tensor import Tensor
@@ -202,18 +205,37 @@ def test_full_graph_vs_sampled_inference(save_result):
         assert comparison.full_seconds < comparison.sampled_seconds
 
 
+def _expit_messages(gate_n, gate_s, features, src, dst):
+    """The G-GCN message in its former ``expit(gate_n[u] + gate_s[v]) * h_u``
+    form — the reference the exp-form gate is timed and checked against."""
+
+    def messages(edges: np.ndarray) -> np.ndarray:
+        neighbours = src[edges]
+        x = gate_n[neighbours]
+        x += gate_s[dst[edges]]
+        expit(x, out=x)
+        x *= features[neighbours]
+        return x
+
+    return messages
+
+
 def test_segment_reduce_ledger(save_result):
-    """Absolute timings of the edge-wise aggregation kernel at the ``rd1`` shape.
+    """Absolute timings of the edge-wise aggregation kernels at the ``rd1`` shape.
 
     ``segment_reduce`` over the synthetic reddit x0.01 graph (the end-to-end
     ``offline_full`` workload's graph: 140 192 edges) with 128 features per
-    edge, for the max (GS-Pool) and the sum (G-GCN, GAT) reductions.  Each
-    result is checked against a left-to-right fold of every CSR segment —
-    bitwise, since the kernel promises exactly that order.
+    edge, for the max (GS-Pool) and the sum reductions.  Each result is
+    checked against a left-to-right fold of every CSR segment — bitwise,
+    since the kernel promises exactly that order.  Two model-level rows
+    follow: G-GCN's gated-message sweep in the former ``expit`` form vs the
+    exp form (``rtol=1e-14``), and GAT's attention-weighted neighbour sum as
+    a ``segment_reduce`` sweep vs the ``weighted_segment_sum`` SpMM (bitwise).
     """
     graph = load_dataset("reddit", scale=0.01, seed=0, num_features=128)
     indptr = graph.indptr
-    values = np.random.default_rng(0).standard_normal((graph.num_edges, 128))
+    rng = np.random.default_rng(0)
+    values = rng.standard_normal((graph.num_edges, 128))
     max_degree = int(np.diff(indptr).max())
     timings = {}
     for name, ufunc in (("add", np.add), ("max", np.maximum)):
@@ -223,15 +245,55 @@ def test_segment_reduce_ledger(save_result):
             assert np.array_equal(out[row], expected), (name, row)
         assert not out[~nonempty].any()
         timings[name] = _best_of(lambda: segment_reduce(values, indptr, ufunc)) * 1e3
+
+    src, dst = graph.indices, edge_destinations(graph)
+    gate_n, gate_s, features = (rng.standard_normal((graph.num_nodes, 128)) for _ in range(3))
+    messages = {
+        "expit": _expit_messages(gate_n, gate_s, features, src, dst),
+        "exp": _gated_messages(-gate_n, -gate_s, features, src, dst),
+    }
+    # Per edge, not per row sum: the sums cancel, so a relative bound on them
+    # would measure the cancellation rather than the gate.
+    for edges in np.array_split(np.arange(graph.num_edges), 16):
+        np.testing.assert_allclose(
+            messages["exp"](edges), messages["expit"](edges), rtol=1e-14, atol=0
+        )
+    gated = {
+        name: functools.partial(segment_reduce, fn, indptr, np.add)
+        for name, fn in messages.items()
+    }
+    for name, fn in gated.items():
+        timings[f"gate_{name}"] = _best_of(fn, repeats=3, inner=1) * 1e3
+
+    attention = rng.random(graph.num_edges)
+    z = features
+    weighted = {
+        "sweep": lambda: segment_reduce(
+            lambda edges: z[src[edges]] * attention[edges, None], indptr, np.add
+        )[0],
+        "spmm": lambda: weighted_segment_sum(attention, src, indptr, z),
+    }
+    assert np.array_equal(weighted["spmm"](), weighted["sweep"]())
+    for name, fn in weighted.items():
+        timings[f"weighted_{name}"] = _best_of(fn, repeats=3, inner=1) * 1e3
+
     gathered_gb = values.nbytes / 1e9
     save_result(
         "kernels_segment_reduce",
         f"segment_reduce on reddit x0.01: N={graph.num_nodes} E={graph.num_edges} F=128, "
         f"{max_degree - 1} sweep steps (max degree {max_degree})\n"
         f"  np.add     : {timings['add']:.2f} ms ({gathered_gb / timings['add'] * 1e3:.1f} GB/s)\n"
-        f"  np.maximum : {timings['max']:.2f} ms ({gathered_gb / timings['max'] * 1e3:.1f} GB/s)",
+        f"  np.maximum : {timings['max']:.2f} ms ({gathered_gb / timings['max'] * 1e3:.1f} GB/s)\n"
+        f"G-GCN gated messages (sweep incl. gate): expit form {timings['gate_expit']:.2f} ms, "
+        f"exp form {timings['gate_exp']:.2f} ms\n"
+        f"GAT attention-weighted sum: segment_reduce sweep {timings['weighted_sweep']:.2f} ms, "
+        f"weighted_segment_sum SpMM {timings['weighted_spmm']:.2f} ms",
         add_ms=timings["add"],
         max_ms=timings["max"],
+        gate_expit_ms=timings["gate_expit"],
+        gate_exp_ms=timings["gate_exp"],
+        weighted_sweep_ms=timings["weighted_sweep"],
+        weighted_spmm_ms=timings["weighted_spmm"],
         num_edges=graph.num_edges,
         max_degree=max_degree,
     )

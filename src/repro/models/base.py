@@ -20,6 +20,7 @@ import contextlib
 from typing import Callable, Dict, List, Optional, Type, Union
 
 import numpy as np
+import scipy.sparse as sp
 
 from ..compression.compress import CompressionConfig
 from ..graph.graph import Graph
@@ -36,6 +37,7 @@ __all__ = [
     "available_models",
     "apply_linear",
     "segment_reduce",
+    "weighted_segment_sum",
     "edge_destinations",
     "stage_scope",
     "emit_restricted",
@@ -132,6 +134,24 @@ def segment_reduce(
     out = np.zeros((len(lengths),) + acc.shape[1:], dtype=np.float64)
     out[order] = acc
     return out, nonempty
+
+
+def weighted_segment_sum(
+    weights: np.ndarray, indices: np.ndarray, indptr: np.ndarray, x: np.ndarray
+) -> np.ndarray:
+    """``out[i] = sum_e weights[e] * x[indices[e]]`` over CSR segment ``i``.
+
+    The per-edge weighted sum as one CSR SpMM, ``A @ x`` with
+    ``A = csr(weights, indices, indptr)`` of shape ``(len(indptr) - 1,
+    len(x))``.  scipy folds each row from ``0.0`` in CSR edge order, and
+    ``0.0 + w * x`` is exact, so every row equals the sequential
+    :func:`segment_reduce` fold of ``weights[e] * x[indices[e]]`` (only a
+    row whose every product is ``-0.0`` differs, in the sign of its zero) —
+    a row's result depends on its own edges alone, so served rows equal
+    full-graph rows bitwise.  Empty rows come out as zeros.
+    """
+    matrix = sp.csr_matrix((weights, indices, indptr), shape=(len(indptr) - 1, len(x)))
+    return matrix @ x
 
 
 def edge_destinations(graph: Graph) -> np.ndarray:

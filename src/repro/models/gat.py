@@ -27,6 +27,7 @@ from .base import (
     register_model,
     segment_reduce,
     stage_scope,
+    weighted_segment_sum,
 )
 
 __all__ = ["GATHead", "GATLayer", "GAT"]
@@ -75,9 +76,11 @@ class GATHead(Module):
 
         The shared projection and both attention dot products are computed
         once per node; the edge dimension only sees scalar logits and the
-        segment-wise (numerically stabilised) softmax.  ``dst`` (the centre
-        node of every CSR edge) can be passed in so multi-head layers build
-        the O(E) array once instead of once per head.
+        segment-wise (numerically stabilised) softmax.  The softmax maximum is
+        a :func:`segment_reduce`; its denominator and the attention-weighted
+        sum of ``z`` are CSR SpMMs (:func:`weighted_segment_sum`).  ``dst``
+        (the centre node of every CSR edge) can be passed in so multi-head
+        layers build the O(E) array once instead of once per head.
         """
         z = apply_linear(self.project, h).data                          # (N, H)
         logit_self = z @ self.attention_self.data                       # (N,)
@@ -89,11 +92,9 @@ class GATHead(Module):
         logits = np.where(logits > 0.0, logits, self.negative_slope * logits)
         seg_max, nonempty = segment_reduce(logits, graph.indptr, np.maximum)
         exponentials = np.exp(logits - seg_max[dst])
-        seg_sum, _ = segment_reduce(exponentials, graph.indptr, np.add)
+        seg_sum = weighted_segment_sum(exponentials, src, graph.indptr, np.ones(len(z)))
         attention = exponentials / seg_sum[dst]                         # (E,)
-        out, _ = segment_reduce(
-            lambda edges: z[src[edges]] * attention[edges, None], graph.indptr, np.add
-        )
+        out = weighted_segment_sum(attention, src, graph.indptr, z)     # (N, H)
         # Isolated nodes attend to themselves (softmax over {v} is 1).
         out[~nonempty] = z[~nonempty]
         return Tensor(out)
@@ -102,8 +103,8 @@ class GATHead(Module):
         """Restricted-row attention: softmax over each row's true neighbours.
 
         The projection and both attention dot products cover the column set
-        only; every segment reduction runs over the sliced CSR, whose per-row
-        edge order matches the parent graph — same sums, same maxima.
+        only; every segment reduction and SpMM runs over the sliced CSR, whose
+        per-row edge order matches the parent graph — same sums, same maxima.
         """
         z = apply_linear(self.project, h).data                          # (C, H)
         logit_self = z @ self.attention_self.data                       # (C,)
@@ -115,11 +116,9 @@ class GATHead(Module):
         logits = np.where(logits > 0.0, logits, self.negative_slope * logits)
         seg_max, nonempty = segment_reduce(logits, restriction.indptr, np.maximum)
         exponentials = np.exp(logits - seg_max[dst])
-        seg_sum, _ = segment_reduce(exponentials, restriction.indptr, np.add)
+        seg_sum = weighted_segment_sum(exponentials, src, restriction.indptr, np.ones(len(z)))
         attention = exponentials / seg_sum[dst]                         # (E,)
-        out, _ = segment_reduce(
-            lambda edges: z[src[edges]] * attention[edges, None], restriction.indptr, np.add
-        )
+        out = weighted_segment_sum(attention, src, restriction.indptr, z)  # (R, H)
         out[~nonempty] = z[row_positions[~nonempty]]
         return Tensor(out)
 

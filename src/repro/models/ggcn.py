@@ -11,7 +11,6 @@ from __future__ import annotations
 from typing import List, Optional
 
 import numpy as np
-from scipy.special import expit
 
 from ..compression.compress import CompressionConfig
 from ..graph.sampling import SampledBlock
@@ -30,20 +29,33 @@ from .base import (
 __all__ = ["GGCNLayer", "GGCN"]
 
 
-def _gated_messages(gate_n, gate_s, features, src, dst):
+def _gate(neg_logits: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """``sigma(logits) * h`` as ``h / (1 + exp(-logits))``, in place in ``neg_logits``.
+
+    The formula :meth:`Tensor.sigmoid` (the sampled path) uses, with numpy's
+    vectorised ``exp``.  A logit <= -709 overflows ``exp`` to ``inf`` and
+    gives ``h / inf = 0``, the correct limit, so that overflow is silenced.
+    """
+    with np.errstate(over="ignore"):
+        np.exp(neg_logits, out=neg_logits)
+    neg_logits += 1.0
+    return np.divide(h, neg_logits, out=neg_logits)
+
+
+def _gated_messages(neg_n, neg_s, features, src, dst):
     """Per-edge ``sigma(gate_n[u] + gate_s[v]) * h_u`` for a slice of edges.
 
-    Handed to :func:`segment_reduce` as its callable operand, so only the
-    edges being folded in are materialised — never an ``(E, F)`` array.
+    ``neg_n`` / ``neg_s`` are the negated gate projections (negated once per
+    node: ``(-a) + (-b) == -(a + b)`` exactly).  Handed to
+    :func:`segment_reduce` as its callable operand, so only the edges being
+    folded in are materialised — never an ``(E, F)`` array.
     """
 
     def messages(edges: np.ndarray) -> np.ndarray:
         neighbours = src[edges]
-        x = gate_n[neighbours]
-        x += gate_s[dst[edges]]
-        expit(x, out=x)
-        x *= features[neighbours]
-        return x
+        x = neg_n[neighbours]
+        x += neg_s[dst[edges]]
+        return _gate(x, features[neighbours])
 
     return messages
 
@@ -87,18 +99,18 @@ class GGCNLayer(GNNLayer):
         # Both gate projections are computed once per node; the per-edge gate
         # only combines the two cached projections, so the weight matrices
         # never touch the (much larger) edge dimension.
-        gate_n = apply_linear(self.gate_neighbor, h).data                            # (N, F)
-        gate_s = apply_linear(self.gate_self, h).data                                # (N, F)
+        neg_n = -apply_linear(self.gate_neighbor, h).data                            # (N, F)
+        neg_s = -apply_linear(self.gate_self, h).data                                # (N, F)
         features = h.data
         messages = _gated_messages(
-            gate_n, gate_s, features, graph.indices, edge_destinations(graph)
+            neg_n, neg_s, features, graph.indices, edge_destinations(graph)
         )
         aggregated, nonempty = segment_reduce(messages, graph.indptr, np.add)
         aggregated /= np.maximum(np.diff(graph.indptr), 1)[:, None]
         if not nonempty.all():
             # Sampler fallback: isolated nodes gate and aggregate themselves.
             isolated = ~nonempty
-            aggregated[isolated] = expit(gate_n[isolated] + gate_s[isolated]) * features[isolated]
+            aggregated[isolated] = _gate(neg_n[isolated] + neg_s[isolated], features[isolated])
         out = apply_linear(self.fc, Tensor(aggregated))
         return out.relu() if self.activation else out
 
@@ -107,12 +119,12 @@ class GGCNLayer(GNNLayer):
             # Both gate projections over the column set only; the sliced edge
             # dimension combines the cached projections exactly as the
             # full-graph path does (same edge order, same per-row segments).
-            gate_n = apply_linear(self.gate_neighbor, h).data                         # (C, F)
-            gate_s = apply_linear(self.gate_self, h).data                             # (C, F)
+            neg_n = -apply_linear(self.gate_neighbor, h).data                         # (C, F)
+            neg_s = -apply_linear(self.gate_self, h).data                             # (C, F)
             features = h.data
             row_positions = restriction.row_positions
             messages = _gated_messages(
-                gate_n, gate_s, features, restriction.col_positions,
+                neg_n, neg_s, features, restriction.col_positions,
                 row_positions[restriction.edge_rows()],
             )
             aggregated, nonempty = segment_reduce(messages, restriction.indptr, np.add)
@@ -120,7 +132,7 @@ class GGCNLayer(GNNLayer):
             if not nonempty.all():
                 isolated = ~nonempty
                 own = row_positions[isolated]
-                aggregated[isolated] = expit(gate_n[own] + gate_s[own]) * features[own]
+                aggregated[isolated] = _gate(neg_n[own] + neg_s[own], features[own])
         with stage_scope(timer, "combination"):
             result = apply_linear(self.fc, Tensor(aggregated))
             return emit_restricted(result.relu() if self.activation else result, out)

@@ -119,10 +119,13 @@ class TestFullForwardEquivalence:
     def test_restricted_layers_over_all_rows_equal_full_forward(
         self, request, graph_name, model_name
     ):
-        """Served == offline at the kernel seam: both paths reduce through one
-        ``segment_reduce``, so the serving layers over the full row set
-        reproduce ``full_forward`` bit for bit."""
+        """Served == offline at the kernel seam: both paths reduce through the
+        same ``segment_reduce`` and ``weighted_segment_sum`` calls, so the
+        serving layers over the full row set reproduce ``full_forward`` bit for
+        bit.  ``hub_graph`` carries isolated rows, covering the fallbacks."""
         graph = request.getfixturevalue(graph_name)
+        if graph_name == "hub_graph":
+            assert (np.diff(graph.indptr) == 0).any()
         model = _model(graph, model_name, block_size=4)
         restriction = Restriction(graph, np.arange(graph.num_nodes))
         h = Tensor(graph.features)
