@@ -18,8 +18,7 @@ server with the concurrent executor:
    zero-rate fault plan (decide() consulted on every dispatch, nothing ever
    injected) stays within ``IDLE_FLOOR`` x the throughput of a server with
    no plan at all — the fault path must cost ~nothing when faults are off,
-   so the hotpath floors guarded by ``bench_serving_hotpath.py`` keep
-   holding.
+   so fault-free serving pays nothing for the resilience layer.
 
 All runs use a ``ManualClock``: injected hangs and retry backoff advance
 simulated time only, so the ratios measure real work (recompute, dispatch,

@@ -22,9 +22,8 @@ halo tier exists for):
    producing bitwise-identical operators.  All three hit kinds must fire.
 
 "Flush throughput" is measured at the worker level (``worker.predict`` on
-routed micro-batches), as in ``bench_serving_hotpath.py``: the engine's
-admission/batching bookkeeping is unchanged by this PR and would only dilute
-the ratio.  ``BLOCKGNN_QUICK=1`` shrinks the graph and streams for CI.
+routed micro-batches): the engine's admission/batching bookkeeping does not
+depend on the halo tier and would only dilute the ratio.  ``BLOCKGNN_QUICK=1`` shrinks the graph and streams for CI.
 """
 
 from __future__ import annotations

@@ -1,29 +1,20 @@
-"""Compiled serving fast-path benchmarks with in-repo acceptance gates.
+"""Serving fast-path benchmarks with in-repo acceptance gates.
 
 Gates on the synthetic Reddit-like graph (default 4-shard config):
 
 1. **Exactness** (always asserted): served predictions equal offline
-   full-graph inference for all four models, under both cache policies
-   (``lru`` / ``degree``) and both executors — and the compiled hot path
-   agrees with the ``legacy`` (PR-3) reference prediction-for-prediction.
-2. **Cold-path speedup** (always asserted, floor depends on quick mode):
-   miss-heavy flush throughput of the compiled hot path >= 2x the legacy
-   implementation (>= 1.2x under ``BLOCKGNN_QUICK``, where the shrunken graph
-   leaves little work to optimise away).
-3. **Warm-path speedup** (always asserted, same scheme): hit-heavy flush
-   throughput >= 3x legacy (>= 1.5x quick) — the slab cache's single-gather
-   ``take`` versus the per-row ``OrderedDict`` walk.
-4. **Degree-aware retention** (deterministic, always asserted): on a Zipf
+   full-graph inference bitwise, cold and warm, for all four models, under
+   both cache policies (``lru`` / ``degree``) and both in-process executors.
+2. **Degree-aware retention** (deterministic, always asserted): on a Zipf
    (power-law) request stream at equal capacity, degree-weighted retention
    achieves a strictly higher hit rate than LRU.
-5. **FFT workers micro-gate**: ``workers=1`` produces identical outputs and
+3. **FFT workers micro-gate**: ``workers=1`` produces identical outputs and
    (under ``BLOCKGNN_STRICT_PERF``) is never materially slower than the
    default single-threaded path.
 
-"Flush throughput" is measured at the worker level (``worker.predict`` on
-routed micro-batches): that is the code this PR rewrites, and it excludes the
-engine's admission/batching bookkeeping, which is unchanged and would only
-dilute the ratio.  ``BLOCKGNN_QUICK=1`` shrinks the graph and streams for CI.
+Absolute serving throughput and latency (cold and warm caches) are measured
+end to end by ``benchmarks/e2e`` (workloads ``serve_cold`` and
+``serve_warm_zipf``).  ``BLOCKGNN_QUICK=1`` shrinks the graph for CI.
 """
 
 from __future__ import annotations
@@ -49,19 +40,6 @@ HIDDEN = 32 if QUICK else 64
 EPOCHS = 1 if QUICK else 2
 NUM_SHARDS = 4
 BATCH_SIZE = 32
-#: The warm gate measures high-load flush throughput: under sustained traffic
-#: the micro-batcher coalesces up to max_batch_size requests per flush, and
-#: that is the regime where per-row cache cost dominates (and where the
-#: legacy per-row OrderedDict walk hurts most).
-WARM_BATCH = 256
-REPEATS = 3 if QUICK else 5
-
-# Speedup floors over the legacy (PR-3) hot path.  Asserted in *every* run —
-# including CI's quick mode — so a regression below the floor fails the
-# bench-smoke job; the quick floors are set low enough to be robust on noisy
-# shared runners while still catching a real fast-path regression.
-COLD_FLOOR = 1.2 if QUICK else 2.0
-WARM_FLOOR = 1.3 if QUICK else 3.0
 
 MODELS = ["GCN", "GS-Pool", "G-GCN", "GAT"]
 
@@ -99,8 +77,8 @@ def model_zoo(served_setup):
     }
 
 
-def _server(model, graph, hot_path="compiled", cache=4096, policy="lru",
-            executor="serial", shards=NUM_SHARDS, clock=None):
+def _server(model, graph, cache=4096, policy="lru", executor="serial",
+            shards=NUM_SHARDS, clock=None):
     return InferenceServer(
         model,
         graph,
@@ -110,7 +88,6 @@ def _server(model, graph, hot_path="compiled", cache=4096, policy="lru",
             max_delay=0.002,
             cache_capacity=cache,
             cache_policy=policy,
-            hot_path=hot_path,
             executor=executor,
             seed=0,
         ),
@@ -118,147 +95,22 @@ def _server(model, graph, hot_path="compiled", cache=4096, policy="lru",
     )
 
 
-def _flush_batches(server, nodes, batch_size):
-    """Route ``nodes`` to their owning shard and chunk into micro-batches."""
-    owner = server._owner[nodes]
-    batches = []
-    for shard_id, group in enumerate(server._replicas):
-        shard_nodes = nodes[owner == shard_id]
-        for start in range(0, len(shard_nodes), batch_size):
-            batches.append((group[0], shard_nodes[start: start + batch_size]))
-    return batches
-
-
-def _flush_throughput(server, nodes, batch_size=BATCH_SIZE):
-    """Total seconds + per-flush latencies of serving ``nodes`` flush by flush."""
-    latencies = []
-    predictions = []
-    for worker, batch in _flush_batches(server, nodes, batch_size):
-        start = time.perf_counter()
-        predictions.append(worker.predict(batch))
-        latencies.append(time.perf_counter() - start)
-    return float(np.sum(latencies)), np.asarray(latencies), np.concatenate(predictions)
-
-
 @pytest.mark.parametrize("name", MODELS)
 @pytest.mark.parametrize("policy", ["lru", "degree"])
 @pytest.mark.parametrize("executor", ["serial", "concurrent"])
 def test_hotpath_predictions_bitwise_equal(served_setup, model_zoo, name, policy, executor):
-    """Gate: compiled path == full-graph inference == legacy path, everywhere."""
+    """Gate: served predictions == full-graph inference, cold and warm, everywhere."""
     graph, _ = served_setup
     model = model_zoo[name]
     requests = np.random.default_rng(1).choice(
         graph.num_nodes, size=4 * BATCH_SIZE * NUM_SHARDS, replace=True
     )
     reference = model.full_forward(graph).data[requests].argmax(axis=-1)
-    with _server(model, graph, "compiled", policy=policy, executor=executor) as server:
-        compiled = server.predict(requests)
+    with _server(model, graph, policy=policy, executor=executor) as server:
+        cold = server.predict(requests)
         warm = server.predict(requests)  # cached rows must not change an answer
-    assert np.array_equal(compiled, reference)
+    assert np.array_equal(cold, reference)
     assert np.array_equal(warm, reference)
-    with _server(model, graph, "legacy", executor=executor) as server:
-        legacy = server.predict(requests)
-    assert np.array_equal(legacy, compiled)
-
-
-def test_hotpath_cold_speedup_gate(served_setup, save_result):
-    """Gate: miss-heavy flush throughput >= COLD_FLOOR x the PR-3 path.
-
-    A cold pass cannot be repeated on one server (the first pass warms the
-    caches), so each repeat rebuilds the server and the best pass per hot
-    path is compared — the standard way to shave scheduler noise off a
-    wall-clock ratio.
-    """
-    graph, model = served_setup
-    stream = np.random.default_rng(2).permutation(graph.num_nodes)
-
-    results = {}
-    for hot_path in ("legacy", "compiled"):
-        best = None
-        for _ in range(REPEATS):
-            server = _server(model, graph, hot_path, clock=ManualClock())
-            seconds, latencies, predictions = _flush_throughput(server, stream)
-            if best is None or seconds < best[0]:
-                best = (seconds, latencies, predictions)
-            server.shutdown()
-        results[hot_path] = best
-
-    assert np.array_equal(results["legacy"][2], results["compiled"][2])
-    speedup = results["legacy"][0] / results["compiled"][0]
-    legacy_lat, compiled_lat = results["legacy"][1], results["compiled"][1]
-    save_result(
-        "serving_hotpath_cold",
-        f"cold (miss-heavy) flush throughput, GCN n=8, {NUM_SHARDS} shards, "
-        f"batch {BATCH_SIZE} on {graph.summary()}\n"
-        f"  legacy  : {results['legacy'][0] * 1e3:8.1f} ms "
-        f"({len(stream) / results['legacy'][0]:7.0f} req/s, "
-        f"flush p50 {np.percentile(legacy_lat, 50) * 1e3:.3f} ms)\n"
-        f"  compiled: {results['compiled'][0] * 1e3:8.1f} ms "
-        f"({len(stream) / results['compiled'][0]:7.0f} req/s, "
-        f"flush p50 {np.percentile(compiled_lat, 50) * 1e3:.3f} ms)\n"
-        f"  speedup : {speedup:.2f}x (floor {COLD_FLOOR:.1f}x)",
-        speedup_cold=speedup,
-        floor=COLD_FLOOR,
-        legacy_req_per_s=len(stream) / results["legacy"][0],
-        compiled_req_per_s=len(stream) / results["compiled"][0],
-        compiled_p50_ms=float(np.percentile(compiled_lat, 50) * 1e3),
-        compiled_p95_ms=float(np.percentile(compiled_lat, 95) * 1e3),
-        compiled_p99_ms=float(np.percentile(compiled_lat, 99) * 1e3),
-    )
-    assert speedup >= COLD_FLOOR, (
-        f"compiled cold path only {speedup:.2f}x over legacy (floor {COLD_FLOOR}x)"
-    )
-
-
-def test_hotpath_warm_speedup_gate(served_setup, save_result):
-    """Gate: hit-heavy flush throughput >= WARM_FLOOR x the PR-3 path.
-
-    Measured at ``WARM_BATCH``-sized flushes — the shape sustained traffic
-    produces once the micro-batcher coalesces — where the per-row cache cost
-    is the flush, not the fixed per-call bookkeeping both paths share.
-    """
-    graph, model = served_setup
-    stream = np.random.default_rng(3).permutation(graph.num_nodes)
-
-    results = {}
-    for hot_path in ("legacy", "compiled"):
-        server = _server(model, graph, hot_path, cache=16384, clock=ManualClock())
-        _flush_throughput(server, stream, WARM_BATCH)  # cold pass fills every cache
-        server.reset_stats()  # keep cache contents; count only the warm passes
-        best = None
-        for _ in range(REPEATS):
-            seconds, latencies, predictions = _flush_throughput(server, stream, WARM_BATCH)
-            if best is None or seconds < best[0]:
-                best = (seconds, latencies, predictions)
-        results[hot_path] = best
-        assert server.stats().cache_hit_rate == 1.0  # every warm lookup must hit
-        server.shutdown()
-
-    assert np.array_equal(results["legacy"][2], results["compiled"][2])
-    speedup = results["legacy"][0] / results["compiled"][0]
-    legacy_lat, compiled_lat = results["legacy"][1], results["compiled"][1]
-    save_result(
-        "serving_hotpath_warm",
-        f"warm (hit-heavy) flush throughput, GCN n=8, {NUM_SHARDS} shards, "
-        f"batch {WARM_BATCH} on {graph.summary()}\n"
-        f"  legacy  : {results['legacy'][0] * 1e3:8.2f} ms "
-        f"({len(stream) / results['legacy'][0]:7.0f} req/s, "
-        f"flush p50 {np.percentile(legacy_lat, 50) * 1e3:.3f} ms)\n"
-        f"  compiled: {results['compiled'][0] * 1e3:8.2f} ms "
-        f"({len(stream) / results['compiled'][0]:7.0f} req/s, "
-        f"flush p50 {np.percentile(compiled_lat, 50) * 1e3:.3f} ms)\n"
-        f"  speedup : {speedup:.2f}x (floor {WARM_FLOOR:.1f}x)",
-        speedup_warm=speedup,
-        floor=WARM_FLOOR,
-        legacy_req_per_s=len(stream) / results["legacy"][0],
-        compiled_req_per_s=len(stream) / results["compiled"][0],
-        compiled_p50_ms=float(np.percentile(compiled_lat, 50) * 1e3),
-        compiled_p95_ms=float(np.percentile(compiled_lat, 95) * 1e3),
-        compiled_p99_ms=float(np.percentile(compiled_lat, 99) * 1e3),
-    )
-    assert speedup >= WARM_FLOOR, (
-        f"compiled warm path only {speedup:.2f}x over legacy (floor {WARM_FLOOR}x)"
-    )
 
 
 def test_degree_retention_beats_lru_on_zipf_stream(served_setup, save_result):
@@ -280,9 +132,7 @@ def test_degree_retention_beats_lru_on_zipf_stream(served_setup, save_result):
 
     hit_rates = {}
     for policy in ("lru", "degree"):
-        with _server(
-            model, graph, "compiled", cache=capacity, policy=policy, clock=ManualClock()
-        ) as server:
+        with _server(model, graph, cache=capacity, policy=policy, clock=ManualClock()) as server:
             server.predict(stream)
             hit_rates[policy] = server.stats().cache_hit_rate
 

@@ -150,12 +150,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="restriction plans cached per worker (0 disables plan reuse/patching)",
     )
     serve.add_argument(
-        "--hot-path",
-        choices=["compiled", "legacy"],
-        default="compiled",
-        help="exact-mode implementation: compiled fast path or the PR-3 reference",
-    )
-    serve.add_argument(
         "--fft-workers",
         type=int,
         default=None,
@@ -613,7 +607,6 @@ def _run_serve_bench(args: argparse.Namespace) -> str:
         batch_size: int,
         cache: int,
         executor: str,
-        hot_path: str = args.hot_path,
         faulty: bool = False,
         telemetry: str = "metrics",
     ) -> InferenceServer:
@@ -631,7 +624,6 @@ def _run_serve_bench(args: argparse.Namespace) -> str:
                 cache_pin_fraction=args.pin_fraction,
                 halo_tier=args.halo_tier == "on",
                 plan_cache_size=args.plan_cache_size,
-                hot_path=hot_path,
                 fft_workers=args.fft_workers,
                 num_replicas=args.replicas,
                 dispatch=args.dispatch,
@@ -691,7 +683,7 @@ def _run_serve_bench(args: argparse.Namespace) -> str:
     baseline.shutdown()
 
     # Only the main measured server takes the fault plan (if any): the naive
-    # baseline and the executor/hot-path comparisons stay fault-free so the
+    # baseline and the executor comparison stay fault-free so the
     # printed ratios keep meaning "engine vs no engine", not "faults vs none".
     server = build_server(
         args.batch_size, args.cache, args.executor, faulty=True, telemetry=telemetry_mode
@@ -732,10 +724,10 @@ def _run_serve_bench(args: argparse.Namespace) -> str:
 
     # Serial vs thread-pool vs worker-process executors: replay the cold
     # stream under each (no cache, so the comparison is pure flush
-    # execution).  The process plane serves only the compiled exact hot
-    # path, so it drops out of the comparison under other modes.
+    # execution).  The process plane serves exact mode only, so it drops
+    # out of the comparison under sampled mode.
     executor_names = ["serial", "concurrent"]
-    if args.mode == "exact" and args.hot_path == "compiled":
+    if args.mode == "exact":
         executor_names.append("process")
     executor_lines = []
     for executor in executor_names:
@@ -747,24 +739,6 @@ def _run_serve_bench(args: argparse.Namespace) -> str:
             f"  {executor:10s}: {seconds * 1e3:8.1f} ms "
             f"({args.requests / seconds:7.0f} req/s, peak concurrency {peak})"
         )
-
-    # Hot-path comparison: the compiled fast path vs the PR-3 reference
-    # implementation, cold and warm caches (exact mode only).
-    hotpath_lines = []
-    if args.mode == "exact":
-        # The process plane only serves the compiled hot path; compare the
-        # hot paths on the serial executor in that case.
-        hotpath_executor = "serial" if args.executor == "process" else args.executor
-        for hot_path in ("legacy", "compiled"):
-            comparison = build_server(args.batch_size, args.cache, hotpath_executor, hot_path=hot_path)
-            cold_hp = timed_stream(comparison)
-            warm_hp = timed_stream(comparison)
-            comparison.shutdown()
-            hotpath_lines.append(
-                f"  {hot_path:8s}: cold {cold_hp * 1e3:8.1f} ms "
-                f"({args.requests / cold_hp:7.0f} req/s)   "
-                f"warm {warm_hp * 1e3:8.1f} ms ({args.requests / warm_hp:7.0f} req/s)"
-            )
 
     estimates = estimate_shard_request_cycles(
         args.model,
@@ -793,13 +767,6 @@ def _run_serve_bench(args: argparse.Namespace) -> str:
         )
     cycle_lines = "\n".join(cycle_lines)
     executor_comparison = "\n".join(executor_lines)
-    hotpath_comparison = (
-        "--- hot-path comparison (legacy = PR-3 reference) ---\n"
-        + "\n".join(hotpath_lines)
-        + "\n"
-        if hotpath_lines
-        else ""
-    )
     return (
         f"{server.describe()}\n"
         f"--- cold pass ({args.requests} requests) ---\n{cold.render()}\n"
@@ -815,7 +782,6 @@ def _run_serve_bench(args: argparse.Namespace) -> str:
         f"{baseline_seconds / warm_seconds:.1f}x)\n"
         f"--- executor comparison ({args.shards} shards, cold, no cache) ---\n"
         f"{executor_comparison}\n"
-        f"{hotpath_comparison}"
         f"--- perfmodel: predicted vs measured cost per request ---\n{cycle_lines}"
         + ("\n--- telemetry exports ---\n" + "\n".join(export_lines) if export_lines else "")
     )

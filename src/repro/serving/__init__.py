@@ -12,8 +12,6 @@ trained (optionally block-circulant-compressed) GNN:
   contiguous per-layer slabs (vectorised gather/scatter; exact-LRU or
   GNNIE-style degree-aware retention, invalidated by the model's
   ``weight_signature`` when training bumps ``Parameter.version``);
-  :class:`LegacyEmbeddingCache` is the original per-row ``OrderedDict``
-  implementation, kept as the hot-path benchmark reference;
 * a shared :class:`HaloStore` exchanges boundary (halo) embeddings between
   shards — a row computed during one shard's flush is gathered, not
   recomputed, by its neighbours — and a per-worker
@@ -30,7 +28,7 @@ trained (optionally block-circulant-compressed) GNN:
   expiry guarantees every request terminates as exactly one of
   ``completed`` / ``rejected`` / ``shed`` / ``expired`` / ``failed``;
 * the front door (:mod:`repro.serving.frontdoor`) makes ``submit()`` return
-  a :class:`RequestHandle` future (``result(timeout=)``, ``done()``, typed
+  a :class:`RequestHandle` future (``result(timeout=)``, ``done``, typed
   terminal exceptions, awaitable), tags every request with a weighted
   *request class* (``premium``/``standard``/``backfill`` by default) so
   admission pops heaviest-class/deadline-earliest first and overload sheds
@@ -75,7 +73,7 @@ trained (optionally block-circulant-compressed) GNN:
 
 from ..graph.restriction import PlanCache, PlanCacheStats
 from .batcher import TERMINAL_STATUSES, InferenceRequest, MicroBatcher
-from .cache import CACHE_POLICIES, CacheStats, EmbeddingCache, HaloStore, LegacyEmbeddingCache
+from .cache import CACHE_POLICIES, CacheStats, EmbeddingCache, HaloStore
 from .clock import Clock, ManualClock, SystemClock
 from .config import DEGRADED_POLICIES, INGRESS_MODES, ServingConfig
 from .engine import InferenceServer
@@ -125,7 +123,6 @@ __all__ = [
     "CacheStats",
     "CACHE_POLICIES",
     "EmbeddingCache",
-    "LegacyEmbeddingCache",
     "HaloStore",
     "PlanCache",
     "PlanCacheStats",

@@ -1,12 +1,12 @@
-"""Versioned per-layer embedding caches: slab-allocated (fast path) and legacy.
+"""Versioned per-layer embedding caches: the slab-allocated per-shard cache and the halo tier.
 
 Exact per-node inference recomputes the same hidden states over and over when
 requests' receptive fields overlap (the power-law access pattern GNNIE
-exploits with its degree-aware cache).  Both caches here memoise layer-``k``
+exploits with its degree-aware cache).  Both stores here memoise layer-``k``
 hidden vectors per *global* node id so a warm request touches only the layers
 whose inputs are not already known.
 
-:class:`EmbeddingCache` is the serving fast path: an array-backed store with
+:class:`EmbeddingCache` is the per-shard cache: an array-backed store with
 one contiguous ``(capacity, dim)`` float64 slab plus an int64 node→slot index
 map per layer, so a lookup is a single vectorised gather and an insert a
 single scatter — no per-row Python loop, no ``OrderedDict`` walking, no
@@ -14,8 +14,9 @@ single scatter — no per-row Python loop, no ``OrderedDict`` walking, no
 
 ``"lru"``
     Exact least-recently-used via monotone access stamps (observationally
-    equivalent to the original ``OrderedDict`` implementation — same hits,
-    misses, eviction victims and final contents on any take/insert sequence).
+    equivalent to a per-row ``OrderedDict`` LRU — same hits, misses, eviction
+    victims and final contents on any take/insert sequence; the hypothesis
+    suite in ``tests/serving/test_cache_equivalence.py`` checks it against one).
 
 ``"degree"``
     GNNIE-style degree-aware retention: a set of *pinned* hot-hub nodes
@@ -35,11 +36,6 @@ tier holding per-layer embeddings of the *boundary* (halo) nodes held by more
 than one worker, so a row computed during shard A's flush is gathered — not
 recomputed — by shard B's.
 
-:class:`LegacyEmbeddingCache` is the original per-row ``OrderedDict`` LRU
-kept as the reference implementation: the hot-path benchmark gates measure
-speedups against it and the hypothesis equivalence suite checks the slab
-cache against it operation by operation.
-
 Invalidation (both classes) follows the discipline introduced with the
 spectral weight cache of :class:`repro.nn.BlockCirculantLinear`: every cached
 value is tied to the model's *weight signature* — the tuple of
@@ -54,7 +50,6 @@ re-allocation storm.
 from __future__ import annotations
 
 import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
@@ -63,7 +58,6 @@ import numpy as np
 __all__ = [
     "CacheStats",
     "EmbeddingCache",
-    "LegacyEmbeddingCache",
     "HaloStore",
     "CACHE_POLICIES",
 ]
@@ -192,7 +186,7 @@ class EmbeddingCache:
     """Slab-allocated ``(layer, node) -> hidden vector`` cache.
 
     ``capacity`` bounds the number of cached vectors across all layers
-    (``0`` disables the cache entirely), exactly like the legacy cache.
+    (``0`` disables the cache entirely).
     :meth:`take` returns hit rows as one freshly-gathered 2-D array, so later
     insertions or evictions cannot corrupt an in-flight batch.
 
@@ -202,8 +196,7 @@ class EmbeddingCache:
     (misses of a preceding :meth:`take`) guarantees it, and the batch
     refresh/insert semantics are only well-defined under it.
 
-    Thread-safe like the legacy cache: every operation holds an internal
-    ``RLock``.
+    Thread-safe: every operation holds an internal ``RLock``.
     """
 
     #: hit-rate gap below which degree-auto leaves the pin budget alone.
@@ -475,8 +468,8 @@ class EmbeddingCache:
         """Select and free ``overflow`` victims; return the surviving mask.
 
         Candidates are every stored entry plus the incoming fresh entries;
-        ``"lru"`` ranks them by access stamp alone (exactly the legacy
-        ``OrderedDict`` order — stamps are globally monotone), ``"degree"``
+        ``"lru"`` ranks them by access stamp alone (exactly an ``OrderedDict``
+        LRU's order — stamps are globally monotone), ``"degree"``
         ranks unpinned before pinned at equal footing, so hubs outlive scans.
         """
         layer_keys = list(self._layers)
@@ -742,105 +735,3 @@ class HaloStore:
             slab, present = entry
             slots = np.flatnonzero(present)
             return self._shared[slots], slab[slots].copy()
-
-
-class LegacyEmbeddingCache:
-    """The original per-row ``OrderedDict`` LRU cache (PR-2/PR-3 hot path).
-
-    Kept as the reference the slab cache is benchmarked and property-tested
-    against; selected at serve time via ``ServingConfig(hot_path="legacy")``.
-    ``take`` returns hit rows as a list of read-only arrays (the shape the
-    legacy worker path consumes with ``np.stack``).
-    """
-
-    def __init__(self, capacity: int) -> None:
-        if capacity < 0:
-            raise ValueError("cache capacity must be non-negative")
-        self.capacity = int(capacity)
-        self.stats = CacheStats()
-        self._lock = threading.RLock()
-        self._entries: "OrderedDict[Tuple[int, int], np.ndarray]" = OrderedDict()
-        self._signature: Optional[Hashable] = None
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    @property
-    def enabled(self) -> bool:
-        return self.capacity > 0
-
-    # -- versioning -----------------------------------------------------------
-
-    def ensure_signature(self, signature: Hashable) -> bool:
-        """Drop every entry if the weight signature changed since last use."""
-        with self._lock:
-            if self._signature is None:
-                self._signature = signature
-                return False
-            if signature == self._signature:
-                return False
-            self._entries.clear()
-            self._signature = signature
-            self.stats.invalidations += 1
-            return True
-
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-
-    # -- lookup / insert --------------------------------------------------------
-
-    def take(self, layer: int, nodes: np.ndarray) -> Tuple[np.ndarray, List[np.ndarray], np.ndarray]:
-        """Split ``nodes`` into cache hits and misses for ``layer``.
-
-        Returns ``(hit_nodes, hit_rows, miss_nodes)`` where ``hit_rows[i]`` is
-        the cached vector of ``hit_nodes[i]`` (already copied out).  Hits are
-        touched in LRU order; stats are updated here and only here.
-        """
-        nodes = np.asarray(nodes, dtype=np.int64)
-        with self._lock:
-            if not self.enabled:
-                self.stats.misses += len(nodes)
-                return nodes[:0], [], nodes
-            hit_nodes: List[int] = []
-            hit_rows: List[np.ndarray] = []
-            miss_nodes: List[int] = []
-            for node in nodes.tolist():
-                key = (layer, node)
-                row = self._entries.get(key)
-                if row is None:
-                    miss_nodes.append(node)
-                else:
-                    self._entries.move_to_end(key)
-                    hit_nodes.append(node)
-                    hit_rows.append(row)
-            self.stats.hits += len(hit_nodes)
-            self.stats.misses += len(miss_nodes)
-            return (
-                np.asarray(hit_nodes, dtype=np.int64),
-                hit_rows,
-                np.asarray(miss_nodes, dtype=np.int64),
-            )
-
-    def put(self, layer: int, nodes: Sequence[int], values: np.ndarray) -> None:
-        """Insert one hidden vector per node, evicting LRU entries if full."""
-        if not self.enabled:
-            return
-        values = np.asarray(values)
-        with self._lock:
-            for node, row in zip(np.asarray(nodes, dtype=np.int64).tolist(), values):
-                key = (layer, node)
-                if key in self._entries:
-                    self._entries.move_to_end(key)
-                frozen = np.array(row, copy=True)
-                frozen.flags.writeable = False
-                self._entries[key] = frozen
-                self.stats.insertions += 1
-                while len(self._entries) > self.capacity:
-                    self._entries.popitem(last=False)
-                    self.stats.evictions += 1
-
-    def contains(self, layer: int, node: int) -> bool:
-        """Membership check that does not touch LRU order or stats."""
-        with self._lock:
-            return (layer, int(node)) in self._entries

@@ -12,11 +12,7 @@ from .frontdoor import DEFAULT_REQUEST_CLASSES, ClassSpec, normalize_request_cla
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (faults imports nothing back)
     from .faults import FaultPlan
 
-__all__ = ["ServingConfig", "HOT_PATHS", "DEGRADED_POLICIES", "INGRESS_MODES"]
-
-#: Exact-mode implementations a worker can run (canonical definition; the
-#: worker and the CLI both validate against this tuple).
-HOT_PATHS = ("compiled", "legacy")
+__all__ = ["ServingConfig", "DEGRADED_POLICIES", "INGRESS_MODES"]
 
 #: What a shard with zero healthy replicas does with a flushed batch:
 #: ``"fail"`` fails every request; ``"stale_ok"`` answers cache/halo-resident
@@ -65,26 +61,19 @@ class ServingConfig:
         split; ``cache_pin_fraction`` is only the starting point).  Pinned
         *entries* — one per layer per pinned node — are capped at
         ``cache_pin_fraction * cache_capacity``; the number of pinned nodes
-        is that budget divided by the model depth.  Ignored by the legacy
-        hot path.
+        is that budget divided by the model depth.
     halo_tier:
         Enable the shared :class:`~repro.serving.cache.HaloStore`: workers
         publish the boundary (halo) rows they compute and gather boundary
         rows a neighbouring shard (or a sibling replica) already computed,
         so cold flushes stop recomputing each other's cut nodes.  Exact
-        compiled serving only; needs at least two workers to exist.  Memory:
+        serving only; needs at least two workers to exist.  Memory:
         one ``num_boundary_nodes x dim`` slab per layer, shared server-wide.
     plan_cache_size:
         Per-worker LRU capacity of the :class:`~repro.graph.PlanCache`
         memoising miss-set → :class:`~repro.graph.Restriction` plans, with
         incremental subset/superset patching for overlapping consecutive
         miss sets.  ``0`` disables it (every flush rebuilds its plans).
-    hot_path:
-        ``"compiled"`` — the fast exact path: per-shard operator plans
-        precomputed at build time, restricted SpMM per flush, slab cache
-        (zero per-flush ``Graph`` construction); ``"legacy"`` — the PR-3
-        reference implementation (induced subgraph + ``forward_full`` +
-        ``OrderedDict`` cache), kept for the hot-path benchmark gates.
     fft_workers:
         When set, serving enables :func:`repro.compression.set_fft_workers`
         with this thread count for the batched rFFTs of block-circulant
@@ -221,7 +210,6 @@ class ServingConfig:
     cache_pin_fraction: float = 0.25
     halo_tier: bool = True
     plan_cache_size: int = 32
-    hot_path: str = "compiled"
     fft_workers: Optional[int] = None
     partition_method: str = "bfs"
     num_replicas: int = 1
@@ -304,10 +292,6 @@ class ServingConfig:
             raise ValueError("cache_pin_fraction must be within [0, 1]")
         if self.plan_cache_size < 0:
             raise ValueError("plan_cache_size must be non-negative (0 disables the plan cache)")
-        if self.hot_path not in HOT_PATHS:
-            raise ValueError(
-                f"hot_path must be one of {HOT_PATHS}, got {self.hot_path!r}"
-            )
         if self.fft_workers is not None and self.fft_workers < 1:
             raise ValueError("fft_workers must be >= 1 (or None to leave the default)")
         if self.halo_hops is not None and self.halo_hops < 1:
@@ -322,11 +306,10 @@ class ServingConfig:
             raise ValueError("process_call_timeout must be positive")
         if self.process_heartbeat_interval <= 0:
             raise ValueError("process_heartbeat_interval must be positive")
-        if self.executor == "process" and (self.mode != "exact" or self.hot_path != "compiled"):
+        if self.executor == "process" and self.mode != "exact":
             raise ValueError(
-                "executor='process' serves the compiled exact hot path only "
-                "(mode='exact', hot_path='compiled'): worker processes share "
-                "slab-backed shard state that the legacy paths do not use"
+                "executor='process' serves mode='exact' only: worker processes "
+                "share slab-backed shard state that sampled serving does not use"
             )
         if self.max_queue_depth is not None and self.max_queue_depth <= 0:
             raise ValueError("max_queue_depth must be positive (or None for unbounded)")

@@ -49,7 +49,6 @@ from __future__ import annotations
 import contextlib
 import threading
 import time
-import warnings
 from collections import deque
 from typing import Dict, Iterator, List, Optional, Sequence
 
@@ -69,7 +68,7 @@ from .batcher import (
 )
 from ..graph.restriction import PlanCacheStats
 from ..telemetry import Telemetry
-from .cache import CacheStats, EmbeddingCache, HaloStore, LegacyEmbeddingCache
+from .cache import CacheStats, EmbeddingCache, HaloStore
 from .clock import Clock, SystemClock
 from .config import ServingConfig
 from .executor import make_executor
@@ -310,14 +309,12 @@ class InferenceServer:
         values would otherwise be recomputed on each side of the cut); with
         replicated shards every held node is eligible, since a shard's
         replicas keep independent embedding caches but compute identical
-        rows.  Exact compiled serving only — the legacy path must stay the
-        PR-3 reference, and sampled inference is stochastic (nothing it
-        computes is exchangeable).
+        rows.  Exact serving only — sampled inference is stochastic (nothing
+        it computes is exchangeable).
         """
         if (
             not self.config.halo_tier
             or self.config.mode != "exact"
-            or self.config.hot_path != "compiled"
             or len(self.shards) * self.config.num_replicas < 2
         ):
             return None
@@ -335,13 +332,11 @@ class InferenceServer:
         return HaloStore(self.graph.num_nodes, shared)
 
     def _build_cache(self, shard: GraphShard):
-        """One embedding cache per worker, matched to the hot path and policy.
+        """One slab embedding cache per worker, matched to the cache policy.
 
-        The legacy hot path gets the legacy ``OrderedDict`` cache (so the
-        benchmark reference really is the PR-3 implementation); the compiled
-        path gets the slab cache.  Under ``cache_policy="degree"`` the
-        shard's highest-degree held nodes are pinned (GNNIE's hot-hub
-        retention), with node ids as the deterministic tie-break.  A pinned
+        Under ``cache_policy="degree"`` the shard's highest-degree held nodes
+        are pinned (GNNIE's hot-hub retention), with node ids as the
+        deterministic tie-break.  A pinned
         node can hold one entry *per layer*, so the node budget divides
         ``cache_pin_fraction * capacity`` by the model depth — pinned entries
         can never consume more than the configured fraction of the cache.
@@ -349,12 +344,9 @@ class InferenceServer:
         (capped at one cache-fill of pinned entries) and lets the cache tune
         the active pin prefix online, starting from the configured fraction.
         """
-        capacity = self.config.cache_capacity
-        if self.config.hot_path == "legacy":
-            return LegacyEmbeddingCache(capacity)
         pinned, initial = self._cache_pin_spec(shard)
         return EmbeddingCache(
-            capacity,
+            self.config.cache_capacity,
             num_nodes=self.graph.num_nodes,
             policy=self.config.cache_policy,
             pinned_nodes=pinned,
@@ -403,7 +395,6 @@ class InferenceServer:
                 epoch=epoch,
                 seed=self.config.seed + 9176 * worker_id,
                 mode=self.config.mode,
-                hot_path=self.config.hot_path,
                 plan_cache_size=self.config.plan_cache_size,
                 fanouts=self.config.fanouts,
                 halo_publish_mask=self._publish_masks[shard_id],
@@ -420,7 +411,6 @@ class InferenceServer:
             mode=self.config.mode,
             fanouts=self.config.fanouts,
             seed=self.config.seed + 9176 * worker_id,
-            hot_path=self.config.hot_path,
             halo_store=self.halo_store,
             halo_publish_mask=self._publish_masks[shard_id],
             plan_cache_size=self.config.plan_cache_size,
@@ -570,23 +560,6 @@ class InferenceServer:
             else:
                 self.scheduler.on_submit()
         return RequestHandle(request, self)
-
-    def submit_legacy(
-        self, node: int, timeout: Optional[float] = None
-    ) -> InferenceRequest:
-        """Deprecated: the pre-handle return shape of :meth:`submit`.
-
-        ``submit()`` now returns a :class:`RequestHandle`; the raw record is
-        its ``.request`` attribute.  This shim exists for one transition
-        release.
-        """
-        warnings.warn(
-            "InferenceServer.submit_legacy() is deprecated: submit() returns a "
-            "RequestHandle whose .request attribute is the old InferenceRequest",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.submit(node, timeout=timeout).request
 
     def submit_many(
         self,
@@ -1457,7 +1430,6 @@ class InferenceServer:
         hedged, hedges_won, hedges_cancelled = metrics.hedge_totals()
         return ServerStats(
             mode=self.config.mode,
-            hot_path=self.config.hot_path,
             cache_policy=self.config.cache_policy,
             stage_seconds=merge_stage_totals(worker.timings for worker in self.workers),
             completed_requests=metrics.status_total(COMPLETED),
@@ -1560,7 +1532,7 @@ class InferenceServer:
             else "halo tier off"
         )
         lines = [
-            f"InferenceServer[{self.config.mode}/{self.config.hot_path}] over {self.graph.name}: "
+            f"InferenceServer[{self.config.mode}] over {self.graph.name}: "
             f"{len(self.shards)} shards x {self.config.num_replicas} replicas, "
             f"batch<= {self.config.max_batch_size}, delay<= {self.config.max_delay * 1e3:.1f} ms, "
             f"cache {self.config.cache_capacity} entries/worker ({self.config.cache_policy}), "

@@ -5,7 +5,7 @@ ingress layer:
 
 :class:`RequestHandle`
     The future-style return value of :meth:`InferenceServer.submit`: callers
-    get ``result(timeout=)`` / ``done()`` / ``status`` / ``stale`` instead of
+    get ``result(timeout=)`` / ``done`` / ``status`` / ``stale`` instead of
     polling ``drain()`` and inspecting a raw record.  Non-completed terminal
     states map to typed exceptions (:class:`RequestRejected`,
     :class:`RequestShed`, :class:`RequestExpired`, :class:`RequestFailed` —
@@ -138,28 +138,13 @@ _EXCEPTION_BY_STATUS = {
 }
 
 
-class _DoneFlag(int):
-    """Transitional dual shape for :attr:`RequestHandle.done`.
-
-    The pre-handle ``InferenceRequest.done`` was a property; the future-style
-    API wants ``done()``.  This int subclass is truthy like the old property
-    *and* callable like the new method, so both ``if handle.done:`` and
-    ``if handle.done():`` read the terminal flag.
-    """
-
-    __slots__ = ()
-
-    def __call__(self) -> bool:
-        return bool(self)
-
-
 class RequestHandle:
     """Future-style view of one submitted request.
 
-    Wraps the engine-owned :class:`InferenceRequest` record (still reachable
-    as :attr:`request`, the deprecated raw shape).  All state reads are
-    lock-free snapshots of the record; :meth:`result` waits on the record's
-    completion event when a background ingress thread is running.
+    Wraps the engine-owned :class:`InferenceRequest` record (reachable as
+    :attr:`request`).  All state reads are lock-free snapshots of the
+    record; :meth:`result` waits on the record's completion event when a
+    background ingress thread is running.
     """
 
     __slots__ = ("_request", "_server")
@@ -236,9 +221,9 @@ class RequestHandle:
         return self._request.status == COMPLETED
 
     @property
-    def done(self) -> "_DoneFlag":
-        """Terminal-state flag: usable as ``handle.done`` *and* ``handle.done()``."""
-        return _DoneFlag(self._request.status != PENDING)
+    def done(self) -> bool:
+        """Terminal-state flag — a plain ``bool``, like ``InferenceRequest.done``."""
+        return self._request.status != PENDING
 
     # -- future protocol ---------------------------------------------------------
 

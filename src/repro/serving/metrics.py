@@ -221,11 +221,11 @@ class ServingMetrics:
         )
         self.stolen_batches = stolen.labels()
 
-        #: per-(stage, worker) hot-path stage time; children are bound into
+        #: per-(stage, worker) flush stage time; children are bound into
         #: each worker's StageTimer by the engine.
         self.stage_seconds = registry.histogram(
             "serving_stage_seconds",
-            "Per-flush wall-clock seconds by hot-path stage and worker",
+            "Per-flush wall-clock seconds by flush stage and worker",
             labels=("stage", "worker"),
         )
 

@@ -438,7 +438,6 @@ class WorkerSpec:
     epoch: int
     seed: int
     mode: str
-    hot_path: str
     plan_cache_size: int
     fanouts: Optional[Tuple[int, ...]]
     model: object
@@ -587,7 +586,7 @@ def _child_main(spec: WorkerSpec, request_conn, control_conn) -> None:
             registry = MetricsRegistry()
             stage_family = registry.histogram(
                 "serving_stage_seconds",
-                "Per-flush wall-clock seconds by hot-path stage and worker",
+                "Per-flush wall-clock seconds by flush stage and worker",
                 labels=("stage", "worker"),
             )
         except Exception:  # registry is best-effort: serving must not depend on it
@@ -600,7 +599,6 @@ def _child_main(spec: WorkerSpec, request_conn, control_conn) -> None:
             mode=spec.mode,
             fanouts=spec.fanouts,
             seed=spec.seed,
-            hot_path=spec.hot_path,
             halo_store=halo,
             halo_publish_mask=spec.halo_publish_mask,
             plan_cache_size=spec.plan_cache_size,
@@ -1080,7 +1078,6 @@ class ProcessPlane:
         epoch: int,
         seed: int,
         mode: str,
-        hot_path: str,
         plan_cache_size: int,
         fanouts: Optional[Tuple[int, ...]],
         halo_publish_mask: Optional[np.ndarray],
@@ -1098,7 +1095,6 @@ class ProcessPlane:
             epoch=epoch,
             seed=seed,
             mode=mode,
-            hot_path=hot_path,
             plan_cache_size=plan_cache_size,
             fanouts=tuple(fanouts) if fanouts is not None else None,
             model=self.model,

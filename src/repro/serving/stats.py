@@ -69,9 +69,8 @@ class ServerStats:
     rejected_requests: int = 0       # turned away at admission (queue full)
     shed_requests: int = 0           # evicted from a full queue (shed_oldest)
     expired_requests: int = 0        # flushed after their deadline passed
-    hot_path: str = "compiled"       # exact-mode implementation that served the run
     cache_policy: str = "lru"        # slab-cache retention policy
-    #: wall-clock seconds per hot-path stage, summed over workers (exact mode)
+    #: wall-clock seconds per flush stage, summed over workers (exact mode)
     stage_seconds: Dict[str, float] = field(default_factory=dict)
     #: cross-shard halo tier counters (eligible boundary lookups only)
     halo: CacheStats = field(default_factory=CacheStats)
@@ -184,7 +183,7 @@ class ServerStats:
 
     @property
     def stage_total(self) -> float:
-        """Total seconds attributed to hot-path stages across all workers."""
+        """Total seconds attributed to flush stages across all workers."""
         return float(sum(self.stage_seconds.values()))
 
     @staticmethod
@@ -214,7 +213,7 @@ class ServerStats:
         else:
             throughput = "n/a (nothing completed)"
         lines = [
-            f"mode {self.mode} ({self.hot_path}, {self.cache_policy} cache): "
+            f"mode {self.mode} ({self.cache_policy} cache): "
             f"{self.completed_requests} requests in "
             f"{len(self.batch_sizes)} batches (mean size "
             f"{'n/a' if not len(self.batch_sizes) else f'{self.mean_batch_size:.1f}'})",

@@ -10,13 +10,12 @@ answers prediction requests for the shard's core nodes in one of two modes:
     states it already knows; nodes it does not know are then offered to the
     shared :class:`~repro.serving.cache.HaloStore` (when the server runs
     one), which gathers boundary rows *another shard already computed*; only
-    the remaining misses are recomputed.  On the default **compiled** hot
-    path each miss set becomes a :class:`~repro.graph.Restriction` — a row
-    slice of the frozen shard CSR with columns remapped into the batch-local
-    index space, fetched through a per-worker
-    :class:`~repro.graph.PlanCache` so overlapping consecutive miss sets
-    reuse (or incrementally patch) recent plans instead of rebuilding — and
-    the layer's ``forward_restricted`` runs a restricted SpMM / segment
+    the remaining misses are recomputed.  Each miss set becomes a
+    :class:`~repro.graph.Restriction` — a row slice of the frozen shard CSR
+    with columns remapped into the batch-local index space, fetched through a
+    per-worker :class:`~repro.graph.PlanCache` so overlapping consecutive
+    miss sets reuse (or incrementally patch) recent plans instead of
+    rebuilding — and the layer's ``forward_restricted`` runs a restricted SpMM / segment
     reduction against the shard's *precomputed* propagation operators
     (warmed once per worker at build time via ``prepare_full``).  No induced
     ``Graph`` is built and no operator is re-normalised per flush.  Because
@@ -26,11 +25,6 @@ answers prediction requests for the shard's core nodes in one of two modes:
     graph — so served predictions match offline full-graph evaluation, and
     cached (and halo-exchanged) rows can be reused across batches and
     shards safely.
-
-    The **legacy** hot path (``hot_path="legacy"``) is the PR-3
-    implementation — ``graph.subgraph`` per miss round plus ``forward_full``
-    on the induced restriction — kept as the reference the hot-path benchmark
-    gates measure against.
 
 ``sampled``
     GraphSAGE-style approximate inference: the flushed requests become the
@@ -50,8 +44,7 @@ from ..graph.restriction import PlanCache, Restriction
 from ..graph.sampling import NeighborSampler
 from ..models.base import GNNModel
 from ..tensor.tensor import Tensor, no_grad
-from .config import HOT_PATHS
-from .shard import GraphShard, expand_neighborhood
+from .shard import GraphShard
 from .timing import StageTimer
 
 __all__ = ["ShardWorker", "WorkerRetired"]
@@ -79,7 +72,6 @@ class ShardWorker:
         mode: str = "exact",
         fanouts: Optional[Sequence[int]] = None,
         seed: int = 0,
-        hot_path: str = "compiled",
         halo_store=None,
         halo_publish_mask: Optional[np.ndarray] = None,
         plan_cache_size: int = 0,
@@ -87,8 +79,6 @@ class ShardWorker:
     ) -> None:
         if mode not in ("exact", "sampled"):
             raise ValueError(f"mode must be 'exact' or 'sampled', got {mode!r}")
-        if hot_path not in HOT_PATHS:
-            raise ValueError(f"hot_path must be one of {HOT_PATHS}, got {hot_path!r}")
         if mode == "sampled":
             if fanouts is None or len(fanouts) != model.num_layers:
                 raise ValueError("sampled mode needs one fanout per model layer")
@@ -97,19 +87,15 @@ class ShardWorker:
         self.model = model
         self.cache = cache
         self.mode = mode
-        self.hot_path = hot_path
         #: Replica incarnation: 0 at server build, bumped by every supervisor
         #: rebuild of this worker slot.
         self.epoch = int(epoch)
         self.retired = False
-        compiled_exact = mode == "exact" and hot_path == "compiled"
+        exact = mode == "exact"
         # Cross-shard halo tier and the per-worker restriction-plan cache are
-        # compiled-exact-path features; the legacy reference path must keep
-        # behaving exactly like PR 3.
-        self.halo_store = halo_store if compiled_exact else None
-        self.plan_cache = (
-            PlanCache(plan_cache_size) if compiled_exact and plan_cache_size > 0 else None
-        )
+        # exact-mode features; sampled mode never caches.
+        self.halo_store = halo_store if exact else None
+        self.plan_cache = PlanCache(plan_cache_size) if exact and plan_cache_size > 0 else None
         # Defence in depth for the shared tier: only rows whose shard-CSR
         # neighbour list is *complete* (shard-local mask supplied by the
         # engine — exactly the rows the serving recursion legitimately
@@ -125,7 +111,7 @@ class ShardWorker:
         self.sampler = (
             NeighborSampler(shard.graph, fanouts, seed=seed) if mode == "sampled" else None
         )
-        if mode == "exact" and hot_path == "compiled" and shard.graph.num_nodes:
+        if exact and shard.graph.num_nodes:
             # Shard operator plan: normalise every propagation operator the
             # model's inference needs once, at build time, so the first flush
             # is as cheap as the thousandth.
@@ -188,10 +174,8 @@ class ShardWorker:
                         if self.mode != "exact":
                             batch = self.sampler.sample(local)
                             logits = self.model.forward(batch, graph=self.shard.graph).data
-                        elif self.hot_path == "compiled":
-                            logits = self._exact_logits(local)
                         else:
-                            logits = self._exact_logits_legacy(local)
+                            logits = self._exact_logits(local)
                 finally:
                     if was_training:
                         self.model.train(True)
@@ -250,31 +234,18 @@ class ShardWorker:
         predictions = np.full(len(nodes), -1, dtype=np.int64)
         if self.mode != "exact" or not len(nodes):
             return hit, predictions
-        if self.hot_path == "compiled":
-            if getattr(self.cache, "enabled", False):
-                mask, values = self.cache.take_mask(final, nodes)
-                if len(values):
-                    hit |= mask
-                    predictions[mask] = values.argmax(axis=-1)
-            if self.halo_store is not None and not hit.all():
-                remaining = np.where(~hit)[0]
-                halo_mask, halo_values = self.halo_store.take_mask(final, nodes[remaining])
-                if len(halo_values):
-                    positions = remaining[halo_mask]
-                    hit[positions] = True
-                    predictions[positions] = halo_values.argmax(axis=-1)
-        elif getattr(self.cache, "enabled", False):
-            hit_global, hit_rows, _ = self.cache.take(final, nodes)
-            if len(hit_global):
-                answers = {
-                    int(node): int(np.argmax(row))
-                    for node, row in zip(hit_global, hit_rows)
-                }
-                for position, node in enumerate(nodes):
-                    answer = answers.get(int(node))
-                    if answer is not None:
-                        hit[position] = True
-                        predictions[position] = answer
+        if getattr(self.cache, "enabled", False):
+            mask, values = self.cache.take_mask(final, nodes)
+            if len(values):
+                hit |= mask
+                predictions[mask] = values.argmax(axis=-1)
+        if self.halo_store is not None and not hit.all():
+            remaining = np.where(~hit)[0]
+            halo_mask, halo_values = self.halo_store.take_mask(final, nodes[remaining])
+            if len(halo_values):
+                positions = remaining[halo_mask]
+                hit[positions] = True
+                predictions[positions] = halo_values.argmax(axis=-1)
         return hit, predictions
 
     # -- exact mode --------------------------------------------------------------
@@ -407,51 +378,5 @@ class ShardWorker:
                     else:
                         halo.publish(k, miss_global[k], computed, epoch=halo_epoch)
             h_prev = values
-
-        return h_prev[np.searchsorted(unique_seeds, seeds_local)]
-
-    def _exact_logits_legacy(self, seeds_local: np.ndarray) -> np.ndarray:
-        """PR-3 reference path: induced subgraph + ``forward_full`` per round.
-
-        Byte-for-byte the implementation the compiled path replaced (paired
-        with :class:`~repro.serving.cache.LegacyEmbeddingCache`); the hot-path
-        benchmark's speedup and equality gates run against it.
-        """
-        graph = self.shard.graph
-        num_layers = self.model.num_layers
-        self.cache.ensure_signature(self.model.weight_signature())
-
-        unique_seeds = np.unique(seeds_local)
-        needed: List[np.ndarray] = [np.empty(0, dtype=np.int64)] * (num_layers + 1)
-        miss: List[np.ndarray] = list(needed)
-        hits: List[tuple] = [(np.empty(0, dtype=np.int64), [])] * (num_layers + 1)
-        needed[num_layers] = unique_seeds
-        for k in range(num_layers, 0, -1):
-            hit_global, hit_rows, miss_global = self.cache.take(k, self.shard.to_global(needed[k]))
-            hits[k] = (self.shard.to_local(hit_global), hit_rows)
-            miss[k] = self.shard.to_local(miss_global)
-            if len(miss[k]):
-                needed[k - 1] = expand_neighborhood(graph, miss[k], 1)
-
-        nodes_prev = needed[0]
-        h_prev = graph.features[nodes_prev]
-        for k in range(1, num_layers + 1):
-            out_dim = self._layer_dim(k)
-            if len(miss[k]):
-                restriction = graph.subgraph(nodes_prev)
-                layer_out = self.model.layers[k - 1].forward_full(
-                    Tensor(np.asarray(h_prev, dtype=np.float64)), restriction
-                ).data
-                computed = layer_out[np.searchsorted(nodes_prev, miss[k])]
-                self.cache.put(k, self.shard.to_global(miss[k]), computed)
-            else:
-                computed = np.empty((0, out_dim))
-            values = np.empty((len(needed[k]), out_dim))
-            if len(miss[k]):
-                values[np.searchsorted(needed[k], miss[k])] = computed
-            hit_local, hit_rows = hits[k]
-            if len(hit_local):
-                values[np.searchsorted(needed[k], hit_local)] = np.stack(hit_rows)
-            nodes_prev, h_prev = needed[k], values
 
         return h_prev[np.searchsorted(unique_seeds, seeds_local)]

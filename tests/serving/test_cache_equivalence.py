@@ -1,6 +1,8 @@
-"""The slab cache must be a drop-in for the legacy OrderedDict LRU cache.
+"""The slab cache must be a drop-in for a plain OrderedDict LRU cache.
 
-The property test drives both implementations through the serving protocol —
+:class:`OrderedDictLRU` below is the oracle: the per-row ``OrderedDict`` LRU
+the slab cache replaced, reduced to the serving protocol.  The property test
+drives both implementations through that protocol —
 ``take`` a node set, ``put`` exactly the reported misses — and asserts
 *observational equivalence* after every operation: identical hit/miss splits,
 identical returned values, identical stats counters (hits, misses,
@@ -20,6 +22,9 @@ step must drop its rows exactly once, never serve them stale.
 
 from __future__ import annotations
 
+from collections import OrderedDict
+from typing import Hashable, Optional
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -27,10 +32,10 @@ from hypothesis import strategies as st
 
 from repro.models import Trainer, TrainingConfig, create_model
 from repro.serving import (
+    CacheStats,
     EmbeddingCache,
     HaloStore,
     InferenceServer,
-    LegacyEmbeddingCache,
     ManualClock,
     ServingConfig,
 )
@@ -38,6 +43,55 @@ from repro.serving import (
 LAYERS = (1, 2)
 NUM_NODES = 12
 DIM = 3
+
+
+class OrderedDictLRU:
+    """Reference ``(layer, node) -> row`` LRU: one ``OrderedDict`` entry per row."""
+
+    def __init__(self, capacity: int) -> None:
+        self.capacity = capacity
+        self.stats = CacheStats()
+        self._entries: "OrderedDict[tuple, np.ndarray]" = OrderedDict()
+        self._signature: Optional[Hashable] = None
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def ensure_signature(self, signature: Hashable) -> bool:
+        if self._signature is None or signature == self._signature:
+            self._signature = signature
+            return False
+        self._entries.clear()
+        self._signature = signature
+        self.stats.invalidations += 1
+        return True
+
+    def take(self, layer: int, nodes: np.ndarray):
+        hits, rows, misses = [], [], []
+        for node in nodes.tolist():
+            row = self._entries.get((layer, node))
+            if row is None:
+                misses.append(node)
+            else:
+                self._entries.move_to_end((layer, node))
+                hits.append(node)
+                rows.append(row)
+        self.stats.hits += len(hits)
+        self.stats.misses += len(misses)
+        values = np.stack(rows) if rows else np.empty((0, DIM))
+        return np.asarray(hits, dtype=np.int64), values, np.asarray(misses, dtype=np.int64)
+
+    def put(self, layer: int, nodes: np.ndarray, values: np.ndarray) -> None:
+        for node, row in zip(nodes.tolist(), values):
+            self._entries[(layer, node)] = np.array(row, copy=True)
+            self._entries.move_to_end((layer, node))
+            self.stats.insertions += 1
+            while len(self._entries) > self.capacity:
+                self._entries.popitem(last=False)
+                self.stats.evictions += 1
+
+    def contains(self, layer: int, node: int) -> bool:
+        return (layer, int(node)) in self._entries
 
 
 def _values(layer: int, nodes: np.ndarray, round_id: int) -> np.ndarray:
@@ -63,40 +117,40 @@ take_ops = st.lists(
 
 @settings(max_examples=200, deadline=None)
 @given(capacity=st.integers(1, 6), ops=take_ops)
-def test_slab_lru_observationally_equivalent_to_legacy(capacity, ops):
+def test_slab_lru_observationally_equivalent_to_ordered_dict(capacity, ops):
     slab = EmbeddingCache(capacity, num_nodes=NUM_NODES, policy="lru")
-    legacy = LegacyEmbeddingCache(capacity)
+    oracle = OrderedDictLRU(capacity)
     for round_id, (layer, node_list) in enumerate(ops):
         nodes = np.asarray(node_list, dtype=np.int64)
         slab_hits, slab_values, slab_misses = slab.take(layer, nodes)
-        legacy_hits, legacy_rows, legacy_misses = legacy.take(layer, nodes)
-        assert np.array_equal(slab_hits, legacy_hits)
-        assert np.array_equal(slab_misses, legacy_misses)
+        oracle_hits, oracle_values, oracle_misses = oracle.take(layer, nodes)
+        assert np.array_equal(slab_hits, oracle_hits)
+        assert np.array_equal(slab_misses, oracle_misses)
         if len(slab_hits):
-            assert np.array_equal(slab_values, np.stack(legacy_rows))
-        assert _stats_tuple(slab) == _stats_tuple(legacy)
+            assert np.array_equal(slab_values, oracle_values)
+        assert _stats_tuple(slab) == _stats_tuple(oracle)
         if len(slab_misses):
             values = _values(layer, slab_misses, round_id)
             slab.put(layer, slab_misses, values)
-            legacy.put(layer, slab_misses, values)
-            assert _stats_tuple(slab) == _stats_tuple(legacy)
-            assert len(slab) == len(legacy)
+            oracle.put(layer, slab_misses, values)
+            assert _stats_tuple(slab) == _stats_tuple(oracle)
+            assert len(slab) == len(oracle)
     for layer in LAYERS:
         for node in range(NUM_NODES):
-            assert slab.contains(layer, node) == legacy.contains(layer, node)
+            assert slab.contains(layer, node) == oracle.contains(layer, node)
 
 
-def test_signature_invalidation_matches_legacy():
+def test_signature_invalidation_matches_ordered_dict():
     slab = EmbeddingCache(4, num_nodes=NUM_NODES)
-    legacy = LegacyEmbeddingCache(4)
-    for cache in (slab, legacy):
+    oracle = OrderedDictLRU(4)
+    for cache in (slab, oracle):
         assert not cache.ensure_signature((0,))
         cache.put(1, np.array([1, 2]), np.ones((2, DIM)))
         assert not cache.ensure_signature((0,))
         assert cache.ensure_signature((1,))
         assert len(cache) == 0
         assert cache.stats.invalidations == 1
-    assert _stats_tuple(slab) == _stats_tuple(legacy)
+    assert _stats_tuple(slab) == _stats_tuple(oracle)
 
 
 class TestDegreePolicy:

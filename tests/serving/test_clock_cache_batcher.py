@@ -8,7 +8,6 @@ import pytest
 from repro.serving import (
     EmbeddingCache,
     InferenceRequest,
-    LegacyEmbeddingCache,
     ManualClock,
     MicroBatcher,
 )
@@ -86,8 +85,6 @@ class TestEmbeddingCache:
     def test_negative_capacity_rejected(self):
         with pytest.raises(ValueError):
             EmbeddingCache(capacity=-1)
-        with pytest.raises(ValueError):
-            LegacyEmbeddingCache(capacity=-1)
 
     def test_invalid_policy_rejected(self):
         with pytest.raises(ValueError):
@@ -120,35 +117,6 @@ class TestEmbeddingCache:
         assert len(cache) == 0 and not cache.contains(1, 1)
         cache.put(1, [3], np.ones((1, 3)))
         assert cache._layers[1].slab is slab_before  # no re-allocation storm
-
-
-class TestLegacyEmbeddingCache:
-    def test_take_returns_readonly_rows(self):
-        cache = LegacyEmbeddingCache(capacity=4)
-        source = np.ones((1, 3))
-        cache.put(1, [1], source)
-        source[:] = 99.0
-        _, rows, _ = cache.take(1, np.array([1]))
-        assert np.array_equal(rows[0], np.ones(3))
-        with pytest.raises(ValueError):
-            rows[0][0] = 5.0
-
-    def test_lru_eviction_order(self):
-        cache = LegacyEmbeddingCache(capacity=2)
-        cache.put(1, [1], np.ones((1, 2)))
-        cache.put(1, [2], np.ones((1, 2)))
-        cache.take(1, np.array([1]))
-        cache.put(1, [3], np.ones((1, 2)))
-        assert cache.contains(1, 1) and cache.contains(1, 3)
-        assert not cache.contains(1, 2)
-        assert cache.stats.evictions == 1
-
-    def test_signature_change_invalidates_everything(self):
-        cache = LegacyEmbeddingCache(capacity=8)
-        assert not cache.ensure_signature((0, 0))
-        cache.put(1, [7], np.ones((1, 2)))
-        assert cache.ensure_signature((1, 1))
-        assert len(cache) == 0 and cache.stats.invalidations == 1
 
 
 def _request(request_id: int, node: int, shard: int, at: float) -> InferenceRequest:

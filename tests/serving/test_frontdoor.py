@@ -86,8 +86,7 @@ class TestRequestHandle:
         handle = server.submit(3)
         assert isinstance(handle, RequestHandle)
         server.drain()
-        assert handle.done()
-        assert handle.done  # transitional truthy-property shape
+        assert handle.done
         assert handle.completed
         assert handle.status == "completed"
         assert handle.result() == int(REFERENCE[3])
@@ -110,7 +109,7 @@ class TestRequestHandle:
         server = _server(max_batch_size=8)
         server.scheduler.flush_on_submit = False
         handle = server.submit(1)
-        assert not handle.done()
+        assert not handle.done
         with pytest.raises(RequestPending, match="still pending"):
             handle.result()
         # RequestPending is a RequestError is a RuntimeError.
@@ -188,13 +187,27 @@ class TestRequestHandle:
             handle.result()
         server.shutdown()
 
-    def test_submit_legacy_warns_and_returns_raw_record(self):
-        server = _server()
-        with pytest.warns(DeprecationWarning, match="submit_legacy"):
-            request = server.submit_legacy(5)
-        assert isinstance(request, InferenceRequest)
+    def test_done_is_a_plain_bool_property(self):
+        server = _server(max_batch_size=8)
+        server.scheduler.flush_on_submit = False
+        handle = server.submit(5)
+        # Identity checks: a truthy non-bool (or a bound method, which is
+        # always truthy) would let `all(h.done for h in handles)` pass vacuously.
+        assert handle.done is False
+        assert handle.done is handle.request.done
         server.drain()
-        assert request.status == "completed"
+        assert handle.done is True
+        assert handle.done is handle.request.done
+        server.shutdown()
+
+    def test_calling_done_fails_loudly(self):
+        # A leftover `handle.done()` from the old callable shape must raise,
+        # not silently read a flag.
+        server = _server()
+        handle = server.submit(2)
+        server.drain()
+        with pytest.raises(TypeError):
+            handle.done()
         server.shutdown()
 
 
@@ -506,7 +519,7 @@ class TestFrontDoorPump:
             # The pump is stuck inside shard 0's flush; submission still
             # returns immediately and lands in the queue.
             late = server.submit(_shard_nodes(server, 1, 1)[0])
-            assert not late.done()
+            assert not late.done
             release.set()
             assert blocked.result(timeout=5.0) == int(REFERENCE[blocked.node])
             assert late.result(timeout=5.0) == int(REFERENCE[late.node])
@@ -536,7 +549,7 @@ class TestFrontDoorPump:
             assert entered.wait(timeout=5.0)  # pump is mid-flush, queue empty
             threading.Timer(0.05, release.set).start()
             server.drain()
-            assert handle.done()
+            assert handle.done
             assert handle.completed
         finally:
             release.set()
@@ -577,7 +590,7 @@ class TestFrontDoorPump:
         server = _server(clock=SystemClock(), ingress="thread", max_delay=0.005)
         handle = server.submit(0)
         server.shutdown()
-        assert handle.done()
+        assert handle.done
         assert not server.frontdoor.running
         with pytest.raises(RuntimeError, match="shut down"):
             server.submit(1)
@@ -640,7 +653,7 @@ class TestHandlesUnderFaults:
             handle = server.submit(0)
             with pytest.raises(RequestFailed, match="failed"):
                 handle.result(timeout=10.0)
-            assert handle.done()
+            assert handle.done
             assert handle.status == "failed"
             exc = handle.exception(timeout=10.0)
             assert isinstance(exc, RequestFailed)

@@ -7,7 +7,7 @@ The headline invariants:
 * a miss set satisfied entirely from the halo tier short-circuits without
   building a restriction plan at all;
 * predictions are bitwise identical with the tier on or off;
-* the tier is an exact-compiled-path feature only.
+* the tier is an exact-mode feature only.
 """
 
 from __future__ import annotations
@@ -95,7 +95,6 @@ class TestEngineWiring:
         assert _server(model, small_graph).halo_store is not None
         assert _server(model, small_graph, halo_tier=False).halo_store is None
         assert _server(model, small_graph, num_shards=1).halo_store is None
-        assert _server(model, small_graph, hot_path="legacy").halo_store is None
         sampled = _server(
             model, small_graph, mode="sampled", fanouts=(4, 3), cache_capacity=0
         )

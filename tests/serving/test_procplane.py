@@ -151,8 +151,6 @@ class TestSegments:
 class TestProcessServing:
     def test_config_requires_compiled_exact(self):
         with pytest.raises(ValueError, match="process"):
-            ServingConfig(executor="process", hot_path="legacy")
-        with pytest.raises(ValueError, match="process"):
             ServingConfig(executor="process", mode="sampled", fanouts=(4, 3))
         with pytest.raises(ValueError, match="process_call_timeout"):
             ServingConfig(executor="process", process_call_timeout=0.0)

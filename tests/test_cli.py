@@ -95,7 +95,6 @@ class TestExecution:
         assert "cycles/request" in output
         assert "executor comparison" in output
         assert "concurrent" in output
-        assert "hot-path comparison" in output
         assert "flush stages" in output
 
     def test_serve_bench_command_with_admission_control(self, capsys):
@@ -118,7 +117,7 @@ class TestExecution:
         assert "admission" in output
         assert "queues <= 128 (shed_oldest)" in output
 
-    def test_serve_bench_command_with_degree_cache_and_legacy_path(self, capsys):
+    def test_serve_bench_command_with_degree_cache(self, capsys):
         assert main(
             [
                 "serve-bench",
@@ -131,16 +130,12 @@ class TestExecution:
                 "--shards", "2",
                 "--cache-policy", "degree",
                 "--pin-fraction", "0.5",
-                "--hot-path", "legacy",
             ]
         ) == 0
         output = capsys.readouterr().out
         assert "degree" in output
-        assert "legacy" in output
 
-    def test_serve_bench_rejects_unknown_cache_policy_and_hot_path(self):
+    def test_serve_bench_rejects_unknown_cache_policy(self):
         parser = build_parser()
         with pytest.raises(SystemExit):
             parser.parse_args(["serve-bench", "--cache-policy", "belady"])
-        with pytest.raises(SystemExit):
-            parser.parse_args(["serve-bench", "--hot-path", "interpreted"])
