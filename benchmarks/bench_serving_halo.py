@@ -1,25 +1,18 @@
-"""Cross-shard halo exchange + restriction-plan cache benchmarks with gates.
+"""Cross-shard halo exchange benchmarks with gates.
 
 Gates on the synthetic Reddit-like graph, served over a **boundary-heavy**
 partition (hash partitioning spreads every neighbourhood across shards, so
 nearly every node is inside some other shard's halo — the worst case the
 halo tier exists for):
 
-1. **Exactness** (always asserted): predictions with the halo tier and plan
-   cache enabled are bitwise equal to offline full-graph inference — and to
-   a server with both disabled — for all four models under both executors,
-   cold and warm.
+1. **Exactness** (always asserted): predictions with the halo tier enabled
+   are bitwise equal to offline full-graph inference — and to a server with
+   it disabled — for all four models under both executors, cold and warm.
 2. **Cold-flush speedup** (always asserted, floor depends on quick mode):
    cold-flush throughput with the halo tier on >= ``COLD_FLOOR`` x the same
    server with it off.  Without exchange each of the S shards recomputes the
    hidden layers of its entire halo; with it, every boundary row is computed
    exactly once server-wide and gathered everywhere else.
-3. **Plan-cache hit path strictly cheaper than rebuild** (always asserted):
-   on an overlapping Zipf-style batch mix (hot miss sets recur exactly,
-   shrink a little, grow a little) serving plans through the
-   :class:`~repro.graph.PlanCache` — exact hits plus subset/superset
-   patching — costs less wall-clock than rebuilding every plan, while
-   producing bitwise-identical operators.  All three hit kinds must fire.
 
 "Flush throughput" is measured at the worker level (``worker.predict`` on
 routed micro-batches): the engine's admission/batching bookkeeping does not
@@ -34,7 +27,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.graph import PlanCache, Restriction, load_dataset
+from repro.graph import load_dataset
 from repro.models import Trainer, TrainingConfig, create_model
 from repro.serving import InferenceServer, ManualClock, ServingConfig
 
@@ -87,8 +80,7 @@ def model_zoo(served_setup):
     }
 
 
-def _server(model, graph, halo=True, plan_cache=32, executor="serial",
-            cache=65536, clock=None):
+def _server(model, graph, halo=True, executor="serial", cache=65536, clock=None):
     return InferenceServer(
         model,
         graph,
@@ -99,7 +91,6 @@ def _server(model, graph, halo=True, plan_cache=32, executor="serial",
             max_delay=0.002,
             cache_capacity=cache,
             halo_tier=halo,
-            plan_cache_size=plan_cache,
             executor=executor,
             seed=0,
         ),
@@ -130,18 +121,18 @@ def _flush_throughput(server, nodes):
 @pytest.mark.parametrize("name", MODELS)
 @pytest.mark.parametrize("executor", ["serial", "concurrent"])
 def test_halo_predictions_bitwise_equal(served_setup, model_zoo, name, executor):
-    """Gate: halo tier + plan cache on == off == full-graph inference."""
+    """Gate: halo tier on == off == full-graph inference."""
     graph, _ = served_setup
     model = model_zoo[name]
     requests = np.random.default_rng(1).choice(
         graph.num_nodes, size=4 * BATCH_SIZE * NUM_SHARDS, replace=True
     )
     reference = model.full_forward(graph).data[requests].argmax(axis=-1)
-    with _server(model, graph, halo=True, plan_cache=32, executor=executor) as server:
+    with _server(model, graph, halo=True, executor=executor) as server:
         enabled = server.predict(requests)
         enabled_warm = server.predict(requests)
         assert server.halo_store is not None
-    with _server(model, graph, halo=False, plan_cache=0, executor=executor) as server:
+    with _server(model, graph, halo=False, executor=executor) as server:
         disabled = server.predict(requests)
         disabled_warm = server.predict(requests)
         assert server.halo_store is None
@@ -197,88 +188,8 @@ def test_halo_cold_flush_speedup_gate(served_setup, save_result):
     )
 
 
-def test_plan_cache_hit_path_cheaper_than_rebuild(served_setup, save_result):
-    """Gate: serving overlapping Zipf miss sets from the plan cache beats
-    rebuilding each plan, bitwise-identically.
-
-    The batch mix models warm Zipf traffic at the plan level: a hot miss set
-    recurs exactly (exact hits), sometimes loses a few cooled-off rows
-    (subset patches) and sometimes gains a few cold ones (superset patches).
-    """
-    graph, _ = served_setup
-    shard_graph = graph  # plan caching is per frozen graph; the full one will do
-    rng = np.random.default_rng(3)
-    hot = np.unique(rng.choice(shard_graph.num_nodes, size=160 if QUICK else 320))
-
-    batches = []
-    for index in range(30 if QUICK else 60):
-        mode = index % 3
-        if mode == 0:
-            rows = hot
-        elif mode == 1:  # a few hot rows cooled off: subset of the hot plan
-            drop = rng.choice(len(hot), size=max(len(hot) // 10, 1), replace=False)
-            rows = np.delete(hot, drop)
-        else:            # a few cold rows joined: superset of the hot plan
-            extra = rng.choice(shard_graph.num_nodes, size=max(len(hot) // 20, 1))
-            rows = np.union1d(hot, extra)
-        batches.append(np.asarray(rows, dtype=np.int64))
-
-    def timed(use_cache):
-        best = float("inf")
-        stats = None
-        for _ in range(REPEATS):
-            cache = PlanCache(capacity=32)
-            start = time.perf_counter()
-            for rows in batches:
-                if use_cache:
-                    plan = cache.restriction(shard_graph, rows)
-                else:
-                    plan = Restriction(shard_graph, rows)
-                plan.operator("random_walk", add_self_loops=True)
-            elapsed = time.perf_counter() - start
-            if elapsed < best:
-                best = elapsed
-                stats = cache.stats
-        return best, stats
-
-    rebuild_seconds, _ = timed(use_cache=False)
-    cached_seconds, stats = timed(use_cache=True)
-
-    # Bitwise correctness of every derived plan against a fresh build.
-    check = PlanCache(capacity=32)
-    for rows in batches[:6]:
-        cached_plan = check.restriction(shard_graph, rows)
-        fresh = Restriction(shard_graph, rows)
-        got = cached_plan.operator("random_walk", add_self_loops=True)
-        expected = fresh.operator("random_walk", add_self_loops=True)
-        dense_cols = np.searchsorted(cached_plan.cols, fresh.cols)
-        assert np.array_equal(got.toarray()[:, dense_cols], expected.toarray())
-
-    speedup = rebuild_seconds / cached_seconds
-    save_result(
-        "serving_halo_plan_cache",
-        f"restriction plans for {len(batches)} overlapping Zipf batches "
-        f"(hot set {len(hot)} rows) on {shard_graph.summary()}\n"
-        f"  rebuild every plan: {rebuild_seconds * 1e3:8.2f} ms\n"
-        f"  plan cache        : {cached_seconds * 1e3:8.2f} ms "
-        f"({stats.exact_hits} exact + {stats.subset_hits} subset + "
-        f"{stats.superset_hits} superset hits / {stats.lookups} lookups)\n"
-        f"  speedup           : {speedup:.2f}x (must be > 1)",
-        plan_speedup=speedup,
-        exact_hits=stats.exact_hits,
-        subset_hits=stats.subset_hits,
-        superset_hits=stats.superset_hits,
-        hit_rate=stats.hit_rate,
-    )
-    assert stats.exact_hits > 0 and stats.subset_hits > 0 and stats.superset_hits > 0
-    assert cached_seconds < rebuild_seconds, (
-        f"plan-cache path ({cached_seconds * 1e3:.2f} ms) not cheaper than "
-        f"rebuild ({rebuild_seconds * 1e3:.2f} ms)"
-    )
-
-
-def test_halo_and_plan_stats_surface_in_summary(served_setup, save_result):
-    """The serve-bench surface reports halo and plan-cache hit rates."""
+def test_halo_stats_surface_in_summary(served_setup, save_result):
+    """The serve-bench surface reports the halo-tier hit rate."""
     graph, model = served_setup
     with _server(model, graph, clock=ManualClock()) as server:
         nodes = np.random.default_rng(4).choice(graph.num_nodes, size=512, replace=True)
@@ -286,11 +197,9 @@ def test_halo_and_plan_stats_surface_in_summary(served_setup, save_result):
         stats = server.stats()
         rendered = stats.render()
     assert "halo tier:" in rendered
-    assert "plan cache:" in rendered
     save_result(
         "serving_halo_stats",
         rendered,
         halo_hit_rate=stats.halo_hit_rate,
-        plan_hit_rate=stats.plan_hit_rate,
         cache_hit_rate=stats.cache_hit_rate,
     )

@@ -8,9 +8,6 @@ Gates on the synthetic Reddit-like graph (default 4-shard config):
 2. **Degree-aware retention** (deterministic, always asserted): on a Zipf
    (power-law) request stream at equal capacity, degree-weighted retention
    achieves a strictly higher hit rate than LRU.
-3. **FFT workers micro-gate**: ``workers=1`` produces identical outputs and
-   (under ``BLOCKGNN_STRICT_PERF``) is never materially slower than the
-   default single-threaded path.
 
 Absolute serving throughput and latency (cold and warm caches) are measured
 end to end by ``benchmarks/e2e`` (workloads ``serve_cold`` and
@@ -20,19 +17,15 @@ end to end by ``benchmarks/e2e`` (workloads ``serve_cold`` and
 from __future__ import annotations
 
 import os
-import time
 
 import numpy as np
 import pytest
 
-from repro.compression import CompressionConfig, set_fft_workers
-from repro.compression.circulant import BlockCirculantSpec, random_block_circulant
-from repro.compression.spectral import block_circulant_matmul
+from repro.compression import CompressionConfig
 from repro.graph import load_dataset
 from repro.models import Trainer, TrainingConfig, create_model
 from repro.serving import InferenceServer, ManualClock, ServingConfig
 
-STRICT_PERF = os.environ.get("BLOCKGNN_STRICT_PERF", "1") != "0"
 QUICK = os.environ.get("BLOCKGNN_QUICK", "0") == "1"
 
 SCALE = 0.001 if QUICK else 0.006
@@ -151,39 +144,3 @@ def test_degree_retention_beats_lru_on_zipf_stream(served_setup, save_result):
         f"LRU ({hit_rates['lru']:.3f}) on the Zipf stream"
     )
 
-
-def test_fft_workers_identical_and_not_slower_at_one(save_result):
-    """Micro-gate: scipy.fft workers=1 changes nothing (outputs or speed)."""
-    rng = np.random.default_rng(5)
-    spec = BlockCirculantSpec(out_features=256, in_features=256, block_size=16)
-    weights = random_block_circulant(spec, rng)
-    x = rng.normal(size=(512, spec.in_features))
-
-    def timed(repeats=5):
-        best = float("inf")
-        for _ in range(repeats):
-            start = time.perf_counter()
-            out = block_circulant_matmul(x, weights, spec, use_rfft=True)
-            best = min(best, time.perf_counter() - start)
-        return best, out
-
-    try:
-        set_fft_workers(None)
-        default_seconds, default_out = timed()
-        set_fft_workers(1)
-        one_seconds, one_out = timed()
-    finally:
-        set_fft_workers(None)
-
-    assert np.array_equal(default_out, one_out)
-    ratio = one_seconds / default_seconds
-    save_result(
-        "serving_hotpath_fft_workers",
-        f"block-circulant matmul (512 x {spec.in_features}, n={spec.block_size}) "
-        f"rFFT path\n"
-        f"  workers default: {default_seconds * 1e3:.3f} ms\n"
-        f"  workers=1      : {one_seconds * 1e3:.3f} ms ({ratio:.2f}x)",
-        workers1_over_default=ratio,
-    )
-    if STRICT_PERF:
-        assert ratio <= 1.25, f"workers=1 measurably slower than default ({ratio:.2f}x)"

@@ -15,7 +15,8 @@ workers over shared-memory slabs (the PR-10 process plane):
    kill must surface as a typed :class:`~repro.serving.ProcessDead`, fail
    over to the sibling replica with zero lost requests (ledger balances,
    every completion bitwise exact), and the supervisor must respawn the
-   corpse under a bumped epoch with a halo-prewarmed cache.  A timed pass on
+   corpse under a bumped epoch with a halo-prewarmed cache
+   (``prewarmed_rows > 0``).  A timed pass on
    the healed fleet must reach >= ``STEADY_FLOOR`` x the pre-kill
    steady-state throughput of the same server (wall-clock — real processes —
    so the assertion follows ``BLOCKGNN_STRICT_PERF``; the trend gate tracks
@@ -239,6 +240,7 @@ def test_sigkill_heal_mid_stream_zero_lost(served_setup, save_result):
             assert replacement.epoch == victim.epoch + 1
             assert replacement._proc.is_alive()
         prewarmed = stats.prewarmed_rows
+        assert prewarmed > 0  # respawned children copied the fleet's halo rows
 
         after = float("inf")
         for _ in range(REPEATS):

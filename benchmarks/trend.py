@@ -41,7 +41,6 @@ FLOOR_METRICS: Dict[str, List[str]] = {
     "serving_microbatch_throughput": ["speedup"],
     "serving_hotpath_degree_policy": ["degree_hit_rate"],
     "serving_halo_cold": ["speedup_halo_cold", "halo_hit_rate"],
-    "serving_halo_plan_cache": ["plan_speedup", "hit_rate"],
     "serving_faults": ["throughput_ratio"],
     "serving_supervisor": ["steady_state_ratio"],
     "serving_supervisor_hedge": ["hedged_p99_speedup"],

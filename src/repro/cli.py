@@ -143,18 +143,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="share computed boundary (halo) embeddings between shards so cold "
         "flushes stop recomputing each other's cut nodes",
     )
-    serve.add_argument(
-        "--plan-cache-size",
-        type=int,
-        default=32,
-        help="restriction plans cached per worker (0 disables plan reuse/patching)",
-    )
-    serve.add_argument(
-        "--fft-workers",
-        type=int,
-        default=None,
-        help="scipy.fft workers= for block-circulant transforms (default: single-threaded)",
-    )
     serve.add_argument("--requests", type=int, default=512)
     serve.add_argument("--mode", choices=["exact", "sampled"], default="exact")
     serve.add_argument("--fanouts", type=int, nargs="+", default=[10, 5], help="sampled mode only")
@@ -623,8 +611,6 @@ def _run_serve_bench(args: argparse.Namespace) -> str:
                 cache_policy=args.cache_policy,
                 cache_pin_fraction=args.pin_fraction,
                 halo_tier=args.halo_tier == "on",
-                plan_cache_size=args.plan_cache_size,
-                fft_workers=args.fft_workers,
                 num_replicas=args.replicas,
                 dispatch=args.dispatch,
                 executor=executor,

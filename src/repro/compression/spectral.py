@@ -18,7 +18,6 @@ This module contains:
 
 from __future__ import annotations
 
-import os
 from typing import Optional
 
 import numpy as np
@@ -27,20 +26,14 @@ try:  # scipy's pocketfft front-end is measurably faster than numpy's for the
     # batched short transforms these kernels are built from; fall back to
     # numpy when scipy is unavailable (identical results either way).
     from scipy import fft as _fftlib
-
-    _SUPPORTS_WORKERS = True
 except ImportError:  # pragma: no cover - scipy is a hard dep of repro.graph
     from numpy import fft as _fftlib
-
-    _SUPPORTS_WORKERS = False
 
 from ..tensor.tensor import Tensor, ensure_tensor
 from .circulant import BlockCirculantSpec, pad_to_multiple
 
 __all__ = [
     "rfft_bins",
-    "set_fft_workers",
-    "get_fft_workers",
     "spectral_weights",
     "block_circulant_matvec",
     "block_circulant_matmul",
@@ -51,62 +44,6 @@ __all__ = [
     "dense_operation_count",
     "block_circulant_operation_count",
 ]
-
-
-# ---------------------------------------------------------------------------
-# Transform-backend configuration
-# ---------------------------------------------------------------------------
-
-#: Thread count handed to scipy.fft's ``workers=`` for the batched transforms
-#: below.  ``None`` keeps scipy's single-threaded default — bit-identical,
-#: deterministic, and what every test assumes.  Opt in per process via
-#: :func:`set_fft_workers` or the ``BLOCKGNN_FFT_WORKERS`` environment
-#: variable (serving: ``ServingConfig(fft_workers=...)``).  pocketfft splits
-#: the *batch* axis across threads, so the per-transform results are
-#: unchanged; the knob still defaults off so test timings stay comparable.
-_FFT_WORKERS: Optional[int] = None
-
-
-def set_fft_workers(workers: Optional[int]) -> None:
-    """Set the process-wide scipy.fft ``workers=`` count (``None`` = default).
-
-    Ignored (with no error) when the numpy fallback backend is active, which
-    has no ``workers`` parameter.
-    """
-    global _FFT_WORKERS
-    if workers is not None and workers < 1:
-        raise ValueError("fft workers must be >= 1 (or None for the backend default)")
-    _FFT_WORKERS = int(workers) if workers is not None else None
-
-
-def get_fft_workers() -> Optional[int]:
-    """The currently configured ``workers=`` count (``None`` = default)."""
-    return _FFT_WORKERS
-
-
-def _fft_kwargs() -> dict:
-    if _FFT_WORKERS is not None and _SUPPORTS_WORKERS:
-        return {"workers": _FFT_WORKERS}
-    return {}
-
-
-def _workers_from_env() -> Optional[int]:
-    """Parse ``BLOCKGNN_FFT_WORKERS`` leniently: unset/empty/0/garbage = off.
-
-    An environment variable must never be able to break ``import repro`` —
-    the knob is opt-in, so anything that does not parse to a positive
-    integer simply leaves the default in place.
-    """
-    raw = os.environ.get("BLOCKGNN_FFT_WORKERS", "").strip()
-    try:
-        workers = int(raw)
-    except ValueError:
-        return None
-    return workers if workers >= 1 else None
-
-
-if _workers_from_env() is not None:
-    set_fft_workers(_workers_from_env())
 
 
 # ---------------------------------------------------------------------------
@@ -132,8 +69,8 @@ def spectral_weights(weights: np.ndarray, use_rfft: bool = False) -> np.ndarray:
     if weights.ndim != 3:
         raise ValueError("expected defining vectors of shape (p, q, n)")
     if use_rfft:
-        return _fftlib.rfft(weights, axis=-1, **_fft_kwargs())
-    return _fftlib.fft(weights, axis=-1, **_fft_kwargs())
+        return _fftlib.rfft(weights, axis=-1)
+    return _fftlib.fft(weights, axis=-1)
 
 
 def _resolve_spectral(
@@ -231,15 +168,15 @@ def block_circulant_matmul(
     blocks = _prepare_input(x, spec)
     w_hat, use_rfft = _resolve_spectral(weights, spec, spectral, use_rfft)
     if use_rfft:
-        x_hat = _fftlib.rfft(blocks, axis=-1, **_fft_kwargs())
+        x_hat = _fftlib.rfft(blocks, axis=-1)
     else:
-        x_hat = _fftlib.fft(blocks, axis=-1, **_fft_kwargs())
+        x_hat = _fftlib.fft(blocks, axis=-1)
     # Accumulate over the q input blocks directly in the spectral domain.
     out_hat = np.einsum("pqn,bqn->bpn", w_hat, x_hat, optimize=True)
     if use_rfft:
-        out = _fftlib.irfft(out_hat, n=spec.block_size, axis=-1, **_fft_kwargs())
+        out = _fftlib.irfft(out_hat, n=spec.block_size, axis=-1)
     else:
-        out = np.real(_fftlib.ifft(out_hat, axis=-1, **_fft_kwargs()))
+        out = np.real(_fftlib.ifft(out_hat, axis=-1))
     out = out.reshape(out.shape[0], spec.padded_out)[:, : spec.out_features]
     return out[0] if squeeze else out
 
@@ -270,7 +207,7 @@ def block_circulant_matvec_spatial(
     squeeze = np.asarray(x).ndim == 1
     blocks = _prepare_input(x, spec)
     w_hat = spectral_weights(weights)
-    x_hat = _fftlib.fft(blocks, axis=-1, **_fft_kwargs())
+    x_hat = _fftlib.fft(blocks, axis=-1)
     batch = blocks.shape[0]
     out = np.empty((batch, spec.p, spec.block_size), dtype=np.float64)
     for i in range(spec.p):
@@ -278,7 +215,7 @@ def block_circulant_matvec_spatial(
         # still p * q transforms per vector, preserving the kernel's role as
         # the p*q-vs-p IFFT accounting reference.
         products = w_hat[i][None, :, :] * x_hat  # (batch, q, n)
-        out[:, i, :] = np.real(_fftlib.ifft(products, axis=-1, **_fft_kwargs())).sum(axis=1)
+        out[:, i, :] = np.real(_fftlib.ifft(products, axis=-1)).sum(axis=1)
     out = out.reshape(batch, spec.padded_out)[:, : spec.out_features]
     return out[0] if squeeze else out
 
@@ -357,13 +294,13 @@ def circulant_linear(
 
     def forward_fft(values: np.ndarray, axis: int = -1) -> np.ndarray:
         if use_rfft:
-            return _fftlib.rfft(values, axis=axis, **_fft_kwargs())
-        return _fftlib.fft(values, axis=axis, **_fft_kwargs())
+            return _fftlib.rfft(values, axis=axis)
+        return _fftlib.fft(values, axis=axis)
 
     def inverse_fft(spectrum: np.ndarray) -> np.ndarray:
         if use_rfft:
-            return _fftlib.irfft(spectrum, n=n, axis=-1, **_fft_kwargs())
-        return np.real(_fftlib.ifft(spectrum, axis=-1, **_fft_kwargs()))
+            return _fftlib.irfft(spectrum, n=n, axis=-1)
+        return np.real(_fftlib.ifft(spectrum, axis=-1))
 
     if spectral is not None:
         w_hat = np.asarray(spectral)

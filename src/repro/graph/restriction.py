@@ -9,23 +9,16 @@ CSR structure once per flush and remaps the column ids into the batch-local
 index space — the "compile the aggregation operator once, reuse sliced views"
 strategy of Alves et al. (PAPERS.md).
 
-Consecutive flushes repeat themselves: a hot request mix produces miss sets
-that are identical to, or overlap heavily with, recent ones.  A
-:class:`PlanCache` therefore memoises built plans keyed on the miss-set
-signature, and *patches* a cached plan instead of rebuilding when the new
-miss set is a subset (:meth:`Restriction.restrict_to` — a pure row slice, no
-graph access) or a superset (build a delta plan for the few new rows and
-merge it with the cached one) of a recently cached plan.
+Plans are built fresh per flush and never memoised across flushes: the
+embedding cache answers a node after its first miss, so on warm traffic a
+miss set practically never recurs and a memoised plan would only pin memory.
 
 Exactness: a restriction is only a valid stand-in for full-graph inference
 when every neighbour of every requested row is present in ``cols``.  The
 serving recursion guarantees that by construction (layer ``k``'s miss set is
 expanded by exactly one hop to form layer ``k-1``'s needed set), and
 :func:`_remap_columns` verifies it, so a violation raises instead of silently
-corrupting a prediction.  Derived plans inherit the guarantee: a subset slice
-keeps the parent's column set (a superset of the minimal one — extra columns
-cost a few extra exact rows one layer down, never correctness), and a merged
-plan's column set is the union of its parts'.
+corrupting a prediction.
 
 All node ids here are ids *of the frozen graph* (shard-local ids when the
 graph is a shard's induced subgraph); translating global ids is the caller's
@@ -35,8 +28,6 @@ serving recursion produces.
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
@@ -44,7 +35,7 @@ import scipy.sparse as sp
 
 from .graph import Graph
 
-__all__ = ["Restriction", "PlanCache", "PlanCacheStats", "slice_csr_rows"]
+__all__ = ["Restriction", "slice_csr_rows"]
 
 
 def _row_slices(
@@ -65,30 +56,6 @@ def _row_slices(
     return new_indptr, edge_index
 
 
-def _interleave_rows(
-    indptr_a: np.ndarray, indptr_b: np.ndarray, from_a: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Merged CSR layout of two row-disjoint slices.
-
-    ``from_a`` marks, per merged row in order, whether it comes from slice
-    ``a`` (the i-th marked row is ``a``'s row i — both sides sorted).  Returns
-    ``(indptr, edge_index)`` where ``edge_index`` gathers each merged row's
-    segment out of the concatenation ``edges_a ++ edges_b``, preserving the
-    per-row edge order both sides inherited from the parent graph.
-    """
-    lengths = np.empty(len(from_a), dtype=np.int64)
-    lengths[from_a] = np.diff(indptr_a)
-    lengths[~from_a] = np.diff(indptr_b)
-    indptr = np.zeros(len(from_a) + 1, dtype=np.int64)
-    np.cumsum(lengths, out=indptr[1:])
-    starts = np.empty(len(from_a), dtype=np.int64)
-    starts[from_a] = indptr_a[:-1]
-    starts[~from_a] = indptr_b[:-1] + indptr_a[-1]
-    total = int(indptr[-1])
-    edge_index = np.repeat(starts - indptr[:-1], lengths) + np.arange(total, dtype=np.int64)
-    return indptr, edge_index
-
-
 def _remap_columns(cols: np.ndarray, values: np.ndarray) -> np.ndarray:
     """Positions of ``values`` inside the sorted id set ``cols`` (checked)."""
     positions = np.searchsorted(cols, values)
@@ -100,18 +67,6 @@ def _remap_columns(cols: np.ndarray, values: np.ndarray) -> np.ndarray:
                 f"restriction columns are missing neighbours "
                 f"{np.unique(values[missing]).tolist()[:8]}..."
             )
-    return positions
-
-
-def _positions_if_contained(container: np.ndarray, values: np.ndarray) -> Optional[np.ndarray]:
-    """Positions of ``values`` in sorted ``container``, or None if any absent."""
-    positions = np.searchsorted(container, values)
-    if len(values) == 0:
-        return positions
-    if positions[-1] >= len(container):  # sorted values: only the tail can overflow
-        return None
-    if not np.array_equal(container[positions], values):
-        return None
     return positions
 
 
@@ -129,15 +84,6 @@ def slice_csr_rows(matrix: sp.csr_matrix, rows: np.ndarray, cols: np.ndarray) ->
     positions = _remap_columns(cols, matrix.indices[edge_index])
     return sp.csr_matrix(
         (matrix.data[edge_index], positions, indptr), shape=(len(rows), len(cols))
-    )
-
-
-def _slice_operator_rows(matrix: sp.csr_matrix, positions: np.ndarray) -> sp.csr_matrix:
-    """Row slice of an already-remapped operator (columns untouched)."""
-    indptr, edge_index = _row_slices(np.asarray(matrix.indptr, dtype=np.int64), positions)
-    return sp.csr_matrix(
-        (matrix.data[edge_index], matrix.indices[edge_index], indptr),
-        shape=(len(positions), matrix.shape[1]),
     )
 
 
@@ -164,8 +110,7 @@ class Restriction:
     rows:
         Sorted unique node ids whose outputs are requested.
     cols:
-        Sorted node ids the computation reads (``rows`` ∪ neighbours; for
-        derived subset plans, the parent's possibly-larger column set).
+        Sorted node ids the computation reads (``rows`` ∪ neighbours).
     indptr, col_positions:
         CSR of the rows' neighbour lists with neighbours given as positions
         into ``cols`` (edge order identical to the parent graph's, which is
@@ -180,7 +125,6 @@ class Restriction:
         self.rows = rows
         self._operators: dict = {}
         self._edge_rows: Optional[np.ndarray] = None
-        self._op_source: Optional[tuple] = None
         num_nodes = graph.num_nodes
         self._full = len(rows) == num_nodes and (
             num_nodes == 0 or bool(np.array_equal(rows, np.arange(num_nodes, dtype=np.int64)))
@@ -190,73 +134,15 @@ class Restriction:
             # CSR arrays (positions into cols == node ids) and skip the
             # union/searchsorted entirely.
             self.indptr = graph.indptr
-            self._edge_index: Optional[np.ndarray] = None
             self.cols = rows
             self.col_positions = graph.indices
             self.row_positions = rows
         else:
-            self.indptr, self._edge_index = _row_slices(graph.indptr, rows)
-            neighbors = graph.indices[self._edge_index]
+            self.indptr, edge_index = _row_slices(graph.indptr, rows)
+            neighbors = graph.indices[edge_index]
             self.cols = np.union1d(rows, neighbors)
             self.col_positions = _remap_columns(self.cols, neighbors)
             self.row_positions = _remap_columns(self.cols, rows)
-
-    @classmethod
-    def _merged(
-        cls, base: "Restriction", delta: "Restriction", rows: np.ndarray, from_base: np.ndarray
-    ) -> "Restriction":
-        """Patch plan: ``base`` (cached) extended by the row-disjoint ``delta``.
-
-        Structure is merged eagerly (one interleave over the two edge arrays,
-        column maps of size ``|cols|`` instead of a searchsorted over every
-        edge); operators merge lazily from the parts' operators, so the
-        frozen-graph normalisation is never re-sliced for the cached rows.
-        """
-        merged = object.__new__(cls)
-        merged.graph = base.graph
-        merged.rows = rows
-        merged._operators = {}
-        merged._edge_rows = None
-        merged._edge_index = None
-        merged._full = False
-        cols = np.union1d(base.cols, delta.cols)
-        map_base = np.searchsorted(cols, base.cols)
-        map_delta = np.searchsorted(cols, delta.cols)
-        indptr, edge_index = _interleave_rows(base.indptr, delta.indptr, from_base)
-        merged.indptr = indptr
-        merged.col_positions = np.concatenate(
-            [map_base[base.col_positions], map_delta[delta.col_positions]]
-        )[edge_index]
-        merged.cols = cols
-        merged.row_positions = np.searchsorted(cols, rows)
-        merged._op_source = ("merge", base, delta, from_base, map_base, map_delta)
-        return merged
-
-    def restrict_to(self, positions: np.ndarray) -> "Restriction":
-        """Derived plan for a subset of this plan's rows, sharing its columns.
-
-        ``positions`` indexes the requested rows inside :attr:`rows`.  A pure
-        row slice: no graph access, no column union, no per-edge searchsorted
-        — and :meth:`operator` slices this plan's memoised operators instead
-        of the graph's.  The derived plan keeps this plan's ``cols`` (a
-        superset of its minimal column set); exactness is unaffected, the
-        caller merely reads/computes a few extra exact rows one layer down.
-        """
-        positions = np.asarray(positions, dtype=np.int64)
-        derived = object.__new__(Restriction)
-        derived.graph = self.graph
-        derived.rows = self.rows[positions]
-        indptr, edge_index = _row_slices(self.indptr, positions)
-        derived.indptr = indptr
-        derived.cols = self.cols
-        derived.col_positions = self.col_positions[edge_index]
-        derived.row_positions = self.row_positions[positions]
-        derived._operators = {}
-        derived._edge_rows = None
-        derived._edge_index = None
-        derived._full = False
-        derived._op_source = ("slice", self, positions)
-        return derived
 
     @property
     def num_rows(self) -> int:
@@ -293,8 +179,7 @@ class Restriction:
         restricted SpMM reproduces ``operator @ h`` for the requested rows
         bitwise — the per-row data slice and its order are untouched.  Empty
         plans return an empty matrix without building any operator; full-graph
-        plans return the memoised full operator itself; derived plans slice or
-        merge their sources' operators instead of re-slicing the graph's.
+        plans return the memoised full operator itself.
         """
         key = (kind, add_self_loops)
         if key in self._operators:
@@ -303,190 +188,9 @@ class Restriction:
             operator = sp.csr_matrix((0, self.num_cols), dtype=np.float64)
         elif self._full:
             operator = self.graph.propagation_operator(kind, add_self_loops=add_self_loops)
-        elif self._op_source is not None and self._op_source[0] == "slice":
-            _, parent, positions = self._op_source
-            operator = _slice_operator_rows(parent.operator(kind, add_self_loops), positions)
-        elif self._op_source is not None and self._op_source[0] == "merge":
-            _, base, delta, from_base, map_base, map_delta = self._op_source
-            op_base = base.operator(kind, add_self_loops)
-            op_delta = delta.operator(kind, add_self_loops)
-            indptr, edge_index = _interleave_rows(
-                np.asarray(op_base.indptr, dtype=np.int64),
-                np.asarray(op_delta.indptr, dtype=np.int64),
-                from_base,
-            )
-            data = np.concatenate([op_base.data, op_delta.data])[edge_index]
-            indices = np.concatenate(
-                [map_base[op_base.indices], map_delta[op_delta.indices]]
-            )[edge_index]
-            operator = sp.csr_matrix(
-                (data, indices, indptr), shape=(self.num_rows, self.num_cols)
-            )
         else:
             operator = self.graph.restricted_operator(
                 self.rows, self.cols, kind=kind, add_self_loops=add_self_loops
             )
         self._operators[key] = operator
         return operator
-
-
-@dataclass
-class PlanCacheStats:
-    """Counters describing plan-cache effectiveness."""
-
-    exact_hits: int = 0
-    subset_hits: int = 0
-    superset_hits: int = 0
-    misses: int = 0
-    evictions: int = 0
-
-    @property
-    def hits(self) -> int:
-        return self.exact_hits + self.subset_hits + self.superset_hits
-
-    @property
-    def lookups(self) -> int:
-        return self.hits + self.misses
-
-    @property
-    def hit_rate(self) -> float:
-        return self.hits / self.lookups if self.lookups else 0.0
-
-    def merge(self, other: "PlanCacheStats") -> "PlanCacheStats":
-        """Element-wise sum (used to aggregate per-worker stats)."""
-        return PlanCacheStats(
-            exact_hits=self.exact_hits + other.exact_hits,
-            subset_hits=self.subset_hits + other.subset_hits,
-            superset_hits=self.superset_hits + other.superset_hits,
-            misses=self.misses + other.misses,
-            evictions=self.evictions + other.evictions,
-        )
-
-    def as_dict(self) -> dict:
-        """Event-name → count view (the telemetry gauge mirror exports this)."""
-        return {
-            "exact_hits": self.exact_hits,
-            "subset_hits": self.subset_hits,
-            "superset_hits": self.superset_hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-        }
-
-
-class PlanCache:
-    """LRU of ``(layer, miss-set signature)`` → :class:`Restriction`, with
-    patching.
-
-    Lookup order per requested row set:
-
-    1. **exact** — same layer and signature (``rows.tobytes()``): return the
-       cached plan untouched.
-    2. **subset patch** — a recently used *same-layer* plan's rows contain
-       the request and are at most ``subset_blowup`` times larger: derive
-       via :meth:`Restriction.restrict_to` (a row slice; no graph work).
-    3. **superset patch** — a recently used same-layer plan's rows are
-       contained in the request and the delta is at most ``superset_delta``
-       of it: build a delta plan for the new rows only and merge.
-    4. **miss** — build from the graph.
-
-    The layer in the key is a *correctness* requirement, not bookkeeping.
-    Serving a shard exactly relies on a distance budget: a layer-``k`` miss
-    set lies within ``K - k`` hops of the shard core, so its plan's column
-    set — which becomes layer ``k-1``'s needed set — stays within
-    ``K - k + 1`` hops, and every row the recursion ever *computes* is
-    within ``K - 1`` hops, where the shard's K-hop halo still holds the
-    node's complete neighbour list.  Patching only ever inherits column sets
-    of same-layer plans, so derived plans respect the same budget; a
-    cross-layer patch (say a layer-2 request sliced out of a cached
-    layer-1 plan) would drag halo-edge nodes — whose shard-CSR rows are
-    truncated — into the computed set and silently break exactness.
-
-    Only the ``probe_depth`` most recently used same-layer plans are
-    examined for patching (the containment test is a searchsorted over the
-    candidate rows; probing the whole cache would cost more than it saves).
-    Derived plans are inserted under the requested signature, so a repeating
-    mix converges to exact hits.  Not thread-safe by itself — the serving
-    worker's predict lock already serialises access, exactly as for its
-    embedding cache.
-    """
-
-    def __init__(
-        self,
-        capacity: int,
-        probe_depth: int = 4,
-        subset_blowup: float = 3.0,
-        superset_delta: float = 0.5,
-    ) -> None:
-        if capacity < 0:
-            raise ValueError("plan cache capacity must be non-negative")
-        self.capacity = int(capacity)
-        self.probe_depth = int(probe_depth)
-        self.subset_blowup = float(subset_blowup)
-        self.superset_delta = float(superset_delta)
-        self.stats = PlanCacheStats()
-        self._plans: "OrderedDict[Tuple[int, bytes], Restriction]" = OrderedDict()
-
-    def __len__(self) -> int:
-        return len(self._plans)
-
-    @property
-    def enabled(self) -> bool:
-        return self.capacity > 0
-
-    def clear(self) -> None:
-        self._plans.clear()
-
-    def restriction(self, graph: Graph, rows: np.ndarray, layer: int = 0) -> Restriction:
-        """The layer-``layer`` plan for ``rows`` (sorted unique ids), cached."""
-        rows = np.asarray(rows, dtype=np.int64)
-        if not self.enabled:
-            self.stats.misses += 1
-            return Restriction(graph, rows)
-        key = (int(layer), rows.tobytes())
-        plan = self._plans.get(key)
-        if plan is not None and plan.graph is graph:
-            self._plans.move_to_end(key)
-            self.stats.exact_hits += 1
-            return plan
-        plan = self._derive(graph, rows, int(layer))
-        if plan is None:
-            self.stats.misses += 1
-            plan = Restriction(graph, rows)
-        self._plans[key] = plan
-        while len(self._plans) > self.capacity:
-            self._plans.popitem(last=False)
-            self.stats.evictions += 1
-        return plan
-
-    def _derive(self, graph: Graph, rows: np.ndarray, layer: int) -> Optional[Restriction]:
-        """Patch a recently used same-layer plan into the requested one."""
-        if len(rows) == 0:
-            return None  # an empty plan builds nothing anyway
-        probed = 0
-        for (cached_layer, _), cached in reversed(self._plans.items()):
-            if probed >= self.probe_depth:
-                break
-            if cached_layer != layer:  # never inherit another layer's columns
-                continue
-            probed += 1
-            if cached.graph is not graph:
-                continue
-            n_cached, n_rows = cached.num_rows, len(rows)
-            if n_cached >= n_rows:
-                if n_cached == 0 or n_cached > self.subset_blowup * n_rows:
-                    continue
-                positions = _positions_if_contained(cached.rows, rows)
-                if positions is not None:
-                    self.stats.subset_hits += 1
-                    return cached.restrict_to(positions)
-            else:
-                if n_cached == 0 or (n_rows - n_cached) > self.superset_delta * n_rows:
-                    continue
-                positions = _positions_if_contained(rows, cached.rows)
-                if positions is not None:
-                    from_base = np.zeros(n_rows, dtype=bool)
-                    from_base[positions] = True
-                    delta = Restriction(graph, rows[~from_base])
-                    self.stats.superset_hits += 1
-                    return Restriction._merged(cached, delta, rows, from_base)
-        return None

@@ -14,9 +14,8 @@ trained (optionally block-circulant-compressed) GNN:
   ``weight_signature`` when training bumps ``Parameter.version``);
 * a shared :class:`HaloStore` exchanges boundary (halo) embeddings between
   shards — a row computed during one shard's flush is gathered, not
-  recomputed, by its neighbours — and a per-worker
-  :class:`~repro.graph.PlanCache` reuses (or incrementally patches)
-  :class:`~repro.graph.Restriction` plans across overlapping flushes;
+  recomputed, by its neighbours — and every flush recomputes its misses
+  over a freshly built :class:`~repro.graph.Restriction` plan;
 * a :class:`Scheduler` owns the flush loop, dispatching one flush task per
   due shard through a pluggable :class:`FlushExecutor` —
   :class:`SerialExecutor` (deterministic, default) or
@@ -71,7 +70,6 @@ trained (optionally block-circulant-compressed) GNN:
   *view* over the registry, so the frozen-dataclass API is unchanged.
 """
 
-from ..graph.restriction import PlanCache, PlanCacheStats
 from .batcher import TERMINAL_STATUSES, InferenceRequest, MicroBatcher
 from .cache import CACHE_POLICIES, CacheStats, EmbeddingCache, HaloStore
 from .clock import Clock, ManualClock, SystemClock
@@ -124,8 +122,6 @@ __all__ = [
     "CACHE_POLICIES",
     "EmbeddingCache",
     "HaloStore",
-    "PlanCache",
-    "PlanCacheStats",
     "StageTimer",
     "STAGES",
     "merge_stage_totals",

@@ -69,16 +69,6 @@ class ServingConfig:
         so cold flushes stop recomputing each other's cut nodes.  Exact
         serving only; needs at least two workers to exist.  Memory:
         one ``num_boundary_nodes x dim`` slab per layer, shared server-wide.
-    plan_cache_size:
-        Per-worker LRU capacity of the :class:`~repro.graph.PlanCache`
-        memoising miss-set → :class:`~repro.graph.Restriction` plans, with
-        incremental subset/superset patching for overlapping consecutive
-        miss sets.  ``0`` disables it (every flush rebuilds its plans).
-    fft_workers:
-        When set, serving enables :func:`repro.compression.set_fft_workers`
-        with this thread count for the batched rFFTs of block-circulant
-        layers (scipy.fft ``workers=``).  ``None`` (default) leaves the
-        global setting untouched — deterministic single-threaded transforms.
     partition_method:
         ``"bfs"`` (locality-aware) or ``"hash"`` — see
         :func:`repro.graph.partition_nodes`.
@@ -209,8 +199,6 @@ class ServingConfig:
     cache_policy: str = "lru"
     cache_pin_fraction: float = 0.25
     halo_tier: bool = True
-    plan_cache_size: int = 32
-    fft_workers: Optional[int] = None
     partition_method: str = "bfs"
     num_replicas: int = 1
     dispatch: str = "round_robin"
@@ -290,10 +278,6 @@ class ServingConfig:
             )
         if not 0.0 <= self.cache_pin_fraction <= 1.0:
             raise ValueError("cache_pin_fraction must be within [0, 1]")
-        if self.plan_cache_size < 0:
-            raise ValueError("plan_cache_size must be non-negative (0 disables the plan cache)")
-        if self.fft_workers is not None and self.fft_workers < 1:
-            raise ValueError("fft_workers must be >= 1 (or None to leave the default)")
         if self.halo_hops is not None and self.halo_hops < 1:
             raise ValueError("halo_hops must be at least 1 (the direct neighbourhood)")
         if self.executor not in ("serial", "concurrent", "process"):

@@ -66,7 +66,6 @@ from .batcher import (
     InferenceRequest,
     MicroBatcher,
 )
-from ..graph.restriction import PlanCacheStats
 from ..telemetry import Telemetry
 from .cache import CacheStats, EmbeddingCache, HaloStore
 from .clock import Clock, SystemClock
@@ -109,15 +108,6 @@ class InferenceServer:
             fanouts = self.config.fanouts
             if fanouts is None or len(fanouts) != model.num_layers:
                 raise ValueError("sampled serving needs config.fanouts, one per model layer")
-        self._previous_fft_workers = None
-        if self.config.fft_workers is not None:
-            from ..compression.spectral import get_fft_workers, set_fft_workers
-
-            # Applied process-wide (scipy.fft has one workers argument per
-            # call site); the prior value is restored on shutdown so one
-            # server's opt-in cannot leak into later servers or training.
-            self._previous_fft_workers = get_fft_workers()
-            set_fft_workers(self.config.fft_workers)
 
         halo_hops = (
             self.config.halo_hops if self.config.halo_hops is not None else model.num_layers
@@ -395,7 +385,6 @@ class InferenceServer:
                 epoch=epoch,
                 seed=self.config.seed + 9176 * worker_id,
                 mode=self.config.mode,
-                plan_cache_size=self.config.plan_cache_size,
                 fanouts=self.config.fanouts,
                 halo_publish_mask=self._publish_masks[shard_id],
                 cache_capacity=self.config.cache_capacity,
@@ -413,7 +402,6 @@ class InferenceServer:
             seed=self.config.seed + 9176 * worker_id,
             halo_store=self.halo_store,
             halo_publish_mask=self._publish_masks[shard_id],
-            plan_cache_size=self.config.plan_cache_size,
             epoch=epoch,
         )
 
@@ -791,10 +779,6 @@ class InferenceServer:
                     worker.sync(timeout=1.0)
                     worker.close(timeout=5.0)
             self._procplane.shutdown()
-        if self.config.fft_workers is not None:
-            from ..compression.spectral import set_fft_workers
-
-            set_fft_workers(self._previous_fft_workers)
 
     def __enter__(self) -> "InferenceServer":
         return self
@@ -1333,22 +1317,17 @@ class InferenceServer:
     def _collect_gauges(self) -> None:
         """Pull-hook run before every telemetry export.
 
-        Cache/halo/plan counters and executor state live in their own
+        Cache/halo counters and executor state live in their own
         structs on the hot path; exports mirror them into gauges here
         instead of paying per-event metric increments.
         """
         metrics = self._metrics
         self._sync_process_workers()
         cache = CacheStats()
-        plans = PlanCacheStats()
         for worker in self.workers:
             cache = cache.merge(worker.cache.stats)
-            if worker.plan_cache is not None:
-                plans = plans.merge(worker.plan_cache.stats)
         for event, value in cache.as_dict().items():
             metrics.cache_gauge.labels(event).set(value)
-        for event, value in plans.as_dict().items():
-            metrics.plan_gauge.labels(event).set(value)
         if self.halo_store is not None:
             for event, value in self.halo_store.stats.as_dict().items():
                 metrics.halo_gauge.labels(event).set(value)
@@ -1379,11 +1358,8 @@ class InferenceServer:
     def stats(self) -> ServerStats:
         self._sync_process_workers()
         cache = CacheStats()
-        plans = PlanCacheStats()
         for worker in self.workers:
             cache = cache.merge(worker.cache.stats)
-            if worker.plan_cache is not None:
-                plans = plans.merge(worker.plan_cache.stats)
         halo = CacheStats()
         if self.halo_store is not None:
             halo = halo.merge(self.halo_store.stats)
@@ -1456,7 +1432,6 @@ class InferenceServer:
             block_self_flushes=metrics.block_self_flushes.value,
             halo=halo,
             halo_tier=self.halo_store is not None,
-            plans=plans,
             class_requests=metrics.class_totals(),
             stolen_batches=self.scheduler.stolen_batches,
             steal_rounds=self.scheduler.steal_rounds,
@@ -1511,8 +1486,6 @@ class InferenceServer:
             worker.nodes_served = 0
             worker.peak_inflight = 0
             worker.cache.stats = CacheStats()
-            if worker.plan_cache is not None:
-                worker.plan_cache.stats = PlanCacheStats()
             worker.timings.reset()
         if self.halo_store is not None:
             self.halo_store.stats = CacheStats()
@@ -1536,7 +1509,7 @@ class InferenceServer:
             f"{len(self.shards)} shards x {self.config.num_replicas} replicas, "
             f"batch<= {self.config.max_batch_size}, delay<= {self.config.max_delay * 1e3:.1f} ms, "
             f"cache {self.config.cache_capacity} entries/worker ({self.config.cache_policy}), "
-            f"{halo}, plan cache {self.config.plan_cache_size} plans/worker, "
+            f"{halo}, "
             f"executor {self.executor.name}, queues {depth}, "
             f"ingress {self.config.ingress}"
             + (", work stealing" if self.config.work_stealing else "")

@@ -240,11 +240,6 @@ class ServingMetrics:
             "Shared halo-tier counters, by event",
             labels=("event",),
         )
-        self.plan_gauge = registry.gauge(
-            "serving_plan_cache_events",
-            "Restriction-plan cache counters summed over workers, by event",
-            labels=("event",),
-        )
         self.executor_peak = registry.gauge(
             "serving_executor_peak_concurrency",
             "Maximum flush tasks observed in flight simultaneously",

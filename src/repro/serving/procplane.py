@@ -63,7 +63,6 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from ..graph.graph import Graph
-from ..graph.restriction import PlanCacheStats
 from .cache import CacheStats, EmbeddingCache, HaloStore
 from .executor import ConcurrentExecutor
 from .faults import ReplicaDead, ReplicaHung
@@ -306,7 +305,8 @@ class SharedHaloStore(HaloStore):
 
     Locks and the weight signature stay per-process: publishes of the same
     exact row are idempotent-identical, and weights are frozen while the
-    process plane serves (the documented spawn-safety caveat).
+    process plane serves (the documented spawn-safety caveat), so each child
+    adopts its model's signature on the attached store at spawn.
     """
 
     def __init__(
@@ -438,7 +438,6 @@ class WorkerSpec:
     epoch: int
     seed: int
     mode: str
-    plan_cache_size: int
     fanouts: Optional[Tuple[int, ...]]
     model: object
     graph_name: str
@@ -501,7 +500,6 @@ def _child_control_loop(conn, worker: ShardWorker, halo, registry) -> None:
                     registry.reset()  # ship deltas: parent merges by addition
                 reply = {
                     "cache_stats": worker.cache.stats,
-                    "plan_stats": worker.plan_cache.stats if worker.plan_cache else None,
                     "halo_stats": halo.stats if halo is not None else None,
                     "timings": dict(worker.timings.totals),
                     "registry": snapshot,
@@ -515,8 +513,6 @@ def _child_control_loop(conn, worker: ShardWorker, halo, registry) -> None:
                 worker.nodes_served = 0
                 worker.peak_inflight = 0
                 worker.cache.stats = CacheStats()
-                if worker.plan_cache is not None:
-                    worker.plan_cache.stats = PlanCacheStats()
                 if halo is not None:
                     halo.stats = CacheStats()
                 worker.timings.reset()
@@ -601,9 +597,14 @@ def _child_main(spec: WorkerSpec, request_conn, control_conn) -> None:
             seed=spec.seed,
             halo_store=halo,
             halo_publish_mask=spec.halo_publish_mask,
-            plan_cache_size=spec.plan_cache_size,
             epoch=spec.epoch,
         )
+        if halo is not None:
+            # The store's weight signature is per process and a fresh attach
+            # has none; adopting the model's now lets a PREWARM sent before
+            # the first predict copy the fleet's rows (weights are frozen
+            # while the plane serves).
+            halo.ensure_signature(worker.weight_signature())
         if stage_family is not None:
             worker.timings.bind_histograms(stage_family, spec.worker_id)
         _send(control_conn, _MSG_READY, 0, {"pid": os.getpid()})
@@ -724,7 +725,6 @@ class ProcessWorkerHandle:
         self._inflight = 0
         self.timings = _HandleTimings()
         self.cache = _StatsCarrier(CacheStats())
-        self.plan_cache = _StatsCarrier(PlanCacheStats()) if spec.plan_cache_size > 0 else None
         self.halo_stats = CacheStats()
         #: set by the engine: fleet registry the child's delta snapshots merge into.
         self.fleet_registry = None
@@ -915,8 +915,6 @@ class ProcessWorkerHandle:
             return False
         if payload.get("cache_stats") is not None:
             self.cache.stats = payload["cache_stats"]
-        if self.plan_cache is not None and payload.get("plan_stats") is not None:
-            self.plan_cache.stats = payload["plan_stats"]
         if payload.get("halo_stats") is not None:
             self.halo_stats = payload["halo_stats"]
         if payload.get("timings"):
@@ -934,8 +932,6 @@ class ProcessWorkerHandle:
             self.nodes_served = 0
             self.peak_inflight = self._inflight
         self.cache.stats = CacheStats()
-        if self.plan_cache is not None:
-            self.plan_cache.stats = PlanCacheStats()
         self.halo_stats = CacheStats()
         self.timings.reset()
         if not self.retired and not self._dead and self._ready:
@@ -1078,7 +1074,6 @@ class ProcessPlane:
         epoch: int,
         seed: int,
         mode: str,
-        plan_cache_size: int,
         fanouts: Optional[Tuple[int, ...]],
         halo_publish_mask: Optional[np.ndarray],
         cache_capacity: int,
@@ -1095,7 +1090,6 @@ class ProcessPlane:
             epoch=epoch,
             seed=seed,
             mode=mode,
-            plan_cache_size=plan_cache_size,
             fanouts=tuple(fanouts) if fanouts is not None else None,
             model=self.model,
             graph_name=graph.name,

@@ -15,7 +15,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..graph.datasets import DatasetStats
-from ..graph.restriction import PlanCacheStats
 from ..hardware.config import CirCoreConfig
 from ..perfmodel.model import PerformanceEstimate, estimate_performance
 from ..workloads.builder import build_workload
@@ -75,8 +74,6 @@ class ServerStats:
     #: cross-shard halo tier counters (eligible boundary lookups only)
     halo: CacheStats = field(default_factory=CacheStats)
     halo_tier: bool = False          # was a shared HaloStore active for the run?
-    #: restriction-plan cache counters, summed over workers
-    plans: PlanCacheStats = field(default_factory=PlanCacheStats)
     failed_requests: int = 0         # retries exhausted / degraded misses
     retried_requests: int = 0        # request-attempts that were retried
     failovers: int = 0               # batches completed on a sibling after a failure
@@ -168,8 +165,7 @@ class ServerStats:
 
     @property
     def plan_hit_rate(self) -> float:
-        """Fraction of restriction plans served from (or patched off) the cache."""
-        return self.plans.hit_rate
+        return 0.0  # every flush builds its Restriction fresh; kept for the e2e ledger row
 
     @property
     def load_imbalance(self) -> float:
@@ -294,12 +290,6 @@ class ServerStats:
                 f"{self.halo.insertions} published, "
                 f"{self.halo.invalidations} invalidations"
                 + (f", {self.halo.discarded} discarded" if self.halo.discarded else "")
-            )
-        if self.plans.lookups > 0:
-            lines.append(
-                f"  plan cache: {self.plans.exact_hits} exact + {self.plans.subset_hits} subset "
-                f"+ {self.plans.superset_hits} superset hits / {self.plans.lookups} lookups "
-                f"({self.plan_hit_rate * 100:.1f}%)"
             )
         if self.stage_total > 0:
             total = self.stage_total

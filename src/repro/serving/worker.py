@@ -12,10 +12,8 @@ answers prediction requests for the shard's core nodes in one of two modes:
     one), which gathers boundary rows *another shard already computed*; only
     the remaining misses are recomputed.  Each miss set becomes a
     :class:`~repro.graph.Restriction` — a row slice of the frozen shard CSR
-    with columns remapped into the batch-local index space, fetched through a
-    per-worker :class:`~repro.graph.PlanCache` so overlapping consecutive
-    miss sets reuse (or incrementally patch) recent plans instead of
-    rebuilding — and the layer's ``forward_restricted`` runs a restricted SpMM / segment
+    with columns remapped into the batch-local index space, built fresh per
+    flush — and the layer's ``forward_restricted`` runs a restricted SpMM / segment
     reduction against the shard's *precomputed* propagation operators
     (warmed once per worker at build time via ``prepare_full``).  No induced
     ``Graph`` is built and no operator is re-normalised per flush.  Because
@@ -40,7 +38,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from ..graph.restriction import PlanCache, Restriction
+from ..graph.restriction import Restriction
 from ..graph.sampling import NeighborSampler
 from ..models.base import GNNModel
 from ..tensor.tensor import Tensor, no_grad
@@ -74,7 +72,6 @@ class ShardWorker:
         seed: int = 0,
         halo_store=None,
         halo_publish_mask: Optional[np.ndarray] = None,
-        plan_cache_size: int = 0,
         epoch: int = 0,
     ) -> None:
         if mode not in ("exact", "sampled"):
@@ -92,10 +89,9 @@ class ShardWorker:
         self.epoch = int(epoch)
         self.retired = False
         exact = mode == "exact"
-        # Cross-shard halo tier and the per-worker restriction-plan cache are
-        # exact-mode features; sampled mode never caches.
+        # The cross-shard halo tier is an exact-mode feature; sampled mode
+        # never caches.
         self.halo_store = halo_store if exact else None
-        self.plan_cache = PlanCache(plan_cache_size) if exact and plan_cache_size > 0 else None
         # Defence in depth for the shared tier: only rows whose shard-CSR
         # neighbour list is *complete* (shard-local mask supplied by the
         # engine — exactly the rows the serving recursion legitimately
@@ -186,6 +182,10 @@ class ShardWorker:
                 self._inflight -= 1
         return logits.argmax(axis=-1)
 
+    def weight_signature(self) -> tuple:
+        """Parameter versions: cached rows are valid only under this value."""
+        return tuple(param.version for param in self._parameters)
+
     def prewarm_from_halo(self) -> int:
         """Seed the private embedding cache from the shared halo tier.
 
@@ -262,14 +262,14 @@ class ShardWorker:
         from — in order — this worker's embedding cache, the cross-shard
         :class:`~repro.serving.cache.HaloStore` (boundary rows another shard
         already computed; promoted into the local cache on the way through so
-        the next flush hits locally), or a restricted recompute whose plan is
-        fetched from (or patched by) the worker's plan cache.
+        the next flush hits locally), or a restricted recompute over a freshly
+        built :class:`~repro.graph.Restriction`.
         """
         graph = self.shard.graph
         num_layers = self.model.num_layers
         timer = self.timings
         halo = self.halo_store
-        signature = tuple(param.version for param in self._parameters)
+        signature = self.weight_signature()
         self.cache.ensure_signature(signature)
         if halo is not None:
             halo.ensure_signature(signature)
@@ -329,14 +329,7 @@ class ShardWorker:
                 miss_idx[k] = missing
                 miss_global[k] = nodes_global[missing]
                 with timer.stage("plan_build"):
-                    rows = needed[k][missing]
-                    if self.plan_cache is not None:
-                        # Keyed by layer: patched plans may only inherit a
-                        # same-layer column set (the receptive-field distance
-                        # budget exactness rests on — see PlanCache).
-                        plans[k] = self.plan_cache.restriction(graph, rows, layer=k)
-                    else:
-                        plans[k] = Restriction(graph, rows)
+                    plans[k] = Restriction(graph, needed[k][missing])
                 needed[k - 1] = plans[k].cols
 
         # Bottom-up pass: raw features feed layer 1; each layer recomputes its

@@ -29,7 +29,7 @@ Three pieces, each usable on its own:
     Registry plus the request tracer.
 
 ``collectors`` are pull hooks: components whose counters live elsewhere
-(embedding caches, halo store, plan caches, executor peaks) register a
+(embedding caches, halo store, executor peaks) register a
 callback that mirrors their state into registry gauges, and every export
 runs the callbacks first — so a scrape always sees fresh values without the
 hot path paying for gauge writes.

@@ -243,35 +243,3 @@ class TestOperationCounts:
             reductions.append(dense_operation_count(512, 512) / block_circulant_operation_count(spec))
         assert reductions == sorted(reductions)
 
-
-class TestFFTWorkersKnob:
-    """scipy.fft workers= opt-in: identical outputs, validated input."""
-
-    def test_outputs_identical_with_workers(self, circulant_spec, circulant_weights, rng):
-        from repro.compression import set_fft_workers
-
-        x = rng.normal(size=(6, circulant_spec.in_features))
-        baseline = block_circulant_matmul(x, circulant_weights, circulant_spec, use_rfft=True)
-        try:
-            set_fft_workers(2)
-            threaded = block_circulant_matmul(x, circulant_weights, circulant_spec, use_rfft=True)
-        finally:
-            set_fft_workers(None)
-        assert np.array_equal(baseline, threaded)
-
-    def test_invalid_worker_count_rejected(self):
-        from repro.compression import set_fft_workers
-
-        with pytest.raises(ValueError):
-            set_fft_workers(0)
-
-    def test_get_reflects_set(self):
-        from repro.compression import get_fft_workers, set_fft_workers
-
-        assert get_fft_workers() is None
-        try:
-            set_fft_workers(3)
-            assert get_fft_workers() == 3
-        finally:
-            set_fft_workers(None)
-        assert get_fft_workers() is None

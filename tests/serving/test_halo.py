@@ -123,7 +123,7 @@ class TestEngineWiring:
         for name in ["GCN", "GAT"]:
             model = _model(small_graph, name)
             on = _server(model, small_graph, num_shards=3)
-            off = _server(model, small_graph, num_shards=3, halo_tier=False, plan_cache_size=0)
+            off = _server(model, small_graph, num_shards=3, halo_tier=False)
             assert np.array_equal(on.predict(nodes), off.predict(nodes))
             assert np.array_equal(on.predict(nodes), off.predict(nodes))  # warm
 
@@ -151,7 +151,7 @@ class TestEngineWiring:
         assert np.array_equal(server.predict(nodes), fresh[nodes])
         assert server.halo_store.stats.invalidations == 1
 
-    def test_reset_stats_clears_halo_and_plan_counters_keeps_contents(self, small_graph):
+    def test_reset_stats_clears_halo_counters_keeps_contents(self, small_graph):
         model = _model(small_graph)
         server = _server(model, small_graph)
         server.predict(np.arange(32))
@@ -160,21 +160,19 @@ class TestEngineWiring:
         server.reset_stats()
         stats = server.stats()
         assert stats.halo.hits == 0 and stats.halo.insertions == 0
-        assert stats.plans.lookups == 0
         assert len(server.halo_store) == contents  # warm rows survive
 
 
-class TestPlanPatchingStaysExactOnBfsPartitions:
-    """Regression: cross-layer plan patching must never widen the computed set.
+class TestRowsStayExactAfterWeightBumpAndSubsetFlush:
+    """Served and published rows stay exact after a weight bump and a subset
+    flush on a bfs partition.
 
-    With the plan cache keyed on the miss-set signature *alone*, a layer-2
-    miss set could subset-patch a cached **layer-1** plan and inherit its
-    wider column set, dragging halo-edge nodes — whose shard-CSR rows are
-    truncated on a bfs partition — into the next layer's computed rows; the
-    wrong values were then cached and published through the halo tier to
-    other shards.  The adversarial sequence: cold flush (caches both layers'
-    plans), weight bump (embedding/halo caches invalidate, the topology-only
-    plan cache rightly survives), then flush a subset of the first batch.
+    A layer's computed set must never widen past the rows whose shard-CSR
+    neighbour lists are complete: dragging a halo-edge node (its row is
+    truncated on a bfs partition) into a recompute would cache a wrong value
+    and publish it through the halo tier to other shards.  The adversarial
+    sequence: cold flush, weight bump (embedding/halo caches invalidate),
+    then flush a subset of the first batch.
     """
 
     @pytest.mark.parametrize("name", MODELS)
@@ -196,11 +194,9 @@ class TestPlanPatchingStaysExactOnBfsPartitions:
         all_nodes = np.arange(small_graph.num_nodes)
         assert np.array_equal(server.predict(all_nodes), fresh)
 
-    def test_published_rows_are_bitwise_exact_after_patched_flushes(self):
-        """Ring topology, single-batch flushes: the exact chain that used to
-        publish truncated halo-edge rows (layer-2 request subset-patching the
-        cached layer-1 plan) under signature-only keying.  Checked at the
-        hidden-state level — argmax can mask a wrong row."""
+    def test_published_rows_are_bitwise_exact_after_subset_flush(self):
+        """Ring topology, single-batch flushes, checked at the hidden-state
+        level — argmax can mask a wrong row."""
         from repro.graph import Graph
         from repro.tensor.tensor import Tensor, no_grad
 
@@ -219,10 +215,9 @@ class TestPlanPatchingStaysExactOnBfsPartitions:
             clock=ManualClock(),
         )
         cores = server.shards[0].core_nodes
-        server.predict(cores)                     # caches both layers' plans
-        model.parameters()[0].bump_version()      # drops embeddings, keeps plans
-        server.predict(cores[::2])                # subset flush: patching fires
-        assert server.workers[0].plan_cache.stats.hits > 0
+        server.predict(cores)                     # cold flush
+        model.parameters()[0].bump_version()      # drops embeddings and halo rows
+        server.predict(cores[::2])                # subset flush
         with no_grad():
             layer1 = model.layers[0].forward_full(Tensor(graph.features), graph).data
         store = server.halo_store
@@ -235,11 +230,61 @@ class TestPlanPatchingStaysExactOnBfsPartitions:
         assert checked > 0
 
 
+class TestFreshPlansPerFlush:
+    """Every flush builds its restriction plans fresh.
+
+    The only way a miss set recurs on warm traffic is the same batch replayed
+    after a weight bump (the embedding cache answers a node after its first
+    miss), so that replay is the sequence pinned here.
+    """
+
+    @pytest.mark.parametrize("name", MODELS)
+    def test_replayed_batch_after_weight_bump_is_exact(self, small_graph, name):
+        model = _model(small_graph, name)
+        server = _server(model, small_graph, num_shards=4, partition_method="bfs")
+        nodes = server.shards[1].core_nodes
+        server.predict(nodes)
+        param = model.parameters()[0]
+        param.data += 0.07
+        param.bump_version()
+        fresh = model.full_forward(small_graph).data.argmax(axis=-1)
+        assert np.array_equal(server.predict(nodes), fresh[nodes])
+        assert np.array_equal(server.predict(np.arange(small_graph.num_nodes)), fresh)
+
+    def test_replay_after_weight_bump_rebuilds_every_plan(self, small_graph, monkeypatch):
+        model = _model(small_graph)
+        server = _server(model, small_graph, halo_tier=False)
+        node = [int(server.shards[0].core_nodes[0])]
+        builds = []
+        original = Restriction.__init__
+
+        def counting_init(self, graph, rows):
+            builds.append(np.asarray(rows).tolist())
+            original(self, graph, rows)
+
+        monkeypatch.setattr(Restriction, "__init__", counting_init)
+        server.predict(node)
+        first = list(builds)
+        assert len(first) == 2  # logits plan + layer-1 plan
+        model.parameters()[0].bump_version()
+        server.predict(node)
+        assert builds[len(first):] == first  # same miss sets, built again
+
+    def test_plan_hit_rate_reads_zero(self, small_graph):
+        model = _model(small_graph)
+        server = _server(model, small_graph)
+        nodes = np.arange(32)
+        server.predict(nodes)
+        model.parameters()[0].bump_version()
+        server.predict(nodes)
+        assert server.stats().plan_hit_rate == 0.0
+
+
 class TestHaloShortCircuit:
     def test_miss_set_entirely_inside_halo_builds_no_plan(self, small_graph, monkeypatch):
         """A layer whose misses are all halo hits must skip plan construction."""
         model = _model(small_graph)
-        server = _server(model, small_graph, plan_cache_size=0)
+        server = _server(model, small_graph)
         shard_a, shard_b = server.shards
         server.predict(shard_a.core_nodes)  # fills the halo tier from shard A
 
@@ -269,7 +314,7 @@ class TestHaloShortCircuit:
 
     def test_without_halo_the_same_request_builds_both_plans(self, small_graph, monkeypatch):
         model = _model(small_graph)
-        server = _server(model, small_graph, halo_tier=False, plan_cache_size=0)
+        server = _server(model, small_graph, halo_tier=False)
         shard_a, shard_b = server.shards
         server.predict(shard_a.core_nodes)
         builds = []

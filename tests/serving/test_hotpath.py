@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.compression import CompressionConfig, get_fft_workers
+from repro.compression import CompressionConfig
 from repro.graph import Graph, Restriction
 from repro.models import create_model
 from repro.serving import InferenceServer, ManualClock, ServingConfig
@@ -201,10 +201,8 @@ class TestDegradedReadPath:
         model = _model(small_graph)
         server = _server(
             model, small_graph, mode="sampled", fanouts=(4, 3), cache_capacity=0,
-            plan_cache_size=8,
         )
         for worker in server.workers:
-            assert worker.plan_cache is None
             assert worker.halo_store is None
 
     def test_sampled_workers_have_no_degraded_answers(self, small_graph):
@@ -225,21 +223,6 @@ class TestConfigKnobs:
             ServingConfig(cache_pin_fraction=1.5)
         with pytest.raises(ValueError):
             ServingConfig(cache_pin_fraction=-0.1)
-        with pytest.raises(ValueError):
-            ServingConfig(fft_workers=0)
-        with pytest.raises(ValueError):
-            ServingConfig(plan_cache_size=-1)
-
-    def test_fft_workers_knob_applies_and_resets(self, small_graph):
-        from repro.compression import set_fft_workers
-
-        model = _model(small_graph)
-        assert get_fft_workers() is None
-        try:
-            _server(model, small_graph, fft_workers=1)
-            assert get_fft_workers() == 1
-        finally:
-            set_fft_workers(None)
 
     def test_degree_policy_pins_high_degree_shard_nodes(self, small_graph):
         model = _model(small_graph)

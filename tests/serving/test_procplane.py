@@ -11,6 +11,8 @@ The contract under test:
 * a worker process killed with a real ``SIGKILL`` mid-stream surfaces as a
   typed :class:`ProcessDead`, fails over to a sibling replica with zero lost
   requests, and is respawned by the supervisor under a bumped epoch;
+* a respawned child pre-warms its cache from the shared halo tier before its
+  first predict;
 * a wedged (``SIGSTOP``'d) child can neither hang a predict past its
   per-call timeout nor hang ``shutdown()`` — teardown escalates
   terminate → kill and stays bounded;
@@ -207,6 +209,24 @@ class TestProcessServing:
             assert replacement._proc.is_alive()
             third = server.predict(nodes)
             np.testing.assert_array_equal(third, expected)
+        finally:
+            server.shutdown()
+        assert not list_segments(base)
+
+    def test_respawned_child_prewarms_from_the_shared_halo_tier(self):
+        """A fresh child has seen no predict yet, so the halo signature it
+        prewarms under must come from spawn, not from its first flush."""
+        expected = MODEL.full_forward(GRAPH).data.argmax(axis=-1)
+        server = _process_server()
+        base = server._procplane.arena.base
+        try:
+            nodes = list(range(GRAPH.num_nodes))
+            np.testing.assert_array_equal(server.predict(nodes), expected)
+            server.restart_replica(0)
+            stats = server.stats()
+            assert stats.supervisor_restarts == 1
+            assert stats.prewarmed_rows > 0
+            np.testing.assert_array_equal(server.predict(nodes), expected)
         finally:
             server.shutdown()
         assert not list_segments(base)
