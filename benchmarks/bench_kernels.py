@@ -2,8 +2,9 @@
 
 These time the actual software kernels on this machine: dense mat-vec vs the
 FFT-based block-circulant mat-vec at several block sizes, the functional
-accelerator datapath, and the edge-wise aggregation kernels
-(``segment_reduce``, ``weighted_segment_sum``) in absolute terms.  They
+accelerator datapath, the edge-wise aggregation kernels
+(``segment_reduce``, ``weighted_segment_sum``) and the serving plan build
+(``Restriction``) in absolute terms.  They
 demonstrate that the measured FLOP reduction follows the theoretical
 ``n / log2(n)`` trend (wall-clock gains on NumPy are smaller than on
 dedicated hardware, which is exactly the gap the CirCore architecture
@@ -29,7 +30,8 @@ from repro.compression import (
     random_block_circulant,
     spectral_weights,
 )
-from repro.graph import load_dataset
+from repro.graph import Restriction, load_dataset
+from repro.graph.restriction import _row_slices
 from repro.hardware import BlockGNNAccelerator, CirCoreConfig
 from repro.models import Trainer, TrainingConfig, create_model
 from repro.models.base import edge_destinations, segment_reduce, weighted_segment_sum
@@ -296,6 +298,75 @@ def test_segment_reduce_ledger(save_result):
         weighted_spmm_ms=timings["weighted_spmm"],
         num_edges=graph.num_edges,
         max_degree=max_degree,
+    )
+
+
+def _union_searchsorted_plan(graph, rows):
+    """The former ``Restriction`` build plus its GCN operator slice:
+    ``np.union1d`` for the columns, ``np.searchsorted`` for every remap."""
+    indptr, edges = _row_slices(graph.indptr, rows)
+    neighbors = graph.indices[edges]
+    cols = np.union1d(rows, neighbors)
+    matrix = graph.propagation_operator("random_walk", add_self_loops=True)
+    op_indptr, op_edges = _row_slices(matrix.indptr, rows)
+    return {
+        "cols": cols,
+        "indptr": indptr,
+        "col_positions": np.searchsorted(cols, neighbors),
+        "row_positions": np.searchsorted(cols, rows),
+        "operator.data": matrix.data[op_edges],
+        "operator.indices": np.searchsorted(cols, matrix.indices[op_edges]),
+        "operator.indptr": op_indptr,
+    }
+
+
+def _position_map_plan(graph, rows):
+    restriction = Restriction(graph, rows)
+    operator = restriction.operator("random_walk", add_self_loops=True)
+    return {
+        "cols": restriction.cols,
+        "indptr": restriction.indptr,
+        "col_positions": restriction.col_positions,
+        "row_positions": restriction.row_positions,
+        "operator.data": operator.data,
+        "operator.indices": operator.indices,
+        "operator.indptr": operator.indptr,
+    }
+
+
+def test_restriction_build_ledger(save_result):
+    """Plan build + GCN operator slice at the ``rd2`` cold-serving shape.
+
+    The synthetic reddit x0.02 graph (the ``serve_cold`` workload's graph)
+    with a 64-row miss set drawn like ``graph.restriction_build_us``, and the
+    layer-1-sized set those 64 rows read (their column set, ~3k rows).  The
+    former ``union1d`` + ``searchsorted`` construction is timed beside the
+    position-map ``Restriction``, and every array they return must be equal.
+    """
+    graph = load_dataset("reddit", scale=0.02, seed=0, num_features=8)
+    rng = np.random.default_rng(0)
+    seeds = np.sort(rng.choice(graph.num_nodes, 64, replace=False))
+    row_sets = {"rows64": seeds, "layer1": Restriction(graph, seeds).cols}
+    timings = {}
+    for label, rows in row_sets.items():
+        actual = _position_map_plan(graph, rows)
+        for name, expected in _union_searchsorted_plan(graph, rows).items():
+            assert np.array_equal(actual[name], expected), (label, name)
+        for name, build in (("union_searchsorted", _union_searchsorted_plan),
+                            ("position_map", _position_map_plan)):
+            timings[f"{label}_{name}"] = _best_of(lambda: build(graph, rows)) * 1e6
+    save_result(
+        "kernels_restriction_build",
+        f"Restriction build + random_walk(self-loops) slice on reddit x0.02: "
+        f"N={graph.num_nodes} E={graph.num_edges}\n"
+        + "\n".join(
+            f"  {label} ({len(rows)} rows): union1d+searchsorted "
+            f"{timings[f'{label}_union_searchsorted']:.0f} us, position map "
+            f"{timings[f'{label}_position_map']:.0f} us"
+            for label, rows in row_sets.items()
+        ),
+        **{f"{key}_us": value for key, value in timings.items()},
+        layer1_rows=len(row_sets["layer1"]),
     )
 
 

@@ -10,7 +10,7 @@ from .datasets import (
 )
 from .graph import Graph
 from .partition import partition_graph, partition_nodes
-from .restriction import Restriction, slice_csr_rows
+from .restriction import Restriction
 from .sampling import MiniBatch, NeighborSampler, SampledBlock, minibatch_iterator
 
 __all__ = [
@@ -28,5 +28,4 @@ __all__ = [
     "partition_graph",
     "partition_nodes",
     "Restriction",
-    "slice_csr_rows",
 ]

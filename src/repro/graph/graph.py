@@ -211,38 +211,6 @@ class Graph:
             return self.normalized_adjacency(add_self_loops=add_self_loops)
         raise ValueError(f"kind must be 'random_walk' or 'normalized', got {kind!r}")
 
-    def restricted_operator(
-        self,
-        rows: Sequence[int],
-        cols: Sequence[int],
-        kind: str = "random_walk",
-        add_self_loops: bool = False,
-    ) -> sp.csr_matrix:
-        """Rows of a memoised propagation operator as a ``(rows, cols)`` CSR.
-
-        Slices ``rows`` out of :meth:`propagation_operator` and remaps the
-        column ids to positions inside the sorted id set ``cols`` — the
-        restricted-SpMM building block of the serving fast path.  Every
-        selected entry's column must be present in ``cols`` (i.e. ``cols``
-        covers the rows' neighbourhoods, plus the rows themselves when
-        ``add_self_loops``); missing columns raise.  An empty row set
-        short-circuits to an empty matrix without building (or normalising)
-        any operator.
-
-        The slice carries the *whole-graph* normalisation: because the rows'
-        neighbour lists are complete, each sliced row is bit-identical to the
-        corresponding row of the full operator, unlike the re-normalised
-        operator of an induced :meth:`subgraph`.
-        """
-        from .restriction import slice_csr_rows
-
-        rows = np.asarray(rows, dtype=np.int64)
-        cols = np.asarray(cols, dtype=np.int64)
-        if len(rows) == 0:
-            return sp.csr_matrix((0, len(cols)), dtype=np.float64)
-        operator = self.propagation_operator(kind, add_self_loops=add_self_loops)
-        return slice_csr_rows(operator, rows, cols)
-
     # -- restructuring ----------------------------------------------------------------
 
     def subgraph(self, nodes: Sequence[int], name: Optional[str] = None) -> "Graph":

@@ -9,6 +9,13 @@ CSR structure once per flush and remaps the column ids into the batch-local
 index space — the "compile the aggregation operator once, reuse sliced views"
 strategy of Alves et al. (PAPERS.md).
 
+Both steps are dense scatters and gathers over one graph-sized position map,
+with no sort and no binary search: marking the rows and their neighbours in a
+boolean mask and reading back its non-zero ids yields the sorted column set,
+and ``lookup[cols] = arange(len(cols))`` turns every column remap (the plan's
+own neighbour lists and each sliced operator's columns) into ``lookup[ids]``.
+The map is allocated per plan, never stored on the shared :class:`Graph`.
+
 Plans are built fresh per flush and never memoised across flushes: the
 embedding cache answers a node after its first miss, so on warm traffic a
 miss set practically never recurs and a memoised plan would only pin memory.
@@ -17,8 +24,9 @@ Exactness: a restriction is only a valid stand-in for full-graph inference
 when every neighbour of every requested row is present in ``cols``.  The
 serving recursion guarantees that by construction (layer ``k``'s miss set is
 expanded by exactly one hop to form layer ``k-1``'s needed set), and
-:func:`_remap_columns` verifies it, so a violation raises instead of silently
-corrupting a prediction.
+:func:`_positions` verifies every remap — absent ids map to ``-1``, which
+numpy would silently wrap to the last column — so a violation raises instead
+of corrupting a prediction.
 
 All node ids here are ids *of the frozen graph* (shard-local ids when the
 graph is a shard's induced subgraph); translating global ids is the caller's
@@ -35,7 +43,7 @@ import scipy.sparse as sp
 
 from .graph import Graph
 
-__all__ = ["Restriction", "slice_csr_rows"]
+__all__ = ["Restriction"]
 
 
 def _row_slices(
@@ -56,35 +64,15 @@ def _row_slices(
     return new_indptr, edge_index
 
 
-def _remap_columns(cols: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Positions of ``values`` inside the sorted id set ``cols`` (checked)."""
-    positions = np.searchsorted(cols, values)
-    if len(values):
-        clipped = np.minimum(positions, len(cols) - 1)
-        missing = cols[clipped] != values
-        if np.any(missing):
-            raise ValueError(
-                f"restriction columns are missing neighbours "
-                f"{np.unique(values[missing]).tolist()[:8]}..."
-            )
+def _positions(lookup: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """Positions of ``ids`` inside the plan's columns, read from ``lookup`` (checked)."""
+    positions = lookup[ids]
+    if len(positions) and positions.min() < 0:
+        raise ValueError(
+            f"restriction columns are missing neighbours "
+            f"{np.unique(ids[positions < 0]).tolist()[:8]}..."
+        )
     return positions
-
-
-def slice_csr_rows(matrix: sp.csr_matrix, rows: np.ndarray, cols: np.ndarray) -> sp.csr_matrix:
-    """``matrix[rows][:, cols]`` assuming every selected entry's column ∈ ``cols``.
-
-    Unlike scipy's general two-stage fancy indexing this never touches rows
-    outside ``rows`` and performs no column search beyond one
-    ``np.searchsorted`` — the restriction invariant (all neighbours present)
-    turns submatrix extraction into a pure gather.
-    """
-    rows = np.asarray(rows, dtype=np.int64)
-    cols = np.asarray(cols, dtype=np.int64)
-    indptr, edge_index = _row_slices(np.asarray(matrix.indptr, dtype=np.int64), rows)
-    positions = _remap_columns(cols, matrix.indices[edge_index])
-    return sp.csr_matrix(
-        (matrix.data[edge_index], positions, indptr), shape=(len(rows), len(cols))
-    )
 
 
 class Restriction:
@@ -92,8 +80,11 @@ class Restriction:
 
     Built from the *miss rows* of one layer: ``cols`` is the sorted union of
     the rows and their full (true, unsampled) neighbourhood, i.e. exactly the
-    node set whose previous-layer representations the layer consumes.  The
-    sliced CSR structure and any sliced propagation operators are memoised on
+    node set whose previous-layer representations the layer consumes.  It is
+    read off a boolean mask over the graph's nodes, and a ``-1``-filled
+    position map over the same nodes (``lookup[cols] = 0..len(cols)-1``)
+    remaps the neighbour lists, the rows and every sliced operator's columns
+    by one gather each.  The sliced propagation operators are memoised on
     the instance, so a layer's aggregation and a later bookkeeping step share
     one gather.
 
@@ -131,8 +122,7 @@ class Restriction:
         )
         if self._full:
             # Full-shard miss set: the restriction *is* the graph — alias its
-            # CSR arrays (positions into cols == node ids) and skip the
-            # union/searchsorted entirely.
+            # CSR arrays (positions into cols == node ids) and build no map.
             self.indptr = graph.indptr
             self.cols = rows
             self.col_positions = graph.indices
@@ -140,9 +130,14 @@ class Restriction:
         else:
             self.indptr, edge_index = _row_slices(graph.indptr, rows)
             neighbors = graph.indices[edge_index]
-            self.cols = np.union1d(rows, neighbors)
-            self.col_positions = _remap_columns(self.cols, neighbors)
-            self.row_positions = _remap_columns(self.cols, rows)
+            mark = np.zeros(num_nodes, dtype=bool)
+            mark[neighbors] = True
+            mark[rows] = True
+            self.cols = np.flatnonzero(mark)
+            self._lookup = np.full(num_nodes, -1, dtype=np.int64)
+            self._lookup[self.cols] = np.arange(len(self.cols), dtype=np.int64)
+            self.col_positions = _positions(self._lookup, neighbors)
+            self.row_positions = _positions(self._lookup, rows)
 
     @property
     def num_rows(self) -> int:
@@ -177,9 +172,11 @@ class Restriction:
         The returned ``(num_rows, num_cols)`` CSR carries the *frozen* shard
         operator's normalisation (computed once at server build), so a
         restricted SpMM reproduces ``operator @ h`` for the requested rows
-        bitwise — the per-row data slice and its order are untouched.  Empty
-        plans return an empty matrix without building any operator; full-graph
-        plans return the memoised full operator itself.
+        bitwise — the per-row data slice and its order are untouched.  Every
+        selected entry's column must lie in ``cols`` (with self-loops the rows
+        themselves always do); a missing one raises.  Empty plans return an
+        empty matrix without building any operator; full-graph plans return
+        the memoised full operator itself.
         """
         key = (kind, add_self_loops)
         if key in self._operators:
@@ -189,8 +186,11 @@ class Restriction:
         elif self._full:
             operator = self.graph.propagation_operator(kind, add_self_loops=add_self_loops)
         else:
-            operator = self.graph.restricted_operator(
-                self.rows, self.cols, kind=kind, add_self_loops=add_self_loops
+            matrix = self.graph.propagation_operator(kind, add_self_loops=add_self_loops)
+            indptr, edge_index = _row_slices(matrix.indptr, self.rows)
+            positions = _positions(self._lookup, matrix.indices[edge_index])
+            operator = sp.csr_matrix(
+                (matrix.data[edge_index], positions, indptr), shape=(self.num_rows, self.num_cols)
             )
         self._operators[key] = operator
         return operator

@@ -176,15 +176,22 @@ class TestRestriction:
         assert np.array_equal(neighbors, expected)
 
     def test_missing_columns_raise(self, small_graph):
-        from repro.graph import slice_csr_rows
+        from repro.graph import Graph, Restriction
 
-        operator = small_graph.random_walk_adjacency()
-        rows = np.array([0])
-        toosmall = np.array([0])  # almost certainly misses a neighbour
-        if len(small_graph.neighbors(0)):
-            with pytest.raises(ValueError, match="missing neighbours"):
-                slice_csr_rows(operator, rows, toosmall)
+        # A plan built where row 0 is isolated has cols == [0]; slicing the
+        # real graph's operator through it misses every neighbour of row 0.
+        edgeless = Graph.from_edges(
+            small_graph.num_nodes, np.empty((0, 2)), small_graph.features, small_graph.labels
+        )
+        restriction = Restriction(edgeless, np.array([0]))
+        assert restriction.cols.tolist() == [0]
+        assert len(small_graph.neighbors(0))
+        restriction.graph = small_graph
+        with pytest.raises(ValueError, match="missing neighbours"):
+            restriction.operator("random_walk")
 
     def test_restricted_operator_rejects_unknown_kind(self, small_graph):
+        from repro.graph import Restriction
+
         with pytest.raises(ValueError, match="kind"):
-            small_graph.restricted_operator([0], [0, 1], kind="magic")
+            Restriction(small_graph, np.array([0])).operator(kind="magic")

@@ -5,19 +5,29 @@
 * a **full-shard** miss set must alias the graph's CSR and return the
   memoised full operator itself — no slicing, no column remap;
 * a row's slice must not depend on which other rows share its flush, which
-  is what lets every flush build its plan fresh instead of reusing one.
+  is what lets every flush build its plan fresh instead of reusing one;
+* the position-map construction must return exactly the arrays of the
+  ``np.union1d`` + ``np.searchsorted`` construction it replaced (kept below
+  as the oracle), and a column absent from the map must raise instead of
+  wrapping to the last column.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.graph import Graph, Restriction
 from repro.models import create_model
 from repro.tensor.tensor import Tensor, no_grad
 
 MODELS = ["GCN", "GS-Pool", "G-GCN", "GAT"]
+OPERATOR_KINDS = [
+    ("random_walk", True), ("random_walk", False), ("normalized", True), ("normalized", False)
+]
 
 
 class TestEdgeCases:
@@ -35,12 +45,6 @@ class TestEdgeCases:
         assert operator.shape == (0, 0) and operator.nnz == 0
         assert restriction.num_rows == 0 and restriction.num_edges == 0
         assert calls == []  # the short-circuit never touched the graph
-        # The Graph-level slice short-circuits identically.
-        sliced = small_graph.restricted_operator(
-            np.empty(0, dtype=np.int64), np.arange(5)
-        )
-        assert sliced.shape == (0, 5) and sliced.nnz == 0
-        assert calls == []
 
     def test_full_shard_miss_set_aliases_graph_and_operator(self, small_graph):
         rows = np.arange(small_graph.num_nodes, dtype=np.int64)
@@ -77,10 +81,7 @@ class TestBatchIndependence:
     def _rows(self, graph, size, seed):
         return np.unique(np.random.default_rng(seed).choice(graph.num_nodes, size=size))
 
-    @pytest.mark.parametrize(
-        "kind,loops",
-        [("random_walk", True), ("random_walk", False), ("normalized", True), ("normalized", False)],
-    )
+    @pytest.mark.parametrize("kind,loops", OPERATOR_KINDS)
     def test_operator_rows_independent_of_batch(self, small_graph, kind, loops):
         batch = self._rows(small_graph, 60, 0)
         subset = batch[::3]
@@ -128,3 +129,105 @@ class TestBatchIndependence:
         full = graph.random_walk_adjacency(add_self_loops=True)
         assert operator.shape == (1, 1)
         assert operator[0, 0] == full[2, 2]
+
+
+# -- the former construction, kept as the oracle ------------------------------
+
+
+def _reference_rows(indptr, rows):
+    """``(indptr, edge_index)`` of ``rows``' CSR entries, one row at a time."""
+    lengths = [int(indptr[row + 1] - indptr[row]) for row in rows]
+    new_indptr = np.concatenate([[0], np.cumsum(lengths, dtype=np.int64)]).astype(np.int64)
+    edges = [np.arange(indptr[row], indptr[row + 1], dtype=np.int64) for row in rows]
+    return new_indptr, np.concatenate(edges) if edges else np.empty(0, dtype=np.int64)
+
+
+def _reference_remap(cols, values):
+    positions = np.searchsorted(cols, values)
+    if len(values):
+        assert np.array_equal(cols[np.minimum(positions, len(cols) - 1)], values)
+    return positions
+
+
+def _reference_plan(graph, rows):
+    """``np.union1d`` for the columns, ``np.searchsorted`` for every remap."""
+    indptr, edges = _reference_rows(graph.indptr, rows)
+    neighbors = graph.indices[edges]
+    cols = np.union1d(rows, neighbors)
+    return {
+        "cols": cols,
+        "indptr": indptr,
+        "col_positions": _reference_remap(cols, neighbors),
+        "row_positions": _reference_remap(cols, rows),
+    }
+
+
+def _reference_operator(graph, rows, cols, kind, loops):
+    if not len(rows):
+        return sp.csr_matrix((0, len(cols)), dtype=np.float64)
+    matrix = graph.propagation_operator(kind, add_self_loops=loops)
+    indptr, edges = _reference_rows(matrix.indptr, rows)
+    positions = _reference_remap(cols, matrix.indices[edges])
+    return sp.csr_matrix((matrix.data[edges], positions, indptr), shape=(len(rows), len(cols)))
+
+
+@st.composite
+def _graph_and_rows(draw):
+    """A random graph with trailing isolated nodes and an optional hub (node
+    0 adjacent to every other connected node), plus an empty, single-row,
+    full or random sorted row set."""
+    connected = draw(st.integers(min_value=1, max_value=30))
+    isolated = draw(st.integers(min_value=0, max_value=5))
+    node = st.integers(min_value=0, max_value=connected - 1)
+    edges = draw(st.lists(st.tuples(node, node), max_size=80))
+    if draw(st.booleans()):
+        edges += [(0, other) for other in range(1, connected)]
+    total = connected + isolated
+    graph = Graph.from_edges(
+        total, np.array(edges, dtype=np.int64).reshape(-1, 2),
+        np.zeros((total, 2)), np.zeros(total, dtype=np.int64),
+    )
+    shape = draw(st.sampled_from(["empty", "single", "full", "subset"]))
+    if shape == "empty":
+        rows = []
+    elif shape == "single":
+        rows = [draw(st.integers(min_value=0, max_value=total - 1))]
+    elif shape == "full":
+        rows = range(total)
+    else:
+        rows = sorted(draw(st.sets(st.integers(min_value=0, max_value=total - 1))))
+    return graph, np.array(rows, dtype=np.int64)
+
+
+class TestAgainstUnionSearchsortedOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(case=_graph_and_rows())
+    def test_plan_arrays_equal_the_reference(self, case):
+        graph, rows = case
+        restriction = Restriction(graph, rows)
+        expected = _reference_plan(graph, rows)
+        for name, array in expected.items():
+            actual = getattr(restriction, name)
+            assert actual.dtype == array.dtype, name
+            assert np.array_equal(actual, array), name
+        for kind, loops in OPERATOR_KINDS:
+            actual = restriction.operator(kind, add_self_loops=loops)
+            reference = _reference_operator(graph, rows, expected["cols"], kind, loops)
+            assert actual.shape == reference.shape
+            for part in ("data", "indices", "indptr"):
+                assert np.array_equal(getattr(actual, part), getattr(reference, part)), part
+
+    def test_operator_entry_outside_cols_raises(self, small_graph, monkeypatch):
+        rows = np.array([3, 7])
+        restriction = Restriction(small_graph, rows)
+        outside = np.setdiff1d(np.arange(small_graph.num_nodes), restriction.cols)
+        # The last node is the column a wrapped ``-1`` position would read.
+        assert small_graph.num_nodes - 1 in outside
+        forged = small_graph.random_walk_adjacency().copy().tolil()
+        forged[rows[0], small_graph.num_nodes - 1] = 0.5
+        forged = forged.tocsr()
+        monkeypatch.setattr(
+            Graph, "propagation_operator", lambda self, kind, add_self_loops=False: forged
+        )
+        with pytest.raises(ValueError, match="missing neighbours"):
+            restriction.operator("random_walk")
