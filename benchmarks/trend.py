@@ -39,7 +39,6 @@ from typing import Dict, List
 #: gate name -> higher-is-better floor metrics enforced against the baseline.
 FLOOR_METRICS: Dict[str, List[str]] = {
     "serving_microbatch_throughput": ["speedup"],
-    "serving_hotpath_degree_policy": ["degree_hit_rate"],
     "serving_halo_cold": ["speedup_halo_cold", "halo_hit_rate"],
     "serving_faults": ["throughput_ratio"],
     "serving_supervisor": ["steady_state_ratio"],

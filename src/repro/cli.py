@@ -123,20 +123,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--max-delay-ms", type=float, default=2.0)
     serve.add_argument("--cache", type=int, default=4096, help="embedding-cache entries per worker")
     serve.add_argument(
-        "--cache-policy",
-        choices=["lru", "degree", "degree-auto"],
-        default="lru",
-        help="slab-cache retention: exact LRU, degree-aware hub pinning (GNNIE-style), "
-        "or degree pinning with the pin budget auto-tuned online",
-    )
-    serve.add_argument(
-        "--pin-fraction",
-        type=float,
-        default=0.25,
-        help="fraction of the cache capacity reserved for pinned hubs "
-        "(--cache-policy degree; the starting point for degree-auto)",
-    )
-    serve.add_argument(
         "--halo-tier",
         choices=["on", "off"],
         default="on",
@@ -144,8 +130,9 @@ def build_parser() -> argparse.ArgumentParser:
         "flushes stop recomputing each other's cut nodes",
     )
     serve.add_argument("--requests", type=int, default=512)
-    serve.add_argument("--mode", choices=["exact", "sampled"], default="exact")
-    serve.add_argument("--fanouts", type=int, nargs="+", default=[10, 5], help="sampled mode only")
+    serve.add_argument(
+        "--fanouts", type=int, nargs="+", default=[10, 5], help="per-layer training fanouts"
+    )
     serve.add_argument(
         "--executor",
         choices=["serial", "concurrent", "process"],
@@ -605,11 +592,7 @@ def _run_serve_bench(args: argparse.Namespace) -> str:
                 num_shards=args.shards,
                 max_batch_size=batch_size,
                 max_delay=args.max_delay_ms / 1e3,
-                mode=args.mode,
-                fanouts=fanouts if args.mode == "sampled" else None,
                 cache_capacity=cache,
-                cache_policy=args.cache_policy,
-                cache_pin_fraction=args.pin_fraction,
                 halo_tier=args.halo_tier == "on",
                 num_replicas=args.replicas,
                 dispatch=args.dispatch,
@@ -710,13 +693,9 @@ def _run_serve_bench(args: argparse.Namespace) -> str:
 
     # Serial vs thread-pool vs worker-process executors: replay the cold
     # stream under each (no cache, so the comparison is pure flush
-    # execution).  The process plane serves exact mode only, so it drops
-    # out of the comparison under sampled mode.
-    executor_names = ["serial", "concurrent"]
-    if args.mode == "exact":
-        executor_names.append("process")
+    # execution).
     executor_lines = []
-    for executor in executor_names:
+    for executor in ("serial", "concurrent", "process"):
         comparison = build_server(args.batch_size, 0, executor)
         seconds = timed_stream(comparison)
         peak = comparison.stats().peak_concurrency

@@ -1,7 +1,8 @@
 """Online inference serving engine.
 
 Turns "predict the label of node X now" into efficient execution on a
-trained (optionally block-circulant-compressed) GNN:
+trained (optionally block-circulant-compressed) GNN.  There is one serving
+mode, exact: every answer equals offline ``full_forward`` for that node.
 
 * :class:`MicroBatcher` coalesces queued requests into one batch per flush
   (``max_batch_size`` / ``max_delay``, driven by a pluggable :class:`Clock`);
@@ -9,9 +10,9 @@ trained (optionally block-circulant-compressed) GNN:
   partitions with K-hop halos so each worker serves its core nodes from its
   own slice of memory, exactly reproducing full-graph inference results;
 * :class:`EmbeddingCache` memoises per-layer hidden states for hot nodes in
-  contiguous per-layer slabs (vectorised gather/scatter; exact-LRU or
-  GNNIE-style degree-aware retention, invalidated by the model's
-  ``weight_signature`` when training bumps ``Parameter.version``);
+  contiguous per-layer slabs (vectorised gather/scatter, exact-LRU
+  retention, invalidated by the model's ``weight_signature`` when training
+  bumps ``Parameter.version``);
 * a shared :class:`HaloStore` exchanges boundary (halo) embeddings between
   shards — a row computed during one shard's flush is gathered, not
   recomputed, by its neighbours — and every flush recomputes its misses
@@ -71,7 +72,7 @@ trained (optionally block-circulant-compressed) GNN:
 """
 
 from .batcher import TERMINAL_STATUSES, InferenceRequest, MicroBatcher
-from .cache import CACHE_POLICIES, CacheStats, EmbeddingCache, HaloStore
+from .cache import CacheStats, EmbeddingCache, HaloStore
 from .clock import Clock, ManualClock, SystemClock
 from .config import DEGRADED_POLICIES, INGRESS_MODES, ServingConfig
 from .engine import InferenceServer
@@ -119,7 +120,6 @@ __all__ = [
     "SystemClock",
     "ManualClock",
     "CacheStats",
-    "CACHE_POLICIES",
     "EmbeddingCache",
     "HaloStore",
     "StageTimer",

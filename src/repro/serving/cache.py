@@ -10,26 +10,11 @@ whose inputs are not already known.
 one contiguous ``(capacity, dim)`` float64 slab plus an int64 node→slot index
 map per layer, so a lookup is a single vectorised gather and an insert a
 single scatter — no per-row Python loop, no ``OrderedDict`` walking, no
-``np.stack`` of row lists.  Retention is pluggable:
-
-``"lru"``
-    Exact least-recently-used via monotone access stamps (observationally
-    equivalent to a per-row ``OrderedDict`` LRU — same hits, misses, eviction
-    victims and final contents on any take/insert sequence; the hypothesis
-    suite in ``tests/serving/test_cache_equivalence.py`` checks it against one).
-
-``"degree"``
-    GNNIE-style degree-aware retention: a set of *pinned* hot-hub nodes
-    (chosen per shard from the degree distribution) is only evicted when no
-    unpinned entry remains, so one scan of cold nodes cannot flush the hubs
-    every power-law request stream keeps coming back to.
-
-``"degree-auto"``
-    The same retention with the pin budget tuned *online*: the cache tracks
-    the hit-rate split between pinned and unpinned lookups over a sliding
-    window and grows the active pin prefix (of the degree-ranked candidate
-    list) when pinned entries out-hit unpinned ones, shrinks it when they
-    don't — removing the static ``cache_pin_fraction`` knob.
+``np.stack`` of row lists.  Retention is exact least-recently-used via
+monotone access stamps: observationally equivalent to a per-row
+``OrderedDict`` LRU (same hits, misses, eviction victims and final contents
+on any take/insert sequence; the hypothesis suite in
+``tests/serving/test_cache_equivalence.py`` checks it against one).
 
 :class:`HaloStore` is the cross-shard companion: a shared, versioned slab
 tier holding per-layer embeddings of the *boundary* (halo) nodes held by more
@@ -59,10 +44,7 @@ __all__ = [
     "CacheStats",
     "EmbeddingCache",
     "HaloStore",
-    "CACHE_POLICIES",
 ]
-
-CACHE_POLICIES = ("lru", "degree", "degree-auto")
 
 
 @dataclass
@@ -199,27 +181,15 @@ class EmbeddingCache:
     Thread-safe: every operation holds an internal ``RLock``.
     """
 
-    #: hit-rate gap below which degree-auto leaves the pin budget alone.
-    AUTO_MARGIN = 0.02
-
     def __init__(
         self,
         capacity: int,
         num_nodes: Optional[int] = None,
-        policy: str = "lru",
-        pinned_nodes: Optional[np.ndarray] = None,
-        initial_pin_count: Optional[int] = None,
-        auto_tune_interval: int = 1024,
         allocator: Optional[Callable[[int, Tuple[int, int]], np.ndarray]] = None,
     ) -> None:
         if capacity < 0:
             raise ValueError("cache capacity must be non-negative")
-        if policy not in CACHE_POLICIES:
-            raise ValueError(f"cache policy must be one of {CACHE_POLICIES}, got {policy!r}")
-        if auto_tune_interval <= 0:
-            raise ValueError("auto_tune_interval must be positive")
         self.capacity = int(capacity)
-        self.policy = policy
         self.stats = CacheStats()
         self._lock = threading.RLock()
         self._layers: Dict[int, _LayerSlab] = {}
@@ -234,32 +204,6 @@ class EmbeddingCache:
         self._num_nodes = int(num_nodes) if num_nodes is not None else 64
         self._size = 0
         self._tick = 0
-        # Degree policies: ``pinned_nodes`` is the hub list, best-first.  The
-        # static "degree" policy pins all of it; "degree-auto" treats it as
-        # the *candidate ranking* and keeps an active prefix it retunes
-        # online from the pinned-vs-unpinned hit-rate split.
-        self._candidates = (
-            np.asarray(pinned_nodes, dtype=np.int64)
-            if pinned_nodes is not None and len(pinned_nodes)
-            else np.empty(0, dtype=np.int64)
-        )
-        self._auto_interval = int(auto_tune_interval)
-        self.retunes = 0
-        self._win_pin_lookups = 0
-        self._win_pin_hits = 0
-        self._win_unpin_lookups = 0
-        self._win_unpin_hits = 0
-        if len(self._candidates):
-            if policy == "degree-auto" and initial_pin_count is not None:
-                self._active_pins = min(max(int(initial_pin_count), 1), len(self._candidates))
-            else:
-                self._active_pins = len(self._candidates)
-            size = max(self._num_nodes, int(self._candidates.max()) + 1)
-            self._pinned = np.zeros(size, dtype=bool)
-            self._pinned[self._candidates[: self._active_pins]] = True
-        else:
-            self._active_pins = 0
-            self._pinned = None
 
     def __len__(self) -> int:
         return self._size
@@ -267,49 +211,6 @@ class EmbeddingCache:
     @property
     def enabled(self) -> bool:
         return self.capacity > 0
-
-    @property
-    def pinned_nodes(self) -> np.ndarray:
-        """Global ids protected by degree-aware retention (may be empty)."""
-        if self._pinned is None:
-            return np.empty(0, dtype=np.int64)
-        return np.where(self._pinned)[0].astype(np.int64)
-
-    @property
-    def pin_fraction(self) -> float:
-        """Active fraction of the pinnable (candidate) budget, in [0, 1]."""
-        if not len(self._candidates):
-            return 0.0
-        return self._active_pins / len(self._candidates)
-
-    def _retune(self) -> None:
-        """Adapt the active pin prefix from the window's hit-rate split.
-
-        Pinned entries out-hitting unpinned ones means protection is paying
-        for itself — widen it; the opposite (or a window where nothing asked
-        for a pinned node) means the pins are squatting on capacity — narrow
-        it.  The prefix never drops below one node, so the pinned side keeps
-        producing the signal a later recovery needs.
-        """
-        pin_lookups, pin_hits = self._win_pin_lookups, self._win_pin_hits
-        unpin_lookups, unpin_hits = self._win_unpin_lookups, self._win_unpin_hits
-        self._win_pin_lookups = self._win_pin_hits = 0
-        self._win_unpin_lookups = self._win_unpin_hits = 0
-        step = max(1, len(self._candidates) // 8)
-        active = self._active_pins
-        pinned_rate = pin_hits / pin_lookups if pin_lookups else 0.0
-        unpinned_rate = unpin_hits / unpin_lookups if unpin_lookups else 0.0
-        if pin_lookups == 0:
-            active = max(active - step, 1)
-        elif pinned_rate > unpinned_rate + self.AUTO_MARGIN:
-            active = min(active + step, len(self._candidates))
-        elif pinned_rate + self.AUTO_MARGIN < unpinned_rate:
-            active = max(active - step, 1)
-        if active != self._active_pins:
-            self._active_pins = active
-            self._pinned.fill(False)
-            self._pinned[self._candidates[:active]] = True
-            self.retunes += 1
 
     # -- versioning -----------------------------------------------------------
 
@@ -376,28 +277,16 @@ class EmbeddingCache:
             self._tick += len(hit_slots)
             self.stats.hits += len(hit_slots)
             self.stats.misses += len(nodes) - len(hit_slots)
-            if self.policy == "degree-auto" and self._pinned is not None and len(nodes):
-                flags = self._pinned_flags(nodes)
-                pin_total = int(flags.sum())
-                pin_hits = int((flags & hit).sum())
-                self._win_pin_lookups += pin_total
-                self._win_pin_hits += pin_hits
-                self._win_unpin_lookups += len(nodes) - pin_total
-                self._win_unpin_hits += len(hit_slots) - pin_hits
-                if self._win_pin_lookups + self._win_unpin_lookups >= self._auto_interval:
-                    self._retune()
             return hit, values
 
     def put(self, layer: int, nodes: Sequence[int], values: np.ndarray) -> None:
         """Insert one hidden vector per (distinct) node, evicting if full.
 
         Entries already present are refreshed in place; new entries claim free
-        slots, displacing the policy's eviction victims when the global
-        capacity would be exceeded.  A brand-new entry can itself be the best
-        victim (e.g. an unpinned node arriving at a cache full of pinned
-        hubs), in which case it is counted as inserted-then-evicted and never
-        touches the slab — that is what lets degree-aware retention hold on
-        to its hubs under a scan.
+        slots, displacing the least-recently-used entries when the global
+        capacity would be exceeded.  A put larger than the whole cache evicts
+        its own earliest rows, counted as inserted-then-evicted without
+        touching the slab — what a per-row ``OrderedDict`` LRU would do.
         """
         if not self.enabled:
             return
@@ -440,7 +329,7 @@ class EmbeddingCache:
                 return
             overflow = self._size + n_new - self.capacity
             if overflow > 0:
-                fresh = self._evict(overflow, layer, nodes, stamps, fresh)
+                fresh = self._evict(overflow, stamps, fresh)
             survivors = np.where(fresh)[0]
             if len(survivors) == 0:
                 return
@@ -451,60 +340,39 @@ class EmbeddingCache:
             store.slot_of[nodes[survivors]] = new_slots
             self._size += len(survivors)
 
-    def _pinned_flags(self, nodes: np.ndarray) -> np.ndarray:
-        if self._pinned is None or self.policy not in ("degree", "degree-auto"):
-            return np.zeros(len(nodes), dtype=bool)
-        clipped = np.minimum(nodes, len(self._pinned) - 1)
-        return self._pinned[clipped] & (clipped == nodes)
-
     def _evict(
-        self,
-        overflow: int,
-        incoming_layer: int,
-        incoming_nodes: np.ndarray,
-        incoming_stamps: np.ndarray,
-        fresh: np.ndarray,
+        self, overflow: int, incoming_stamps: np.ndarray, fresh: np.ndarray
     ) -> np.ndarray:
         """Select and free ``overflow`` victims; return the surviving mask.
 
-        Candidates are every stored entry plus the incoming fresh entries;
-        ``"lru"`` ranks them by access stamp alone (exactly an ``OrderedDict``
-        LRU's order — stamps are globally monotone), ``"degree"``
-        ranks unpinned before pinned at equal footing, so hubs outlive scans.
+        Candidates are every stored entry plus the incoming fresh entries,
+        ranked by access stamp alone — exactly an ``OrderedDict`` LRU's order,
+        since stamps are globally monotone.
         """
         layer_keys = list(self._layers)
         slot_lists: List[np.ndarray] = []
         stamp_parts: List[np.ndarray] = []
-        pinned_parts: List[np.ndarray] = []
         owner_parts: List[np.ndarray] = []
         for index, key in enumerate(layer_keys):
             store = self._layers[key]
             used = np.where(store.slot_nodes >= 0)[0]
             slot_lists.append(used)
             stamp_parts.append(store.stamps[used])
-            pinned_parts.append(self._pinned_flags(store.slot_nodes[used]))
             owner_parts.append(np.full(len(used), index, dtype=np.int64))
         fresh_idx = np.where(fresh)[0]
         slot_lists.append(fresh_idx)  # positions into the put batch
         stamp_parts.append(incoming_stamps[fresh_idx])
-        pinned_parts.append(self._pinned_flags(incoming_nodes[fresh_idx]))
         owner_parts.append(np.full(len(fresh_idx), -1, dtype=np.int64))
 
         slots_all = np.concatenate(slot_lists)
         stamps_all = np.concatenate(stamp_parts)
-        pinned_all = np.concatenate(pinned_parts)
         owners_all = np.concatenate(owner_parts)
-        # Victim *set* = the `overflow` entries with the smallest keys; only
-        # the set matters (stamps are unique), so an O(n) partial partition
-        # replaces a full sort.  Degree policy folds the pinned flag into the
-        # key's top bit: every unpinned entry ranks below every pinned one.
-        keys = stamps_all
-        if self.policy in ("degree", "degree-auto"):
-            keys = stamps_all + (pinned_all.astype(np.int64) << 62)
-        if overflow < len(keys):
-            victims = np.argpartition(keys, overflow - 1)[:overflow]
+        # Victim *set* = the `overflow` oldest stamps; only the set matters
+        # (stamps are unique), so an O(n) partial partition replaces a sort.
+        if overflow < len(stamps_all):
+            victims = np.argpartition(stamps_all, overflow - 1)[:overflow]
         else:
-            victims = np.arange(len(keys))
+            victims = np.arange(len(stamps_all))
         self.stats.evictions += overflow
         survivors = fresh.copy()
         for index, key in enumerate(layer_keys):

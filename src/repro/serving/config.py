@@ -4,9 +4,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Tuple
+from typing import TYPE_CHECKING, Optional
 
-from .cache import CACHE_POLICIES
 from .frontdoor import DEFAULT_REQUEST_CLASSES, ClassSpec, normalize_request_classes
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (faults imports nothing back)
@@ -32,7 +31,9 @@ class ServingConfig:
 
     All fields must be passed by name; :meth:`validate` runs at construction
     and rejects contradictory knob combinations with one clear error each,
-    so misconfiguration fails at build time instead of mid-flush.
+    so misconfiguration fails at build time instead of mid-flush.  Serving
+    is always exact: every shard holds the model-depth halo, and served
+    predictions equal offline :meth:`repro.models.GNNModel.full_forward`.
 
     Parameters
     ----------
@@ -42,43 +43,22 @@ class ServingConfig:
         Micro-batching policy: a shard's queue flushes once it holds
         ``max_batch_size`` requests or its oldest request has waited
         ``max_delay`` (clock) seconds.
-    mode:
-        ``"exact"`` — receptive-field-restricted layer-wise inference whose
-        predictions match offline full-graph evaluation, with the embedding
-        cache enabled; ``"sampled"`` — GraphSAGE-style sampled inference
-        (requires ``fanouts``), cheaper on huge graphs but stochastic.
-    fanouts:
-        Per-layer sample sizes for ``mode="sampled"``.
     cache_capacity:
-        Embedding-cache entries *per worker* (0 disables caching).
-    cache_policy, cache_pin_fraction:
-        Retention policy of the slab cache: ``"lru"`` (exact
-        least-recently-used), ``"degree"`` (GNNIE-style degree-aware
-        retention — the shard's highest-degree nodes are pinned and only
-        evicted when nothing unpinned remains, so power-law traffic keeps
-        its hubs warm) or ``"degree-auto"`` (the same retention with the pin
-        budget tuned online from the observed pinned-vs-unpinned hit-rate
-        split; ``cache_pin_fraction`` is only the starting point).  Pinned
-        *entries* — one per layer per pinned node — are capped at
-        ``cache_pin_fraction * cache_capacity``; the number of pinned nodes
-        is that budget divided by the model depth.
+        Entries *per worker* of the exact-LRU embedding cache (0 disables
+        caching).
     halo_tier:
         Enable the shared :class:`~repro.serving.cache.HaloStore`: workers
         publish the boundary (halo) rows they compute and gather boundary
         rows a neighbouring shard (or a sibling replica) already computed,
-        so cold flushes stop recomputing each other's cut nodes.  Exact
-        serving only; needs at least two workers to exist.  Memory:
-        one ``num_boundary_nodes x dim`` slab per layer, shared server-wide.
+        so cold flushes stop recomputing each other's cut nodes.  Needs at
+        least two workers to exist.  Memory: one
+        ``num_boundary_nodes x dim`` slab per layer, shared server-wide.
     partition_method:
         ``"bfs"`` (locality-aware) or ``"hash"`` — see
         :func:`repro.graph.partition_nodes`.
     num_replicas, dispatch:
         Replicas per shard and how batches are spread across them
         (``"round_robin"`` or ``"least_loaded"``).
-    halo_hops:
-        Halo depth per shard; defaults to the model depth, which is the
-        minimum for exact serving (the server rejects shallower overrides
-        in ``mode="exact"``).
     executor, executor_workers:
         ``"serial"`` runs flush rounds inline (deterministic, the default);
         ``"concurrent"`` fans one flush task per shard out over a thread
@@ -187,26 +167,20 @@ class ServingConfig:
         ``ServerStats`` counters then read zero; intended for overhead
         baselines only).
     seed:
-        Seeds partitioning and the per-worker samplers (determinism).
+        Seeds partitioning (determinism).
     """
 
     num_shards: int = 2
     max_batch_size: int = 32
     max_delay: float = 0.002
-    mode: str = "exact"
-    fanouts: Optional[Tuple[int, ...]] = None
     cache_capacity: int = 4096
-    cache_policy: str = "lru"
-    cache_pin_fraction: float = 0.25
     halo_tier: bool = True
     partition_method: str = "bfs"
     num_replicas: int = 1
     dispatch: str = "round_robin"
-    halo_hops: Optional[int] = None
     executor: str = "serial"
     executor_workers: Optional[int] = None
     process_call_timeout: float = 30.0
-    process_heartbeat_interval: float = 1.0
     max_queue_depth: Optional[int] = None
     overload_policy: str = "reject"
     request_classes: ClassSpec = DEFAULT_REQUEST_CLASSES
@@ -262,24 +236,12 @@ class ServingConfig:
             raise ValueError("max_batch_size must be positive")
         if self.max_delay < 0:
             raise ValueError("max_delay must be non-negative")
-        if self.mode not in ("exact", "sampled"):
-            raise ValueError(f"mode must be 'exact' or 'sampled', got {self.mode!r}")
-        if self.mode == "sampled" and self.fanouts is None:
-            raise ValueError(
-                "mode='sampled' needs config.fanouts (per-layer sample sizes)"
-            )
+        if self.cache_capacity < 0:
+            raise ValueError("cache_capacity must be non-negative (0 disables caching)")
         if self.dispatch not in ("round_robin", "least_loaded"):
             raise ValueError(
                 f"dispatch must be 'round_robin' or 'least_loaded', got {self.dispatch!r}"
             )
-        if self.cache_policy not in CACHE_POLICIES:
-            raise ValueError(
-                f"cache_policy must be one of {CACHE_POLICIES}, got {self.cache_policy!r}"
-            )
-        if not 0.0 <= self.cache_pin_fraction <= 1.0:
-            raise ValueError("cache_pin_fraction must be within [0, 1]")
-        if self.halo_hops is not None and self.halo_hops < 1:
-            raise ValueError("halo_hops must be at least 1 (the direct neighbourhood)")
         if self.executor not in ("serial", "concurrent", "process"):
             raise ValueError(
                 f"executor must be 'serial', 'concurrent' or 'process', got {self.executor!r}"
@@ -288,13 +250,6 @@ class ServingConfig:
             raise ValueError("executor_workers must be positive (or None for one per worker)")
         if self.process_call_timeout <= 0:
             raise ValueError("process_call_timeout must be positive")
-        if self.process_heartbeat_interval <= 0:
-            raise ValueError("process_heartbeat_interval must be positive")
-        if self.executor == "process" and self.mode != "exact":
-            raise ValueError(
-                "executor='process' serves mode='exact' only: worker processes "
-                "share slab-backed shard state that sampled serving does not use"
-            )
         if self.max_queue_depth is not None and self.max_queue_depth <= 0:
             raise ValueError("max_queue_depth must be positive (or None for unbounded)")
         if self.overload_policy not in ("reject", "shed_oldest", "block"):

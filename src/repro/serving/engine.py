@@ -27,7 +27,7 @@ flush immediately, but open-loop drivers can set
 ``server.scheduler.flush_on_submit = False`` and call ``poll()`` themselves.
 All timing flows through a :class:`~repro.serving.clock.Clock`; with the
 default ``SerialExecutor`` plus a ``ManualClock`` every run is bit-for-bit
-deterministic, and with ``mode="exact"`` the served predictions are identical
+deterministic, and the served predictions are identical
 to offline full-graph evaluation (``evaluate_accuracy(mode="full")``) under
 *either* executor.
 
@@ -104,25 +104,12 @@ class InferenceServer:
         self.graph = graph
         self.config = config if config is not None else ServingConfig()
         self.clock = clock if clock is not None else SystemClock()
-        if self.config.mode == "sampled":
-            fanouts = self.config.fanouts
-            if fanouts is None or len(fanouts) != model.num_layers:
-                raise ValueError("sampled serving needs config.fanouts, one per model layer")
-
-        halo_hops = (
-            self.config.halo_hops if self.config.halo_hops is not None else model.num_layers
-        )
-        if self.config.mode == "exact" and halo_hops < model.num_layers:
-            # A truncated halo silently corrupts boundary nodes' receptive
-            # fields (and poisons the embedding cache with them).
-            raise ValueError(
-                f"exact serving needs halo_hops >= model depth "
-                f"({halo_hops} < {model.num_layers})"
-            )
+        # Exact serving needs each core node's full K-hop receptive field in
+        # its shard; a deeper halo would only add work.
         self.shards: List[GraphShard] = build_shards(
             graph,
             self.config.num_shards,
-            halo_hops,
+            model.num_layers,
             method=self.config.partition_method,
             seed=self.config.seed,
         )
@@ -141,7 +128,6 @@ class InferenceServer:
                 self.shards,
                 model,
                 call_timeout=self.config.process_call_timeout,
-                heartbeat_interval=self.config.process_heartbeat_interval,
             )
 
         self.halo_store = self._build_halo_store()
@@ -299,14 +285,9 @@ class InferenceServer:
         values would otherwise be recomputed on each side of the cut); with
         replicated shards every held node is eligible, since a shard's
         replicas keep independent embedding caches but compute identical
-        rows.  Exact serving only — sampled inference is stochastic (nothing
-        it computes is exchangeable).
+        rows.
         """
-        if (
-            not self.config.halo_tier
-            or self.config.mode != "exact"
-            or len(self.shards) * self.config.num_replicas < 2
-        ):
+        if not self.config.halo_tier or len(self.shards) * self.config.num_replicas < 2:
             return None
         counts = np.zeros(self.graph.num_nodes, dtype=np.int64)
         for shard in self.shards:
@@ -321,85 +302,26 @@ class InferenceServer:
             return self._procplane.build_halo_store(shared)
         return HaloStore(self.graph.num_nodes, shared)
 
-    def _build_cache(self, shard: GraphShard):
-        """One slab embedding cache per worker, matched to the cache policy.
-
-        Under ``cache_policy="degree"`` the shard's highest-degree held nodes
-        are pinned (GNNIE's hot-hub retention), with node ids as the
-        deterministic tie-break.  A pinned
-        node can hold one entry *per layer*, so the node budget divides
-        ``cache_pin_fraction * capacity`` by the model depth — pinned entries
-        can never consume more than the configured fraction of the cache.
-        ``cache_policy="degree-auto"`` passes the *full* ranked hub list
-        (capped at one cache-fill of pinned entries) and lets the cache tune
-        the active pin prefix online, starting from the configured fraction.
-        """
-        pinned, initial = self._cache_pin_spec(shard)
-        return EmbeddingCache(
-            self.config.cache_capacity,
-            num_nodes=self.graph.num_nodes,
-            policy=self.config.cache_policy,
-            pinned_nodes=pinned,
-            initial_pin_count=initial,
-        )
-
-    def _cache_pin_spec(self, shard: GraphShard):
-        """``(pinned hub nodes, initial pin count)`` for the slab cache.
-
-        Shared by in-process cache construction and the process plane (a
-        spawned worker builds its own cache from this spec, so pinning is
-        identical either side of the process boundary).
-        """
-        capacity = self.config.cache_capacity
-        pinned = None
-        initial = None
-        depth = max(self.model.num_layers, 1)
-        if (
-            self.config.cache_policy in ("degree", "degree-auto")
-            and capacity > 0
-            and len(shard.nodes)
-        ):
-            budget = int(self.config.cache_pin_fraction * capacity) // depth
-            limit = budget if self.config.cache_policy == "degree" else capacity // depth
-            if limit > 0:
-                degrees = self.graph.degrees()[shard.nodes]
-                order = np.lexsort((shard.nodes, -degrees))
-                pinned = shard.nodes[order[:limit]]
-                if self.config.cache_policy == "degree-auto":
-                    initial = max(budget, 1)
-        return pinned, initial
-
     def _build_worker(
         self, shard_id: int, worker_id: int, epoch: int = 0
     ) -> ShardWorker:
         """One replica from the shard spec (initial build *and* supervisor
         rebuilds go through here, so a rebuilt worker is constructed exactly
-        like its corpse was — same seed, same publish mask — plus a bumped
+        like its corpse was — same shard, same publish mask — plus a bumped
         epoch)."""
-        shard = self.shards[shard_id]
         if self._procplane is not None:
-            pinned, initial = self._cache_pin_spec(shard)
             return self._procplane.spawn_worker(
                 shard_id=shard_id,
                 worker_id=worker_id,
                 epoch=epoch,
-                seed=self.config.seed + 9176 * worker_id,
-                mode=self.config.mode,
-                fanouts=self.config.fanouts,
                 halo_publish_mask=self._publish_masks[shard_id],
                 cache_capacity=self.config.cache_capacity,
-                cache_policy=self.config.cache_policy,
-                cache_pinned=pinned,
-                cache_initial_pins=initial,
             )
         return ShardWorker(
             worker_id=worker_id,
-            shard=shard,
+            shard=self.shards[shard_id],
             model=self.model,
-            cache=self._build_cache(shard),
-            mode=self.config.mode,
-            fanouts=self.config.fanouts,
-            seed=self.config.seed + 9176 * worker_id,
+            cache=EmbeddingCache(self.config.cache_capacity, num_nodes=self.graph.num_nodes),
             halo_store=self.halo_store,
             halo_publish_mask=self._publish_masks[shard_id],
             epoch=epoch,
@@ -414,7 +336,7 @@ class InferenceServer:
         ``drain`` round), so supervision advances with the flush loop and
         needs no extra thread.  Inert unless ``config.supervisor`` is on.
         Process-backed replicas also get their heartbeat here: liveness is
-        probed on the control channel, throttled to the configured interval,
+        probed on the control channel, throttled to the heartbeat interval,
         so a crashed process is discovered even between dispatches.
         """
         if self._procplane is not None:
@@ -1405,8 +1327,6 @@ class InferenceServer:
         metrics = self._metrics
         hedged, hedges_won, hedges_cancelled = metrics.hedge_totals()
         return ServerStats(
-            mode=self.config.mode,
-            cache_policy=self.config.cache_policy,
             stage_seconds=merge_stage_totals(worker.timings for worker in self.workers),
             completed_requests=metrics.status_total(COMPLETED),
             latencies=np.asarray(self._latencies, dtype=np.float64),
@@ -1505,10 +1425,10 @@ class InferenceServer:
             else "halo tier off"
         )
         lines = [
-            f"InferenceServer[{self.config.mode}] over {self.graph.name}: "
+            f"InferenceServer over {self.graph.name}: "
             f"{len(self.shards)} shards x {self.config.num_replicas} replicas, "
             f"batch<= {self.config.max_batch_size}, delay<= {self.config.max_delay * 1e3:.1f} ms, "
-            f"cache {self.config.cache_capacity} entries/worker ({self.config.cache_policy}), "
+            f"LRU cache {self.config.cache_capacity} entries/worker, "
             f"{halo}, "
             f"executor {self.executor.name}, queues {depth}, "
             f"ingress {self.config.ingress}"

@@ -392,6 +392,9 @@ _MSG_READY = 9
 #: envelope: message kind (u8), request id (u32), body length (u64).
 _ENVELOPE = struct.Struct("!BIQ")
 
+#: Wall seconds between control-channel liveness pings of an idle child.
+HEARTBEAT_INTERVAL = 1.0
+
 
 def _pack(kind: int, req_id: int, payload) -> bytes:
     body = b"" if payload is None else pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
@@ -436,9 +439,6 @@ class WorkerSpec:
     worker_id: int
     shard_id: int
     epoch: int
-    seed: int
-    mode: str
-    fanouts: Optional[Tuple[int, ...]]
     model: object
     graph_name: str
     #: field -> (segment name, shape, dtype string) for indptr/indices/features.
@@ -453,9 +453,6 @@ class WorkerSpec:
     halo: Optional[HaloSegmentSpec]
     halo_publish_mask: Optional[np.ndarray]
     cache_capacity: int
-    cache_policy: str
-    cache_pinned: Optional[np.ndarray]
-    cache_initial_pins: Optional[int]
     cache_num_nodes: int
     #: prefix for the child-created embedding-cache slab segments.
     cache_segment_base: str
@@ -567,12 +564,7 @@ def _child_main(spec: WorkerSpec, request_conn, control_conn) -> None:
             return slab
 
         cache = EmbeddingCache(
-            spec.cache_capacity,
-            num_nodes=spec.cache_num_nodes,
-            policy=spec.cache_policy,
-            pinned_nodes=spec.cache_pinned,
-            initial_pin_count=spec.cache_initial_pins,
-            allocator=cache_allocator,
+            spec.cache_capacity, num_nodes=spec.cache_num_nodes, allocator=cache_allocator
         )
         registry = None
         stage_family = None
@@ -592,9 +584,6 @@ def _child_main(spec: WorkerSpec, request_conn, control_conn) -> None:
             shard,
             spec.model,
             cache,
-            mode=spec.mode,
-            fanouts=spec.fanouts,
-            seed=spec.seed,
             halo_store=halo,
             halo_publish_mask=spec.halo_publish_mask,
             epoch=spec.epoch,
@@ -691,7 +680,6 @@ class ProcessWorkerHandle:
         num_model_layers: int,
         halo_store: Optional[SharedHaloStore],
         call_timeout: float,
-        heartbeat_interval: float,
         ready_timeout: float = 120.0,
     ) -> None:
         self.spec = spec
@@ -705,7 +693,6 @@ class ProcessWorkerHandle:
         self._request_conn = request_conn
         self._control_conn = control_conn
         self._call_timeout = float(call_timeout)
-        self._heartbeat_interval = float(heartbeat_interval)
         self._ready_timeout = float(ready_timeout)
         self._rpc_lock = threading.Lock()
         self._control_lock = threading.Lock()
@@ -764,8 +751,14 @@ class ProcessWorkerHandle:
     def _describe(self) -> str:
         return f"worker {self.worker_id} (shard {self.spec.shard_id}, epoch {self.epoch}, pid {self.pid})"
 
-    def _recv(self, conn, timeout: float):
-        """One envelope off ``conn``, or a typed error; kills a wedged child."""
+    def _recv(self, conn, timeout: float, req_id: Optional[int] = None):
+        """``(kind, payload)`` of one envelope off ``conn``, or a typed error.
+
+        Kills a wedged child.  A frame that does not decode, or that answers
+        a request other than ``req_id``, means the pipe is out of step with
+        the child: the child is killed too, and the call fails as
+        :class:`ProcessDead`.
+        """
         try:
             ready = connection.wait([conn, self._proc.sentinel], timeout)
         except OSError:
@@ -777,7 +770,17 @@ class ProcessWorkerHandle:
             except (EOFError, OSError):
                 self._dead = True
                 raise ProcessDead(f"{self._describe()}: pipe closed mid-call") from None
-            return _unpack(data)
+            try:
+                kind, reply_id, payload = _unpack(data)
+            except Exception as exc:  # noqa: BLE001 - short header, short body, bad pickle
+                self.kill()
+                raise ProcessDead(f"{self._describe()}: malformed frame ({exc!r})") from exc
+            if req_id is not None and reply_id != req_id:
+                self.kill()
+                raise ProcessDead(
+                    f"{self._describe()}: reply to request {reply_id}, expected {req_id}"
+                )
+            return kind, payload
         if ready:  # only the sentinel fired: the process exited under us
             self._dead = True
             raise ProcessDead(f"{self._describe()}: process exited (code {self._proc.exitcode})")
@@ -793,7 +796,7 @@ class ProcessWorkerHandle:
         with self._control_lock:
             if self._ready:
                 return
-            kind, _, _ = self._recv(self._control_conn, self._ready_timeout)
+            kind, _ = self._recv(self._control_conn, self._ready_timeout)
             if kind != _MSG_READY:
                 self._dead = True
                 raise ProcessDead(f"{self._describe()}: expected READY, got message kind {kind}")
@@ -811,8 +814,8 @@ class ProcessWorkerHandle:
             except (BrokenPipeError, OSError):
                 self._dead = True
                 raise ProcessDead(f"{self._describe()}: control pipe closed") from None
-            rkind, _, rpayload = self._recv(
-                self._control_conn, self._call_timeout if timeout is None else timeout
+            rkind, rpayload = self._recv(
+                self._control_conn, self._call_timeout if timeout is None else timeout, req_id
             )
         if rkind == _MSG_ERROR:
             raise rpayload
@@ -842,7 +845,7 @@ class ProcessWorkerHandle:
                 except (BrokenPipeError, OSError):
                     self._dead = True
                     raise ProcessDead(f"{self._describe()}: request pipe closed") from None
-                kind, _, payload = self._recv(self._request_conn, self._call_timeout)
+                kind, payload = self._recv(self._request_conn, self._call_timeout, req_id)
         finally:
             with self._gauge_lock:
                 self._inflight -= 1
@@ -893,7 +896,7 @@ class ProcessWorkerHandle:
         if self.retired or self._dead or self._closed or not self._ready:
             return
         now = time.monotonic()
-        if self._last_beat is not None and now - self._last_beat < self._heartbeat_interval:
+        if self._last_beat is not None and now - self._last_beat < HEARTBEAT_INTERVAL:
             return
         try:
             payload = self._control_rpc(_MSG_PING)
@@ -1024,13 +1027,11 @@ class ProcessPlane:
         shards: List[GraphShard],
         model,
         call_timeout: float = 30.0,
-        heartbeat_interval: float = 1.0,
     ) -> None:
         self.graph = graph
         self.shards = shards
         self.model = model
         self.call_timeout = float(call_timeout)
-        self.heartbeat_interval = float(heartbeat_interval)
         self.swept_stale = SharedSlabArena.sweep_stale()
         self.arena = SharedSlabArena()
         self._ctx = get_context("spawn")
@@ -1072,14 +1073,8 @@ class ProcessPlane:
         shard_id: int,
         worker_id: int,
         epoch: int,
-        seed: int,
-        mode: str,
-        fanouts: Optional[Tuple[int, ...]],
         halo_publish_mask: Optional[np.ndarray],
         cache_capacity: int,
-        cache_policy: str,
-        cache_pinned: Optional[np.ndarray],
-        cache_initial_pins: Optional[int],
     ) -> ProcessWorkerHandle:
         shard = self.shards[shard_id]
         segments = self._publish_shard(shard)
@@ -1088,9 +1083,6 @@ class ProcessPlane:
             worker_id=worker_id,
             shard_id=shard_id,
             epoch=epoch,
-            seed=seed,
-            mode=mode,
-            fanouts=tuple(fanouts) if fanouts is not None else None,
             model=self.model,
             graph_name=graph.name,
             graph_segments=segments,
@@ -1104,9 +1096,6 @@ class ProcessPlane:
             halo=self.halo_store.spec if self.halo_store is not None else None,
             halo_publish_mask=halo_publish_mask,
             cache_capacity=cache_capacity,
-            cache_policy=cache_policy,
-            cache_pinned=cache_pinned,
-            cache_initial_pins=cache_initial_pins,
             cache_num_nodes=self.graph.num_nodes,
             cache_segment_base=f"{self.arena.base}-w{worker_id}-e{epoch}-",
         )
@@ -1130,7 +1119,6 @@ class ProcessPlane:
             self.model.num_layers,
             self.halo_store,
             self.call_timeout,
-            self.heartbeat_interval,
         )
 
     def shutdown(self) -> None:

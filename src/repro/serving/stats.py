@@ -53,7 +53,6 @@ class WorkerLoad:
 class ServerStats:
     """Snapshot of a serving run: latency percentiles, cache, per-shard load."""
 
-    mode: str
     completed_requests: int
     latencies: np.ndarray            # seconds, one entry per completed request
     batch_sizes: np.ndarray          # executed batch sizes, one per flush
@@ -68,8 +67,7 @@ class ServerStats:
     rejected_requests: int = 0       # turned away at admission (queue full)
     shed_requests: int = 0           # evicted from a full queue (shed_oldest)
     expired_requests: int = 0        # flushed after their deadline passed
-    cache_policy: str = "lru"        # slab-cache retention policy
-    #: wall-clock seconds per flush stage, summed over workers (exact mode)
+    #: wall-clock seconds per flush stage, summed over workers
     stage_seconds: Dict[str, float] = field(default_factory=dict)
     #: cross-shard halo tier counters (eligible boundary lookups only)
     halo: CacheStats = field(default_factory=CacheStats)
@@ -209,7 +207,6 @@ class ServerStats:
         else:
             throughput = "n/a (nothing completed)"
         lines = [
-            f"mode {self.mode} ({self.cache_policy} cache): "
             f"{self.completed_requests} requests in "
             f"{len(self.batch_sizes)} batches (mean size "
             f"{'n/a' if not len(self.batch_sizes) else f'{self.mean_batch_size:.1f}'})",

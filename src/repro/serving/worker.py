@@ -1,45 +1,35 @@
 """Shard workers: execute micro-batches of per-node prediction requests.
 
 A :class:`ShardWorker` owns one :class:`~repro.serving.shard.GraphShard` and
-answers prediction requests for the shard's core nodes in one of two modes:
-
-``exact``
-    Layer-wise inference restricted to the batch's receptive field.  For each
-    layer ``k`` (output side first) the worker asks the
-    :class:`~repro.serving.cache.EmbeddingCache` which layer-``k`` hidden
-    states it already knows; nodes it does not know are then offered to the
-    shared :class:`~repro.serving.cache.HaloStore` (when the server runs
-    one), which gathers boundary rows *another shard already computed*; only
-    the remaining misses are recomputed.  Each miss set becomes a
-    :class:`~repro.graph.Restriction` — a row slice of the frozen shard CSR
-    with columns remapped into the batch-local index space, built fresh per
-    flush — and the layer's ``forward_restricted`` runs a restricted SpMM / segment
-    reduction against the shard's *precomputed* propagation operators
-    (warmed once per worker at build time via ``prepare_full``).  No induced
-    ``Graph`` is built and no operator is re-normalised per flush.  Because
-    every miss row's full neighbourhood is inside the previous layer's
-    needed set by construction, the restricted rows are exactly what
-    :meth:`repro.models.GNNModel.full_forward` would produce on the whole
-    graph — so served predictions match offline full-graph evaluation, and
-    cached (and halo-exchanged) rows can be reused across batches and
-    shards safely.
-
-``sampled``
-    GraphSAGE-style approximate inference: the flushed requests become the
-    seed set of a single :class:`~repro.graph.NeighborSampler` mini-batch and
-    go through the model's training-time ``forward``.  Cheaper per request on
-    huge graphs, stochastic (seeded per worker), never cached.
+answers prediction requests for the shard's core nodes exactly, by layer-wise
+inference restricted to the batch's receptive field.  For each layer ``k``
+(output side first) the worker asks its LRU
+:class:`~repro.serving.cache.EmbeddingCache` which layer-``k`` hidden states it
+already knows; nodes it does not know are then offered to the shared
+:class:`~repro.serving.cache.HaloStore` (when the server runs one), which
+gathers boundary rows *another shard already computed*; only the remaining
+misses are recomputed.  Each miss set becomes a
+:class:`~repro.graph.Restriction` — a row slice of the frozen shard CSR with
+columns remapped into the batch-local index space, built fresh per flush —
+and the layer's ``forward_restricted`` runs a restricted SpMM / segment
+reduction against the shard's *precomputed* propagation operators (warmed
+once per worker at build time via ``prepare_full``).  No induced ``Graph`` is
+built and no operator is re-normalised per flush.  Because every miss row's
+full neighbourhood is inside the previous layer's needed set by construction,
+the restricted rows are exactly what :meth:`repro.models.GNNModel.full_forward`
+would produce on the whole graph — so served predictions match offline
+full-graph evaluation, and cached (and halo-exchanged) rows can be reused
+across batches and shards safely.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 import numpy as np
 
 from ..graph.restriction import Restriction
-from ..graph.sampling import NeighborSampler
 from ..models.base import GNNModel
 from ..tensor.tensor import Tensor, no_grad
 from .shard import GraphShard
@@ -67,31 +57,19 @@ class ShardWorker:
         shard: GraphShard,
         model: GNNModel,
         cache,
-        mode: str = "exact",
-        fanouts: Optional[Sequence[int]] = None,
-        seed: int = 0,
         halo_store=None,
         halo_publish_mask: Optional[np.ndarray] = None,
         epoch: int = 0,
     ) -> None:
-        if mode not in ("exact", "sampled"):
-            raise ValueError(f"mode must be 'exact' or 'sampled', got {mode!r}")
-        if mode == "sampled":
-            if fanouts is None or len(fanouts) != model.num_layers:
-                raise ValueError("sampled mode needs one fanout per model layer")
         self.worker_id = worker_id
         self.shard = shard
         self.model = model
         self.cache = cache
-        self.mode = mode
         #: Replica incarnation: 0 at server build, bumped by every supervisor
         #: rebuild of this worker slot.
         self.epoch = int(epoch)
         self.retired = False
-        exact = mode == "exact"
-        # The cross-shard halo tier is an exact-mode feature; sampled mode
-        # never caches.
-        self.halo_store = halo_store if exact else None
+        self.halo_store = halo_store
         # Defence in depth for the shared tier: only rows whose shard-CSR
         # neighbour list is *complete* (shard-local mask supplied by the
         # engine — exactly the rows the serving recursion legitimately
@@ -104,10 +82,7 @@ class ShardWorker:
             else None
         )
         self.timings = StageTimer()
-        self.sampler = (
-            NeighborSampler(shard.graph, fanouts, seed=seed) if mode == "sampled" else None
-        )
-        if exact and shard.graph.num_nodes:
+        if shard.graph.num_nodes:
             # Shard operator plan: normalise every propagation operator the
             # model's inference needs once, at build time, so the first flush
             # is as cheap as the thousandth.
@@ -121,8 +96,8 @@ class ShardWorker:
         self.batches_served = 0
         self.nodes_served = 0
         # A worker serves one batch at a time: the lock serialises concurrent
-        # flushes dispatched to the same worker (its cache and sampler state
-        # must see batches in order), while distinct workers run in parallel.
+        # flushes dispatched to the same worker (its cache must see batches
+        # in order), while distinct workers run in parallel.
         self._lock = threading.Lock()
         self._gauge_lock = threading.Lock()
         self._inflight = 0
@@ -167,11 +142,7 @@ class ShardWorker:
                     self.model.eval()
                 try:
                     with no_grad():
-                        if self.mode != "exact":
-                            batch = self.sampler.sample(local)
-                            logits = self.model.forward(batch, graph=self.shard.graph).data
-                        else:
-                            logits = self._exact_logits(local)
+                        logits = self._exact_logits(local)
                 finally:
                     if was_training:
                         self.model.train(True)
@@ -232,7 +203,7 @@ class ShardWorker:
         final = self.model.num_layers
         hit = np.zeros(len(nodes), dtype=bool)
         predictions = np.full(len(nodes), -1, dtype=np.int64)
-        if self.mode != "exact" or not len(nodes):
+        if not len(nodes):
             return hit, predictions
         if getattr(self.cache, "enabled", False):
             mask, values = self.cache.take_mask(final, nodes)
@@ -248,7 +219,7 @@ class ShardWorker:
                 predictions[positions] = halo_values.argmax(axis=-1)
         return hit, predictions
 
-    # -- exact mode --------------------------------------------------------------
+    # -- exact inference ---------------------------------------------------------
 
     def _layer_dim(self, layer: int) -> int:
         return self.shard.graph.num_features if layer == 0 else self.model.layers[layer - 1].out_features

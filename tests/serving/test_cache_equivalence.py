@@ -10,11 +10,6 @@ insertions, evictions) and identical final contents.  Eviction victims are
 thereby checked implicitly: pick a different victim once and some later
 ``take`` splits differently.
 
-The degree-policy tests pin down the GNNIE-style retention semantics: pinned
-hubs outlive any scan, and an unpinned newcomer to a hub-full cache is the
-eviction victim itself.  The degree-auto tests pin down the online tuner: the
-active pin budget follows the observed pinned-vs-unpinned hit-rate split.
-
 The halo-tier tests assert the shared :class:`HaloStore` honours the same
 weight-signature invalidation discipline as the per-shard caches — a training
 step must drop its rows exactly once, never serve them stale.
@@ -118,7 +113,7 @@ take_ops = st.lists(
 @settings(max_examples=200, deadline=None)
 @given(capacity=st.integers(1, 6), ops=take_ops)
 def test_slab_lru_observationally_equivalent_to_ordered_dict(capacity, ops):
-    slab = EmbeddingCache(capacity, num_nodes=NUM_NODES, policy="lru")
+    slab = EmbeddingCache(capacity, num_nodes=NUM_NODES)
     oracle = OrderedDictLRU(capacity)
     for round_id, (layer, node_list) in enumerate(ops):
         nodes = np.asarray(node_list, dtype=np.int64)
@@ -151,127 +146,6 @@ def test_signature_invalidation_matches_ordered_dict():
         assert len(cache) == 0
         assert cache.stats.invalidations == 1
     assert _stats_tuple(slab) == _stats_tuple(oracle)
-
-
-class TestDegreePolicy:
-    def test_pinned_hubs_survive_eviction_pressure(self):
-        cache = EmbeddingCache(4, num_nodes=64, policy="degree", pinned_nodes=np.array([0, 1]))
-        cache.put(1, np.array([0, 1]), np.ones((2, DIM)))
-        # A long scan of cold unpinned nodes: far more insertions than room.
-        for start in range(2, 50, 4):
-            nodes = np.arange(start, start + 4, dtype=np.int64)
-            cache.put(1, nodes, np.ones((4, DIM)))
-        assert cache.stats.evictions > 0
-        assert cache.contains(1, 0) and cache.contains(1, 1)  # hubs still warm
-        # LRU under the identical sequence loses both hubs to the scan.
-        lru = EmbeddingCache(4, num_nodes=64, policy="lru")
-        lru.put(1, np.array([0, 1]), np.ones((2, DIM)))
-        for start in range(2, 50, 4):
-            nodes = np.arange(start, start + 4, dtype=np.int64)
-            lru.put(1, nodes, np.ones((4, DIM)))
-        assert not lru.contains(1, 0) and not lru.contains(1, 1)
-
-    def test_unpinned_newcomer_is_its_own_victim_when_hubs_fill_the_cache(self):
-        cache = EmbeddingCache(2, num_nodes=16, policy="degree", pinned_nodes=np.array([3, 4]))
-        cache.put(1, np.array([3, 4]), np.ones((2, DIM)))
-        cache.put(1, np.array([9]), np.ones((1, DIM)))
-        assert not cache.contains(1, 9)  # inserted-then-evicted, hubs intact
-        assert cache.contains(1, 3) and cache.contains(1, 4)
-        assert len(cache) == 2
-        assert cache.stats.evictions == 1 and cache.stats.insertions == 3
-
-    def test_pinned_entries_do_evict_each_other_when_nothing_else_remains(self):
-        cache = EmbeddingCache(1, num_nodes=16, policy="degree", pinned_nodes=np.array([3, 4]))
-        cache.put(1, np.array([3]), np.ones((1, DIM)))
-        cache.put(1, np.array([4]), np.ones((1, DIM)))
-        assert cache.contains(1, 4) and not cache.contains(1, 3)
-
-    def test_degree_policy_without_pins_behaves_like_lru(self):
-        degree = EmbeddingCache(2, num_nodes=16, policy="degree")
-        lru = EmbeddingCache(2, num_nodes=16, policy="lru")
-        for cache in (degree, lru):
-            cache.put(1, np.array([1]), np.ones((1, DIM)))
-            cache.put(1, np.array([2]), np.ones((1, DIM)))
-            cache.take(1, np.array([1]))
-            cache.put(1, np.array([3]), np.ones((1, DIM)))
-        for node in (1, 2, 3):
-            assert degree.contains(1, node) == lru.contains(1, node)
-
-    def test_pinned_nodes_property(self):
-        cache = EmbeddingCache(4, num_nodes=16, policy="degree", pinned_nodes=np.array([7, 2]))
-        assert cache.pinned_nodes.tolist() == [2, 7]
-        assert EmbeddingCache(4, num_nodes=16).pinned_nodes.tolist() == []
-
-
-class TestDegreeAutoPolicy:
-    def _cache(self, initial=2, interval=16):
-        return EmbeddingCache(
-            8,
-            num_nodes=64,
-            policy="degree-auto",
-            pinned_nodes=np.array([0, 1, 2, 3]),
-            initial_pin_count=initial,
-            auto_tune_interval=interval,
-        )
-
-    def test_pin_budget_grows_when_pinned_entries_out_hit(self):
-        cache = self._cache(initial=1, interval=8)
-        cache.put(1, np.array([0]), np.ones((1, DIM)))
-        start = cache.pin_fraction
-        for round_id in range(12):
-            cache.take(1, np.array([0]))                      # pinned hit
-            cache.take(1, np.array([40 + round_id]))          # unpinned miss
-        assert cache.pin_fraction > start
-        assert cache.retunes > 0
-
-    def test_pin_budget_shrinks_when_pins_are_dead_weight(self):
-        cache = self._cache(initial=4, interval=8)
-        cache.put(1, np.array([10, 11]), np.ones((2, DIM)))
-        for _ in range(12):
-            cache.take(1, np.array([10, 11]))                 # unpinned hits
-            cache.take(1, np.array([0]))                      # pinned miss
-        assert cache.pin_fraction < 1.0
-        # The prefix never collapses to zero: signal to recover survives.
-        assert cache.pin_fraction >= 1 / 4
-
-    def test_unrequested_pins_also_shrink(self):
-        cache = self._cache(initial=4, interval=8)
-        cache.put(1, np.array([20, 21]), np.ones((2, DIM)))
-        for _ in range(8):
-            cache.take(1, np.array([20, 21]))                 # pinned never looked up
-        assert cache.pin_fraction < 1.0
-
-    def test_retune_keeps_exactness_and_updates_pinned_set(self):
-        cache = self._cache(initial=4, interval=4)
-        cache.put(1, np.array([0, 1, 2, 3]), np.arange(4 * DIM, dtype=float).reshape(4, DIM))
-        before = cache.pinned_nodes.tolist()
-        for _ in range(8):
-            cache.take(1, np.array([50]))                     # unpinned-only window
-        after = cache.pinned_nodes.tolist()
-        assert len(after) < len(before)
-        # Entries themselves survive a retune — only protection changes.
-        hits, values, misses = cache.take(1, np.array([0, 1, 2, 3]))
-        assert misses.size == 0
-        assert np.array_equal(values, np.arange(4 * DIM, dtype=float).reshape(4, DIM))
-
-    def test_degree_auto_serving_stays_exact(self):
-        from repro.graph.datasets import synthetic_graph
-
-        graph = synthetic_graph(num_nodes=80, num_edges=400, num_features=12,
-                                num_classes=3, seed=5, name="auto")
-        model = create_model("GCN", 12, 16, 3, seed=0)
-        reference = model.full_forward(graph).data.argmax(axis=-1)
-        server = InferenceServer(
-            model,
-            graph,
-            ServingConfig(num_shards=2, cache_capacity=64, cache_policy="degree-auto",
-                          max_delay=0.5, seed=0),
-            clock=ManualClock(),
-        )
-        nodes = np.random.default_rng(0).choice(graph.num_nodes, size=200, replace=True)
-        assert np.array_equal(server.predict(nodes), reference[nodes])
-        for worker in server.workers:
-            assert 0.0 <= worker.cache.pin_fraction <= 1.0
 
 
 class TestHaloStoreInvalidation:

@@ -87,8 +87,10 @@ class TestEmbeddingCache:
             EmbeddingCache(capacity=-1)
 
     def test_invalid_policy_rejected(self):
-        with pytest.raises(ValueError):
-            EmbeddingCache(capacity=4, policy="random")
+        # The slab cache is exact LRU only; a retention policy is not a parameter.
+        for kwargs in (dict(policy="degree"), dict(pinned_nodes=np.array([0]))):
+            with pytest.raises(TypeError):
+                EmbeddingCache(capacity=4, **kwargs)
 
     def test_mismatched_value_shapes_rejected(self):
         cache = EmbeddingCache(capacity=4)

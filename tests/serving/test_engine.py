@@ -1,6 +1,6 @@
 """End-to-end tests of the online inference server.
 
-The engine's contract: served predictions in ``exact`` mode are identical to
+The engine's contract: served predictions are identical to
 offline full-graph inference for the same nodes, everything is deterministic
 under a fixed seed + :class:`ManualClock`, and the embedding cache can never
 survive a weight update.
@@ -73,8 +73,9 @@ class TestExactServing:
         assert np.array_equal(server.predict(nodes), reference[nodes])
         assert server.stats().cache.hits == 0
 
-    def test_tiny_lru_cache_under_eviction_pressure_stays_exact(self, small_graph):
-        model = _model(small_graph)
+    @pytest.mark.parametrize("name", MODELS)
+    def test_tiny_lru_cache_under_eviction_pressure_stays_exact(self, small_graph, name):
+        model = _model(small_graph, name)
         reference = model.full_forward(small_graph).data.argmax(axis=-1)
         server = _server(model, small_graph, cache_capacity=8)
         nodes = np.random.default_rng(3).choice(small_graph.num_nodes, size=80, replace=True)
@@ -83,15 +84,15 @@ class TestExactServing:
 
 
 class TestDeterminism:
-    @pytest.mark.parametrize("mode,fanouts", [("exact", None), ("sampled", (4, 3))])
-    def test_identical_runs_produce_identical_results(self, small_graph, mode, fanouts):
+    @pytest.mark.parametrize("executor", ["serial", "concurrent"])
+    def test_identical_runs_produce_identical_results(self, small_graph, executor):
         nodes = np.random.default_rng(1).choice(small_graph.num_nodes, size=40, replace=True)
         outcomes = []
         for _ in range(2):
             model = _model(small_graph)
-            server = _server(model, small_graph, mode=mode, fanouts=fanouts)
-            predictions = server.predict(nodes)
-            stats = server.stats()
+            with _server(model, small_graph, executor=executor) as server:
+                predictions = server.predict(nodes)
+                stats = server.stats()
             outcomes.append((predictions, stats.batch_sizes, stats.latencies))
         assert np.array_equal(outcomes[0][0], outcomes[1][0])
         assert np.array_equal(outcomes[0][1], outcomes[1][1])
@@ -197,33 +198,25 @@ class TestDispatchAndSharding:
             assert load.nodes == load.core_nodes  # every core node requested once
         assert stats.completed_requests == small_graph.num_nodes
 
-    def test_halo_hops_override_must_cover_model_depth_to_be_exact(self, small_graph):
-        model = _model(small_graph)
-        reference = model.full_forward(small_graph).data.argmax(axis=-1)
-        server = InferenceServer(
-            model,
-            small_graph,
-            ServingConfig(num_shards=2, halo_hops=3, seed=0),  # deeper than needed is fine
-            clock=ManualClock(),
-        )
+    @pytest.mark.parametrize("name", MODELS)
+    def test_every_shard_holds_the_model_depth_halo(self, small_graph, name):
+        # The halo depth is the model's, never a knob: shallower would
+        # corrupt boundary rows, deeper would only add work.
+        assert not hasattr(ServingConfig(), "halo_hops")
         nodes = np.arange(small_graph.num_nodes)
-        assert np.array_equal(server.predict(nodes), reference[nodes])
-
-    def test_exact_mode_rejects_truncated_halo(self, small_graph):
-        # A halo shallower than the model depth would silently corrupt
-        # boundary predictions (and the cache); the server must refuse it.
-        model = _model(small_graph)  # 2 layers
-        with pytest.raises(ValueError, match="halo_hops"):
-            InferenceServer(
-                model, small_graph, ServingConfig(num_shards=2, halo_hops=1), clock=ManualClock()
+        for num_layers in (1, 2, 3):
+            model = create_model(
+                name,
+                in_features=small_graph.num_features,
+                hidden_features=16,
+                num_classes=small_graph.num_classes,
+                num_layers=num_layers,
+                seed=0,
             )
-        # Sampled mode tolerates it (approximate by construction).
-        InferenceServer(
-            model,
-            small_graph,
-            ServingConfig(num_shards=2, halo_hops=1, mode="sampled", fanouts=(3, 2)),
-            clock=ManualClock(),
-        )
+            reference = model.full_forward(small_graph).data.argmax(axis=-1)
+            server = _server(model, small_graph, num_shards=3)
+            assert [shard.halo_hops for shard in server.shards] == [num_layers] * 3
+            assert np.array_equal(server.predict(nodes), reference[nodes])
 
 
 class TestValidationAndStats:
@@ -234,19 +227,23 @@ class TestValidationAndStats:
         with pytest.raises(ValueError):
             server.submit(-1)
 
-    def test_sampled_mode_requires_fanouts(self, small_graph):
-        with pytest.raises(ValueError):
-            _server(_model(small_graph), small_graph, mode="sampled")
-
     def test_invalid_config_values(self):
         with pytest.raises(ValueError):
             ServingConfig(num_shards=0)
         with pytest.raises(ValueError):
-            ServingConfig(mode="turbo")
-        with pytest.raises(ValueError):
             ServingConfig(dispatch="random")
-        with pytest.raises(ValueError):
-            ServingConfig(halo_hops=0)
+
+    def test_deleted_knobs_are_not_fields(self):
+        # Serving is exact with an LRU cache and a model-depth halo; the
+        # heartbeat interval is a procplane constant.  None is configurable.
+        for field, value in (
+            ("mode", "exact"),
+            ("cache_policy", "lru"),
+            ("halo_hops", 2),
+            ("process_heartbeat_interval", 1.0),
+        ):
+            with pytest.raises(TypeError):
+                ServingConfig(**{field: value})
 
     def test_predictions_returned_in_submission_order(self, small_graph):
         model = _model(small_graph)

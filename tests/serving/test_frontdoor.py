@@ -340,7 +340,7 @@ class TestConfigValidation:
             (dict(ingress_poll_interval=0.0), "ingress_poll_interval"),
             (dict(max_batch_size=0), "max_batch_size"),
             (dict(max_delay=-1.0), "max_delay"),
-            (dict(mode="sampled"), "fanouts"),
+            (dict(cache_capacity=-1), "cache_capacity"),
         ],
     )
     def test_contradictory_knobs_fail_with_clear_messages(self, kwargs, match):

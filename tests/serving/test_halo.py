@@ -95,10 +95,6 @@ class TestEngineWiring:
         assert _server(model, small_graph).halo_store is not None
         assert _server(model, small_graph, halo_tier=False).halo_store is None
         assert _server(model, small_graph, num_shards=1).halo_store is None
-        sampled = _server(
-            model, small_graph, mode="sampled", fanouts=(4, 3), cache_capacity=0
-        )
-        assert sampled.halo_store is None
         replicated = _server(model, small_graph, num_shards=1, num_replicas=2)
         assert replicated.halo_store is not None
         # With replicas every held node is exchangeable, not just cut nodes.

@@ -7,10 +7,14 @@ The headline invariants:
 * ``forward_restricted`` agrees with ``forward_full`` for every model, and
   served predictions equal offline ``full_forward`` cold and warm;
 * the per-stage timing breakdown is populated, rendered and reset;
-* the new ``ServingConfig`` knobs validate.
+* the hot-path ``ServingConfig`` knobs validate, and no worker surface takes
+  a serving mode or a cache retention policy.
 """
 
 from __future__ import annotations
+
+import dataclasses
+import inspect
 
 import numpy as np
 import pytest
@@ -18,7 +22,14 @@ import pytest
 from repro.compression import CompressionConfig
 from repro.graph import Graph, Restriction
 from repro.models import create_model
-from repro.serving import InferenceServer, ManualClock, ServingConfig
+from repro.serving import (
+    EmbeddingCache,
+    InferenceServer,
+    ManualClock,
+    ServingConfig,
+    ShardWorker,
+)
+from repro.serving.procplane import WorkerSpec
 from repro.tensor.tensor import Tensor, no_grad
 
 MODELS = ["GCN", "GS-Pool", "G-GCN", "GAT"]
@@ -113,14 +124,6 @@ class TestHotPathEquivalence:
         assert np.array_equal(server.predict(nodes), reference)
         assert np.array_equal(server.predict(nodes), reference)  # warm
 
-    def test_degree_policy_stays_exact_under_eviction_pressure(self, small_graph):
-        model = _model(small_graph)
-        reference = model.full_forward(small_graph).data.argmax(axis=-1)
-        server = _server(model, small_graph, cache_capacity=8, cache_policy="degree")
-        nodes = np.random.default_rng(3).choice(small_graph.num_nodes, size=80, replace=True)
-        assert np.array_equal(server.predict(nodes), reference[nodes])
-        assert server.stats().cache.evictions > 0
-
     def test_compiled_with_block_circulant_compression(self, small_graph):
         model = _model(small_graph, "GCN", block_size=4)
         reference = model.full_forward(small_graph).data.argmax(axis=-1)
@@ -197,45 +200,23 @@ class TestDegradedReadPath:
         assert hit.all()
         assert np.array_equal(predictions, reference[nodes])
 
-    def test_sampled_workers_skip_exact_only_tiers(self, small_graph):
-        model = _model(small_graph)
-        server = _server(
-            model, small_graph, mode="sampled", fanouts=(4, 3), cache_capacity=0,
-        )
-        for worker in server.workers:
-            assert worker.halo_store is None
-
-    def test_sampled_workers_have_no_degraded_answers(self, small_graph):
-        model = _model(small_graph)
-        server = _server(model, small_graph, mode="sampled", fanouts=(4, 3))
-        nodes = np.arange(small_graph.num_nodes)
-        server.predict(nodes)
-        for worker in server.workers:
-            hit, predictions = worker.degraded_logits(nodes)
-            assert not hit.any() and (predictions == -1).all()
-
 
 class TestConfigKnobs:
     def test_invalid_values_rejected(self):
-        with pytest.raises(ValueError):
-            ServingConfig(cache_policy="random")
-        with pytest.raises(ValueError):
-            ServingConfig(cache_pin_fraction=1.5)
-        with pytest.raises(ValueError):
-            ServingConfig(cache_pin_fraction=-0.1)
+        with pytest.raises(ValueError, match="cache_capacity"):
+            ServingConfig(cache_capacity=-1)
+        with pytest.raises(ValueError, match="executor"):
+            ServingConfig(executor="gpu")
+        with pytest.raises(ValueError, match="executor_workers"):
+            ServingConfig(executor_workers=0)
 
-    def test_degree_policy_pins_high_degree_shard_nodes(self, small_graph):
-        model = _model(small_graph)
-        server = _server(
-            model, small_graph, cache_capacity=64, cache_policy="degree",
-            cache_pin_fraction=0.25,
-        )
-        degrees = small_graph.degrees()
-        for worker, shard in zip(server.workers, server.shards):
-            pinned = worker.cache.pinned_nodes
-            assert 0 < len(pinned) <= 16
-            assert set(pinned).issubset(set(shard.nodes.tolist()))
-            # Every pinned node is at least as connected as every unpinned one.
-            unpinned = np.setdiff1d(shard.nodes, pinned)
-            if len(unpinned):
-                assert degrees[pinned].min() >= degrees[unpinned].max()
+    def test_workers_take_no_mode_or_retention_arguments(self):
+        # Serving is exact over one LRU slab cache: no worker surface
+        # carries a serving mode, a sampler or a retention policy.
+        deleted = {"mode", "fanouts", "seed", "sampler", "policy", "pinned_nodes"}
+        assert list(inspect.signature(EmbeddingCache).parameters) == [
+            "capacity", "num_nodes", "allocator",
+        ]
+        assert not deleted & set(inspect.signature(ShardWorker).parameters)
+        spec_fields = {field.name for field in dataclasses.fields(WorkerSpec)}
+        assert not (deleted | {"cache_policy", "cache_pinned", "cache_initial_pins"}) & spec_fields

@@ -17,7 +17,9 @@ The contract under test:
   per-call timeout nor hang ``shutdown()`` — teardown escalates
   terminate → kill and stays bounded;
 * killing a server's processes and building a fresh server in the same
-  interpreter works (the startup sweep + atexit guards make it safe).
+  interpreter works (the startup sweep + atexit guards make it safe);
+* a reply frame the parent cannot decode, or one answering another request,
+  kills the child and fails the call as :class:`ProcessDead`.
 """
 
 from __future__ import annotations
@@ -25,6 +27,8 @@ from __future__ import annotations
 import os
 import signal
 import time
+from multiprocessing import Pipe, get_context
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -43,8 +47,15 @@ from repro.serving import (
     SharedSlabArena,
 )
 from repro.serving.procplane import (
+    HEARTBEAT_INTERVAL,
+    _ENVELOPE,
+    _MSG_PING,
+    _MSG_READY,
+    _MSG_RESULT,
     _attach_segment,
     _create_segment,
+    _pack,
+    _send,
     list_segments,
     segment_epoch,
 )
@@ -151,9 +162,7 @@ class TestSegments:
 
 
 class TestProcessServing:
-    def test_config_requires_compiled_exact(self):
-        with pytest.raises(ValueError, match="process"):
-            ServingConfig(executor="process", mode="sampled", fanouts=(4, 3))
+    def test_config_rejects_nonpositive_call_timeout(self):
         with pytest.raises(ValueError, match="process_call_timeout"):
             ServingConfig(executor="process", process_call_timeout=0.0)
 
@@ -175,6 +184,17 @@ class TestProcessServing:
         assert not list_segments(base)
         for handle in _handles(server):
             assert not handle._proc.is_alive()
+
+    def test_tiny_cache_evicts_in_the_child_and_stays_exact(self):
+        expected = _reference_predictions()
+        server = _process_server(cache_capacity=8)
+        try:
+            nodes = list(range(GRAPH.num_nodes))
+            np.testing.assert_array_equal(server.predict(nodes), expected)
+            np.testing.assert_array_equal(server.predict(nodes), expected)
+            assert server.stats().cache.evictions > 0  # shared-memory slabs churned
+        finally:
+            server.shutdown()
 
     def test_sigkill_mid_stream_is_typed_failed_over_and_healed(self):
         expected = _reference_predictions()
@@ -319,3 +339,86 @@ class TestFleetStats:
             assert all(load.batches == 0 for load in stats.workers)
         finally:
             server.shutdown()
+
+
+#: Reply frames for request id 1 that the parent cannot accept.
+BAD_REPLY_FRAMES = pytest.mark.parametrize(
+    "frame",
+    [
+        b"\x02\x00\x00",  # header shorter than the 13-byte envelope
+        _ENVELOPE.pack(_MSG_RESULT, 1, 64) + b"abc",  # body shorter than declared
+        _ENVELOPE.pack(_MSG_RESULT, 1, 4) + b"\xff\xfe\xfd\xfc",  # not a pickle
+        _pack(_MSG_RESULT, 2, np.array([0])),  # answers another request
+    ],
+    ids=["short-header", "short-body", "bad-pickle", "wrong-req-id"],
+)
+
+
+class TestMalformedFrames:
+    """The parent's side of the pipe protocol against a scripted child.
+
+    The child is a sleeping stand-in process; the test writes the reply
+    frames itself.  The handle's first request carries id 1.
+    """
+
+    @staticmethod
+    def _handle():
+        child = get_context("spawn").Process(target=time.sleep, args=(60,), daemon=True)
+        child.start()
+        request_parent, request_child = Pipe()
+        control_parent, control_child = Pipe()
+        spec = SimpleNamespace(
+            worker_id=0, shard_id=0, epoch=0, cache_segment_base="bgnn-frame-test-"
+        )
+        handle = ProcessWorkerHandle(
+            spec, child, request_parent, control_parent, None, 2, None, call_timeout=5.0
+        )
+        _send(control_child, _MSG_READY, 0, None)
+        return handle, request_child, control_child
+
+    @staticmethod
+    def _assert_killed(handle):
+        assert handle._dead and not handle.alive
+        handle._proc.join(5.0)
+        assert not handle._proc.is_alive()
+
+    @BAD_REPLY_FRAMES
+    def test_predict_reply_frame(self, frame):
+        handle, request_child, control_child = self._handle()
+        try:
+            request_child.send_bytes(frame)
+            with pytest.raises(ProcessDead):
+                handle.predict(np.array([0], dtype=np.int64))
+            self._assert_killed(handle)
+        finally:
+            handle.close(timeout=0.0)
+            request_child.close()
+            control_child.close()
+
+    @BAD_REPLY_FRAMES
+    def test_control_reply_frame(self, frame):
+        handle, request_child, control_child = self._handle()
+        try:
+            control_child.send_bytes(frame)
+            with pytest.raises(ProcessDead):
+                handle._control_rpc(_MSG_PING)
+            self._assert_killed(handle)
+        finally:
+            handle.close(timeout=0.0)
+            request_child.close()
+            control_child.close()
+
+    def test_heartbeat_on_a_malformed_frame_marks_the_handle_dead(self):
+        handle, request_child, control_child = self._handle()
+        try:
+            handle._ensure_ready()
+            handle._last_beat -= HEARTBEAT_INTERVAL  # the next tick pings
+            control_child.send_bytes(b"\x02\x00\x00")
+            handle.maybe_heartbeat()  # liveness failures never raise
+            self._assert_killed(handle)
+            with pytest.raises(ProcessDead):
+                handle.predict(np.array([0], dtype=np.int64))
+        finally:
+            handle.close(timeout=0.0)
+            request_child.close()
+            control_child.close()

@@ -25,7 +25,7 @@ class TestParser:
             ["search", "--dataset", "cora"],
             ["table3", "--epochs", "2", "--block-sizes", "1", "4"],
             ["partition", "--parts", "4", "--method", "hash"],
-            ["serve-bench", "--shards", "2", "--mode", "sampled"],
+            ["serve-bench", "--shards", "2", "--fanouts", "4", "3"],
             [
                 "serve-bench",
                 "--executor", "concurrent",
@@ -117,25 +117,13 @@ class TestExecution:
         assert "admission" in output
         assert "queues <= 128 (shed_oldest)" in output
 
-    def test_serve_bench_command_with_degree_cache(self, capsys):
-        assert main(
-            [
-                "serve-bench",
-                "--dataset", "cora",
-                "--scale", "0.05",
-                "--hidden", "16",
-                "--epochs", "1",
-                "--requests", "32",
-                "--batch-size", "8",
-                "--shards", "2",
-                "--cache-policy", "degree",
-                "--pin-fraction", "0.5",
-            ]
-        ) == 0
-        output = capsys.readouterr().out
-        assert "degree" in output
-
     def test_serve_bench_rejects_unknown_cache_policy(self):
         parser = build_parser()
-        with pytest.raises(SystemExit):
-            parser.parse_args(["serve-bench", "--cache-policy", "belady"])
+        for argv in (["--cache-policy", "lru"], ["--pin-fraction", "0.5"]):
+            with pytest.raises(SystemExit):
+                parser.parse_args(["serve-bench", *argv])
+
+    def test_serve_bench_rejects_deleted_flags(self):
+        # Serving is exact over an LRU cache: no mode or retention flags.
+        args = vars(build_parser().parse_args(["serve-bench"]))
+        assert not {"mode", "cache_policy", "pin_fraction"} & set(args)
