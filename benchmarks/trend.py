@@ -13,6 +13,8 @@ Only ratio/rate metrics are tracked (speedups and hit rates measure the same
 machine against itself, so they transfer across runners; raw req/s numbers do
 not).  A result whose ``quick`` flag differs from the baseline's is skipped
 with a warning — quick-mode and full-mode workloads are not comparable.
+A baseline file with no ``FLOOR_METRICS`` row (an *orphan*, typically left
+behind when a gate is deleted) fails the run so dead data cannot pile up.
 
 Refreshing baselines after an intentional change::
 
@@ -42,7 +44,6 @@ FLOOR_METRICS: Dict[str, List[str]] = {
     "serving_halo_cold": ["speedup_halo_cold", "halo_hit_rate"],
     "serving_faults": ["throughput_ratio"],
     "serving_supervisor": ["steady_state_ratio"],
-    "serving_supervisor_hedge": ["hedged_p99_speedup"],
     "serving_multiprocess": ["healed_steady_state_ratio"],
     "serving_telemetry": ["metrics_ratio", "trace_ratio"],
     "serving_frontdoor": ["backfill_shed_share"],
@@ -56,6 +57,16 @@ def _load(path: pathlib.Path) -> dict:
 
 
 def compare(results_dir: pathlib.Path, baselines_dir: pathlib.Path, tolerance: float) -> int:
+    orphans = sorted(
+        path.name
+        for path in baselines_dir.glob("BENCH_*.json")
+        if path.stem[len("BENCH_"):] not in FLOOR_METRICS
+    )
+    if orphans:
+        print("bench-trend FAILED: baselines with no FLOOR_METRICS row:")
+        for name in orphans:
+            print(f"  {name}")
+        return 1
     regressions: List[str] = []
     compared = 0
     for name, metrics in sorted(FLOOR_METRICS.items()):

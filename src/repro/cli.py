@@ -279,13 +279,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=0.25,
         help="tokens refilled into the retry budget per successful dispatch",
     )
-    serve.add_argument(
-        "--hedge-after-ms",
-        type=float,
-        default=None,
-        help="duplicate a stalled batch onto a healthy sibling replica once its "
-        "attempt exceeds max(this, the shard's rolling p95); needs --replicas >= 2",
-    )
     serve.add_argument("--seed", type=int, default=0)
     serve.add_argument(
         "--telemetry",
@@ -611,11 +604,6 @@ def _run_serve_bench(args: argparse.Namespace) -> str:
                 supervisor_window=args.supervisor_window_ms / 1e3,
                 retry_budget=args.retry_budget if faulty else None,
                 retry_budget_refill=args.retry_budget_refill,
-                hedge_after=(
-                    args.hedge_after_ms / 1e3
-                    if args.hedge_after_ms is not None and faulty
-                    else None
-                ),
                 ingress=args.ingress,
                 work_stealing=args.work_stealing,
                 telemetry=telemetry,

@@ -52,9 +52,7 @@ mode, exact: every answer equals offline ``full_forward`` for that node.
   and dispatch) — also the machinery behind operator rolling restarts
   (``InferenceServer.restart_replica``); a process-wide :class:`RetryBudget`
   token bucket caps total retries so correlated flap storms degrade to
-  ``stale_ok``/fail-fast instead of amplifying, and hedged dispatch
-  (``hedge_after``) duplicates a stalled batch onto a healthy sibling,
-  first result winning, without changing any prediction;
+  ``stale_ok``/fail-fast instead of amplifying;
 * :class:`InferenceServer` ties it together and exposes :class:`ServerStats`
   (p50/p95/p99/p99.9 latency, cache hit rate, per-shard load, overload
   counters, fault/failover counters, executor concurrency) plus a perfmodel

@@ -141,14 +141,6 @@ class ServingConfig:
         fail-fast), so correlated flap storms cannot amplify into retry
         storms.  ``None`` (default) leaves retries bounded only by
         ``max_retries`` per batch.
-    hedge_after:
-        Hedged dispatch (``None`` disables): when the replica chosen for a
-        batch stalls longer than ``max(hedge_after, rolling shard p95)``,
-        the batch is duplicated onto a second healthy replica of the same
-        shard; the first result wins and the loser is cancelled (and
-        counted).  Predictions are bitwise-unchanged — both replicas hold
-        the same shard and compute the same exact answer — so hedging only
-        moves the tail. Needs ``num_replicas >= 2``.
     health_failure_threshold, health_cooldown, health_latency_threshold:
         Per-replica circuit breaker (:class:`~repro.serving.health.HealthTracker`):
         ``health_failure_threshold`` consecutive failures open the breaker,
@@ -200,7 +192,6 @@ class ServingConfig:
     supervisor_window: float = 1.0
     retry_budget: Optional[int] = None
     retry_budget_refill: float = 0.25
-    hedge_after: Optional[float] = None
     health_failure_threshold: int = 3
     health_cooldown: float = 0.05
     health_latency_threshold: Optional[float] = None
@@ -278,14 +269,6 @@ class ServingConfig:
             raise ValueError("retry_budget must be non-negative (or None for unbudgeted)")
         if self.retry_budget_refill < 0:
             raise ValueError("retry_budget_refill must be non-negative")
-        if self.hedge_after is not None:
-            if self.hedge_after <= 0:
-                raise ValueError("hedge_after must be positive (or None to disable hedging)")
-            if self.num_replicas < 2:
-                raise ValueError(
-                    "hedge_after needs num_replicas >= 2: a hedged dispatch "
-                    "duplicates the batch onto a sibling replica"
-                )
         if self.health_failure_threshold < 1:
             raise ValueError("health_failure_threshold must be >= 1")
         if self.health_cooldown < 0:

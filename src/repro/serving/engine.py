@@ -49,7 +49,6 @@ from __future__ import annotations
 import contextlib
 import threading
 import time
-from collections import deque
 from typing import Dict, Iterator, List, Optional, Sequence
 
 import numpy as np
@@ -84,10 +83,6 @@ from .timing import merge_stage_totals
 from .worker import ShardWorker
 
 __all__ = ["ServingConfig", "InferenceServer", "RequestHandle", "DrainTimeout"]
-
-#: Sentinel distinguishing "no fault decision passed" from "decision is None"
-#: in ``_attempt`` (hedged dispatch consults the plan before dispatching).
-_UNSET = object()
 
 
 class InferenceServer:
@@ -210,20 +205,12 @@ class InferenceServer:
         self._last_completion: Optional[float] = None
         self._closed = False
 
-        # Dispatch-robustness primitives (PR 9).  The retry budget is
-        # process-wide: one bucket across every shard, so a correlated flap
-        # storm cannot multiply retries by the shard count.  The hedge
-        # window keeps a rolling sample of successful attempt latencies per
-        # shard — max(hedge_after, rolling p95) is the stall past which a
-        # duplicate dispatch fires on a sibling replica.
+        # The retry budget is process-wide: one bucket across every shard,
+        # so a correlated flap storm cannot multiply retries by the shard
+        # count.
         self.retry_budget: Optional[RetryBudget] = (
             RetryBudget(self.config.retry_budget, self.config.retry_budget_refill)
             if self.config.retry_budget is not None
-            else None
-        )
-        self._hedge_window: Optional[List[deque]] = (
-            [deque(maxlen=64) for _ in self.shards]
-            if self.config.hedge_after is not None
             else None
         )
         self.supervisor = ReplicaSupervisor(
@@ -261,13 +248,7 @@ class InferenceServer:
                 self._metrics.supervisor_restarts, self._metrics.supervisor_quarantines
             )
             for worker in self.workers:
-                worker.timings.bind_histograms(
-                    self._metrics.stage_seconds, worker.worker_id
-                )
-                if isinstance(worker, ProcessWorkerHandle):
-                    # Child registries ship deltas over the control channel
-                    # and merge by addition into the fleet registry.
-                    worker.fleet_registry = self.telemetry.registry
+                self._wire_telemetry(worker)
             self.telemetry.add_collector(self._collect_gauges)
 
         # Background ingress pump (ingress="thread"): started last so it can
@@ -327,6 +308,15 @@ class InferenceServer:
             epoch=epoch,
         )
 
+    def _wire_telemetry(self, worker: ShardWorker) -> None:
+        """Bind one replica's stage timings to the shared histograms (initial
+        build and supervisor rebuilds alike)."""
+        worker.timings.bind_histograms(self._metrics.stage_seconds, worker.worker_id)
+        if isinstance(worker, ProcessWorkerHandle):
+            # Child registries ship deltas over the control channel and
+            # merge by addition into the fleet registry.
+            worker.fleet_registry = self.telemetry.registry
+
     # -- self-healing (ReplicaSupervisor mechanics) -------------------------------
 
     def supervise(self) -> int:
@@ -373,11 +363,7 @@ class InferenceServer:
             if self.faults is not None:
                 self.faults.revive(worker.worker_id)
             if self.telemetry.enabled:
-                worker.timings.bind_histograms(
-                    self._metrics.stage_seconds, worker.worker_id
-                )
-                if isinstance(worker, ProcessWorkerHandle):
-                    worker.fleet_registry = self.telemetry.registry
+                self._wire_telemetry(worker)
             return worker, prewarmed
 
     def restart_replica(self, shard_id: int, replica: int = 0) -> ShardWorker:
@@ -796,16 +782,10 @@ class InferenceServer:
         never runs past a deadline.  When no replica is dispatchable the
         batch falls through to the degraded path.
 
-        Two robustness layers sit on top (PR 9):
-
-        * **Hedged dispatch** (``config.hedge_after``): the fault plan is
-          consulted *before* dispatching, so a primary that drew a stall
-          longer than the hedge threshold duplicates the batch onto a healthy
-          sibling — first finisher wins, the loser is cancelled and counted.
-        * **Retry budget** (``config.retry_budget``): each retry spends one
-          process-wide token; with the bucket empty the batch degrades
-          immediately (``stale_ok`` rows or fail-fast) instead of feeding a
-          retry storm.
+        With a retry budget (``config.retry_budget``) each retry spends one
+        process-wide token; with the bucket empty the batch degrades
+        immediately (``stale_ok`` rows or fail-fast) instead of feeding a
+        retry storm.
         """
         tried: set = set()
         attempt = 0
@@ -815,7 +795,6 @@ class InferenceServer:
             if worker is None:
                 self._serve_degraded(shard_id, live)
                 return
-            primary = worker
             nodes = np.array([request.node for request in live], dtype=np.int64)
             start = self.clock.now()
             record = None
@@ -834,30 +813,8 @@ class InferenceServer:
                     start,
                 )
                 stages_before = worker.timings.snapshot()
-            # The plan is consulted here (not inside _attempt) so hedging can
-            # see the primary's stall before committing to it; the consult
-            # order per worker is unchanged, so runs with hedging off are
-            # bit-identical to the pre-hedging engine.
-            decision = (
-                self.faults.decide(worker.worker_id, start)
-                if self.faults is not None
-                else None
-            )
-            threshold = self._hedge_threshold(shard_id)
             try:
-                if (
-                    threshold is not None
-                    and decision is not None
-                    and decision.kind in ("slow", "hang")
-                    and decision.seconds > threshold
-                ):
-                    predictions, worker = self._serve_hedged(
-                        shard_id, worker, decision, nodes, fault_info, tried, start, threshold
-                    )
-                else:
-                    predictions = self._attempt(
-                        worker, nodes, fault_info, decision=decision
-                    )
+                predictions = self._attempt(worker, nodes, fault_info)
             except Exception as exc:
                 now = self.clock.now()
                 self.health.record_failure(worker.worker_id, now)
@@ -916,24 +873,15 @@ class InferenceServer:
                 continue
 
             end = self.clock.now()
-            latency = end - start
-            self.health.record_success(worker.worker_id, end, latency)
+            self.health.record_success(worker.worker_id, end, end - start)
             if self.retry_budget is not None:
                 self.retry_budget.on_success()
-            if self._hedge_window is not None:
-                # Rolling latency sample feeding the adaptive p95 threshold.
-                self._hedge_window[shard_id].append(latency)
             if record is not None:
-                if worker is primary:
-                    after = worker.timings.snapshot()
-                    stages = {
-                        name: after[name] - stages_before.get(name, 0.0)
-                        for name in after
-                    }
-                else:
-                    # A hedge won: the before-snapshot belongs to the primary,
-                    # so a stage delta would be meaningless.
-                    stages = None
+                after = worker.timings.snapshot()
+                stages = {
+                    name: after[name] - stages_before.get(name, 0.0)
+                    for name in after
+                }
                 tracer.end_attempt(
                     record, end, "ok", fault=fault_info.get("kind"), stages=stages
                 )
@@ -956,158 +904,26 @@ class InferenceServer:
                 self._last_completion = now
             return
 
-    # -- hedged dispatch ----------------------------------------------------------
-
-    def _hedge_threshold(self, shard_id: int) -> Optional[float]:
-        """The stall (clock seconds) past which a hedge fires, or ``None``
-        when hedging is off.
-
-        The floor is ``config.hedge_after``; once the shard's rolling window
-        holds enough successful-attempt latencies, the threshold adapts
-        upward to their p95 so routine tail latency never triggers a hedge.
-        """
-        if self._hedge_window is None:
-            return None
-        threshold = self.config.hedge_after
-        window = self._hedge_window[shard_id]
-        if len(window) >= 16:
-            threshold = max(
-                threshold, float(np.percentile(np.asarray(window, dtype=np.float64), 95))
-            )
-        return threshold
-
-    def _hedge_candidate(
-        self, shard_id: int, primary: ShardWorker, tried: set, now: float
-    ) -> Optional[ShardWorker]:
-        """A healthy sibling to duplicate a stalled batch onto.
-
-        Never the primary itself and never a replica that already failed
-        this batch — unlike ``_pick_worker``, whose single-replica fallback
-        may legitimately return an excluded worker.  ``None`` means no
-        sibling is dispatchable and the primary just runs un-hedged.
-        """
-        group = self._replicas[shard_id]
-        exclude = set(tried)
-        exclude.add(primary.worker_id)
-        ids = [worker.worker_id for worker in group]
-        closed, probing = self.health.partition(ids, now)
-        pool_ids = [i for i in closed if i not in exclude] or [
-            i for i in probing if i not in exclude
-        ]
-        if not pool_ids:
-            return None
-        by_id = {worker.worker_id: worker for worker in group}
-        pool = [by_id[worker_id] for worker_id in pool_ids]
-        return min(pool, key=lambda worker: (worker.nodes_served, worker.worker_id))
-
-    def _serve_hedged(
-        self,
-        shard_id: int,
-        primary: ShardWorker,
-        decision,
-        nodes: np.ndarray,
-        fault_info: dict,
-        tried: set,
-        start: float,
-        threshold: float,
-    ):
-        """The primary drew a stall past the hedge threshold: race a sibling.
-
-        Under a :class:`~repro.serving.clock.ManualClock` computation costs
-        no clock time, so injected stalls are the *only* latency signal —
-        the race resolves deterministically from finish stamps
-        (``start + primary_stall`` vs ``fired_at + hedge_stall``).  Both
-        replicas hold the same shard and compute bitwise-identical logits,
-        so first-result-wins cannot change any prediction.  The loser is
-        cancelled (no health record: it neither succeeded nor failed) and
-        counted in ``serving_hedges_cancelled_total``.  Returns
-        ``(predictions, winning_worker)``; raises like a plain attempt when
-        the primary hangs and the hedge cannot win.
-        """
-        fault_info["kind"] = decision.kind
-        hedge = self._hedge_candidate(shard_id, primary, tried, self.clock.now())
-        if hedge is None:
-            # Nothing to hedge onto: behave exactly like an un-hedged attempt.
-            return (
-                self._attempt(primary, nodes, fault_info, decision=decision),
-                primary,
-            )
-        # Wait out the trigger, then consult the plan for the hedge dispatch
-        # (same once-per-dispatch discipline as any attempt).
-        self.clock.sleep(threshold)
-        fired_at = self.clock.now()
-        self._metrics.hedges[shard_id].inc()
-        hedge_decision = (
-            self.faults.decide(hedge.worker_id, fired_at)
-            if self.faults is not None
-            else None
-        )
-        hedge_kind = hedge_decision.kind if hedge_decision is not None else None
-        if hedge_kind is not None:
-            fault_info["hedge_kind"] = hedge_kind
-        primary_finishes = decision.kind == "slow"  # a hang never returns
-        primary_finish = start + decision.seconds
-        hedge_stall = hedge_decision.seconds if hedge_kind == "slow" else 0.0
-        hedge_finish = fired_at + hedge_stall
-        hedge_wins = hedge_kind in (None, "slow") and (
-            not primary_finishes or hedge_finish < primary_finish
-        )
-        if hedge_wins:
-            if hedge_stall > 0:
-                self.clock.sleep(hedge_stall)
-            predictions = self._attempt(hedge, nodes, None, decision=None)
-            self._metrics.hedges_won[shard_id].inc()
-            self._metrics.hedges_cancelled[shard_id].inc()  # the primary
-            return predictions, hedge
-        # The hedge lost.  A fast failure (raise/die) is a real dispatch
-        # failure: the breaker sees it and the batch's retry loop must not
-        # re-pick this replica.  A hung or slower hedge is simply cancelled.
-        if hedge_kind in ("raise", "die", "kill"):
-            if hedge_kind == "kill":
-                kill = getattr(hedge, "kill", None)
-                if kill is not None:
-                    kill()
-            now = self.clock.now()
-            self.health.record_failure(hedge.worker_id, now)
-            tried.add(hedge.worker_id)
-            with self._lock:
-                self._metrics.worker_failures.inc()
-        else:
-            self._metrics.hedges_cancelled[shard_id].inc()
-        # The primary still owes the rest of its stall.
-        remaining = decision.seconds - threshold
-        if remaining > 0:
-            self.clock.sleep(remaining)
-        if decision.kind == "hang":
-            raise ReplicaHung(
-                f"worker {primary.worker_id} hung for {decision.seconds * 1e3:.1f} ms"
-            )
-        return self._attempt(primary, nodes, None, decision=None), primary
-
     def _attempt(
         self,
         worker: ShardWorker,
         nodes: np.ndarray,
-        fault_info: Optional[dict] = None,
-        decision=_UNSET,
+        fault_info: dict,
     ) -> np.ndarray:
         """One dispatch to one replica, with the fault plan consulted first.
 
-        ``fault_info`` (when given) surfaces the injected-fault kind to the
-        tracer: it gains a ``"kind"`` entry whenever the plan fired.
-        ``decision`` lets a caller that already consulted the plan (the
-        hedging path) pass the outcome in — the plan must be consulted
-        exactly once per dispatch or fault sequences lose determinism.
+        This is the only place the plan is consulted — exactly once per
+        dispatch, which keeps seeded fault sequences deterministic.
+        ``fault_info`` surfaces the injected-fault kind to the tracer: it
+        gains a ``"kind"`` entry whenever the plan fired.
         """
-        if decision is _UNSET:
-            decision = (
-                self.faults.decide(worker.worker_id, self.clock.now())
-                if self.faults is not None
-                else None
-            )
+        decision = (
+            self.faults.decide(worker.worker_id, self.clock.now())
+            if self.faults is not None
+            else None
+        )
         if decision is not None:
-            if fault_info is not None:
-                fault_info["kind"] = decision.kind
+            fault_info["kind"] = decision.kind
             if decision.kind == "raise":
                 raise InjectedFault(
                     f"injected failure on worker {worker.worker_id}"
@@ -1325,7 +1141,6 @@ class InferenceServer:
         # come from their owning objects instead, so they survive
         # telemetry="off" (the bench gates assert on them exactly).
         metrics = self._metrics
-        hedged, hedges_won, hedges_cancelled = metrics.hedge_totals()
         return ServerStats(
             stage_seconds=merge_stage_totals(worker.timings for worker in self.workers),
             completed_requests=metrics.status_total(COMPLETED),
@@ -1360,9 +1175,6 @@ class InferenceServer:
             supervisor_restarts=self.supervisor.restarts,
             supervisor_quarantines=self.supervisor.quarantines,
             prewarmed_rows=self.supervisor.prewarmed_rows,
-            hedged_batches=hedged,
-            hedges_won=hedges_won,
-            hedges_cancelled=hedges_cancelled,
             retry_attempts=metrics.retry_attempts.value,
             retry_budget_capacity=(
                 self.retry_budget.capacity if self.retry_budget is not None else None

@@ -128,27 +128,6 @@ class ServingMetrics:
         )
         self.degraded = [degraded.labels(shard) for shard in shards]
 
-        hedges = registry.counter(
-            "serving_hedges_total",
-            "Hedged dispatches fired (primary stalled past the hedge threshold)",
-            labels=("shard",),
-        )
-        self.hedges = [hedges.labels(shard) for shard in shards]
-
-        hedges_won = registry.counter(
-            "serving_hedges_won_total",
-            "Hedged dispatches where the hedge finished before the primary",
-            labels=("shard",),
-        )
-        self.hedges_won = [hedges_won.labels(shard) for shard in shards]
-
-        hedges_cancelled = registry.counter(
-            "serving_hedges_cancelled_total",
-            "Losing attempts of hedged dispatches cancelled before completion",
-            labels=("shard",),
-        )
-        self.hedges_cancelled = [hedges_cancelled.labels(shard) for shard in shards]
-
         retry_attempts = registry.counter(
             "serving_retry_attempts_total",
             "Batch retry attempts actually performed, engine-wide",
@@ -272,10 +251,3 @@ class ServingMetrics:
     def degraded_total(self) -> int:
         return sum(child.value for child in self.degraded)
 
-    def hedge_totals(self) -> "tuple[int, int, int]":
-        """Engine-wide ``(fired, won, cancelled)`` hedge counts."""
-        return (
-            sum(child.value for child in self.hedges),
-            sum(child.value for child in self.hedges_won),
-            sum(child.value for child in self.hedges_cancelled),
-        )

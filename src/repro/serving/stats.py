@@ -89,9 +89,6 @@ class ServerStats:
     supervisor_restarts: int = 0     # replica rebuilds (auto + operator)
     supervisor_quarantines: int = 0  # replicas pulled from dispatch pending rebuild
     prewarmed_rows: int = 0          # cache rows pre-warmed from the halo tier on rebuild
-    hedged_batches: int = 0          # hedged dispatches fired
-    hedges_won: int = 0              # hedges that finished before their primary
-    hedges_cancelled: int = 0        # losing attempts cancelled before completion
     retry_attempts: int = 0          # batch retries actually performed
     retry_budget_capacity: Optional[int] = None  # token-bucket capacity (None = unbudgeted)
     retry_budget_spent: int = 0      # tokens spent on retries
@@ -243,12 +240,6 @@ class ServerStats:
                 f"  self-healing: {self.supervisor_restarts} replica rebuilds "
                 f"({self.supervisor_quarantines} quarantined), "
                 f"{self.prewarmed_rows} cache rows pre-warmed from the halo tier"
-            )
-        if self.hedged_batches:
-            lines.append(
-                f"  hedging: {self.hedged_batches} fired, {self.hedges_won} won "
-                f"({self._rate(self.hedges_won, self.hedged_batches)}), "
-                f"{self.hedges_cancelled} losers cancelled"
             )
         if self.retry_budget_capacity is not None:
             lines.append(

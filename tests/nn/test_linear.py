@@ -96,6 +96,52 @@ class TestBlockCirculantLinear:
         assert np.allclose(layer(Tensor(x)).data, complex_layer(Tensor(x)).data)
 
 
+def _weight_grad_from_dense(dense_grad: np.ndarray, spec) -> np.ndarray:
+    """Adjoint of :func:`expand_block_circulant`: fold a dense ``(N, M)``
+    weight gradient back onto the ``(p, q, n)`` defining vectors, using
+    ``D[i*n + r, j*n + c] = w[i, j, (r - c) mod n]``."""
+    n = spec.block_size
+    padded = np.zeros((spec.padded_out, spec.padded_in))
+    padded[: spec.out_features, : spec.in_features] = dense_grad
+    blocks = padded.reshape(spec.p, n, spec.q, n).transpose(0, 2, 1, 3)
+    rows = np.arange(n)
+    cols = (rows[None, :] - rows[:, None]) % n  # cols[k, r] = (r - k) mod n
+    return blocks[:, :, rows[None, :], cols].sum(axis=-1)
+
+
+class TestTable3BlockSizes:
+    """The kernel invariants at the block sizes Table III trains with."""
+
+    @pytest.mark.parametrize(
+        "in_features,out_features,block",
+        [(256, 256, 16), (256, 256, 32), (256, 256, 64), (256, 256, 128), (200, 136, 64)],
+    )
+    def test_forward_gradients_and_rfft_match_dense(self, rng, in_features, out_features, block):
+        layer = nn.BlockCirculantLinear(in_features, out_features, block, rng=rng)
+        complex_layer = nn.BlockCirculantLinear(
+            in_features, out_features, block, use_rfft=False, rng=rng
+        )
+        complex_layer.load_state_dict(layer.state_dict())
+        x_data = rng.standard_normal((6, in_features))
+        upstream = rng.standard_normal((6, out_features))
+        dense = expand_block_circulant(layer.weight.data, layer.spec)
+
+        grads = []
+        for module in (layer, complex_layer):
+            x = Tensor(x_data, requires_grad=True)
+            out = module(x)
+            assert np.allclose(out.data, x_data @ dense.T + module.bias.data)
+            (out * Tensor(upstream)).sum().backward()
+            grads.append((out.data, x.grad, module.weight.grad))
+
+        (out, x_grad, w_grad), (complex_out, complex_x_grad, complex_w_grad) = grads
+        assert np.allclose(x_grad, upstream @ dense)
+        assert np.allclose(w_grad, _weight_grad_from_dense(upstream.T @ x_data, layer.spec))
+        assert np.allclose(out, complex_out)
+        assert np.allclose(x_grad, complex_x_grad)
+        assert np.allclose(w_grad, complex_w_grad)
+
+
 class TestSpectralWeightCache:
     """The per-version FFT(W) cache that makes the compressed path fast."""
 

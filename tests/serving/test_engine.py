@@ -235,12 +235,14 @@ class TestValidationAndStats:
 
     def test_deleted_knobs_are_not_fields(self):
         # Serving is exact with an LRU cache and a model-depth halo; the
-        # heartbeat interval is a procplane constant.  None is configurable.
+        # heartbeat interval is a procplane constant; there is no hedged
+        # dispatch.  None is configurable.
         for field, value in (
             ("mode", "exact"),
             ("cache_policy", "lru"),
             ("halo_hops", 2),
             ("process_heartbeat_interval", 1.0),
+            ("hedge_after", 0.01),
         ):
             with pytest.raises(TypeError):
                 ServingConfig(**{field: value})

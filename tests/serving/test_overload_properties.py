@@ -145,8 +145,8 @@ def test_every_request_terminates_exactly_once(
 # -- the ledger with the self-healing layer armed -------------------------------
 #
 # PR 9 arms everything at once: permanent ``die`` faults, the replica
-# supervisor (rebuilds fire mid-run from the scheduler tick), hedged dispatch
-# and a finite retry budget.  None of it may bend the exactly-once ledger or
+# supervisor (rebuilds fire mid-run from the scheduler tick) and a finite
+# retry budget.  None of it may bend the exactly-once ledger or
 # the bitwise-exactness of completed answers.
 
 
@@ -158,19 +158,17 @@ def test_every_request_terminates_exactly_once(
     slow_rate=st.floats(0.0, 0.2),
     fault_seed=st.integers(0, 5),
     supervisor_failure_budget=st.integers(1, 2),
-    hedge_after=st.one_of(st.none(), st.floats(0.005, 0.1)),
     retry_budget=st.one_of(st.none(), st.integers(0, 4)),
     degraded_policy=st.sampled_from(["fail", "stale_ok"]),
     max_retries=st.integers(0, 2),
 )
-def test_ledger_holds_with_supervisor_hedging_and_die_faults(
+def test_ledger_holds_with_supervisor_budget_and_die_faults(
     operations,
     fail_rate,
     die_rate,
     slow_rate,
     fault_seed,
     supervisor_failure_budget,
-    hedge_after,
     retry_budget,
     degraded_policy,
     max_retries,
@@ -190,7 +188,7 @@ def test_ledger_holds_with_supervisor_hedging_and_die_faults(
         GRAPH,
         ServingConfig(
             num_shards=2,
-            num_replicas=2,  # hedging needs a sibling to duplicate onto
+            num_replicas=2,  # failover needs a sibling to retry on
             max_batch_size=4,
             max_delay=0.2,
             cache_capacity=64,
@@ -202,7 +200,6 @@ def test_ledger_holds_with_supervisor_hedging_and_die_faults(
             supervisor=True,
             supervisor_failure_budget=supervisor_failure_budget,
             supervisor_window=5.0,
-            hedge_after=hedge_after,
             retry_budget=retry_budget,
             retry_budget_refill=0.5,
             seed=0,
@@ -222,8 +219,8 @@ def test_ledger_holds_with_supervisor_hedging_and_die_faults(
             server.drain()
     server.shutdown()  # final drain: nothing may stay pending
 
-    # Exactly-once termination, bitwise-exact completions — restarts,
-    # hedge races and budget denials included.
+    # Exactly-once termination, bitwise-exact completions — restarts and
+    # budget denials included.
     assert all(request.status in TERMINAL_STATUSES for request in requests)
     assert all(request.done for request in requests)
     for request in requests:
@@ -249,13 +246,6 @@ def test_ledger_holds_with_supervisor_hedging_and_die_faults(
     )
     rebuilds = [e for e in server.supervisor.event_log() if e["event"] != "quarantine"]
     assert stats.supervisor_restarts == len(rebuilds)
-    # A hedge race has one winner and one loser: wins never exceed fires,
-    # and each fire cancels at most one loser (the other side may instead be
-    # recorded as a real failure when the hedge drew raise/die).
-    assert stats.hedges_won <= stats.hedged_batches
-    assert stats.hedges_cancelled <= stats.hedged_batches
-    if hedge_after is None:
-        assert stats.hedged_batches == 0
 
 
 # -- the ledger under process-kill faults ---------------------------------------

@@ -124,6 +124,7 @@ class TestExecution:
                 parser.parse_args(["serve-bench", *argv])
 
     def test_serve_bench_rejects_deleted_flags(self):
-        # Serving is exact over an LRU cache: no mode or retention flags.
+        # Serving is exact over an LRU cache: no mode or retention flags,
+        # and no hedged dispatch.
         args = vars(build_parser().parse_args(["serve-bench"]))
-        assert not {"mode", "cache_policy", "pin_fraction"} & set(args)
+        assert not {"mode", "cache_policy", "pin_fraction", "hedge_after_ms"} & set(args)
