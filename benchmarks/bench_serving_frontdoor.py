@@ -1,4 +1,4 @@
-"""Front-door benchmarks: class-aware overload, work stealing, async ingress.
+"""Front-door benchmarks: class-aware overload and async ingress.
 
 Gates on the synthetic Reddit-like graph (all deterministic unless noted):
 
@@ -8,11 +8,7 @@ Gates on the synthetic Reddit-like graph (all deterministic unless noted):
    the analytic queueing bound and (b) land >= 90% of the sheds on backfill —
    the excess traffic equals the backfill share, so the lightest class can
    absorb essentially all of it.  The per-class ledger must balance.
-2. **Work stealing** (simulated clock, always asserted): on a skewed stream
-   (one hot shard), stealing must drain the backlog in strictly fewer
-   scheduler rounds, steal at least one batch, and keep predictions
-   bitwise-identical to the non-stealing run.
-3. **Background ingress** (wall clock, always asserted for exactness): with
+2. **Background ingress** (wall clock, always asserted for exactness): with
    ``ingress="thread"`` handles resolve through the pump alone — no
    ``drain()`` — and the answers are bitwise-identical to the synchronous
    server's.
@@ -144,71 +140,6 @@ def test_class_overload_premium_p99_bounded_gate(served_setup, save_result):
     assert backfill_shed_share >= 0.90, (
         f"backfill carried only {backfill_shed_share:.1%} of sheds; "
         f"expected >= 90% of the excess"
-    )
-
-
-def test_work_stealing_drains_hot_shard_gate(served_setup, save_result):
-    """Gate: stealing drains a skewed backlog in fewer rounds, bit-identically."""
-    graph, model = served_setup
-    shards = 2
-    batch = 8
-    interval = 0.010
-    backlog = 4 * batch  # hot shard holds four rounds' worth of work
-
-    def run(work_stealing: bool):
-        clock = ManualClock()
-        server = InferenceServer(
-            model,
-            graph,
-            ServingConfig(
-                num_shards=shards,
-                max_batch_size=batch,
-                max_delay=interval / 2,
-                cache_capacity=4096,
-                work_stealing=work_stealing,
-                flush_on_submit=False,
-                seed=0,
-            ),
-            clock=clock,
-        )
-        owners = server._owner
-        hot = [n for n in range(graph.num_nodes) if owners[n] == 0][:backlog]
-        cold = [n for n in range(graph.num_nodes) if owners[n] == 1][: batch // 2]
-        handles = server.submit_many(hot + cold)
-        rounds = 0
-        while server.batcher.pending:
-            clock.advance(interval)
-            server.poll()
-            rounds += 1
-        predictions = np.array([h.result() for h in handles])
-        stolen = server.stats().stolen_batches
-        server.shutdown()
-        return predictions, rounds, stolen
-
-    # Busy time (stage_seconds) is identical either way — the same batches
-    # run; rounds-to-drain is the idle proxy: fewer rounds at equal busy
-    # time means executor slots spent less time parked at round barriers.
-    plain_predictions, plain_rounds, plain_stolen = run(work_stealing=False)
-    steal_predictions, steal_rounds, stolen_batches = run(work_stealing=True)
-
-    # Exactness first: stealing only changes *when* a batch runs.
-    np.testing.assert_array_equal(plain_predictions, steal_predictions)
-    assert plain_stolen == 0
-    assert stolen_batches > 0
-    assert steal_rounds < plain_rounds
-
-    steal_round_ratio = plain_rounds / steal_rounds
-    save_result(
-        "serving_frontdoor_stealing",
-        f"skewed backlog: {backlog} hot-shard + {batch // 2} cold-shard requests, "
-        f"{shards} shards, batch {batch} ({graph.summary()})\n"
-        f"  no stealing : {plain_rounds} rounds to drain\n"
-        f"  stealing    : {steal_rounds} rounds to drain "
-        f"({stolen_batches} batches stolen, {steal_round_ratio:.2f}x fewer rounds)",
-        plain_rounds=plain_rounds,
-        steal_rounds=steal_rounds,
-        stolen_batches=stolen_batches,
-        steal_round_ratio=steal_round_ratio,
     )
 
 

@@ -47,7 +47,6 @@ FLOOR_METRICS: Dict[str, List[str]] = {
     "serving_multiprocess": ["healed_steady_state_ratio"],
     "serving_telemetry": ["metrics_ratio", "trace_ratio"],
     "serving_frontdoor": ["backfill_shed_share"],
-    "serving_frontdoor_stealing": ["steal_round_ratio"],
 }
 
 

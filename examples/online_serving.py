@@ -178,15 +178,14 @@ def main() -> None:
 
     # 8. The front door: RequestHandle futures + a background ingress pump.
     #    submit() enqueues and wakes the pump; result() blocks until the
-    #    answer lands.  No drain(), no polling — and work stealing lets idle
-    #    executor slots drain the hottest queue at round barriers.
-    print("\n--- front door: handles, background ingress, work stealing ---")
+    #    answer lands.  No drain(), no polling.
+    print("\n--- front door: handles, background ingress ---")
     front = InferenceServer(
         model,
         graph,
         ServingConfig(
             num_shards=2, max_batch_size=32, max_delay=0.002, cache_capacity=4096,
-            ingress="thread", work_stealing=True, executor="concurrent",
+            ingress="thread", executor="concurrent",
         ),
     )
     try:
@@ -201,8 +200,7 @@ def main() -> None:
     premium_latencies = [h.latency for h in handles if h.request_class == "premium"]
     print(
         f"{len(handles)} handles resolved by the background pump (no drain); "
-        f"premium p99 {np.percentile(premium_latencies, 99) * 1e3:.2f} ms, "
-        f"{front.stats().stolen_batches} batches work-stolen"
+        f"premium p99 {np.percentile(premium_latencies, 99) * 1e3:.2f} ms"
     )
     print("front-door answers identical to full-graph inference: OK")
 

@@ -141,18 +141,6 @@ def build_parser() -> argparse.ArgumentParser:
         "shards), or crash-isolated worker processes over shared-memory slabs",
     )
     serve.add_argument(
-        "--executor-workers",
-        type=int,
-        default=None,
-        help="pool size for --executor concurrent/process (default: one per shard replica)",
-    )
-    serve.add_argument(
-        "--num-processes",
-        type=int,
-        default=None,
-        help="alias for --executor-workers with --executor process",
-    )
-    serve.add_argument(
         "--max-queue-depth",
         type=int,
         default=None,
@@ -170,11 +158,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="sync",
         help="request intake: sync (submit flushes due batches inline) or "
         "thread (background front-door pump drives flush rounds)",
-    )
-    serve.add_argument(
-        "--work-stealing",
-        action="store_true",
-        help="executor slots idling at a round barrier drain the hottest due queue",
     )
     serve.add_argument(
         "--class-mix",
@@ -527,9 +510,6 @@ def _run_serve_bench(args: argparse.Namespace) -> str:
     fanouts = tuple(args.fanouts)
     Trainer(model, graph, TrainingConfig(epochs=args.epochs, fanouts=fanouts, seed=args.seed)).fit()
 
-    if args.num_processes is not None:
-        args.executor_workers = args.num_processes
-
     rng = np.random.default_rng(args.seed)
     nodes = rng.choice(graph.num_nodes, size=args.requests, replace=True)
 
@@ -590,7 +570,6 @@ def _run_serve_bench(args: argparse.Namespace) -> str:
                 num_replicas=args.replicas,
                 dispatch=args.dispatch,
                 executor=executor,
-                executor_workers=args.executor_workers,
                 max_queue_depth=args.max_queue_depth,
                 overload_policy=args.overload_policy,
                 default_timeout=None if args.deadline_ms is None else args.deadline_ms / 1e3,
@@ -605,7 +584,6 @@ def _run_serve_bench(args: argparse.Namespace) -> str:
                 retry_budget=args.retry_budget if faulty else None,
                 retry_budget_refill=args.retry_budget_refill,
                 ingress=args.ingress,
-                work_stealing=args.work_stealing,
                 telemetry=telemetry,
                 trace_capacity=args.trace_capacity,
                 seed=args.seed,

@@ -34,9 +34,6 @@ mode, exact: every answer equals offline ``full_forward`` for that node.
   admission pops heaviest-class/deadline-earliest first and overload sheds
   the lightest class first, and — with ``ingress="thread"`` — runs a
   background :class:`FrontDoor` pump so arrivals land during flush rounds;
-  ``work_stealing=True`` additionally lets executor threads idling at a
-  round barrier drain the hottest due queue (GNNIE-style load balancing),
-  with deadline expiry re-checked after every steal pass;
 * the fault-tolerance layer keeps that guarantee under replica failure: a
   seedable :class:`FaultPlan` injects deterministic raise/hang/slow/flap
   faults, a per-replica :class:`HealthTracker` circuit breaker gates

@@ -178,9 +178,6 @@ class MicroBatcher:
     def pending(self) -> int:
         return sum(len(queue) for queue in self._queues)
 
-    def pending_per_shard(self) -> List[int]:
-        return [len(queue) for queue in self._queues]
-
     def queue_depth(self, shard_id: int) -> int:
         return len(self._queues[shard_id])
 
@@ -205,9 +202,6 @@ class MicroBatcher:
         victim = min(queue, key=lambda r: (r.weight, r.enqueue_time, r.request_id))
         queue.remove(victim)
         return victim
-
-    #: Pre-class name, kept for callers written against the FIFO batcher.
-    shed_oldest = shed_victim
 
     @staticmethod
     def _earliest_deadline(queue: List[InferenceRequest]) -> Optional[float]:
@@ -239,42 +233,6 @@ class MicroBatcher:
             if deadline is not None and now >= deadline:
                 due.append(shard_id)
         return due
-
-    def next_deadline(self) -> Optional[float]:
-        """Earliest time at which a delay- or deadline-triggered flush is due."""
-        times: List[float] = []
-        for queue in self._queues:
-            if not queue:
-                continue
-            when = queue[0].enqueue_time + self.max_delay
-            deadline = self._earliest_deadline(queue)
-            if deadline is not None:
-                when = min(when, deadline)
-            times.append(when)
-        return min(times) if times else None
-
-    def expire_due(self, now: float) -> List[InferenceRequest]:
-        """Remove and return every queued request whose deadline has passed.
-
-        The scheduler runs this after a work-stealing pass so a stolen
-        round's barrier re-checks expiry before the next round can pop (and
-        the engine marks the returned requests ``expired`` exactly once).
-        """
-        expired: List[InferenceRequest] = []
-        for shard_id, queue in enumerate(self._queues):
-            keep = [
-                request
-                for request in queue
-                if request.deadline is None or now < request.deadline
-            ]
-            if len(keep) != len(queue):
-                expired.extend(
-                    request
-                    for request in queue
-                    if request.deadline is not None and now >= request.deadline
-                )
-                self._queues[shard_id] = keep
-        return expired
 
     def pop_batch(self, shard_id: int, forced: bool = False) -> List[InferenceRequest]:
         """Dequeue up to ``max_batch_size`` requests from one shard's queue,

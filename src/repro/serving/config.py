@@ -59,12 +59,11 @@ class ServingConfig:
     num_replicas, dispatch:
         Replicas per shard and how batches are spread across them
         (``"round_robin"`` or ``"least_loaded"``).
-    executor, executor_workers:
+    executor:
         ``"serial"`` runs flush rounds inline (deterministic, the default);
         ``"concurrent"`` fans one flush task per shard out over a thread
-        pool of ``executor_workers`` threads (default: one per shard
-        replica).  NumPy kernels release the GIL, so shards genuinely
-        overlap.
+        pool with one thread per shard replica.  NumPy kernels release the
+        GIL, so shards genuinely overlap.
     max_queue_depth, overload_policy:
         Admission control: each shard queue holds at most ``max_queue_depth``
         waiting requests (``None`` = unbounded).  On a full queue,
@@ -80,25 +79,18 @@ class ServingConfig:
         (lightest first), so under overload low-weight backfill sheds while
         high-weight traffic keeps a bounded p99.  ``default_class`` names the
         class ``submit()`` uses when the caller passes none.
-    ingress, ingress_poll_interval:
+    ingress:
         ``"sync"`` (default) flushes inline from the submitting thread —
         deterministic, and what ``ManualClock`` tests drive.  ``"thread"``
         starts a background :class:`~repro.serving.frontdoor.FrontDoor`
         daemon that owns the flush loop: submissions land during rounds,
         ``RequestHandle.result()`` blocks until served, and handles are
-        awaitable from asyncio.  While work is pending the pump re-polls
-        every ``ingress_poll_interval`` wall seconds.
+        awaitable from asyncio.
     flush_on_submit:
         Poll for due flushes inside every ``submit()`` (the ergonomic
         default).  Open-loop drivers set it ``False`` and call ``poll()``
         themselves so queues actually build up; ignored under
         ``ingress="thread"`` (the pump polls instead).
-    work_stealing:
-        GNNIE-style round-barrier stealing: executor workers that finish
-        their own shard's flush drain the hottest *due* queue instead of
-        idling at the barrier, and the scheduler re-checks deadline expiry
-        after the steal pass.  Off by default (rounds then match the PR-3
-        schedule exactly).
     default_timeout:
         Deadline in clock seconds applied to every request that does not
         carry its own (``None`` = no deadline).  A request flushed after its
@@ -171,16 +163,13 @@ class ServingConfig:
     num_replicas: int = 1
     dispatch: str = "round_robin"
     executor: str = "serial"
-    executor_workers: Optional[int] = None
     process_call_timeout: float = 30.0
     max_queue_depth: Optional[int] = None
     overload_policy: str = "reject"
     request_classes: ClassSpec = DEFAULT_REQUEST_CLASSES
     default_class: str = "standard"
     ingress: str = "sync"
-    ingress_poll_interval: float = 0.001
     flush_on_submit: bool = True
-    work_stealing: bool = False
     default_timeout: Optional[float] = None
     fault_plan: Optional["FaultPlan"] = None
     max_retries: int = 2
@@ -237,8 +226,6 @@ class ServingConfig:
             raise ValueError(
                 f"executor must be 'serial', 'concurrent' or 'process', got {self.executor!r}"
             )
-        if self.executor_workers is not None and self.executor_workers <= 0:
-            raise ValueError("executor_workers must be positive (or None for one per worker)")
         if self.process_call_timeout <= 0:
             raise ValueError("process_call_timeout must be positive")
         if self.max_queue_depth is not None and self.max_queue_depth <= 0:
@@ -289,8 +276,6 @@ class ServingConfig:
             raise ValueError(
                 f"ingress must be one of {INGRESS_MODES}, got {self.ingress!r}"
             )
-        if self.ingress_poll_interval <= 0:
-            raise ValueError("ingress_poll_interval must be positive")
         if not self.request_classes:
             raise ValueError("request_classes must define at least one class")
         names = [name for name, _ in self.request_classes]

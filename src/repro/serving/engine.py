@@ -47,6 +47,7 @@ results commit.
 from __future__ import annotations
 
 import contextlib
+import itertools
 import threading
 import time
 from typing import Dict, Iterator, List, Optional, Sequence
@@ -156,12 +157,7 @@ class InferenceServer:
             self.config.max_delay,
             max_queue_depth=self.config.max_queue_depth,
         )
-        executor_workers = (
-            self.config.executor_workers
-            if self.config.executor_workers is not None
-            else len(self.workers)
-        )
-        self.executor = make_executor(self.config.executor, executor_workers)
+        self.executor = make_executor(self.config.executor, len(self.workers))
         #: class name -> admission weight (the config normalises the spec).
         self._class_weights = self.config.class_weights()
         self.scheduler = Scheduler(
@@ -172,9 +168,6 @@ class InferenceServer:
             # With the background pump the frontdoor thread owns polling;
             # submit() just enqueues and wakes it.
             flush_on_submit=self.config.flush_on_submit and self.config.ingress == "sync",
-            work_stealing=self.config.work_stealing,
-            steal_source=self._steal_candidate,
-            expire_overdue=self._expire_overdue,
             supervise=self.supervise,
         )
 
@@ -198,7 +191,9 @@ class InferenceServer:
             cooldown=self.config.health_cooldown,
             latency_threshold=self.config.health_latency_threshold,
         )
-        self._request_counter = 0
+        # itertools.count: next() is atomic, so concurrent submitters can
+        # never share a request id.
+        self._request_ids = itertools.count()
         self._latencies: List[float] = []
         self._batch_sizes: List[int] = []
         self._first_enqueue: Optional[float] = None
@@ -236,9 +231,7 @@ class InferenceServer:
         )
         if self.telemetry.enabled:
             self.batcher.bind_metrics(self._metrics.flushes)
-            self.scheduler.bind_metrics(
-                self._metrics.flush_rounds, self._metrics.stolen_batches
-            )
+            self.scheduler.bind_metrics(self._metrics.flush_rounds)
             self.health.bind_metrics(
                 self._metrics.replica_failures, self._metrics.breaker_opens
             )
@@ -255,7 +248,7 @@ class InferenceServer:
         # never observe a half-built server.
         self.frontdoor: Optional[FrontDoor] = None
         if self.config.ingress == "thread":
-            self.frontdoor = FrontDoor(self, self.config.ingress_poll_interval)
+            self.frontdoor = FrontDoor(self)
             self.frontdoor.start()
 
     def _build_halo_store(self) -> Optional[HaloStore]:
@@ -435,7 +428,7 @@ class InferenceServer:
             )
         now = self.clock.now()
         request = InferenceRequest(
-            request_id=self._request_counter,
+            request_id=next(self._request_ids),
             node=node,
             shard_id=int(self._owner[node]),
             enqueue_time=now,
@@ -444,7 +437,6 @@ class InferenceServer:
             weight=weight,
             _event=threading.Event(),
         )
-        self._request_counter += 1
         if self._first_enqueue is None:
             self._first_enqueue = now
         if self.tracer is not None:
@@ -496,23 +488,29 @@ class InferenceServer:
             )
 
     def _admit(self, request: InferenceRequest) -> bool:
-        """Apply the overload policy; returns False when ``request`` was rejected."""
+        """Apply the overload policy; returns False when ``request`` was rejected.
+
+        The full-check and the reject/shed/enqueue that follows it run under
+        one lock hold, so concurrent submitters cannot both see room and push
+        a queue past ``max_queue_depth``.
+        """
         shard_id = request.shard_id
-        if self.batcher.is_full(shard_id):
-            policy = self.config.overload_policy
+        policy = self.config.overload_policy
+        with self._lock:
+            if not self.batcher.is_full(shard_id):
+                self.batcher.enqueue(request)
+                return True
             if policy == "reject":
-                with self._lock:
-                    self._terminal(request, REJECTED, self.clock.now())
+                self._terminal(request, REJECTED, self.clock.now())
                 return False
             if policy == "shed_oldest":
-                with self._lock:
-                    victim = self.batcher.shed_victim(shard_id)
-                    self._terminal(victim, SHED, self.clock.now())
-            else:  # block: backpressure — wait for room (or make it ourselves)
-                return self._admit_blocking(request)
-        with self._lock:
-            self.batcher.enqueue(request)
-        return True
+                victim = self.batcher.shed_victim(shard_id)
+                self._terminal(victim, SHED, self.clock.now())
+                self.batcher.enqueue(request)
+                return True
+        # block: backpressure — wait for room (or make it ourselves), outside
+        # this lock hold.
+        return self._admit_blocking(request)
 
     def _admit_blocking(self, request: InferenceRequest) -> bool:
         """``overload_policy="block"``: a real wait, not a busy spin.
@@ -544,32 +542,6 @@ class InferenceServer:
                 self._flush(shard_id, forced=True)
 
     # -- execution ---------------------------------------------------------------
-
-    def _steal_candidate(self) -> Optional[int]:
-        """The hottest *due* shard for a work-stealing executor thread.
-
-        Hottest = deepest queue among the shards due right now (lowest shard
-        id on ties, which keeps serial stealing deterministic).  ``None``
-        ends the steal loop.  Raced picks are harmless: the loser's
-        ``pop_batch`` comes up empty under the engine lock.
-        """
-        with self._lock:
-            due = self.batcher.due_shards(self.clock.now())
-            if not due:
-                return None
-            return max(due, key=self.batcher.queue_depth)
-
-    def _expire_overdue(self) -> int:
-        """Expire every queued request whose deadline has passed (the
-        scheduler's post-steal-pass re-check)."""
-        with self._lock:
-            now = self.clock.now()
-            overdue = self.batcher.expire_due(now)
-            for request in overdue:
-                self._terminal(request, EXPIRED, now)
-            if overdue:
-                self._capacity.notify_all()  # expiry freed queue space
-        return len(overdue)
 
     def poll(self) -> int:
         """Flush every queue that is due at the current clock time."""
@@ -1168,10 +1140,7 @@ class InferenceServer:
             halo=halo,
             halo_tier=self.halo_store is not None,
             class_requests=metrics.class_totals(),
-            stolen_batches=self.scheduler.stolen_batches,
-            steal_rounds=self.scheduler.steal_rounds,
             ingress=self.config.ingress,
-            work_stealing=self.scheduler.work_stealing,
             supervisor_restarts=self.supervisor.restarts,
             supervisor_quarantines=self.supervisor.quarantines,
             prewarmed_rows=self.supervisor.prewarmed_rows,
@@ -1204,8 +1173,6 @@ class InferenceServer:
         self.batcher.size_flushes = 0
         self.batcher.delay_flushes = 0
         self.batcher.forced_flushes = 0
-        self.scheduler.stolen_batches = 0
-        self.scheduler.steal_rounds = 0
         self.executor.reset_peak()
         for worker in self.workers:
             reset = getattr(worker, "reset_stats", None)
@@ -1243,9 +1210,8 @@ class InferenceServer:
             f"LRU cache {self.config.cache_capacity} entries/worker, "
             f"{halo}, "
             f"executor {self.executor.name}, queues {depth}, "
-            f"ingress {self.config.ingress}"
-            + (", work stealing" if self.config.work_stealing else "")
-            + f", classes {{{', '.join(f'{n}={w:g}' for n, w in self.config.request_classes)}}}"
+            f"ingress {self.config.ingress}, "
+            f"classes {{{', '.join(f'{n}={w:g}' for n, w in self.config.request_classes)}}}"
         ]
         lines.extend(f"  {shard.summary()}" for shard in self.shards)
         return "\n".join(lines)

@@ -33,26 +33,6 @@ class FlushExecutor:
     def map(self, fn: Callable[[T], R], items: Sequence[T]) -> List[R]:
         raise NotImplementedError  # pragma: no cover - interface
 
-    def map_stealing(
-        self,
-        fn: Callable[[T], R],
-        items: Sequence[T],
-        steal: Callable[[], Optional[T]],
-        steal_fn: Optional[Callable[[T], R]] = None,
-    ) -> List[R]:
-        """Like :meth:`map`, but workers that finish their own item keep
-        pulling extra items from ``steal()`` (which returns ``None`` when
-        nothing is due) until the well runs dry — GNNIE-style work stealing
-        at the round barrier.
-
-        ``steal_fn`` (default ``fn``) runs the stolen items, letting the
-        caller count them separately.  The returned list holds the primary
-        results in task order followed by the stolen results; the barrier
-        contract is unchanged — everything settles before the first error
-        propagates.
-        """
-        raise NotImplementedError  # pragma: no cover - interface
-
     def shutdown(self) -> None:
         """Release any worker threads (idempotent)."""
 
@@ -94,37 +74,6 @@ class SerialExecutor(FlushExecutor):
             raise errors[0]
         return results
 
-    def map_stealing(
-        self,
-        fn: Callable[[T], R],
-        items: Sequence[T],
-        steal: Callable[[], Optional[T]],
-        steal_fn: Optional[Callable[[T], R]] = None,
-    ) -> List[R]:
-        # Inline stealing: after the round's own tasks, drain the steal
-        # source on the same thread.  Deterministic — the steal order is
-        # exactly the source's order.
-        steal_fn = fn if steal_fn is None else steal_fn
-        errors = []
-        results: List[R] = []
-        for item in items:
-            self._peak = max(self._peak, 1)
-            try:
-                results.append(fn(item))
-            except BaseException as exc:  # noqa: BLE001 - re-raised below
-                errors.append(exc)
-        while True:
-            extra = steal()
-            if extra is None:
-                break
-            try:
-                results.append(steal_fn(extra))
-            except BaseException as exc:  # noqa: BLE001 - re-raised below
-                errors.append(exc)
-        if errors:
-            raise errors[0]
-        return results
-
     @property
     def peak_concurrency(self) -> int:
         return self._peak
@@ -136,8 +85,8 @@ class SerialExecutor(FlushExecutor):
 class ConcurrentExecutor(FlushExecutor):
     """Thread-pool executor: one round's flush tasks run in parallel.
 
-    ``max_workers`` bounds the fan-out (defaults to the number of tasks per
-    round, i.e. one thread per shard).  The pool is created lazily so an
+    ``max_workers`` bounds the fan-out (the engine passes one thread per
+    shard replica).  The pool is created lazily so an
     unused executor costs nothing, and ``shutdown`` is safe to call twice.
     """
 
@@ -184,44 +133,6 @@ class ConcurrentExecutor(FlushExecutor):
         if errors:
             raise errors[0]
         return results
-
-    def map_stealing(
-        self,
-        fn: Callable[[T], R],
-        items: Sequence[T],
-        steal: Callable[[], Optional[T]],
-        steal_fn: Optional[Callable[[T], R]] = None,
-    ) -> List[R]:
-        steal_fn = fn if steal_fn is None else steal_fn
-        pool = self._ensure_pool()
-        extras: List[R] = []
-        extras_lock = threading.Lock()
-
-        def run(item: T) -> R:
-            # Finish the assigned shard, then steal until the source is dry —
-            # a thread that would otherwise idle at the round barrier drains
-            # whatever is still due.  Racing steals are safe: the engine pops
-            # batches under its lock, so a raced steal flushes nothing.
-            result = self._tracked(fn, item)
-            while True:
-                extra = steal()
-                if extra is None:
-                    return result
-                stolen = self._tracked(steal_fn, extra)
-                with extras_lock:
-                    extras.append(stolen)
-
-        futures = [pool.submit(run, item) for item in items]
-        errors = []
-        results: List[R] = []
-        for future in futures:
-            try:
-                results.append(future.result())
-            except BaseException as exc:  # noqa: BLE001 - re-raised below
-                errors.append(exc)
-        if errors:
-            raise errors[0]
-        return results + extras
 
     def shutdown(self) -> None:
         if self._pool is not None:

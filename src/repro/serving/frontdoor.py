@@ -305,8 +305,8 @@ class FrontDoor:
     any thread (or an asyncio loop via ``run_in_executor``) land in queues
     *while* a round is in flight and are picked up by the next poll — the
     round barrier stops gating ingress.  While work is pending the pump
-    re-polls every ``poll_interval`` wall seconds (delay-triggered flushes
-    need a heartbeat); with empty queues it parks on the wake event and
+    re-polls every :attr:`POLL_INTERVAL` wall seconds (delay-triggered
+    flushes need a heartbeat); with empty queues it parks on the wake event and
     costs nothing.
 
     Each poll also ticks the :class:`~repro.serving.supervisor.
@@ -315,9 +315,10 @@ class FrontDoor:
     between rounds — self-healing needs no extra thread of its own.
     """
 
-    def __init__(self, server: "InferenceServer", poll_interval: float = 0.001) -> None:
+    POLL_INTERVAL = 0.001
+
+    def __init__(self, server: "InferenceServer") -> None:
         self._server = server
-        self.poll_interval = float(poll_interval)
         self._wake = threading.Event()
         self._stop = threading.Event()
         self._thread: Optional[threading.Thread] = None
@@ -352,7 +353,7 @@ class FrontDoor:
                 # requests without a terminal state.  Keep pumping.
                 pass
             if self._server.batcher.pending:
-                self._wake.wait(self.poll_interval)
+                self._wake.wait(self.POLL_INTERVAL)
             else:
                 self._wake.wait()
 

@@ -194,12 +194,6 @@ class ServingMetrics:
         )
         self.flush_rounds = rounds.labels()
 
-        stolen = registry.counter(
-            "serving_stolen_batches_total",
-            "Batches flushed by work-stealing passes at round barriers",
-        )
-        self.stolen_batches = stolen.labels()
-
         #: per-(stage, worker) flush stage time; children are bound into
         #: each worker's StageTimer by the engine.
         self.stage_seconds = registry.histogram(

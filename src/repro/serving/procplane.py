@@ -30,9 +30,9 @@ shard replica becomes a *worker process*:
   pipe can never desynchronise.  Per-process ``MetricsRegistry`` snapshots
   ship back over the control channel as reset-on-read deltas and merge by
   addition into the parent fleet view (the PR-7 seam built for this).
-* :class:`ProcessExecutor` implements the ``FlushExecutor`` interface
-  (including ``map_stealing``) with parent threads that block in pipe I/O —
-  the GIL is released while child processes compute in true parallel.
+* :class:`ProcessExecutor` implements the ``FlushExecutor`` interface with
+  parent threads that block in pipe I/O — the GIL is released while child
+  processes compute in true parallel.
 * :class:`ProcessPlane` ties it together for the engine: publishes each
   shard's slabs once, spawns/respawns workers under bumped epochs, and
   sweeps every segment (its own and its children's) at shutdown.
@@ -1003,8 +1003,8 @@ class ProcessExecutor(ConcurrentExecutor):
     Each flush task is a pipe RPC to a worker process: the parent thread
     blocks in ``recv`` with the GIL released while the child computes, so —
     unlike the plain thread executor on pure-python flush paths — shard
-    flushes genuinely overlap across cores.  Inherits the barrier and
-    work-stealing semantics unchanged.
+    flushes genuinely overlap across cores.  Inherits the round-barrier
+    semantics unchanged.
     """
 
     name = "process"

@@ -24,7 +24,6 @@ backstop, not the contract.
 
 from __future__ import annotations
 
-import threading
 import time
 from typing import Callable, List, Optional
 
@@ -50,16 +49,7 @@ class DrainTimeout(TimeoutError):
 
 
 class Scheduler:
-    """Drives flush rounds over a :class:`MicroBatcher` via a pluggable executor.
-
-    With ``work_stealing`` on, a round's executor workers that finish their
-    own shard's flush pull further shard ids from ``steal_source`` (the
-    engine's "hottest due queue" pick) and flush those too before the
-    barrier settles; after the steal pass the round re-checks deadline
-    expiry via ``expire_overdue`` so a stolen round can never hand the next
-    round a request that already expired (the exactly-one-terminal-state
-    ledger holds with stealing on).
-    """
+    """Drives flush rounds over a :class:`MicroBatcher` via a pluggable executor."""
 
     def __init__(
         self,
@@ -68,9 +58,6 @@ class Scheduler:
         flush: Callable[[int, bool], int],
         executor: FlushExecutor,
         flush_on_submit: bool = True,
-        work_stealing: bool = False,
-        steal_source: Optional[Callable[[], Optional[int]]] = None,
-        expire_overdue: Optional[Callable[[], int]] = None,
         supervise: Optional[Callable[[], int]] = None,
     ) -> None:
         self.batcher = batcher
@@ -78,21 +65,13 @@ class Scheduler:
         self._flush = flush
         self.executor = executor
         self.flush_on_submit = bool(flush_on_submit)
-        self.work_stealing = bool(work_stealing) and steal_source is not None
-        self._steal_source = steal_source
-        self._expire_overdue = expire_overdue
         self._supervise = supervise
         self.rounds = 0
-        self.stolen_batches = 0   # batches flushed by steal passes
-        self.steal_rounds = 0     # rounds in which at least one steal landed
-        self._steal_lock = threading.Lock()
-        # Optional registry counters (bound by the engine).
+        # Optional registry counter (bound by the engine).
         self._rounds_counter = None
-        self._stolen_counter = None
 
-    def bind_metrics(self, rounds_counter, stolen_counter=None) -> None:
+    def bind_metrics(self, rounds_counter) -> None:
         self._rounds_counter = rounds_counter
-        self._stolen_counter = stolen_counter
 
     # -- the loop ---------------------------------------------------------------
 
@@ -129,45 +108,14 @@ class Scheduler:
         self.rounds += 1
         if self._rounds_counter is not None:
             self._rounds_counter.inc()
-
-        def task(shard_id: int) -> int:
-            return self._flush(shard_id, forced)
-
-        if not self.work_stealing:
-            flushed = sum(self.executor.map(task, shard_ids))
-            if self._supervise is not None:
-                # Supervision ticks at round barriers: the round's flush tasks
-                # have all settled, so a replica rebuilt here can never have a
-                # same-round attempt racing its swap (off-round attempts hit
-                # the retired corpse and fail into the retry path).
-                self._supervise()
-            return flushed
-
-        stolen_this_round = [0]
-
-        def stolen_task(shard_id: int) -> int:
-            flushed = self._flush(shard_id, forced)
-            if flushed:
-                with self._steal_lock:
-                    stolen_this_round[0] += 1
-                    self.stolen_batches += 1
-                if self._stolen_counter is not None:
-                    self._stolen_counter.inc()
-            return flushed
-
         flushed = sum(
-            self.executor.map_stealing(task, shard_ids, self._steal_source, stolen_task)
+            self.executor.map(lambda shard_id: self._flush(shard_id, forced), shard_ids)
         )
-        if stolen_this_round[0]:
-            self.steal_rounds += 1
-        if self._expire_overdue is not None:
-            # The fix for stealing x deadlines: a steal pass burns clock time
-            # after the due-shard set was computed, so requests still queued
-            # behind the barrier may have expired meanwhile.  Re-checking
-            # here keeps expiry decisions at round granularity — the next
-            # round can never pop an already-expired request as live.
-            self._expire_overdue()
         if self._supervise is not None:
+            # Supervision ticks at round barriers: the round's flush tasks
+            # have all settled, so a replica rebuilt here can never have a
+            # same-round attempt racing its swap (off-round attempts hit
+            # the retired corpse and fail into the retry path).
             self._supervise()
         return flushed
 

@@ -82,10 +82,7 @@ class ServerStats:
     block_self_flushes: int = 0      # blocked submitters that flushed for themselves
     #: per-class terminal ledger: {class: {status: count}} (empty = classless)
     class_requests: Dict[str, Dict[str, int]] = field(default_factory=dict)
-    stolen_batches: int = 0          # batches flushed by work-stealing passes
-    steal_rounds: int = 0            # rounds in which at least one steal landed
     ingress: str = "sync"            # arrival path ("sync" or "thread")
-    work_stealing: bool = False      # was round-barrier stealing enabled?
     supervisor_restarts: int = 0     # replica rebuilds (auto + operator)
     supervisor_quarantines: int = 0  # replicas pulled from dispatch pending rebuild
     prewarmed_rows: int = 0          # cache rows pre-warmed from the halo tier on rebuild
@@ -266,11 +263,6 @@ class ServerStats:
                     f"{counts.get('rejected', 0)} rejected, "
                     f"{counts.get('failed', 0)} failed"
                 )
-        if self.stolen_batches:
-            lines.append(
-                f"  work stealing: {self.stolen_batches} stolen batches "
-                f"across {self.steal_rounds} rounds"
-            )
         if self.halo_tier:
             lines.append(
                 f"  halo tier: {self.halo.hits} hits / {self.halo.lookups} boundary lookups "

@@ -8,6 +8,8 @@ survive a weight update.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -236,16 +238,22 @@ class TestValidationAndStats:
     def test_deleted_knobs_are_not_fields(self):
         # Serving is exact with an LRU cache and a model-depth halo; the
         # heartbeat interval is a procplane constant; there is no hedged
-        # dispatch.  None is configurable.
+        # dispatch and no work stealing; the flush pool has one thread per
+        # replica and the front-door pump re-polls at its own default.
+        # None is configurable.
         for field, value in (
             ("mode", "exact"),
             ("cache_policy", "lru"),
             ("halo_hops", 2),
             ("process_heartbeat_interval", 1.0),
             ("hedge_after", 0.01),
+            ("work_stealing", True),
+            ("executor_workers", 4),
+            ("ingress_poll_interval", 0.01),
         ):
             with pytest.raises(TypeError):
                 ServingConfig(**{field: value})
+        assert len(dataclasses.fields(ServingConfig)) == 33
 
     def test_predictions_returned_in_submission_order(self, small_graph):
         model = _model(small_graph)

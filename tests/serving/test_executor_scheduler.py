@@ -13,6 +13,7 @@ The contract under test:
 
 from __future__ import annotations
 
+import inspect
 import threading
 
 import numpy as np
@@ -22,9 +23,11 @@ from repro.compression import CompressionConfig
 from repro.models import create_model
 from repro.serving import (
     ConcurrentExecutor,
+    FlushExecutor,
     InferenceServer,
     ManualClock,
     MicroBatcher,
+    ProcessExecutor,
     Scheduler,
     SerialExecutor,
     ServingConfig,
@@ -144,6 +147,15 @@ class TestScheduler:
         assert batcher.pending == 0
         assert sorted(flushed) == [0, 1, 2, 3, 4]
         assert scheduler.rounds == 2  # 2+2 then the final 1
+
+    def test_one_round_path_and_one_executor_method(self):
+        # A round is executor.map over the due shards, then supervise():
+        # no executor offers a second dispatch method, and the scheduler
+        # takes no stealing hooks.
+        for executor in (FlushExecutor, SerialExecutor, ConcurrentExecutor, ProcessExecutor):
+            assert not hasattr(executor, "map_stealing")
+        params = set(inspect.signature(Scheduler.__init__).parameters)
+        assert not {"work_stealing", "steal_source", "expire_overdue"} & params
 
     def test_flush_on_submit_off_lets_queues_build(self, small_graph):
         model = _model(small_graph)
@@ -365,6 +377,64 @@ class TestAdmissionControl:
         assert stats.block_waits >= 1
         assert stats.rejected_requests == 0 and stats.shed_requests == 0
 
+    @pytest.mark.parametrize("policy, turned_away", [("reject", "rejected"), ("shed_oldest", "shed")])
+    def test_concurrent_submitters_cannot_overfill_a_queue(self, small_graph, policy, turned_away):
+        # The second submitter runs while the first sits between its
+        # full-check and its enqueue: admission must hold the lock across
+        # both, so the queue never exceeds its depth and exactly one request
+        # is turned away.
+        model = _model(small_graph)
+        server = _server(
+            model, small_graph, num_shards=1, max_queue_depth=2, overload_policy=policy,
+            max_batch_size=100, flush_on_submit=False,
+        )
+        first = server.submit(0)
+        original = server.batcher.is_full
+        racers, others = [], []
+
+        def racing_is_full(shard_id):
+            full = original(shard_id)
+            if not racers:
+                racer = threading.Thread(target=lambda: others.append(server.submit(1)))
+                racers.append(racer)
+                racer.start()
+                racer.join(timeout=0.2)
+            return full
+
+        server.batcher.is_full = racing_is_full
+        mine = server.submit(2)
+        racers[0].join(timeout=5.0)
+        assert not racers[0].is_alive()
+        assert server.batcher.queue_depth(0) <= 2
+        statuses = [handle.status for handle in (first, mine, others[0])]
+        assert statuses.count(turned_away) == 1
+        server.drain()
+        stats = server.stats()
+        assert stats.rejected_requests + stats.shed_requests == 1
+        assert stats.completed_requests == 2
+
+    def test_concurrent_submitters_get_unique_request_ids(self, small_graph):
+        model = _model(small_graph)
+        server = _server(model, small_graph, num_shards=2, max_batch_size=4, flush_on_submit=False)
+        num_threads, per_thread = 4, 50
+        start = threading.Barrier(num_threads, timeout=5.0)
+        handles = [[] for _ in range(num_threads)]
+
+        def submitter(index):
+            start.wait()
+            for k in range(per_thread):
+                handles[index].append(server.submit((index * per_thread + k) % small_graph.num_nodes))
+
+        threads = [threading.Thread(target=submitter, args=(i,)) for i in range(num_threads)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=10.0)
+        flat = [handle for group in handles for handle in group]
+        assert len({handle.request_id for handle in flat}) == num_threads * per_thread
+        server.drain()
+        assert all(handle.completed for handle in flat)
+
     def test_predict_raises_when_admission_drops_requests(self, small_graph):
         model = _model(small_graph)
         server = _server(
@@ -382,7 +452,7 @@ class TestAdmissionControl:
             ServingConfig(overload_policy="drop-table")
         with pytest.raises(ValueError):
             ServingConfig(executor="fibers")
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError, match="executor_workers"):
             ServingConfig(executor_workers=0)
         with pytest.raises(ValueError):
             ServingConfig(default_timeout=0.0)

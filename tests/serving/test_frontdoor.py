@@ -1,7 +1,7 @@
 """Front-door tests: RequestHandle futures, weighted request classes,
-work-stealing flush rounds and the background ingress pump.
+flush rounds and the background ingress pump.
 
-The handle/class/stealing layers must not disturb the serving core: all
+The handle/class layers must not disturb the serving core: all
 scenarios here assert predictions stay bitwise-equal to offline full-graph
 inference, and the exactly-one-terminal-state ledger keeps holding.
 """
@@ -32,8 +32,6 @@ from repro.serving import (
     RequestPending,
     RequestRejected,
     RequestShed,
-    Scheduler,
-    SerialExecutor,
     ServingConfig,
     SystemClock,
 )
@@ -314,6 +312,11 @@ class TestConfigValidation:
         with pytest.raises(TypeError):
             ServingConfig(2)
 
+    def test_ingress_poll_interval_is_not_a_knob(self):
+        # The pump's re-poll interval is the FrontDoor.POLL_INTERVAL constant.
+        with pytest.raises(TypeError, match="ingress_poll_interval"):
+            ServingConfig(ingress_poll_interval=0.0)
+
     def test_contradictory_block_policy_is_rejected_at_construction(self):
         with pytest.raises(ValueError, match="deadlock"):
             ServingConfig(
@@ -337,7 +340,6 @@ class TestConfigValidation:
             (dict(request_classes=[("a", 1.0), ("a", 2.0)]), "duplicate"),
             (dict(default_class="nope"), "default_class"),
             (dict(ingress="carrier-pigeon"), "ingress"),
-            (dict(ingress_poll_interval=0.0), "ingress_poll_interval"),
             (dict(max_batch_size=0), "max_batch_size"),
             (dict(max_delay=-1.0), "max_delay"),
             (dict(cache_capacity=-1), "cache_capacity"),
@@ -359,104 +361,37 @@ class TestConfigValidation:
         assert config.class_weights() == {"hot": 3.0, "cold": 1.0}
 
 
-class TestWorkStealing:
-    def _loaded_server(self, *, work_stealing):
+class TestFlushRounds:
+    def test_backlog_survives_the_round(self):
+        # A round flushes at most one batch per due shard: the hot shard's
+        # backlog waits for later rounds instead of being drained in one.
         clock = ManualClock()
         server = _server(
-            clock=clock,
-            num_shards=2,
-            max_batch_size=2,
-            max_delay=0.1,
-            work_stealing=work_stealing,
-            flush_on_submit=False,
+            clock=clock, num_shards=2, max_batch_size=2, max_delay=0.1, flush_on_submit=False
         )
         hot = _shard_nodes(server, 0, 8)
         cold = _shard_nodes(server, 1, 2)
         handles = server.submit_many(hot) + server.submit_many(cold)
         clock.advance(0.2)  # everything due by delay
-        return clock, server, handles
-
-    def test_steal_pass_drains_hot_shard_in_one_round(self):
-        _, server, handles = self._loaded_server(work_stealing=True)
         server.poll()
-        # One round: primary tasks flush one batch per shard, then idle
-        # executor slots keep draining the hottest due queue.
-        assert server.batcher.pending == 0
         assert server.scheduler.rounds == 1
-        assert server.scheduler.stolen_batches > 0
-        assert server.scheduler.steal_rounds == 1
-        assert all(h.completed for h in handles)
-        server.shutdown()
-
-    def test_without_stealing_backlog_survives_the_round(self):
-        _, server, handles = self._loaded_server(work_stealing=False)
-        server.poll()
-        assert server.scheduler.stolen_batches == 0
         assert server.batcher.pending > 0  # hot shard still has a backlog
         server.drain()
         assert all(h.completed for h in handles)
-        server.shutdown()
-
-    def test_predictions_bitwise_equal_with_stealing_on_and_off(self):
-        results, nodes = {}, None
-        for stealing in (False, True):
-            _, server, handles = self._loaded_server(work_stealing=stealing)
-            server.drain()
-            results[stealing] = np.array([h.result() for h in handles])
-            nodes = [h.node for h in handles]
-            server.shutdown()
-        np.testing.assert_array_equal(results[False], results[True])
-        np.testing.assert_array_equal(results[True], REFERENCE[nodes])
-
-    def test_stolen_batches_surface_in_stats_and_metrics(self):
-        _, server, _ = self._loaded_server(work_stealing=True)
-        server.drain()
-        stats = server.stats()
-        assert stats.work_stealing is True
-        assert stats.stolen_batches == server.scheduler.stolen_batches > 0
-        assert stats.steal_rounds >= 1
-        assert "work stealing" in stats.render()
-        server.reset_stats()
-        assert server.stats().stolen_batches == 0
-        server.shutdown()
-
-    def test_round_rechecks_expiry_after_steal_pass(self):
-        # A stolen flush can burn clock time; requests whose deadline passes
-        # during the steal pass must expire at the round barrier instead of
-        # leaking into the next round as stale pending work.
-        clock = ManualClock()
-        expired_ids = []
-
-        class StubBatcher:
-            def __init__(self):
-                self.pending = 0
-
-            def due_shards(self, now):
-                return [0]
-
-        calls = []
-        scheduler = Scheduler(
-            batcher=StubBatcher(),
-            clock=clock,
-            flush=lambda shard_id, forced: calls.append(shard_id) or 1,
-            executor=SerialExecutor(),
-            flush_on_submit=False,
-            work_stealing=True,
-            steal_source=lambda: None,
-            expire_overdue=lambda: expired_ids.append("checked") or 0,
+        np.testing.assert_array_equal(
+            [h.result() for h in handles], REFERENCE[[h.node for h in handles]]
         )
-        scheduler.poll()
-        assert calls == [0]
-        assert expired_ids == ["checked"]  # re-check ran after the steal pass
+        server.shutdown()
 
-    def test_overdue_request_expires_exactly_once_with_stealing(self):
+    def test_overdue_request_expires_exactly_once_mid_round(self):
+        # The deadline passes while the other shard flushes in the same
+        # round; the doomed request is popped as expired, never served.
         clock = ManualClock()
         server = _server(
             clock=clock,
             num_shards=2,
             max_batch_size=1,
             max_delay=10.0,
-            work_stealing=True,
             flush_on_submit=False,
         )
         doomed = server.submit(_shard_nodes(server, 1, 1)[0], timeout=0.5)
@@ -471,6 +406,7 @@ class TestWorkStealing:
 
         worker.predict = slow_predict
         server.poll()
+        assert server.scheduler.rounds == 1
         assert served.completed
         assert doomed.status == "expired"
         with pytest.raises(RequestExpired):

@@ -207,7 +207,7 @@ class TestConfigKnobs:
             ServingConfig(cache_capacity=-1)
         with pytest.raises(ValueError, match="executor"):
             ServingConfig(executor="gpu")
-        with pytest.raises(ValueError, match="executor_workers"):
+        with pytest.raises(TypeError, match="executor_workers"):
             ServingConfig(executor_workers=0)
 
     def test_workers_take_no_mode_or_retention_arguments(self):

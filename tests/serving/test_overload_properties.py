@@ -374,9 +374,8 @@ def _bursts():
 @given(
     bursts=_bursts(),
     num_shards=st.integers(1, 2),
-    work_stealing=st.booleans(),
 )
-def test_three_class_ledger_balances_under_overload(bursts, num_shards, work_stealing):
+def test_three_class_ledger_balances_under_overload(bursts, num_shards):
     clock = ManualClock()
     server = InferenceServer(
         MODEL,
@@ -389,7 +388,6 @@ def test_three_class_ledger_balances_under_overload(bursts, num_shards, work_ste
             max_queue_depth=2,
             overload_policy="shed_oldest",
             default_timeout=0.5,
-            work_stealing=work_stealing,
             flush_on_submit=False,
             seed=0,
         ),

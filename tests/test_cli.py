@@ -29,7 +29,6 @@ class TestParser:
             [
                 "serve-bench",
                 "--executor", "concurrent",
-                "--executor-workers", "4",
                 "--max-queue-depth", "64",
                 "--overload-policy", "shed_oldest",
                 "--deadline-ms", "50",
@@ -125,6 +124,18 @@ class TestExecution:
 
     def test_serve_bench_rejects_deleted_flags(self):
         # Serving is exact over an LRU cache: no mode or retention flags,
-        # and no hedged dispatch.
+        # no hedged dispatch, no work stealing and no executor pool sizing.
         args = vars(build_parser().parse_args(["serve-bench"]))
-        assert not {"mode", "cache_policy", "pin_fraction", "hedge_after_ms"} & set(args)
+        deleted = {
+            "mode",
+            "cache_policy",
+            "pin_fraction",
+            "hedge_after_ms",
+            "work_stealing",
+            "executor_workers",
+            "num_processes",
+        }
+        assert not deleted & set(args)
+        for argv in (["--work-stealing"], ["--executor-workers", "4"], ["--num-processes", "4"]):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(["serve-bench", *argv])
