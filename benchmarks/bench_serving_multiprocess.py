@@ -186,8 +186,6 @@ def test_sigkill_heal_mid_stream_zero_lost(served_setup, save_result):
         executor="process",
         num_replicas=2,
         supervisor=True,
-        supervisor_failure_budget=1,
-        supervisor_window=60.0,
         health_failure_threshold=1,
         health_cooldown=30.0,
         max_retries=3,

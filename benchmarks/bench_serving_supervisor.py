@@ -1,31 +1,26 @@
-"""Self-healing serving benchmarks with gates (supervisor, retry budget).
+"""Self-healing serving benchmark with a gate (supervisor rebuild).
 
-Gates on the synthetic Reddit-like graph served by a 4-shard x 2-replica
-server, exercising the PR-9 self-healing layer end to end:
+Gate on the synthetic Reddit-like graph served by a 4-shard x 2-replica
+server, exercising the self-healing layer end to end.
 
-1. **Supervisor rebuild + steady-state floor** (``steady_state_ratio``): a
-   ``kind="die"`` :class:`~repro.serving.FaultPlan` permanently kills one of
-   the two replicas of every shard during a chaos pass.  The
-   :class:`~repro.serving.ReplicaSupervisor` must quarantine and rebuild each
-   corpse mid-stream (fresh worker, halo-prewarmed cache, new epoch), no
-   request may be lost (the ledger balances to the submission count, every
-   request completes) and every prediction stays bitwise equal to offline
-   inference.  A second, timed pass after the fault window closes — all
-   replicas healed — must reach >= ``STEADY_FLOOR`` x the throughput of a
-   fault-free server running the identical two-pass schedule.
-2. **Retry-budget ceiling** (exact counts): under a correlated flap storm
-   (two of every three dispatches fail, deterministically, on *every*
-   replica) a zero-refill :class:`~repro.serving.RetryBudget` of ``B`` tokens
-   caps total granted retries at exactly ``B`` — asserted to the token via
-   the stats ledger — while the identical no-budget baseline retries far
-   past it.  This is the retry-storm anti-amplification contract.
+**Supervisor rebuild + steady-state floor** (``steady_state_ratio``): a
+``kind="die"`` :class:`~repro.serving.FaultPlan` permanently kills one of
+the two replicas of every shard during a chaos pass.  The
+:class:`~repro.serving.ReplicaSupervisor` must quarantine and rebuild each
+corpse mid-stream (fresh worker, halo-prewarmed cache, new epoch), no
+request may be lost (the ledger balances to the submission count, every
+request completes) and every prediction stays bitwise equal to offline
+inference.  A second, timed pass after the fault window closes — all
+replicas healed — must reach >= ``STEADY_FLOOR`` x the throughput of a
+fault-free server running the identical two-pass schedule.
 
 All runs use a ``ManualClock``: injected faults advance simulated time only,
-so the steady-state ratio is computed over **CPU time** (``time.process_time``), best-of interleaved
-repeats.  ``BLOCKGNN_QUICK=1`` shrinks the graph and streams for CI;
-``BLOCKGNN_CHAOS_SEED`` re-seeds the plans for the chaos-smoke job without
-touching the gates' fixed seed.  Gate 1 additionally dumps the supervisor's
-event log to ``results/supervisor_events.json`` as a CI artifact.
+so the steady-state ratio is computed over **CPU time**
+(``time.process_time``), best-of interleaved repeats.  ``BLOCKGNN_QUICK=1``
+shrinks the graph and streams for CI; ``BLOCKGNN_CHAOS_SEED`` re-seeds the
+plan for the chaos-smoke job without touching the gate's fixed seed.  The
+gate additionally dumps the supervisor's event log to
+``results/supervisor_events.json`` as a CI artifact.
 """
 
 from __future__ import annotations
@@ -65,9 +60,6 @@ DIE_UNTIL = 0.5
 #: Steady-state throughput floor of the healed server vs fault-free.
 STEADY_FLOOR = 0.9
 
-#: Retry-budget ceiling for gate 2 (zero refill => exact).
-BUDGET = 8 if QUICK else 16
-
 
 @pytest.fixture(scope="module")
 def served_setup():
@@ -95,7 +87,6 @@ def _server(model, graph, fault_plan=None, **overrides):
         cache_capacity=65536,
         fault_plan=fault_plan,
         max_retries=2,
-        retry_backoff=0.0005,
         seed=0,
     )
     defaults.update(overrides)
@@ -128,7 +119,7 @@ def _two_pass(model, graph, fault_plan, **overrides):
     """Chaos pass, close the fault window, then a timed steady-state pass.
 
     Returns (cpu_seconds_of_pass2, pass1_requests, pass2_requests, server).
-    The caller shuts the server down (gate 1 reads the supervisor log first).
+    The caller shuts the server down (the gate reads the supervisor log first).
     """
     server = _server(model, graph, fault_plan=fault_plan, **overrides)
     pass1 = server.submit_many(_stream(graph))
@@ -143,8 +134,8 @@ def _two_pass(model, graph, fault_plan, **overrides):
 
 
 def test_supervisor_rebuild_steady_state_gate(served_setup, save_result, results_dir):
-    """Gate 1: die plan kills 1 of 2 replicas per shard; the supervisor
-    rebuilds them and the healed server's throughput floor holds."""
+    """Die plan kills 1 of 2 replicas per shard; the supervisor rebuilds
+    them and the healed server's throughput floor holds."""
     graph, model, reference = served_setup
 
     def die_plan():
@@ -155,8 +146,6 @@ def test_supervisor_rebuild_steady_state_gate(served_setup, save_result, results
 
     healing = dict(
         supervisor=True,
-        supervisor_failure_budget=1,
-        supervisor_window=10.0,
         health_failure_threshold=1,
         health_cooldown=0.05,
     )
@@ -225,61 +214,5 @@ def test_supervisor_rebuild_steady_state_gate(served_setup, save_result, results
     assert steady_state_ratio >= STEADY_FLOOR, (
         f"healed server reaches only {steady_state_ratio:.2f}x fault-free "
         f"steady-state throughput (floor {STEADY_FLOOR}x)"
-    )
-
-
-def test_retry_budget_caps_flap_storm_exactly(served_setup, save_result):
-    """Gate 2: a zero-refill budget of B tokens grants exactly B retries
-    under a correlated flap storm; the no-budget baseline blows past B."""
-    graph, model, reference = served_setup
-    # Two of every three dispatches fail, on every replica, deterministically
-    # — correlated flapping that failover alone amplifies into a retry storm.
-    storm = FaultSpec(flap_period=3, flap_down=2)
-    common = dict(
-        max_retries=4,
-        health_failure_threshold=10**6,  # breakers stay closed: pure retries
-        executor="serial",
-    )
-
-    def run(retry_budget):
-        server = _server(
-            model,
-            graph,
-            fault_plan=FaultPlan(storm, seed=CHAOS_SEED),
-            retry_budget=retry_budget,
-            retry_budget_refill=0.0,
-            **common,
-        )
-        requests = server.submit_many(_stream(graph))
-        server.drain()
-        stats = server.stats()
-        server.shutdown()
-        _assert_ledger_balances(requests, stats, reference)
-        return stats
-
-    baseline = run(retry_budget=None)
-    capped = run(retry_budget=BUDGET)
-
-    # The storm is real: unbudgeted, retries exceed the ceiling.
-    assert baseline.retry_attempts > BUDGET
-    # Budgeted: granted retries == spent tokens == B, to the token.
-    assert capped.retry_attempts == BUDGET
-    assert capped.retry_budget_spent == BUDGET
-    assert capped.retry_budget_tokens == 0.0
-    assert capped.retry_budget_exhausted > 0
-
-    save_result(
-        "serving_supervisor_budget",
-        f"retry budget under a 2/3 flap storm, {len(_stream(graph))} requests, "
-        f"{NUM_SHARDS} shards x {NUM_REPLICAS} replicas, batch {BATCH_SIZE}\n"
-        f"  no budget : {baseline.retry_attempts} retries, "
-        f"{baseline.failed_requests} failed\n"
-        f"  budget {BUDGET:2d} : {capped.retry_attempts} retries "
-        f"(== ceiling, {capped.retry_budget_exhausted} denied), "
-        f"{capped.failed_requests} failed",
-        baseline_retries=baseline.retry_attempts,
-        capped_retries=capped.retry_attempts,
-        budget=BUDGET,
-        denied=capped.retry_budget_exhausted,
     )
 

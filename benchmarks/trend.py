@@ -24,7 +24,6 @@ Refreshing baselines after an intentional change::
         benchmarks/bench_serving_faults.py \
         benchmarks/bench_serving_supervisor.py \
         benchmarks/bench_serving_multiprocess.py \
-        benchmarks/bench_serving_telemetry.py \
         benchmarks/bench_serving_frontdoor.py \
         -q --benchmark-disable
     cp benchmarks/results/BENCH_<gate>.json benchmarks/baselines/
@@ -45,7 +44,6 @@ FLOOR_METRICS: Dict[str, List[str]] = {
     "serving_faults": ["throughput_ratio"],
     "serving_supervisor": ["steady_state_ratio"],
     "serving_multiprocess": ["healed_steady_state_ratio"],
-    "serving_telemetry": ["metrics_ratio", "trace_ratio"],
     "serving_frontdoor": ["backfill_shed_share"],
 }
 

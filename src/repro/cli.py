@@ -186,12 +186,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="per-dispatch probability that a replica hangs past --fault-hang-ms",
     )
     serve.add_argument(
-        "--fault-slow-rate",
-        type=float,
-        default=0.0,
-        help="per-dispatch probability that a replica answers --fault-slow-ms late",
-    )
-    serve.add_argument(
         "--fault-die-rate",
         type=float,
         default=0.0,
@@ -206,7 +200,6 @@ def build_parser() -> argparse.ArgumentParser:
         "SIGKILLed (--executor process; in-process replicas degrade to die)",
     )
     serve.add_argument("--fault-hang-ms", type=float, default=50.0)
-    serve.add_argument("--fault-slow-ms", type=float, default=5.0)
     serve.add_argument(
         "--fault-workers",
         type=int,
@@ -222,45 +215,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="failover budget per batch after the dispatched replica fails",
     )
     serve.add_argument(
-        "--retry-backoff-ms",
-        type=float,
-        default=0.5,
-        help="base of the capped exponential retry backoff",
-    )
-    serve.add_argument(
-        "--degraded-policy",
-        choices=["fail", "stale_ok"],
-        default="fail",
-        help="what a shard with zero healthy replicas serves (stale_ok: cached rows)",
-    )
-    serve.add_argument(
         "--supervisor",
         action="store_true",
-        help="self-healing: quarantine + rebuild replicas whose breaker keeps re-opening",
-    )
-    serve.add_argument(
-        "--supervisor-budget",
-        type=int,
-        default=2,
-        help="breaker opens inside --supervisor-window-ms before a replica is rebuilt",
-    )
-    serve.add_argument(
-        "--supervisor-window-ms",
-        type=float,
-        default=1000.0,
-        help="rolling window the supervisor counts breaker opens over",
-    )
-    serve.add_argument(
-        "--retry-budget",
-        type=int,
-        default=None,
-        help="process-wide retry token bucket capacity (default: unbudgeted retries)",
-    )
-    serve.add_argument(
-        "--retry-budget-refill",
-        type=float,
-        default=0.25,
-        help="tokens refilled into the retry budget per successful dispatch",
+        help="self-healing: quarantine + rebuild every replica whose breaker opens",
     )
     serve.add_argument("--seed", type=int, default=0)
     serve.add_argument(
@@ -529,7 +486,6 @@ def _run_serve_bench(args: argparse.Namespace) -> str:
         if (
             args.fault_fail_rate <= 0
             and args.fault_hang_rate <= 0
-            and args.fault_slow_rate <= 0
             and args.fault_die_rate <= 0
             and args.fault_kill_rate <= 0
         ):
@@ -538,11 +494,9 @@ def _run_serve_bench(args: argparse.Namespace) -> str:
             workers=None if args.fault_workers is None else tuple(args.fault_workers),
             fail_rate=args.fault_fail_rate,
             hang_rate=args.fault_hang_rate,
-            slow_rate=args.fault_slow_rate,
             die_rate=args.fault_die_rate,
             kill_rate=args.fault_kill_rate,
             hang_seconds=args.fault_hang_ms / 1e3,
-            slow_seconds=args.fault_slow_ms / 1e3,
         )
         return FaultPlan(spec, seed=args.fault_seed)
 
@@ -575,14 +529,7 @@ def _run_serve_bench(args: argparse.Namespace) -> str:
                 default_timeout=None if args.deadline_ms is None else args.deadline_ms / 1e3,
                 fault_plan=build_fault_plan() if faulty else None,
                 max_retries=args.max_retries,
-                retry_backoff=args.retry_backoff_ms / 1e3,
-                retry_backoff_cap=max(args.retry_backoff_ms / 1e3 * 8, args.retry_backoff_ms / 1e3),
-                degraded_policy=args.degraded_policy,
                 supervisor=args.supervisor and faulty,
-                supervisor_failure_budget=args.supervisor_budget,
-                supervisor_window=args.supervisor_window_ms / 1e3,
-                retry_budget=args.retry_budget if faulty else None,
-                retry_budget_refill=args.retry_budget_refill,
                 ingress=args.ingress,
                 telemetry=telemetry,
                 trace_capacity=args.trace_capacity,

@@ -35,21 +35,18 @@ mode, exact: every answer equals offline ``full_forward`` for that node.
   the lightest class first, and — with ``ingress="thread"`` — runs a
   background :class:`FrontDoor` pump so arrivals land during flush rounds;
 * the fault-tolerance layer keeps that guarantee under replica failure: a
-  seedable :class:`FaultPlan` injects deterministic raise/hang/slow/flap
+  seedable :class:`FaultPlan` injects deterministic raise/hang/die/kill/flap
   faults, a per-replica :class:`HealthTracker` circuit breaker gates
-  dispatch, failed batches fail over to sibling replicas with capped,
-  deadline-aware exponential backoff, and a shard with zero healthy
-  replicas can serve cache/halo-resident rows as ``stale`` completions
-  (``degraded_policy="stale_ok"``);
+  dispatch, a failed batch retries at once on a sibling replica (up to
+  ``max_retries``; requests past their deadline expire), and a shard with
+  zero dispatchable replicas fails its batch;
 * the self-healing layer closes the loop on permanent failures: a
-  :class:`ReplicaSupervisor` driven from the scheduler tick quarantines a
-  replica whose breaker keeps re-opening and rebuilds it from the shard
+  :class:`ReplicaSupervisor` driven from the scheduler tick quarantines
+  every replica whose breaker is not closed and rebuilds it from the shard
   spec (fresh :class:`ShardWorker` under a bumped epoch, embedding cache
   pre-warmed from the shared :class:`HaloStore`, re-registered with health
   and dispatch) — also the machinery behind operator rolling restarts
-  (``InferenceServer.restart_replica``); a process-wide :class:`RetryBudget`
-  token bucket caps total retries so correlated flap storms degrade to
-  ``stale_ok``/fail-fast instead of amplifying;
+  (``InferenceServer.restart_replica``);
 * :class:`InferenceServer` ties it together and exposes :class:`ServerStats`
   (p50/p95/p99/p99.9 latency, cache hit rate, per-shard load, overload
   counters, fault/failover counters, executor concurrency) plus a perfmodel
@@ -61,7 +58,7 @@ mode, exact: every answer equals offline ``full_forward`` for that node.
   latency histogram (:class:`ServingMetrics` names them), and — in
   ``telemetry="trace"`` mode — a :class:`~repro.telemetry.RequestTracer`
   records per-request span trees (submit → queue → dispatch attempts with
-  breaker/fault/backoff detail → terminal state) exportable as Prometheus
+  breaker/fault detail → terminal state) exportable as Prometheus
   text, JSON snapshots, or Chrome ``traceEvents``.  ``ServerStats`` is a
   *view* over the registry, so the frozen-dataclass API is unchanged.
 """
@@ -69,7 +66,7 @@ mode, exact: every answer equals offline ``full_forward`` for that node.
 from .batcher import TERMINAL_STATUSES, InferenceRequest, MicroBatcher
 from .cache import CacheStats, EmbeddingCache, HaloStore
 from .clock import Clock, ManualClock, SystemClock
-from .config import DEGRADED_POLICIES, INGRESS_MODES, ServingConfig
+from .config import INGRESS_MODES, ServingConfig
 from .engine import InferenceServer
 from .executor import ConcurrentExecutor, FlushExecutor, SerialExecutor, make_executor
 from .faults import (
@@ -106,7 +103,7 @@ from .procplane import (
 from .scheduler import DrainTimeout, Scheduler
 from .shard import GraphShard, build_shards, expand_neighborhood
 from .stats import ServerStats, WorkerLoad, estimate_shard_request_cycles
-from .supervisor import ReplicaSupervisor, RetryBudget
+from .supervisor import ReplicaSupervisor
 from .timing import STAGES, StageTimer, merge_stage_totals
 from .worker import ShardWorker, WorkerRetired
 
@@ -133,7 +130,6 @@ __all__ = [
     "expand_neighborhood",
     "ShardWorker",
     "ServingConfig",
-    "DEGRADED_POLICIES",
     "INGRESS_MODES",
     "DEFAULT_REQUEST_CLASSES",
     "FrontDoor",
@@ -162,7 +158,6 @@ __all__ = [
     "SharedSlabArena",
     "SharedHaloStore",
     "ReplicaSupervisor",
-    "RetryBudget",
     "DrainTimeout",
     "InferenceServer",
     "ServingMetrics",

@@ -21,20 +21,16 @@ Every request terminates in exactly one state:
     victim is the lightest class's oldest request — see
     :meth:`MicroBatcher.shed_victim`).
 ``expired``
-    Flushed after its deadline had already passed (or its deadline could not
-    survive retry backoff), so it was not executed.
+    Flushed after its deadline had already passed (or its deadline passed
+    before a retry could run), so it was not executed.
 ``failed``
     The worker (or an injected fault) raised while serving the batch and
-    every failover retry was exhausted — or no healthy replica remained and
-    the degraded path had no cached answer.  Failures never strand a request
-    in ``pending``.
+    every failover retry was exhausted — or no dispatchable replica
+    remained.  Failures never strand a request in ``pending``.
 
 Transient failures are not terminal: a batch whose replica crashed is
 retried on a sibling replica (``retries`` counts the attempts; the request
-eventually lands in one of the states above).  Requests answered from the
-degraded cache/halo path while a shard had no healthy replica complete with
-``stale=True`` (``stale_ok`` semantics — the value may predate the newest
-weights).
+eventually lands in one of the states above).
 
 The benchmark/property suites assert that accounting: no request is ever
 silently dropped.
@@ -74,7 +70,6 @@ class InferenceRequest:
     worker_id: Optional[int] = None
     batch_size: Optional[int] = None
     retries: int = 0                     # failover attempts this request survived
-    stale: bool = False                  # served from the degraded cache path
     request_class: str = "standard"      # admission class (see serving.frontdoor)
     weight: float = 1.0                  # the class's admission weight
     #: completion event backing RequestHandle.result(timeout=); None for

@@ -22,7 +22,7 @@ class Clock:
         raise NotImplementedError
 
     def sleep(self, seconds: float) -> None:  # pragma: no cover - interface
-        """Let ``seconds`` of clock time pass (retry backoff, injected hangs)."""
+        """Let ``seconds`` of clock time pass (injected hangs)."""
         raise NotImplementedError
 
 
@@ -66,9 +66,9 @@ class ManualClock(Clock):
     def sleep(self, seconds: float) -> None:
         """Simulated sleep: advances the clock instead of blocking the thread.
 
-        Retry backoff and injected hangs/slowdowns become pure clock
-        arithmetic under tests — no wall time passes, so "hang for 50 ms"
-        costs nothing but makes deadline expiry observable.
+        Injected hangs become pure clock arithmetic under tests — no wall
+        time passes, so "hang for 50 ms" costs nothing but makes deadline
+        expiry observable.
         """
         if seconds < 0:
             raise ValueError("a monotonic clock cannot move backwards")

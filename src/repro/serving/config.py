@@ -11,12 +11,7 @@ from .frontdoor import DEFAULT_REQUEST_CLASSES, ClassSpec, normalize_request_cla
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (faults imports nothing back)
     from .faults import FaultPlan
 
-__all__ = ["ServingConfig", "DEGRADED_POLICIES", "INGRESS_MODES"]
-
-#: What a shard with zero healthy replicas does with a flushed batch:
-#: ``"fail"`` fails every request; ``"stale_ok"`` answers cache/halo-resident
-#: rows from the degraded read path (flagged ``stale``) and fails only misses.
-DEGRADED_POLICIES = ("fail", "stale_ok")
+__all__ = ["ServingConfig", "INGRESS_MODES"]
 
 #: How requests arrive: ``"sync"`` flushes inline from the submitting thread
 #: (the deterministic default); ``"thread"`` starts a background
@@ -101,45 +96,22 @@ class ServingConfig:
         fault layer then adds no work to the hot path).
     max_retries:
         Failover budget per batch: after the dispatched replica fails, the
-        batch is retried on a sibling (or, failing that, the same) replica
-        up to this many more times before its requests terminate ``failed``.
-    retry_backoff, retry_backoff_cap:
-        Capped exponential backoff between retry attempts, in clock
-        seconds: attempt ``n`` sleeps ``min(retry_backoff * 2**(n-1),
-        retry_backoff_cap)``.  Requests whose deadline would pass during
-        the backoff expire instead of being retried (deadline-aware
-        budgets: a retry never runs past a request's deadline).
-    degraded_policy:
-        ``"fail"`` or ``"stale_ok"`` — see :data:`DEGRADED_POLICIES`.
+        batch is retried at once on a sibling (or, failing that, the same)
+        replica up to this many more times before its requests terminate
+        ``failed``.  Requests whose deadline has passed by the retry expire
+        instead.  A shard with zero dispatchable replicas fails its batch.
     supervisor:
         Enable automatic self-healing: a
         :class:`~repro.serving.supervisor.ReplicaSupervisor` tick runs with
         every ``poll()``/``drain()`` (and the front-door pump), quarantining
-        any replica whose breaker opened ``supervisor_failure_budget`` times
-        within ``supervisor_window`` clock seconds and rebuilding it in
-        place (fresh worker, cache pre-warmed from the halo tier, new
-        epoch).  Off by default; ``restart_replica()`` works either way.
-    supervisor_failure_budget, supervisor_window:
-        The quarantine trigger: breaker-open events (first trips *and*
-        failed-probe re-opens) tolerated per replica within the rolling
-        window before the supervisor rebuilds it.
-    retry_budget, retry_budget_refill:
-        Process-wide retry token bucket
-        (:class:`~repro.serving.supervisor.RetryBudget`): every batch retry
-        across all shards spends one of ``retry_budget`` tokens; each
-        successful dispatch refills ``retry_budget_refill`` tokens (capped
-        at the original budget).  With the bucket empty, a failed batch is
-        not retried: it degrades immediately (``stale_ok`` rows or
-        fail-fast), so correlated flap storms cannot amplify into retry
-        storms.  ``None`` (default) leaves retries bounded only by
-        ``max_retries`` per batch.
-    health_failure_threshold, health_cooldown, health_latency_threshold:
+        every replica whose breaker is not closed and rebuilding it in place
+        (fresh worker, cache pre-warmed from the halo tier, new epoch).  Off
+        by default; ``restart_replica()`` works either way.
+    health_failure_threshold, health_cooldown:
         Per-replica circuit breaker (:class:`~repro.serving.health.HealthTracker`):
         ``health_failure_threshold`` consecutive failures open the breaker,
         which re-admits one probe dispatch after ``health_cooldown`` clock
-        seconds; a latency EWMA above ``health_latency_threshold`` (``None``
-        disables the latency trip) also opens it so dispatch prefers faster
-        siblings.
+        seconds.
     telemetry, trace_capacity:
         Observability mode (see :data:`repro.telemetry.TELEMETRY_MODES`):
         ``"metrics"`` (default) records labelled counters/histograms into the
@@ -173,17 +145,9 @@ class ServingConfig:
     default_timeout: Optional[float] = None
     fault_plan: Optional["FaultPlan"] = None
     max_retries: int = 2
-    retry_backoff: float = 0.0005
-    retry_backoff_cap: float = 0.01
-    degraded_policy: str = "fail"
     supervisor: bool = False
-    supervisor_failure_budget: int = 2
-    supervisor_window: float = 1.0
-    retry_budget: Optional[int] = None
-    retry_budget_refill: float = 0.25
     health_failure_threshold: int = 3
     health_cooldown: float = 0.05
-    health_latency_threshold: Optional[float] = None
     telemetry: str = "metrics"
     trace_capacity: int = 4096
     seed: int = 0
@@ -239,31 +203,10 @@ class ServingConfig:
             raise ValueError("default_timeout must be positive (or None for no deadline)")
         if self.max_retries < 0:
             raise ValueError("max_retries must be non-negative (0 disables failover)")
-        if self.retry_backoff < 0 or self.retry_backoff_cap < 0:
-            raise ValueError("retry_backoff and retry_backoff_cap must be non-negative")
-        if self.retry_backoff_cap < self.retry_backoff:
-            raise ValueError("retry_backoff_cap must be >= retry_backoff")
-        if self.degraded_policy not in DEGRADED_POLICIES:
-            raise ValueError(
-                f"degraded_policy must be one of {DEGRADED_POLICIES}, "
-                f"got {self.degraded_policy!r}"
-            )
-        if self.supervisor_failure_budget < 1:
-            raise ValueError("supervisor_failure_budget must be >= 1")
-        if self.supervisor_window <= 0:
-            raise ValueError("supervisor_window must be positive")
-        if self.retry_budget is not None and self.retry_budget < 0:
-            raise ValueError("retry_budget must be non-negative (or None for unbudgeted)")
-        if self.retry_budget_refill < 0:
-            raise ValueError("retry_budget_refill must be non-negative")
         if self.health_failure_threshold < 1:
             raise ValueError("health_failure_threshold must be >= 1")
         if self.health_cooldown < 0:
             raise ValueError("health_cooldown must be non-negative")
-        if self.health_latency_threshold is not None and self.health_latency_threshold <= 0:
-            raise ValueError(
-                "health_latency_threshold must be positive (or None to disable)"
-            )
         from ..telemetry import TELEMETRY_MODES
 
         if self.telemetry not in TELEMETRY_MODES:

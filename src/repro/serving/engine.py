@@ -34,14 +34,12 @@ to offline full-graph evaluation (``evaluate_accuracy(mode="full")``) under
 Fault tolerance (the no-lost-request contract): a flush round is crash-safe.
 A replica that raises — for real, or through an injected
 :class:`~repro.serving.faults.FaultPlan` — fails only its own batch's
-*attempt*: the batch retries on a sibling replica with capped exponential
-backoff (never past a request's deadline), dispatch consults a per-replica
+*attempt*: the batch retries at once on a sibling replica (requests whose
+deadline has passed expire instead), dispatch consults a per-replica
 :class:`~repro.serving.health.HealthTracker` circuit breaker to route around
-repeat offenders, and a shard with zero dispatchable replicas either fails
-its batch or (``degraded_policy="stale_ok"``) answers cache/halo-resident
-rows as ``stale`` completions.  Whatever the fault schedule, every submitted
-request terminates in exactly one terminal state and the other shards'
-results commit.
+repeat offenders, and a shard with zero dispatchable replicas fails its
+batch.  Whatever the fault schedule, every submitted request terminates in
+exactly one terminal state and the other shards' results commit.
 """
 
 from __future__ import annotations
@@ -79,7 +77,7 @@ from .procplane import ProcessDead, ProcessPlane, ProcessWorkerHandle
 from .scheduler import DrainTimeout, Scheduler
 from .shard import GraphShard, build_shards
 from .stats import ServerStats, WorkerLoad
-from .supervisor import ReplicaSupervisor, RetryBudget
+from .supervisor import ReplicaSupervisor
 from .timing import merge_stage_totals
 from .worker import ShardWorker
 
@@ -189,7 +187,6 @@ class InferenceServer:
             [worker.worker_id for worker in self.workers],
             failure_threshold=self.config.health_failure_threshold,
             cooldown=self.config.health_cooldown,
-            latency_threshold=self.config.health_latency_threshold,
         )
         # itertools.count: next() is atomic, so concurrent submitters can
         # never share a request id.
@@ -200,20 +197,7 @@ class InferenceServer:
         self._last_completion: Optional[float] = None
         self._closed = False
 
-        # The retry budget is process-wide: one bucket across every shard,
-        # so a correlated flap storm cannot multiply retries by the shard
-        # count.
-        self.retry_budget: Optional[RetryBudget] = (
-            RetryBudget(self.config.retry_budget, self.config.retry_budget_refill)
-            if self.config.retry_budget is not None
-            else None
-        )
-        self.supervisor = ReplicaSupervisor(
-            self,
-            failure_budget=self.config.supervisor_failure_budget,
-            window=self.config.supervisor_window,
-            auto=self.config.supervisor,
-        )
+        self.supervisor = ReplicaSupervisor(self, auto=self.config.supervisor)
 
         # Telemetry plane: every counter ServerStats reports lives in the
         # registry (ServerStats is a *view* over it); the tracer (telemetry
@@ -313,7 +297,7 @@ class InferenceServer:
     # -- self-healing (ReplicaSupervisor mechanics) -------------------------------
 
     def supervise(self) -> int:
-        """One supervisor tick: rebuild any replica over its failure budget.
+        """One supervisor tick: rebuild any replica whose breaker is not closed.
 
         Wired into :meth:`poll` (and hence the front-door pump and every
         ``drain`` round), so supervision advances with the flush loop and
@@ -484,7 +468,6 @@ class InferenceServer:
                 now,
                 worker_id=request.worker_id,
                 retries=request.retries,
-                stale=request.stale,
             )
 
     def _admit(self, request: InferenceRequest) -> bool:
@@ -748,16 +731,11 @@ class InferenceServer:
         """Serve a dequeued batch with health-gated dispatch and failover.
 
         Attempt loop: pick a dispatchable replica (circuit breakers
-        consulted, already-failed replicas excluded while siblings remain),
-        serve, and on failure retry with capped exponential backoff — expiring
-        any request whose deadline cannot survive the backoff, so a retry
-        never runs past a deadline.  When no replica is dispatchable the
-        batch falls through to the degraded path.
-
-        With a retry budget (``config.retry_budget``) each retry spends one
-        process-wide token; with the bucket empty the batch degrades
-        immediately (``stale_ok`` rows or fail-fast) instead of feeding a
-        retry storm.
+        consulted, already-failed replicas excluded while siblings remain)
+        and serve.  A failed attempt retries at once, up to
+        ``config.max_retries`` times; requests whose deadline has passed by
+        then expire instead.  When no replica is dispatchable the batch
+        fails.
         """
         tried: set = set()
         attempt = 0
@@ -797,57 +775,31 @@ class InferenceServer:
                     self.halo_store.bump_epoch()
                 tried.add(worker.worker_id)
                 attempt += 1
-                fault = fault_info.get("kind", type(exc).__name__)
-                backoff = 0.0
-                budget_denied = False
+                if record is not None:
+                    tracer.end_attempt(
+                        record, now, "error", fault=fault_info.get("kind", type(exc).__name__)
+                    )
                 survivors: List[InferenceRequest] = []
                 with self._lock:
                     self._metrics.worker_failures.inc()
                     if attempt > self.config.max_retries:
                         for request in live:
                             self._terminal(request, FAILED, now)
-                        if record is not None:
-                            tracer.end_attempt(record, now, "error", fault=fault)
                         return
-                    if self.retry_budget is not None and not self.retry_budget.try_spend():
-                        # Budget empty: no more retries anywhere in the
-                        # process — degrade this batch right now.
-                        budget_denied = True
-                        self._metrics.retry_budget_exhausted.inc()
-                    else:
-                        self._metrics.retry_attempts.inc()
-                        backoff = min(
-                            self.config.retry_backoff * (2 ** (attempt - 1)),
-                            self.config.retry_backoff_cap,
-                        )
-                        for request in live:
-                            if request.deadline is not None and request.deadline <= now + backoff:
-                                self._terminal(request, EXPIRED, now)
-                            else:
-                                request.retries += 1
-                                survivors.append(request)
-                        if survivors:
-                            self._metrics.retries[shard_id].inc(len(survivors))
-                if record is not None:
-                    tracer.end_attempt(
-                        record,
-                        now,
-                        "error",
-                        fault=fault,
-                        backoff=backoff if survivors else 0.0,
-                    )
-                if budget_denied:
-                    self._serve_degraded(shard_id, live)
-                    return
+                    self._metrics.retry_attempts.inc()
+                    for request in live:
+                        if request.deadline is not None and request.deadline <= now:
+                            self._terminal(request, EXPIRED, now)
+                        else:
+                            request.retries += 1
+                            survivors.append(request)
+                    if survivors:
+                        self._metrics.retries[shard_id].inc(len(survivors))
                 live = survivors
-                if live and backoff > 0:
-                    self.clock.sleep(backoff)
                 continue
 
             end = self.clock.now()
-            self.health.record_success(worker.worker_id, end, end - start)
-            if self.retry_budget is not None:
-                self.retry_budget.on_success()
+            self.health.record_success(worker.worker_id, end)
             if record is not None:
                 after = worker.timings.snapshot()
                 stages = {
@@ -919,17 +871,13 @@ class InferenceServer:
                 raise ReplicaDead(
                     f"worker {worker.worker_id} died (kill fault, in-process replica)"
                 )
-            if decision.kind == "hang":
-                # The hang burns clock time past any sane deadline before
-                # the dispatch is declared dead (a timeout, simulated).
-                self.clock.sleep(decision.seconds)
-                raise ReplicaHung(
-                    f"worker {worker.worker_id} hung for "
-                    f"{decision.seconds * 1e3:.1f} ms"
-                )
-            # "slow": extra latency, then a normal (correct) answer — the
-            # signal the health tracker's latency EWMA watches.
+            # "hang": the dispatch burns clock time past any sane deadline
+            # before it is declared dead (a timeout, simulated).
             self.clock.sleep(decision.seconds)
+            raise ReplicaHung(
+                f"worker {worker.worker_id} hung for "
+                f"{decision.seconds * 1e3:.1f} ms"
+            )
         with self._serving_mode():
             return worker.predict(nodes)
 
@@ -943,7 +891,7 @@ class InferenceServer:
         failed this batch (``exclude``) are skipped while any other
         dispatchable sibling exists — but with a single replica a transient
         fault retries in place rather than giving up.  Returns ``None`` only
-        when the shard has zero dispatchable replicas (degraded territory).
+        when the shard has zero dispatchable replicas (the batch then fails).
         """
         group = self._replicas[shard_id]
         ids = [worker.worker_id for worker in group]
@@ -971,46 +919,11 @@ class InferenceServer:
         return min(pool, key=lambda worker: (worker.nodes_served, worker.worker_id))
 
     def _serve_degraded(self, shard_id: int, live: List[InferenceRequest]) -> None:
-        """Zero dispatchable replicas: apply ``degraded_policy`` to the batch.
-
-        ``"fail"`` fails everything; ``"stale_ok"`` answers the rows whose
-        final-layer logits are already resident in a replica's embedding
-        cache or the shared halo tier — flagged ``stale``, since nothing was
-        recomputed — and fails only the true misses.
-        """
-        start = self.clock.now()
-        nodes = np.array([request.node for request in live], dtype=np.int64)
-        hit = np.zeros(len(nodes), dtype=bool)
-        predictions = np.full(len(nodes), -1, dtype=np.int64)
-        if self.config.degraded_policy == "stale_ok":
-            for worker in self._replicas[shard_id]:
-                if hit.all():
-                    break
-                mask, values = worker.degraded_logits(nodes)
-                fresh = mask & ~hit
-                predictions[fresh] = values[fresh]
-                hit |= fresh
+        """Zero dispatchable replicas: fail every request of the batch."""
         with self._lock:
             now = self.clock.now()
-            served = int(hit.sum())
-            for request, ok, prediction in zip(live, hit, predictions):
-                if ok:
-                    request.prediction = int(prediction)
-                    request.stale = True
-                    request.batch_size = served
-                    self._terminal(request, COMPLETED, now)
-                    self._latencies.append(request.latency)
-                else:
-                    self._terminal(request, FAILED, now)
-            if served:
-                self._metrics.degraded[shard_id].inc(served)
-                self._batch_sizes.append(served)
-                if self.telemetry.enabled:
-                    self._metrics.latency[shard_id].observe_many(
-                        self._latencies[-served:]
-                    )
-                    self._metrics.batch_size[shard_id].observe(served)
-                self._last_completion = now
+            for request in live:
+                self._terminal(request, FAILED, now)
         if self.tracer is not None:
             record = self.tracer.attempt(
                 shard_id,
@@ -1018,7 +931,7 @@ class InferenceServer:
                 [request.request_id for request in live],
                 0,
                 None,
-                start,
+                now,
             )
             self.tracer.end_attempt(record, now, "degraded")
 
@@ -1095,7 +1008,6 @@ class InferenceServer:
                     health=self.health.state(worker.worker_id, now),
                     failures=record.failures,
                     breaker_opens=record.opens,
-                    latency_ewma=record.latency_ewma,
                     epoch=worker.epoch,
                     pid=getattr(worker, "pid", None),
                     heartbeat_age=getattr(worker, "heartbeat_age", None),
@@ -1109,9 +1021,9 @@ class InferenceServer:
             duration = 0.0
         # ServerStats is a *view over the registry*: every ledger counter
         # below reads the metric children the serving paths incremented (all
-        # zero under telemetry="off").  Supervisor and retry-budget numbers
-        # come from their owning objects instead, so they survive
-        # telemetry="off" (the bench gates assert on them exactly).
+        # zero under telemetry="off").  Supervisor numbers come from the
+        # supervisor instead, so they survive telemetry="off" (the bench
+        # gates assert on them exactly).
         metrics = self._metrics
         return ServerStats(
             stage_seconds=merge_stage_totals(worker.timings for worker in self.workers),
@@ -1132,7 +1044,6 @@ class InferenceServer:
             failed_requests=metrics.status_total(FAILED),
             retried_requests=metrics.retried_total(),
             failovers=metrics.failover_total(),
-            degraded_requests=metrics.degraded_total(),
             worker_failures=metrics.worker_failures.value,
             injected_faults=self.faults.total_injected if self.faults is not None else 0,
             block_waits=metrics.block_waits.value,
@@ -1145,18 +1056,6 @@ class InferenceServer:
             supervisor_quarantines=self.supervisor.quarantines,
             prewarmed_rows=self.supervisor.prewarmed_rows,
             retry_attempts=metrics.retry_attempts.value,
-            retry_budget_capacity=(
-                self.retry_budget.capacity if self.retry_budget is not None else None
-            ),
-            retry_budget_spent=(
-                self.retry_budget.spent if self.retry_budget is not None else 0
-            ),
-            retry_budget_exhausted=(
-                self.retry_budget.denied if self.retry_budget is not None else 0
-            ),
-            retry_budget_tokens=(
-                self.retry_budget.tokens if self.retry_budget is not None else 0.0
-            ),
         )
 
     def reset_stats(self) -> None:
@@ -1189,8 +1088,6 @@ class InferenceServer:
         if self.halo_store is not None:
             self.halo_store.stats = CacheStats()
         self.supervisor.reset_counters()
-        if self.retry_budget is not None:
-            self.retry_budget.reset_counters()
 
     def describe(self) -> str:
         depth = (

@@ -1,7 +1,7 @@
 """Deterministic, seedable fault injection for the serving plane.
 
-Production serving has to survive replicas that raise, hang, slow down or
-flap — but those failure modes are miserable to test against wall-clock
+Production serving has to survive replicas that raise, hang, die or flap —
+but those failure modes are miserable to test against wall-clock
 threads.  A :class:`FaultPlan` makes every one of them a *simulated*,
 reproducible event: the engine consults the plan once per batch dispatch
 (``decide(worker_id, now)``), and the plan answers from per-replica counters
@@ -17,14 +17,14 @@ Failure modes (one decision per dispatch, first matching spec wins):
 ``hang``
     The dispatch consumes ``hang_seconds`` of clock time (past any sane
     deadline) and then fails, as a stuck replica caught by a timeout would.
-``slow``
-    The dispatch succeeds but takes ``slow_seconds`` longer — the input the
-    health tracker's latency EWMA exists to notice.
 ``die``
     Permanent crash: once drawn (``die_rate``), *every* later dispatch to
     that replica fails too, regardless of spec windows — the replica is a
     corpse until :meth:`FaultPlan.revive` (called by the supervisor when it
     rebuilds the worker, modelling a fresh process).
+``kill``
+    ``die`` delivered as a real ``SIGKILL`` when the replica is a worker
+    process (``kill_rate``).
 
 Specs can be windowed in clock time (``after``/``until``) and restricted to
 specific replicas (``workers``), so a test can script "replica 2 dies at
@@ -54,7 +54,7 @@ __all__ = [
     "FAULT_KINDS",
 ]
 
-FAULT_KINDS = ("raise", "hang", "slow", "die", "kill")
+FAULT_KINDS = ("raise", "hang", "die", "kill")
 
 
 class InjectedFault(RuntimeError):
@@ -77,14 +77,13 @@ class FaultSpec:
     ----------
     workers:
         Worker ids the spec applies to (``None`` = every replica).
-    fail_rate, hang_rate, slow_rate:
-        Per-dispatch probabilities of each failure mode; their sum must not
-        exceed 1 (a single uniform draw picks among them).
+    fail_rate, hang_rate:
+        Per-dispatch probabilities of each failure mode; together with
+        ``die_rate`` and ``kill_rate`` their sum must not exceed 1 (a single
+        uniform draw picks among them).
     hang_seconds:
         Simulated clock time a hung dispatch burns before it is declared
         dead — choose it larger than any request deadline under test.
-    slow_seconds:
-        Extra latency of a slow (but successful) dispatch.
     die_rate:
         Per-dispatch probability of a *permanent* crash: once it fires the
         replica stays dead (every later dispatch fails with ``die``) until
@@ -108,28 +107,24 @@ class FaultSpec:
     workers: Optional[Tuple[int, ...]] = None
     fail_rate: float = 0.0
     hang_rate: float = 0.0
-    slow_rate: float = 0.0
     die_rate: float = 0.0
     kill_rate: float = 0.0
     hang_seconds: float = 0.05
-    slow_seconds: float = 0.005
     flap_period: int = 0
     flap_down: int = 0
     after: float = 0.0
     until: Optional[float] = None
 
     def __post_init__(self) -> None:
-        for name in ("fail_rate", "hang_rate", "slow_rate", "die_rate", "kill_rate"):
+        for name in ("fail_rate", "hang_rate", "die_rate", "kill_rate"):
             rate = getattr(self, name)
             if not 0.0 <= rate <= 1.0:
                 raise ValueError(f"{name} must be within [0, 1], got {rate}")
-        total = self.fail_rate + self.hang_rate + self.slow_rate + self.die_rate + self.kill_rate
+        total = self.fail_rate + self.hang_rate + self.die_rate + self.kill_rate
         if total > 1.0 + 1e-12:
-            raise ValueError(
-                "fail_rate + hang_rate + slow_rate + die_rate + kill_rate must not exceed 1"
-            )
-        if self.hang_seconds < 0 or self.slow_seconds < 0:
-            raise ValueError("hang_seconds and slow_seconds must be non-negative")
+            raise ValueError("fail_rate + hang_rate + die_rate + kill_rate must not exceed 1")
+        if self.hang_seconds < 0:
+            raise ValueError("hang_seconds must be non-negative")
         if self.flap_period < 0 or self.flap_down < 0:
             raise ValueError("flap_period and flap_down must be non-negative")
         if self.flap_period and self.flap_down > self.flap_period:
@@ -260,18 +255,9 @@ class FaultPlan:
                 if draw < spec.die_rate + spec.fail_rate + spec.hang_rate:
                     self._record("hang")
                     return FaultDecision("hang", seconds=spec.hang_seconds)
-                if draw < spec.die_rate + spec.fail_rate + spec.hang_rate + spec.slow_rate:
-                    self._record("slow")
-                    return FaultDecision("slow", seconds=spec.slow_seconds)
                 # kill draws last so adding kill_rate never perturbs which
                 # dispatches an existing seeded plan fails with other kinds.
-                if draw < (
-                    spec.die_rate
-                    + spec.fail_rate
-                    + spec.hang_rate
-                    + spec.slow_rate
-                    + spec.kill_rate
-                ):
+                if draw < spec.die_rate + spec.fail_rate + spec.hang_rate + spec.kill_rate:
                     self._dead.add(worker_id)
                     self._record("kill")
                     return FaultDecision("kill")
@@ -291,7 +277,6 @@ class FaultPlan:
             kill = f", kill {spec.kill_rate:.0%}" if spec.kill_rate else ""
             parts.append(
                 f"{scope}: raise {spec.fail_rate:.0%}, hang {spec.hang_rate:.0%}"
-                f" ({spec.hang_seconds * 1e3:g} ms), slow {spec.slow_rate:.0%}"
-                f" (+{spec.slow_seconds * 1e3:g} ms){die}{kill}{flap}{window}"
+                f" ({spec.hang_seconds * 1e3:g} ms){die}{kill}{flap}{window}"
             )
         return f"FaultPlan(seed={self.seed}): " + "; ".join(parts)

@@ -5,7 +5,7 @@ ingress layer:
 
 :class:`RequestHandle`
     The future-style return value of :meth:`InferenceServer.submit`: callers
-    get ``result(timeout=)`` / ``done`` / ``status`` / ``stale`` instead of
+    get ``result(timeout=)`` / ``done`` / ``status`` instead of
     polling ``drain()`` and inspecting a raw record.  Non-completed terminal
     states map to typed exceptions (:class:`RequestRejected`,
     :class:`RequestShed`, :class:`RequestExpired`, :class:`RequestFailed` —
@@ -111,7 +111,7 @@ class RequestExpired(RequestError):
 
 
 class RequestFailed(RequestError):
-    """Every failover retry was exhausted (or the degraded path missed)."""
+    """Every failover retry was exhausted (or no replica was dispatchable)."""
 
 
 class RequestPending(RequestError):
@@ -179,10 +179,6 @@ class RequestHandle:
     @property
     def status(self) -> str:
         return self._request.status
-
-    @property
-    def stale(self) -> bool:
-        return self._request.stale
 
     @property
     def retries(self) -> int:

@@ -4,16 +4,14 @@ Each :class:`~repro.serving.worker.ShardWorker` replica gets a
 :class:`ReplicaHealth` record inside the shard's :class:`HealthTracker`.
 Dispatch (`round_robin` / `least_loaded` in the engine) consults
 ``available(worker_id, now)`` before routing a batch, so traffic flows
-around replicas that keep failing or have gone slow — and probes them
-again after a cooldown instead of writing them off forever.
+around replicas that keep failing — and probes them again after a cooldown
+instead of writing them off forever.
 
 State machine (the classic three states):
 
 ``closed``
     Healthy.  Dispatchable.  A failure increments ``consecutive_failures``;
-    reaching ``failure_threshold`` opens the breaker.  A success whose
-    latency EWMA exceeds ``latency_threshold`` also opens it (the replica
-    answers, but too slowly to be worth routing to).
+    reaching ``failure_threshold`` opens the breaker.
 ``open``
     Unhealthy.  Not dispatchable until ``cooldown`` clock seconds pass.
 ``half_open``
@@ -27,10 +25,10 @@ State machine (the classic three states):
     rebuilt worker re-registers — returns the slot to service, with a fresh
     record so the replacement starts with a clean breaker.
 
-Every breaker-open *event* (first trip and each failed-probe re-open) is
-timestamped in ``open_times``; ``opens_in_window`` is the supervisor's
-quarantine trigger.  The ``opens`` counter keeps its original meaning —
-distinct closed→open trips — so dashboards don't double-count probe churn.
+Every breaker-open *event* (first trip and each failed-probe re-open) bumps
+the tracker-wide ``total_opens``, which gates the supervisor's tick.  The
+per-replica ``opens`` counter keeps its original meaning — distinct
+closed→open trips — so dashboards don't double-count probe churn.
 
 All timing uses the serving plane's :class:`~repro.serving.clock.Clock`,
 so recovery schedules are exact under :class:`ManualClock`.  The tracker
@@ -40,12 +38,10 @@ is thread-safe (concurrent executor records from pool threads).
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from dataclasses import dataclass, field, replace
+from typing import Dict, List, Sequence
 
 __all__ = ["ReplicaHealth", "HealthTracker"]
-
-_EWMA_ALPHA = 0.3  # weight of the newest latency sample in the EWMA
 
 
 @dataclass
@@ -57,25 +53,12 @@ class ReplicaHealth:
     consecutive_failures: int = 0
     failures: int = 0
     successes: int = 0
-    latency_ewma: Optional[float] = None
     opened_at: float = field(default=0.0)
     opens: int = 0                        # how many times the breaker tripped
     probes: int = 0                       # half-open dispatches attempted
-    open_times: List[float] = field(default_factory=list)  # trips + re-opens
 
     def snapshot(self) -> "ReplicaHealth":
-        return ReplicaHealth(
-            worker_id=self.worker_id,
-            state=self.state,
-            consecutive_failures=self.consecutive_failures,
-            failures=self.failures,
-            successes=self.successes,
-            latency_ewma=self.latency_ewma,
-            opened_at=self.opened_at,
-            opens=self.opens,
-            probes=self.probes,
-            open_times=list(self.open_times),
-        )
+        return replace(self)
 
 
 class HealthTracker:
@@ -86,17 +69,13 @@ class HealthTracker:
         worker_ids: Sequence[int],
         failure_threshold: int = 3,
         cooldown: float = 0.05,
-        latency_threshold: Optional[float] = None,
     ) -> None:
         if failure_threshold < 1:
             raise ValueError("failure_threshold must be >= 1")
         if cooldown < 0:
             raise ValueError("cooldown must be non-negative")
-        if latency_threshold is not None and latency_threshold <= 0:
-            raise ValueError("latency_threshold must be positive when set")
         self.failure_threshold = failure_threshold
         self.cooldown = cooldown
-        self.latency_threshold = latency_threshold
         self._lock = threading.Lock()
         self._replicas: Dict[int, ReplicaHealth] = {
             int(worker_id): ReplicaHealth(worker_id=int(worker_id)) for worker_id in worker_ids
@@ -160,48 +139,18 @@ class HealthTracker:
 
     # ---------------------------------------------------------------- records
 
-    _OPEN_HISTORY = 64  # per-replica bound on remembered open events
-
-    def _open_event(self, replica: ReplicaHealth, now: float) -> None:
-        """Timestamp one breaker-open event (caller holds the lock)."""
-        replica.open_times.append(now)
-        if len(replica.open_times) > self._OPEN_HISTORY:
-            del replica.open_times[: -self._OPEN_HISTORY]
-        self.total_opens += 1
-
-    def record_success(self, worker_id: int, now: float, latency: float = 0.0) -> None:
+    def record_success(self, worker_id: int, now: float) -> None:
         with self._lock:
             replica = self._replicas[worker_id]
             replica.successes += 1
             replica.consecutive_failures = 0
-            if replica.latency_ewma is None:
-                replica.latency_ewma = latency
-            else:
-                replica.latency_ewma = (
-                    _EWMA_ALPHA * latency + (1.0 - _EWMA_ALPHA) * replica.latency_ewma
-                )
             if replica.state == "quarantined":
                 # An in-flight attempt against the corpse finished: count the
                 # sample but do not resurrect the slot — only reinstate() does.
                 return
             if self._state_locked(replica, now) == "half_open":
                 replica.probes += 1
-            if (
-                self.latency_threshold is not None
-                and replica.latency_ewma > self.latency_threshold
-            ):
-                # Answers, but too slowly: keep (or put) the breaker open so
-                # dispatch prefers faster siblings; probes keep sampling it.
-                if replica.state == "closed":
-                    replica.opens += 1
-                    counter = self._open_counters.get(worker_id)
-                    if counter is not None:
-                        counter.inc()
-                    self._open_event(replica, now)
-                replica.state = "open"
-                replica.opened_at = now
-            else:
-                replica.state = "closed"
+            replica.state = "closed"
 
     def record_failure(self, worker_id: int, now: float) -> None:
         with self._lock:
@@ -218,7 +167,7 @@ class HealthTracker:
                 # Failed probe: re-open and restart the cooldown.
                 replica.probes += 1
                 replica.opened_at = now
-                self._open_event(replica, now)
+                self.total_opens += 1
             elif replica.state == "closed" and (
                 replica.consecutive_failures >= self.failure_threshold
             ):
@@ -228,15 +177,9 @@ class HealthTracker:
                 counter = self._open_counters.get(worker_id)
                 if counter is not None:
                     counter.inc()
-                self._open_event(replica, now)
+                self.total_opens += 1
 
     # ------------------------------------------------------------- supervision
-
-    def opens_in_window(self, worker_id: int, since: float) -> int:
-        """Breaker-open events (trips + re-opens) at or after clock ``since``."""
-        with self._lock:
-            replica = self._replicas[worker_id]
-            return sum(1 for stamp in replica.open_times if stamp >= since)
 
     def quarantine(self, worker_id: int) -> None:
         """Pull a replica from dispatch until it is explicitly reinstated."""

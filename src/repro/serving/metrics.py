@@ -121,24 +121,11 @@ class ServingMetrics:
         )
         self.failovers = [failovers.labels(shard) for shard in shards]
 
-        degraded = registry.counter(
-            "serving_degraded_total",
-            "Requests served stale from the degraded cache/halo path",
-            labels=("shard",),
-        )
-        self.degraded = [degraded.labels(shard) for shard in shards]
-
         retry_attempts = registry.counter(
             "serving_retry_attempts_total",
             "Batch retry attempts actually performed, engine-wide",
         )
         self.retry_attempts = retry_attempts.labels()
-
-        budget_exhausted = registry.counter(
-            "serving_retry_budget_exhausted_total",
-            "Failed batches denied a retry by the empty process-wide budget",
-        )
-        self.retry_budget_exhausted = budget_exhausted.labels()
 
         #: per-replica supervisor actions (ReplicaSupervisor sinks).
         self.supervisor_restarts = registry.counter(
@@ -241,7 +228,4 @@ class ServingMetrics:
 
     def failover_total(self) -> int:
         return sum(child.value for child in self.failovers)
-
-    def degraded_total(self) -> int:
-        return sum(child.value for child in self.degraded)
 

@@ -24,9 +24,9 @@ shard replica becomes a *worker process*:
 * :class:`ProcessWorkerHandle` is the parent-side proxy speaking that
   protocol with per-call timeouts.  It exposes the full worker surface the
   engine dispatches against (``predict``/``retire``/``prewarm_from_halo``/
-  ``degraded_logits``/load counters), raising typed :class:`ProcessDead` /
+  load counters), raising typed :class:`ProcessDead` /
   :class:`ProcessTimeout` errors that feed the existing ``HealthTracker`` →
-  retry/failover → ``stale_ok`` chain; a timed-out child is killed so the
+  retry/failover → supervisor chain; a timed-out child is killed so the
   pipe can never desynchronise.  Per-process ``MetricsRegistry`` snapshots
   ship back over the control channel as reset-on-read deltas and merge by
   addition into the parent fleet view (the PR-7 seam built for this).
@@ -677,7 +677,6 @@ class ProcessWorkerHandle:
         request_conn,
         control_conn,
         shard: GraphShard,
-        num_model_layers: int,
         halo_store: Optional[SharedHaloStore],
         call_timeout: float,
         ready_timeout: float = 120.0,
@@ -688,7 +687,6 @@ class ProcessWorkerHandle:
         self.shard = shard
         self.retired = False
         self.halo_store = halo_store
-        self._num_model_layers = int(num_model_layers)
         self._proc = process
         self._request_conn = request_conn
         self._control_conn = control_conn
@@ -862,22 +860,6 @@ class ProcessWorkerHandle:
         except (ProcessDead, ProcessTimeout):
             return 0
         return int(warmed or 0)
-
-    def degraded_logits(self, global_nodes: np.ndarray):
-        """Stale-read path that works with the child dead: the halo slabs are
-        shared memory, so the parent argmaxes resident final-layer rows
-        directly — exactly what ``stale_ok`` degraded serving needs from a
-        crashed shard."""
-        nodes = np.asarray(global_nodes, dtype=np.int64)
-        hit = np.zeros(len(nodes), dtype=bool)
-        predictions = np.full(len(nodes), -1, dtype=np.int64)
-        if self.halo_store is None or not len(nodes):
-            return hit, predictions
-        halo_mask, halo_values = self.halo_store.take_mask(self._num_model_layers, nodes)
-        if len(halo_values):
-            hit |= halo_mask
-            predictions[halo_mask] = halo_values.argmax(axis=-1)
-        return hit, predictions
 
     def retire(self) -> None:
         """Supervisor replacement: mark retired and tear the process down."""
@@ -1116,7 +1098,6 @@ class ProcessPlane:
             request_parent,
             control_parent,
             shard,
-            self.model.num_layers,
             self.halo_store,
             self.call_timeout,
         )

@@ -15,7 +15,7 @@ loop benchmarks turn it off and drive :meth:`poll` themselves to let queues
 actually build up (the admission-control scenarios).
 
 Rounds are crash-safe: the engine's ``_flush`` isolates worker failures
-(retry, failover, degraded serving — see :mod:`repro.serving.engine`), so a
+(retry, failover, failing a dark shard — see :mod:`repro.serving.engine`), so a
 raising replica fails only its own batch and the round's other shards
 commit normally.  The executors still settle the whole round before
 propagating an error, but with the fault-tolerant engine that path is a

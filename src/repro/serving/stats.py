@@ -42,7 +42,6 @@ class WorkerLoad:
     health: str = "closed"       # circuit-breaker state at snapshot time
     failures: int = 0            # dispatch attempts that failed on this replica
     breaker_opens: int = 0       # times the replica's breaker tripped
-    latency_ewma: Optional[float] = None  # smoothed dispatch latency (seconds)
     epoch: int = 0               # replica incarnation (bumped per supervisor rebuild)
     pid: Optional[int] = None    # worker process id (executor="process" only)
     heartbeat_age: Optional[float] = None  # seconds since last control-channel beat
@@ -72,10 +71,9 @@ class ServerStats:
     #: cross-shard halo tier counters (eligible boundary lookups only)
     halo: CacheStats = field(default_factory=CacheStats)
     halo_tier: bool = False          # was a shared HaloStore active for the run?
-    failed_requests: int = 0         # retries exhausted / degraded misses
+    failed_requests: int = 0         # retries exhausted / no dispatchable replica
     retried_requests: int = 0        # request-attempts that were retried
     failovers: int = 0               # batches completed on a sibling after a failure
-    degraded_requests: int = 0       # completed stale from the degraded path
     worker_failures: int = 0         # dispatch attempts that raised (real or injected)
     injected_faults: int = 0         # faults the FaultPlan actually fired
     block_waits: int = 0             # condition waits by blocked submitters
@@ -87,10 +85,6 @@ class ServerStats:
     supervisor_quarantines: int = 0  # replicas pulled from dispatch pending rebuild
     prewarmed_rows: int = 0          # cache rows pre-warmed from the halo tier on rebuild
     retry_attempts: int = 0          # batch retries actually performed
-    retry_budget_capacity: Optional[int] = None  # token-bucket capacity (None = unbudgeted)
-    retry_budget_spent: int = 0      # tokens spent on retries
-    retry_budget_exhausted: int = 0  # failed batches denied a retry (bucket empty)
-    retry_budget_tokens: float = 0.0  # tokens left at snapshot time
 
     # -- accounting --------------------------------------------------------------
 
@@ -220,30 +214,17 @@ class ServerStats:
             f"{self.cache.evictions} evictions, "
             f"{self.cache.invalidations} invalidations",
         ]
-        if (
-            self.worker_failures
-            or self.retried_requests
-            or self.failovers
-            or self.degraded_requests
-            or self.injected_faults
-        ):
+        if self.worker_failures or self.retried_requests or self.failovers or self.injected_faults:
             lines.append(
                 f"  faults: {self.worker_failures} worker failures "
                 f"({self.injected_faults} injected), {self.retried_requests} retried, "
-                f"{self.failovers} failovers, {self.degraded_requests} served stale"
+                f"{self.failovers} failovers"
             )
         if self.supervisor_restarts or self.supervisor_quarantines:
             lines.append(
                 f"  self-healing: {self.supervisor_restarts} replica rebuilds "
                 f"({self.supervisor_quarantines} quarantined), "
                 f"{self.prewarmed_rows} cache rows pre-warmed from the halo tier"
-            )
-        if self.retry_budget_capacity is not None:
-            lines.append(
-                f"  retry budget: {self.retry_budget_spent}/{self.retry_budget_capacity} "
-                f"tokens spent ({self.retry_budget_tokens:.1f} left), "
-                f"{self.retry_budget_exhausted} retries denied "
-                f"({self._rate(self.retry_budget_exhausted, self.retry_attempts + self.retry_budget_exhausted)} of attempts)"
             )
         if self.block_waits or self.block_self_flushes:
             lines.append(
@@ -282,14 +263,9 @@ class ServerStats:
         for worker in self.workers:
             health = ""
             if worker.health != "closed" or worker.failures or worker.breaker_opens:
-                ewma = (
-                    f", ewma {worker.latency_ewma * 1e3:.2f} ms"
-                    if worker.latency_ewma is not None
-                    else ""
-                )
                 health = (
                     f", {worker.health}: {worker.failures} failures, "
-                    f"{worker.breaker_opens} opens{ewma}"
+                    f"{worker.breaker_opens} opens"
                 )
             epoch = f", epoch {worker.epoch}" if worker.epoch else ""
             lines.append(

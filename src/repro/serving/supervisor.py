@@ -1,38 +1,25 @@
-"""Self-healing serving: replica supervision and the process-wide retry budget.
+"""Self-healing serving: replica supervision.
 
-The PR-6 fault plane *survives* a dying replica (breakers, failover,
-``stale_ok``) but never heals it: a replica whose breaker keeps re-opening
-stays dark until process restart.  This module closes the loop:
+The fault plane *survives* a failing replica (breakers, failover) but never
+heals it: a replica whose breaker keeps re-opening stays dark until process
+restart.  :class:`ReplicaSupervisor` closes the loop.  Driven from the
+scheduler/pump tick (``InferenceServer.supervise()``), it **quarantines**
+every replica whose breaker is not closed (pulled from dispatch, no
+cooldown re-admission) and **rebuilds** it: the old
+:class:`~repro.serving.worker.ShardWorker` is retired — in-flight attempts
+against the corpse raise :class:`~repro.serving.worker.WorkerRetired` and
+fail cleanly into the engine's retry path — and a fresh worker is built from
+the shard spec under a bumped epoch, its embedding cache pre-warmed from the
+shared :class:`~repro.serving.cache.HaloStore`, then re-registered with the
+:class:`~repro.serving.health.HealthTracker` and dispatch.  The same
+machinery backs operator-initiated rolling restarts
+(``InferenceServer.restart_replica``), which drain the replica's in-flight
+batches first.  Every action lands in a structured event log (exported by
+the supervisor bench as a CI artifact).
 
-:class:`ReplicaSupervisor`
-    Driven from the scheduler/pump tick (``InferenceServer.supervise()``).
-    When a replica's breaker has re-opened ``failure_budget`` times within
-    ``window`` clock seconds, the supervisor **quarantines** it (pulled from
-    dispatch, no cooldown re-admission) and **rebuilds** it: the old
-    :class:`~repro.serving.worker.ShardWorker` is retired — in-flight
-    attempts against the corpse raise
-    :class:`~repro.serving.worker.WorkerRetired` and fail cleanly into the
-    engine's retry path — and a fresh worker is built from the shard spec
-    under a bumped epoch, its embedding cache pre-warmed from the shared
-    :class:`~repro.serving.cache.HaloStore`, then re-registered with the
-    :class:`~repro.serving.health.HealthTracker` and dispatch.  The same
-    machinery backs operator-initiated rolling restarts
-    (``InferenceServer.restart_replica``), which drain the replica's
-    in-flight batches first.  Every action lands in a structured event log
-    (exported by the supervisor bench as a CI artifact).
-
-:class:`RetryBudget`
-    A process-wide token bucket capping *total* retries across all shards:
-    each batch retry spends one token; each successful dispatch refills
-    ``refill`` tokens (never above capacity).  When the bucket is empty the
-    engine stops retrying and degrades immediately — ``stale_ok`` rows or
-    fail-fast — so a correlated flap storm cannot amplify into a retry storm
-    (the failure mode real inference fleets budget against).
-
-This is deliberately the seam ROADMAP item 1 (multi-process workers) slots
-into: a respawned worker *process* registers through exactly
-``ReplicaSupervisor.rebuild`` — quarantine, epoch bump, halo pre-warm,
-re-registration — with only the worker construction swapped out.
+A respawned worker *process* registers through exactly this path —
+quarantine, epoch bump, halo pre-warm, re-registration — with only the
+worker construction swapped out.
 """
 
 from __future__ import annotations
@@ -40,64 +27,11 @@ from __future__ import annotations
 import threading
 from typing import Dict, List, Optional
 
-__all__ = ["ReplicaSupervisor", "RetryBudget"]
-
-
-class RetryBudget:
-    """Token bucket bounding total batch retries across the whole server.
-
-    ``capacity`` tokens are available up front; a retry spends one
-    (:meth:`try_spend`), a successful dispatch refills ``refill`` tokens
-    (:meth:`on_success`), and the bucket never exceeds capacity.  With
-    ``refill=0`` the capacity is an exact ceiling on retries — what the
-    supervisor bench asserts under :class:`~repro.serving.clock.ManualClock`.
-
-    Thread-safe; ``spent`` / ``denied`` are cumulative counters.
-    """
-
-    def __init__(self, capacity: int, refill: float = 0.25) -> None:
-        if capacity < 0:
-            raise ValueError("retry budget capacity must be non-negative")
-        if refill < 0:
-            raise ValueError("retry budget refill must be non-negative")
-        self.capacity = int(capacity)
-        self.refill = float(refill)
-        self._tokens = float(capacity)
-        self.spent = 0
-        self.denied = 0
-        self._lock = threading.Lock()
-
-    @property
-    def tokens(self) -> float:
-        with self._lock:
-            return self._tokens
-
-    def try_spend(self) -> bool:
-        """Take one token if available; a ``False`` means degrade, not retry."""
-        with self._lock:
-            if self._tokens >= 1.0:
-                self._tokens -= 1.0
-                self.spent += 1
-                return True
-            self.denied += 1
-            return False
-
-    def on_success(self) -> None:
-        """Successes earn retries back (bounded by the original capacity)."""
-        if self.refill <= 0.0:
-            return
-        with self._lock:
-            self._tokens = min(float(self.capacity), self._tokens + self.refill)
-
-    def reset_counters(self) -> None:
-        """Zero the cumulative counters (token level is left untouched)."""
-        with self._lock:
-            self.spent = 0
-            self.denied = 0
+__all__ = ["ReplicaSupervisor"]
 
 
 class ReplicaSupervisor:
-    """Watches breaker churn and rebuilds replicas that exceed their budget.
+    """Watches the breakers and rebuilds every replica that is not closed.
 
     The supervisor holds *policy* (when to quarantine, the event ledger);
     the *mechanics* of a rebuild — retire, epoch bump, fresh worker, halo
@@ -107,20 +41,8 @@ class ReplicaSupervisor:
     operator path (``restart_replica``) still works.
     """
 
-    def __init__(
-        self,
-        server,
-        failure_budget: int = 2,
-        window: float = 1.0,
-        auto: bool = False,
-    ) -> None:
-        if failure_budget < 1:
-            raise ValueError("supervisor failure_budget must be >= 1")
-        if window <= 0:
-            raise ValueError("supervisor window must be positive")
+    def __init__(self, server, auto: bool = False) -> None:
         self._server = server
-        self.failure_budget = int(failure_budget)
-        self.window = float(window)
         self.auto = bool(auto)
         self.restarts = 0
         self.quarantines = 0
@@ -146,7 +68,7 @@ class ReplicaSupervisor:
     # ------------------------------------------------------------------- ticks
 
     def tick(self, now: float) -> int:
-        """Quarantine + rebuild every replica over its failure budget.
+        """Quarantine + rebuild every replica whose breaker is not closed.
 
         Called from ``poll()``/``drain()`` and the front-door pump.  Cheap
         when nothing changed: the health tracker's monotone ``total_opens``
@@ -161,24 +83,15 @@ class ReplicaSupervisor:
         rebuilt = 0
         with self._lock:
             self._seen_opens = health.total_opens
-            since = now - self.window
             for shard_id, group in enumerate(self._server._replicas):
                 for slot, worker in enumerate(group):
-                    if health.state(worker.worker_id, now) == "quarantined":
+                    state = health.state(worker.worker_id, now)
+                    if state in ("closed", "quarantined"):
                         continue
-                    opens = health.opens_in_window(worker.worker_id, since)
-                    if opens >= self.failure_budget:
-                        self._heal(
-                            shard_id,
-                            slot,
-                            now,
-                            event="rebuild",
-                            reason=(
-                                f"{opens} breaker opens within {self.window:g}s "
-                                f"(budget {self.failure_budget})"
-                            ),
-                        )
-                        rebuilt += 1
+                    self._heal(
+                        shard_id, slot, now, event="rebuild", reason=f"breaker {state}"
+                    )
+                    rebuilt += 1
         return rebuilt
 
     def restart(self, shard_id: int, slot: int, now: float):
@@ -249,7 +162,4 @@ class ReplicaSupervisor:
 
     def describe(self) -> str:
         mode = "auto" if self.auto else "manual"
-        return (
-            f"ReplicaSupervisor({mode}: budget {self.failure_budget} opens "
-            f"per {self.window:g}s, {self.restarts} restarts)"
-        )
+        return f"ReplicaSupervisor({mode}, {self.restarts} restarts)"

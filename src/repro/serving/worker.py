@@ -187,38 +187,6 @@ class ShardWorker:
             warmed += int(held.sum())
         return warmed
 
-    def degraded_logits(self, global_nodes: np.ndarray):
-        """Last-resort read path for a shard with zero healthy replicas.
-
-        Returns ``(hit_mask, predictions)``: predictions (argmax of the
-        final-layer logits) for the positions of ``global_nodes`` whose
-        output-layer row is already resident in this replica's embedding
-        cache or the shared halo tier.  Nothing is computed and the weight
-        signature is deliberately *not* checked — the point of ``stale_ok``
-        is that a value cached before the newest weight update is still a
-        better answer than a failure.  Misses stay misses (``hit_mask``
-        False); the engine fails those requests.
-        """
-        nodes = np.asarray(global_nodes, dtype=np.int64)
-        final = self.model.num_layers
-        hit = np.zeros(len(nodes), dtype=bool)
-        predictions = np.full(len(nodes), -1, dtype=np.int64)
-        if not len(nodes):
-            return hit, predictions
-        if getattr(self.cache, "enabled", False):
-            mask, values = self.cache.take_mask(final, nodes)
-            if len(values):
-                hit |= mask
-                predictions[mask] = values.argmax(axis=-1)
-        if self.halo_store is not None and not hit.all():
-            remaining = np.where(~hit)[0]
-            halo_mask, halo_values = self.halo_store.take_mask(final, nodes[remaining])
-            if len(halo_values):
-                positions = remaining[halo_mask]
-                hit[positions] = True
-                predictions[positions] = halo_values.argmax(axis=-1)
-        return hit, predictions
-
     # -- exact inference ---------------------------------------------------------
 
     def _layer_dim(self, layer: int) -> int:

@@ -10,7 +10,7 @@ Three pieces, each usable on its own:
 * :mod:`repro.telemetry.tracer` — a :class:`RequestTracer` recording one
   root span per request (submit → queue wait → terminal state) plus
   batch-level dispatch-attempt records (replica, breaker state, injected
-  fault, backoff, stage breakdown) into bounded rings.
+  fault, stage breakdown) into bounded rings.
 * :mod:`repro.telemetry.exporters` — Prometheus text exposition, JSON
   metric snapshots, and Chrome trace-event JSON off those two.
 
@@ -19,9 +19,9 @@ Three pieces, each usable on its own:
 ``"off"``
     Null registry, no tracer: every instrumentation call site degrades to a
     no-op or an ``is not None`` check.  This is the measured baseline the
-    overhead gates in ``benchmarks/bench_serving_telemetry.py`` compare
-    against — note the engine's ``ServerStats`` counters read zero in this
-    mode (they are views over the registry).
+    e2e ``telemetry.overhead_ratio`` row compares against — note the
+    engine's ``ServerStats`` counters read zero in this mode (they are views
+    over the registry).
 ``"metrics"`` (default)
     Real registry, no tracer: labelled counters and histograms with no
     per-request record keeping.

@@ -115,8 +115,6 @@ def chrome_trace(tracer) -> dict:
         }
         if trace["worker_id"] is not None:
             args["worker_id"] = trace["worker_id"]
-        if trace["stale"]:
-            args["stale"] = True
         events.append(
             {
                 "name": f"request {trace['request_id']} [{trace['status']}]",
@@ -157,8 +155,6 @@ def chrome_trace(tracer) -> dict:
             args["breaker"] = record["breaker"]
         if record["fault"] is not None:
             args["fault"] = record["fault"]
-        if record["backoff"]:
-            args["backoff_s"] = record["backoff"]
         if record["stages"]:
             args["stages_s"] = record["stages"]
         events.append(

@@ -23,8 +23,8 @@ Design constraints (they all come from the serving plane's roadmap):
 ``NullRegistry`` (and its null metric objects) keeps every call site valid
 while compiling telemetry out: the serving engine built with
 ``telemetry="off"`` runs the exact PR-6 hot path with only no-op calls left
-behind — the baseline the overhead gates in
-``benchmarks/bench_serving_telemetry.py`` measure against.
+behind — the baseline the e2e ``telemetry.overhead_ratio`` row measures
+against.
 """
 
 from __future__ import annotations

@@ -6,9 +6,9 @@ gets a root span from ``submit`` to its terminal state, annotated with its
 queue wait (dequeue time) and linked — through the batch it flushed in — to
 **attempt records**: one per dispatch attempt of the batch, carrying the
 replica id, the circuit-breaker state at dispatch, the injected-fault kind
-(if any), the backoff the retry path slept, and a per-stage time breakdown of
-successful attempts.  Attempts are recorded at *batch* granularity, exactly
-the granularity at which the engine consults the fault plan and the
+(if any), and a per-stage time breakdown of successful attempts.  Attempts
+are recorded at *batch* granularity, exactly the granularity at which the
+engine consults the fault plan and the
 :class:`~repro.serving.health.HealthTracker` — so failed attempt records and
 the tracker's per-replica failure counts match one for one.
 
@@ -64,7 +64,6 @@ class RequestTracer:
             "end": None,
             "worker_id": None,
             "retries": 0,
-            "stale": False,
         }
 
     def on_dequeue(self, request_ids: Sequence[int], now: float) -> None:
@@ -86,7 +85,6 @@ class RequestTracer:
         now: float,
         worker_id: Optional[int] = None,
         retries: int = 0,
-        stale: bool = False,
     ) -> None:
         """Close the root span with the request's one terminal state."""
         trace = self._active.pop(request_id, None)  # atomic; exactly-once
@@ -96,7 +94,6 @@ class RequestTracer:
         trace["end"] = now
         trace["worker_id"] = worker_id
         trace["retries"] = retries
-        trace["stale"] = stale
         with self._lock:  # only the ring + its drop counter need the lock
             if len(self._finished) == self._finished.maxlen:
                 self.dropped_traces += 1
@@ -129,7 +126,6 @@ class RequestTracer:
             "end": None,
             "outcome": None,
             "fault": None,
-            "backoff": 0.0,
             "stages": None,
         }
 
@@ -139,14 +135,12 @@ class RequestTracer:
         now: float,
         outcome: str,
         fault: Optional[str] = None,
-        backoff: float = 0.0,
         stages: Optional[Dict[str, float]] = None,
     ) -> None:
         """Close an attempt: ``ok`` | ``error`` | ``degraded`` (+ fault kind)."""
         record["end"] = now
         record["outcome"] = outcome
         record["fault"] = fault
-        record["backoff"] = backoff
         if stages:
             record["stages"] = {name: value for name, value in stages.items() if value > 0}
         with self._lock:

@@ -240,7 +240,9 @@ class TestValidationAndStats:
         # heartbeat interval is a procplane constant; there is no hedged
         # dispatch and no work stealing; the flush pool has one thread per
         # replica and the front-door pump re-polls at its own default.
-        # None is configurable.
+        # Retries run at once, capped only by max_retries; the breaker trips
+        # on failures alone; a dark shard fails its batch; the supervisor
+        # rebuilds on the first breaker open.  None is configurable.
         for field, value in (
             ("mode", "exact"),
             ("cache_policy", "lru"),
@@ -250,10 +252,18 @@ class TestValidationAndStats:
             ("work_stealing", True),
             ("executor_workers", 4),
             ("ingress_poll_interval", 0.01),
+            ("retry_backoff", 0.001),
+            ("retry_backoff_cap", 0.01),
+            ("retry_budget", 4),
+            ("retry_budget_refill", 0.5),
+            ("health_latency_threshold", 0.01),
+            ("degraded_policy", "stale_ok"),
+            ("supervisor_failure_budget", 1),
+            ("supervisor_window", 10.0),
         ):
             with pytest.raises(TypeError):
                 ServingConfig(**{field: value})
-        assert len(dataclasses.fields(ServingConfig)) == 33
+        assert len(dataclasses.fields(ServingConfig)) == 25
 
     def test_predictions_returned_in_submission_order(self, small_graph):
         model = _model(small_graph)

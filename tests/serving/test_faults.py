@@ -1,5 +1,4 @@
-"""Fault injection, failover, degraded serving and the no-lost-request
-invariant.
+"""Fault injection, failover, dark shards and the no-lost-request invariant.
 
 The contract under test:
 
@@ -8,8 +7,7 @@ The contract under test:
 * a replica that raises (or hangs past a deadline) fails only its own
   batch's attempt: the batch fails over to a sibling, completed predictions
   stay bitwise-equal to the fault-free run, and a drain never raises;
-* a shard with zero dispatchable replicas degrades per ``degraded_policy``
-  (``stale_ok`` serves cache/halo-resident rows flagged ``stale``);
+* a shard with zero dispatchable replicas fails its batch;
 * the HaloStore epoch guard keeps a dying replica's publishes out of the
   shared tier;
 * under *any* fault plan, every submitted request reaches exactly one
@@ -73,7 +71,7 @@ class TestFaultPlan:
             FaultPlan(())
 
     def test_decisions_are_deterministic_per_seed(self):
-        spec = FaultSpec(fail_rate=0.2, hang_rate=0.1, slow_rate=0.1)
+        spec = FaultSpec(fail_rate=0.2, hang_rate=0.1)
         plans = [FaultPlan(spec, seed=42) for _ in range(2)]
         sequences = [
             [plan.decide(worker_id, now=0.0) for worker_id in (0, 1, 0, 1, 0) for _ in range(20)]
@@ -179,7 +177,9 @@ class TestFailover:
         retried = [request for request in requests if request.retries]
         assert retried
         assert all(request.worker_id == 1 for request in retried)
-        assert not any(request.stale for request in requests)
+        # Every failed attempt was retried at once: one retry per failure.
+        stats = server.stats()
+        assert stats.retry_attempts == stats.worker_failures > 0
 
     def test_hang_past_deadline_expires_requests_deadline_aware(self, small_graph):
         # The hang burns more clock than the deadline allows; the retry
@@ -206,27 +206,25 @@ class TestFailover:
         assert stats.expired_requests == 6
         assert stats.submitted_requests == 6
 
-    def test_slow_faults_complete_but_feed_the_latency_breaker(self, small_graph):
+    def test_open_replica_takes_no_traffic_while_cooling(self, small_graph):
+        # One failure opens worker 0's breaker; with a cooldown longer than
+        # the run it is never dispatched again, so the plan fires only once.
         model = _model(small_graph)
-        reference = model.full_forward(small_graph).data.argmax(axis=-1)
-        plan = FaultPlan(FaultSpec(workers=(0,), slow_rate=1.0, slow_seconds=0.05), seed=0)
+        plan = FaultPlan(FaultSpec(workers=(0,), fail_rate=1.0), seed=0)
         server = _server(
             model,
             small_graph,
             num_shards=1,
             num_replicas=2,
             fault_plan=plan,
-            health_latency_threshold=0.01,
-            health_cooldown=100.0,
+            health_failure_threshold=1,
+            health_cooldown=1e6,
         )
-        nodes = np.arange(32)
-        predictions = server.predict(nodes)
-        assert np.array_equal(predictions, reference[nodes])
-        # Worker 0 answered (slowly) at least once, tripped the latency
-        # breaker, and dispatch routed the rest to worker 1.
-        assert server.health.state(0, server.clock.now()) == "open"
-        loads = {load.worker_id: load for load in server.stats().workers}
-        assert loads[1].nodes > loads[0].nodes
+        for wave in range(3):
+            assert server.predict(range(wave * 8, wave * 8 + 8)).shape == (8,)
+        assert plan.total_injected == 1
+        assert server.stats().worker_failures == 1
+        assert server.workers[0].batches_served == 0
 
     def test_zero_rate_plan_changes_nothing(self, small_graph):
         model = _model(small_graph)
@@ -245,12 +243,122 @@ class TestFailover:
         assert results["zero"][1] == 0 and results["zero"][2] == 0
 
 
-class TestDegradedServing:
-    def _dead_replica_server(self, model, graph, **overrides):
+class TestRetryRule:
+    """A failed attempt retries at once, up to ``max_retries`` times."""
+
+    def test_retry_is_immediate_and_burns_no_clock(self, small_graph):
+        model = _model(small_graph)
+        clock = ManualClock()
+        plan = FaultPlan(FaultSpec(workers=(0,), fail_rate=1.0), seed=0)
+        server = _server(
+            model, small_graph, clock=clock, num_shards=1, num_replicas=2, fault_plan=plan
+        )
+        server.scheduler.flush_on_submit = False
+        requests = server.submit_many(range(16))
+        server.drain()
+        assert all(request.completed for request in requests)
+        assert server.stats().retry_attempts > 0
+        assert clock.now() == 0.0  # no sleep between attempts
+
+    def test_max_retries_caps_attempts_per_batch(self, small_graph):
+        model = _model(small_graph)
+        clock = ManualClock()
+        plan = FaultPlan(FaultSpec(fail_rate=1.0), seed=0)
+        server = _server(
+            model,
+            small_graph,
+            clock=clock,
+            num_shards=1,
+            num_replicas=2,
+            fault_plan=plan,
+            max_retries=2,
+            health_failure_threshold=100,  # breakers stay closed
+        )
+        server.scheduler.flush_on_submit = False
+        requests = server.submit_many(range(4))  # one batch
+        server.drain()
+        assert all(request.status == "failed" for request in requests)
+        assert all(request.retries == 2 for request in requests)
+        stats = server.stats()
+        assert stats.worker_failures == 3  # the first attempt + two retries
+        assert stats.retry_attempts == 2
+        assert plan.total_injected == 3
+        assert clock.now() == 0.0
+
+    def test_zero_max_retries_fails_on_the_first_error(self, small_graph):
+        model = _model(small_graph)
+        plan = FaultPlan(FaultSpec(workers=(0,), fail_rate=1.0), seed=0)
+        server = _server(
+            model,
+            small_graph,
+            num_shards=1,
+            num_replicas=2,
+            fault_plan=plan,
+            max_retries=0,
+        )
+        server.scheduler.flush_on_submit = False
+        requests = server.submit_many(range(4))  # round robin: worker 0 first
+        server.drain()
+        assert all(request.status == "failed" for request in requests)
+        stats = server.stats()
+        assert (stats.worker_failures, stats.retry_attempts) == (1, 0)
+        assert server.workers[1].batches_served == 0  # the sibling was never asked
+
+    def test_single_replica_retries_in_place(self, small_graph):
+        # Flap: the first dispatch raises, the second is up.  With no sibling
+        # the retry goes back to the replica that just failed.
+        model = _model(small_graph)
+        reference = model.full_forward(small_graph).data.argmax(axis=-1)
+        plan = FaultPlan(FaultSpec(flap_period=2, flap_down=1), seed=0)
+        server = _server(
+            model, small_graph, num_shards=1, num_replicas=1, fault_plan=plan
+        )
+        server.scheduler.flush_on_submit = False
+        requests = server.submit_many(range(4))
+        server.drain()
+        assert all(request.completed for request in requests)
+        assert all(request.retries == 1 and request.worker_id == 0 for request in requests)
+        for request in requests:
+            assert request.prediction == reference[request.node]
+        stats = server.stats()
+        assert stats.worker_failures == 1
+        assert stats.failovers == 0  # served by the replica that failed
+
+    def test_only_overdue_requests_expire_at_retry(self, small_graph):
+        # Worker 0 hangs 0.2 s.  At the retry, the requests whose deadline
+        # passed expire; the rest are served by the sibling.
+        model = _model(small_graph)
+        reference = model.full_forward(small_graph).data.argmax(axis=-1)
+        clock = ManualClock()
+        plan = FaultPlan(FaultSpec(workers=(0,), hang_rate=1.0, hang_seconds=0.2), seed=0)
+        server = _server(
+            model,
+            small_graph,
+            clock=clock,
+            num_shards=1,
+            num_replicas=2,
+            fault_plan=plan,
+        )
+        server.scheduler.flush_on_submit = False
+        tight = server.submit_many(range(3), timeout=0.1)
+        loose = server.submit_many(range(3, 6), timeout=5.0)
+        server.drain()
+        assert [request.status for request in tight] == ["expired"] * 3
+        assert all(request.completed and request.worker_id == 1 for request in loose)
+        for request in loose:
+            assert request.prediction == reference[request.node]
+        stats = server.stats()
+        assert (stats.expired_requests, stats.completed_requests) == (3, 3)
+
+
+class TestDarkShard:
+    def _dead_replica_server(self, model, graph):
         # Breakers trip on the first failure and never cool down, so once
         # the (windowed, total) fault plan kicks in the shard goes dark.
         plan = FaultPlan(FaultSpec(fail_rate=1.0, after=1.0), seed=0)
-        defaults = dict(
+        return _server(
+            model,
+            graph,
             num_shards=1,
             num_replicas=2,
             fault_plan=plan,
@@ -258,44 +366,65 @@ class TestDegradedServing:
             health_cooldown=1e6,
             max_retries=2,
         )
-        defaults.update(overrides)
-        return _server(model, graph, **defaults)
 
-    def test_stale_ok_serves_cached_rows_and_fails_true_misses(self, small_graph):
+    def test_dark_shard_fails_the_whole_batch(self, small_graph):
         model = _model(small_graph)
-        reference = model.full_forward(small_graph).data.argmax(axis=-1)
-        server = self._dead_replica_server(
-            model, small_graph, degraded_policy="stale_ok"
-        )
-        warm_nodes = list(range(24))
-        assert np.array_equal(server.predict(warm_nodes), reference[warm_nodes])
-        server.clock.advance(2.0)  # enter the fault window: every replica dies
-        server.scheduler.flush_on_submit = False
-        cold_node = small_graph.num_nodes - 1  # never requested: a true miss
-        assert cold_node not in warm_nodes
-        requests = server.submit_many(warm_nodes[:6] + [cold_node])
-        server.drain()
-        warm_requests, miss_request = requests[:6], requests[-1]
-        assert all(request.completed and request.stale for request in warm_requests)
-        for request in warm_requests:
-            assert request.prediction == reference[request.node]
-        assert miss_request.status == "failed"
-        assert not miss_request.stale
-        stats = server.stats()
-        assert stats.degraded_requests == 6
-        assert stats.failed_requests == 1
-        assert "served stale" in stats.render()
-
-    def test_fail_policy_fails_the_whole_batch(self, small_graph):
-        model = _model(small_graph)
-        server = self._dead_replica_server(model, small_graph, degraded_policy="fail")
-        server.predict(list(range(24)))  # warm anyway: must not matter
+        server = self._dead_replica_server(model, small_graph)
+        server.predict(list(range(24)))  # warm caches never answer a dark shard
         server.clock.advance(2.0)
         server.scheduler.flush_on_submit = False
         requests = server.submit_many(range(6))
         server.drain()
         assert all(request.status == "failed" for request in requests)
-        assert server.stats().degraded_requests == 0
+        stats = server.stats()
+        assert stats.failed_requests == 6
+        assert "served stale" not in stats.render()
+
+    def test_dark_shard_fails_without_dispatching(self, small_graph):
+        # Once both breakers are open, a batch fails on the spot: no replica
+        # is asked, so the plan does not fire and no retry is counted.
+        model = _model(small_graph)
+        server = self._dead_replica_server(model, small_graph)
+        server.clock.advance(2.0)
+        server.scheduler.flush_on_submit = False
+        server.submit_many(range(4))
+        server.drain()  # both replicas fail once and open
+        plan = server.config.fault_plan
+        before = (plan.total_injected, server.stats().worker_failures)
+        assert before == (2, 2)
+        requests = server.submit_many(range(4, 10))
+        server.drain()
+        assert all(request.status == "failed" for request in requests)
+        assert all(request.retries == 0 for request in requests)
+        assert (plan.total_injected, server.stats().worker_failures) == before
+
+    def test_cooled_down_shard_recovers_through_a_probe(self, small_graph):
+        model = _model(small_graph)
+        reference = model.full_forward(small_graph).data.argmax(axis=-1)
+        plan = FaultPlan(FaultSpec(fail_rate=1.0, until=1.0), seed=0)
+        server = _server(
+            model,
+            small_graph,
+            num_shards=1,
+            num_replicas=1,
+            fault_plan=plan,
+            health_failure_threshold=1,
+            health_cooldown=0.5,
+        )
+        server.scheduler.flush_on_submit = False
+        dark = server.submit_many(range(4))
+        server.drain()
+        assert all(request.status == "failed" for request in dark)
+        assert server.health.state(0, server.clock.now()) == "open"
+        server.clock.advance(2.0)  # cooldown over and the fault window closed
+        assert server.health.state(0, server.clock.now()) == "half_open"
+        probed = server.submit_many(range(4, 12))
+        server.drain()
+        assert all(request.completed for request in probed)
+        for request in probed:
+            assert request.prediction == reference[request.node]
+        assert server.health.state(0, server.clock.now()) == "closed"
+        assert server.health.snapshot(0).probes == 1
 
 
 class TestHaloEpochGuard:
@@ -358,11 +487,9 @@ def _operations():
     num_replicas=st.integers(1, 2),
     fail_rate=st.floats(0.0, 0.6),
     hang_rate=st.floats(0.0, 0.2),
-    slow_rate=st.floats(0.0, 0.2),
     flap=st.booleans(),
     fault_seed=st.integers(0, 5),
     max_retries=st.integers(0, 2),
-    degraded_policy=st.sampled_from(["fail", "stale_ok"]),
     default_timeout=st.one_of(st.none(), st.floats(0.05, 0.5)),
 )
 def test_every_request_terminates_exactly_once_under_any_fault_plan(
@@ -370,20 +497,16 @@ def test_every_request_terminates_exactly_once_under_any_fault_plan(
     num_replicas,
     fail_rate,
     hang_rate,
-    slow_rate,
     flap,
     fault_seed,
     max_retries,
-    degraded_policy,
     default_timeout,
 ):
     plan = FaultPlan(
         FaultSpec(
             fail_rate=fail_rate,
             hang_rate=hang_rate,
-            slow_rate=slow_rate,
             hang_seconds=0.6,
-            slow_seconds=0.01,
             flap_period=5 if flap else 0,
             flap_down=2 if flap else 0,
         ),
@@ -401,7 +524,6 @@ def test_every_request_terminates_exactly_once_under_any_fault_plan(
             cache_capacity=64,
             fault_plan=plan,
             max_retries=max_retries,
-            degraded_policy=degraded_policy,
             health_failure_threshold=2,
             health_cooldown=0.1,
             default_timeout=default_timeout,
@@ -427,12 +549,9 @@ def test_every_request_terminates_exactly_once_under_any_fault_plan(
     assert all(request.done for request in requests)
     for request in requests:
         if request.status == "completed":
-            # Stale or fresh, a completed answer is the exact answer (the
-            # weights never changed, so cached rows equal recomputed ones).
             assert request.prediction == REFERENCE[request.node]
         else:
             assert request.prediction is None
-            assert not request.stale
 
     # The ledger balances: nothing dropped, nothing double-counted.
     stats = server.stats()
@@ -440,7 +559,6 @@ def test_every_request_terminates_exactly_once_under_any_fault_plan(
     assert stats.completed_requests == sum(r.status == "completed" for r in requests)
     assert stats.failed_requests == sum(r.status == "failed" for r in requests)
     assert stats.expired_requests == sum(r.status == "expired" for r in requests)
-    assert stats.degraded_requests == sum(r.stale for r in requests)
     assert server.batcher.pending == 0
 
 

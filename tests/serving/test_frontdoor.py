@@ -597,10 +597,10 @@ class TestHandlesUnderFaults:
         finally:
             server.shutdown()
 
-    def test_die_fault_degrades_to_stale_completions_through_handles(self):
+    def test_die_fault_with_no_dispatchable_replica_fails_through_handles(self):
         # Warm the caches fault-free, then kill every replica permanently:
-        # with stale_ok the pump serves resident rows as stale completions
-        # and result(timeout=) still returns the exact prediction.  Fault
+        # with zero dispatchable replicas the pump fails the batch, and
+        # result(timeout=) raises RequestFailed even for warm rows.  Fault
         # windows are absolute clock time, so anchor `after` to the live
         # SystemClock reading.
         clock = SystemClock()
@@ -613,18 +613,19 @@ class TestHandlesUnderFaults:
             max_retries=1,
             health_failure_threshold=1,
             health_cooldown=30.0,
-            degraded_policy="stale_ok",
         )
         try:
             nodes = _shard_nodes(server, 0, 4)
             warm = [h.result(timeout=10.0) for h in server.submit_many(nodes)]
+            assert warm == [int(REFERENCE[n]) for n in nodes]
             import time as _time
 
             _time.sleep(0.35)  # move past the fault window's `after`
             handles = server.submit_many(nodes)
-            got = [h.result(timeout=10.0) for h in handles]
-            assert got == warm == [int(REFERENCE[n]) for n in nodes]
-            assert all(h.stale for h in handles)
+            for handle in handles:
+                with pytest.raises(RequestFailed, match="failed"):
+                    handle.result(timeout=10.0)
+                assert handle.status == "failed"
         finally:
             server.shutdown()
 

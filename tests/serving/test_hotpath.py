@@ -148,59 +148,6 @@ class TestStageTimings:
         assert server.stats().stage_total == 0.0
 
 
-class TestDegradedReadPath:
-    """``ShardWorker.degraded_logits``: the no-compute read of resident rows."""
-
-    def test_answers_only_resident_final_rows(self, small_graph):
-        model = _model(small_graph)
-        reference = model.full_forward(small_graph).data.argmax(axis=-1)
-        server = _server(model, small_graph, halo_tier=False)
-        worker, shard = server.workers[0], server.shards[0]
-        warm, cold = shard.core_nodes[:6], shard.core_nodes[-1]
-        hit, predictions = worker.degraded_logits(shard.core_nodes)
-        assert not hit.any() and (predictions == -1).all()  # nothing resident yet
-        server.predict(warm)
-        served = worker.batches_served
-        hit, predictions = worker.degraded_logits(np.append(warm, cold))
-        assert hit.tolist() == [True] * len(warm) + [False]
-        assert np.array_equal(predictions[:-1], reference[warm])
-        assert predictions[-1] == -1
-        assert worker.batches_served == served  # a read, not a flush
-
-    def test_serves_rows_cached_before_a_weight_update(self, small_graph):
-        model = _model(small_graph)
-        before = model.full_forward(small_graph).data.argmax(axis=-1)
-        server = _server(model, small_graph, halo_tier=False)
-        worker, shard = server.workers[0], server.shards[0]
-        warm = shard.core_nodes[:6]
-        server.predict(warm)
-        param = model.parameters()[0]
-        param.data += 0.05
-        param.bump_version()
-        # The weight signature is deliberately not checked: a stale answer
-        # beats a failure when no replica can recompute.
-        hit, predictions = worker.degraded_logits(warm)
-        assert hit.all()
-        assert np.array_equal(predictions, before[warm])
-
-    def test_falls_back_to_the_halo_tier(self, small_graph):
-        model = _model(small_graph)
-        reference = model.full_forward(small_graph).data.argmax(axis=-1)
-        server = _server(
-            model, small_graph, num_shards=1, num_replicas=2, dispatch="round_robin",
-            max_batch_size=16,
-        )
-        nodes = np.arange(8)
-        server.predict(nodes)  # one flush: one replica computes and publishes
-        idle = [worker for worker in server.workers if worker.batches_served == 0]
-        assert len(idle) == 1
-        final = model.num_layers
-        assert not any(idle[0].cache.contains(final, node) for node in nodes)
-        hit, predictions = idle[0].degraded_logits(nodes)
-        assert hit.all()
-        assert np.array_equal(predictions, reference[nodes])
-
-
 class TestConfigKnobs:
     def test_invalid_values_rejected(self):
         with pytest.raises(ValueError, match="cache_capacity"):

@@ -201,8 +201,6 @@ class TestProcessServing:
         server = _process_server(
             num_replicas=2,
             supervisor=True,
-            supervisor_failure_budget=1,
-            supervisor_window=60.0,
             health_failure_threshold=1,
             health_cooldown=30.0,
             max_retries=3,
@@ -371,7 +369,7 @@ class TestMalformedFrames:
             worker_id=0, shard_id=0, epoch=0, cache_segment_base="bgnn-frame-test-"
         )
         handle = ProcessWorkerHandle(
-            spec, child, request_parent, control_parent, None, 2, None, call_timeout=5.0
+            spec, child, request_parent, control_parent, None, None, call_timeout=5.0
         )
         _send(control_child, _MSG_READY, 0, None)
         return handle, request_child, control_child

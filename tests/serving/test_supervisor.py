@@ -1,18 +1,16 @@
-"""Self-healing serving: replica supervision, retry budgets, hang failover.
+"""Self-healing serving: replica supervision and hang failover.
 
 The contract under test:
 
 * a ``die`` fault is permanent — the corpse fails every later dispatch —
   until :meth:`FaultPlan.revive` (a supervisor rebuild) clears it;
 * the :class:`ReplicaSupervisor`, driven from the scheduler tick, quarantines
-  a replica whose breaker re-opens ``failure_budget`` times inside ``window``
-  and rebuilds it: fresh worker, bumped epoch, halo-pre-warmed cache,
+  every replica whose breaker is not closed and rebuilds it: fresh worker,
+  bumped epoch, halo-pre-warmed cache,
   re-registered with health and dispatch; in-flight attempts against the
   retired corpse fail cleanly;
 * ``restart_replica`` gives operators the same rebuild, draining in-flight
   batches first;
-* the process-wide :class:`RetryBudget` caps total retries exactly (refill=0)
-  and, once empty, failures degrade immediately instead of retrying;
 * a replica that hangs on every dispatch fails over to its sibling with
   predictions still exact;
 * ``drain(timeout=)`` raises :class:`DrainTimeout` with a ledger snapshot
@@ -30,12 +28,16 @@ from repro.serving import (
     DrainTimeout,
     FaultPlan,
     FaultSpec,
+    HealthTracker,
+    InferenceRequest,
     InferenceServer,
     ManualClock,
+    ProcessWorkerHandle,
     ReplicaDead,
     ReplicaSupervisor,
-    RetryBudget,
+    RequestHandle,
     ServingConfig,
+    ShardWorker,
     WorkerRetired,
 )
 
@@ -59,40 +61,6 @@ def _server(model, graph, clock=None, **overrides):
     )
 
 
-class TestRetryBudget:
-    def test_spend_refill_and_counters(self):
-        budget = RetryBudget(2, refill=0.5)
-        assert budget.try_spend() and budget.try_spend()
-        assert not budget.try_spend()          # bucket empty
-        assert (budget.spent, budget.denied) == (2, 1)
-        budget.on_success()
-        assert budget.tokens == pytest.approx(0.5)
-        assert not budget.try_spend()          # half a token is not a retry
-        budget.on_success()
-        assert budget.try_spend()              # 1.0 accumulated
-        for _ in range(10):
-            budget.on_success()
-        assert budget.tokens <= budget.capacity  # never refills past capacity
-        budget.reset_counters()
-        assert (budget.spent, budget.denied) == (0, 0)
-
-    def test_zero_refill_is_an_exact_ceiling(self):
-        budget = RetryBudget(3, refill=0.0)
-        assert sum(budget.try_spend() for _ in range(10)) == 3
-        budget.on_success()                    # refill disabled: still empty
-        assert not budget.try_spend()
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            RetryBudget(-1)
-        with pytest.raises(ValueError):
-            RetryBudget(1, refill=-0.1)
-        with pytest.raises(ValueError):
-            ReplicaSupervisor(None, failure_budget=0)
-        with pytest.raises(ValueError):
-            ReplicaSupervisor(None, window=0.0)
-
-
 class TestDieFault:
     def test_die_is_permanent_until_revived(self):
         plan = FaultPlan(FaultSpec(workers=(0,), die_rate=1.0, until=0.5), seed=0)
@@ -108,8 +76,8 @@ class TestDieFault:
         assert "die 100%" in plan.describe()
 
     def test_zero_die_rate_keeps_decision_sequences_identical(self):
-        base = FaultPlan(FaultSpec(fail_rate=0.3, slow_rate=0.2), seed=5)
-        with_die = FaultPlan(FaultSpec(fail_rate=0.3, slow_rate=0.2, die_rate=0.0), seed=5)
+        base = FaultPlan(FaultSpec(fail_rate=0.3, hang_rate=0.2), seed=5)
+        with_die = FaultPlan(FaultSpec(fail_rate=0.3, hang_rate=0.2, die_rate=0.0), seed=5)
         a = [base.decide(0, now=0.0) for _ in range(50)]
         b = [with_die.decide(0, now=0.0) for _ in range(50)]
         assert a == b
@@ -120,11 +88,32 @@ class TestDieFault:
 
 
 class TestSupervisorRebuild:
+    def test_supervisor_rebuilds_on_first_breaker_open(self, small_graph):
+        # Default breaker and retry settings: three failed attempts open the
+        # single replica's breaker, and the tick at the end of that round
+        # rebuilds it — no second open is waited for.
+        model = _model(small_graph)
+        clock = ManualClock()
+        server = _server(
+            model,
+            small_graph,
+            clock=clock,
+            num_shards=1,
+            num_replicas=1,
+            fault_plan=FaultPlan(FaultSpec(die_rate=1.0), seed=0),
+            supervisor=True,
+        )
+        server.scheduler.flush_on_submit = False
+        first = server.submit_many(range(4))
+        server.drain()
+        assert all(request.status == "failed" for request in first)
+        assert server.stats().supervisor_restarts == 1
+        assert server.workers[0].epoch == 1
+
     def test_breaker_churn_triggers_quarantine_and_rebuild(self, small_graph):
-        # Single replica, so the half-open corpse really gets probed: die at
-        # t=0 (open #1), failed probe after cooldown (open #2) => budget hit,
-        # the supervisor rebuilds at the round barrier, and once the die
-        # window has passed the replacement serves exact answers.
+        # Single replica: die at t=0 opens the breaker, the round-barrier
+        # tick rebuilds it at once, and once the die window has passed the
+        # replacement serves exact answers.
         model = _model(small_graph)
         reference = model.full_forward(small_graph).data.argmax(axis=-1)
         clock = ManualClock()
@@ -137,8 +126,6 @@ class TestSupervisorRebuild:
             num_replicas=1,
             fault_plan=plan,
             supervisor=True,
-            supervisor_failure_budget=2,
-            supervisor_window=10.0,
             health_failure_threshold=1,
             health_cooldown=0.1,
             max_retries=1,
@@ -148,15 +135,9 @@ class TestSupervisorRebuild:
         first = server.submit_many(range(4))
         server.drain()
         assert all(request.status == "failed" for request in first)
-        assert server.stats().supervisor_restarts == 0  # one open < budget
-
-        clock.advance(0.2)  # cooldown over: next dispatch probes the corpse
-        second = server.submit_many(range(4, 8))
-        server.drain()
         stats = server.stats()
-        assert stats.supervisor_restarts == 1
+        assert stats.supervisor_restarts == 1  # rebuilt after the first open
         assert stats.supervisor_quarantines == 1
-        assert all(request.status == "failed" for request in second)
 
         rebuilt = server.workers[0]
         assert rebuilt.epoch == 1
@@ -164,21 +145,94 @@ class TestSupervisorRebuild:
         assert plan.dead_workers() == ()  # revive() ran
         assert server.health.state(0, clock.now()) == "closed"
 
-        clock.advance(0.4)  # past the die window: the replacement stays up
-        third = server.submit_many(range(8, 16))
+        clock.advance(0.6)  # past the die window: the replacement stays up
+        second = server.submit_many(range(8, 16))
         server.drain()
-        assert all(request.completed for request in third)
-        for request in third:
+        assert all(request.completed for request in second)
+        for request in second:
             assert request.prediction == reference[request.node]
         assert server.stats().supervisor_restarts == 1  # healed once, stayed healed
 
         events = server.supervisor.event_log()
         assert [event["event"] for event in events] == ["quarantine", "rebuild"]
         assert events[0]["epoch"] == 0 and events[1]["epoch"] == 1
-        assert "breaker opens" in events[1]["reason"]
+        assert events[1]["reason"] == "breaker open"
         render = server.stats().render()
         assert "self-healing: 1 replica rebuilds" in render
         assert "epoch 1" in render
+
+    def test_one_tick_rebuilds_every_open_replica(self, small_graph):
+        model = _model(small_graph)
+        server = _server(
+            model,
+            small_graph,
+            num_shards=1,
+            num_replicas=2,
+            fault_plan=FaultPlan(FaultSpec(die_rate=1.0, until=0.5), seed=0),
+            supervisor=True,
+            health_failure_threshold=1,
+        )
+        server.scheduler.flush_on_submit = False
+        requests = server.submit_many(range(4))
+        server.drain()  # both replicas die and open in the same batch
+        assert all(request.status == "failed" for request in requests)
+        assert server.stats().supervisor_restarts == 2
+        assert [worker.epoch for worker in server.workers] == [1, 1]
+        assert [event["event"] for event in server.supervisor.event_log()] == [
+            "quarantine", "rebuild", "quarantine", "rebuild",
+        ]
+
+    def test_tick_is_idle_until_a_breaker_opens(self, small_graph):
+        model = _model(small_graph)
+        server = _server(model, small_graph, num_shards=1, num_replicas=2, supervisor=True)
+        server.predict(range(16))
+        assert server.supervise() == 0
+        assert server.supervisor.event_log() == []
+        for _ in range(3):  # default threshold: three failures open worker 0
+            server.health.record_failure(0, server.clock.now())
+        assert server.supervise() == 1
+        # The open ledger has not moved since: the next tick does nothing.
+        assert server.supervise() == 0
+        assert server.stats().supervisor_restarts == 1
+
+    def test_half_open_replica_is_rebuilt(self, small_graph):
+        model = _model(small_graph)
+        clock = ManualClock()
+        server = _server(
+            model,
+            small_graph,
+            clock=clock,
+            num_shards=1,
+            num_replicas=1,
+            supervisor=True,
+            health_failure_threshold=1,
+            health_cooldown=0.1,
+        )
+        server.health.record_failure(0, clock.now())
+        clock.advance(0.2)
+        assert server.health.state(0, clock.now()) == "half_open"
+        assert server.supervise() == 1
+        assert server.supervisor.last_event()["reason"] == "breaker half_open"
+        assert server.workers[0].epoch == 1
+        assert server.health.state(0, clock.now()) == "closed"
+
+    def test_quarantined_replica_is_not_rebuilt_by_the_tick(self, small_graph):
+        model = _model(small_graph)
+        server = _server(
+            model,
+            small_graph,
+            num_shards=1,
+            num_replicas=2,
+            supervisor=True,
+            health_failure_threshold=1,
+        )
+        now = server.clock.now()
+        server.health.record_failure(0, now)
+        server.health.record_failure(1, now)
+        server.health.quarantine(1)
+        assert server.supervise() == 1
+        assert [worker.epoch for worker in server.workers] == [1, 0]
+        assert server.health.state(1, now) == "quarantined"
 
     def test_supervisor_off_means_no_rebuilds(self, small_graph):
         model = _model(small_graph)
@@ -247,84 +301,21 @@ class TestSupervisorRebuild:
             server.restart_replica(0, 3)
 
 
-class TestEngineRetryBudget:
-    def _flaky_server(self, model, graph, clock, **overrides):
-        plan = FaultPlan(FaultSpec(fail_rate=1.0), seed=0)
-        defaults = dict(
-            num_shards=1,
-            num_replicas=2,
-            fault_plan=plan,
-            max_retries=8,
-            retry_backoff=0.001,
-            health_failure_threshold=100,  # breakers stay closed: pure retry storm
-        )
-        defaults.update(overrides)
-        return _server(model, graph, clock=clock, **defaults)
+class TestDeletedResilienceKnobs:
+    def test_deleted_constructor_arguments_raise(self):
+        with pytest.raises(TypeError):
+            FaultSpec(slow_rate=0.1)
+        with pytest.raises(TypeError):
+            HealthTracker([0], latency_threshold=0.01)
+        with pytest.raises(TypeError):
+            ReplicaSupervisor(None, failure_budget=1)
 
-    def test_budget_caps_total_retries_exactly(self, small_graph):
-        model = _model(small_graph)
-        clock = ManualClock()
-        server = self._flaky_server(
-            model, small_graph, clock, retry_budget=3, retry_budget_refill=0.0
-        )
-        server.scheduler.flush_on_submit = False
-        requests = server.submit_many(range(24))
-        server.drain()
-        stats = server.stats()
-        assert stats.retry_budget_capacity == 3
-        assert stats.retry_budget_spent == 3       # the exact ceiling
-        assert stats.retry_attempts == 3
-        assert stats.retry_budget_exhausted > 0    # later failures were denied
-        assert stats.retry_budget_tokens == 0.0
-        assert all(request.status == "failed" for request in requests)
-        assert "retry budget: 3/3 tokens spent" in stats.render()
-
-    def test_unbudgeted_baseline_retries_far_more(self, small_graph):
-        model = _model(small_graph)
-        clock = ManualClock()
-        server = self._flaky_server(model, small_graph, clock)
-        server.scheduler.flush_on_submit = False
-        server.submit_many(range(24))
-        server.drain()
-        stats = server.stats()
-        assert stats.retry_budget_capacity is None
-        assert stats.retry_attempts > 3            # the storm the budget prevents
-        assert stats.retry_budget_exhausted == 0
-
-    def test_exhausted_budget_degrades_to_stale_ok(self, small_graph):
-        # Warm the caches fault-free, then enter a total-failure window with
-        # an empty budget: batches degrade immediately and resident rows come
-        # back stale instead of burning retries.
-        model = _model(small_graph)
-        reference = model.full_forward(small_graph).data.argmax(axis=-1)
-        clock = ManualClock()
-        plan = FaultPlan(FaultSpec(fail_rate=1.0, after=1.0), seed=0)
-        server = _server(
-            model,
-            small_graph,
-            clock=clock,
-            num_shards=1,
-            num_replicas=2,
-            fault_plan=plan,
-            max_retries=8,
-            health_failure_threshold=100,
-            retry_budget=0,
-            retry_budget_refill=0.0,
-            degraded_policy="stale_ok",
-        )
-        warm = list(range(16))
-        assert np.array_equal(server.predict(warm), reference[warm])
-        clock.advance(2.0)
-        server.scheduler.flush_on_submit = False
-        requests = server.submit_many(warm[:6])
-        server.drain()
-        assert all(request.completed and request.stale for request in requests)
-        for request in requests:
-            assert request.prediction == reference[request.node]
-        stats = server.stats()
-        assert stats.retry_budget_spent == 0
-        assert stats.retry_budget_exhausted > 0
-        assert stats.degraded_requests == 6
+    def test_no_stale_read_surface(self):
+        for cls in (ShardWorker, ProcessWorkerHandle):
+            assert not hasattr(cls, "degraded_logits")
+        assert not hasattr(RequestHandle, "stale")
+        request = InferenceRequest(request_id=0, node=0, shard_id=0, enqueue_time=0.0)
+        assert not hasattr(request, "stale")
 
 
 class TestHangFailover:

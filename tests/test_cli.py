@@ -124,7 +124,9 @@ class TestExecution:
 
     def test_serve_bench_rejects_deleted_flags(self):
         # Serving is exact over an LRU cache: no mode or retention flags,
-        # no hedged dispatch, no work stealing and no executor pool sizing.
+        # no hedged dispatch, no work stealing and no executor pool sizing;
+        # no slow faults, retry backoff or budget, stale reads or
+        # supervisor window either.
         args = vars(build_parser().parse_args(["serve-bench"]))
         deleted = {
             "mode",
@@ -134,8 +136,28 @@ class TestExecution:
             "work_stealing",
             "executor_workers",
             "num_processes",
+            "fault_slow_rate",
+            "fault_slow_ms",
+            "retry_backoff_ms",
+            "degraded_policy",
+            "supervisor_budget",
+            "supervisor_window_ms",
+            "retry_budget",
+            "retry_budget_refill",
         }
         assert not deleted & set(args)
-        for argv in (["--work-stealing"], ["--executor-workers", "4"], ["--num-processes", "4"]):
+        for argv in (
+            ["--work-stealing"],
+            ["--executor-workers", "4"],
+            ["--num-processes", "4"],
+            ["--fault-slow-rate", "0.1"],
+            ["--fault-slow-ms", "5"],
+            ["--retry-backoff-ms", "0.5"],
+            ["--degraded-policy", "stale_ok"],
+            ["--supervisor-budget", "1"],
+            ["--supervisor-window-ms", "1000"],
+            ["--retry-budget", "4"],
+            ["--retry-budget-refill", "0.5"],
+        ):
             with pytest.raises(SystemExit):
                 build_parser().parse_args(["serve-bench", *argv])
