@@ -11,9 +11,10 @@ server with the concurrent executor:
    fire — the plan's injection counters are asserted non-zero.
 2. **Failover throughput floor** (``throughput_ratio``): end-to-end
    throughput under the 10% failure plan >= ``FAILOVER_FLOOR`` x the
-   fault-free run of the same stream.  Retries re-do ~10% of the batch work
-   plus health bookkeeping; losing more than that means the retry loop or
-   breaker is doing something quadratic.
+   fault-free run of the same stream.  Retries re-do ~10% of the batch work,
+   and replicas that reach the failure threshold are rebuilt (the count is
+   printed); losing more than that means the retry loop or the rebuild path
+   is doing something quadratic.
 3. **Idle-machinery overhead** (``idle_ratio``): a server carrying a
    zero-rate fault plan (decide() consulted on every dispatch, nothing ever
    injected) stays within ``IDLE_FLOOR`` x the throughput of a server with
@@ -193,11 +194,13 @@ def test_failover_throughput_gate(served_setup, save_result):
         f"  chaos      : {faulty_stats.injected_faults} injected, "
         f"{faulty_stats.retried_requests} retried, "
         f"{faulty_stats.failovers} failovers, "
-        f"{faulty_stats.failed_requests} failed",
+        f"{faulty_stats.failed_requests} failed, "
+        f"{faulty_stats.supervisor_restarts} replica rebuilds",
         throughput_ratio=throughput_ratio,
         idle_ratio=idle_ratio,
         injected_faults=faulty_stats.injected_faults,
         failovers=faulty_stats.failovers,
+        supervisor_restarts=faulty_stats.supervisor_restarts,
         faulty_req_per_s=rates["faulty"],
         fault_free_req_per_s=rates["fault_free"],
     )

@@ -107,10 +107,11 @@ def _flush_batches(server, nodes):
     """Route ``nodes`` to their owning shard and chunk into micro-batches."""
     owner = server._owner[nodes]
     batches = []
-    for shard_id, group in enumerate(server._replicas):
+    for shard_id in range(len(server.shards)):
+        worker = server.replicas.group(shard_id)[0]
         shard_nodes = nodes[owner == shard_id]
         for start in range(0, len(shard_nodes), BATCH_SIZE):
-            batches.append((group[0], shard_nodes[start: start + BATCH_SIZE]))
+            batches.append((worker, shard_nodes[start: start + BATCH_SIZE]))
     return batches
 
 

@@ -14,7 +14,7 @@ workers over shared-memory slabs (the PR-10 process plane):
    process per shard is killed with a real ``SIGKILL`` mid-stream.  Every
    kill must surface as a typed :class:`~repro.serving.ProcessDead`, fail
    over to the sibling replica with zero lost requests (ledger balances,
-   every completion bitwise exact), and the supervisor must respawn the
+   every completion bitwise exact), and the next tick must respawn the
    corpse under a bumped epoch with a halo-prewarmed cache
    (``prewarmed_rows > 0``).  A timed pass on
    the healed fleet must reach >= ``STEADY_FLOOR`` x the pre-kill
@@ -177,7 +177,7 @@ def test_process_beats_threads_on_wide_fleet(served_setup, save_result):
 
 def test_sigkill_heal_mid_stream_zero_lost(served_setup, save_result):
     """Gate 2: SIGKILL one worker process per shard mid-stream; typed
-    failover + supervisor respawn lose nothing and throughput recovers."""
+    failover + respawn lose nothing and throughput recovers."""
     graph, model, reference = served_setup
     server = _server(
         model,
@@ -185,9 +185,7 @@ def test_sigkill_heal_mid_stream_zero_lost(served_setup, save_result):
         HEAL_SHARDS,
         executor="process",
         num_replicas=2,
-        supervisor=True,
         health_failure_threshold=1,
-        health_cooldown=30.0,
         max_retries=3,
     )
     base = server._procplane.arena.base
@@ -212,7 +210,7 @@ def test_sigkill_heal_mid_stream_zero_lost(served_setup, save_result):
             victim._proc.join(5.0)
 
         # Mid-stream: the kills surface as ProcessDead on dispatch, fail over
-        # to the sibling replica, and the supervisor respawns each corpse.
+        # to the sibling replica, and the next tick respawns each corpse.
         heal_nodes = _stream(graph, HEAL_SHARDS, seed=3)
         _, heal_requests = _timed_pass(server, heal_nodes)
         stats = server.stats()

@@ -1,13 +1,13 @@
-"""Self-healing serving benchmark with a gate (supervisor rebuild).
+"""Self-healing serving benchmark with a gate (replica rebuild).
 
 Gate on the synthetic Reddit-like graph served by a 4-shard x 2-replica
 server, exercising the self-healing layer end to end.
 
-**Supervisor rebuild + steady-state floor** (``steady_state_ratio``): a
+**Replica rebuild + steady-state floor** (``steady_state_ratio``): a
 ``kind="die"`` :class:`~repro.serving.FaultPlan` permanently kills one of
 the two replicas of every shard during a chaos pass.  The
-:class:`~repro.serving.ReplicaSupervisor` must quarantine and rebuild each
-corpse mid-stream (fresh worker, halo-prewarmed cache, new epoch), no
+:class:`~repro.serving.ReplicaSet` must mark each corpse dead and rebuild it
+mid-stream (fresh worker, halo-prewarmed cache, new epoch), no
 request may be lost (the ledger balances to the submission count, every
 request completes) and every prediction stays bitwise equal to offline
 inference.  A second, timed pass after the fault window closes — all
@@ -19,7 +19,7 @@ so the steady-state ratio is computed over **CPU time**
 (``time.process_time``), best-of interleaved repeats.  ``BLOCKGNN_QUICK=1``
 shrinks the graph and streams for CI; ``BLOCKGNN_CHAOS_SEED`` re-seeds the
 plan for the chaos-smoke job without touching the gate's fixed seed.  The
-gate additionally dumps the supervisor's event log to
+gate additionally dumps the heal event log to
 ``results/supervisor_events.json`` as a CI artifact.
 """
 
@@ -119,7 +119,7 @@ def _two_pass(model, graph, fault_plan, **overrides):
     """Chaos pass, close the fault window, then a timed steady-state pass.
 
     Returns (cpu_seconds_of_pass2, pass1_requests, pass2_requests, server).
-    The caller shuts the server down (the gate reads the supervisor log first).
+    The caller shuts the server down (the gate reads the heal log first).
     """
     server = _server(model, graph, fault_plan=fault_plan, **overrides)
     pass1 = server.submit_many(_stream(graph))
@@ -134,7 +134,7 @@ def _two_pass(model, graph, fault_plan, **overrides):
 
 
 def test_supervisor_rebuild_steady_state_gate(served_setup, save_result, results_dir):
-    """Die plan kills 1 of 2 replicas per shard; the supervisor rebuilds
+    """Die plan kills 1 of 2 replicas per shard; the replica set rebuilds
     them and the healed server's throughput floor holds."""
     graph, model, reference = served_setup
 
@@ -144,11 +144,7 @@ def test_supervisor_rebuild_steady_state_gate(served_setup, save_result, results
             seed=CHAOS_SEED,
         )
 
-    healing = dict(
-        supervisor=True,
-        health_failure_threshold=1,
-        health_cooldown=0.05,
-    )
+    healing = dict(health_failure_threshold=1)
     _two_pass(model, graph, None)[3].shutdown()  # warm numpy/scipy paths once
 
     best = {"fault_free": float("inf"), "die": float("inf")}
@@ -163,21 +159,21 @@ def test_supervisor_rebuild_steady_state_gate(served_setup, save_result, results
         seconds, p1, p2, server = _two_pass(model, graph, die_plan(), **healing)
         best["die"] = min(best["die"], seconds)
         stats = server.stats()
-        events = server.supervisor.event_log()
+        events = server.replicas.event_log()
         # Every replica the server can still dispatch to is live, and the
         # plan's corpse set was emptied by the rebuilds.
         assert not server.faults.dead_workers()
-        assert all(not w.retired for row in server._replicas for w in row)
+        assert all(not w.retired for w in server.workers)
         server.shutdown()
         last["die"] = (p1, p2, stats, events)
 
     p1, p2, stats, events = last["die"]
-    # The supervisor really healed: one rebuild per shard at minimum (round-
-    # robin dispatch sends every shard's first batch to its doomed replica).
+    # The server really healed: one rebuild per shard at minimum (round-
+    # robin dispatch sends every shard's first batch to its doomed replica),
+    # and one rebuild event per heal.
     assert stats.supervisor_restarts >= NUM_SHARDS
-    assert stats.supervisor_quarantines >= NUM_SHARDS
-    rebuilt = {e["worker"] for e in events if e["event"] != "quarantine"}
-    assert rebuilt >= set(FIRST_REPLICAS)
+    assert [e["event"] for e in events] == ["rebuild"] * stats.supervisor_restarts
+    assert {e["worker"] for e in events} >= set(FIRST_REPLICAS)
     # Zero lost requests across both passes; every completion exact.  The
     # chaos pass keeps a live sibling per shard, so nothing even fails.
     _assert_ledger_balances(p1 + p2, stats, reference)  # stats span both passes
@@ -202,8 +198,7 @@ def test_supervisor_rebuild_steady_state_gate(served_setup, save_result, results
         f"  healed steady state     : {best['die'] * 1e3:8.1f} ms "
         f"({rates['die']:7.0f} req/s, ratio {steady_state_ratio:.2f}, "
         f"floor {STEADY_FLOOR:.1f})\n"
-        f"  healing                 : {stats.supervisor_restarts} rebuilds "
-        f"({stats.supervisor_quarantines} quarantined), "
+        f"  healing                 : {stats.supervisor_restarts} rebuilds, "
         f"{stats.prewarmed_rows} rows pre-warmed, event log -> {log_path.name}",
         steady_state_ratio=steady_state_ratio,
         supervisor_restarts=stats.supervisor_restarts,

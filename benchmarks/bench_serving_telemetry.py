@@ -2,7 +2,7 @@
 
 **Trace completeness under faults** (always asserted): a fault-injected
 traced run exports valid Chrome trace-event JSON accounting for every
-terminal request, and the failed attempt records match the health tracker's
+terminal request, and the failed attempt records match the replica set's
 per-replica failure counts one for one.
 
 The run's Chrome trace and Prometheus snapshot are written to
@@ -88,12 +88,10 @@ def test_fault_injected_trace_is_complete(served_setup, save_result, results_dir
         if request.completed:
             assert request.prediction == reference[request.node]
 
-    # Failed attempt records match the health tracker one for one.
+    # Failed attempt records match the per-replica failure counts one for one.
     traced = server.tracer.failed_attempts_by_worker()
-    for worker in server.workers:
-        assert traced.get(worker.worker_id, 0) == (
-            server.health.snapshot(worker.worker_id).failures
-        )
+    for worker_id, failures in enumerate(server.replicas.failures):
+        assert traced.get(worker_id, 0) == failures
 
     trace_path = results_dir / "serving_telemetry_sample.trace.json"
     server.telemetry.write_trace(trace_path)

@@ -118,7 +118,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--epochs", type=int, default=2)
     serve.add_argument("--shards", type=int, default=2)
     serve.add_argument("--replicas", type=int, default=1)
-    serve.add_argument("--dispatch", choices=["round_robin", "least_loaded"], default="round_robin")
     serve.add_argument("--batch-size", type=int, default=32, help="micro-batch flush size")
     serve.add_argument("--max-delay-ms", type=float, default=2.0)
     serve.add_argument("--cache", type=int, default=4096, help="embedding-cache entries per worker")
@@ -190,7 +189,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=0.0,
         help="per-dispatch probability that a replica dies permanently "
-        "(stays dead until a supervisor rebuild revives the slot)",
+        "(stays dead until the replica is rebuilt)",
     )
     serve.add_argument(
         "--fault-kill-rate",
@@ -213,11 +212,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=2,
         help="failover budget per batch after the dispatched replica fails",
-    )
-    serve.add_argument(
-        "--supervisor",
-        action="store_true",
-        help="self-healing: quarantine + rebuild every replica whose breaker opens",
     )
     serve.add_argument("--seed", type=int, default=0)
     serve.add_argument(
@@ -522,14 +516,12 @@ def _run_serve_bench(args: argparse.Namespace) -> str:
                 cache_capacity=cache,
                 halo_tier=args.halo_tier == "on",
                 num_replicas=args.replicas,
-                dispatch=args.dispatch,
                 executor=executor,
                 max_queue_depth=args.max_queue_depth,
                 overload_policy=args.overload_policy,
                 default_timeout=None if args.deadline_ms is None else args.deadline_ms / 1e3,
                 fault_plan=build_fault_plan() if faulty else None,
                 max_retries=args.max_retries,
-                supervisor=args.supervisor and faulty,
                 ingress=args.ingress,
                 telemetry=telemetry,
                 trace_capacity=args.trace_capacity,

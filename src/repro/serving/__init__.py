@@ -36,16 +36,15 @@ mode, exact: every answer equals offline ``full_forward`` for that node.
   background :class:`FrontDoor` pump so arrivals land during flush rounds;
 * the fault-tolerance layer keeps that guarantee under replica failure: a
   seedable :class:`FaultPlan` injects deterministic raise/hang/die/kill/flap
-  faults, a per-replica :class:`HealthTracker` circuit breaker gates
-  dispatch, a failed batch retries at once on a sibling replica (up to
+  faults, a failed batch retries at once on a sibling replica (up to
   ``max_retries``; requests past their deadline expire), and a shard with
   zero dispatchable replicas fails its batch;
-* the self-healing layer closes the loop on permanent failures: a
-  :class:`ReplicaSupervisor` driven from the scheduler tick quarantines
-  every replica whose breaker is not closed and rebuilds it from the shard
-  spec (fresh :class:`ShardWorker` under a bumped epoch, embedding cache
-  pre-warmed from the shared :class:`HaloStore`, re-registered with health
-  and dispatch) — also the machinery behind operator rolling restarts
+* one :class:`ReplicaSet` owns every replica and its healthy → suspect →
+  dead state machine: it picks the replica for each attempt, never
+  dispatches a dead one, and on the next scheduler tick rebuilds each dead
+  replica from the shard spec (fresh :class:`ShardWorker` under a bumped
+  epoch, embedding cache pre-warmed from the shared :class:`HaloStore`) —
+  also the machinery behind operator rolling restarts
   (``InferenceServer.restart_replica``);
 * :class:`InferenceServer` ties it together and exposes :class:`ServerStats`
   (p50/p95/p99/p99.9 latency, cache hit rate, per-shard load, overload
@@ -58,7 +57,7 @@ mode, exact: every answer equals offline ``full_forward`` for that node.
   latency histogram (:class:`ServingMetrics` names them), and — in
   ``telemetry="trace"`` mode — a :class:`~repro.telemetry.RequestTracer`
   records per-request span trees (submit → queue → dispatch attempts with
-  breaker/fault detail → terminal state) exportable as Prometheus
+  replica-state/fault detail → terminal state) exportable as Prometheus
   text, JSON snapshots, or Chrome ``traceEvents``.  ``ServerStats`` is a
   *view* over the registry, so the frozen-dataclass API is unchanged.
 """
@@ -89,7 +88,6 @@ from .frontdoor import (
     RequestRejected,
     RequestShed,
 )
-from .health import HealthTracker, ReplicaHealth
 from .metrics import ServingMetrics
 from .procplane import (
     ProcessDead,
@@ -100,10 +98,10 @@ from .procplane import (
     SharedHaloStore,
     SharedSlabArena,
 )
+from .replicas import ReplicaSet
 from .scheduler import DrainTimeout, Scheduler
 from .shard import GraphShard, build_shards, expand_neighborhood
 from .stats import ServerStats, WorkerLoad, estimate_shard_request_cycles
-from .supervisor import ReplicaSupervisor
 from .timing import STAGES, StageTimer, merge_stage_totals
 from .worker import ShardWorker, WorkerRetired
 
@@ -148,8 +146,7 @@ __all__ = [
     "ReplicaHung",
     "ReplicaDead",
     "WorkerRetired",
-    "HealthTracker",
-    "ReplicaHealth",
+    "ReplicaSet",
     "ProcessDead",
     "ProcessTimeout",
     "ProcessExecutor",
@@ -157,7 +154,6 @@ __all__ = [
     "ProcessWorkerHandle",
     "SharedSlabArena",
     "SharedHaloStore",
-    "ReplicaSupervisor",
     "DrainTimeout",
     "InferenceServer",
     "ServingMetrics",

@@ -576,7 +576,7 @@ class HaloStore:
             slot = self._slot_of[int(node)]
             return bool(slot >= 0 and entry[1][slot])
 
-    # -- bulk read-out (supervisor cache pre-warm) ------------------------------
+    # -- bulk read-out (rebuilt-replica cache pre-warm) -------------------------
 
     @property
     def signature(self) -> Optional[Hashable]:

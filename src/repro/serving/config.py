@@ -51,9 +51,9 @@ class ServingConfig:
     partition_method:
         ``"bfs"`` (locality-aware) or ``"hash"`` — see
         :func:`repro.graph.partition_nodes`.
-    num_replicas, dispatch:
-        Replicas per shard and how batches are spread across them
-        (``"round_robin"`` or ``"least_loaded"``).
+    num_replicas:
+        Replicas per shard; batches go round-robin over the dispatchable
+        ones.
     executor:
         ``"serial"`` runs flush rounds inline (deterministic, the default);
         ``"concurrent"`` fans one flush task per shard out over a thread
@@ -100,18 +100,13 @@ class ServingConfig:
         replica up to this many more times before its requests terminate
         ``failed``.  Requests whose deadline has passed by the retry expire
         instead.  A shard with zero dispatchable replicas fails its batch.
-    supervisor:
-        Enable automatic self-healing: a
-        :class:`~repro.serving.supervisor.ReplicaSupervisor` tick runs with
-        every ``poll()``/``drain()`` (and the front-door pump), quarantining
-        every replica whose breaker is not closed and rebuilding it in place
-        (fresh worker, cache pre-warmed from the halo tier, new epoch).  Off
-        by default; ``restart_replica()`` works either way.
-    health_failure_threshold, health_cooldown:
-        Per-replica circuit breaker (:class:`~repro.serving.health.HealthTracker`):
-        ``health_failure_threshold`` consecutive failures open the breaker,
-        which re-admits one probe dispatch after ``health_cooldown`` clock
-        seconds.
+    health_failure_threshold:
+        Consecutive failures after which a replica is ``dead``
+        (:class:`~repro.serving.replicas.ReplicaSet`): it takes no more
+        dispatches, and the next ``poll()``/``drain()`` tick rebuilds it in
+        place (fresh worker, cache pre-warmed from the halo tier, new
+        epoch).  Fewer failures leave it ``suspect`` but dispatchable, and a
+        success makes it ``healthy`` again.
     telemetry, trace_capacity:
         Observability mode (see :data:`repro.telemetry.TELEMETRY_MODES`):
         ``"metrics"`` (default) records labelled counters/histograms into the
@@ -133,7 +128,6 @@ class ServingConfig:
     halo_tier: bool = True
     partition_method: str = "bfs"
     num_replicas: int = 1
-    dispatch: str = "round_robin"
     executor: str = "serial"
     process_call_timeout: float = 30.0
     max_queue_depth: Optional[int] = None
@@ -145,9 +139,7 @@ class ServingConfig:
     default_timeout: Optional[float] = None
     fault_plan: Optional["FaultPlan"] = None
     max_retries: int = 2
-    supervisor: bool = False
     health_failure_threshold: int = 3
-    health_cooldown: float = 0.05
     telemetry: str = "metrics"
     trace_capacity: int = 4096
     seed: int = 0
@@ -182,10 +174,6 @@ class ServingConfig:
             raise ValueError("max_delay must be non-negative")
         if self.cache_capacity < 0:
             raise ValueError("cache_capacity must be non-negative (0 disables caching)")
-        if self.dispatch not in ("round_robin", "least_loaded"):
-            raise ValueError(
-                f"dispatch must be 'round_robin' or 'least_loaded', got {self.dispatch!r}"
-            )
         if self.executor not in ("serial", "concurrent", "process"):
             raise ValueError(
                 f"executor must be 'serial', 'concurrent' or 'process', got {self.executor!r}"
@@ -205,8 +193,6 @@ class ServingConfig:
             raise ValueError("max_retries must be non-negative (0 disables failover)")
         if self.health_failure_threshold < 1:
             raise ValueError("health_failure_threshold must be >= 1")
-        if self.health_cooldown < 0:
-            raise ValueError("health_cooldown must be non-negative")
         from ..telemetry import TELEMETRY_MODES
 
         if self.telemetry not in TELEMETRY_MODES:

@@ -35,11 +35,14 @@ Fault tolerance (the no-lost-request contract): a flush round is crash-safe.
 A replica that raises — for real, or through an injected
 :class:`~repro.serving.faults.FaultPlan` — fails only its own batch's
 *attempt*: the batch retries at once on a sibling replica (requests whose
-deadline has passed expire instead), dispatch consults a per-replica
-:class:`~repro.serving.health.HealthTracker` circuit breaker to route around
-repeat offenders, and a shard with zero dispatchable replicas fails its
-batch.  Whatever the fault schedule, every submitted request terminates in
-exactly one terminal state and the other shards' results commit.
+deadline has passed expire instead).  A
+:class:`~repro.serving.replicas.ReplicaSet` owns the replicas and their
+healthy → suspect → dead state machine: it picks the replica for every
+attempt, never dispatches a dead one, and rebuilds dead replicas on the next
+tick.  A shard with zero
+dispatchable replicas fails its batch.  Whatever the fault schedule, every
+submitted request terminates in exactly one terminal state and the other
+shards' results commit.
 """
 
 from __future__ import annotations
@@ -71,13 +74,12 @@ from .config import ServingConfig
 from .executor import make_executor
 from .faults import InjectedFault, ReplicaDead, ReplicaHung
 from .frontdoor import FrontDoor, RequestHandle
-from .health import HealthTracker
 from .metrics import ServingMetrics
 from .procplane import ProcessDead, ProcessPlane, ProcessWorkerHandle
+from .replicas import ReplicaSet
 from .scheduler import DrainTimeout, Scheduler
 from .shard import GraphShard, build_shards
 from .stats import ServerStats, WorkerLoad
-from .supervisor import ReplicaSupervisor
 from .timing import merge_stage_totals
 from .worker import ShardWorker
 
@@ -129,8 +131,8 @@ class InferenceServer:
         # Shard-local masks of rows whose full neighbour list is inside the
         # shard (the subgraph relabelling is monotone, so induced row i is
         # global node shard.nodes[i]).  Only those rows may be published to
-        # the shared halo tier.  Kept for the supervisor: a rebuilt replica
-        # needs the same mask its corpse was built with.
+        # the shared halo tier.  Kept for rebuilds: a rebuilt replica needs
+        # the same mask its corpse was built with.
         self._publish_masks = [
             (
                 shard.graph.degrees() == full_degrees[shard.nodes]
@@ -139,15 +141,35 @@ class InferenceServer:
             )
             for shard in self.shards
         ]
-        self.workers: List[ShardWorker] = []
-        self._replicas: List[List[ShardWorker]] = []
-        for shard_id, _shard in enumerate(self.shards):
-            group: List[ShardWorker] = []
-            for _replica in range(self.config.num_replicas):
-                worker = self._build_worker(shard_id, worker_id=len(self.workers))
-                group.append(worker)
-                self.workers.append(worker)
-            self._replicas.append(group)
+
+        # Telemetry plane: every counter ServerStats reports lives in the
+        # registry (ServerStats is a *view* over it); the tracer (telemetry
+        # mode "trace") records per-request root spans and batch-level
+        # dispatch attempts.  With telemetry "off" the registry is null and
+        # the tracer is None, so the hot path degrades to no-op calls and
+        # `is not None` checks.
+        self.telemetry = Telemetry(self.config.telemetry, self.config.trace_capacity)
+        self.tracer = self.telemetry.tracer
+        self._metrics = ServingMetrics(
+            self.telemetry.registry,
+            len(self.shards),
+            range(len(self.shards) * self.config.num_replicas),
+            class_names=[name for name, _ in self.config.request_classes],
+        )
+
+        self.faults = self.config.fault_plan
+        self.replicas = ReplicaSet(
+            self._build_worker,
+            len(self.shards),
+            self.config.num_replicas,
+            failure_threshold=self.config.health_failure_threshold,
+            halo_store=self.halo_store,
+            faults=self.faults,
+            wire=self._wire_telemetry if self.telemetry.enabled else None,
+        )
+        #: Worker id -> live replica (the ReplicaSet's list, swapped in place
+        #: by rebuilds).
+        self.workers: List[ShardWorker] = self.replicas.workers
 
         self.batcher = MicroBatcher(
             len(self.shards),
@@ -169,8 +191,8 @@ class InferenceServer:
             supervise=self.supervise,
         )
 
-        # Engine-wide lock: guards queue admission, dispatcher state and the
-        # stats accumulators.  Flush tasks run prediction *outside* it.
+        # Engine-wide lock: guards queue admission and the stats
+        # accumulators.  Flush tasks run prediction *outside* it.
         self._lock = threading.RLock()
         # Capacity condition over the same lock: blocked submitters
         # (overload_policy="block") wait here and are woken when a flush
@@ -178,16 +200,6 @@ class InferenceServer:
         self._capacity = threading.Condition(self._lock)
         self._inflight_flushes = 0
         self._serving_depth = 0
-        # Monotone per-shard dispatch counters: round_robin indexes the
-        # *currently dispatchable* replica pool with counter % len(pool), so
-        # rotation stays fair as breakers open and close.
-        self._round_robin = [0] * len(self.shards)
-        self.faults = self.config.fault_plan
-        self.health = HealthTracker(
-            [worker.worker_id for worker in self.workers],
-            failure_threshold=self.config.health_failure_threshold,
-            cooldown=self.config.health_cooldown,
-        )
         # itertools.count: next() is atomic, so concurrent submitters can
         # never share a request id.
         self._request_ids = itertools.count()
@@ -197,35 +209,16 @@ class InferenceServer:
         self._last_completion: Optional[float] = None
         self._closed = False
 
-        self.supervisor = ReplicaSupervisor(self, auto=self.config.supervisor)
-
-        # Telemetry plane: every counter ServerStats reports lives in the
-        # registry (ServerStats is a *view* over it); the tracer (telemetry
-        # mode "trace") records per-request root spans and batch-level
-        # dispatch attempts.  With telemetry "off" the registry is null and
-        # the tracer is None, so the hot path degrades to no-op calls and
-        # `is not None` checks.
-        self.telemetry = Telemetry(self.config.telemetry, self.config.trace_capacity)
-        self.tracer = self.telemetry.tracer
-        self._metrics = ServingMetrics(
-            self.telemetry.registry,
-            len(self.shards),
-            [w.worker_id for w in self.workers],
-            class_names=[name for name, _ in self.config.request_classes],
-        )
         if self.telemetry.enabled:
             self.batcher.bind_metrics(self._metrics.flushes)
             self.scheduler.bind_metrics(self._metrics.flush_rounds)
-            self.health.bind_metrics(
-                self._metrics.replica_failures, self._metrics.breaker_opens
+            self.replicas.bind_metrics(
+                self._metrics.replica_failures,
+                self._metrics.replica_deaths,
+                self._metrics.supervisor_restarts,
             )
             if self.faults is not None:
                 self.faults.bind_metrics(self._metrics.faults)
-            self.supervisor.bind_metrics(
-                self._metrics.supervisor_restarts, self._metrics.supervisor_quarantines
-            )
-            for worker in self.workers:
-                self._wire_telemetry(worker)
             self.telemetry.add_collector(self._collect_gauges)
 
         # Background ingress pump (ingress="thread"): started last so it can
@@ -260,13 +253,11 @@ class InferenceServer:
             return self._procplane.build_halo_store(shared)
         return HaloStore(self.graph.num_nodes, shared)
 
-    def _build_worker(
-        self, shard_id: int, worker_id: int, epoch: int = 0
-    ) -> ShardWorker:
-        """One replica from the shard spec (initial build *and* supervisor
-        rebuilds go through here, so a rebuilt worker is constructed exactly
-        like its corpse was — same shard, same publish mask — plus a bumped
-        epoch)."""
+    def _build_worker(self, shard_id: int, worker_id: int, epoch: int) -> ShardWorker:
+        """One replica from the shard spec (the :class:`ReplicaSet` factory:
+        initial build *and* rebuilds go through here, so a rebuilt worker is
+        constructed exactly like its corpse was — same shard, same publish
+        mask — plus a bumped epoch)."""
         if self._procplane is not None:
             return self._procplane.spawn_worker(
                 shard_id=shard_id,
@@ -287,84 +278,49 @@ class InferenceServer:
 
     def _wire_telemetry(self, worker: ShardWorker) -> None:
         """Bind one replica's stage timings to the shared histograms (initial
-        build and supervisor rebuilds alike)."""
+        build and rebuilds alike)."""
         worker.timings.bind_histograms(self._metrics.stage_seconds, worker.worker_id)
         if isinstance(worker, ProcessWorkerHandle):
             # Child registries ship deltas over the control channel and
             # merge by addition into the fleet registry.
             worker.fleet_registry = self.telemetry.registry
 
-    # -- self-healing (ReplicaSupervisor mechanics) -------------------------------
+    # -- self-healing ------------------------------------------------------------
 
     def supervise(self) -> int:
-        """One supervisor tick: rebuild any replica whose breaker is not closed.
+        """One healing tick: rebuild every dead replica (see
+        :meth:`ReplicaSet.tick`); returns how many were rebuilt.
 
         Wired into :meth:`poll` (and hence the front-door pump and every
-        ``drain`` round), so supervision advances with the flush loop and
-        needs no extra thread.  Inert unless ``config.supervisor`` is on.
-        Process-backed replicas also get their heartbeat here: liveness is
-        probed on the control channel, throttled to the heartbeat interval,
-        so a crashed process is discovered even between dispatches.
+        ``drain`` round), so healing advances with the flush loop and needs
+        no extra thread.  Process-backed replicas also get their heartbeat
+        here: liveness is probed on the control channel, throttled to the
+        heartbeat interval, so a crashed process is discovered even between
+        dispatches.
         """
         if self._procplane is not None:
             for worker in self.workers:
                 beat = getattr(worker, "maybe_heartbeat", None)
                 if beat is not None:
                     beat()
-        return self.supervisor.tick(self.clock.now())
-
-    def _rebuild_replica(self, shard_id: int, slot: int):
-        """Swap one replica slot for a freshly built worker (same id, new
-        epoch).
-
-        The corpse is retired first, so any in-flight attempt against it
-        raises :class:`~repro.serving.worker.WorkerRetired` and fails
-        cleanly into the retry path; the halo epoch is bumped so publishes
-        racing the swap are discarded rather than trusted.  The fresh
-        worker's embedding cache is pre-warmed from the shared halo tier
-        before it is re-registered with the health tracker and dispatch.
-        Returns ``(worker, prewarmed_rows)``.
-        """
-        with self._lock:
-            corpse = self._replicas[shard_id][slot]
-            corpse.retire()
-            if self.halo_store is not None:
-                self.halo_store.bump_epoch()
-            worker = self._build_worker(
-                shard_id, worker_id=corpse.worker_id, epoch=corpse.epoch + 1
-            )
-            prewarmed = worker.prewarm_from_halo()
-            self._replicas[shard_id][slot] = worker
-            self.workers[corpse.worker_id] = worker
-            self.health.reinstate(worker.worker_id)
-            if self.faults is not None:
-                self.faults.revive(worker.worker_id)
-            if self.telemetry.enabled:
-                self._wire_telemetry(worker)
-            return worker, prewarmed
+        return self.replicas.tick(self.clock.now())
 
     def restart_replica(self, shard_id: int, replica: int = 0) -> ShardWorker:
         """Operator-initiated rolling restart of one replica slot.
 
-        The slot is quarantined first (no new dispatches), then the call
-        waits out any batch the replica is currently serving before the
-        supervisor rebuilds it — a rolling restart never abandons an
-        in-flight batch.  Returns the replacement worker.
+        The slot is marked dead first (no new dispatches), then the call
+        waits out any batch the replica is currently serving before it is
+        rebuilt — a rolling restart never abandons an in-flight batch.
+        Returns the replacement worker.
         """
-        if not 0 <= shard_id < len(self.shards):
-            raise ValueError(f"shard_id {shard_id} out of range (0..{len(self.shards) - 1})")
-        group = self._replicas[shard_id]
-        if not 0 <= replica < len(group):
-            raise ValueError(f"replica {replica} out of range (0..{len(group) - 1})")
-        worker = group[replica]
-        self.health.quarantine(worker.worker_id)
+        worker = self.replicas.hold(shard_id, replica)
         with self._capacity:
             # Drain the replica's in-flight batches: flush tasks bump the
             # worker's inflight gauge around predict() and notify _capacity
             # when a flush settles.
             while worker.inflight > 0:
                 self._capacity.wait(timeout=self._BLOCK_WAIT_TIMEOUT)
-        return self.supervisor.restart(shard_id, replica, self.clock.now())
+        return self.replicas.restart(shard_id, replica, self.clock.now())
 
     # -- request intake ----------------------------------------------------------
 
@@ -676,7 +632,7 @@ class InferenceServer:
         """Pop and serve one batch; crash-safe (never raises on worker failure).
 
         Whatever happens inside — injected faults, a replica raising mid
-        batch, every replica unhealthy — the popped requests all reach a
+        batch, every replica dead — the popped requests all reach a
         terminal state here, so a failure on one shard can never take down a
         flush round's other shards or strand a request in ``pending``.
         """
@@ -728,11 +684,11 @@ class InferenceServer:
         return 1
 
     def _serve_batch(self, shard_id: int, live: List[InferenceRequest]) -> None:
-        """Serve a dequeued batch with health-gated dispatch and failover.
+        """Serve a dequeued batch with failover.
 
-        Attempt loop: pick a dispatchable replica (circuit breakers
-        consulted, already-failed replicas excluded while siblings remain)
-        and serve.  A failed attempt retries at once, up to
+        Attempt loop: the :class:`ReplicaSet` picks a dispatchable replica
+        (already-failed replicas excluded while siblings remain) and it
+        serves.  A failed attempt retries at once, up to
         ``config.max_retries`` times; requests whose deadline has passed by
         then expire instead.  When no replica is dispatchable the batch
         fails.
@@ -741,7 +697,7 @@ class InferenceServer:
         attempt = 0
         tracer = self.tracer
         while live:
-            worker = self._pick_worker(shard_id, self.clock.now(), exclude=tried)
+            worker = self.replicas.pick(shard_id, exclude=tried)
             if worker is None:
                 self._serve_degraded(shard_id, live)
                 return
@@ -751,15 +707,15 @@ class InferenceServer:
             fault_info: dict = {}
             if tracer is not None:
                 # One attempt record per batch dispatch — the granularity at
-                # which the fault plan and the health tracker are consulted,
-                # so failed attempt records and HealthTracker failure counts
+                # which the fault plan and the ReplicaSet are consulted, so
+                # failed attempt records and per-replica failure counts
                 # match one for one.
                 record = tracer.attempt(
                     shard_id,
                     worker.worker_id,
                     [request.request_id for request in live],
                     attempt,
-                    self.health.state(worker.worker_id, start),
+                    self.replicas.state(worker.worker_id),
                     start,
                 )
                 stages_before = worker.timings.snapshot()
@@ -767,7 +723,7 @@ class InferenceServer:
                 predictions = self._attempt(worker, nodes, fault_info)
             except Exception as exc:
                 now = self.clock.now()
-                self.health.record_failure(worker.worker_id, now)
+                self.replicas.record_failure(worker)
                 if self.halo_store is not None:
                     # Epoch guard: in-flight publishes that raced with this
                     # failure (possibly from the dying replica itself) are
@@ -799,7 +755,7 @@ class InferenceServer:
                 continue
 
             end = self.clock.now()
-            self.health.record_success(worker.worker_id, end)
+            self.replicas.record_success(worker)
             if record is not None:
                 after = worker.timings.snapshot()
                 stages = {
@@ -854,7 +810,7 @@ class InferenceServer:
                 )
             if decision.kind == "die":
                 # Permanent: the plan keeps this worker dead until the
-                # supervisor rebuilds the replica (FaultPlan.revive).
+                # replica is rebuilt (FaultPlan.revive).
                 raise ReplicaDead(
                     f"worker {worker.worker_id} died (killed by the fault plan)"
                 )
@@ -880,43 +836,6 @@ class InferenceServer:
             )
         with self._serving_mode():
             return worker.predict(nodes)
-
-    def _pick_worker(
-        self, shard_id: int, now: float, exclude: Optional[set] = None
-    ) -> Optional[ShardWorker]:
-        """Health-gated dispatch among a shard's replicas.
-
-        Closed-breaker replicas are preferred; half-open ones (cooldown
-        elapsed, awaiting a probe) are the fallback.  Replicas that already
-        failed this batch (``exclude``) are skipped while any other
-        dispatchable sibling exists — but with a single replica a transient
-        fault retries in place rather than giving up.  Returns ``None`` only
-        when the shard has zero dispatchable replicas (the batch then fails).
-        """
-        group = self._replicas[shard_id]
-        ids = [worker.worker_id for worker in group]
-        closed, probing = self.health.partition(ids, now)
-        if exclude:
-            pool_ids = [i for i in closed if i not in exclude] or [
-                i for i in probing if i not in exclude
-            ]
-            if not pool_ids:
-                pool_ids = closed or probing
-        else:
-            pool_ids = closed or probing
-        if not pool_ids:
-            return None
-        by_id = {worker.worker_id: worker for worker in group}
-        pool = [by_id[worker_id] for worker_id in pool_ids]
-        if len(pool) == 1:
-            return pool[0]
-        if self.config.dispatch == "round_robin":
-            with self._lock:
-                counter = self._round_robin[shard_id]
-                self._round_robin[shard_id] = counter + 1
-            return pool[counter % len(pool)]
-        # least_loaded: fewest nodes served so far, lowest worker id on ties.
-        return min(pool, key=lambda worker: (worker.nodes_served, worker.worker_id))
 
     def _serve_degraded(self, shard_id: int, live: List[InferenceRequest]) -> None:
         """Zero dispatchable replicas: fail every request of the batch."""
@@ -992,10 +911,9 @@ class InferenceServer:
                 child_halo = getattr(worker, "halo_stats", None)
                 if child_halo is not None:
                     halo = halo.merge(child_halo)
-        now = self.clock.now()
+        replicas = self.replicas
         loads = []
         for worker in self.workers:
-            record = self.health.snapshot(worker.worker_id)
             loads.append(
                 WorkerLoad(
                     worker_id=worker.worker_id,
@@ -1005,9 +923,9 @@ class InferenceServer:
                     core_nodes=worker.shard.num_core,
                     halo_nodes=worker.shard.num_halo,
                     peak_concurrency=worker.peak_inflight,
-                    health=self.health.state(worker.worker_id, now),
-                    failures=record.failures,
-                    breaker_opens=record.opens,
+                    state=replicas.state(worker.worker_id),
+                    failures=replicas.failures[worker.worker_id],
+                    deaths=replicas.deaths[worker.worker_id],
                     epoch=worker.epoch,
                     pid=getattr(worker, "pid", None),
                     heartbeat_age=getattr(worker, "heartbeat_age", None),
@@ -1021,8 +939,8 @@ class InferenceServer:
             duration = 0.0
         # ServerStats is a *view over the registry*: every ledger counter
         # below reads the metric children the serving paths incremented (all
-        # zero under telemetry="off").  Supervisor numbers come from the
-        # supervisor instead, so they survive telemetry="off" (the bench
+        # zero under telemetry="off").  Healing numbers come from the
+        # ReplicaSet instead, so they survive telemetry="off" (the bench
         # gates assert on them exactly).
         metrics = self._metrics
         return ServerStats(
@@ -1052,9 +970,8 @@ class InferenceServer:
             halo_tier=self.halo_store is not None,
             class_requests=metrics.class_totals(),
             ingress=self.config.ingress,
-            supervisor_restarts=self.supervisor.restarts,
-            supervisor_quarantines=self.supervisor.quarantines,
-            prewarmed_rows=self.supervisor.prewarmed_rows,
+            supervisor_restarts=replicas.restarts,
+            prewarmed_rows=replicas.prewarmed_rows,
             retry_attempts=metrics.retry_attempts.value,
         )
 
@@ -1087,7 +1004,7 @@ class InferenceServer:
             worker.timings.reset()
         if self.halo_store is not None:
             self.halo_store.stats = CacheStats()
-        self.supervisor.reset_counters()
+        self.replicas.reset_counters()
 
     def describe(self) -> str:
         depth = (

@@ -20,8 +20,9 @@ Failure modes (one decision per dispatch, first matching spec wins):
 ``die``
     Permanent crash: once drawn (``die_rate``), *every* later dispatch to
     that replica fails too, regardless of spec windows — the replica is a
-    corpse until :meth:`FaultPlan.revive` (called by the supervisor when it
-    rebuilds the worker, modelling a fresh process).
+    corpse until :meth:`FaultPlan.revive` (called when the
+    :class:`~repro.serving.replicas.ReplicaSet` rebuilds the worker,
+    modelling a fresh process).
 ``kill``
     ``die`` delivered as a real ``SIGKILL`` when the replica is a worker
     process (``kill_rate``).
@@ -94,7 +95,7 @@ class FaultSpec:
         real ``SIGKILL`` to the worker's pid when the replica is a process
         (``executor="process"``), and degrades to ``die`` semantics for
         in-process workers.  Like ``die``, the replica stays dead until
-        revived by a supervisor rebuild.
+        revived by a replica rebuild.
     flap_period, flap_down:
         Deterministic flapping: out of every ``flap_period`` dispatches to a
         replica, the first ``flap_down`` fail (``raise``).  ``0`` disables

@@ -305,10 +305,10 @@ class FrontDoor:
     flushes need a heartbeat); with empty queues it parks on the wake event and
     costs nothing.
 
-    Each poll also ticks the :class:`~repro.serving.supervisor.
-    ReplicaSupervisor` (via ``InferenceServer.poll``), so under background
-    ingress a replica over its failure budget is rebuilt by the pump thread
-    between rounds — self-healing needs no extra thread of its own.
+    Each poll also ticks the :class:`~repro.serving.replicas.ReplicaSet`
+    (via ``InferenceServer.poll``), so under background ingress a dead
+    replica is rebuilt by the pump thread between rounds — self-healing
+    needs no extra thread of its own.
     """
 
     POLL_INTERVAL = 0.001

@@ -1,7 +1,7 @@
 """The serving plane's metric schema, pre-resolved for the hot path.
 
 One :class:`ServingMetrics` instance per server registers every metric family
-the engine, batcher, health tracker, fault plan and workers emit, and
+the engine, batcher, replica set, fault plan and workers emit, and
 resolves the labelled children **once at build time** — the hot path then
 increments plain child objects (one lock + one add each) instead of paying a
 label lookup per event.  With ``telemetry="off"`` the registry is the null
@@ -127,27 +127,20 @@ class ServingMetrics:
         )
         self.retry_attempts = retry_attempts.labels()
 
-        #: per-replica supervisor actions (ReplicaSupervisor sinks).
+        #: per-replica failures, deaths and rebuilds (ReplicaSet sinks).
         self.supervisor_restarts = registry.counter(
             "serving_supervisor_restarts_total",
-            "Replica rebuilds performed by the supervisor, per replica slot",
+            "Replica rebuilds (on death or operator restart), per replica slot",
             labels=("replica",),
         )
-        self.supervisor_quarantines = registry.counter(
-            "serving_supervisor_quarantines_total",
-            "Replicas pulled from dispatch by the supervisor, per replica slot",
-            labels=("replica",),
-        )
-
-        #: per-replica dispatch failures + breaker opens (HealthTracker sinks).
         self.replica_failures = registry.counter(
             "serving_replica_failures_total",
             "Dispatch attempts that failed, per replica",
             labels=("replica",),
         )
-        self.breaker_opens = registry.counter(
-            "serving_breaker_opens_total",
-            "Circuit-breaker open transitions, per replica",
+        self.replica_deaths = registry.counter(
+            "serving_replica_deaths_total",
+            "Replicas that reached the consecutive-failure threshold, per replica",
             labels=("replica",),
         )
 

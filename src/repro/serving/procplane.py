@@ -25,9 +25,10 @@ shard replica becomes a *worker process*:
   protocol with per-call timeouts.  It exposes the full worker surface the
   engine dispatches against (``predict``/``retire``/``prewarm_from_halo``/
   load counters), raising typed :class:`ProcessDead` /
-  :class:`ProcessTimeout` errors that feed the existing ``HealthTracker`` →
-  retry/failover → supervisor chain; a timed-out child is killed so the
-  pipe can never desynchronise.  Per-process ``MetricsRegistry`` snapshots
+  :class:`ProcessTimeout` errors that feed the same retry/failover path and
+  :class:`~repro.serving.replicas.ReplicaSet` rebuilds as in-process
+  replicas; a timed-out child is killed so the pipe can never
+  desynchronise.  Per-process ``MetricsRegistry`` snapshots
   ship back over the control channel as reset-on-read deltas and merge by
   addition into the parent fleet view (the PR-7 seam built for this).
 * :class:`ProcessExecutor` implements the ``FlushExecutor`` interface with
@@ -86,9 +87,9 @@ __all__ = [
 class ProcessDead(ReplicaDead):
     """The worker process exited (or its pipe broke) while a call was due.
 
-    Subclasses :class:`~repro.serving.faults.ReplicaDead`, so every existing
-    health/retry/failover/supervisor path treats a real process crash exactly
-    like an injected ``die`` fault.
+    Subclasses :class:`~repro.serving.faults.ReplicaDead`, so the
+    retry/failover path and the replica rebuild treat a real process crash
+    exactly like an injected ``die`` fault.
     """
 
 
@@ -702,8 +703,8 @@ class ProcessWorkerHandle:
         self._last_beat: Optional[float] = None
         self._rss: Optional[int] = None
         # Parent-side mirrors of the child's load counters: incremented on
-        # every successful RPC so least-loaded dispatch and ServerStats stay
-        # synchronous (no pipe round-trip on the dispatch path).
+        # every successful RPC so ServerStats stays synchronous (no pipe
+        # round-trip to read a load counter).
         self.batches_served = 0
         self.nodes_served = 0
         self.peak_inflight = 0
@@ -824,7 +825,7 @@ class ProcessWorkerHandle:
     def predict(self, global_nodes: np.ndarray) -> np.ndarray:
         if self.retired:
             raise WorkerRetired(
-                f"worker {self.worker_id} epoch {self.epoch} was retired by the supervisor"
+                f"worker {self.worker_id} epoch {self.epoch} was retired by a rebuild"
             )
         if self._dead:
             raise ProcessDead(f"{self._describe()}: process is dead")
@@ -862,7 +863,7 @@ class ProcessWorkerHandle:
         return int(warmed or 0)
 
     def retire(self) -> None:
-        """Supervisor replacement: mark retired and tear the process down."""
+        """Rebuild replacement: mark retired and tear the process down."""
         self.retired = True
         self.close(timeout=0.0)
 

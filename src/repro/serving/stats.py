@@ -39,10 +39,10 @@ class WorkerLoad:
     core_nodes: int
     halo_nodes: int
     peak_concurrency: int = 0    # max batches in flight on this worker at once
-    health: str = "closed"       # circuit-breaker state at snapshot time
+    state: str = "healthy"       # healthy | suspect | dead at snapshot time
     failures: int = 0            # dispatch attempts that failed on this replica
-    breaker_opens: int = 0       # times the replica's breaker tripped
-    epoch: int = 0               # replica incarnation (bumped per supervisor rebuild)
+    deaths: int = 0              # times the replica reached the failure threshold
+    epoch: int = 0               # replica incarnation (bumped per rebuild)
     pid: Optional[int] = None    # worker process id (executor="process" only)
     heartbeat_age: Optional[float] = None  # seconds since last control-channel beat
     rss_bytes: Optional[int] = None        # worker-process resident set size
@@ -81,8 +81,7 @@ class ServerStats:
     #: per-class terminal ledger: {class: {status: count}} (empty = classless)
     class_requests: Dict[str, Dict[str, int]] = field(default_factory=dict)
     ingress: str = "sync"            # arrival path ("sync" or "thread")
-    supervisor_restarts: int = 0     # replica rebuilds (auto + operator)
-    supervisor_quarantines: int = 0  # replicas pulled from dispatch pending rebuild
+    supervisor_restarts: int = 0     # replica rebuilds (on death + operator)
     prewarmed_rows: int = 0          # cache rows pre-warmed from the halo tier on rebuild
     retry_attempts: int = 0          # batch retries actually performed
 
@@ -220,10 +219,9 @@ class ServerStats:
                 f"({self.injected_faults} injected), {self.retried_requests} retried, "
                 f"{self.failovers} failovers"
             )
-        if self.supervisor_restarts or self.supervisor_quarantines:
+        if self.supervisor_restarts:
             lines.append(
-                f"  self-healing: {self.supervisor_restarts} replica rebuilds "
-                f"({self.supervisor_quarantines} quarantined), "
+                f"  self-healing: {self.supervisor_restarts} replica rebuilds, "
                 f"{self.prewarmed_rows} cache rows pre-warmed from the halo tier"
             )
         if self.block_waits or self.block_self_flushes:
@@ -262,10 +260,10 @@ class ServerStats:
             lines.append(f"  flush stages: {breakdown}")
         for worker in self.workers:
             health = ""
-            if worker.health != "closed" or worker.failures or worker.breaker_opens:
+            if worker.state != "healthy" or worker.failures or worker.deaths:
                 health = (
-                    f", {worker.health}: {worker.failures} failures, "
-                    f"{worker.breaker_opens} opens"
+                    f", {worker.state}: {worker.failures} failures, "
+                    f"{worker.deaths} deaths"
                 )
             epoch = f", epoch {worker.epoch}" if worker.epoch else ""
             lines.append(

@@ -39,7 +39,7 @@ __all__ = ["ShardWorker", "WorkerRetired"]
 
 
 class WorkerRetired(RuntimeError):
-    """Dispatch against a worker the supervisor already replaced.
+    """Dispatch against a worker a rebuild already replaced.
 
     Raised by :meth:`ShardWorker.predict` once :meth:`ShardWorker.retire` has
     run: an in-flight attempt that still holds a reference to the corpse
@@ -65,8 +65,8 @@ class ShardWorker:
         self.shard = shard
         self.model = model
         self.cache = cache
-        #: Replica incarnation: 0 at server build, bumped by every supervisor
-        #: rebuild of this worker slot.
+        #: Replica incarnation: 0 at server build, bumped by every rebuild of
+        #: this worker slot.
         self.epoch = int(epoch)
         self.retired = False
         self.halo_store = halo_store
@@ -92,7 +92,7 @@ class ShardWorker:
         # must not re-walk the module tree (Parameter objects are stable; only
         # their version counters move).
         self._parameters = model.parameters()
-        # Load counters (read by the least-loaded dispatcher and ServerStats).
+        # Load counters (read by ServerStats).
         self.batches_served = 0
         self.nodes_served = 0
         # A worker serves one batch at a time: the lock serialises concurrent
@@ -114,7 +114,7 @@ class ShardWorker:
     def retire(self) -> None:
         """Mark this incarnation dead: every later ``predict`` raises.
 
-        Called by the supervisor right before the replacement is registered,
+        Called by the rebuild right before the replacement is registered,
         so attempts racing the swap cannot serve from (or warm the caches of)
         the corpse.
         """
@@ -124,7 +124,7 @@ class ShardWorker:
         """Class predictions for a batch of (shard-core) global node ids."""
         if self.retired:
             raise WorkerRetired(
-                f"worker {self.worker_id} epoch {self.epoch} was retired by the supervisor"
+                f"worker {self.worker_id} epoch {self.epoch} was retired by a rebuild"
             )
         local = self.shard.to_local(np.asarray(global_nodes, dtype=np.int64))
         with self._gauge_lock:

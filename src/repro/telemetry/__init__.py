@@ -9,7 +9,7 @@ Three pieces, each usable on its own:
   processes, eventually) merge by addition.
 * :mod:`repro.telemetry.tracer` — a :class:`RequestTracer` recording one
   root span per request (submit → queue wait → terminal state) plus
-  batch-level dispatch-attempt records (replica, breaker state, injected
+  batch-level dispatch-attempt records (replica, replica state, injected
   fault, stage breakdown) into bounded rings.
 * :mod:`repro.telemetry.exporters` — Prometheus text exposition, JSON
   metric snapshots, and Chrome trace-event JSON off those two.

@@ -151,8 +151,8 @@ def chrome_trace(tracer) -> dict:
             "batch_size": len(record["request_ids"]),
             "request_ids": record["request_ids"],
         }
-        if record["breaker"] is not None:
-            args["breaker"] = record["breaker"]
+        if record["state"] is not None:
+            args["state"] = record["state"]
         if record["fault"] is not None:
             args["fault"] = record["fault"]
         if record["stages"]:

@@ -104,7 +104,7 @@ class Counter:
 
 
 class Gauge:
-    """A value that can go up and down (queue depth, breaker state, ...)."""
+    """A value that can go up and down (queue depth, cache size, ...)."""
 
     kind = "gauge"
     __slots__ = ("_lock", "value")

@@ -5,12 +5,12 @@ tracer says *why this one did*.  Every :class:`~repro.serving.InferenceRequest`
 gets a root span from ``submit`` to its terminal state, annotated with its
 queue wait (dequeue time) and linked — through the batch it flushed in — to
 **attempt records**: one per dispatch attempt of the batch, carrying the
-replica id, the circuit-breaker state at dispatch, the injected-fault kind
-(if any), and a per-stage time breakdown of successful attempts.  Attempts
-are recorded at *batch* granularity, exactly the granularity at which the
-engine consults the fault plan and the
-:class:`~repro.serving.health.HealthTracker` — so failed attempt records and
-the tracker's per-replica failure counts match one for one.
+replica id, the replica state at dispatch (healthy/suspect), the
+injected-fault kind (if any), and a per-stage time breakdown of successful
+attempts.  Attempts are recorded at *batch* granularity, exactly the
+granularity at which the engine consults the fault plan and the
+:class:`~repro.serving.replicas.ReplicaSet` — so failed attempt records and
+the set's per-replica failure counts match one for one.
 
 Memory is bounded: finished traces and attempt records live in ring buffers
 of ``capacity`` entries (oldest dropped first, ``dropped_*`` counters say how
@@ -107,7 +107,7 @@ class RequestTracer:
         worker_id: Optional[int],
         request_ids: Sequence[int],
         index: int,
-        breaker: Optional[str],
+        state: Optional[str],
         start: float,
     ) -> dict:
         """Open attempt ``index`` of a batch dispatch; returns the open record.
@@ -121,7 +121,7 @@ class RequestTracer:
             "worker_id": worker_id,
             "request_ids": list(request_ids),
             "attempt": index,
-            "breaker": breaker,
+            "state": state,
             "start": start,
             "end": None,
             "outcome": None,
@@ -167,7 +167,7 @@ class RequestTracer:
     def failed_attempts_by_worker(self) -> Dict[int, int]:
         """``worker_id -> failed dispatch attempts`` seen by the tracer.
 
-        Matches :class:`~repro.serving.health.HealthTracker` failure counts
+        Matches :class:`~repro.serving.replicas.ReplicaSet` failure counts
         exactly (both count per batch dispatch) while the ring has not
         dropped records.
         """

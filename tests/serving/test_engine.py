@@ -173,22 +173,11 @@ class TestDispatchAndSharding:
     def test_round_robin_spreads_batches_over_replicas(self, small_graph):
         model = _model(small_graph)
         server = _server(
-            model, small_graph, num_shards=1, num_replicas=2, dispatch="round_robin",
-            max_batch_size=4,
+            model, small_graph, num_shards=1, num_replicas=2, max_batch_size=4,
         )
         server.predict(np.arange(16))
         loads = [worker.batches for worker in server.stats().workers]
         assert len(loads) == 2 and loads[0] == loads[1] == 2
-
-    def test_least_loaded_balances_nodes(self, small_graph):
-        model = _model(small_graph)
-        server = _server(
-            model, small_graph, num_shards=1, num_replicas=2, dispatch="least_loaded",
-            max_batch_size=4,
-        )
-        server.predict(np.arange(24))
-        loads = sorted(worker.nodes for worker in server.stats().workers)
-        assert loads == [12, 12]
 
     def test_requests_route_to_owning_shard(self, small_graph):
         model = _model(small_graph)
@@ -233,16 +222,16 @@ class TestValidationAndStats:
         with pytest.raises(ValueError):
             ServingConfig(num_shards=0)
         with pytest.raises(ValueError):
-            ServingConfig(dispatch="random")
+            ServingConfig(health_failure_threshold=0)
 
     def test_deleted_knobs_are_not_fields(self):
         # Serving is exact with an LRU cache and a model-depth halo; the
         # heartbeat interval is a procplane constant; there is no hedged
         # dispatch and no work stealing; the flush pool has one thread per
         # replica and the front-door pump re-polls at its own default.
-        # Retries run at once, capped only by max_retries; the breaker trips
-        # on failures alone; a dark shard fails its batch; the supervisor
-        # rebuilds on the first breaker open.  None is configurable.
+        # Retries run at once, capped only by max_retries; a replica dies on
+        # consecutive failures alone and is always rebuilt on the next tick;
+        # dispatch is round-robin.  None is configurable.
         for field, value in (
             ("mode", "exact"),
             ("cache_policy", "lru"),
@@ -260,10 +249,13 @@ class TestValidationAndStats:
             ("degraded_policy", "stale_ok"),
             ("supervisor_failure_budget", 1),
             ("supervisor_window", 10.0),
+            ("supervisor", True),
+            ("health_cooldown", 0.05),
+            ("dispatch", "least_loaded"),
         ):
             with pytest.raises(TypeError):
                 ServingConfig(**{field: value})
-        assert len(dataclasses.fields(ServingConfig)) == 25
+        assert len(dataclasses.fields(ServingConfig)) == 22
 
     def test_predictions_returned_in_submission_order(self, small_graph):
         model = _model(small_graph)

@@ -7,7 +7,8 @@ The contract under test:
 * a replica that raises (or hangs past a deadline) fails only its own
   batch's attempt: the batch fails over to a sibling, completed predictions
   stay bitwise-equal to the fault-free run, and a drain never raises;
-* a shard with zero dispatchable replicas fails its batch;
+* a shard with zero dispatchable replicas fails its batch, and the next
+  tick rebuilds its dead replicas;
 * the HaloStore epoch guard keeps a dying replica's publishes out of the
   shared tier;
 * under *any* fault plan, every submitted request reaches exactly one
@@ -206,25 +207,25 @@ class TestFailover:
         assert stats.expired_requests == 6
         assert stats.submitted_requests == 6
 
-    def test_open_replica_takes_no_traffic_while_cooling(self, small_graph):
-        # One failure opens worker 0's breaker; with a cooldown longer than
-        # the run it is never dispatched again, so the plan fires only once.
+    def test_dead_replica_takes_no_traffic_until_rebuilt(self, small_graph):
+        # Worker 0 dies; the next round's batch skips it although round-robin
+        # points at it, and the tick at the round barrier rebuilds the slot,
+        # after which it serves again.
         model = _model(small_graph)
-        plan = FaultPlan(FaultSpec(workers=(0,), fail_rate=1.0), seed=0)
+        reference = model.full_forward(small_graph).data.argmax(axis=-1)
         server = _server(
-            model,
-            small_graph,
-            num_shards=1,
-            num_replicas=2,
-            fault_plan=plan,
-            health_failure_threshold=1,
-            health_cooldown=1e6,
+            model, small_graph, num_shards=1, num_replicas=2, health_failure_threshold=1
         )
-        for wave in range(3):
-            assert server.predict(range(wave * 8, wave * 8 + 8)).shape == (8,)
-        assert plan.total_injected == 1
-        assert server.stats().worker_failures == 1
-        assert server.workers[0].batches_served == 0
+        server.replicas.record_failure(server.workers[0])
+        assert server.replicas.state(0) == "dead"
+        server.scheduler.flush_on_submit = False
+        requests = server.submit_many(range(8))
+        server.scheduler.drain()  # one round, then the barrier tick
+        assert all(request.completed and request.worker_id == 1 for request in requests)
+        assert server.workers[0].epoch == 1 and server.replicas.state(0) == "healthy"
+        nodes = np.arange(8, 40)
+        assert np.array_equal(server.predict(nodes), reference[nodes])
+        assert server.workers[0].batches_served > 0
 
     def test_zero_rate_plan_changes_nothing(self, small_graph):
         model = _model(small_graph)
@@ -272,7 +273,7 @@ class TestRetryRule:
             num_replicas=2,
             fault_plan=plan,
             max_retries=2,
-            health_failure_threshold=100,  # breakers stay closed
+            health_failure_threshold=100,  # no replica dies
         )
         server.scheduler.flush_on_submit = False
         requests = server.submit_many(range(4))  # one batch
@@ -352,20 +353,19 @@ class TestRetryRule:
 
 
 class TestDarkShard:
-    def _dead_replica_server(self, model, graph):
-        # Breakers trip on the first failure and never cool down, so once
-        # the (windowed, total) fault plan kicks in the shard goes dark.
+    def _dead_replica_server(self, model, graph, **overrides):
+        # Replicas die on their first failure, so once the (windowed, total)
+        # fault plan kicks in both replicas of the shard die in one batch.
         plan = FaultPlan(FaultSpec(fail_rate=1.0, after=1.0), seed=0)
-        return _server(
-            model,
-            graph,
+        defaults = dict(
             num_shards=1,
             num_replicas=2,
             fault_plan=plan,
             health_failure_threshold=1,
-            health_cooldown=1e6,
             max_retries=2,
         )
+        defaults.update(overrides)
+        return _server(model, graph, **defaults)
 
     def test_dark_shard_fails_the_whole_batch(self, small_graph):
         model = _model(small_graph)
@@ -381,24 +381,21 @@ class TestDarkShard:
         assert "served stale" not in stats.render()
 
     def test_dark_shard_fails_without_dispatching(self, small_graph):
-        # Once both breakers are open, a batch fails on the spot: no replica
-        # is asked, so the plan does not fire and no retry is counted.
+        # Once both replicas are dead, the batch fails on the spot: the rest
+        # of the retry budget is not spent, so the plan fires once per
+        # replica and two retries are counted, not five.
         model = _model(small_graph)
-        server = self._dead_replica_server(model, small_graph)
+        server = self._dead_replica_server(model, small_graph, max_retries=5)
         server.clock.advance(2.0)
         server.scheduler.flush_on_submit = False
-        server.submit_many(range(4))
-        server.drain()  # both replicas fail once and open
-        plan = server.config.fault_plan
-        before = (plan.total_injected, server.stats().worker_failures)
-        assert before == (2, 2)
-        requests = server.submit_many(range(4, 10))
+        requests = server.submit_many(range(4))
         server.drain()
         assert all(request.status == "failed" for request in requests)
-        assert all(request.retries == 0 for request in requests)
-        assert (plan.total_injected, server.stats().worker_failures) == before
+        assert all(request.retries == 2 for request in requests)
+        plan = server.config.fault_plan
+        assert (plan.total_injected, server.stats().worker_failures) == (2, 2)
 
-    def test_cooled_down_shard_recovers_through_a_probe(self, small_graph):
+    def test_dark_shard_recovers_through_a_rebuild(self, small_graph):
         model = _model(small_graph)
         reference = model.full_forward(small_graph).data.argmax(axis=-1)
         plan = FaultPlan(FaultSpec(fail_rate=1.0, until=1.0), seed=0)
@@ -409,22 +406,21 @@ class TestDarkShard:
             num_replicas=1,
             fault_plan=plan,
             health_failure_threshold=1,
-            health_cooldown=0.5,
         )
         server.scheduler.flush_on_submit = False
         dark = server.submit_many(range(4))
         server.drain()
         assert all(request.status == "failed" for request in dark)
-        assert server.health.state(0, server.clock.now()) == "open"
-        server.clock.advance(2.0)  # cooldown over and the fault window closed
-        assert server.health.state(0, server.clock.now()) == "half_open"
-        probed = server.submit_many(range(4, 12))
+        # The round's tick rebuilt the dead replica at the next epoch.
+        assert server.replicas.state(0) == "healthy"
+        assert server.workers[0].epoch == 1
+        server.clock.advance(2.0)  # the fault window closed
+        served = server.submit_many(range(4, 12))
         server.drain()
-        assert all(request.completed for request in probed)
-        for request in probed:
+        assert all(request.completed for request in served)
+        for request in served:
             assert request.prediction == reference[request.node]
-        assert server.health.state(0, server.clock.now()) == "closed"
-        assert server.health.snapshot(0).probes == 1
+        assert server.stats().supervisor_restarts == 1
 
 
 class TestHaloEpochGuard:
@@ -525,7 +521,6 @@ def test_every_request_terminates_exactly_once_under_any_fault_plan(
             fault_plan=plan,
             max_retries=max_retries,
             health_failure_threshold=2,
-            health_cooldown=0.1,
             default_timeout=default_timeout,
             seed=0,
         ),

@@ -125,9 +125,7 @@ class TestEngineWiring:
 
     def test_replicas_exchange_through_the_store(self, small_graph):
         model = _model(small_graph)
-        server = _server(
-            model, small_graph, num_shards=1, num_replicas=2, dispatch="round_robin"
-        )
+        server = _server(model, small_graph, num_shards=1, num_replicas=2)
         nodes = np.arange(16)
         server.predict(nodes)   # replica 0 computes and publishes
         server.predict(nodes)   # replica 1 gathers instead of recomputing

@@ -144,8 +144,8 @@ def test_every_request_terminates_exactly_once(
 
 # -- the ledger with the self-healing layer armed -------------------------------
 #
-# Everything armed at once: permanent ``die`` faults and the replica
-# supervisor (rebuilds fire mid-run from the scheduler tick).  Neither may
+# Everything armed at once: permanent ``die`` faults and replica rebuilds
+# (fired mid-run from the scheduler tick).  Neither may
 # bend the exactly-once ledger or the bitwise-exactness of completed answers.
 
 
@@ -178,8 +178,6 @@ def test_ledger_holds_with_supervisor_and_die_faults(
             fault_plan=plan,
             max_retries=max_retries,
             health_failure_threshold=1,
-            health_cooldown=0.05,
-            supervisor=True,
             seed=0,
         ),
         clock=clock,
@@ -216,12 +214,9 @@ def test_ledger_holds_with_supervisor_and_die_faults(
 
     # The dispatch pool never holds a corpse: every replica the server could
     # still dispatch to is live (rebuilds swapped retired workers out), and
-    # each rebuild was recorded by the supervisor.
-    assert all(
-        not worker.retired for row in server._replicas for worker in row
-    )
-    rebuilds = [e for e in server.supervisor.event_log() if e["event"] != "quarantine"]
-    assert stats.supervisor_restarts == len(rebuilds)
+    # each rebuild left one event in the heal log.
+    assert all(not worker.retired for worker in server.workers)
+    assert stats.supervisor_restarts == len(server.replicas.event_log())
 
 
 # -- the ledger under process-kill faults ---------------------------------------
@@ -229,7 +224,7 @@ def test_ledger_holds_with_supervisor_and_die_faults(
 # PR 10 adds ``kill_rate``: a real SIGKILL to the worker pid when replicas
 # are processes, degrading to ``die`` semantics in-process — which is what
 # lets hypothesis explore kill schedules without paying a spawn per example.
-# Either way a fired kill is permanent until a supervisor rebuild, and the
+# Either way a fired kill is permanent until a replica rebuild, and the
 # exactly-once ledger (``submitted = completed + rejected + shed + expired +
 # failed``) must balance with bitwise-equal completions.
 
@@ -266,8 +261,6 @@ def test_ledger_holds_with_kill_faults_mid_flush(
             fault_plan=plan,
             max_retries=max_retries,
             health_failure_threshold=1,
-            health_cooldown=0.05,
-            supervisor=True,
             seed=0,
         ),
         clock=clock,
@@ -305,8 +298,8 @@ def test_ledger_holds_with_kill_faults_mid_flush(
     assert terminal_sum == len(requests)
     assert server.batcher.pending == 0
     # Fired kills are permanent until healed: no corpse may remain in the
-    # dispatch pool after the final supervisor ticks.
-    assert all(not worker.retired for row in server._replicas for worker in row)
+    # dispatch pool after the final ticks.
+    assert all(not worker.retired for worker in server.workers)
     if plan.injected["kill"]:
         assert stats.supervisor_restarts >= 0  # rebuilds recorded, never negative
         assert stats.worker_failures > 0

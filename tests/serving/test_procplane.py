@@ -10,7 +10,7 @@ The contract under test:
   behind the unchanged ``submit()`` surface;
 * a worker process killed with a real ``SIGKILL`` mid-stream surfaces as a
   typed :class:`ProcessDead`, fails over to a sibling replica with zero lost
-  requests, and is respawned by the supervisor under a bumped epoch;
+  requests, and is respawned under a bumped epoch on the next tick;
 * a respawned child pre-warms its cache from the shared halo tier before its
   first predict;
 * a wedged (``SIGSTOP``'d) child can neither hang a predict past its
@@ -200,9 +200,7 @@ class TestProcessServing:
         expected = _reference_predictions()
         server = _process_server(
             num_replicas=2,
-            supervisor=True,
             health_failure_threshold=1,
-            health_cooldown=30.0,
             max_retries=3,
         )
         base = server._procplane.arena.base
@@ -214,7 +212,7 @@ class TestProcessServing:
             os.kill(victim.pid, signal.SIGKILL)
             victim._proc.join(5.0)
             # Stream on: the dead process surfaces as ProcessDead, fails over
-            # to the sibling replica, and the supervisor respawns it.
+            # to the sibling replica, and the next tick respawns it.
             second = server.predict(nodes)
             np.testing.assert_array_equal(second, expected)
             stats = server.stats()

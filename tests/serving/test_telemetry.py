@@ -193,7 +193,7 @@ class TestTracingUnderFaults:
         defaults.update(overrides)
         return _server(_model(graph), graph, **defaults)
 
-    def test_failed_attempts_match_health_tracker_exactly(self, small_graph):
+    def test_failed_attempts_match_replica_failures_exactly(self, small_graph):
         server = self._faulty_server(small_graph)
         rng = np.random.default_rng(5)
         requests = server.submit_many(
@@ -202,10 +202,7 @@ class TestTracingUnderFaults:
         server.drain()
         assert all(request.done for request in requests)
         traced = server.tracer.failed_attempts_by_worker()
-        tracked = {
-            worker.worker_id: server.health.snapshot(worker.worker_id).failures
-            for worker in server.workers
-        }
+        tracked = dict(enumerate(server.replicas.failures))
         assert sum(tracked.values()) > 0, "fault plan never fired — test is vacuous"
         for worker_id, failures in tracked.items():
             assert traced.get(worker_id, 0) == failures
@@ -252,7 +249,8 @@ class TestTracingUnderFaults:
         retried = [a for a in attempts if a["attempt"] > 0]
         assert retried, "no retry attempt was recorded"
         assert "backoff" not in attempts[0]
-        assert {a["breaker"] for a in attempts} <= {"closed", "half_open", "open"}
+        # A dead replica is never dispatched, so no attempt records "dead".
+        assert {a["state"] for a in attempts} <= {"healthy", "suspect"}
 
 
 class TestStageAccountingAllocations:

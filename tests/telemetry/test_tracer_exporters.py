@@ -19,7 +19,7 @@ from repro.telemetry import (
 def _run_one_request(tracer, request_id=0, worker_id=1, outcome="ok"):
     tracer.on_submit(request_id, node=5, shard_id=0, now=0.0)
     tracer.on_dequeue([request_id], now=0.1)
-    record = tracer.attempt(0, worker_id, [request_id], 0, "closed", 0.1)
+    record = tracer.attempt(0, worker_id, [request_id], 0, "healthy", 0.1)
     tracer.end_attempt(record, 0.2, outcome, stages={"gather": 0.05, "idle": 0.0})
     tracer.on_terminal(request_id, "completed", 0.2, worker_id=worker_id)
 
@@ -33,7 +33,7 @@ class TestRequestTracer:
         assert trace["status"] == "completed"
         assert trace["submit"] == 0.0 and trace["dequeue"] == 0.1 and trace["end"] == 0.2
         (attempt,) = tracer.attempts()
-        assert attempt["outcome"] == "ok" and attempt["breaker"] == "closed"
+        assert attempt["outcome"] == "ok" and attempt["state"] == "healthy"
         assert attempt["stages"] == {"gather": 0.05}  # zero stages filtered
 
     def test_terminal_without_submit_is_silent(self):
@@ -55,7 +55,7 @@ class TestRequestTracer:
     def test_failed_attempts_by_worker(self):
         tracer = RequestTracer()
         for worker_id, outcome in ((0, "error"), (0, "error"), (1, "ok"), (1, "error")):
-            record = tracer.attempt(0, worker_id, [0], 0, "closed", 0.0)
+            record = tracer.attempt(0, worker_id, [0], 0, "healthy", 0.0)
             tracer.end_attempt(record, 0.1, outcome)
         assert tracer.failed_attempts_by_worker() == {0: 2, 1: 1}
 

@@ -126,7 +126,8 @@ class TestExecution:
         # Serving is exact over an LRU cache: no mode or retention flags,
         # no hedged dispatch, no work stealing and no executor pool sizing;
         # no slow faults, retry backoff or budget, stale reads or
-        # supervisor window either.
+        # supervisor window either.  Healing is always on and dispatch is
+        # always round-robin.
         args = vars(build_parser().parse_args(["serve-bench"]))
         deleted = {
             "mode",
@@ -144,6 +145,8 @@ class TestExecution:
             "supervisor_window_ms",
             "retry_budget",
             "retry_budget_refill",
+            "supervisor",
+            "dispatch",
         }
         assert not deleted & set(args)
         for argv in (
@@ -158,6 +161,8 @@ class TestExecution:
             ["--supervisor-window-ms", "1000"],
             ["--retry-budget", "4"],
             ["--retry-budget-refill", "0.5"],
+            ["--supervisor"],
+            ["--dispatch", "least_loaded"],
         ):
             with pytest.raises(SystemExit):
                 build_parser().parse_args(["serve-bench", *argv])
