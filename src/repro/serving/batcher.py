@@ -72,8 +72,9 @@ class InferenceRequest:
     retries: int = 0                     # failover attempts this request survived
     request_class: str = "standard"      # admission class (see serving.frontdoor)
     weight: float = 1.0                  # the class's admission weight
-    #: completion event backing RequestHandle.result(timeout=); None for
-    #: requests constructed outside the engine (direct batcher use).
+    #: completion event backing RequestHandle.wait/result; None until the
+    #: first waiter creates it under the engine lock (never, when nothing
+    #: waits), so most requests finish without one.
     _event: Optional[threading.Event] = field(default=None, repr=False, compare=False)
 
     @property
@@ -157,6 +158,9 @@ class MicroBatcher:
         self.max_queue_depth = None if max_queue_depth is None else int(max_queue_depth)
         # Arrival-ordered lists (append at the tail; rank-ordered removal).
         self._queues: List[List[InferenceRequest]] = [[] for _ in range(num_shards)]
+        # Earliest deadline in each queue (inf = none): raised on enqueue,
+        # recomputed when requests leave, so a due check never rescans.
+        self._deadlines: List[float] = [math.inf] * num_shards
         # Flush-cause counters, surfaced by ServerStats.
         self.size_flushes = 0
         self.delay_flushes = 0
@@ -183,7 +187,17 @@ class MicroBatcher:
         return len(self._queues[shard_id]) >= self.max_queue_depth
 
     def enqueue(self, request: InferenceRequest) -> None:
-        self._queues[request.shard_id].append(request)
+        shard_id = request.shard_id
+        self._queues[shard_id].append(request)
+        deadline = request.deadline
+        if deadline is not None and deadline < self._deadlines[shard_id]:
+            self._deadlines[shard_id] = deadline
+
+    def _reset_deadline(self, shard_id: int) -> None:
+        self._deadlines[shard_id] = min(
+            (r.deadline for r in self._queues[shard_id] if r.deadline is not None),
+            default=math.inf,
+        )
 
     def shed_victim(self, shard_id: int) -> InferenceRequest:
         """Evict the least-valuable queued request (the engine marks it ``shed``).
@@ -196,38 +210,37 @@ class MicroBatcher:
         queue = self._queues[shard_id]
         victim = min(queue, key=lambda r: (r.weight, r.enqueue_time, r.request_id))
         queue.remove(victim)
+        self._reset_deadline(shard_id)
         return victim
 
-    @staticmethod
-    def _earliest_deadline(queue: List[InferenceRequest]) -> Optional[float]:
-        deadline = math.inf
-        for request in queue:
-            if request.deadline is not None and request.deadline < deadline:
-                deadline = request.deadline
-        return None if deadline is math.inf else deadline
+    def due_at(self, shard_id: int) -> float:
+        """The clock time from which this shard's queue must flush (size,
+        delay or deadline): ``-inf`` once it holds a full batch, ``inf``
+        while it is empty.
+
+        O(1): the delay trigger watches the oldest *remaining* request
+        (``queue[0]`` — arrival order survives rank-ordered removal) and the
+        deadline trigger the queue's tracked earliest deadline — with
+        class-aware popping an urgent request need not be the head.
+        """
+        queue = self._queues[shard_id]
+        if len(queue) >= self.max_batch_size:
+            return -math.inf
+        try:
+            head = queue[0]
+        except IndexError:  # empty (or emptied by a concurrent pop)
+            return math.inf
+        return min(head.enqueue_time + self.max_delay, self._deadlines[shard_id])
+
+    def next_due(self) -> float:
+        """The earliest :meth:`due_at` over all shards."""
+        return min(map(self.due_at, range(len(self._queues))))
 
     def due_shards(self, now: float) -> List[int]:
-        """Shards whose queue must flush at ``now`` (size, delay or deadline).
-
-        The delay trigger watches the oldest *remaining* request (``queue[0]``
-        — arrival order survives rank-ordered removal) and the deadline
-        trigger the earliest deadline anywhere in the queue: with class-aware
-        popping an urgent request need not be the head.
-        """
-        due: List[int] = []
-        for shard_id, queue in enumerate(self._queues):
-            if not queue:
-                continue
-            if len(queue) >= self.max_batch_size:
-                due.append(shard_id)
-                continue
-            if now - queue[0].enqueue_time >= self.max_delay:
-                due.append(shard_id)
-                continue
-            deadline = self._earliest_deadline(queue)
-            if deadline is not None and now >= deadline:
-                due.append(shard_id)
-        return due
+        """Shards whose queue must flush at ``now`` (see :meth:`due_at`)."""
+        return [
+            shard_id for shard_id in range(len(self._queues)) if now >= self.due_at(shard_id)
+        ]
 
     def pop_batch(self, shard_id: int, forced: bool = False) -> List[InferenceRequest]:
         """Dequeue up to ``max_batch_size`` requests from one shard's queue,
@@ -244,6 +257,7 @@ class MicroBatcher:
             self._queues[shard_id] = [
                 request for request in queue if request.request_id not in taken
             ]
+        self._reset_deadline(shard_id)
         if forced:
             self.forced_flushes += 1
             cause = "forced"

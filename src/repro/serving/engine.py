@@ -21,10 +21,13 @@ Request lifecycle::
     InferenceRequest.status ∈ {completed, rejected, shed, expired, failed}
     ServerStats (p50/p95/p99, hit rate, per-shard load, overload counters)
 
-The :class:`~repro.serving.scheduler.Scheduler` owns the flush loop; by
-default it still polls after every ``submit()`` so size-triggered batches
-flush immediately, but open-loop drivers can set
-``server.scheduler.flush_on_submit = False`` and call ``poll()`` themselves.
+The :class:`~repro.serving.scheduler.Scheduler` owns the flush loop.  By
+default a ``submit``/``submit_many`` window polls after its first admitted
+request, then only when some shard's flush time (size, delay or deadline)
+has come, and once before returning — so size-triggered batches flush
+immediately, and the only polls skipped are those that would flush nothing.
+Open-loop callers can set ``server.scheduler.flush_on_submit = False`` and
+call ``poll()`` themselves.
 All timing flows through a :class:`~repro.serving.clock.Clock`; with the
 default ``SerialExecutor`` plus a ``ManualClock`` every run is bit-for-bit
 deterministic, and the served predictions are identical
@@ -49,8 +52,10 @@ from __future__ import annotations
 
 import contextlib
 import itertools
+import math
 import threading
 import time
+from array import array
 from typing import Dict, Iterator, List, Optional, Sequence
 
 import numpy as np
@@ -203,7 +208,9 @@ class InferenceServer:
         # itertools.count: next() is atomic, so concurrent submitters can
         # never share a request id.
         self._request_ids = itertools.count()
-        self._latencies: List[float] = []
+        # Completed-request latencies as packed doubles: 8 bytes a request
+        # where a list of floats costs 32.
+        self._latencies = array("d")
         self._batch_sizes: List[int] = []
         self._first_enqueue: Optional[float] = None
         self._last_completion: Optional[float] = None
@@ -350,11 +357,31 @@ class InferenceServer:
         with ``ingress="thread"`` the background pump is woken instead and
         ``handle.result()`` waits for it.
         """
-        node = int(node)
+        return self.submit_many([node], timeout, request_class)[0]
+
+    def submit_many(
+        self,
+        nodes: Sequence[int],
+        timeout: Optional[float] = None,
+        request_class: Optional[str] = None,
+    ) -> List[RequestHandle]:
+        """Enqueue a window of requests, one handle per node, in order.
+
+        The window is validated as a whole before anything is admitted: a
+        bad node, timeout or class raises and leaves every queue untouched.
+        Each request is then admitted like a :meth:`submit`.  The flush loop
+        runs after the first admission, then after an admission only when
+        some shard's flush time (size, delay or deadline) has come, and once
+        before returning — skipping only rounds that would flush nothing, so
+        the batches are exactly those of one ``submit`` per node.
+        """
         if self._closed:
             raise RuntimeError("server is shut down")
-        if not 0 <= node < self.graph.num_nodes:
-            raise ValueError(f"node {node} is outside the graph (0..{self.graph.num_nodes - 1})")
+        nodes = np.asarray(nodes, dtype=np.int64).reshape(-1)
+        num_nodes = self.graph.num_nodes
+        if len(nodes) and (nodes.min() < 0 or nodes.max() >= num_nodes):
+            node = int(nodes[(nodes < 0) | (nodes >= num_nodes)][0])
+            raise ValueError(f"node {node} is outside the graph (0..{num_nodes - 1})")
         if timeout is None:
             timeout = self.config.default_timeout
         elif timeout <= 0:
@@ -366,39 +393,54 @@ class InferenceServer:
                 f"unknown request_class {class_name!r}; configured classes: "
                 f"{[name for name, _ in self.config.request_classes]}"
             )
-        now = self.clock.now()
-        request = InferenceRequest(
-            request_id=next(self._request_ids),
-            node=node,
-            shard_id=int(self._owner[node]),
-            enqueue_time=now,
-            deadline=None if timeout is None else now + timeout,
-            request_class=class_name,
-            weight=weight,
-            _event=threading.Event(),
-        )
-        if self._first_enqueue is None:
-            self._first_enqueue = now
-        if self.tracer is not None:
-            # Before admission: rejected requests get a root span too.
-            self.tracer.on_submit(request.request_id, node, request.shard_id, now)
-        if self._admit(request):
-            if self.frontdoor is not None:
-                self.frontdoor.notify()
-            else:
-                self.scheduler.on_submit()
-        return RequestHandle(request, self)
 
-    def submit_many(
-        self,
-        nodes: Sequence[int],
-        timeout: Optional[float] = None,
-        request_class: Optional[str] = None,
-    ) -> List[RequestHandle]:
-        return [
-            self.submit(node, timeout=timeout, request_class=request_class)
-            for node in nodes
-        ]
+        # How an admission reaches the flush loop: wake the pump, run a round
+        # inline, or (flush_on_submit off) nothing.
+        if self.frontdoor is not None:
+            kick = self.frontdoor.notify
+        elif self.scheduler.flush_on_submit:
+            kick = self.scheduler.poll
+        else:
+            kick = None
+        clock = self.clock
+        tracer = self.tracer
+        due_at = self.batcher.due_at
+        handles: List[RequestHandle] = []
+        # Earliest time any shard must flush, as of the last kick and the
+        # admissions since; the first admission always kicks.
+        next_due = -math.inf
+        stale = False  # admissions since the last kick
+        for node, shard_id in zip(nodes.tolist(), self._owner[nodes].tolist()):
+            now = clock.now()
+            request = InferenceRequest(
+                request_id=next(self._request_ids),
+                node=node,
+                shard_id=shard_id,
+                enqueue_time=now,
+                deadline=None if timeout is None else now + timeout,
+                request_class=class_name,
+                weight=weight,
+            )
+            if self._first_enqueue is None:
+                self._first_enqueue = now
+            if tracer is not None:
+                # Before admission: rejected requests get a root span too.
+                tracer.on_submit(request.request_id, node, shard_id, now)
+            if self._admit(request) and kick is not None:
+                # An admission only moves its own shard's flush time, so
+                # skipping the kick while nothing is due skips an empty round.
+                due = due_at(shard_id)
+                if due < next_due:
+                    next_due = due
+                if clock.now() >= next_due:
+                    kick()
+                    next_due, stale = self.batcher.next_due(), False
+                else:
+                    stale = True
+            handles.append(RequestHandle(request, self))
+        if stale:
+            kick()
+        return handles
 
     #: Lost-wakeup safety net for blocked submitters, in wall seconds.  Every
     #: capacity transition notifies the condition, so the timeout should never
@@ -406,25 +448,50 @@ class InferenceServer:
     #: change forgets a notify.
     _BLOCK_WAIT_TIMEOUT = 0.05
 
-    def _terminal(self, request: InferenceRequest, status: str, now: float) -> None:
-        """One request reaches its terminal state: ledger counter + root span.
+    def _completion_event(self, request: InferenceRequest) -> Optional[threading.Event]:
+        """The event a waiter blocks on, created on first use; None once the
+        request is terminal.
 
-        Callers hold the engine lock (or are otherwise serialised for this
-        request); ``request._finish`` enforces exactly-once.
+        Created under the engine lock, which every terminal transition also
+        holds: either the event exists before ``_finish`` (which sets it) or
+        the waiter sees the terminal status — no wakeup can be lost.
         """
-        request._finish(status, now)
-        self._metrics.requests[status][request.shard_id].inc()
-        class_children = self._metrics.class_requests.get(request.request_class)
-        if class_children is not None:
-            class_children[status].inc()
-        if self.tracer is not None:
-            self.tracer.on_terminal(
-                request.request_id,
-                status,
-                now,
-                worker_id=request.worker_id,
-                retries=request.retries,
-            )
+        with self._lock:
+            if request.done:
+                return None
+            if request._event is None:
+                request._event = threading.Event()
+            return request._event
+
+    def _terminal(self, requests: Sequence[InferenceRequest], status: str, now: float) -> None:
+        """Requests reach one terminal state: root spans + ledger counters.
+
+        Callers hold the engine lock (so a waiter's event cannot be created
+        mid-transition); ``request._finish`` enforces exactly-once.  The
+        counters move once per shard and once per class present.
+        """
+        tracer = self.tracer
+        shards: Dict[int, int] = {}
+        classes: Dict[str, int] = {}
+        for request in requests:
+            request._finish(status, now)
+            shards[request.shard_id] = shards.get(request.shard_id, 0) + 1
+            classes[request.request_class] = classes.get(request.request_class, 0) + 1
+            if tracer is not None:
+                tracer.on_terminal(
+                    request.request_id,
+                    status,
+                    now,
+                    worker_id=request.worker_id,
+                    retries=request.retries,
+                )
+        counters = self._metrics.requests[status]
+        for shard_id, count in shards.items():
+            counters[shard_id].inc(count)
+        for class_name, count in classes.items():
+            class_children = self._metrics.class_requests.get(class_name)
+            if class_children is not None:
+                class_children[status].inc(count)
 
     def _admit(self, request: InferenceRequest) -> bool:
         """Apply the overload policy; returns False when ``request`` was rejected.
@@ -436,15 +503,20 @@ class InferenceServer:
         shard_id = request.shard_id
         policy = self.config.overload_policy
         with self._lock:
+            if self._closed:
+                # Shut down mid-window: shutdown's final drain may already
+                # have run, so nothing may be queued any more.
+                self._terminal([request], REJECTED, self.clock.now())
+                return False
             if not self.batcher.is_full(shard_id):
                 self.batcher.enqueue(request)
                 return True
             if policy == "reject":
-                self._terminal(request, REJECTED, self.clock.now())
+                self._terminal([request], REJECTED, self.clock.now())
                 return False
             if policy == "shed_oldest":
                 victim = self.batcher.shed_victim(shard_id)
-                self._terminal(victim, SHED, self.clock.now())
+                self._terminal([victim], SHED, self.clock.now())
                 self.batcher.enqueue(request)
                 return True
         # block: backpressure — wait for room (or make it ourselves), outside
@@ -466,7 +538,7 @@ class InferenceServer:
             flush_self = False
             with self._capacity:
                 if self._closed:
-                    self._terminal(request, REJECTED, self.clock.now())
+                    self._terminal([request], REJECTED, self.clock.now())
                     return False
                 if not self.batcher.is_full(shard_id):
                     self.batcher.enqueue(request)
@@ -567,12 +639,13 @@ class InferenceServer:
         """Deterministic teardown: every in-flight request reaches a terminal
         state before executor threads are released (idempotent).
 
-        Order matters: the server closes *first* (new submits raise, blocked
-        submitters wake and reject), then pending queues drain, then the
-        call waits for any flush still in flight on another thread to
-        settle — so a shutdown racing a mid-flight round can never leave a
-        request non-terminal — and drains once more to catch requests that
-        were admitted while the round was settling.
+        Order matters: the server closes *first* (new submits raise; the
+        rest of a window mid-admission and blocked submitters reject), then
+        pending queues drain, then the call waits for any flush still in
+        flight on another thread to settle — so a shutdown racing a
+        mid-flight round can never leave a request non-terminal — and drains
+        once more to catch requests that were admitted while the round was
+        settling.
         """
         if self._closed:
             return
@@ -657,11 +730,13 @@ class InferenceServer:
                         [request.request_id for request in batch], now
                     )
             live: List[InferenceRequest] = []
+            expired: List[InferenceRequest] = []
             for request in batch:
                 if request.deadline is not None and now >= request.deadline:
-                    self._terminal(request, EXPIRED, now)
+                    expired.append(request)
                 else:
                     live.append(request)
+            self._terminal(expired, EXPIRED, now)
             if not live:
                 return 1
             self._inflight_flushes += 1
@@ -673,9 +748,7 @@ class InferenceServer:
             # stay stranded in "pending".
             with self._lock:
                 now = self.clock.now()
-                for request in live:
-                    if not request.done:
-                        self._terminal(request, FAILED, now)
+                self._terminal([r for r in live if not r.done], FAILED, now)
             raise
         finally:
             with self._lock:
@@ -736,19 +809,20 @@ class InferenceServer:
                         record, now, "error", fault=fault_info.get("kind", type(exc).__name__)
                     )
                 survivors: List[InferenceRequest] = []
+                expired: List[InferenceRequest] = []
                 with self._lock:
                     self._metrics.worker_failures.inc()
                     if attempt > self.config.max_retries:
-                        for request in live:
-                            self._terminal(request, FAILED, now)
+                        self._terminal(live, FAILED, now)
                         return
                     self._metrics.retry_attempts.inc()
                     for request in live:
                         if request.deadline is not None and request.deadline <= now:
-                            self._terminal(request, EXPIRED, now)
+                            expired.append(request)
                         else:
                             request.retries += 1
                             survivors.append(request)
+                    self._terminal(expired, EXPIRED, now)
                     if survivors:
                         self._metrics.retries[shard_id].inc(len(survivors))
                 live = survivors
@@ -769,18 +843,18 @@ class InferenceServer:
                 now = self.clock.now()
                 if tried and worker.worker_id not in tried:
                     self._metrics.failovers[shard_id].inc()
-                for request, prediction in zip(live, predictions):
-                    request.prediction = int(prediction)
-                    request.worker_id = worker.worker_id
-                    request.batch_size = len(live)
-                    self._terminal(request, COMPLETED, now)
-                    self._latencies.append(request.latency)
-                self._batch_sizes.append(len(live))
+                size, worker_id = len(live), worker.worker_id
+                for request, prediction in zip(live, np.asarray(predictions).tolist()):
+                    request.prediction = prediction
+                    request.worker_id = worker_id
+                    request.batch_size = size
+                self._terminal(live, COMPLETED, now)
+                latencies = [now - request.enqueue_time for request in live]
+                self._latencies.extend(latencies)
+                self._batch_sizes.append(size)
                 if self.telemetry.enabled:
-                    self._metrics.latency[shard_id].observe_many(
-                        self._latencies[-len(live):]
-                    )
-                    self._metrics.batch_size[shard_id].observe(len(live))
+                    self._metrics.latency[shard_id].observe_many(latencies)
+                    self._metrics.batch_size[shard_id].observe(size)
                 self._last_completion = now
             return
 
@@ -841,8 +915,7 @@ class InferenceServer:
         """Zero dispatchable replicas: fail every request of the batch."""
         with self._lock:
             now = self.clock.now()
-            for request in live:
-                self._terminal(request, FAILED, now)
+            self._terminal(live, FAILED, now)
         if self.tracer is not None:
             record = self.tracer.attempt(
                 shard_id,
@@ -943,11 +1016,16 @@ class InferenceServer:
         # ReplicaSet instead, so they survive telemetry="off" (the bench
         # gates assert on them exactly).
         metrics = self._metrics
+        with self._lock:
+            # Copied under the lock that extend() holds: an array exporting
+            # its buffer to a copy in flight cannot be resized.
+            latencies = np.array(self._latencies, dtype=np.float64)
+            batch_sizes = np.array(self._batch_sizes, dtype=np.int64)
         return ServerStats(
             stage_seconds=merge_stage_totals(worker.timings for worker in self.workers),
             completed_requests=metrics.status_total(COMPLETED),
-            latencies=np.asarray(self._latencies, dtype=np.float64),
-            batch_sizes=np.asarray(self._batch_sizes, dtype=np.int64),
+            latencies=latencies,
+            batch_sizes=batch_sizes,
             cache=cache,
             workers=loads,
             size_flushes=self.batcher.size_flushes,
@@ -981,8 +1059,9 @@ class InferenceServer:
         Used to measure warm-cache behaviour separately from the cold pass
         that populated the caches.
         """
-        self._latencies.clear()
-        self._batch_sizes.clear()
+        with self._lock:
+            self._latencies = array("d")
+            self._batch_sizes.clear()
         self.telemetry.reset()
         self._first_enqueue = None
         self._last_completion = None

@@ -144,7 +144,8 @@ class RequestHandle:
     Wraps the engine-owned :class:`InferenceRequest` record (reachable as
     :attr:`request`).  All state reads are lock-free snapshots of the
     record; :meth:`result` waits on the record's completion event when a
-    background ingress thread is running.
+    background ingress thread is running.  The event is created by the first
+    waiter, so requests nobody waits on never build one.
     """
 
     __slots__ = ("_request", "_server")
@@ -229,10 +230,11 @@ class RequestHandle:
         request = self._request
         if request.status != PENDING:
             return True
-        event = request._event
-        if event is None:
+        if self._server is None:
             return False
-        event.wait(timeout)
+        event = self._server._completion_event(request)
+        if event is not None:
+            event.wait(timeout)
         return request.status != PENDING
 
     def result(self, timeout: Optional[float] = None) -> int:
@@ -266,11 +268,11 @@ class RequestHandle:
         request = self._request
         if request.status != PENDING:
             return
-        event = request._event
-        background = self._server is not None and self._server.has_background_ingress
-        if event is None or (timeout is None and not background):
+        server = self._server
+        if server is None or (timeout is None and not server.has_background_ingress):
             raise RequestPending(request)
-        if not event.wait(timeout) and request.status == PENDING:
+        event = server._completion_event(request)
+        if event is not None and not event.wait(timeout) and request.status == PENDING:
             raise TimeoutError(
                 f"request {request.request_id} still pending after {timeout:.3f}s"
             )
@@ -334,7 +336,8 @@ class FrontDoor:
         self._thread.start()
 
     def notify(self) -> None:
-        """Called by ``submit()`` after an enqueue: wake the pump now."""
+        """Called by a submit window when an enqueue may need a flush: wake
+        the pump now."""
         self._wake.set()
 
     def _run(self) -> None:

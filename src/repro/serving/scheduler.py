@@ -9,10 +9,12 @@ barrier — no flush from round N+1 can overlap round N, which is what keeps
 concurrent execution deterministic per shard and lets a ``ManualClock`` stand
 still within a round).
 
-``flush_on_submit`` preserves the old ergonomic default: the engine polls
-after every ``submit()`` so size-triggered batches flush immediately.  Open-
-loop benchmarks turn it off and drive :meth:`poll` themselves to let queues
-actually build up (the admission-control scenarios).
+``flush_on_submit`` preserves the old ergonomic default: a submit window
+polls after its first admission, then whenever some shard's flush time has
+come, and once before returning, so size-triggered batches flush
+immediately.  Open-loop benchmarks turn it off and drive :meth:`poll`
+themselves to let queues actually build up (the admission-control
+scenarios).
 
 Rounds are crash-safe: the engine's ``_flush`` isolates worker failures
 (retry, failover, failing a dark shard — see :mod:`repro.serving.engine`), so a
@@ -97,10 +99,6 @@ class Scheduler:
                 )
             flushed += self._run_round(self.batcher.nonempty_shards(), forced=True)
         return flushed
-
-    def on_submit(self) -> int:
-        """Hook called by the engine after each enqueue."""
-        return self.poll() if self.flush_on_submit else 0
 
     def _run_round(self, shard_ids: List[int], forced: bool) -> int:
         if not shard_ids:

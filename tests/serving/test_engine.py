@@ -87,18 +87,73 @@ class TestExactServing:
 
 class TestDeterminism:
     @pytest.mark.parametrize("executor", ["serial", "concurrent"])
-    def test_identical_runs_produce_identical_results(self, small_graph, executor):
+    @pytest.mark.parametrize("max_delay", [0.0, 0.002])
+    @pytest.mark.parametrize("overload_policy", [None, "reject", "shed_oldest", "block"])
+    @pytest.mark.parametrize("clock_step", [0.0, 0.0005])
+    def test_identical_runs_produce_identical_results(
+        self, small_graph, executor, max_delay, overload_policy, clock_step
+    ):
+        # The same stream served twice, once as submit_many windows and once
+        # as one submit() per node: under a ManualClock the window's polling
+        # rule must cut exactly the batches of polling after every request.
+        # The first window queues without flushing and piles onto shard 0,
+        # so the second starts on a backlog one round cannot clear.  With a
+        # clock_step the clock also moves on every enqueue, so a shard's
+        # delay or deadline can come due while the window admits into the
+        # other shard.
         nodes = np.random.default_rng(1).choice(small_graph.num_nodes, size=40, replace=True)
+        # Concurrent shards of one round finish in any order.
+        order = sorted if executor == "concurrent" else list
         outcomes = []
-        for _ in range(2):
-            model = _model(small_graph)
-            with _server(model, small_graph, executor=executor) as server:
-                predictions = server.predict(nodes)
+        for batched in (True, False):
+            clock = ManualClock()
+            config = ServingConfig(
+                num_shards=2,
+                max_batch_size=4,
+                max_delay=max_delay,
+                cache_capacity=1024,
+                executor=executor,
+                max_queue_depth=None if overload_policy is None else 3,
+                overload_policy=overload_policy or "reject",
+                default_timeout=0.004,
+                seed=0,
+            )
+            with InferenceServer(_model(small_graph), small_graph, config, clock=clock) as server:
+                if clock_step:
+                    enqueue = server.batcher.enqueue
+
+                    def enqueue_and_tick(request, enqueue=enqueue):
+                        enqueue(request)
+                        clock.advance(clock_step)
+
+                    server.batcher.enqueue = enqueue_and_tick
+                backlog = np.concatenate([server.shards[0].core_nodes[:10], nodes[:5]])
+                windows = [
+                    ("premium", backlog), ("backfill", nodes[5:25]), ("premium", nodes[25:])
+                ]
+                handles = []
+                for index, (request_class, window) in enumerate(windows):
+                    server.scheduler.flush_on_submit = index > 0
+                    if batched:
+                        handles += server.submit_many(window, request_class=request_class)
+                    else:
+                        handles += [
+                            server.submit(node, request_class=request_class) for node in window
+                        ]
+                    clock.advance((0.001, 0.005)[index % 2])
+                server.drain()
                 stats = server.stats()
-            outcomes.append((predictions, stats.batch_sizes, stats.latencies))
-        assert np.array_equal(outcomes[0][0], outcomes[1][0])
-        assert np.array_equal(outcomes[0][1], outcomes[1][1])
-        assert np.array_equal(outcomes[0][2], outcomes[1][2])
+                outcomes.append((
+                    [
+                        (h.request_id, h.status, h.worker_id, h.batch_size, h.prediction)
+                        for h in handles
+                    ],
+                    (stats.size_flushes, stats.delay_flushes, stats.forced_flushes),
+                    server.scheduler.rounds,
+                    order(stats.batch_sizes.tolist()),
+                    order(stats.latencies.tolist()),
+                ))
+        assert outcomes[0] == outcomes[1]
 
     def test_manual_clock_latencies_are_simulated_time(self, small_graph):
         model = _model(small_graph)
@@ -217,6 +272,19 @@ class TestValidationAndStats:
             server.submit(small_graph.num_nodes)
         with pytest.raises(ValueError):
             server.submit(-1)
+
+    def test_invalid_window_admits_nothing(self, small_graph):
+        server = _server(_model(small_graph), small_graph)
+        with pytest.raises(ValueError, match=f"node {small_graph.num_nodes} is outside"):
+            server.submit_many([0, 1, 2, small_graph.num_nodes])
+        with pytest.raises(ValueError, match="timeout"):
+            server.submit_many([0, 1], timeout=-1.0)
+        with pytest.raises(ValueError, match="request_class"):
+            server.submit_many([0, 1], request_class="gold")
+        assert server.batcher.pending == 0
+        server.drain()
+        assert server.stats().submitted_requests == 0
+        assert server.submit(0).request_id == 0
 
     def test_invalid_config_values(self):
         with pytest.raises(ValueError):

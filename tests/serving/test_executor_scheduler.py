@@ -14,6 +14,7 @@ The contract under test:
 from __future__ import annotations
 
 import inspect
+import sys
 import threading
 
 import numpy as np
@@ -269,6 +270,35 @@ class TestConcurrentServing:
         with pytest.raises(RuntimeError, match="shut down"):
             server.submit(0)
 
+    def test_shutdown_mid_window_leaves_every_request_terminal(self, small_graph):
+        # Another thread shuts the server down while a window is admitting
+        # (between two of its inline rounds, when it holds no lock): what
+        # was admitted before is drained, the rest of the window is
+        # rejected, and nothing is left pending.
+        model = _model(small_graph)
+        server = _server(model, small_graph, executor="concurrent")
+        poll, rounds = server.scheduler.poll, []
+
+        def poll_then_shutdown():
+            flushed = poll()
+            rounds.append(flushed)
+            if len(rounds) == 3:
+                closer = threading.Thread(target=server.shutdown)
+                closer.start()
+                closer.join(timeout=5.0)
+                assert not closer.is_alive()
+            return flushed
+
+        server.scheduler.poll = poll_then_shutdown
+        nodes = np.arange(200) % small_graph.num_nodes
+        handles = server.submit_many(nodes)
+        statuses = [handle.status for handle in handles]
+        served = statuses.count("completed")
+        assert 0 < served < len(nodes)
+        assert statuses == ["completed"] * served + ["rejected"] * (len(nodes) - served)
+        assert server.batcher.pending == 0
+        assert server.stats().rejected_requests == len(nodes) - served
+
 
 class TestAdmissionControl:
     def test_reject_policy_turns_new_requests_away(self, small_graph):
@@ -413,27 +443,42 @@ class TestAdmissionControl:
         assert stats.rejected_requests + stats.shed_requests == 1
         assert stats.completed_requests == 2
 
-    def test_concurrent_submitters_get_unique_request_ids(self, small_graph):
+    @pytest.mark.parametrize("flush_on_submit", [False, True])
+    def test_concurrent_submitters_get_unique_request_ids(self, small_graph, flush_on_submit):
+        # With flush_on_submit the submitters' windows also poll, and check
+        # shard due-ness, while other submitters' rounds pop the same queues.
         model = _model(small_graph)
-        server = _server(model, small_graph, num_shards=2, max_batch_size=4, flush_on_submit=False)
-        num_threads, per_thread = 4, 50
+        server = _server(
+            model, small_graph, num_shards=2, max_batch_size=4, flush_on_submit=flush_on_submit
+        )
+        num_threads, per_thread, window = 4, 50, 5
         start = threading.Barrier(num_threads, timeout=5.0)
         handles = [[] for _ in range(num_threads)]
 
         def submitter(index):
             start.wait()
-            for k in range(per_thread):
-                handles[index].append(server.submit((index * per_thread + k) % small_graph.num_nodes))
+            for k in range(0, per_thread, window):
+                first = index * per_thread + k
+                nodes = [node % small_graph.num_nodes for node in range(first, first + window)]
+                handles[index].extend(server.submit_many(nodes))
 
-        threads = [threading.Thread(target=submitter, args=(i,)) for i in range(num_threads)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=10.0)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=submitter, args=(i,)) for i in range(num_threads)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=10.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
         flat = [handle for group in handles for handle in group]
         assert len({handle.request_id for handle in flat}) == num_threads * per_thread
         server.drain()
         assert all(handle.completed for handle in flat)
+        assert server.stats().completed_requests == num_threads * per_thread
+        assert server.batcher.pending == 0
 
     def test_predict_raises_when_admission_drops_requests(self, small_graph):
         model = _model(small_graph)

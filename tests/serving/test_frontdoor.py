@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import asyncio
 import dataclasses
+import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -206,6 +208,26 @@ class TestRequestHandle:
         server.drain()
         with pytest.raises(TypeError):
             handle.done()
+        server.shutdown()
+
+
+    def test_sync_window_builds_no_completion_event(self):
+        # Nothing waits under sync ingress, so no request pays for an Event.
+        server = _server()
+        handles = server.submit_many(range(GRAPH.num_nodes))
+        server.drain()
+        assert all(handle.completed for handle in handles)
+        assert sum(handle.request._event is not None for handle in handles) == 0
+        server.shutdown()
+
+    def test_handle_without_server_cannot_wait(self):
+        server = _server(max_batch_size=8)
+        server.scheduler.flush_on_submit = False
+        handle = RequestHandle(server.submit(1).request)
+        assert handle.wait(timeout=0.01) is False
+        with pytest.raises(RequestPending):
+            handle.result(timeout=0.01)
+        assert handle.request._event is None
         server.shutdown()
 
 
@@ -491,6 +513,61 @@ class TestFrontDoorPump:
             release.set()
             server.shutdown()
 
+    def test_waiters_blocked_before_completion_all_wake(self):
+        # First every waiter creates its event while the pump is held
+        # mid-flush, so each completion must set an event that already
+        # exists; then waiters race the pump with a short switch interval.
+        server = _server(
+            clock=SystemClock(), ingress="thread", max_delay=0.005, max_batch_size=4
+        )
+        release = threading.Event()
+        results = {}
+
+        def wait_for(handle):
+            results[handle.node] = handle.result(timeout=5.0)
+
+        def join_quickly(threads):
+            # A lost wakeup would hold its waiter for the full 5 s timeout.
+            deadline = time.monotonic() + 2.5
+            for thread in threads:
+                thread.join(timeout=max(0.0, deadline - time.monotonic()))
+            assert not any(thread.is_alive() for thread in threads)
+
+        interval = sys.getswitchinterval()
+        try:
+            for worker in server.workers:
+                original = worker.predict
+
+                def gated(nodes, original=original):
+                    assert release.wait(timeout=5.0)
+                    return original(nodes)
+
+                worker.predict = gated
+            handles = server.submit_many(range(8))
+            threads = [threading.Thread(target=wait_for, args=(h,)) for h in handles]
+            for thread in threads:
+                thread.start()
+            deadline = time.monotonic() + 5.0
+            while any(handle.request._event is None for handle in handles):
+                assert time.monotonic() < deadline, "waiters never blocked"
+                time.sleep(0.001)
+            assert not any(handle.done for handle in handles)
+            release.set()
+            join_quickly(threads)
+            assert results == {n: int(REFERENCE[n]) for n in range(8)}
+
+            sys.setswitchinterval(1e-5)
+            handles = server.submit_many(range(GRAPH.num_nodes))
+            threads = [threading.Thread(target=wait_for, args=(h,)) for h in handles]
+            for thread in threads:
+                thread.start()
+            join_quickly(threads)
+            assert results == {n: int(REFERENCE[n]) for n in range(GRAPH.num_nodes)}
+        finally:
+            sys.setswitchinterval(interval)
+            release.set()
+            server.shutdown()
+
     def test_handles_are_awaitable_from_asyncio(self):
         server = _server(
             clock=SystemClock(), ingress="thread", max_delay=0.005, max_batch_size=2
@@ -521,6 +598,41 @@ class TestFrontDoorPump:
         finally:
             sync.shutdown()
         assert got == expected == [int(REFERENCE[n]) for n in nodes]
+
+    def test_stats_while_the_pump_serves(self):
+        # A monitor reads stats() in a loop while the pump extends the
+        # latency record it copies.  The record starts long, so that each
+        # copy runs long enough for the pump to try an extend during it.
+        server = _server(clock=SystemClock(), ingress="thread", max_delay=0.001)
+        server._latencies.extend([0.0] * 500_000)
+        stop, errors = threading.Event(), []
+
+        def monitor():
+            while not stop.is_set():
+                try:
+                    server.stats()
+                except Exception as exc:  # noqa: BLE001 - reported below
+                    errors.append(exc)
+                    return
+
+        thread = threading.Thread(target=monitor)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            thread.start()
+            for _ in range(10):
+                handles = server.submit_many(range(GRAPH.num_nodes))
+                assert [h.result(timeout=5.0) for h in handles] == REFERENCE.tolist()
+        finally:
+            stop.set()
+            thread.join(timeout=5.0)
+            sys.setswitchinterval(interval)
+            server.shutdown()
+        assert errors == []
+        # The pump survives a failed flush, so check its bookkeeping too.
+        stats = server.stats()
+        assert stats.completed_requests == 10 * GRAPH.num_nodes
+        assert len(stats.latencies) == 500_000 + 10 * GRAPH.num_nodes
 
     def test_shutdown_stops_pump_and_rejects_new_work(self):
         server = _server(clock=SystemClock(), ingress="thread", max_delay=0.005)
