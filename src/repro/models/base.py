@@ -192,8 +192,13 @@ class GNNLayer(Module):
     graph's operator caches so the first request does not pay normalisation.
     """
 
-    #: set by sub-classes: does this layer contain weight matrices in its aggregator?
-    has_aggregation_weights: bool = False
+    #: Does this layer's aggregation read any parameter?  Sub-classes whose
+    #: aggregator is weight-free (GCN) set ``False`` and implement
+    #: :meth:`aggregate_restricted` / :meth:`combine_restricted`: the serving
+    #: worker then memoises the first layer's aggregated rows across weight
+    #: versions.  Defaults to ``True`` so a layer that forgets to declare it
+    #: gets no memo, never a stale one.
+    has_aggregation_weights: bool = True
 
     def __init__(self, in_features: int, out_features: int, compression: CompressionConfig) -> None:
         super().__init__()
@@ -220,6 +225,18 @@ class GNNLayer(Module):
         layer scatters its computed rows into ``buffer[positions]`` via
         :func:`emit_restricted` before returning them.
         """
+        raise NotImplementedError
+
+    def aggregate_restricted(self, h: Tensor, restriction, timer=None) -> np.ndarray:  # pragma: no cover
+        """The aggregation half of :meth:`forward_restricted`, as raw rows.
+
+        Only weight-free aggregators (``has_aggregation_weights = False``)
+        implement it: its rows depend on ``h`` and the frozen graph alone.
+        """
+        raise NotImplementedError
+
+    def combine_restricted(self, aggregated: np.ndarray, timer=None, out=None) -> Tensor:  # pragma: no cover
+        """The combination half of :meth:`forward_restricted` over aggregated rows."""
         raise NotImplementedError
 
     def prepare_full(self, graph: Graph) -> None:

@@ -60,15 +60,20 @@ class GCNLayer(GNNLayer):
     def prepare_full(self, graph) -> None:
         graph.random_walk_adjacency(add_self_loops=True)
 
-    def forward_restricted(self, h: Tensor, restriction, timer=None, out=None) -> Tensor:
+    def aggregate_restricted(self, h: Tensor, restriction, timer=None) -> np.ndarray:
         with stage_scope(timer, "aggregation"):
             # Restricted SpMM: the requested rows of the frozen operator,
             # columns remapped into the batch-local index space.
             operator = restriction.operator("random_walk", add_self_loops=True)
-            aggregated = Tensor(operator @ h.data)
+            return operator @ h.data
+
+    def combine_restricted(self, aggregated: np.ndarray, timer=None, out=None) -> Tensor:
         with stage_scope(timer, "combination"):
-            result = apply_linear(self.fc, aggregated)
+            result = apply_linear(self.fc, Tensor(aggregated))
             return emit_restricted(result.relu() if self.activation else result, out)
+
+    def forward_restricted(self, h: Tensor, restriction, timer=None, out=None) -> Tensor:
+        return self.combine_restricted(self.aggregate_restricted(h, restriction, timer), timer, out)
 
 
 @register_model("gcn")

@@ -1062,6 +1062,12 @@ class ProcessPlane:
         shard = self.shards[shard_id]
         segments = self._publish_shard(shard)
         graph = shard.graph
+        if self.halo_store is not None:
+            # Children serve the weights pickled at their spawn, so a spawn
+            # under a new weight signature is a model refresh: drop the rows
+            # the fleet published under the old one before this child can
+            # prewarm from (or gather) them.
+            self.halo_store.ensure_signature(self.model.weight_signature())
         spec = WorkerSpec(
             worker_id=worker_id,
             shard_id=shard_id,

@@ -20,6 +20,14 @@ the restricted rows are exactly what :meth:`repro.models.GNNModel.full_forward`
 would produce on the whole graph — so served predictions match offline
 full-graph evaluation, and cached (and halo-exchanged) rows can be reused
 across batches and shards safely.
+
+One exception to "every miss set becomes a plan": when the first layer's
+aggregation reads no weight (``has_aggregation_weights`` is false — GCN's
+``Â·X``), its rows depend on the frozen shard graph alone.  The worker
+memoises them per incarnation and never drops them on a weight change, so
+the layer-1 plan covers only the miss rows the memo does not know yet, and
+every layer-1 miss then runs just the combination.  Memo rows come out of the
+same restricted SpMM, so they are bitwise the rows it would recompute.
 """
 
 from __future__ import annotations
@@ -88,6 +96,13 @@ class ShardWorker:
             # is as cheap as the thousandth.
             for layer in model.layers:
                 layer.prepare_full(shard.graph)
+        # Weight-free first aggregation: Â·X rows for shard-local nodes,
+        # filled lazily (never precomputed — a full-shard SpMM at build
+        # would dominate setup) and valid under every weight version.
+        self._memo: Optional[np.ndarray] = None
+        if shard.graph.num_nodes and not model.layers[0].has_aggregation_weights:
+            self._memo = np.empty((shard.graph.num_nodes, self._layer_dim(0)))
+            self._memo_known = np.zeros(shard.graph.num_nodes, dtype=bool)
         # Parameter list cached once: computing the weight signature per flush
         # must not re-walk the module tree (Parameter objects are stable; only
         # their version counters move).
@@ -202,7 +217,10 @@ class ShardWorker:
         :class:`~repro.serving.cache.HaloStore` (boundary rows another shard
         already computed; promoted into the local cache on the way through so
         the next flush hits locally), or a restricted recompute over a freshly
-        built :class:`~repro.graph.Restriction`.
+        built :class:`~repro.graph.Restriction`.  For a weight-free first
+        aggregation the layer-1 plan covers only the misses the memo does
+        not know; the others reuse their memoised aggregated rows and run
+        the combination alone.
         """
         graph = self.shard.graph
         num_layers = self.model.num_layers
@@ -267,9 +285,13 @@ class ShardWorker:
             if len(missing):
                 miss_idx[k] = missing
                 miss_global[k] = nodes_global[missing]
-                with timer.stage("plan_build"):
-                    plans[k] = Restriction(graph, needed[k][missing])
-                needed[k - 1] = plans[k].cols
+                rows = needed[k][missing]
+                if k == 1 and self._memo is not None:
+                    rows = rows[~self._memo_known[rows]]  # memoised rows need no features
+                if len(rows):
+                    with timer.stage("plan_build"):
+                        plans[k] = Restriction(graph, rows)
+                    needed[k - 1] = plans[k].cols
 
         # Bottom-up pass: raw features feed layer 1; each layer recomputes its
         # misses through its restricted operators, scattering them straight
@@ -278,7 +300,7 @@ class ShardWorker:
         h_prev = np.asarray(graph.features[needed[0]], dtype=np.float64)
         for k in range(1, num_layers + 1):
             parts = hit_parts[k]
-            if plans[k] is None:
+            if not len(miss_idx[k]):
                 if len(parts) == 1:
                     # Fully hit from one tier: the gathered block already *is*
                     # this layer's output, in needed[k] order — no reassembly.
@@ -292,9 +314,25 @@ class ShardWorker:
             values = np.empty((len(needed[k]), self._layer_dim(k)))
             for positions, rows in parts:
                 values[positions] = rows
-            computed = self.model.layers[k - 1].forward_restricted(
-                Tensor(h_prev), plans[k], timer=timer, out=(values, miss_idx[k])
-            ).data
+            layer = self.model.layers[k - 1]
+            if k == 1 and self._memo is not None:
+                wanted = needed[1][miss_idx[1]]
+                plan = plans[1]
+                if plan is not None:  # rows the memo lacked: SpMM them in
+                    aggregated = layer.aggregate_restricted(Tensor(h_prev), plan, timer)
+                with timer.stage("aggregation"):
+                    if plan is not None:
+                        self._memo[plan.rows] = aggregated
+                        self._memo_known[plan.rows] = True
+                    # A plan over every wanted row already holds them in order;
+                    # a second shard-sized copy would only raise peak memory.
+                    if plan is None or plan.num_rows < len(wanted):
+                        aggregated = self._memo[wanted]
+                computed = layer.combine_restricted(aggregated, timer, out=(values, miss_idx[1])).data
+            else:
+                computed = layer.forward_restricted(
+                    Tensor(h_prev), plans[k], timer=timer, out=(values, miss_idx[k])
+                ).data
             with timer.stage("cache_scatter"):
                 self.cache.put(k, miss_global[k], computed)
             if halo is not None:

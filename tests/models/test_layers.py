@@ -9,7 +9,7 @@ from repro import nn
 from repro.compression import CompressionConfig
 from repro.graph import NeighborSampler
 from repro.models import GATLayer, GCNLayer, GGCNLayer, GraphSAGEPoolLayer
-from repro.models.base import apply_linear
+from repro.models.base import GNNLayer, apply_linear
 from repro.tensor import Tensor
 
 DENSE = CompressionConfig(block_size=1)
@@ -85,6 +85,10 @@ class TestLayerForward:
 class TestLayerDetails:
     def test_gcn_has_no_aggregation_weights(self):
         assert GCNLayer.has_aggregation_weights is False
+
+    def test_undeclared_layers_default_to_aggregation_weights(self):
+        # The serving memo trusts a False: a layer must opt in, never by omission.
+        assert GNNLayer.has_aggregation_weights is True
 
     def test_other_layers_have_aggregation_weights(self):
         assert GraphSAGEPoolLayer.has_aggregation_weights

@@ -172,18 +172,72 @@ class TestScheduler:
 
 
 class TestConcurrentServing:
-    @pytest.mark.parametrize("executor", ["serial", "concurrent"])
-    def test_predictions_bitwise_equal_to_full_graph(self, small_graph, executor):
+    @pytest.mark.parametrize("executor", ["serial", "concurrent", "process"])
+    @pytest.mark.parametrize("halo_tier", [True, False])
+    @pytest.mark.parametrize("num_replicas", [1, 2])
+    def test_predictions_bitwise_equal_to_full_graph(
+        self, small_graph, monkeypatch, executor, halo_tier, num_replicas
+    ):
+        # Three model refreshes, each followed by the same request stream:
+        # every round serves full_forward's answers under the new weights,
+        # while layer 1's weight-free aggregation (GCN's Â·X) is computed
+        # once per row per worker incarnation and reused across refreshes.
         model = _model(small_graph, block_size=4)
-        reference = model.full_forward(small_graph).data.argmax(axis=-1)
         server = _server(
-            model, small_graph, num_shards=3, executor=executor, max_batch_size=4
+            model,
+            small_graph,
+            num_shards=3,
+            executor=executor,
+            max_batch_size=4,
+            halo_tier=halo_tier,
+            num_replicas=num_replicas,
         )
         nodes = np.random.default_rng(2).choice(small_graph.num_nodes, size=80, replace=True)
+        in_process = executor != "process"
+        aggregated_rows = []  # rows of every layer-1 restriction, per round
+        if in_process:
+            layer = model.layers[0]
+            aggregate = layer.aggregate_restricted
+
+            def counting(h, restriction, timer=None):
+                aggregated_rows[-1] += restriction.num_rows
+                return aggregate(h, restriction, timer)
+
+            monkeypatch.setattr(layer, "aggregate_restricted", counting)
+        incarnations = {}
+        rng = np.random.default_rng(5)
+        previous = None
         try:
-            assert np.array_equal(server.predict(nodes), reference[nodes])
+            for round_index in range(3):
+                if round_index:
+                    # Layer 1's weight: its combination must be redone, its
+                    # aggregation must not.
+                    parameter = model.parameters()[0]
+                    parameter.data += rng.normal(size=parameter.data.shape)
+                    parameter.bump_version()
+                    # Children hold pickled weights: a refresh respawns them
+                    # all.  With two in-process replicas one slot is rebuilt,
+                    # so a replacement with an empty memo joins the round.
+                    if not in_process:
+                        for worker in list(server.workers):
+                            server.restart_replica(*divmod(worker.worker_id, num_replicas))
+                    elif num_replicas == 2:
+                        server.restart_replica(round_index % 3, 0)
+                reference = model.full_forward(small_graph).data.argmax(axis=-1)
+                assert previous is None or not np.array_equal(reference[nodes], previous)
+                previous = reference[nodes]
+                aggregated_rows.append(0)
+                assert np.array_equal(server.predict(nodes), reference[nodes])
+                incarnations.update((id(worker), worker) for worker in server.workers)
         finally:
             server.shutdown()
+        if in_process:
+            assert aggregated_rows[0] > 0
+            if num_replicas == 1:
+                assert sum(aggregated_rows) == aggregated_rows[0]
+            # Each incarnation aggregates each row at most once.
+            memoised = sum(int(worker._memo_known.sum()) for worker in incarnations.values())
+            assert sum(aggregated_rows) == memoised
 
     def test_concurrent_and_serial_serve_identical_answers(self, small_graph):
         model = _model(small_graph)

@@ -15,10 +15,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.compression import CompressionConfig
 from repro.graph.restriction import Restriction
-from repro.models import create_model
+from repro.models import GNNModel, create_model
+from repro.models.base import GNNLayer, apply_linear, emit_restricted
 from repro.serving import HaloStore, InferenceServer, ManualClock, ServingConfig
 from repro.serving import worker as worker_module
+from repro.tensor.tensor import Tensor
 
 DIM = 3
 MODELS = ["GCN", "GS-Pool", "G-GCN", "GAT"]
@@ -229,7 +232,9 @@ class TestFreshPlansPerFlush:
 
     The only way a miss set recurs on warm traffic is the same batch replayed
     after a weight bump (the embedding cache answers a node after its first
-    miss), so that replay is the sequence pinned here.
+    miss), so that replay is the sequence pinned here.  A weight-free first
+    aggregation is the exception: the worker's memo keeps its rows across
+    the bump, so that layer builds no plan for them again.
     """
 
     @pytest.mark.parametrize("name", MODELS)
@@ -245,9 +250,9 @@ class TestFreshPlansPerFlush:
         assert np.array_equal(server.predict(nodes), fresh[nodes])
         assert np.array_equal(server.predict(np.arange(small_graph.num_nodes)), fresh)
 
-    def test_replay_after_weight_bump_rebuilds_every_plan(self, small_graph, monkeypatch):
-        model = _model(small_graph)
-        server = _server(model, small_graph, halo_tier=False)
+    @staticmethod
+    def _replanned_after_bump(monkeypatch, model, server):
+        """Plan row lists of a one-node flush, then of its replay after a bump."""
         node = [int(server.shards[0].core_nodes[0])]
         builds = []
         original = Restriction.__init__
@@ -262,7 +267,46 @@ class TestFreshPlansPerFlush:
         assert len(first) == 2  # logits plan + layer-1 plan
         model.parameters()[0].bump_version()
         server.predict(node)
-        assert builds[len(first):] == first  # same miss sets, built again
+        return first, builds[len(first):]
+
+    @pytest.mark.parametrize("name, replanned", [("GCN", 1), ("GS-Pool", 2)])
+    def test_replay_after_weight_bump_rebuilds_weight_dependent_plans(
+        self, small_graph, monkeypatch, name, replanned
+    ):
+        # GCN's first aggregation reads no weight: the worker memoised its
+        # rows on the first flush, so the replay rebuilds only the logits
+        # plan.  GS-Pool's pooling MLP is a weight: both plans come back.
+        model = _model(small_graph, name)
+        server = _server(model, small_graph, halo_tier=False)
+        first, replay = self._replanned_after_bump(monkeypatch, model, server)
+        assert replay == first[:replanned]  # same miss sets, built again
+
+    def test_layer_without_the_flag_gets_no_memo(self, small_graph, monkeypatch):
+        class UndeclaredLayer(GNNLayer):
+            """GCN's maths in a layer that never declares has_aggregation_weights."""
+
+            def __init__(self, in_features, out_features, rng):
+                config = CompressionConfig(block_size=1)
+                super().__init__(in_features, out_features, config)
+                self.fc = config.linear(in_features, out_features, phase="combination", rng=rng)
+
+            def forward_full(self, h, graph):
+                operator = graph.random_walk_adjacency(add_self_loops=True)
+                return apply_linear(self.fc, Tensor(operator @ h.data))
+
+            def forward_restricted(self, h, restriction, timer=None, out=None):
+                operator = restriction.operator("random_walk", add_self_loops=True)
+                return emit_restricted(apply_linear(self.fc, Tensor(operator @ h.data)), out)
+
+        rng = np.random.default_rng(0)
+        model = GNNModel([
+            UndeclaredLayer(small_graph.num_features, 16, rng),
+            UndeclaredLayer(16, small_graph.num_classes, rng),
+        ])
+        server = _server(model, small_graph, halo_tier=False)
+        assert all(worker._memo is None for worker in server.workers)
+        first, replay = self._replanned_after_bump(monkeypatch, model, server)
+        assert replay == first  # the layer-1 plan is rebuilt after the bump
 
     def test_plan_hit_rate_reads_zero(self, small_graph):
         model = _model(small_graph)
