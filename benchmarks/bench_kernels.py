@@ -14,7 +14,10 @@ addresses).
 from __future__ import annotations
 
 import functools
+import json
 import os
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -38,7 +41,7 @@ from repro.models.base import edge_destinations, segment_reduce, weighted_segmen
 from repro.models.ggcn import _gated_messages
 from repro.models.trainer import compare_inference_modes
 from repro.nn import BlockCirculantLinear
-from repro.tensor import Tensor
+from repro.tensor import Tensor, no_grad
 
 DIM = 512
 BATCH = 64
@@ -130,14 +133,14 @@ def test_circulant_forward_uncached_fft(benchmark, dense_problem):
 
 
 def test_circulant_forward_cached_rfft(benchmark, dense_problem):
-    """The optimised hot path: rFFT with the per-version spectral cache."""
+    """The optimised spectral path: rFFT with the per-version spectral cache."""
     _, features = dense_problem
     rng = np.random.default_rng(1)
     layer = BlockCirculantLinear(DIM, DIM, CACHE_BLOCK, bias=False, rng=rng)
     x = Tensor(features)
-    layer(x)  # warm the (version, W_hat) cache
+    layer.forward_spectral(x)  # warm the (version, W_hat) cache
 
-    result = benchmark(lambda: layer(x))
+    result = benchmark(lambda: layer.forward_spectral(x))
     assert result.shape == (BATCH, DIM)
 
 
@@ -148,10 +151,10 @@ def test_cached_rfft_speedup_over_seed_path(dense_problem, save_result):
     spec = BlockCirculantSpec(DIM, DIM, CACHE_BLOCK)
     layer = BlockCirculantLinear(DIM, DIM, CACHE_BLOCK, bias=False, rng=rng)
     x = Tensor(features)
-    layer(x)  # warm the cache
+    layer.forward_spectral(x)  # warm the cache
 
     uncached = _best_of(lambda: _seed_circulant_forward(features, layer.weight.data, spec))
-    cached = _best_of(lambda: layer(x))
+    cached = _best_of(lambda: layer.forward_spectral(x))
     speedup = uncached / cached
     save_result(
         "kernels_spectral_cache",
@@ -165,6 +168,62 @@ def test_cached_rfft_speedup_over_seed_path(dense_problem, save_result):
     )
     if STRICT_PERF:
         assert speedup >= 2.0, f"cached rFFT path only {speedup:.2f}x faster than the seed path"
+
+
+#: The crossover ledger's grid: square F x F layers at every block size.
+CROSSOVER_FEATURES = (128, 256, 512, 1024)
+CROSSOVER_BLOCKS = (4, 8, 16, 32, 64, 128)
+CROSSOVER_ROWS = 1024
+
+
+def _crossover_grid() -> dict:
+    """``{"F<f>.n<n>": (rfft_us, dense_us)}`` for one ``CROSSOVER_ROWS``-row
+    forward, both kernels on their cached weights and without autograd."""
+    rng = np.random.default_rng(0)
+    cells = {}
+    with no_grad():
+        for features in CROSSOVER_FEATURES:
+            x = Tensor(rng.standard_normal((CROSSOVER_ROWS, features)))
+            for block in CROSSOVER_BLOCKS:
+                layer = BlockCirculantLinear(features, features, block, bias=False, rng=rng)
+                np.testing.assert_allclose(layer(x).data, layer.forward_spectral(x).data, atol=1e-10)
+                cells[f"F{features}.n{block}"] = (
+                    _best_of(lambda: layer.forward_spectral(x)) * 1e6,
+                    _best_of(lambda: layer(x)) * 1e6,
+                )
+    return cells
+
+
+def test_dense_rfft_crossover_ledger(save_result):
+    """Where the cached dense expansion stops beating the cached rFFT kernel.
+
+    Times the layer's rFFT kernel on its cached spectrum
+    (``forward_spectral``) against its forward, the dense GEMM on the cached
+    ``W^T``, over ``CROSSOVER_FEATURES`` x ``CROSSOVER_BLOCKS`` at
+    ``CROSSOVER_ROWS`` rows.  The grid runs in a child process with one BLAS
+    thread, like the end-to-end benchmark's workers.  A report only: it
+    asserts nothing about the timings.
+    """
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    child = subprocess.run(
+        [sys.executable, __file__], env=env, capture_output=True, text=True, check=True
+    )
+    cells = json.loads(child.stdout)
+    lines = [
+        f"cached rFFT vs cached dense W^T, {CROSSOVER_ROWS} rows, one BLAS thread; "
+        "ratio = rFFT / dense (> 1: dense faster)",
+        "F     " + "".join(f"{f'n={block}':>9}" for block in CROSSOVER_BLOCKS),
+    ]
+    metrics = {}
+    for features in CROSSOVER_FEATURES:
+        row = []
+        for block in CROSSOVER_BLOCKS:
+            key = f"F{features}.n{block}"
+            rfft_us, dense_us = cells[key]
+            row.append(f"{rfft_us / dense_us:9.2f}")
+            metrics.update({f"{key}.rfft_us": rfft_us, f"{key}.dense_us": dense_us})
+        lines.append(f"{features:<6}" + "".join(row))
+    save_result("kernels_crossover", "\n".join(lines), **metrics)
 
 
 def test_full_graph_vs_sampled_inference(save_result):
@@ -381,3 +440,8 @@ def test_accelerator_functional_datapath(benchmark):
 
     result = benchmark(lambda: accelerator.execute_linear("fc", features))
     assert result.shape == (BATCH, DIM)
+
+
+if __name__ == "__main__":
+    # The crossover ledger's child process (see test_dense_rfft_crossover_ledger).
+    print(json.dumps(_crossover_grid()))

@@ -29,6 +29,7 @@ __all__ = [
     "circulant_from_first_column",
     "circulant_from_first_row",
     "expand_block_circulant",
+    "fold_block_circulant",
     "project_to_block_circulant",
     "random_block_circulant",
     "pad_to_multiple",
@@ -148,11 +149,33 @@ def expand_block_circulant(weights: np.ndarray, spec: BlockCirculantSpec) -> np.
     return dense[: spec.out_features, : spec.in_features]
 
 
+def fold_block_circulant(matrix: np.ndarray, spec: BlockCirculantSpec) -> np.ndarray:
+    """Sum a dense ``(N, M)`` matrix along each block's circulant diagonals.
+
+    ``fold[i, j, d] = sum over (r - c) mod n == d of matrix[i*n + r, j*n + c]``,
+    with the padding rows and columns taken as zero.  This is the adjoint of
+    :func:`expand_block_circulant`: it maps the gradient of a loss with
+    respect to the dense matrix onto the ``(p, q, n)`` defining vectors.
+    """
+    matrix = np.asarray(matrix, dtype=np.float64)
+    if matrix.shape != (spec.out_features, spec.in_features):
+        raise ValueError(
+            f"matrix shape {matrix.shape} does not match spec "
+            f"{(spec.out_features, spec.in_features)}"
+        )
+    n = spec.block_size
+    padded = pad_to_multiple(pad_to_multiple(matrix, n, axis=0), n, axis=1)
+    blocks = padded.reshape(spec.p, n, spec.q, n).transpose(0, 2, 1, 3)  # (p, q, n, n)
+    rows = np.arange(n)
+    cols = (rows[None, :] - rows[:, None]) % n  # cols[d, r] = (r - d) mod n
+    return blocks[:, :, rows[None, :], cols].sum(axis=-1)
+
+
 def project_to_block_circulant(matrix: np.ndarray, block_size: int) -> Tuple[np.ndarray, BlockCirculantSpec]:
     """Project a dense matrix onto the nearest block-circulant matrix.
 
     For each ``n x n`` block the least-squares-optimal circulant approximation
-    averages the entries along each circulant diagonal.  This is how an
+    averages the ``n`` entries along each circulant diagonal.  This is how an
     existing dense model is converted into the compressed representation (and
     how the block-circulant constraint is enforced during training when using
     projection-based training rather than direct circulant parameterisation).
@@ -162,24 +185,8 @@ def project_to_block_circulant(matrix: np.ndarray, block_size: int) -> Tuple[np.
     matrix = np.asarray(matrix, dtype=np.float64)
     if matrix.ndim != 2:
         raise ValueError("expected a 2-D weight matrix")
-    out_features, in_features = matrix.shape
-    spec = BlockCirculantSpec(out_features, in_features, block_size)
-    n = spec.block_size
-    padded = np.zeros((spec.padded_out, spec.padded_in), dtype=np.float64)
-    padded[:out_features, :in_features] = matrix
-    blocks = padded.reshape(spec.p, n, spec.q, n).transpose(0, 2, 1, 3)  # (p, q, n, n)
-
-    rows = np.arange(n)[:, None]
-    cols = np.arange(n)[None, :]
-    diag_index = (rows - cols) % n  # entry (r, c) belongs to defining index (r - c) mod n
-
-    weights = np.zeros((spec.p, spec.q, n), dtype=np.float64)
-    counts = np.zeros(n, dtype=np.float64)
-    np.add.at(counts, diag_index.reshape(-1), 1.0)
-    for index in range(n):
-        mask = diag_index == index
-        weights[:, :, index] = blocks[:, :, mask].sum(axis=-1) / counts[index]
-    return weights, spec
+    spec = BlockCirculantSpec(matrix.shape[0], matrix.shape[1], block_size)
+    return fold_block_circulant(matrix, spec) / spec.block_size, spec
 
 
 def random_block_circulant(

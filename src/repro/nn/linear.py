@@ -16,10 +16,11 @@ import numpy as np
 from ..compression.circulant import (
     BlockCirculantSpec,
     expand_block_circulant,
+    fold_block_circulant,
     project_to_block_circulant,
 )
 from ..compression.spectral import circulant_linear, spectral_weights
-from ..tensor.tensor import Tensor
+from ..tensor.tensor import Tensor, ensure_tensor
 from . import init
 from .module import Module, Parameter
 
@@ -62,23 +63,87 @@ class Linear(Module):
         return f"Linear(in={self.in_features}, out={self.out_features}, bias={self.bias is not None})"
 
 
+#: The dense path runs every GEMM on blocks of exactly this many rows (the
+#: last block zero-padded).  BLAS picks its kernel, and so its summation
+#: order, from the whole call shape: on OpenBLAS a 1-row product takes the
+#: GEMV kernel and a few-row product the small-matrix kernel, and both round
+#: differently from the kernel a full-graph pass takes.  With one call shape
+#: per layer, a row's output does not depend on how many other rows share
+#: the call, so a served row equals its ``full_forward`` row bit for bit.
+ROW_TILE = 32
+
+
+def row_tiled_matmul(x: np.ndarray, matrix: np.ndarray) -> np.ndarray:
+    """``x @ matrix`` computed on :data:`ROW_TILE`-row blocks, so every row's
+    result is independent of the other rows in ``x``."""
+    rows, cols = x.shape[0], matrix.shape[1]
+    whole = rows - rows % ROW_TILE
+    out = np.empty((rows, cols))
+    if whole:
+        np.matmul(
+            x[:whole].reshape(-1, ROW_TILE, x.shape[1]),
+            matrix,
+            out=out[:whole].reshape(-1, ROW_TILE, cols),
+        )
+    if whole < rows:
+        tail = np.zeros((ROW_TILE, x.shape[1]))
+        tail[: rows - whole] = x[whole:]
+        out[whole:] = (tail @ matrix)[: rows - whole]
+    return out
+
+
+def _expanded_linear(
+    x: Tensor, weights: Tensor, spec: BlockCirculantSpec, dense_t: np.ndarray
+) -> Tensor:
+    """``x @ W^T`` through the expanded matrix ``dense_t = W^T``, differentiable
+    in ``x`` and in the ``(p, q, n)`` defining vectors."""
+    x_data = x.data
+    squeeze = x_data.ndim == 1
+    if squeeze:
+        x_data = x_data[None, :]
+    if x_data.shape[-1] != spec.in_features:
+        raise ValueError(
+            f"input feature dimension {x_data.shape[-1]} does not match spec ({spec.in_features})"
+        )
+    out = row_tiled_matmul(x_data, dense_t)
+
+    def backward(grad: np.ndarray) -> None:
+        grad = np.asarray(grad, dtype=np.float64)
+        if squeeze:
+            grad = grad[None, :]
+        if x.requires_grad:
+            gx = grad @ dense_t.T
+            x._accumulate(gx[0] if squeeze else gx)
+        if weights.requires_grad:
+            weights._accumulate(fold_block_circulant(grad.T @ x_data, spec))
+
+    return Tensor._make(out[0] if squeeze else out, (x, weights), backward)
+
+
 class BlockCirculantLinear(Module):
     """Fully-connected layer whose weight matrix is block-circulant.
 
-    The weight is stored as the ``(p, q, n)`` defining vectors and applied via
-    the FFT kernel of Algorithm 1 (:func:`repro.compression.spectral.circulant_linear`),
-    so the layer's forward complexity is ``O(N M log(n) / n)`` instead of
-    ``O(N M)`` and its parameter count is ``N M / n``.
+    The weight is stored as the ``(p, q, n)`` defining vectors — ``N M / n``
+    parameters — and ``FFT(W)`` feeds the accelerator model and the FFT
+    kernel of Algorithm 1 (:meth:`forward_spectral`), whose forward
+    complexity is ``O(N M log(n) / n)`` instead of ``O(N M)``.
 
-    Two execution optimisations make this the fast path of the repository:
+    On a CPU that operation count does not become wall time at the shapes
+    the models build: numpy's transforms and complex einsum run far below
+    BLAS speed, so :meth:`forward` computes the same product as a BLAS GEMM
+    with the expanded matrix ``W^T``.  Its backward folds the dense weight
+    gradient onto the defining vectors
+    (:func:`repro.compression.circulant.fold_block_circulant`), so training
+    and inference share the one kernel.  :meth:`forward_spectral` computes
+    the product with the rFFT kernel (real-input transforms over
+    ``n // 2 + 1`` bins, Section V of the paper; ``use_rfft=False`` restores
+    the complex-FFT datapath) on the cached spectrum the accelerator model
+    reads too.
 
-    * **Cached spectral weights** — the weights are static between optimiser
-      steps, so ``FFT(W)`` is computed once per weight :attr:`~repro.nn.Parameter.version`
-      and reused by every forward *and* backward call (the software analogue
-      of the accelerator's Weight Buffer; see :meth:`spectral`).
-    * **rFFT kernels** — by default all transforms are real-input rFFTs over
-      ``n // 2 + 1`` bins (Section V of the paper); ``use_rfft=False``
-      restores the complex-FFT datapath.
+    The weights are static between optimiser steps, so both ``FFT(W)`` and
+    ``W^T`` are computed once per weight :attr:`~repro.nn.Parameter.version`
+    and reused by every forward *and* backward call (the software analogue of
+    the accelerator's Weight Buffer; see :meth:`spectral`).
     """
 
     def __init__(
@@ -102,41 +167,64 @@ class BlockCirculantLinear(Module):
             generator.normal(0.0, std, size=self.spec.weight_shape()), name="circulant_weight"
         )
         self.bias = Parameter(init.zeros(out_features), name="bias") if bias else None
-        self._spectral_cache: Optional[tuple] = None
+        self._weight_caches: dict = {}
 
-    def spectral(self) -> np.ndarray:
-        """The spectral weights ``FFT(W)``, cached per weight version.
+    def _derived(self, kind, build) -> np.ndarray:
+        """``build(weight.data)``, cached per ``(weight identity, weight.version)``.
 
-        The cache key is ``(weight identity, weight.version, use_rfft)`` —
-        identity so torch-style parameter replacement (``layer.weight =
+        Identity so torch-style parameter replacement (``layer.weight =
         Parameter(...)``, whose fresh version counter restarts at 0) cannot
-        serve the old parameter's spectra.  Any code path that mutates
+        serve the old parameter's derived arrays.  Any code path that mutates
         ``weight.data`` in place must call ``weight.bump_version()`` (the
         optimisers, ``load_state_dict`` and the quantisation utilities
-        already do).  The returned array is shared (the accelerator's Weight
-        Buffer holds the same object) and therefore frozen read-only —
-        ``.copy()`` it before editing.
+        already do) or :meth:`invalidate_weight_caches`.  The returned array
+        is shared and therefore frozen read-only — ``.copy()`` it before
+        editing.
         """
         weight = self.weight
-        cache = self._spectral_cache
-        if (
-            cache is None
-            or cache[0] is not weight
-            or cache[1] != weight.version
-            or cache[2] != self.use_rfft
-        ):
-            w_hat = spectral_weights(weight.data, use_rfft=self.use_rfft)
-            w_hat.flags.writeable = False
-            cache = (weight, weight.version, self.use_rfft, w_hat)
-            self._spectral_cache = cache
-        return cache[3]
+        cached = self._weight_caches.get(kind)
+        if cached is None or cached[0] is not weight or cached[1] != weight.version:
+            value = build(weight.data)
+            value.flags.writeable = False
+            cached = (weight, weight.version, value)
+            self._weight_caches[kind] = cached
+        return cached[2]
 
-    def invalidate_spectral_cache(self) -> None:
-        """Drop the cached ``FFT(W)`` (for callers that mutated ``weight.data``
-        without bumping the parameter version)."""
-        self._spectral_cache = None
+    def spectral(self) -> np.ndarray:
+        """The spectral weights ``FFT(W)`` (rFFT half-spectra unless
+        ``use_rfft=False``), cached per weight version.
+
+        The accelerator's Weight Buffer holds the same object, so the software
+        path and the accelerator datapath share one transform per update.
+        """
+        return self._derived(
+            ("spectral", self.use_rfft),
+            lambda w: spectral_weights(w, use_rfft=self.use_rfft),
+        )
+
+    def dense_transposed(self) -> np.ndarray:
+        """The expanded matrix ``W^T`` (``(in_features, out_features)``,
+        C-contiguous), cached per weight version."""
+        return self._derived(
+            "dense", lambda w: np.ascontiguousarray(expand_block_circulant(w, self.spec).T)
+        )
+
+    def invalidate_weight_caches(self) -> None:
+        """Drop the cached ``FFT(W)`` and ``W^T`` (for callers that mutated
+        ``weight.data`` without bumping the parameter version)."""
+        self._weight_caches.clear()
 
     def forward(self, x: Tensor) -> Tensor:
+        x = ensure_tensor(x)
+        out = _expanded_linear(x, self.weight, self.spec, self.dense_transposed())
+        if self.bias is not None:
+            out = out + self.bias
+        return out
+
+    def forward_spectral(self, x: Tensor) -> Tensor:
+        """The same product as :meth:`forward` through the FFT kernel of
+        Algorithm 1 on the cached spectral weights."""
+        x = ensure_tensor(x)
         out = circulant_linear(
             x, self.weight, self.spec, use_rfft=self.use_rfft, spectral=self.spectral()
         )

@@ -10,6 +10,7 @@ from repro.compression.circulant import (
     circulant_from_first_column,
     circulant_from_first_row,
     expand_block_circulant,
+    fold_block_circulant,
     num_blocks,
     pad_to_multiple,
     project_to_block_circulant,
@@ -130,6 +131,30 @@ class TestExpansionAndProjection:
         matrix = rng.standard_normal((5, 7))
         weights, spec = project_to_block_circulant(matrix, 1)
         assert np.allclose(expand_block_circulant(weights, spec), matrix)
+
+    def test_fold_matches_loop_oracle_with_padding(self, rng):
+        spec = BlockCirculantSpec(10, 7, 4)
+        matrix = rng.standard_normal((10, 7))
+        expected = np.zeros(spec.weight_shape())
+        for row in range(10):
+            for col in range(7):
+                i, r = divmod(row, 4)
+                j, c = divmod(col, 4)
+                expected[i, j, (r - c) % 4] += matrix[row, col]
+        assert np.allclose(fold_block_circulant(matrix, spec), expected)
+
+    def test_fold_is_the_adjoint_of_expand(self, rng):
+        spec = BlockCirculantSpec(13, 9, 4)
+        weights = rng.standard_normal(spec.weight_shape())
+        matrix = rng.standard_normal((13, 9))
+        assert np.isclose(
+            np.sum(expand_block_circulant(weights, spec) * matrix),
+            np.sum(weights * fold_block_circulant(matrix, spec)),
+        )
+
+    def test_fold_rejects_wrong_shape(self, circulant_spec):
+        with pytest.raises(ValueError):
+            fold_block_circulant(np.zeros((14, 10)), circulant_spec)
 
     def test_random_block_circulant_scale(self, rng):
         spec = BlockCirculantSpec(256, 256, 16)

@@ -185,6 +185,51 @@ class TestBlockGNNAccelerator:
         accelerator.reset_stats()
         assert accelerator.utilization_report()["fft_busy_cycles"] == 0
 
+    def test_dense_cache_leaves_accelerator_and_perfmodel_unchanged(self, rng):
+        # A forward fills each layer's W^T cache; the accelerator reads the
+        # spectra, and the perfmodel, Figure 6 and the
+        # compression ratios depend on shapes alone, so none of them moves.
+        from repro.experiments.figure6 import run_figure6
+        from repro.perfmodel.search import SearchSpace
+        from repro.workloads import build_workload
+
+        model = create_model("GCN", 64, 64, 5, compression=CompressionConfig(block_size=8), seed=0)
+        linears = [
+            (path, module)
+            for path, module in model.named_modules()
+            if isinstance(module, nn.BlockCirculantLinear)
+        ]
+        assert len(linears) == 2
+        x = rng.standard_normal((6, 64))
+        space = SearchSpace(max_systolic_rows=4, max_systolic_cols=4, pe_parallelism_choices=(1,),
+                            vpu_lane_choices=(1,))
+
+        def snapshot():
+            accelerator = self._accelerator()
+            accelerator.load_model(model)
+            workload = build_workload("GCN", "cora", hidden_features=64)
+            return (
+                [accelerator.execute_linear(path, x) for path, _ in linears],
+                [layer.compression_ratio() for _, layer in linears],
+                accelerator.estimate_latency(workload).total_cycles,
+                run_figure6(models=("GCN",), datasets=("cora",), block_size=8, space=space).entries,
+            )
+
+        before = snapshot()
+        h = Tensor(x)
+        for _, layer in linears:
+            assert "dense" not in layer._weight_caches
+            h = layer(h)
+            assert "dense" in layer._weight_caches
+        outputs, ratios, cycles, figure6 = snapshot()
+        for got, want in zip(outputs, before[0]):
+            assert np.array_equal(got, want)
+        assert ratios == before[1] == [8.0, 5.0]
+        assert cycles == before[2]
+        assert figure6 == before[3]
+        # The datapath still computes what the layer computes.
+        assert np.allclose(outputs[0], linears[0][1](Tensor(x)).data)
+
     def test_estimate_latency_and_resources(self):
         from repro.workloads import build_workload
 

@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from repro import nn
+from repro.compression import circulant_linear
 from repro.compression.circulant import expand_block_circulant
-from repro.tensor import Tensor, gradient_check
+from repro.nn.linear import ROW_TILE
+from repro.tensor import Tensor, gradient_check, no_grad
 
 
 class TestLinear:
@@ -92,8 +94,11 @@ class TestBlockCirculantLinear:
         layer = nn.BlockCirculantLinear(14, 10, 4, rng=rng)
         complex_layer = nn.BlockCirculantLinear(14, 10, 4, use_rfft=False, rng=rng)
         complex_layer.load_state_dict(layer.state_dict())
-        x = rng.standard_normal((5, 14))
-        assert np.allclose(layer(Tensor(x)).data, complex_layer(Tensor(x)).data)
+        x = Tensor(rng.standard_normal((5, 14)))
+        assert np.allclose(layer(x).data, complex_layer(x).data)
+        # use_rfft selects the spectral kernel's transform: rFFT or complex FFT.
+        assert np.allclose(layer.forward_spectral(x).data, complex_layer.forward_spectral(x).data)
+        assert np.allclose(complex_layer.forward_spectral(x).data, layer(x).data)
 
 
 def _weight_grad_from_dense(dense_grad: np.ndarray, spec) -> np.ndarray:
@@ -117,29 +122,27 @@ class TestTable3BlockSizes:
         [(256, 256, 16), (256, 256, 32), (256, 256, 64), (256, 256, 128), (200, 136, 64)],
     )
     def test_forward_gradients_and_rfft_match_dense(self, rng, in_features, out_features, block):
+        # The layer's dense kernel and both FFT kernels.
         layer = nn.BlockCirculantLinear(in_features, out_features, block, rng=rng)
-        complex_layer = nn.BlockCirculantLinear(
-            in_features, out_features, block, use_rfft=False, rng=rng
-        )
-        complex_layer.load_state_dict(layer.state_dict())
+        kernels = {
+            "layer": layer,
+            "rfft": lambda x: circulant_linear(x, layer.weight, layer.spec) + layer.bias,
+            "fft": lambda x: circulant_linear(x, layer.weight, layer.spec, use_rfft=False)
+            + layer.bias,
+        }
         x_data = rng.standard_normal((6, in_features))
         upstream = rng.standard_normal((6, out_features))
         dense = expand_block_circulant(layer.weight.data, layer.spec)
+        weight_grad = _weight_grad_from_dense(upstream.T @ x_data, layer.spec)
 
-        grads = []
-        for module in (layer, complex_layer):
+        for name, kernel in kernels.items():
+            layer.zero_grad()
             x = Tensor(x_data, requires_grad=True)
-            out = module(x)
-            assert np.allclose(out.data, x_data @ dense.T + module.bias.data)
+            out = kernel(x)
+            assert np.allclose(out.data, x_data @ dense.T + layer.bias.data), name
             (out * Tensor(upstream)).sum().backward()
-            grads.append((out.data, x.grad, module.weight.grad))
-
-        (out, x_grad, w_grad), (complex_out, complex_x_grad, complex_w_grad) = grads
-        assert np.allclose(x_grad, upstream @ dense)
-        assert np.allclose(w_grad, _weight_grad_from_dense(upstream.T @ x_data, layer.spec))
-        assert np.allclose(out, complex_out)
-        assert np.allclose(x_grad, complex_x_grad)
-        assert np.allclose(w_grad, complex_w_grad)
+            assert np.allclose(x.grad, upstream @ dense), name
+            assert np.allclose(layer.weight.grad, weight_grad), name
 
 
 class TestSpectralWeightCache:
@@ -171,9 +174,11 @@ class TestSpectralWeightCache:
         refreshed = layer.spectral()
         assert not np.allclose(refreshed, stale)
         assert np.allclose(refreshed, np.fft.rfft(layer.weight.data, axis=-1))
-        # The forward pass consumes the refreshed spectra, not the stale ones.
+        # Both kernels consume the refreshed weights, not the stale ones.
         x = rng.standard_normal((3, 8))
-        assert np.allclose(layer(Tensor(x)).data, x @ layer.weight_matrix().T + layer.bias.data)
+        expected = x @ layer.weight_matrix().T + layer.bias.data
+        assert np.allclose(layer(Tensor(x)).data, expected)
+        assert np.allclose(layer.forward_spectral(Tensor(x)).data, expected)
 
     def test_cache_refreshes_after_load_state_dict(self, rng):
         layer = nn.BlockCirculantLinear(8, 6, 4, rng=rng)
@@ -194,17 +199,105 @@ class TestSpectralWeightCache:
 
         layer = nn.BlockCirculantLinear(8, 8, 4, bias=False, rng=rng)
         x = rng.standard_normal((2, 8))
-        layer(Tensor(x))  # warm the cache at (old weight, version 0)
+        # Warm both caches at (old weight, version 0).
+        layer(Tensor(x))
+        layer.forward_spectral(Tensor(x))
         layer.weight = Parameter(np.zeros(layer.spec.weight_shape()), name="circulant_weight")
         assert np.allclose(layer(Tensor(x)).data, 0.0)
+        assert np.allclose(layer.forward_spectral(Tensor(x)).data, 0.0)
 
     def test_manual_invalidation(self, rng):
         layer = nn.BlockCirculantLinear(8, 8, 4, rng=rng)
         stale = layer.spectral()
         layer.weight.data[...] = 0.0
-        layer.invalidate_spectral_cache()
+        layer.invalidate_weight_caches()
         assert np.allclose(layer.spectral(), 0.0)
         assert stale is not layer.spectral()
+
+
+class TestDenseWeightCache:
+    """The per-version ``W^T`` cache the dense path runs on."""
+
+    def test_cache_hit_returns_same_frozen_contiguous_array(self, rng):
+        layer = nn.BlockCirculantLinear(14, 10, 4, rng=rng)
+        first = layer.dense_transposed()
+        layer(Tensor(rng.standard_normal((3, 14))))
+        assert layer.dense_transposed() is first
+        assert first.flags.c_contiguous and not first.flags.writeable
+        assert np.array_equal(first, layer.weight_matrix().T)
+
+    def test_cache_refreshes_after_load_state_dict(self, rng):
+        layer = nn.BlockCirculantLinear(8, 6, 4, rng=rng)
+        donor = nn.BlockCirculantLinear(8, 6, 4, rng=rng)
+        layer.dense_transposed()
+        layer.load_state_dict(donor.state_dict())
+        assert np.array_equal(layer.dense_transposed(), donor.dense_transposed())
+
+    def test_manual_invalidation_drops_both_caches(self, rng):
+        layer = nn.BlockCirculantLinear(8, 8, 4, bias=False, rng=rng)
+        x = Tensor(rng.standard_normal((2, 8)))
+        before = layer(x).data
+        spectral_before = layer.forward_spectral(x).data
+        layer.weight.data[...] = 0.0
+        # No version bump: both caches still hold the old weights ...
+        assert np.array_equal(layer(x).data, before)
+        assert np.array_equal(layer.forward_spectral(x).data, spectral_before)
+        layer.invalidate_weight_caches()
+        # ... until they are dropped.
+        assert np.allclose(layer(x).data, 0.0)
+        assert np.allclose(layer.forward_spectral(x).data, 0.0)
+
+
+#: ``(in, out, n)`` layer shapes, some with padded blocks.
+SHAPES = [(128, 41, 8), (131, 3, 8), (169, 41, 8), (14, 10, 4), (512, 512, 8), (600, 452, 8)]
+
+
+class TestDensePath:
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_forward_and_gradients_match_circulant_linear(self, rng, shape):
+        in_features, out_features, block = shape
+        layer = nn.BlockCirculantLinear(in_features, out_features, block, rng=rng)
+        layer.bias.data[...] = rng.standard_normal(out_features)
+        layer.bias.bump_version()
+        kernels = (
+            layer,
+            layer.forward_spectral,
+            lambda x: circulant_linear(x, layer.weight, layer.spec) + layer.bias,
+        )
+        x_data = rng.standard_normal((7, in_features))
+        upstream = rng.standard_normal((7, out_features))
+        results = []
+        for kernel in kernels:
+            layer.zero_grad()
+            x = Tensor(x_data, requires_grad=True)
+            out = kernel(x)
+            (out * Tensor(upstream)).sum().backward()
+            results.append((out.data, x.grad, layer.weight.grad, layer.bias.grad))
+        for result in results[:2]:
+            for got, want in zip(result, results[2]):
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    def test_gradcheck_with_padded_blocks(self, rng):
+        layer = nn.BlockCirculantLinear(10, 7, 4, rng=rng)
+        x = Tensor(rng.standard_normal((3, 10)), requires_grad=True)
+        # The checker perturbs the shared weight array in place and bumps its
+        # version, so every evaluation re-expands W^T.
+        assert gradient_check(lambda v, _w: layer(v), [x, layer.weight])
+
+    @pytest.mark.parametrize("shape", [(128, 41, 8), (131, 3, 8), (128, 128, 8), (512, 512, 8)])
+    def test_rows_do_not_depend_on_the_rest_of_the_batch(self, rng, shape):
+        # A BLAS kernel picked by row count (GEMV for one row, a small-matrix
+        # kernel for a few) rounds differently from the one a full pass
+        # takes; a served row must still equal its full_forward row.
+        in_features, out_features, block = shape
+        layer = nn.BlockCirculantLinear(in_features, out_features, block, rng=rng)
+        x = rng.standard_normal((3 * ROW_TILE + 5, in_features))
+        with no_grad():
+            full = layer(Tensor(x)).data
+            for rows in range(1, 2 * ROW_TILE + 2):
+                picked = rng.choice(len(x), rows, replace=False)
+                assert np.array_equal(layer(Tensor(x[picked])).data, full[picked]), rows
+            assert np.array_equal(layer(Tensor(x[5])).data, full[5])
 
 
 class TestBlockCirculantLinearTraining:
