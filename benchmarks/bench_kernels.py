@@ -37,7 +37,13 @@ from repro.graph import Restriction, load_dataset
 from repro.graph.restriction import _row_slices
 from repro.hardware import BlockGNNAccelerator, CirCoreConfig
 from repro.models import Trainer, TrainingConfig, create_model
-from repro.models.base import edge_destinations, segment_reduce, weighted_segment_sum
+from repro.models import base
+from repro.models.base import (
+    edge_destinations,
+    parallel_segment_reduce,
+    segment_reduce,
+    weighted_segment_sum,
+)
 from repro.models.ggcn import _gated_messages
 from repro.models.trainer import compare_inference_modes
 from repro.nn import BlockCirculantLinear
@@ -292,6 +298,11 @@ def test_segment_reduce_ledger(save_result):
     follow: G-GCN's gated-message sweep in the former ``expit`` form vs the
     exp form (``rtol=1e-14``), and GAT's attention-weighted neighbour sum as
     a ``segment_reduce`` sweep vs the ``weighted_segment_sum`` SpMM (bitwise).
+    The last rows time three model sweeps serially and on one row slab per
+    core (``parallel_segment_reduce``, bitwise equal): G-GCN's gated sum,
+    GS-Pool's max over projected neighbours and GAT's scalar softmax max.
+    They record why G-GCN's and GS-Pool's sweeps run on slabs and GAT's does
+    not; no timing is asserted.
     """
     graph = load_dataset("reddit", scale=0.01, seed=0, num_features=128)
     indptr = graph.indptr
@@ -338,6 +349,21 @@ def test_segment_reduce_ledger(save_result):
     for name, fn in weighted.items():
         timings[f"weighted_{name}"] = _best_of(fn, repeats=3, inner=1) * 1e3
 
+    projected = np.maximum(features, 0.0)
+    logits = rng.standard_normal(graph.num_edges)
+    sweeps = {
+        "ggcn": (messages["exp"], np.add),
+        "sage": (lambda edges: projected.take(src[edges], axis=0), np.maximum),
+        "gat": (logits, np.maximum),
+    }
+    for name, (operand, ufunc) in sweeps.items():
+        serial = functools.partial(segment_reduce, operand, indptr, ufunc)
+        slabs = functools.partial(parallel_segment_reduce, operand, indptr, ufunc)
+        assert np.array_equal(serial()[0], slabs()[0]), name
+        timings[f"{name}_serial"] = _best_of(serial, repeats=5, inner=1) * 1e3
+        timings[f"{name}_slabs"] = _best_of(slabs, repeats=5, inner=1) * 1e3
+    cores = base._core_count()
+
     gathered_gb = values.nbytes / 1e9
     save_result(
         "kernels_segment_reduce",
@@ -348,13 +374,20 @@ def test_segment_reduce_ledger(save_result):
         f"G-GCN gated messages (sweep incl. gate): expit form {timings['gate_expit']:.2f} ms, "
         f"exp form {timings['gate_exp']:.2f} ms\n"
         f"GAT attention-weighted sum: segment_reduce sweep {timings['weighted_sweep']:.2f} ms, "
-        f"weighted_segment_sum SpMM {timings['weighted_spmm']:.2f} ms",
+        f"weighted_segment_sum SpMM {timings['weighted_spmm']:.2f} ms\n"
+        f"serial vs {cores} core slabs: G-GCN gated sweep {timings['ggcn_serial']:.2f} -> "
+        f"{timings['ggcn_slabs']:.2f} ms, GS-Pool max sweep {timings['sage_serial']:.2f} -> "
+        f"{timings['sage_slabs']:.2f} ms, GAT softmax max {timings['gat_serial']:.2f} -> "
+        f"{timings['gat_slabs']:.2f} ms",
         add_ms=timings["add"],
         max_ms=timings["max"],
         gate_expit_ms=timings["gate_expit"],
         gate_exp_ms=timings["gate_exp"],
         weighted_sweep_ms=timings["weighted_sweep"],
         weighted_spmm_ms=timings["weighted_spmm"],
+        **{f"{name}_{mode}_ms": timings[f"{name}_{mode}"]
+           for name in sweeps for mode in ("serial", "slabs")},
+        slab_cores=cores,
         num_edges=graph.num_edges,
         max_degree=max_degree,
     )

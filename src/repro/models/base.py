@@ -17,7 +17,9 @@ compressing the aggregation phase, the combination phase, or both
 from __future__ import annotations
 
 import contextlib
-from typing import Callable, Dict, List, Optional, Type, Union
+import os
+from concurrent.futures import ThreadPoolExecutor, wait
+from typing import Callable, Dict, List, Optional, Tuple, Type, Union
 
 import numpy as np
 import scipy.sparse as sp
@@ -37,6 +39,7 @@ __all__ = [
     "available_models",
     "apply_linear",
     "segment_reduce",
+    "parallel_segment_reduce",
     "weighted_segment_sum",
     "edge_destinations",
     "stage_scope",
@@ -119,9 +122,21 @@ def segment_reduce(
     """
     take = values if callable(values) else values.__getitem__
     indptr = np.asarray(indptr)
+    order, acc = _fold_segments(take, indptr, ufunc)
+    out = np.zeros((len(indptr) - 1,) + acc.shape[1:], dtype=np.float64)
+    out[order] = acc
+    return out, np.diff(indptr) > 0
+
+
+def _fold_segments(take, indptr: np.ndarray, ufunc: np.ufunc):
+    """The degree-sorted sweep of :func:`segment_reduce` over ``indptr``'s rows.
+
+    Returns ``(order, acc)``: ``acc[i]`` is the fold of row ``order[i]``, for
+    the non-empty rows only.  Edge ids are ``indptr``'s own, so a slice
+    ``indptr[lo:hi + 1]`` folds rows ``lo:hi`` with the caller's edge ids.
+    """
     lengths = np.diff(indptr)
-    nonempty = lengths > 0
-    rows = np.flatnonzero(nonempty)
+    rows = np.flatnonzero(lengths)
     order = rows[np.argsort(-lengths[rows], kind="stable")]
     sorted_lengths = lengths[order]
     starts = indptr[:-1][order].astype(np.intp)
@@ -131,9 +146,96 @@ def segment_reduce(
     acc = np.asarray(take(starts), dtype=np.float64)
     for k, count in enumerate(active.tolist(), start=1):
         ufunc(acc[:count], take(starts[:count] + k), out=acc[:count])
-    out = np.zeros((len(lengths),) + acc.shape[1:], dtype=np.float64)
-    out[order] = acc
-    return out, nonempty
+    return order, acc
+
+
+def _core_count() -> int:
+    """CPUs this process may run on (its affinity mask, not the host's count)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity API on this platform
+        return os.cpu_count() or 1
+
+
+#: ``(pid, workers, pool)`` of the slab pool; rebuilt in a forked child,
+#: whose copy of the parent's pool has no threads behind it.
+_slab_pool: Optional[Tuple[int, int, ThreadPoolExecutor]] = None
+
+
+def _slab_executor(workers: int) -> ThreadPoolExecutor:
+    # No lock (a forked child could inherit it held): two racing callers may
+    # each build a pool, and the one dropped runs its queued slabs before its
+    # threads exit on collection.
+    global _slab_pool
+    current = _slab_pool
+    if current is None or current[:2] != (os.getpid(), workers):
+        pool = ThreadPoolExecutor(max_workers=workers, thread_name_prefix="segment-slab")
+        current = _slab_pool = (os.getpid(), workers, pool)
+    return current[2]
+
+
+def parallel_segment_reduce(
+    values: Union[np.ndarray, Callable[[np.ndarray], np.ndarray]],
+    indptr: np.ndarray,
+    ufunc: np.ufunc,
+):
+    """:func:`segment_reduce` with the rows cut into slabs, one per core.
+
+    Same arguments, result and bits as :func:`segment_reduce`: every row
+    folds only its own edges, so where the rows are cut cannot change a row.
+    The ``k`` slabs (``k`` = CPUs in this process's affinity mask) hold equal
+    edge counts, cut by ``searchsorted`` on ``indptr`` (GNNIE's load
+    balancing by edge count); a hub row wider than one share makes some
+    slabs empty, and slabs without edges are skipped.  The calling thread
+    folds the first slab and a module-level pool of ``k - 1`` threads the
+    others; every slab writes its rows into one preallocated output.  With
+    one core it is plain :func:`segment_reduce` and no pool is built.  The
+    pool is built lazily and rebuilt in a forked child; its tasks never wait
+    on one another, so concurrent callers cannot deadlock it.
+
+    Threads pay only where the fold spends its time in numpy calls that
+    release the GIL, so the callers are chosen by measurement (``rd1``, 128
+    features, 2-vCPU AMD EPYC VM; every slabbed result ``np.array_equal`` to
+    the serial one):
+
+    - G-GCN's gated sweep (``GGCNLayer.forward_full``) runs ``exp`` and
+      ``divide`` on every step: 2 slabs took it from 38-46 to 19 ms, and the
+      whole pass from 77 to 48 ms.
+    - GS-Pool's max sweep (``GraphSAGEPoolLayer.forward_full``) is a
+      ``take`` plus ``maximum`` per step: 6.5 to 4.9 ms, and the pass from
+      15-16 to 12-13 ms.
+    - GAT's softmax max folds one scalar per edge in under a millisecond;
+      slabbing it made the pass slower (10.6-12.6 to 11.5-14.2 ms), so GAT
+      stays serial.
+    - ``forward_restricted`` (serving) stays serial for every model: there
+      the serving executors already own the cores.
+    """
+    indptr = np.asarray(indptr)
+    cores = _core_count()
+    if cores <= 1:
+        return segment_reduce(values, indptr, ufunc)
+    take = values if callable(values) else values.__getitem__
+    num_rows = len(indptr) - 1
+    first, last = int(indptr[0]), int(indptr[-1])
+    shares = first + (last - first) * np.arange(1, cores) // cores
+    bounds = [0, *np.searchsorted(indptr, shares).tolist(), num_rows]
+    slabs = [(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:]) if indptr[hi] > indptr[lo]]
+    trailing = np.asarray(take(np.zeros(0, dtype=np.intp))).shape[1:]
+    out = np.zeros((num_rows,) + trailing, dtype=np.float64)
+
+    def fold(lo: int, hi: int) -> None:
+        order, acc = _fold_segments(take, indptr[lo:hi + 1], ufunc)
+        out[lo:hi][order] = acc
+
+    futures = [_slab_executor(cores - 1).submit(fold, lo, hi) for lo, hi in slabs[1:]]
+    try:
+        for lo, hi in slabs[:1]:
+            fold(lo, hi)
+    finally:
+        wait(futures)  # never return while a slab still writes into ``out``
+    for future in futures:
+        future.result()
+    return out, np.diff(indptr) > 0
 
 
 def weighted_segment_sum(

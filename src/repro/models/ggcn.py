@@ -21,6 +21,7 @@ from .base import (
     apply_linear,
     edge_destinations,
     emit_restricted,
+    parallel_segment_reduce,
     register_model,
     segment_reduce,
     stage_scope,
@@ -105,7 +106,8 @@ class GGCNLayer(GNNLayer):
         messages = _gated_messages(
             neg_n, neg_s, features, graph.indices, edge_destinations(graph)
         )
-        aggregated, nonempty = segment_reduce(messages, graph.indptr, np.add)
+        # Row slabs across cores, bitwise equal to the serial sweep.
+        aggregated, nonempty = parallel_segment_reduce(messages, graph.indptr, np.add)
         aggregated /= np.maximum(np.diff(graph.indptr), 1)[:, None]
         if not nonempty.all():
             # Sampler fallback: isolated nodes gate and aggregate themselves.

@@ -20,6 +20,7 @@ from .base import (
     GNNModel,
     apply_linear,
     emit_restricted,
+    parallel_segment_reduce,
     register_model,
     segment_reduce,
     stage_scope,
@@ -69,8 +70,8 @@ class GraphSAGEPoolLayer(GNNLayer):
         # all of its neighbours instead of being recomputed per sampled block.
         projected = apply_linear(self.pool_fc, h).relu().data                        # (N, P)
         src = graph.indices
-        pooled, nonempty = segment_reduce(
-            lambda edges: projected[src[edges]], graph.indptr, np.maximum
+        pooled, nonempty = parallel_segment_reduce(
+            lambda edges: projected.take(src[edges], axis=0), graph.indptr, np.maximum
         )
         # Isolated nodes mirror the sampler's self-loop fallback.
         pooled[~nonempty] = projected[~nonempty]
@@ -85,7 +86,7 @@ class GraphSAGEPoolLayer(GNNLayer):
             projected = apply_linear(self.pool_fc, h).relu().data                    # (C, P)
             src = restriction.col_positions
             pooled, nonempty = segment_reduce(
-                lambda edges: projected[src[edges]], restriction.indptr, np.maximum
+                lambda edges: projected.take(src[edges], axis=0), restriction.indptr, np.maximum
             )
             row_positions = restriction.row_positions
             pooled[~nonempty] = projected[row_positions[~nonempty]]

@@ -11,6 +11,10 @@ reductions sweep rows of very different lengths.
 
 from __future__ import annotations
 
+import multiprocessing
+import os
+import warnings
+
 import numpy as np
 import pytest
 
@@ -18,7 +22,7 @@ from repro.compression import CompressionConfig
 from repro.graph.graph import Graph
 from repro.graph.restriction import Restriction
 from repro.graph.sampling import NeighborSampler
-from repro.models import Trainer, TrainingConfig, create_model
+from repro.models import Trainer, TrainingConfig, base, create_model
 from repro.models.trainer import evaluate_accuracy
 from repro.tensor.tensor import Tensor, no_grad
 
@@ -144,6 +148,52 @@ class TestFullForwardEquivalence:
         predictions = model.predict_full(matching_graph)
         assert predictions.shape == (matching_graph.num_nodes,)
         assert predictions.dtype.kind == "i"
+
+
+class TestCoreSlabs:
+    """G-GCN's and GS-Pool's full-graph sweeps run on one row slab per core
+    (``parallel_segment_reduce``); the core count must not change a bit."""
+
+    @pytest.mark.parametrize("model_name", ["G-GCN", "GS-Pool"])
+    def test_logits_do_not_depend_on_the_core_count(self, hub_graph, monkeypatch, model_name):
+        assert (np.diff(hub_graph.indptr) == 0).any()
+        model = _model(hub_graph, model_name, block_size=4)
+        logits = {}
+        for cores in (1, 2, 7):
+            monkeypatch.setattr(base, "_core_count", lambda cores=cores: cores)
+            logits[cores] = model.full_forward(hub_graph).data
+        assert np.array_equal(logits[1], logits[2])
+        assert np.array_equal(logits[1], logits[7])
+
+    def test_forked_child_rebuilds_the_slab_pool(self, hub_graph, monkeypatch):
+        """A child forked after the pool exists inherits a pool object with no
+        threads behind it; it must build its own instead of hanging on it."""
+        monkeypatch.setattr(base, "_core_count", lambda: 2)
+        model = _model(hub_graph, "G-GCN", block_size=4)
+        expected = model.full_forward(hub_graph).data
+        assert base._slab_pool is not None  # the parent's pool, now inherited
+
+        def child(connection):
+            logits = model.full_forward(hub_graph).data
+            connection.send((logits, base._slab_pool[0] == os.getpid()))
+
+        context = multiprocessing.get_context("fork")
+        receiver, sender = context.Pipe(duplex=False)
+        with warnings.catch_warnings():
+            # Python >= 3.12 warns on forking a process that runs threads.
+            warnings.simplefilter("ignore", DeprecationWarning)
+            process = context.Process(target=child, args=(sender,))
+            process.start()
+        try:
+            assert receiver.poll(60), "forked child hung on the inherited slab pool"
+            logits, rebuilt = receiver.recv()
+        finally:
+            process.join(10)
+            if process.is_alive():
+                process.kill()
+        assert process.exitcode == 0
+        assert rebuilt
+        assert np.array_equal(logits, expected)
 
 
 class TestFullEvaluation:

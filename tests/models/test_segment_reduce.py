@@ -1,7 +1,8 @@
 """Tests for the edge-wise aggregation kernels of ``repro.models.base``.
 
 ``segment_reduce`` is the degree-sorted segment sweep; ``weighted_segment_sum``
-is the per-edge weighted sum as a CSR SpMM.
+is the per-edge weighted sum as a CSR SpMM; ``parallel_segment_reduce`` runs
+the sweep on edge-balanced row slabs, one per core.
 
 The kernel's contract is an order, not just a value: every CSR segment is
 combined sequentially in edge order.  A pure-Python loop that does exactly
@@ -13,11 +14,16 @@ folding ``w * x`` from ``0.0``.
 
 from __future__ import annotations
 
+import sys
+import threading
+from unittest import mock
+
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.models.base import segment_reduce, weighted_segment_sum
+from repro.models import base
+from repro.models.base import parallel_segment_reduce, segment_reduce, weighted_segment_sum
 
 
 def sequential_oracle(values: np.ndarray, indptr: np.ndarray, ufunc: np.ufunc):
@@ -90,6 +96,72 @@ def test_hub_row_among_degree_one_rows():
         expected, _ = sequential_oracle(values, indptr, ufunc)
         assert nonempty.all()
         assert np.array_equal(out, expected)
+
+
+def _case(lengths, trailing=(3,)):
+    """CSR segments of the given lengths with distinct per-edge values."""
+    indptr = np.zeros(len(lengths) + 1, dtype=np.int64)
+    np.cumsum(lengths, out=indptr[1:])
+    values = np.random.default_rng(len(lengths)).standard_normal((int(indptr[-1]),) + trailing)
+    return values, indptr
+
+
+@settings(max_examples=150, deadline=None)
+@given(csr_values(), st.sampled_from([np.add, np.maximum]))
+# More slabs (7) than rows.
+@example(_case([2, 1]), np.add)
+# Slabs whose rows are all empty: at 7 slabs the cuts fall 0|0|3|3|3|7|7|9,
+# leaving slabs of isolated rows only (rows 7–8, and empty row ranges).
+@example(_case([0, 0, 3, 0, 0, 0, 3, 0, 0]), np.add)
+# A hub row wider than one slab's edge share, at 2 and at 7 slabs.
+@example(_case([1, 20, 1, 0, 1]), np.maximum)
+def test_slabs_equal_the_serial_sweep_bitwise(case, ufunc):
+    """Rows fold only their own edges, so any slab count gives the same bits."""
+    values, indptr = case
+    expected, expected_nonempty = segment_reduce(values, indptr, ufunc)
+    for slabs in (1, 2, 7):
+        with mock.patch.object(base, "_core_count", return_value=slabs):
+            for operand in (values, lambda edges: values[edges]):
+                out, nonempty = parallel_segment_reduce(operand, indptr, ufunc)
+                assert out.shape == expected.shape
+                assert np.array_equal(out, expected), slabs
+                assert np.array_equal(nonempty, expected_nonempty)
+
+
+def test_one_core_builds_no_slab_pool():
+    values, indptr = _case([3, 0, 4, 1])
+    with mock.patch.object(base, "_slab_pool", None), \
+            mock.patch.object(base, "_core_count", return_value=1):
+        parallel_segment_reduce(values, indptr, np.add)
+        assert base._slab_pool is None
+
+
+def test_concurrent_callers_share_the_slab_pool():
+    """More caller threads than cores, each cutting 7 slabs onto the one
+    pool, under a short switch interval: every call returns (no pool task
+    waits on another) and equals the serial sweep bit for bit."""
+    values, indptr = _case([5, 0, 40, 3, 1, 0, 9, 2] * 8)
+    expected, _ = segment_reduce(values, indptr, np.add)
+    matches = [0] * 8
+
+    def call(slot):
+        for _ in range(25):
+            out, _ = parallel_segment_reduce(lambda edges: values[edges], indptr, np.add)
+            matches[slot] += np.array_equal(out, expected)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with mock.patch.object(base, "_core_count", return_value=7):
+            threads = [threading.Thread(target=call, args=(slot,)) for slot in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert matches == [25] * 8
 
 
 def weighted_oracle(weights, indices, indptr, x):
