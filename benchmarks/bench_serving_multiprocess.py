@@ -188,7 +188,7 @@ def test_sigkill_heal_mid_stream_zero_lost(served_setup, save_result):
         health_failure_threshold=1,
         max_retries=3,
     )
-    base = server._procplane.arena.base
+    base = server.plane.arena.base
     try:
         warm_nodes = _stream(graph, HEAL_SHARDS)
         np.testing.assert_array_equal(
@@ -279,7 +279,7 @@ def test_no_leaked_segments_after_killing_everything(served_setup):
     /dev/shm is clean, and a dead creator's orphan is swept at startup."""
     graph, model, _ = served_setup
     server = _server(model, graph, 2, executor="process")
-    base = server._procplane.arena.base
+    base = server.plane.arena.base
     server.predict(_stream(graph, 2)[:BATCH_SIZE])
     for handle in _handles(server):
         os.kill(handle.pid, signal.SIGKILL)
@@ -304,4 +304,4 @@ def test_no_leaked_segments_after_killing_everything(served_setup):
         assert stale not in list_segments()
     finally:
         fresh.shutdown()
-    assert not list_segments(fresh._procplane.arena.base)
+    assert not list_segments(fresh.plane.arena.base)

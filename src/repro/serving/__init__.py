@@ -91,7 +91,6 @@ from .frontdoor import (
 from .metrics import ServingMetrics
 from .procplane import (
     ProcessDead,
-    ProcessExecutor,
     ProcessPlane,
     ProcessTimeout,
     ProcessWorkerHandle,
@@ -149,7 +148,6 @@ __all__ = [
     "ReplicaSet",
     "ProcessDead",
     "ProcessTimeout",
-    "ProcessExecutor",
     "ProcessPlane",
     "ProcessWorkerHandle",
     "SharedSlabArena",

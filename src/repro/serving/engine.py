@@ -56,7 +56,7 @@ import math
 import threading
 import time
 from array import array
-from typing import Dict, Iterator, List, Optional, Sequence
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -73,20 +73,20 @@ from .batcher import (
     MicroBatcher,
 )
 from ..telemetry import Telemetry
-from .cache import CacheStats, EmbeddingCache, HaloStore
+from .cache import CacheStats, HaloStore
 from .clock import Clock, SystemClock
 from .config import ServingConfig
 from .executor import make_executor
 from .faults import InjectedFault, ReplicaDead, ReplicaHung
 from .frontdoor import FrontDoor, RequestHandle
 from .metrics import ServingMetrics
-from .procplane import ProcessDead, ProcessPlane, ProcessWorkerHandle
-from .replicas import ReplicaSet
+from .procplane import ProcessPlane
+from .replicas import Replica, ReplicaSet
 from .scheduler import DrainTimeout, Scheduler
 from .shard import GraphShard, build_shards
 from .stats import ServerStats, WorkerLoad
 from .timing import merge_stage_totals
-from .worker import ShardWorker
+from .worker import LocalPlane
 
 __all__ = ["ServingConfig", "InferenceServer", "RequestHandle", "DrainTimeout"]
 
@@ -118,18 +118,14 @@ class InferenceServer:
         for shard in self.shards:
             self._owner[shard.core_nodes] = shard.part_id
 
-        # Multi-process plane (executor="process"): shard slabs move into
-        # shared memory and replicas become worker *processes*.  Built before
-        # the halo store (whose slabs the plane must own) and the workers
-        # (which it spawns).
-        self._procplane: Optional[ProcessPlane] = None
-        if self.config.executor == "process":
-            self._procplane = ProcessPlane(
-                graph,
-                self.shards,
-                model,
-                call_timeout=self.config.process_call_timeout,
-            )
+        # The plane builds the halo store and every replica: in-process
+        # ShardWorkers, or (executor="process") worker processes over shard
+        # slabs in shared memory.  The engine never asks which.
+        self.plane = (
+            ProcessPlane(graph, self.shards, model, call_timeout=self.config.process_call_timeout)
+            if self.config.executor == "process"
+            else LocalPlane(graph, self.shards, model)
+        )
 
         self.halo_store = self._build_halo_store()
         full_degrees = graph.degrees() if self.halo_store is not None else None
@@ -174,7 +170,7 @@ class InferenceServer:
         )
         #: Worker id -> live replica (the ReplicaSet's list, swapped in place
         #: by rebuilds).
-        self.workers: List[ShardWorker] = self.replicas.workers
+        self.workers: List[Replica] = self.replicas.workers
 
         self.batcher = MicroBatcher(
             len(self.shards),
@@ -254,43 +250,20 @@ class InferenceServer:
         shared = np.where(counts >= threshold)[0]
         if not len(shared):
             return None
-        if self._procplane is not None:
-            # Shared-memory tier: parent and every worker process see the
-            # same slabs, and the fault epoch is a shared cell.
-            return self._procplane.build_halo_store(shared)
-        return HaloStore(self.graph.num_nodes, shared)
+        return self.plane.build_halo_store(shared)
 
-    def _build_worker(self, shard_id: int, worker_id: int, epoch: int) -> ShardWorker:
+    def _build_worker(self, shard_id: int, worker_id: int, epoch: int) -> Replica:
         """One replica from the shard spec (the :class:`ReplicaSet` factory:
         initial build *and* rebuilds go through here, so a rebuilt worker is
         constructed exactly like its corpse was — same shard, same publish
         mask — plus a bumped epoch)."""
-        if self._procplane is not None:
-            return self._procplane.spawn_worker(
-                shard_id=shard_id,
-                worker_id=worker_id,
-                epoch=epoch,
-                halo_publish_mask=self._publish_masks[shard_id],
-                cache_capacity=self.config.cache_capacity,
-            )
-        return ShardWorker(
-            worker_id=worker_id,
-            shard=self.shards[shard_id],
-            model=self.model,
-            cache=EmbeddingCache(self.config.cache_capacity, num_nodes=self.graph.num_nodes),
-            halo_store=self.halo_store,
-            halo_publish_mask=self._publish_masks[shard_id],
-            epoch=epoch,
+        return self.plane.spawn_worker(
+            shard_id, worker_id, epoch, self._publish_masks[shard_id], self.config.cache_capacity
         )
 
-    def _wire_telemetry(self, worker: ShardWorker) -> None:
-        """Bind one replica's stage timings to the shared histograms (initial
-        build and rebuilds alike)."""
-        worker.timings.bind_histograms(self._metrics.stage_seconds, worker.worker_id)
-        if isinstance(worker, ProcessWorkerHandle):
-            # Child registries ship deltas over the control channel and
-            # merge by addition into the fleet registry.
-            worker.fleet_registry = self.telemetry.registry
+    def _wire_telemetry(self, worker: Replica) -> None:
+        """Bind one replica to the stage histograms and the fleet registry."""
+        worker.bind_telemetry(self._metrics.stage_seconds, self.telemetry.registry)
 
     # -- self-healing ------------------------------------------------------------
 
@@ -300,19 +273,14 @@ class InferenceServer:
 
         Wired into :meth:`poll` (and hence the front-door pump and every
         ``drain`` round), so healing advances with the flush loop and needs
-        no extra thread.  Process-backed replicas also get their heartbeat
-        here: liveness is probed on the control channel, throttled to the
-        heartbeat interval, so a crashed process is discovered even between
+        no extra thread.  The plane heartbeats its replicas first (worker
+        processes only), so a crashed process is found even between
         dispatches.
         """
-        if self._procplane is not None:
-            for worker in self.workers:
-                beat = getattr(worker, "maybe_heartbeat", None)
-                if beat is not None:
-                    beat()
+        self.plane.heartbeat(self.workers)
         return self.replicas.tick(self.clock.now())
 
-    def restart_replica(self, shard_id: int, replica: int = 0) -> ShardWorker:
+    def restart_replica(self, shard_id: int, replica: int = 0) -> Replica:
         """Operator-initiated rolling restart of one replica slot.
 
         The slot is marked dead first (no new dispatches), then the call
@@ -662,15 +630,13 @@ class InferenceServer:
                 self._capacity.wait(timeout=self._BLOCK_WAIT_TIMEOUT)
         self.drain()
         self.scheduler.shutdown()
-        if self._procplane is not None:
-            # Bounded teardown: each close escalates shutdown-message →
-            # SIGTERM → SIGKILL, so a wedged child can never hang shutdown;
-            # final stats are pulled first while the pipes still work.
-            for worker in self.workers:
-                if isinstance(worker, ProcessWorkerHandle):
-                    worker.sync(timeout=1.0)
-                    worker.close(timeout=5.0)
-            self._procplane.shutdown()
+        # Final stats are pulled while the pipes still work, then each close
+        # escalates shutdown message → SIGTERM → SIGKILL, so a wedged worker
+        # process cannot hang shutdown (no-ops for in-process replicas).
+        for worker in self.workers:
+            worker.sync(timeout=1.0)
+            worker.close(timeout=5.0)
+        self.plane.shutdown()
 
     def __enter__(self) -> "InferenceServer":
         return self
@@ -860,7 +826,7 @@ class InferenceServer:
 
     def _attempt(
         self,
-        worker: ShardWorker,
+        worker: Replica,
         nodes: np.ndarray,
         fault_info: dict,
     ) -> np.ndarray:
@@ -888,26 +854,18 @@ class InferenceServer:
                 raise ReplicaDead(
                     f"worker {worker.worker_id} died (killed by the fault plan)"
                 )
-            if decision.kind == "kill":
-                # A *process* kill: deliver a real SIGKILL when the replica
-                # is a worker process; in-process workers degrade to die
-                # semantics so kill_rate plans run under any executor.
-                kill = getattr(worker, "kill", None)
-                if kill is not None:
-                    kill()
-                    raise ProcessDead(
-                        f"worker {worker.worker_id} killed (SIGKILL by the fault plan)"
-                    )
-                raise ReplicaDead(
-                    f"worker {worker.worker_id} died (kill fault, in-process replica)"
+            if decision.kind == "hang":
+                # The dispatch burns clock time past any sane deadline before
+                # it is declared dead (a timeout, simulated).
+                self.clock.sleep(decision.seconds)
+                raise ReplicaHung(
+                    f"worker {worker.worker_id} hung for "
+                    f"{decision.seconds * 1e3:.1f} ms"
                 )
-            # "hang": the dispatch burns clock time past any sane deadline
-            # before it is declared dead (a timeout, simulated).
-            self.clock.sleep(decision.seconds)
-            raise ReplicaHung(
-                f"worker {worker.worker_id} hung for "
-                f"{decision.seconds * 1e3:.1f} ms"
-            )
+            # "kill": a real SIGKILL for a worker process, a dead mark for an
+            # in-process replica; the dispatch below then raises the
+            # replica's own death error (ProcessDead or ReplicaDead).
+            worker.kill()
         with self._serving_mode():
             return worker.predict(nodes)
 
@@ -937,14 +895,11 @@ class InferenceServer:
         instead of paying per-event metric increments.
         """
         metrics = self._metrics
-        self._sync_process_workers()
-        cache = CacheStats()
-        for worker in self.workers:
-            cache = cache.merge(worker.cache.stats)
+        cache, halo = self._fleet_counters()
         for event, value in cache.as_dict().items():
             metrics.cache_gauge.labels(event).set(value)
         if self.halo_store is not None:
-            for event, value in self.halo_store.stats.as_dict().items():
+            for event, value in halo.as_dict().items():
                 metrics.halo_gauge.labels(event).set(value)
         metrics.executor_peak.set(self.executor.peak_concurrency)
         for shard_id in range(len(self.shards)):
@@ -957,33 +912,22 @@ class InferenceServer:
         """Stale shared-memory segments reclaimed at this server's startup
         (names of segments whose creator process was dead; empty unless
         ``executor="process"``)."""
-        if self._procplane is None:
-            return ()
-        return tuple(self._procplane.swept_stale)
+        return tuple(self.plane.swept_stale)
 
-    def _sync_process_workers(self) -> None:
-        """Pull stats/registry deltas from live worker processes (no-op
-        otherwise; dead or retired handles keep their last synced view)."""
-        if self._procplane is None:
-            return
+    def _fleet_counters(self) -> Tuple[CacheStats, CacheStats]:
+        """The fleet's merged ``(cache, halo)`` counters after a sync.  The
+        halo store counts in-process gathers; each worker process its own."""
+        cache = halo = CacheStats()
         for worker in self.workers:
-            if isinstance(worker, ProcessWorkerHandle):
-                worker.sync(timeout=1.0)
-
-    def stats(self) -> ServerStats:
-        self._sync_process_workers()
-        cache = CacheStats()
-        for worker in self.workers:
+            worker.sync(timeout=1.0)
             cache = cache.merge(worker.cache.stats)
-        halo = CacheStats()
+            halo = halo.merge(worker.halo_stats)
         if self.halo_store is not None:
             halo = halo.merge(self.halo_store.stats)
-            # Worker processes keep their own halo hit/miss counters; each
-            # handle mirrors its child's on sync.
-            for worker in self.workers:
-                child_halo = getattr(worker, "halo_stats", None)
-                if child_halo is not None:
-                    halo = halo.merge(child_halo)
+        return cache, halo
+
+    def stats(self) -> ServerStats:
+        cache, halo = self._fleet_counters()
         replicas = self.replicas
         loads = []
         for worker in self.workers:
@@ -1000,9 +944,9 @@ class InferenceServer:
                     failures=replicas.failures[worker.worker_id],
                     deaths=replicas.deaths[worker.worker_id],
                     epoch=worker.epoch,
-                    pid=getattr(worker, "pid", None),
-                    heartbeat_age=getattr(worker, "heartbeat_age", None),
-                    rss_bytes=getattr(worker, "rss_bytes", None),
+                    pid=worker.pid,
+                    heartbeat_age=worker.heartbeat_age,
+                    rss_bytes=worker.rss_bytes,
                 )
             )
         loads = tuple(loads)
@@ -1032,7 +976,7 @@ class InferenceServer:
             delay_flushes=self.batcher.delay_flushes,
             forced_flushes=self.batcher.forced_flushes,
             duration=duration,
-            executor=self.executor.name,
+            executor=self.config.executor,
             peak_concurrency=self.executor.peak_concurrency,
             rejected_requests=metrics.status_total(REJECTED),
             shed_requests=metrics.status_total(SHED),
@@ -1070,17 +1014,7 @@ class InferenceServer:
         self.batcher.forced_flushes = 0
         self.executor.reset_peak()
         for worker in self.workers:
-            reset = getattr(worker, "reset_stats", None)
-            if reset is not None:
-                # Process-backed replicas zero parent mirrors and ship a
-                # reset to the child over the control channel.
-                reset()
-                continue
-            worker.batches_served = 0
-            worker.nodes_served = 0
-            worker.peak_inflight = 0
-            worker.cache.stats = CacheStats()
-            worker.timings.reset()
+            worker.reset_stats()
         if self.halo_store is not None:
             self.halo_store.stats = CacheStats()
         self.replicas.reset_counters()
@@ -1102,7 +1036,7 @@ class InferenceServer:
             f"batch<= {self.config.max_batch_size}, delay<= {self.config.max_delay * 1e3:.1f} ms, "
             f"LRU cache {self.config.cache_capacity} entries/worker, "
             f"{halo}, "
-            f"executor {self.executor.name}, queues {depth}, "
+            f"executor {self.config.executor}, queues {depth}, "
             f"ingress {self.config.ingress}, "
             f"classes {{{', '.join(f'{n}={w:g}' for n, w in self.config.request_classes)}}}"
         ]

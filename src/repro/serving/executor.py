@@ -28,8 +28,6 @@ R = TypeVar("R")
 class FlushExecutor:
     """Executes one round of flush tasks; results come back in task order."""
 
-    name = "base"
-
     def map(self, fn: Callable[[T], R], items: Sequence[T]) -> List[R]:
         raise NotImplementedError  # pragma: no cover - interface
 
@@ -52,8 +50,6 @@ class SerialExecutor(FlushExecutor):
     ``ManualClock`` two identical runs produce bit-identical predictions,
     latencies and stats.
     """
-
-    name = "serial"
 
     def __init__(self) -> None:
         self._peak = 0
@@ -89,8 +85,6 @@ class ConcurrentExecutor(FlushExecutor):
     shard replica).  The pool is created lazily so an
     unused executor costs nothing, and ``shutdown`` is safe to call twice.
     """
-
-    name = "concurrent"
 
     def __init__(self, max_workers: int) -> None:
         if max_workers <= 0:
@@ -152,11 +146,8 @@ def make_executor(name: str, max_workers: int) -> FlushExecutor:
     """Build the executor named by ``ServingConfig.executor``."""
     if name == "serial":
         return SerialExecutor()
-    if name == "concurrent":
+    if name in ("concurrent", "process"):
+        # Process-backed flush tasks are pipe RPCs: the pool's threads wait
+        # with the GIL released while the worker processes compute.
         return ConcurrentExecutor(max_workers)
-    if name == "process":
-        # Imported lazily: procplane imports this module for ConcurrentExecutor.
-        from .procplane import ProcessExecutor
-
-        return ProcessExecutor(max_workers)
     raise ValueError(f"executor must be 'serial', 'concurrent' or 'process', got {name!r}")

@@ -1,10 +1,8 @@
-"""Crash-isolated multi-process serving plane (ROADMAP item 1).
+"""Crash-isolated multi-process serving plane (``executor="process"``).
 
-Everything before this module simulated failure inside one interpreter: a
-real segfault, OOM kill, or wedged C extension in any
-:class:`~repro.serving.worker.ShardWorker` still took the whole server down,
-and the GIL capped the thread executor on pure-python flush paths.  Here a
-shard replica becomes a *worker process*:
+Each shard replica is a *worker process*, so a segfault, OOM kill or wedged
+C extension takes down one replica, not the server, and flushes escape the
+GIL:
 
 * :class:`SharedSlabArena` owns named ``multiprocessing.shared_memory``
   segments — shard CSRs, feature matrices, embedding-cache slabs and the
@@ -22,21 +20,18 @@ shard replica becomes a *worker process*:
   busy predicting — liveness stays observable independent of the request
   path, in the spirit of DGL KVStore's pull/push control channel.
 * :class:`ProcessWorkerHandle` is the parent-side proxy speaking that
-  protocol with per-call timeouts.  It exposes the full worker surface the
-  engine dispatches against (``predict``/``retire``/``prewarm_from_halo``/
-  load counters), raising typed :class:`ProcessDead` /
-  :class:`ProcessTimeout` errors that feed the same retry/failover path and
-  :class:`~repro.serving.replicas.ReplicaSet` rebuilds as in-process
-  replicas; a timed-out child is killed so the pipe can never
-  desynchronise.  Per-process ``MetricsRegistry`` snapshots
-  ship back over the control channel as reset-on-read deltas and merge by
-  addition into the parent fleet view (the PR-7 seam built for this).
-* :class:`ProcessExecutor` implements the ``FlushExecutor`` interface with
-  parent threads that block in pipe I/O — the GIL is released while child
-  processes compute in true parallel.
-* :class:`ProcessPlane` ties it together for the engine: publishes each
-  shard's slabs once, spawns/respawns workers under bumped epochs, and
-  sweeps every segment (its own and its children's) at shutdown.
+  protocol with per-call timeouts: the same
+  :class:`~repro.serving.replicas.Replica` surface as a ``ShardWorker``.
+  Its typed :class:`ProcessDead` / :class:`ProcessTimeout` errors feed the
+  same retry/failover path and rebuilds; a timed-out child is killed so the
+  pipe can never desynchronise.  Per-process ``MetricsRegistry`` snapshots
+  ship back as reset-on-read deltas and merge by addition into the fleet's.
+* :class:`ProcessPlane` ties it together behind the same surface as the
+  in-process :class:`~repro.serving.worker.LocalPlane`: it publishes each
+  shard's slabs once, spawns/respawns workers under bumped epochs,
+  heartbeats them, and sweeps every segment at shutdown.  Flush tasks run on
+  the ``ConcurrentExecutor``, whose threads wait in pipe I/O with the GIL
+  released while the children compute.
 
 Spawn-safety caveats: the model is pickled once per spawn (weights must not
 be mutated mid-serving — each child checks its own weight signature), and
@@ -59,15 +54,17 @@ import weakref
 from dataclasses import dataclass
 from multiprocessing import connection, get_context
 from multiprocessing.shared_memory import SharedMemory
+from types import SimpleNamespace
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from ..graph.graph import Graph
+from ..telemetry import MetricsRegistry
 from .cache import CacheStats, EmbeddingCache, HaloStore
-from .executor import ConcurrentExecutor
 from .faults import ReplicaDead, ReplicaHung
 from .shard import GraphShard
+from .timing import StageTimer
 from .worker import ShardWorker, WorkerRetired
 
 __all__ = [
@@ -76,7 +73,6 @@ __all__ = [
     "SharedHaloStore",
     "ProcessPlane",
     "ProcessWorkerHandle",
-    "ProcessExecutor",
     "ProcessDead",
     "ProcessTimeout",
     "WorkerSpec",
@@ -493,9 +489,8 @@ def _child_control_loop(conn, worker: ShardWorker, halo, registry) -> None:
             if kind == _MSG_PING:
                 reply = {"pid": os.getpid(), "rss": _rss_bytes()}
             elif kind == _MSG_SYNC:
-                snapshot = registry.snapshot() if registry is not None else None
-                if registry is not None:
-                    registry.reset()  # ship deltas: parent merges by addition
+                snapshot = registry.snapshot()
+                registry.reset()  # ship deltas: parent merges by addition
                 reply = {
                     "cache_stats": worker.cache.stats,
                     "halo_stats": halo.stats if halo is not None else None,
@@ -507,15 +502,10 @@ def _child_control_loop(conn, worker: ShardWorker, halo, registry) -> None:
             elif kind == _MSG_PREWARM:
                 reply = worker.prewarm_from_halo()
             elif kind == _MSG_RESET:
-                worker.batches_served = 0
-                worker.nodes_served = 0
-                worker.peak_inflight = 0
-                worker.cache.stats = CacheStats()
+                worker.reset_stats()
+                registry.reset()
                 if halo is not None:
                     halo.stats = CacheStats()
-                worker.timings.reset()
-                if registry is not None:
-                    registry.reset()
                 reply = True
             else:
                 reply = None
@@ -567,19 +557,6 @@ def _child_main(spec: WorkerSpec, request_conn, control_conn) -> None:
         cache = EmbeddingCache(
             spec.cache_capacity, num_nodes=spec.cache_num_nodes, allocator=cache_allocator
         )
-        registry = None
-        stage_family = None
-        try:
-            from ..telemetry import MetricsRegistry
-
-            registry = MetricsRegistry()
-            stage_family = registry.histogram(
-                "serving_stage_seconds",
-                "Per-flush wall-clock seconds by flush stage and worker",
-                labels=("stage", "worker"),
-            )
-        except Exception:  # registry is best-effort: serving must not depend on it
-            registry = None
         worker = ShardWorker(
             spec.worker_id,
             shard,
@@ -595,8 +572,17 @@ def _child_main(spec: WorkerSpec, request_conn, control_conn) -> None:
             # the first predict copy the fleet's rows (weights are frozen
             # while the plane serves).
             halo.ensure_signature(worker.weight_signature())
-        if stage_family is not None:
-            worker.timings.bind_histograms(stage_family, spec.worker_id)
+        # The child feeds its own stage histograms; each SYNC ships them to
+        # the parent as deltas.
+        registry = MetricsRegistry()
+        worker.bind_telemetry(
+            registry.histogram(
+                "serving_stage_seconds",
+                "Per-flush wall-clock seconds by flush stage and worker",
+                labels=("stage", "worker"),
+            ),
+            registry,
+        )
         _send(control_conn, _MSG_READY, 0, {"pid": os.getpid()})
         control = threading.Thread(
             target=_child_control_loop,
@@ -630,35 +616,9 @@ def _child_main(spec: WorkerSpec, request_conn, control_conn) -> None:
 # ---------------------------------------------------------------------------
 
 
-class _HandleTimings:
-    """Parent mirror of a child's StageTimer (replaced wholesale on sync)."""
-
-    def __init__(self) -> None:
-        from .timing import STAGES
-
-        self.totals: Dict[str, float] = {name: 0.0 for name in STAGES}
-
-    def bind_histograms(self, family, worker_id: int) -> None:
-        """No-op: the child binds its own registry; deltas merge on sync."""
-
-    def snapshot(self) -> Dict[str, float]:
-        return dict(self.totals)
-
-    def reset(self) -> None:
-        for name in list(self.totals):
-            self.totals[name] = 0.0
-
-
-class _StatsCarrier:
-    """Bare ``.stats`` holder standing in for the child's cache objects."""
-
-    def __init__(self, stats) -> None:
-        self.stats = stats
-        self.enabled = True
-
-
 class ProcessWorkerHandle:
-    """Parent-side proxy for one worker process (the ShardWorker surface).
+    """Parent-side proxy for one worker process (the
+    :class:`~repro.serving.replicas.Replica` surface).
 
     Request RPCs (``predict``) run on the request pipe under a per-call
     timeout; control RPCs (heartbeat, stats sync, pre-warm, reset) run on a
@@ -709,11 +669,13 @@ class ProcessWorkerHandle:
         self.nodes_served = 0
         self.peak_inflight = 0
         self._inflight = 0
-        self.timings = _HandleTimings()
-        self.cache = _StatsCarrier(CacheStats())
-        self.halo_stats = CacheStats()
-        #: set by the engine: fleet registry the child's delta snapshots merge into.
-        self.fleet_registry = None
+        # Mirrors of the child's stage totals and cache stats, replaced
+        # wholesale on every sync.
+        self.timings = StageTimer()
+        self.cache = SimpleNamespace(stats=CacheStats())
+        self._halo_stats = CacheStats()
+        #: The fleet registry the child's delta snapshots merge into.
+        self._fleet_registry = None
 
     # -- identity / liveness ---------------------------------------------------
 
@@ -740,6 +702,11 @@ class ProcessWorkerHandle:
     @property
     def rss_bytes(self) -> Optional[int]:
         return self._rss
+
+    @property
+    def halo_stats(self) -> CacheStats:
+        """The child's halo hit/miss counters, as of the last sync."""
+        return self._halo_stats
 
     # -- plumbing ----------------------------------------------------------------
 
@@ -902,15 +869,20 @@ class ProcessWorkerHandle:
         if payload.get("cache_stats") is not None:
             self.cache.stats = payload["cache_stats"]
         if payload.get("halo_stats") is not None:
-            self.halo_stats = payload["halo_stats"]
+            self._halo_stats = payload["halo_stats"]
         if payload.get("timings"):
             self.timings.totals = dict(payload["timings"])
         self._rss = payload.get("rss", self._rss)
         self._last_beat = time.monotonic()
         snapshot = payload.get("registry")
-        if snapshot and self.fleet_registry is not None:
-            self.fleet_registry.merge_snapshot(snapshot)
+        if snapshot and self._fleet_registry is not None:
+            self._fleet_registry.merge_snapshot(snapshot)
         return True
+
+    def bind_telemetry(self, stage_seconds, registry) -> None:
+        """Merge the child's registry deltas into ``registry`` on each sync
+        (the child feeds its own stage histograms)."""
+        self._fleet_registry = registry
 
     def reset_stats(self) -> None:
         with self._gauge_lock:
@@ -918,7 +890,7 @@ class ProcessWorkerHandle:
             self.nodes_served = 0
             self.peak_inflight = self._inflight
         self.cache.stats = CacheStats()
-        self.halo_stats = CacheStats()
+        self._halo_stats = CacheStats()
         self.timings.reset()
         if not self.retired and not self._dead and self._ready:
             try:
@@ -976,21 +948,8 @@ class ProcessWorkerHandle:
 
 
 # ---------------------------------------------------------------------------
-# Executor + plane.
+# The plane.
 # ---------------------------------------------------------------------------
-
-
-class ProcessExecutor(ConcurrentExecutor):
-    """Thread-pool front for process-backed workers.
-
-    Each flush task is a pipe RPC to a worker process: the parent thread
-    blocks in ``recv`` with the GIL released while the child computes, so —
-    unlike the plain thread executor on pure-python flush paths — shard
-    flushes genuinely overlap across cores.  Inherits the round-barrier
-    semantics unchanged.
-    """
-
-    name = "process"
 
 
 class ProcessPlane:
@@ -1056,7 +1015,7 @@ class ProcessPlane:
         shard_id: int,
         worker_id: int,
         epoch: int,
-        halo_publish_mask: Optional[np.ndarray],
+        publish_mask: Optional[np.ndarray],
         cache_capacity: int,
     ) -> ProcessWorkerHandle:
         shard = self.shards[shard_id]
@@ -1083,7 +1042,7 @@ class ProcessPlane:
             shard_nodes=shard.nodes,
             halo_hops=shard.halo_hops,
             halo=self.halo_store.spec if self.halo_store is not None else None,
-            halo_publish_mask=halo_publish_mask,
+            halo_publish_mask=publish_mask,
             cache_capacity=cache_capacity,
             cache_num_nodes=self.graph.num_nodes,
             cache_segment_base=f"{self.arena.base}-w{worker_id}-e{epoch}-",
@@ -1108,6 +1067,11 @@ class ProcessPlane:
             self.halo_store,
             self.call_timeout,
         )
+
+    def heartbeat(self, workers) -> None:
+        """Ping each worker at most every :data:`HEARTBEAT_INTERVAL`."""
+        for worker in workers:
+            worker.maybe_heartbeat()
 
     def shutdown(self) -> None:
         """Unlink every segment (the arena's and any child stragglers)."""

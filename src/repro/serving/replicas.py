@@ -1,9 +1,14 @@
-"""One state machine per shard replica: dispatch, failure accounting, rebuild.
+"""One replica surface, and one state machine per shard replica.
 
-Each replica of a shard (an in-process
-:class:`~repro.serving.worker.ShardWorker` or a process-backed
-:class:`~repro.serving.procplane.ProcessWorkerHandle`) is in one of three
-states:
+:class:`Replica` is all the engine and the :class:`ReplicaSet` call on a
+replica.  A plane builds the replicas: :class:`~repro.serving.worker.LocalPlane`
+in-process :class:`~repro.serving.worker.ShardWorker` objects,
+:class:`~repro.serving.procplane.ProcessPlane` (``executor="process"``)
+worker processes behind :class:`~repro.serving.procplane.ProcessWorkerHandle`
+proxies.  No caller asks which kind it holds: in-process, the process hooks
+are no-ops and ``pid``/``heartbeat_age``/``rss_bytes`` are ``None``.
+
+Each replica is in one of three states:
 
 ``healthy``
     No failure since its last success.
@@ -36,11 +41,38 @@ read, and a success on a ``healthy`` replica takes no lock.
 from __future__ import annotations
 
 import threading
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Protocol
 
-__all__ = ["ReplicaSet"]
+__all__ = ["Replica", "ReplicaSet"]
 
 HEALTHY, SUSPECT, DEAD = "healthy", "suspect", "dead"
+
+
+class Replica(Protocol):
+    """One shard replica.  It also carries ``worker_id``, ``epoch``, ``shard``,
+    ``retired``, ``batches_served``, ``nodes_served``, ``peak_inflight``,
+    ``cache.stats`` and ``timings``.  After ``kill`` (a SIGKILL, or a dead
+    mark in-process) ``predict`` raises ``ProcessDead`` or ``ReplicaDead``."""
+
+    @property
+    def inflight(self) -> int: ...
+    @property
+    def pid(self) -> Optional[int]: ...
+    @property
+    def heartbeat_age(self) -> Optional[float]: ...
+    @property
+    def rss_bytes(self) -> Optional[int]: ...
+    @property
+    def halo_stats(self): ...
+    def predict(self, global_nodes): ...
+    def prewarm_from_halo(self) -> int: ...
+    def retire(self) -> None: ...
+    def kill(self) -> None: ...
+    def close(self, timeout: float = 5.0) -> None: ...
+    def maybe_heartbeat(self) -> None: ...
+    def sync(self, timeout: Optional[float] = None) -> bool: ...
+    def reset_stats(self) -> None: ...
+    def bind_telemetry(self, stage_seconds, registry) -> None: ...
 
 
 class ReplicaSet:
@@ -56,13 +88,13 @@ class ReplicaSet:
 
     def __init__(
         self,
-        build: Callable[[int, int, int], object],
+        build: Callable[[int, int, int], Replica],
         num_shards: int,
         num_replicas: int,
         failure_threshold: int = 3,
         halo_store=None,
         faults=None,
-        wire: Optional[Callable[[object], None]] = None,
+        wire: Optional[Callable[[Replica], None]] = None,
     ) -> None:
         if failure_threshold < 1:
             raise ValueError("failure_threshold must be >= 1")
@@ -74,7 +106,7 @@ class ReplicaSet:
         self.faults = faults
         self._build = build
         self._wire = wire
-        self.workers: List[object] = []
+        self.workers: List[Replica] = []
         for shard_id in range(num_shards):
             for _ in range(num_replicas):
                 worker = build(shard_id, len(self.workers), 0)
@@ -118,7 +150,7 @@ class ReplicaSet:
         """``healthy``, ``suspect`` or ``dead``."""
         return self._state[worker_id]
 
-    def group(self, shard_id: int) -> List[object]:
+    def group(self, shard_id: int) -> List[Replica]:
         """The live replicas of one shard, in slot order."""
         base = shard_id * self.num_replicas
         return self.workers[base: base + self.num_replicas]

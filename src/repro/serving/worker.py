@@ -40,10 +40,12 @@ import numpy as np
 from ..graph.restriction import Restriction
 from ..models.base import GNNModel
 from ..tensor.tensor import Tensor, no_grad
+from .cache import CacheStats, EmbeddingCache, HaloStore
+from .faults import ReplicaDead
 from .shard import GraphShard
 from .timing import StageTimer
 
-__all__ = ["ShardWorker", "WorkerRetired"]
+__all__ = ["LocalPlane", "ShardWorker", "WorkerRetired"]
 
 
 class WorkerRetired(RuntimeError):
@@ -57,7 +59,11 @@ class WorkerRetired(RuntimeError):
 
 
 class ShardWorker:
-    """Serves prediction requests for one shard (optionally one of R replicas)."""
+    """Serves prediction requests for one shard (optionally one of R replicas):
+    the in-process :class:`~repro.serving.replicas.Replica`."""
+
+    #: ``None`` in-process: callers take a truthy ``pid`` for a worker process.
+    pid = heartbeat_age = rss_bytes = None
 
     def __init__(
         self,
@@ -77,6 +83,7 @@ class ShardWorker:
         #: this worker slot.
         self.epoch = int(epoch)
         self.retired = False
+        self.killed = False
         self.halo_store = halo_store
         # Defence in depth for the shared tier: only rows whose shard-CSR
         # neighbour list is *complete* (shard-local mask supplied by the
@@ -141,6 +148,8 @@ class ShardWorker:
             raise WorkerRetired(
                 f"worker {self.worker_id} epoch {self.epoch} was retired by a rebuild"
             )
+        if self.killed:
+            raise ReplicaDead(f"worker {self.worker_id} died (kill fault, in-process replica)")
         local = self.shard.to_local(np.asarray(global_nodes, dtype=np.int64))
         with self._gauge_lock:
             self._inflight += 1
@@ -167,6 +176,40 @@ class ShardWorker:
             with self._gauge_lock:
                 self._inflight -= 1
         return logits.argmax(axis=-1)
+
+    @property
+    def halo_stats(self) -> CacheStats:
+        """Empty: the shared halo tier counts in-process gathers itself."""
+        return CacheStats()
+
+    def kill(self) -> None:
+        """The in-process stand-in for a SIGKILL: every later ``predict``
+        raises :class:`~repro.serving.faults.ReplicaDead`."""
+        self.killed = True
+
+    def maybe_heartbeat(self) -> None:
+        """No-op: an in-process replica lives as long as the server."""
+
+    def sync(self, timeout: Optional[float] = None) -> bool:
+        """No-op: the counters are read in place."""
+        return True
+
+    def close(self, timeout: float = 5.0) -> None:
+        """No-op: an in-process replica holds nothing outside the server."""
+
+    def bind_telemetry(self, stage_seconds, registry) -> None:
+        """Feed every flush stage into its ``(stage, worker)`` histogram."""
+        self.timings.bind_histograms(stage_seconds, self.worker_id)
+
+    def reset_stats(self) -> None:
+        """Zero the load counters, cache stats and stage timings; the cache
+        contents stay (warm state)."""
+        with self._gauge_lock:
+            self.batches_served = 0
+            self.nodes_served = 0
+            self.peak_inflight = self._inflight
+        self.cache.stats = CacheStats()
+        self.timings.reset()
 
     def weight_signature(self) -> tuple:
         """Parameter versions: cached rows are valid only under this value."""
@@ -350,3 +393,40 @@ class ShardWorker:
             h_prev = values
 
         return h_prev[np.searchsorted(unique_seeds, seeds_local)]
+
+
+class LocalPlane:
+    """The in-process plane (``executor="serial"`` or ``"concurrent"``): the
+    :class:`~repro.serving.procplane.ProcessPlane` surface, with nothing to
+    publish, heartbeat or sweep."""
+
+    swept_stale: tuple = ()
+
+    def __init__(self, graph, shards: List[GraphShard], model: GNNModel) -> None:
+        self.graph = graph
+        self.shards = shards
+        self.model = model
+        self.halo_store: Optional[HaloStore] = None
+
+    def build_halo_store(self, shared_nodes: np.ndarray) -> HaloStore:
+        self.halo_store = HaloStore(self.graph.num_nodes, shared_nodes)
+        return self.halo_store
+
+    def spawn_worker(
+        self, shard_id: int, worker_id: int, epoch: int, publish_mask, cache_capacity: int
+    ) -> ShardWorker:
+        return ShardWorker(
+            worker_id,
+            self.shards[shard_id],
+            self.model,
+            EmbeddingCache(cache_capacity, num_nodes=self.graph.num_nodes),
+            halo_store=self.halo_store,
+            halo_publish_mask=publish_mask,
+            epoch=epoch,
+        )
+
+    def heartbeat(self, workers) -> None:
+        """No-op: in-process replicas need no liveness probe."""
+
+    def shutdown(self) -> None:
+        """No-op: nothing outlives the server's own process."""

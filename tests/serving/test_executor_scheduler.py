@@ -28,7 +28,6 @@ from repro.serving import (
     InferenceServer,
     ManualClock,
     MicroBatcher,
-    ProcessExecutor,
     Scheduler,
     SerialExecutor,
     ServingConfig,
@@ -153,7 +152,7 @@ class TestScheduler:
         # A round is executor.map over the due shards, then supervise():
         # no executor offers a second dispatch method, and the scheduler
         # takes no stealing hooks.
-        for executor in (FlushExecutor, SerialExecutor, ConcurrentExecutor, ProcessExecutor):
+        for executor in (FlushExecutor, SerialExecutor, ConcurrentExecutor):
             assert not hasattr(executor, "map_stealing")
         params = set(inspect.signature(Scheduler.__init__).parameters)
         assert not {"work_stealing", "steal_source", "expire_overdue"} & params

@@ -19,11 +19,15 @@ The contract under test:
 * killing a server's processes and building a fresh server in the same
   interpreter works (the startup sweep + atexit guards make it safe);
 * a reply frame the parent cannot decode, or one answering another request,
-  kills the child and fails the call as :class:`ProcessDead`.
+  kills the child and fails the call as :class:`ProcessDead`;
+* an in-process :class:`ShardWorker` and a :class:`ProcessWorkerHandle`
+  implement the same :class:`Replica` surface, and the fleet counters that
+  ``stats()`` reports are the ones the telemetry gauges export.
 """
 
 from __future__ import annotations
 
+import inspect
 import os
 import signal
 import time
@@ -37,6 +41,8 @@ from repro.compression import CompressionConfig
 from repro.graph.datasets import synthetic_graph
 from repro.models import create_model
 from repro.serving import (
+    CacheStats,
+    EmbeddingCache,
     InferenceServer,
     ProcessDead,
     ProcessTimeout,
@@ -44,7 +50,9 @@ from repro.serving import (
     ReplicaDead,
     ReplicaHung,
     ServingConfig,
+    ShardWorker,
     SharedSlabArena,
+    build_shards,
 )
 from repro.serving.procplane import (
     HEARTBEAT_INTERVAL,
@@ -59,6 +67,7 @@ from repro.serving.procplane import (
     list_segments,
     segment_epoch,
 )
+from repro.serving.replicas import Replica
 
 GRAPH = synthetic_graph(
     num_nodes=60, num_edges=240, num_features=8, num_classes=3, seed=7, name="procplane-graph"
@@ -169,7 +178,7 @@ class TestProcessServing:
     def test_matches_serial_bitwise_and_sweeps_segments(self):
         expected = _reference_predictions()
         server = _process_server()
-        base = server._procplane.arena.base
+        base = server.plane.arena.base
         try:
             got = server.predict(range(GRAPH.num_nodes))
             np.testing.assert_array_equal(got, expected)
@@ -203,7 +212,7 @@ class TestProcessServing:
             health_failure_threshold=1,
             max_retries=3,
         )
-        base = server._procplane.arena.base
+        base = server.plane.arena.base
         try:
             nodes = list(range(GRAPH.num_nodes))
             first = server.predict(nodes)
@@ -234,7 +243,7 @@ class TestProcessServing:
         prewarms under must come from spawn, not from its first flush."""
         expected = MODEL.full_forward(GRAPH).data.argmax(axis=-1)
         server = _process_server()
-        base = server._procplane.arena.base
+        base = server.plane.arena.base
         try:
             nodes = list(range(GRAPH.num_nodes))
             np.testing.assert_array_equal(server.predict(nodes), expected)
@@ -253,7 +262,7 @@ class TestProcessServing:
 
     def test_wedged_child_times_out_and_is_killed(self):
         server = _process_server(process_call_timeout=1.0)
-        base = server._procplane.arena.base
+        base = server.plane.arena.base
         try:
             handle = _handles(server)[0]
             # Prime the READY handshake, then wedge the child completely.
@@ -271,7 +280,7 @@ class TestProcessServing:
 
     def test_shutdown_escalates_past_a_stopped_child(self):
         server = _process_server(process_call_timeout=1.0)
-        base = server._procplane.arena.base
+        base = server.plane.arena.base
         handle = _handles(server)[0]
         server.predict([int(handle.shard.core_nodes[0])])  # complete READY
         os.kill(handle.pid, signal.SIGSTOP)
@@ -288,7 +297,7 @@ class TestProcessServing:
     def test_kill_everything_and_recreate_server_in_process(self):
         expected = _reference_predictions()
         first = _process_server()
-        base_one = first._procplane.arena.base
+        base_one = first.plane.arena.base
         for handle in _handles(first):
             os.kill(handle.pid, signal.SIGKILL)
             handle._proc.join(5.0)
@@ -321,6 +330,24 @@ class TestFleetStats:
             assert family is not None
             total = sum(child.count for _, child in family.samples())
             assert total > 0  # child-side stage histograms reached the parent
+        finally:
+            server.shutdown()
+
+    @pytest.mark.parametrize("executor", ["serial", "process"])
+    def test_gauges_and_stats_read_the_same_fleet_counters(self, executor):
+        server = _process_server(executor=executor, telemetry="metrics")
+        try:
+            nodes = list(range(GRAPH.num_nodes))
+            server.predict(nodes)
+            server.predict(nodes)
+            samples = server.telemetry.snapshot()["serving_halo_events"]["samples"]
+            stats = server.stats()
+            halo = stats.halo.as_dict()
+            assert halo["hits"] > 0 and halo["misses"] > 0
+            assert {sample["labels"][0]: sample["value"] for sample in samples} == halo
+            # The executor is reported by its configured name.
+            assert stats.executor == executor
+            assert f"executor {executor}," in server.describe()
         finally:
             server.shutdown()
 
@@ -418,3 +445,50 @@ class TestMalformedFrames:
             handle.close(timeout=0.0)
             request_child.close()
             control_child.close()
+
+
+def _surface_members():
+    return [
+        name
+        for name, member in vars(Replica).items()
+        if isinstance(member, property) or inspect.isfunction(member)
+        if not name.startswith("_")
+    ]
+
+
+class TestReplicaSurface:
+    def test_both_replica_kinds_define_every_member_alike(self):
+        members = _surface_members()
+        assert {"predict", "kill", "close", "sync", "maybe_heartbeat", "reset_stats",
+                "bind_telemetry", "pid", "heartbeat_age", "rss_bytes", "halo_stats"} <= set(members)
+        for name in members:
+            spec = inspect.getattr_static(Replica, name)
+            local = inspect.getattr_static(ShardWorker, name)
+            remote = inspect.getattr_static(ProcessWorkerHandle, name)
+            if inspect.isfunction(spec):
+                assert inspect.isfunction(local) and inspect.isfunction(remote), name
+                expected = list(inspect.signature(spec).parameters)
+                assert list(inspect.signature(local).parameters) == expected, name
+                assert list(inspect.signature(remote).parameters) == expected, name
+            else:
+                assert not inspect.isfunction(local) and not inspect.isfunction(remote), name
+
+    def test_bare_shard_worker_hooks_reset_and_kill(self):
+        shard = build_shards(GRAPH, 2, MODEL.num_layers)[0]
+        worker = ShardWorker(0, shard, MODEL, EmbeddingCache(1024, num_nodes=GRAPH.num_nodes))
+        assert worker.pid is None and worker.rss_bytes is None and worker.heartbeat_age is None
+        assert worker.sync(timeout=1.0) and worker.halo_stats == CacheStats()
+        nodes = np.asarray(shard.core_nodes[:4], dtype=np.int64)
+        first = worker.predict(nodes)
+        assert worker.batches_served == 1 and worker.nodes_served == len(nodes)
+        assert worker.cache.stats.misses > 0 and any(worker.timings.totals.values())
+        worker.reset_stats()
+        assert (worker.batches_served, worker.nodes_served, worker.peak_inflight) == (0, 0, 0)
+        assert worker.cache.stats == CacheStats()
+        assert not any(worker.timings.totals.values())
+        # The cache contents survive the reset: the warm rows still hit.
+        np.testing.assert_array_equal(worker.predict(nodes), first)
+        assert worker.cache.stats.hits > 0 and worker.cache.stats.misses == 0
+        worker.kill()
+        with pytest.raises(ReplicaDead):
+            worker.predict(nodes)
