@@ -3,7 +3,8 @@
 These time the actual software kernels on this machine: dense mat-vec vs the
 FFT-based block-circulant mat-vec at several block sizes, the functional
 accelerator datapath, the edge-wise aggregation kernels
-(``segment_reduce``, ``weighted_segment_sum``) and the serving plan build
+(``segment_reduce``, ``weighted_segment_sum``, their core-slab variants) and
+the serving plan build
 (``Restriction``) in absolute terms.  They
 demonstrate that the measured FLOP reduction follows the theoretical
 ``n / log2(n)`` trend (wall-clock gains on NumPy are smaller than on
@@ -41,10 +42,11 @@ from repro.models import base
 from repro.models.base import (
     edge_destinations,
     parallel_segment_reduce,
+    parallel_spmm,
     segment_reduce,
     weighted_segment_sum,
 )
-from repro.models.ggcn import _gated_messages
+from repro.models.ggcn import _gated_messages, _node_gated_messages
 from repro.models.trainer import compare_inference_modes
 from repro.nn import BlockCirculantLinear
 from repro.tensor import Tensor, no_grad
@@ -295,14 +297,19 @@ def test_segment_reduce_ledger(save_result):
     edge, for the max (GS-Pool) and the sum reductions.  Each result is
     checked against a left-to-right fold of every CSR segment — bitwise,
     since the kernel promises exactly that order.  Two model-level rows
-    follow: G-GCN's gated-message sweep in the former ``expit`` form vs the
-    exp form (``rtol=1e-14``), and GAT's attention-weighted neighbour sum as
+    follow: G-GCN's gated-message sweep in the former ``expit`` form, the
+    per-edge exp form and the per-node exp form (``h_u / (1 + exp_n[u] *
+    exp_s[v])``, what ``GGCNLayer`` runs), each checked per edge against the
+    exp form at ``rtol=1e-14``; and GAT's attention-weighted neighbour sum as
     a ``segment_reduce`` sweep vs the ``weighted_segment_sum`` SpMM (bitwise).
-    The last rows time three model sweeps serially and on one row slab per
-    core (``parallel_segment_reduce``, bitwise equal): G-GCN's gated sum,
-    GS-Pool's max over projected neighbours and GAT's scalar softmax max.
-    They record why G-GCN's and GS-Pool's sweeps run on slabs and GAT's does
-    not; no timing is asserted.
+    Then three model sweeps run serially and on one row slab per core
+    (``parallel_segment_reduce``, bitwise equal): G-GCN's per-node gated
+    sum, GS-Pool's max over projected neighbours and GAT's scalar softmax
+    max.  The last rows run GCN's propagation SpMM ``D̂^{-1}(A + I) @ x``
+    serially and on slabs (``parallel_spmm``, bitwise equal) for F = 128
+    and F = 64.  They record why G-GCN's and GS-Pool's sweeps and the
+    feature-wide SpMMs run on slabs and GAT's softmax max does not; no
+    timing is asserted.
     """
     graph = load_dataset("reddit", scale=0.01, seed=0, num_features=128)
     indptr = graph.indptr
@@ -323,13 +330,15 @@ def test_segment_reduce_ledger(save_result):
     messages = {
         "expit": _expit_messages(gate_n, gate_s, features, src, dst),
         "exp": _gated_messages(-gate_n, -gate_s, features, src, dst),
+        "node": _node_gated_messages(np.exp(-gate_n), np.exp(-gate_s), features, src, dst),
     }
     # Per edge, not per row sum: the sums cancel, so a relative bound on them
     # would measure the cancellation rather than the gate.
     for edges in np.array_split(np.arange(graph.num_edges), 16):
-        np.testing.assert_allclose(
-            messages["exp"](edges), messages["expit"](edges), rtol=1e-14, atol=0
-        )
+        for name in ("expit", "node"):
+            np.testing.assert_allclose(
+                messages[name](edges), messages["exp"](edges), rtol=1e-14, atol=0
+            )
     gated = {
         name: functools.partial(segment_reduce, fn, indptr, np.add)
         for name, fn in messages.items()
@@ -352,7 +361,7 @@ def test_segment_reduce_ledger(save_result):
     projected = np.maximum(features, 0.0)
     logits = rng.standard_normal(graph.num_edges)
     sweeps = {
-        "ggcn": (messages["exp"], np.add),
+        "ggcn": (messages["node"], np.add),
         "sage": (lambda edges: projected.take(src[edges], axis=0), np.maximum),
         "gat": (logits, np.maximum),
     }
@@ -362,6 +371,15 @@ def test_segment_reduce_ledger(save_result):
         assert np.array_equal(serial()[0], slabs()[0]), name
         timings[f"{name}_serial"] = _best_of(serial, repeats=5, inner=1) * 1e3
         timings[f"{name}_slabs"] = _best_of(slabs, repeats=5, inner=1) * 1e3
+
+    operator = graph.random_walk_adjacency(add_self_loops=True)
+    for width in (128, 64):
+        x = np.ascontiguousarray(features[:, :width])
+        serial = functools.partial(operator.__matmul__, x)
+        slabs = functools.partial(parallel_spmm, operator, x)
+        assert serial().tobytes() == slabs().tobytes(), width
+        timings[f"spmm{width}_serial"] = _best_of(serial, repeats=5, inner=3) * 1e3
+        timings[f"spmm{width}_slabs"] = _best_of(slabs, repeats=5, inner=3) * 1e3
     cores = base._core_count()
 
     gathered_gb = values.nbytes / 1e9
@@ -372,21 +390,25 @@ def test_segment_reduce_ledger(save_result):
         f"  np.add     : {timings['add']:.2f} ms ({gathered_gb / timings['add'] * 1e3:.1f} GB/s)\n"
         f"  np.maximum : {timings['max']:.2f} ms ({gathered_gb / timings['max'] * 1e3:.1f} GB/s)\n"
         f"G-GCN gated messages (sweep incl. gate): expit form {timings['gate_expit']:.2f} ms, "
-        f"exp form {timings['gate_exp']:.2f} ms\n"
+        f"exp form {timings['gate_exp']:.2f} ms, per-node exp form {timings['gate_node']:.2f} ms\n"
         f"GAT attention-weighted sum: segment_reduce sweep {timings['weighted_sweep']:.2f} ms, "
         f"weighted_segment_sum SpMM {timings['weighted_spmm']:.2f} ms\n"
         f"serial vs {cores} core slabs: G-GCN gated sweep {timings['ggcn_serial']:.2f} -> "
         f"{timings['ggcn_slabs']:.2f} ms, GS-Pool max sweep {timings['sage_serial']:.2f} -> "
         f"{timings['sage_slabs']:.2f} ms, GAT softmax max {timings['gat_serial']:.2f} -> "
-        f"{timings['gat_slabs']:.2f} ms",
+        f"{timings['gat_slabs']:.2f} ms\n"
+        f"serial vs {cores} core slabs: GCN SpMM F=128 {timings['spmm128_serial']:.2f} -> "
+        f"{timings['spmm128_slabs']:.2f} ms, F=64 {timings['spmm64_serial']:.2f} -> "
+        f"{timings['spmm64_slabs']:.2f} ms",
         add_ms=timings["add"],
         max_ms=timings["max"],
         gate_expit_ms=timings["gate_expit"],
         gate_exp_ms=timings["gate_exp"],
+        gate_node_ms=timings["gate_node"],
         weighted_sweep_ms=timings["weighted_sweep"],
         weighted_spmm_ms=timings["weighted_spmm"],
         **{f"{name}_{mode}_ms": timings[f"{name}_{mode}"]
-           for name in sweeps for mode in ("serial", "slabs")},
+           for name in [*sweeps, "spmm128", "spmm64"] for mode in ("serial", "slabs")},
         slab_cores=cores,
         num_edges=graph.num_edges,
         max_degree=max_degree,

@@ -40,6 +40,7 @@ __all__ = [
     "apply_linear",
     "segment_reduce",
     "parallel_segment_reduce",
+    "parallel_spmm",
     "weighted_segment_sum",
     "edge_destinations",
     "stage_scope",
@@ -174,6 +175,37 @@ def _slab_executor(workers: int) -> ThreadPoolExecutor:
     return current[2]
 
 
+def _edge_slabs(indptr: np.ndarray, cores: int) -> List[Tuple[int, int]]:
+    """Cut ``indptr``'s rows into ``cores`` slabs of equal edge count.
+
+    The cuts are ``searchsorted`` on ``indptr`` (GNNIE's load balancing by
+    edge count).  Returns the ``(lo, hi)`` row ranges that hold edges: a hub
+    row wider than one share leaves some slabs empty, and those are dropped.
+    """
+    first, last = int(indptr[0]), int(indptr[-1])
+    shares = first + (last - first) * np.arange(1, cores) // cores
+    bounds = [0, *np.searchsorted(indptr, shares).tolist(), len(indptr) - 1]
+    return [(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:]) if indptr[hi] > indptr[lo]]
+
+
+def _run_slabs(work: Callable[[int, int], None], slabs: List[Tuple[int, int]], cores: int) -> None:
+    """Run ``work(lo, hi)`` on every slab: the first on the calling thread,
+    the others on the module-level pool of ``cores - 1`` threads.
+
+    Returns once every slab has finished, and re-raises the first error.
+    The pool's tasks never wait on one another, so concurrent callers cannot
+    deadlock it.
+    """
+    futures = [_slab_executor(cores - 1).submit(work, lo, hi) for lo, hi in slabs[1:]]
+    try:
+        for lo, hi in slabs[:1]:
+            work(lo, hi)
+    finally:
+        wait(futures)  # never return while a slab still writes into the output
+    for future in futures:
+        future.result()
+
+
 def parallel_segment_reduce(
     values: Union[np.ndarray, Callable[[np.ndarray], np.ndarray]],
     indptr: np.ndarray,
@@ -184,29 +216,26 @@ def parallel_segment_reduce(
     Same arguments, result and bits as :func:`segment_reduce`: every row
     folds only its own edges, so where the rows are cut cannot change a row.
     The ``k`` slabs (``k`` = CPUs in this process's affinity mask) hold equal
-    edge counts, cut by ``searchsorted`` on ``indptr`` (GNNIE's load
-    balancing by edge count); a hub row wider than one share makes some
-    slabs empty, and slabs without edges are skipped.  The calling thread
-    folds the first slab and a module-level pool of ``k - 1`` threads the
-    others; every slab writes its rows into one preallocated output.  With
-    one core it is plain :func:`segment_reduce` and no pool is built.  The
-    pool is built lazily and rebuilt in a forked child; its tasks never wait
-    on one another, so concurrent callers cannot deadlock it.
+    edge counts (:func:`_edge_slabs`).  The calling thread folds the first
+    slab and a module-level pool of ``k - 1`` threads the others; every slab
+    writes its rows into one preallocated output.  With one core it is plain
+    :func:`segment_reduce` and no pool is built.  The pool is built lazily
+    and rebuilt in a forked child.
 
     Threads pay only where the fold spends its time in numpy calls that
     release the GIL, so the callers are chosen by measurement (``rd1``, 128
     features, 2-vCPU AMD EPYC VM; every slabbed result ``np.array_equal`` to
     the serial one):
 
-    - G-GCN's gated sweep (``GGCNLayer.forward_full``) runs ``exp`` and
-      ``divide`` on every step: 2 slabs took it from 38-46 to 19 ms, and the
-      whole pass from 77 to 48 ms.
+    - G-GCN's gated sweep (``GGCNLayer.forward_full``) runs a multiply and
+      a ``divide`` on every step: 2 slabs take it from 22 to 13.5 ms.
     - GS-Pool's max sweep (``GraphSAGEPoolLayer.forward_full``) is a
       ``take`` plus ``maximum`` per step: 6.5 to 4.9 ms, and the pass from
       15-16 to 12-13 ms.
     - GAT's softmax max folds one scalar per edge in under a millisecond;
-      slabbing it made the pass slower (10.6-12.6 to 11.5-14.2 ms), so GAT
-      stays serial.
+      slabbing it made the pass slower (10.6-12.6 to 11.5-14.2 ms), so it
+      stays serial.  GAT's attention-weighted sum and GCN's propagation are
+      CSR SpMMs and run on slabs through :func:`parallel_spmm`.
     - ``forward_restricted`` (serving) stays serial for every model: there
       the serving executors already own the cores.
     """
@@ -215,27 +244,62 @@ def parallel_segment_reduce(
     if cores <= 1:
         return segment_reduce(values, indptr, ufunc)
     take = values if callable(values) else values.__getitem__
-    num_rows = len(indptr) - 1
-    first, last = int(indptr[0]), int(indptr[-1])
-    shares = first + (last - first) * np.arange(1, cores) // cores
-    bounds = [0, *np.searchsorted(indptr, shares).tolist(), num_rows]
-    slabs = [(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:]) if indptr[hi] > indptr[lo]]
     trailing = np.asarray(take(np.zeros(0, dtype=np.intp))).shape[1:]
-    out = np.zeros((num_rows,) + trailing, dtype=np.float64)
+    out = np.zeros((len(indptr) - 1,) + trailing, dtype=np.float64)
 
     def fold(lo: int, hi: int) -> None:
         order, acc = _fold_segments(take, indptr[lo:hi + 1], ufunc)
         out[lo:hi][order] = acc
 
-    futures = [_slab_executor(cores - 1).submit(fold, lo, hi) for lo, hi in slabs[1:]]
-    try:
-        for lo, hi in slabs[:1]:
-            fold(lo, hi)
-    finally:
-        wait(futures)  # never return while a slab still writes into ``out``
-    for future in futures:
-        future.result()
+    _run_slabs(fold, _edge_slabs(indptr, cores), cores)
     return out, np.diff(indptr) > 0
+
+
+#: Rows per product inside a :func:`parallel_spmm` slab.  Each product's
+#: result is a temporary copied into the output, so whole-slab products
+#: would hold a second copy of the output at the peak (+20 MB on ``pb``).
+_SPMM_CHUNK_ROWS = 512
+
+
+def parallel_spmm(matrix: sp.csr_matrix, x: np.ndarray) -> np.ndarray:
+    """``matrix @ x`` for a CSR ``matrix``, with the rows cut into slabs, one per core.
+
+    Same result and bits as ``matrix @ x``: scipy folds every row from
+    ``0.0`` in its own CSR order, so a row does not depend on which rows
+    share its product.  The slabs are :func:`_edge_slabs`' equal-edge cuts
+    of ``matrix.indptr``, run on the same pool as
+    :func:`parallel_segment_reduce`.  Each slab multiplies CSR views of its
+    rows (no copy of the entries), ``_SPMM_CHUNK_ROWS`` rows at a time, into
+    one preallocated output.  Rows in no slab have no entries and stay zero,
+    as in ``matrix @ x``.  With one core it is plain ``matrix @ x``.
+
+    scipy's CSR product releases the GIL, so two slabs pay on a 2-vCPU host
+    for feature-wide operands (``rd1``'s GCN operator, AMD EPYC VM: 3.3 to
+    1.8 ms at 128 features, 1.6 to 0.9 ms at 64).  The callers are GCN's
+    propagation ``D̂^{-1}(A + I) @ h`` (``GCNLayer.forward_full``) and GAT's
+    attention-weighted sum of neighbour projections
+    (``GATHead.forward_full``).  A one-column product got slower on slabs
+    (0.06 to 0.11 ms), so GAT's softmax denominator stays a serial
+    :func:`weighted_segment_sum`, as does every ``forward_restricted``.
+    """
+    cores = _core_count()
+    if cores <= 1:
+        return matrix @ x
+    indptr, num_cols = matrix.indptr, matrix.shape[1]
+    out = np.zeros((matrix.shape[0],) + x.shape[1:], dtype=np.result_type(matrix.dtype, x.dtype))
+
+    def multiply(lo: int, hi: int) -> None:
+        for first in range(lo, hi, _SPMM_CHUNK_ROWS):
+            last = min(first + _SPMM_CHUNK_ROWS, hi)
+            start, stop = indptr[first], indptr[last]
+            rows = sp.csr_matrix(
+                (matrix.data[start:stop], matrix.indices[start:stop], indptr[first:last + 1] - start),
+                shape=(last - first, num_cols),
+            )
+            out[first:last] = rows @ x
+
+    _run_slabs(multiply, _edge_slabs(indptr, cores), cores)
+    return out
 
 
 def weighted_segment_sum(

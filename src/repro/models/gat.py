@@ -12,6 +12,7 @@ from __future__ import annotations
 from typing import List, Optional
 
 import numpy as np
+import scipy.sparse as sp
 
 from ..compression.compress import CompressionConfig
 from ..graph.sampling import SampledBlock
@@ -24,6 +25,7 @@ from .base import (
     apply_linear,
     edge_destinations,
     emit_restricted,
+    parallel_spmm,
     register_model,
     segment_reduce,
     stage_scope,
@@ -78,7 +80,8 @@ class GATHead(Module):
         once per node; the edge dimension only sees scalar logits and the
         segment-wise (numerically stabilised) softmax.  The softmax maximum is
         a :func:`segment_reduce`; its denominator and the attention-weighted
-        sum of ``z`` are CSR SpMMs (:func:`weighted_segment_sum`).  ``dst``
+        sum of ``z`` are CSR SpMMs (:func:`weighted_segment_sum`), the latter
+        on one row slab per core (:func:`parallel_spmm`).  ``dst``
         (the centre node of every CSR edge) can be passed in so multi-head
         layers build the O(E) array once instead of once per head.
         """
@@ -94,7 +97,9 @@ class GATHead(Module):
         exponentials = np.exp(logits - seg_max[dst])
         seg_sum = weighted_segment_sum(exponentials, src, graph.indptr, np.ones(len(z)))
         attention = exponentials / seg_sum[dst]                         # (E,)
-        out = weighted_segment_sum(attention, src, graph.indptr, z)     # (N, H)
+        # weighted_segment_sum's SpMM, on one row slab per core.
+        weights = sp.csr_matrix((attention, src, graph.indptr), shape=(len(z), len(z)))
+        out = parallel_spmm(weights, z)                                 # (N, H)
         # Isolated nodes attend to themselves (softmax over {v} is 1).
         out[~nonempty] = z[~nonempty]
         return Tensor(out)

@@ -16,7 +16,15 @@ import numpy as np
 from ..compression.compress import CompressionConfig
 from ..graph.sampling import SampledBlock
 from ..tensor.tensor import Tensor
-from .base import GNNLayer, GNNModel, apply_linear, emit_restricted, register_model, stage_scope
+from .base import (
+    GNNLayer,
+    GNNModel,
+    apply_linear,
+    emit_restricted,
+    parallel_spmm,
+    register_model,
+    stage_scope,
+)
 
 __all__ = ["GCNLayer", "GCN"]
 
@@ -51,9 +59,10 @@ class GCNLayer(GNNLayer):
 
     def forward_full(self, h: Tensor, graph) -> Tensor:
         # Full-graph limit of the sampled mean: one CSR SpMM with the
-        # self-loop row-normalised operator D̂^{-1} (A + I).
+        # self-loop row-normalised operator D̂^{-1} (A + I), on one row slab
+        # per core (bitwise equal to ``operator @ h``).
         operator = graph.random_walk_adjacency(add_self_loops=True)
-        aggregated = Tensor(operator @ h.data)
+        aggregated = Tensor(parallel_spmm(operator, h.data))
         out = apply_linear(self.fc, aggregated)
         return out.relu() if self.activation else out
 

@@ -8,11 +8,12 @@ Table II (3.7e12 on Reddit).  Combination: ``ReLU(W^k a_v^k)``.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from ..compression.compress import CompressionConfig
+from ..graph.restriction import _row_slices
 from ..graph.sampling import SampledBlock
 from ..tensor.tensor import Tensor
 from .base import (
@@ -28,6 +29,11 @@ from .base import (
 )
 
 __all__ = ["GGCNLayer", "GGCN"]
+
+
+#: Largest per-node gate half whose ``exp`` is a finite, normal float
+#: (``exp(708) ~ 3e307``, ``exp(-708) ~ 3.3e-308``).
+_NODE_EXP_LIMIT = 708.0
 
 
 def _gate(neg_logits: np.ndarray, h: np.ndarray) -> np.ndarray:
@@ -49,7 +55,9 @@ def _gated_messages(neg_n, neg_s, features, src, dst):
     ``neg_n`` / ``neg_s`` are the negated gate projections (negated once per
     node: ``(-a) + (-b) == -(a + b)`` exactly).  Handed to
     :func:`segment_reduce` as its callable operand, so only the edges being
-    folded in are materialised — never an ``(E, F)`` array.
+    folded in are materialised — never an ``(E, F)`` array.  One ``exp`` per
+    edge and feature: :func:`_gated_sum` uses it only for the rows whose
+    per-node halves leave ``exp``'s normal range.
     """
 
     def messages(edges: np.ndarray) -> np.ndarray:
@@ -59,6 +67,60 @@ def _gated_messages(neg_n, neg_s, features, src, dst):
         return _gate(x, features[neighbours])
 
     return messages
+
+
+def _node_gated_messages(exp_n, exp_s, features, src, dst):
+    """:func:`_gated_messages` from per-node exponentials: ``h_u / (1 + exp_n[u] * exp_s[v])``.
+
+    ``exp_n = exp(-gate_n)`` and ``exp_s = exp(-gate_s)`` are computed once
+    per node, so the edge dimension runs a multiply in place of an ``exp``.
+    Both factors are finite and non-zero, so the product never gives
+    ``0 * inf``; a product beyond the float range overflows to ``inf`` and
+    gives ``h / inf = 0``, the same limit as the per-edge form.
+    """
+
+    def messages(edges: np.ndarray) -> np.ndarray:
+        neighbours = src[edges]
+        x = exp_n[neighbours]
+        with np.errstate(over="ignore"):
+            x *= exp_s[dst[edges]]
+        x += 1.0
+        return np.divide(features[neighbours], x, out=x)
+
+    return messages
+
+
+def _node_exp(neg: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """``exp(neg)`` over ``neg`` clipped to ``+-_NODE_EXP_LIMIT``, and the nodes with a clipped entry."""
+    clipped = np.clip(neg, -_NODE_EXP_LIMIT, _NODE_EXP_LIMIT)
+    outside = (clipped != neg).any(axis=1)
+    return np.exp(clipped, out=clipped), outside
+
+
+def _gated_sum(neg_n, neg_s, features, src, dst, indptr, reduce):
+    """Per-row sums of ``sigma(gate_n[u] + gate_s[v]) * h_u`` over CSR ``indptr``.
+
+    Returns ``reduce``'s ``(sums, nonempty)``; ``reduce`` is
+    :func:`segment_reduce` or :func:`parallel_segment_reduce`.  Every row
+    folds :func:`_node_gated_messages` (2·N·F ``exp`` calls instead of
+    E·F), except the rows that touch a per-node half beyond
+    ``_NODE_EXP_LIMIT``: their own ``gate_s`` or any neighbour's ``gate_n``.
+    Those rows are recomputed with the per-edge :func:`_gated_messages`, in
+    the same edge order.  The rule reads only a row's own edges, so the
+    full-graph and restricted paths pick the same rows and stay bitwise
+    equal.  (The sweep's value for a picked row is computed from clipped
+    halves and then discarded.)
+    """
+    exp_n, outside_n = _node_exp(neg_n)
+    exp_s, outside_s = _node_exp(neg_s)
+    sums, nonempty = reduce(_node_gated_messages(exp_n, exp_s, features, src, dst), indptr, np.add)
+    if outside_n.any() or outside_s.any():
+        edges = np.flatnonzero(outside_n[src] | outside_s[dst])
+        rows = np.unique(np.searchsorted(indptr, edges, side="right") - 1)
+        row_indptr, row_edges = _row_slices(indptr, rows)
+        per_edge = _gated_messages(neg_n, neg_s, features, src, dst)
+        sums[rows] = segment_reduce(lambda local: per_edge(row_edges[local]), row_indptr, np.add)[0]
+    return sums, nonempty
 
 
 class GGCNLayer(GNNLayer):
@@ -103,11 +165,11 @@ class GGCNLayer(GNNLayer):
         neg_n = -apply_linear(self.gate_neighbor, h).data                            # (N, F)
         neg_s = -apply_linear(self.gate_self, h).data                                # (N, F)
         features = h.data
-        messages = _gated_messages(
-            neg_n, neg_s, features, graph.indices, edge_destinations(graph)
-        )
         # Row slabs across cores, bitwise equal to the serial sweep.
-        aggregated, nonempty = parallel_segment_reduce(messages, graph.indptr, np.add)
+        aggregated, nonempty = _gated_sum(
+            neg_n, neg_s, features, graph.indices, edge_destinations(graph),
+            graph.indptr, parallel_segment_reduce,
+        )
         aggregated /= np.maximum(np.diff(graph.indptr), 1)[:, None]
         if not nonempty.all():
             # Sampler fallback: isolated nodes gate and aggregate themselves.
@@ -125,11 +187,10 @@ class GGCNLayer(GNNLayer):
             neg_s = -apply_linear(self.gate_self, h).data                             # (C, F)
             features = h.data
             row_positions = restriction.row_positions
-            messages = _gated_messages(
+            aggregated, nonempty = _gated_sum(
                 neg_n, neg_s, features, restriction.col_positions,
-                row_positions[restriction.edge_rows()],
+                row_positions[restriction.edge_rows()], restriction.indptr, segment_reduce,
             )
-            aggregated, nonempty = segment_reduce(messages, restriction.indptr, np.add)
             aggregated /= np.maximum(restriction.row_degrees(), 1)[:, None]
             if not nonempty.all():
                 isolated = ~nonempty

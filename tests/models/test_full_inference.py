@@ -151,10 +151,11 @@ class TestFullForwardEquivalence:
 
 
 class TestCoreSlabs:
-    """G-GCN's and GS-Pool's full-graph sweeps run on one row slab per core
-    (``parallel_segment_reduce``); the core count must not change a bit."""
+    """G-GCN's and GS-Pool's full-graph sweeps (``parallel_segment_reduce``)
+    and GCN's and GAT's full-graph SpMMs (``parallel_spmm``) run on one row
+    slab per core; the core count must not change a bit."""
 
-    @pytest.mark.parametrize("model_name", ["G-GCN", "GS-Pool"])
+    @pytest.mark.parametrize("model_name", MODELS)
     def test_logits_do_not_depend_on_the_core_count(self, hub_graph, monkeypatch, model_name):
         assert (np.diff(hub_graph.indptr) == 0).any()
         model = _model(hub_graph, model_name, block_size=4)

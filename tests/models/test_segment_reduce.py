@@ -1,8 +1,9 @@
 """Tests for the edge-wise aggregation kernels of ``repro.models.base``.
 
 ``segment_reduce`` is the degree-sorted segment sweep; ``weighted_segment_sum``
-is the per-edge weighted sum as a CSR SpMM; ``parallel_segment_reduce`` runs
-the sweep on edge-balanced row slabs, one per core.
+is the per-edge weighted sum as a CSR SpMM; ``parallel_segment_reduce`` and
+``parallel_spmm`` run the sweep and a CSR SpMM on edge-balanced row slabs,
+one per core.
 
 The kernel's contract is an order, not just a value: every CSR segment is
 combined sequentially in edge order.  A pure-Python loop that does exactly
@@ -19,11 +20,17 @@ import threading
 from unittest import mock
 
 import numpy as np
+import scipy.sparse as sp
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from repro.models import base
-from repro.models.base import parallel_segment_reduce, segment_reduce, weighted_segment_sum
+from repro.models.base import (
+    parallel_segment_reduce,
+    parallel_spmm,
+    segment_reduce,
+    weighted_segment_sum,
+)
 
 
 def sequential_oracle(values: np.ndarray, indptr: np.ndarray, ufunc: np.ufunc):
@@ -115,10 +122,21 @@ def _case(lengths, trailing=(3,)):
 @example(_case([0, 0, 3, 0, 0, 0, 3, 0, 0]), np.add)
 # A hub row wider than one slab's edge share, at 2 and at 7 slabs.
 @example(_case([1, 20, 1, 0, 1]), np.maximum)
+# Slabs longer than the SpMM's 512-row chunks.
+@example(_case([3, 0, 1] * 400, trailing=(2,)), np.add)
 def test_slabs_equal_the_serial_sweep_bitwise(case, ufunc):
-    """Rows fold only their own edges, so any slab count gives the same bits."""
+    """Rows fold only their own edges, so any slab count gives the same bits.
+
+    The slabbed SpMM multiplies the CSR matrix of the same segments (edge
+    ``e`` picks row ``e`` of ``values``, weighted) and must equal ``csr @ x``.
+    """
     values, indptr = case
     expected, expected_nonempty = segment_reduce(values, indptr, ufunc)
+    matrix = sp.csr_matrix(
+        (np.linspace(-2.0, 2.0, len(values)), np.arange(len(values)), indptr),
+        shape=(len(indptr) - 1, len(values)),
+    )
+    product = matrix @ values
     for slabs in (1, 2, 7):
         with mock.patch.object(base, "_core_count", return_value=slabs):
             for operand in (values, lambda edges: values[edges]):
@@ -126,6 +144,9 @@ def test_slabs_equal_the_serial_sweep_bitwise(case, ufunc):
                 assert out.shape == expected.shape
                 assert np.array_equal(out, expected), slabs
                 assert np.array_equal(nonempty, expected_nonempty)
+            out = parallel_spmm(matrix, values)
+            assert out.shape == product.shape and out.dtype == product.dtype
+            assert out.tobytes() == product.tobytes(), slabs
 
 
 def test_one_core_builds_no_slab_pool():
