@@ -1,11 +1,11 @@
-"""Legacy setup shim.
+"""Setuptools shim for ``pip install -e .``.
 
-The project metadata lives in ``pyproject.toml`` (PEP 621).  This file exists
-only so that ``pip install -e .`` can fall back to the legacy
-``setup.py develop`` code path in offline environments that lack the
-``wheel`` package required by PEP 660 editable builds.
+There is no ``pyproject.toml``: this file is the package metadata.
+setuptools discovers the ``repro`` package under ``src/`` on its own.
+Python 3.10 is the floor, because the serving layer's request object is a
+``dataclass(slots=True)``.
 """
 
 from setuptools import setup
 
-setup()
+setup(python_requires=">=3.10")

@@ -147,7 +147,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--overload-policy",
-        choices=["reject", "shed_oldest", "block"],
+        choices=["reject", "shed_oldest"],
         default="reject",
         help="what to do when a bounded queue is full",
     )

@@ -23,17 +23,18 @@ mode, exact: every answer equals offline ``full_forward`` for that node.
   :class:`ConcurrentExecutor` (thread pool; NumPy kernels release the GIL so
   shard flushes genuinely overlap);
 * admission control bounds each shard queue (``max_queue_depth``) with
-  ``reject`` / ``shed_oldest`` / ``block`` overload policies (``block`` is a
-  real condition-variable wait, woken when depth drops), and deadline-aware
+  the ``reject`` or ``shed_oldest`` overload policy, and deadline-aware
   expiry guarantees every request terminates as exactly one of
   ``completed`` / ``rejected`` / ``shed`` / ``expired`` / ``failed``;
-* the front door (:mod:`repro.serving.frontdoor`) makes ``submit()`` return
-  a :class:`RequestHandle` future (``result(timeout=)``, ``done``, typed
-  terminal exceptions, awaitable), tags every request with a weighted
-  *request class* (``premium``/``standard``/``backfill`` by default) so
-  admission pops heaviest-class/deadline-earliest first and overload sheds
-  the lightest class first, and — with ``ingress="thread"`` — runs a
-  background :class:`FrontDoor` pump so arrivals land during flush rounds;
+* ``submit()`` returns the request's one :class:`InferenceRequest` object
+  (``RequestHandle`` is a second name for it): the engine's record and the
+  caller's future (``result(timeout=)``, ``done``, typed terminal
+  exceptions, awaitable).  The front door (:mod:`repro.serving.frontdoor`)
+  tags every request with a weighted *request class*
+  (``premium``/``standard``/``backfill``) so admission pops
+  heaviest-class/deadline-earliest first and overload sheds the lightest
+  class first, and — with ``ingress="thread"`` — runs a background
+  :class:`FrontDoor` pump so arrivals land during flush rounds;
 * the fault-tolerance layer keeps that guarantee under replica failure: a
   seedable :class:`FaultPlan` injects deterministic raise/hang/die/kill/flap
   faults, a failed batch retries at once on a sibling replica (up to

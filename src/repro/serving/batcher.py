@@ -1,5 +1,11 @@
 """Request futures and the micro-batching queues.
 
+One :class:`InferenceRequest` object per submitted request is both the
+engine's record of it and the caller's future (``RequestHandle`` is a second
+name for the same class): the engine writes its terminal state, and the
+caller reads it or waits on it with ``result(timeout=)`` / ``wait`` /
+``exception``, or ``await``s it.
+
 Requests are coalesced per shard: a queue flushes as soon as it holds
 ``max_batch_size`` requests, when its oldest request has waited ``max_delay``
 seconds, or when its oldest request's *deadline* has passed — the classic
@@ -28,6 +34,10 @@ Every request terminates in exactly one state:
     every failover retry was exhausted — or no dispatchable replica
     remained.  Failures never strand a request in ``pending``.
 
+Non-completed terminal states map to typed exceptions
+(:class:`RequestRejected`, :class:`RequestShed`, :class:`RequestExpired`,
+:class:`RequestFailed` — all ``RuntimeError`` subclasses).
+
 Transient failures are not terminal: a batch whose replica crashed is
 retried on a sibling replica (``retries`` counts the attempts; the request
 eventually lands in one of the states above).
@@ -41,9 +51,23 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
-__all__ = ["InferenceRequest", "MicroBatcher", "TERMINAL_STATUSES"]
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from .engine import InferenceServer
+
+__all__ = [
+    "InferenceRequest",
+    "RequestHandle",
+    "MicroBatcher",
+    "TERMINAL_STATUSES",
+    "RequestError",
+    "RequestRejected",
+    "RequestShed",
+    "RequestExpired",
+    "RequestFailed",
+    "RequestPending",
+]
 
 PENDING = "pending"
 COMPLETED = "completed"
@@ -55,9 +79,81 @@ FAILED = "failed"
 TERMINAL_STATUSES = (COMPLETED, REJECTED, SHED, EXPIRED, FAILED)
 
 
-@dataclass
+# -- terminal-state exception mapping ------------------------------------------
+
+
+class RequestError(RuntimeError):
+    """A request did not complete (terminal non-completed state, or still
+    pending where waiting cannot help).
+
+    Subclasses ``RuntimeError`` so code written against the pre-handle API
+    (``pytest.raises(RuntimeError, match="rejected")`` and kin) still
+    matches; ``.request_id`` and ``.status`` identify the request.
+    """
+
+    def __init__(self, request: "InferenceRequest", message: Optional[str] = None) -> None:
+        self.request_id = request.request_id
+        self.status = request.status
+        super().__init__(
+            message
+            if message is not None
+            else f"request {request.request_id} was {request.status}, not completed"
+        )
+
+
+class RequestRejected(RequestError):
+    """Turned away at admission (full queue, ``overload_policy="reject"``)."""
+
+
+class RequestShed(RequestError):
+    """Evicted from a full queue to make room (``overload_policy="shed_oldest"``)."""
+
+
+class RequestExpired(RequestError):
+    """Deadline passed before the request could be executed."""
+
+
+class RequestFailed(RequestError):
+    """Every failover retry was exhausted (or no replica was dispatchable)."""
+
+
+class RequestPending(RequestError):
+    """``result()`` was called on a pending request that nothing will serve.
+
+    Raised instead of deadlocking when no background ingress thread is
+    running and no timeout was given: in synchronous mode someone must call
+    ``server.drain()`` (or ``poll()``) for the request to terminate.
+    """
+
+    def __init__(self, request: "InferenceRequest") -> None:
+        super().__init__(
+            request,
+            f"request {request.request_id} is still pending; call server.drain() "
+            "first, pass a timeout, or enable ingress='thread'",
+        )
+
+
+_EXCEPTION_BY_STATUS = {
+    REJECTED: RequestRejected,
+    SHED: RequestShed,
+    EXPIRED: RequestExpired,
+    FAILED: RequestFailed,
+}
+
+
+# ``eq=False`` keeps identity hashing: with the default ``eq=True`` a mutable
+# dataclass is unhashable, and ``asyncio.gather(*requests)`` hashes its
+# arguments.
+@dataclass(slots=True, eq=False)
 class InferenceRequest:
-    """A single "predict the label of node X" request (future-style handle)."""
+    """One "predict the label of node X" request: the engine's record and
+    the caller's future.
+
+    State reads are lock-free snapshots.  :meth:`result` waits on the
+    completion event when a background ingress thread is running; the event
+    is created by the first waiter, so requests nobody waits on never build
+    one.
+    """
 
     request_id: int
     node: int
@@ -72,10 +168,18 @@ class InferenceRequest:
     retries: int = 0                     # failover attempts this request survived
     request_class: str = "standard"      # admission class (see serving.frontdoor)
     weight: float = 1.0                  # the class's admission weight
-    #: completion event backing RequestHandle.wait/result; None until the
-    #: first waiter creates it under the engine lock (never, when nothing
-    #: waits), so most requests finish without one.
-    _event: Optional[threading.Event] = field(default=None, repr=False, compare=False)
+    #: the server that owns the request (None: nothing can serve a wait).
+    server: Optional["InferenceServer"] = field(default=None, repr=False)
+    #: completion event backing wait/result; None until the first waiter
+    #: creates it under the engine lock (never, when nothing waits), so most
+    #: requests finish without one.
+    _event: Optional[threading.Event] = field(default=None, repr=False)
+
+    @property
+    def request(self) -> "InferenceRequest":
+        """The request itself (``handle.request`` reads of the old two-object
+        shape keep working)."""
+        return self
 
     @property
     def done(self) -> bool:
@@ -93,14 +197,67 @@ class InferenceRequest:
             raise RuntimeError(f"request {self.request_id} has not completed yet")
         return self.completion_time - self.enqueue_time
 
-    def result(self) -> int:
+    # -- future protocol ---------------------------------------------------------
+
+    def wait(self, timeout: Optional[float] = None) -> bool:
+        """Block until the request is terminal (or ``timeout`` wall seconds
+        pass); returns the terminal flag without raising."""
+        if self.status != PENDING:
+            return True
+        if self.server is None:
+            return False
+        event = self.server._completion_event(self)
+        if event is not None:
+            event.wait(timeout)
+        return self.status != PENDING
+
+    def result(self, timeout: Optional[float] = None) -> int:
+        """The prediction, waiting for completion when waiting can succeed.
+
+        With a background ingress thread (``ingress="thread"``) a pending
+        request is waited on (indefinitely, or ``timeout`` wall seconds —
+        ``TimeoutError`` if it does not settle).  Without one, a pending
+        request raises :class:`RequestPending` immediately unless a timeout
+        was given (another thread may be draining).  Terminal non-completed
+        states raise their mapped :class:`RequestError` subclass.
+        """
+        self._wait_terminal(timeout)
         if self.status == COMPLETED:
             return int(self.prediction)
-        if self.status == PENDING:
-            raise RuntimeError(
-                f"request {self.request_id} is still pending; call server.drain() first"
+        raise _EXCEPTION_BY_STATUS[self.status](self)
+
+    def exception(self, timeout: Optional[float] = None) -> Optional[RequestError]:
+        """The mapped terminal exception, or ``None`` when completed.
+
+        Waits exactly like :meth:`result`.
+        """
+        self._wait_terminal(timeout)
+        if self.status == COMPLETED:
+            return None
+        return _EXCEPTION_BY_STATUS[self.status](self)
+
+    def _wait_terminal(self, timeout: Optional[float]) -> None:
+        if self.status != PENDING:
+            return
+        server = self.server
+        if server is None or (timeout is None and not server.has_background_ingress):
+            raise RequestPending(self)
+        event = server._completion_event(self)
+        if event is not None and not event.wait(timeout) and self.status == PENDING:
+            raise TimeoutError(
+                f"request {self.request_id} still pending after {timeout:.3f}s"
             )
-        raise RuntimeError(f"request {self.request_id} was {self.status}, not completed")
+
+    def __await__(self):
+        """``await server.submit(node)`` from asyncio (needs ``ingress="thread"``).
+
+        The wait happens on the loop's default executor, so the event loop
+        itself never blocks on the completion event.
+        """
+        import asyncio
+
+        loop = asyncio.get_running_loop()
+        return loop.run_in_executor(None, self.result).__await__()
 
     # -- admission ordering ------------------------------------------------------
 
@@ -109,7 +266,7 @@ class InferenceRequest:
         deadline inside a class, submission order as the total tie-break.
 
         With a single class and uniform deadlines this degenerates to FIFO,
-        so classless callers keep the PR-3 batching behaviour bit-for-bit.
+        so classless callers keep plain FIFO batching bit-for-bit.
         """
         deadline = math.inf if self.deadline is None else self.deadline
         return (-self.weight, deadline, self.request_id)
@@ -127,6 +284,10 @@ class InferenceRequest:
             self._event.set()
 
 
+#: The name ``submit()``'s return value is documented under: the same class.
+RequestHandle = InferenceRequest
+
+
 class MicroBatcher:
     """Per-shard queues with size-, delay- and deadline-triggered flushing.
 
@@ -136,8 +297,8 @@ class MicroBatcher:
     multi-class traffic gets weighted, deadline-earliest-first admission.
 
     ``max_queue_depth`` bounds each shard's queue (``None`` = unbounded); the
-    batcher only *reports* fullness — the admission policy (reject / shed /
-    block) lives in the engine, which owns request state transitions.
+    batcher only *reports* fullness — the admission policy (reject / shed)
+    lives in the engine, which owns request state transitions.
     """
 
     def __init__(
@@ -149,7 +310,7 @@ class MicroBatcher:
     ) -> None:
         if max_batch_size <= 0:
             raise ValueError("max_batch_size must be positive")
-        if max_delay < 0:
+        if not max_delay >= 0:  # also rejects NaN
             raise ValueError("max_delay must be non-negative")
         if max_queue_depth is not None and max_queue_depth <= 0:
             raise ValueError("max_queue_depth must be positive (or None for unbounded)")

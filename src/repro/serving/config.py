@@ -2,11 +2,8 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
-
-from .frontdoor import DEFAULT_REQUEST_CLASSES, ClassSpec, normalize_request_classes
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (faults imports nothing back)
     from .faults import FaultPlan
@@ -58,22 +55,17 @@ class ServingConfig:
         ``"serial"`` runs flush rounds inline (deterministic, the default);
         ``"concurrent"`` fans one flush task per shard out over a thread
         pool with one thread per shard replica.  NumPy kernels release the
-        GIL, so shards genuinely overlap.
+        GIL, so shards genuinely overlap.  ``"process"`` runs each replica
+        in a worker process; a call that gets no reply within
+        :data:`repro.serving.procplane.CALL_TIMEOUT` seconds kills it.
     max_queue_depth, overload_policy:
         Admission control: each shard queue holds at most ``max_queue_depth``
         waiting requests (``None`` = unbounded).  On a full queue,
-        ``"reject"`` turns the new request away, ``"shed_oldest"`` evicts the
-        least-valuable queued request to make room (lightest request class
+        ``"reject"`` turns the new request away, and ``"shed_oldest"`` evicts
+        the least-valuable queued request to make room (lightest request
+        class of :data:`~repro.serving.frontdoor.DEFAULT_REQUEST_CLASSES`
         first, oldest within the class — plain oldest-first with a single
-        class), and ``"block"`` synchronously force-flushes the shard until
-        there is capacity (backpressure).
-    request_classes, default_class:
-        Admission classes as ``{name: weight}`` (or ``((name, weight), ...)``).
-        Weight orders both batch admission (heaviest first,
-        deadline-earliest-first within a class) and shed-victim selection
-        (lightest first), so under overload low-weight backfill sheds while
-        high-weight traffic keeps a bounded p99.  ``default_class`` names the
-        class ``submit()`` uses when the caller passes none.
+        class).
     ingress:
         ``"sync"`` (default) flushes inline from the submitting thread —
         deterministic, and what ``ManualClock`` tests drive.  ``"thread"``
@@ -129,11 +121,8 @@ class ServingConfig:
     partition_method: str = "bfs"
     num_replicas: int = 1
     executor: str = "serial"
-    process_call_timeout: float = 30.0
     max_queue_depth: Optional[int] = None
     overload_policy: str = "reject"
-    request_classes: ClassSpec = DEFAULT_REQUEST_CLASSES
-    default_class: str = "standard"
     ingress: str = "sync"
     flush_on_submit: bool = True
     default_timeout: Optional[float] = None
@@ -145,24 +134,15 @@ class ServingConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        # Normalise the class spec ({name: weight} or pair iterable) to the
-        # hashless tuple-of-pairs form once, so validate() and the engine see
-        # one canonical shape on the frozen instance.
-        object.__setattr__(
-            self, "request_classes", normalize_request_classes(self.request_classes)
-        )
         self.validate()
-
-    def class_weights(self) -> dict:
-        """The admission classes as a ``{name: weight}`` lookup dict."""
-        return dict(self.request_classes)
 
     def validate(self) -> "ServingConfig":
         """Reject invalid values and contradictory knob combinations.
 
         Runs automatically at construction (and therefore after every
         ``dataclasses.replace``); each conflict raises ``ValueError`` with
-        its own message.  Returns ``self`` so call sites can chain.
+        its own message.  Returns ``self`` so call sites can chain.  Float
+        checks are written ``not x > 0`` so that NaN fails them too.
         """
         if self.num_shards <= 0:
             raise ValueError("num_shards must be positive")
@@ -170,7 +150,7 @@ class ServingConfig:
             raise ValueError("num_replicas must be positive")
         if self.max_batch_size <= 0:
             raise ValueError("max_batch_size must be positive")
-        if self.max_delay < 0:
+        if not self.max_delay >= 0:
             raise ValueError("max_delay must be non-negative")
         if self.cache_capacity < 0:
             raise ValueError("cache_capacity must be non-negative (0 disables caching)")
@@ -178,16 +158,14 @@ class ServingConfig:
             raise ValueError(
                 f"executor must be 'serial', 'concurrent' or 'process', got {self.executor!r}"
             )
-        if self.process_call_timeout <= 0:
-            raise ValueError("process_call_timeout must be positive")
         if self.max_queue_depth is not None and self.max_queue_depth <= 0:
             raise ValueError("max_queue_depth must be positive (or None for unbounded)")
-        if self.overload_policy not in ("reject", "shed_oldest", "block"):
+        if self.overload_policy not in ("reject", "shed_oldest"):
             raise ValueError(
-                "overload_policy must be 'reject', 'shed_oldest' or 'block', "
+                "overload_policy must be 'reject' or 'shed_oldest', "
                 f"got {self.overload_policy!r}"
             )
-        if self.default_timeout is not None and self.default_timeout <= 0:
+        if self.default_timeout is not None and not self.default_timeout > 0:
             raise ValueError("default_timeout must be positive (or None for no deadline)")
         if self.max_retries < 0:
             raise ValueError("max_retries must be non-negative (0 disables failover)")
@@ -204,33 +182,5 @@ class ServingConfig:
         if self.ingress not in INGRESS_MODES:
             raise ValueError(
                 f"ingress must be one of {INGRESS_MODES}, got {self.ingress!r}"
-            )
-        if not self.request_classes:
-            raise ValueError("request_classes must define at least one class")
-        names = [name for name, _ in self.request_classes]
-        if len(set(names)) != len(names):
-            raise ValueError(f"request_classes has duplicate class names: {names}")
-        for name, weight in self.request_classes:
-            if not name:
-                raise ValueError("request class names must be non-empty strings")
-            if not math.isfinite(weight) or weight <= 0:
-                raise ValueError(
-                    f"request class {name!r} needs a finite positive weight, got {weight!r}"
-                )
-        if self.default_class not in names:
-            raise ValueError(
-                f"default_class {self.default_class!r} is not a configured request "
-                f"class (have: {names})"
-            )
-        if (
-            self.overload_policy == "block"
-            and not self.flush_on_submit
-            and self.ingress == "sync"
-        ):
-            raise ValueError(
-                "overload_policy='block' with flush_on_submit=False and "
-                "ingress='sync' would deadlock: a blocked submitter waits for a "
-                "flush nothing is scheduled to run — enable flush_on_submit, use "
-                "ingress='thread', or pick another overload policy"
             )
         return self

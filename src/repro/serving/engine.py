@@ -2,13 +2,15 @@
 
 Request lifecycle::
 
-    submit(node, request_class=...) ──▶ RequestHandle (future: result(timeout=),
-                     │  done(), typed terminal exceptions; awaitable under
-                     │  ingress="thread", where a FrontDoor pump thread
-                     │  drives the flush loop so arrivals land mid-round)
+    submit(node, request_class=...) ──▶ InferenceRequest, one object per
+                     │  request: the engine's record and the caller's future
+                     │  (result(timeout=), done, typed terminal exceptions;
+                     │  awaitable under ingress="thread", where a FrontDoor
+                     │  pump thread drives the flush loop so arrivals land
+                     │  mid-round)
                      ▼
                      admission control (bounded per-shard queues:
-                     │  reject / shed (lightest class first) / block)
+                     │  reject / shed (lightest class first))
                      ▼
                      route by node id to the owning shard's queue
                      │  (MicroBatcher: flush at max_batch_size, max_delay,
@@ -21,7 +23,8 @@ Request lifecycle::
     InferenceRequest.status ∈ {completed, rejected, shed, expired, failed}
     ServerStats (p50/p95/p99, hit rate, per-shard load, overload counters)
 
-The :class:`~repro.serving.scheduler.Scheduler` owns the flush loop.  By
+The :class:`~repro.serving.scheduler.Scheduler` owns the flush loop; it is
+the only caller of the engine's flush.  By
 default a ``submit``/``submit_many`` window polls after its first admitted
 request, then only when some shard's flush time (size, delay or deadline)
 has come, and once before returning — so size-triggered batches flush
@@ -78,7 +81,7 @@ from .clock import Clock, SystemClock
 from .config import ServingConfig
 from .executor import make_executor
 from .faults import InjectedFault, ReplicaDead, ReplicaHung
-from .frontdoor import FrontDoor, RequestHandle
+from .frontdoor import DEFAULT_REQUEST_CLASSES, FrontDoor, RequestHandle
 from .metrics import ServingMetrics
 from .procplane import ProcessPlane
 from .replicas import Replica, ReplicaSet
@@ -89,6 +92,9 @@ from .timing import merge_stage_totals
 from .worker import LocalPlane
 
 __all__ = ["ServingConfig", "InferenceServer", "RequestHandle", "DrainTimeout"]
+
+#: class name -> admission weight.
+_CLASS_WEIGHTS = dict(DEFAULT_REQUEST_CLASSES)
 
 
 class InferenceServer:
@@ -122,7 +128,7 @@ class InferenceServer:
         # ShardWorkers, or (executor="process") worker processes over shard
         # slabs in shared memory.  The engine never asks which.
         self.plane = (
-            ProcessPlane(graph, self.shards, model, call_timeout=self.config.process_call_timeout)
+            ProcessPlane(graph, self.shards, model)
             if self.config.executor == "process"
             else LocalPlane(graph, self.shards, model)
         )
@@ -155,7 +161,7 @@ class InferenceServer:
             self.telemetry.registry,
             len(self.shards),
             range(len(self.shards) * self.config.num_replicas),
-            class_names=[name for name, _ in self.config.request_classes],
+            class_names=list(_CLASS_WEIGHTS),
         )
 
         self.faults = self.config.fault_plan
@@ -179,8 +185,6 @@ class InferenceServer:
             max_queue_depth=self.config.max_queue_depth,
         )
         self.executor = make_executor(self.config.executor, len(self.workers))
-        #: class name -> admission weight (the config normalises the spec).
-        self._class_weights = self.config.class_weights()
         self.scheduler = Scheduler(
             self.batcher,
             self.clock,
@@ -195,9 +199,9 @@ class InferenceServer:
         # Engine-wide lock: guards queue admission and the stats
         # accumulators.  Flush tasks run prediction *outside* it.
         self._lock = threading.RLock()
-        # Capacity condition over the same lock: blocked submitters
-        # (overload_policy="block") wait here and are woken when a flush
-        # frees queue space, when an in-flight flush settles, or on shutdown.
+        # Capacity condition over the same lock: restart_replica, drain and
+        # shutdown wait here for in-flight flushes, and every flush notifies
+        # it when it settles.
         self._capacity = threading.Condition(self._lock)
         self._inflight_flushes = 0
         self._serving_depth = 0
@@ -294,7 +298,7 @@ class InferenceServer:
             # worker's inflight gauge around predict() and notify _capacity
             # when a flush settles.
             while worker.inflight > 0:
-                self._capacity.wait(timeout=self._BLOCK_WAIT_TIMEOUT)
+                self._capacity.wait(timeout=self._CAPACITY_WAIT_TIMEOUT)
         return self.replicas.restart(shard_id, replica, self.clock.now())
 
     # -- request intake ----------------------------------------------------------
@@ -309,18 +313,21 @@ class InferenceServer:
         node: int,
         timeout: Optional[float] = None,
         request_class: Optional[str] = None,
-    ) -> RequestHandle:
-        """Enqueue one prediction request; returns a :class:`RequestHandle`.
+    ) -> InferenceRequest:
+        """Enqueue one prediction request; returns its :class:`InferenceRequest`
+        (also importable as ``RequestHandle``).
 
         ``timeout`` (clock seconds, defaulting to ``config.default_timeout``)
         sets the request's deadline: if it is still queued when its deadline
         passes it terminates as ``expired`` instead of being executed.
-        ``request_class`` picks the admission class (``config.default_class``
-        when omitted) — heavier classes are batched first and shed last.
+        ``request_class`` picks the admission class of
+        :data:`~repro.serving.frontdoor.DEFAULT_REQUEST_CLASSES`
+        (``"standard"`` when omitted) — heavier classes are batched first
+        and shed last.
 
         Under admission control the returned handle may already be terminal
         (``status == "rejected"``); ``handle.result()`` then raises the
-        mapped :class:`~repro.serving.frontdoor.RequestError`.  With
+        mapped :class:`~repro.serving.batcher.RequestError`.  With
         ``ingress="sync"`` due batches flush inline before this returns;
         with ``ingress="thread"`` the background pump is woken instead and
         ``handle.result()`` waits for it.
@@ -332,8 +339,8 @@ class InferenceServer:
         nodes: Sequence[int],
         timeout: Optional[float] = None,
         request_class: Optional[str] = None,
-    ) -> List[RequestHandle]:
-        """Enqueue a window of requests, one handle per node, in order.
+    ) -> List[InferenceRequest]:
+        """Enqueue a window of requests, one request object per node, in order.
 
         The window is validated as a whole before anything is admitted: a
         bad node, timeout or class raises and leaves every queue untouched.
@@ -352,14 +359,13 @@ class InferenceServer:
             raise ValueError(f"node {node} is outside the graph (0..{num_nodes - 1})")
         if timeout is None:
             timeout = self.config.default_timeout
-        elif timeout <= 0:
+        elif not timeout > 0:  # also rejects NaN
             raise ValueError("timeout must be positive (or None for no deadline)")
-        class_name = self.config.default_class if request_class is None else str(request_class)
-        weight = self._class_weights.get(class_name)
+        class_name = "standard" if request_class is None else str(request_class)
+        weight = _CLASS_WEIGHTS.get(class_name)
         if weight is None:
             raise ValueError(
-                f"unknown request_class {class_name!r}; configured classes: "
-                f"{[name for name, _ in self.config.request_classes]}"
+                f"unknown request_class {class_name!r}; classes: {list(_CLASS_WEIGHTS)}"
             )
 
         # How an admission reaches the flush loop: wake the pump, run a round
@@ -373,7 +379,7 @@ class InferenceServer:
         clock = self.clock
         tracer = self.tracer
         due_at = self.batcher.due_at
-        handles: List[RequestHandle] = []
+        requests: List[InferenceRequest] = []
         # Earliest time any shard must flush, as of the last kick and the
         # admissions since; the first admission always kicks.
         next_due = -math.inf
@@ -388,6 +394,7 @@ class InferenceServer:
                 deadline=None if timeout is None else now + timeout,
                 request_class=class_name,
                 weight=weight,
+                server=self,
             )
             if self._first_enqueue is None:
                 self._first_enqueue = now
@@ -405,16 +412,16 @@ class InferenceServer:
                     next_due, stale = self.batcher.next_due(), False
                 else:
                     stale = True
-            handles.append(RequestHandle(request, self))
+            requests.append(request)
         if stale:
             kick()
-        return handles
+        return requests
 
-    #: Lost-wakeup safety net for blocked submitters, in wall seconds.  Every
-    #: capacity transition notifies the condition, so the timeout should never
-    #: be the thing that wakes a waiter — it only bounds the damage if a future
+    #: Lost-wakeup safety net for capacity waiters, in wall seconds.  Every
+    #: settled flush notifies the condition, so the timeout should never be
+    #: the thing that wakes a waiter — it only bounds the damage if a future
     #: change forgets a notify.
-    _BLOCK_WAIT_TIMEOUT = 0.05
+    _CAPACITY_WAIT_TIMEOUT = 0.05
 
     def _completion_event(self, request: InferenceRequest) -> Optional[threading.Event]:
         """The event a waiter blocks on, created on first use; None once the
@@ -469,7 +476,6 @@ class InferenceServer:
         a queue past ``max_queue_depth``.
         """
         shard_id = request.shard_id
-        policy = self.config.overload_policy
         with self._lock:
             if self._closed:
                 # Shut down mid-window: shutdown's final drain may already
@@ -479,46 +485,13 @@ class InferenceServer:
             if not self.batcher.is_full(shard_id):
                 self.batcher.enqueue(request)
                 return True
-            if policy == "reject":
+            if self.config.overload_policy == "reject":
                 self._terminal([request], REJECTED, self.clock.now())
                 return False
-            if policy == "shed_oldest":
-                victim = self.batcher.shed_victim(shard_id)
-                self._terminal([victim], SHED, self.clock.now())
-                self.batcher.enqueue(request)
-                return True
-        # block: backpressure — wait for room (or make it ourselves), outside
-        # this lock hold.
-        return self._admit_blocking(request)
-
-    def _admit_blocking(self, request: InferenceRequest) -> bool:
-        """``overload_policy="block"``: a real wait, not a busy spin.
-
-        While another thread has a flush in flight the submitter parks on the
-        capacity condition and is woken when queue depth drops (or the server
-        shuts down, which rejects the request deterministically).  When *no*
-        flush is in flight anywhere — the single-threaded case — waiting
-        would deadlock, so the submitter force-flushes the shard itself
-        (counted separately, so tests can assert no busy-spin happened).
-        """
-        shard_id = request.shard_id
-        while True:
-            flush_self = False
-            with self._capacity:
-                if self._closed:
-                    self._terminal([request], REJECTED, self.clock.now())
-                    return False
-                if not self.batcher.is_full(shard_id):
-                    self.batcher.enqueue(request)
-                    return True
-                if self._inflight_flushes > 0:
-                    self._metrics.block_waits.inc()
-                    self._capacity.wait(timeout=self._BLOCK_WAIT_TIMEOUT)
-                else:
-                    self._metrics.block_self_flushes.inc()
-                    flush_self = True
-            if flush_self:
-                self._flush(shard_id, forced=True)
+            victim = self.batcher.shed_victim(shard_id)
+            self._terminal([victim], SHED, self.clock.now())
+            self.batcher.enqueue(request)
+            return True
 
     # -- execution ---------------------------------------------------------------
 
@@ -559,7 +532,7 @@ class InferenceServer:
                             raise DrainTimeout(
                                 "drain deadline passed with a flush still in flight"
                             )
-                        self._capacity.wait(timeout=self._BLOCK_WAIT_TIMEOUT)
+                        self._capacity.wait(timeout=self._CAPACITY_WAIT_TIMEOUT)
                     if not self.batcher.pending:
                         return flushed
                 self.supervise()
@@ -608,7 +581,7 @@ class InferenceServer:
         state before executor threads are released (idempotent).
 
         Order matters: the server closes *first* (new submits raise; the
-        rest of a window mid-admission and blocked submitters reject), then
+        rest of a window mid-admission rejects), then
         pending queues drain, then the call waits for any flush still in
         flight on another thread to settle — so a shutdown racing a
         mid-flight round can never leave a request non-terminal — and drains
@@ -617,9 +590,8 @@ class InferenceServer:
         """
         if self._closed:
             return
-        with self._capacity:
+        with self._lock:
             self._closed = True
-            self._capacity.notify_all()  # blocked submitters wake up and reject
         if self.frontdoor is not None:
             # Quiesce the ingress pump before draining so the final drains
             # cannot race a background poll.
@@ -627,7 +599,7 @@ class InferenceServer:
         self.drain()
         with self._capacity:
             while self._inflight_flushes > 0:
-                self._capacity.wait(timeout=self._BLOCK_WAIT_TIMEOUT)
+                self._capacity.wait(timeout=self._CAPACITY_WAIT_TIMEOUT)
         self.drain()
         self.scheduler.shutdown()
         # Final stats are pulled while the pipes still work, then each close
@@ -679,7 +651,6 @@ class InferenceServer:
             batch = self.batcher.pop_batch(shard_id, forced=forced)
             if not batch:
                 return 0
-            self._capacity.notify_all()  # queue depth dropped: wake blocked submitters
             now = self.clock.now()
             if self.telemetry.enabled:
                 waits = [now - request.enqueue_time for request in batch]
@@ -719,7 +690,7 @@ class InferenceServer:
         finally:
             with self._lock:
                 self._inflight_flushes -= 1
-                self._capacity.notify_all()  # unblock waiters and shutdown()
+                self._capacity.notify_all()  # wake restart_replica, drain, shutdown
         return 1
 
     def _serve_batch(self, shard_id: int, live: List[InferenceRequest]) -> None:
@@ -986,8 +957,6 @@ class InferenceServer:
             failovers=metrics.failover_total(),
             worker_failures=metrics.worker_failures.value,
             injected_faults=self.faults.total_injected if self.faults is not None else 0,
-            block_waits=metrics.block_waits.value,
-            block_self_flushes=metrics.block_self_flushes.value,
             halo=halo,
             halo_tier=self.halo_store is not None,
             class_requests=metrics.class_totals(),
@@ -1038,7 +1007,7 @@ class InferenceServer:
             f"{halo}, "
             f"executor {self.config.executor}, queues {depth}, "
             f"ingress {self.config.ingress}, "
-            f"classes {{{', '.join(f'{n}={w:g}' for n, w in self.config.request_classes)}}}"
+            f"classes {{{', '.join(f'{n}={w:g}' for n, w in DEFAULT_REQUEST_CLASSES)}}}"
         ]
         lines.extend(f"  {shard.summary()}" for shard in self.shards)
         return "\n".join(lines)

@@ -157,17 +157,6 @@ class ServingMetrics:
         )
         self.worker_failures = worker_failures.labels()
 
-        block = registry.counter(
-            "serving_block_waits_total",
-            "Condition waits by submitters blocked on a full queue",
-        )
-        self.block_waits = block.labels()
-        self_flushes = registry.counter(
-            "serving_block_self_flushes_total",
-            "Blocked submitters that force-flushed the shard themselves",
-        )
-        self.block_self_flushes = self_flushes.labels()
-
         rounds = registry.counter(
             "serving_flush_rounds_total",
             "Flush rounds the scheduler dispatched",

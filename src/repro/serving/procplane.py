@@ -392,6 +392,10 @@ _ENVELOPE = struct.Struct("!BIQ")
 #: Wall seconds between control-channel liveness pings of an idle child.
 HEARTBEAT_INTERVAL = 1.0
 
+#: Wall seconds a worker process has to answer one call before it is
+#: SIGKILLed and the call raises :class:`ProcessTimeout`.
+CALL_TIMEOUT = 30.0
+
 
 def _pack(kind: int, req_id: int, payload) -> bytes:
     body = b"" if payload is None else pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
@@ -968,12 +972,10 @@ class ProcessPlane:
         graph: Graph,
         shards: List[GraphShard],
         model,
-        call_timeout: float = 30.0,
     ) -> None:
         self.graph = graph
         self.shards = shards
         self.model = model
-        self.call_timeout = float(call_timeout)
         self.swept_stale = SharedSlabArena.sweep_stale()
         self.arena = SharedSlabArena()
         self._ctx = get_context("spawn")
@@ -1065,7 +1067,7 @@ class ProcessPlane:
             control_parent,
             shard,
             self.halo_store,
-            self.call_timeout,
+            CALL_TIMEOUT,
         )
 
     def heartbeat(self, workers) -> None:

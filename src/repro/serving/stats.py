@@ -76,8 +76,6 @@ class ServerStats:
     failovers: int = 0               # batches completed on a sibling after a failure
     worker_failures: int = 0         # dispatch attempts that raised (real or injected)
     injected_faults: int = 0         # faults the FaultPlan actually fired
-    block_waits: int = 0             # condition waits by blocked submitters
-    block_self_flushes: int = 0      # blocked submitters that flushed for themselves
     #: per-class terminal ledger: {class: {status: count}} (empty = classless)
     class_requests: Dict[str, Dict[str, int]] = field(default_factory=dict)
     ingress: str = "sync"            # arrival path ("sync" or "thread")
@@ -223,11 +221,6 @@ class ServerStats:
             lines.append(
                 f"  self-healing: {self.supervisor_restarts} replica rebuilds, "
                 f"{self.prewarmed_rows} cache rows pre-warmed from the halo tier"
-            )
-        if self.block_waits or self.block_self_flushes:
-            lines.append(
-                f"  backpressure: {self.block_waits} waits, "
-                f"{self.block_self_flushes} self-flushes by blocked submitters"
             )
         active_classes = {
             name: counts

@@ -166,6 +166,8 @@ class TestMicroBatcher:
             MicroBatcher(1, max_batch_size=0, max_delay=0.0)
         with pytest.raises(ValueError):
             MicroBatcher(1, max_batch_size=1, max_delay=-1.0)
+        with pytest.raises(ValueError, match="max_delay"):
+            MicroBatcher(1, max_batch_size=1, max_delay=float("nan"))
 
     def test_pending_request_result_raises(self):
         request = _request(0, 0, 0, at=0.0)

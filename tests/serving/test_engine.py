@@ -88,7 +88,7 @@ class TestExactServing:
 class TestDeterminism:
     @pytest.mark.parametrize("executor", ["serial", "concurrent"])
     @pytest.mark.parametrize("max_delay", [0.0, 0.002])
-    @pytest.mark.parametrize("overload_policy", [None, "reject", "shed_oldest", "block"])
+    @pytest.mark.parametrize("overload_policy", [None, "reject", "shed_oldest"])
     @pytest.mark.parametrize("clock_step", [0.0, 0.0005])
     def test_identical_runs_produce_identical_results(
         self, small_graph, executor, max_delay, overload_policy, clock_step
@@ -279,12 +279,36 @@ class TestValidationAndStats:
             server.submit_many([0, 1, 2, small_graph.num_nodes])
         with pytest.raises(ValueError, match="timeout"):
             server.submit_many([0, 1], timeout=-1.0)
+        # NaN fails every comparison: a `timeout <= 0` check lets it through
+        # as a deadline that never expires.
+        with pytest.raises(ValueError, match="timeout"):
+            server.submit_many([0, 1], timeout=float("nan"))
         with pytest.raises(ValueError, match="request_class"):
             server.submit_many([0, 1], request_class="gold")
         assert server.batcher.pending == 0
         server.drain()
         assert server.stats().submitted_requests == 0
         assert server.submit(0).request_id == 0
+
+    @pytest.mark.parametrize("timeout", [0.0, -1.0, float("-inf"), float("nan")])
+    def test_nonpositive_or_nan_timeout_admits_nothing(self, small_graph, timeout):
+        server = _server(_model(small_graph), small_graph)
+        with pytest.raises(ValueError, match="timeout must be positive"):
+            server.submit(0, timeout=timeout)
+        assert server.batcher.pending == 0
+        assert server.submit(0).request_id == 0
+
+    def test_infinite_timeout_never_expires(self, small_graph):
+        model = _model(small_graph)
+        reference = model.full_forward(small_graph).data.argmax(axis=-1)
+        server = _server(model, small_graph)
+        server.scheduler.flush_on_submit = False
+        requests = server.submit_many([0, 1, 2], timeout=float("inf"))
+        assert all(request.deadline == float("inf") for request in requests)
+        server.clock.advance(1e6)
+        server.poll()
+        assert [request.result() for request in requests] == [int(n) for n in reference[:3]]
+        assert server.stats().expired_requests == 0
 
     def test_invalid_config_values(self):
         with pytest.raises(ValueError):
@@ -299,7 +323,9 @@ class TestValidationAndStats:
         # replica and the front-door pump re-polls at its own default.
         # Retries run at once, capped only by max_retries; a replica dies on
         # consecutive failures alone and is always rebuilt on the next tick;
-        # dispatch is round-robin.  None is configurable.
+        # dispatch is round-robin; the request classes are the
+        # DEFAULT_REQUEST_CLASSES constant and a process call times out
+        # after procplane.CALL_TIMEOUT.  None is configurable.
         for field, value in (
             ("mode", "exact"),
             ("cache_policy", "lru"),
@@ -320,10 +346,13 @@ class TestValidationAndStats:
             ("supervisor", True),
             ("health_cooldown", 0.05),
             ("dispatch", "least_loaded"),
+            ("request_classes", {"bulk": 1.0}),
+            ("default_class", "premium"),
+            ("process_call_timeout", 1.0),
         ):
             with pytest.raises(TypeError):
                 ServingConfig(**{field: value})
-        assert len(dataclasses.fields(ServingConfig)) == 22
+        assert len(dataclasses.fields(ServingConfig)) == 19
 
     def test_predictions_returned_in_submission_order(self, small_graph):
         model = _model(small_graph)

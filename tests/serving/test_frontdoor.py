@@ -1,4 +1,4 @@
-"""Front-door tests: RequestHandle futures, weighted request classes,
+"""Front-door tests: request futures, weighted request classes,
 flush rounds and the background ingress pump.
 
 The handle/class layers must not disturb the serving core: all
@@ -99,6 +99,9 @@ class TestRequestHandle:
     def test_handle_exposes_underlying_record(self):
         server = _server()
         handle = server.submit(0)
+        # One object per request: the handle is the engine's record.
+        assert RequestHandle is InferenceRequest
+        assert handle.request is handle
         assert isinstance(handle.request, InferenceRequest)
         assert handle.request_id == handle.request.request_id
         assert handle.node == 0
@@ -221,13 +224,38 @@ class TestRequestHandle:
         server.shutdown()
 
     def test_handle_without_server_cannot_wait(self):
-        server = _server(max_batch_size=8)
-        server.scheduler.flush_on_submit = False
-        handle = RequestHandle(server.submit(1).request)
+        handle = InferenceRequest(request_id=0, node=1, shard_id=0, enqueue_time=0.0)
+        assert handle.server is None
         assert handle.wait(timeout=0.01) is False
         with pytest.raises(RequestPending):
             handle.result(timeout=0.01)
-        assert handle.request._event is None
+        assert handle._event is None
+
+    def test_requests_hash_and_compare_by_identity(self):
+        # Two requests with equal fields are still two requests: a set or
+        # dict of them (asyncio.gather builds one) keeps both.
+        first, twin = _request(0), _request(0)
+        assert first == first
+        assert first != twin
+        assert len({first, twin}) == 2
+        assert {first: "first", twin: "twin"}[twin] == "twin"
+
+    def test_request_record_is_slotted(self):
+        request = _request(0)
+        assert not hasattr(request, "__dict__")
+        with pytest.raises(AttributeError):
+            request.handle = request
+
+    def test_submit_many_returns_the_queued_records(self):
+        server = _server(max_batch_size=8)
+        server.scheduler.flush_on_submit = False
+        handles = server.submit_many(range(6))
+        queued = [request for queue in server.batcher._queues for request in queue]
+        assert sorted(map(id, handles)) == sorted(map(id, queued))
+        assert all(handle.server is server for handle in handles)
+        server.drain()
+        # The engine settles the very objects the caller holds.
+        assert [handle.result() for handle in handles] == [int(REFERENCE[n]) for n in range(6)]
         server.shutdown()
 
 
@@ -236,6 +264,17 @@ class TestRequestClasses:
         server = _server()
         with pytest.raises(ValueError, match="unknown request_class"):
             server.submit(0, request_class="platinum")
+        server.shutdown()
+
+    @pytest.mark.parametrize("request_class, weight", DEFAULT_REQUEST_CLASSES)
+    def test_submit_takes_weight_from_the_constant_table(self, request_class, weight):
+        server = _server()
+        handle = server.submit(0, request_class=request_class)
+        assert handle.request_class == request_class
+        assert handle.weight == weight
+        server.drain()
+        assert handle.result() == int(REFERENCE[0])
+        assert server.stats().class_requests[request_class]["completed"] == 1
         server.shutdown()
 
     def test_default_classes_expose_weights(self):
@@ -314,20 +353,6 @@ class TestRequestClasses:
             assert stats.class_requests[name]["completed"] == submitted[name]
         server.shutdown()
 
-    def test_custom_class_table(self):
-        server = _server(
-            request_classes={"bulk": 1.0, "interactive": 8.0},
-            default_class="bulk",
-        )
-        handle = server.submit(0)
-        assert handle.request_class == "bulk"
-        boosted = server.submit(1, request_class="interactive")
-        assert boosted.request.weight == 8.0
-        server.drain()
-        stats = server.stats()
-        assert set(stats.class_requests) == {"bulk", "interactive"}
-        server.shutdown()
-
 
 class TestConfigValidation:
     def test_positional_arguments_are_rejected(self):
@@ -339,31 +364,30 @@ class TestConfigValidation:
         with pytest.raises(TypeError, match="ingress_poll_interval"):
             ServingConfig(ingress_poll_interval=0.0)
 
-    def test_contradictory_block_policy_is_rejected_at_construction(self):
-        with pytest.raises(ValueError, match="deadlock"):
-            ServingConfig(
-                overload_policy="block",
-                max_queue_depth=2,
-                flush_on_submit=False,
-                ingress="sync",
-            )
-        # Either escape hatch resolves the conflict.
-        ServingConfig(
-            overload_policy="block", max_queue_depth=2, flush_on_submit=False, ingress="thread"
-        )
-        ServingConfig(overload_policy="block", max_queue_depth=2, flush_on_submit=True)
+    def test_block_policy_is_rejected_naming_the_two_policies(self):
+        with pytest.raises(ValueError, match="'reject' or 'shed_oldest', got 'block'"):
+            ServingConfig(overload_policy="block", max_queue_depth=2)
+
+    @pytest.mark.parametrize("policy", ["reject", "shed_oldest"])
+    def test_overload_policy_accepts_the_two_policies(self, policy):
+        config = ServingConfig(overload_policy=policy, max_queue_depth=2)
+        assert config.overload_policy == policy
+
+    @pytest.mark.parametrize("policy", ["block", "drop", "REJECT", ""])
+    def test_overload_policy_rejects_anything_else(self, policy):
+        with pytest.raises(ValueError, match="overload_policy must be 'reject' or 'shed_oldest'"):
+            ServingConfig(overload_policy=policy)
 
     @pytest.mark.parametrize(
         "kwargs, match",
         [
-            (dict(request_classes=()), "at least one"),
-            (dict(request_classes={"a": 0.0}), "positive"),
-            (dict(request_classes={"a": float("inf")}), "finite"),
-            (dict(request_classes=[("a", 1.0), ("a", 2.0)]), "duplicate"),
-            (dict(default_class="nope"), "default_class"),
             (dict(ingress="carrier-pigeon"), "ingress"),
             (dict(max_batch_size=0), "max_batch_size"),
             (dict(max_delay=-1.0), "max_delay"),
+            (dict(max_delay=float("nan")), "max_delay"),
+            (dict(default_timeout=float("nan")), "default_timeout"),
+            (dict(default_timeout=0.0), "default_timeout"),
+            (dict(default_timeout=-1.0), "default_timeout"),
             (dict(cache_capacity=-1), "cache_capacity"),
         ],
     )
@@ -377,10 +401,17 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="ingress"):
             dataclasses.replace(config, ingress="bogus")
 
-    def test_request_classes_normalised_to_pairs(self):
-        config = ServingConfig(request_classes={"hot": 3, "cold": 1}, default_class="hot")
-        assert config.request_classes == (("hot", 3.0), ("cold", 1.0))
-        assert config.class_weights() == {"hot": 3.0, "cold": 1.0}
+    def test_infinite_delay_and_timeout_mean_never(self):
+        config = ServingConfig(max_delay=float("inf"), default_timeout=float("inf"))
+        server = InferenceServer(MODEL, GRAPH, config, clock=ManualClock())
+        server.scheduler.flush_on_submit = False
+        handle = server.submit(0)
+        server.clock.advance(1e6)
+        server.poll()
+        assert handle.status == "pending"
+        server.drain()
+        assert handle.result() == int(REFERENCE[0])
+        server.shutdown()
 
 
 class TestFlushRounds:

@@ -62,7 +62,7 @@ def _operations():
     num_shards=st.integers(1, 3),
     max_batch_size=st.integers(1, 4),
     max_queue_depth=st.one_of(st.none(), st.integers(1, 3)),
-    overload_policy=st.sampled_from(["reject", "shed_oldest", "block"]),
+    overload_policy=st.sampled_from(["reject", "shed_oldest"]),
     default_timeout=st.one_of(st.none(), st.floats(0.05, 0.5)),
     flush_on_submit=st.booleans(),
 )

@@ -53,6 +53,7 @@ from repro.serving import (
     ShardWorker,
     SharedSlabArena,
     build_shards,
+    procplane,
 )
 from repro.serving.procplane import (
     HEARTBEAT_INTERVAL,
@@ -171,10 +172,6 @@ class TestSegments:
 
 
 class TestProcessServing:
-    def test_config_rejects_nonpositive_call_timeout(self):
-        with pytest.raises(ValueError, match="process_call_timeout"):
-            ServingConfig(executor="process", process_call_timeout=0.0)
-
     def test_matches_serial_bitwise_and_sweeps_segments(self):
         expected = _reference_predictions()
         server = _process_server()
@@ -260,8 +257,9 @@ class TestProcessServing:
         assert issubclass(ProcessDead, ReplicaDead)
         assert issubclass(ProcessTimeout, ReplicaHung)
 
-    def test_wedged_child_times_out_and_is_killed(self):
-        server = _process_server(process_call_timeout=1.0)
+    def test_wedged_child_times_out_and_is_killed(self, monkeypatch):
+        monkeypatch.setattr(procplane, "CALL_TIMEOUT", 1.0)
+        server = _process_server()
         base = server.plane.arena.base
         try:
             handle = _handles(server)[0]
@@ -278,8 +276,9 @@ class TestProcessServing:
             server.shutdown()
         assert not list_segments(base)
 
-    def test_shutdown_escalates_past_a_stopped_child(self):
-        server = _process_server(process_call_timeout=1.0)
+    def test_shutdown_escalates_past_a_stopped_child(self, monkeypatch):
+        monkeypatch.setattr(procplane, "CALL_TIMEOUT", 1.0)
+        server = _process_server()
         base = server.plane.arena.base
         handle = _handles(server)[0]
         server.predict([int(handle.shard.core_nodes[0])])  # complete READY

@@ -43,6 +43,8 @@ class TestParser:
             parser.parse_args(["serve-bench", "--executor", "fibers"])
         with pytest.raises(SystemExit):
             parser.parse_args(["serve-bench", "--overload-policy", "drop"])
+        with pytest.raises(SystemExit):
+            parser.parse_args(["serve-bench", "--overload-policy", "block"])
 
     def test_unknown_command_rejected(self):
         with pytest.raises(SystemExit):
