@@ -54,13 +54,15 @@ mode, exact: every answer equals offline ``full_forward`` for that node.
   accelerator cycles per shard;
 * observability rides on :mod:`repro.telemetry`: the engine owns a
   :class:`~repro.telemetry.Telemetry` handle whose
-  :class:`~repro.telemetry.MetricsRegistry` holds every serving counter and
-  latency histogram (:class:`ServingMetrics` names them), and — in
+  :class:`~repro.telemetry.MetricsRegistry` exports every serving count and
+  histogram (:class:`ServingMetrics` names them), and — in
   ``telemetry="trace"`` mode — a :class:`~repro.telemetry.RequestTracer`
   records per-request span trees (submit → queue → dispatch attempts with
   replica-state/fault detail → terminal state) exportable as Prometheus
-  text, JSON snapshots, or Chrome ``traceEvents``.  ``ServerStats`` is a
-  *view* over the registry, so the frozen-dataclass API is unchanged.
+  text, JSON snapshots, or Chrome ``traceEvents``.  Each count lives with
+  the object whose event it counts; ``ServerStats`` reads those owners and
+  each export copies them into the registry, so both show the same numbers
+  in every telemetry mode.
 """
 
 from .batcher import TERMINAL_STATUSES, InferenceRequest, MicroBatcher

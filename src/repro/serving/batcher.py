@@ -322,17 +322,12 @@ class MicroBatcher:
         # Earliest deadline in each queue (inf = none): raised on enqueue,
         # recomputed when requests leave, so a due check never rescans.
         self._deadlines: List[float] = [math.inf] * num_shards
-        # Flush-cause counters, surfaced by ServerStats.
-        self.size_flushes = 0
-        self.delay_flushes = 0
-        self.forced_flushes = 0
-        # Optional labelled sinks: cause -> per-shard counter children
-        # (bound by the engine from its ServingMetrics schema).
-        self._flush_counters = None
+        self.reset_counts()
 
-    def bind_metrics(self, flush_counters) -> None:
-        """Mirror flush causes into per-(shard, cause) registry counters."""
-        self._flush_counters = flush_counters
+    def reset_counts(self) -> None:
+        """Zero ``flushes``: flush cause (size, delay, forced) -> per-shard
+        flush count."""
+        self.flushes = {cause: [0] * len(self._queues) for cause in ("size", "delay", "forced")}
 
     @property
     def pending(self) -> int:
@@ -420,16 +415,12 @@ class MicroBatcher:
             ]
         self._reset_deadline(shard_id)
         if forced:
-            self.forced_flushes += 1
             cause = "forced"
         elif len(batch) >= self.max_batch_size:
-            self.size_flushes += 1
             cause = "size"
         else:
-            self.delay_flushes += 1
             cause = "delay"
-        if self._flush_counters is not None:
-            self._flush_counters[cause][shard_id].inc()
+        self.flushes[cause][shard_id] += 1
         return batch
 
     def nonempty_shards(self) -> List[int]:

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -94,30 +94,13 @@ class _LayerSlab:
 
     __slots__ = ("dim", "strict", "slab", "slot_nodes", "stamps", "slot_of", "_free", "_free_top")
 
-    def __init__(
-        self,
-        capacity: int,
-        dim: int,
-        num_nodes: int,
-        strict: bool = False,
-        slab: Optional[np.ndarray] = None,
-    ) -> None:
+    def __init__(self, capacity: int, dim: int, num_nodes: int, strict: bool = False) -> None:
         self.dim = dim
         # ``strict`` callers (the engine, which sizes num_nodes to the graph)
         # promise every looked-up id is < num_nodes, so lookup can be a bare
         # gather with no clipping.
         self.strict = strict
-        if slab is not None:
-            # Caller-provided storage (e.g. a shared-memory view); only the
-            # value slab moves — the index maps stay process-private.
-            if slab.shape != (capacity, dim) or slab.dtype != np.float64:
-                raise ValueError(
-                    f"pre-built slab must be float64 ({capacity}, {dim}), "
-                    f"got {slab.dtype} {slab.shape}"
-                )
-            self.slab = slab
-        else:
-            self.slab = np.empty((capacity, dim), dtype=np.float64)
+        self.slab = np.empty((capacity, dim), dtype=np.float64)
         self.slot_nodes = np.full(capacity, -1, dtype=np.int64)
         self.stamps = np.zeros(capacity, dtype=np.int64)
         self.slot_of = np.full(num_nodes, -1, dtype=np.int64)
@@ -181,22 +164,13 @@ class EmbeddingCache:
     Thread-safe: every operation holds an internal ``RLock``.
     """
 
-    def __init__(
-        self,
-        capacity: int,
-        num_nodes: Optional[int] = None,
-        allocator: Optional[Callable[[int, Tuple[int, int]], np.ndarray]] = None,
-    ) -> None:
+    def __init__(self, capacity: int, num_nodes: Optional[int] = None) -> None:
         if capacity < 0:
             raise ValueError("cache capacity must be non-negative")
         self.capacity = int(capacity)
         self.stats = CacheStats()
         self._lock = threading.RLock()
         self._layers: Dict[int, _LayerSlab] = {}
-        # Optional hook: ``allocator(layer, shape) -> float64 ndarray`` backs
-        # a layer's value slab with caller-owned storage (the multi-process
-        # plane hands out shared-memory views here).
-        self._allocator = allocator
         self._signature: Optional[Hashable] = None
         # With a known node-id universe the per-layer lookup is a bare gather
         # and inserts skip the grow-on-demand bound check.
@@ -232,8 +206,11 @@ class EmbeddingCache:
             return True
 
     def clear(self) -> None:
+        """Drop every entry and free the layer slabs (the worker is closing;
+        a weight change keeps the slabs, see :meth:`_drop_entries`)."""
         with self._lock:
-            self._drop_entries()
+            self._layers.clear()
+            self._size = 0
 
     def _drop_entries(self) -> None:
         for store in self._layers.values():
@@ -299,13 +276,8 @@ class EmbeddingCache:
         with self._lock:
             store = self._layers.get(layer)
             if store is None:
-                slab = (
-                    self._allocator(layer, (self.capacity, values.shape[1]))
-                    if self._allocator is not None
-                    else None
-                )
                 store = _LayerSlab(
-                    self.capacity, values.shape[1], self._num_nodes, strict=self._strict, slab=slab
+                    self.capacity, values.shape[1], self._num_nodes, strict=self._strict
                 )
                 self._layers[layer] = store
             elif store.dim != values.shape[1]:

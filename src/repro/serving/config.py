@@ -106,9 +106,9 @@ class ServingConfig:
         additionally records one root span per request plus per-dispatch
         attempt records into a ring of ``trace_capacity`` entries
         (``InferenceServer.telemetry`` exposes the exporters); ``"off"``
-        compiles telemetry out (null registry, no tracer — note
-        ``ServerStats`` counters then read zero; intended for overhead
-        baselines only).
+        compiles telemetry out (null registry, no tracer, empty exports).
+        ``ServerStats`` reads every count from its owner, so its ledger is
+        the same in all three modes.
     seed:
         Seeds partitioning (determinism).
     """

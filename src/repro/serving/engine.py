@@ -72,6 +72,7 @@ from .batcher import (
     FAILED,
     REJECTED,
     SHED,
+    TERMINAL_STATUSES,
     InferenceRequest,
     MicroBatcher,
 )
@@ -149,19 +150,17 @@ class InferenceServer:
             for shard in self.shards
         ]
 
-        # Telemetry plane: every counter ServerStats reports lives in the
-        # registry (ServerStats is a *view* over it); the tracer (telemetry
-        # mode "trace") records per-request root spans and batch-level
-        # dispatch attempts.  With telemetry "off" the registry is null and
-        # the tracer is None, so the hot path degrades to no-op calls and
-        # `is not None` checks.
+        # Telemetry plane: the hot path observes histograms only; every
+        # count stays with its owner (this engine, the batcher, the
+        # scheduler, the replica set, the fault plan) and the registry copies
+        # them at export.  The tracer (telemetry mode "trace") records
+        # per-request root spans and batch-level dispatch attempts.  With
+        # telemetry "off" the registry is null and the tracer is None, so the
+        # hot path degrades to no-op calls and `is not None` checks.
         self.telemetry = Telemetry(self.config.telemetry, self.config.trace_capacity)
         self.tracer = self.telemetry.tracer
         self._metrics = ServingMetrics(
-            self.telemetry.registry,
-            len(self.shards),
-            range(len(self.shards) * self.config.num_replicas),
-            class_names=list(_CLASS_WEIGHTS),
+            self.telemetry.registry, len(self.shards), class_names=list(_CLASS_WEIGHTS)
         )
 
         self.faults = self.config.fault_plan
@@ -196,8 +195,8 @@ class InferenceServer:
             supervise=self.supervise,
         )
 
-        # Engine-wide lock: guards queue admission and the stats
-        # accumulators.  Flush tasks run prediction *outside* it.
+        # Engine-wide lock: guards queue admission, the stats accumulators
+        # and the ledger counts.  Flush tasks run prediction *outside* it.
         self._lock = threading.RLock()
         # Capacity condition over the same lock: restart_replica, drain and
         # shutdown wait here for in-flight flushes, and every flush notifies
@@ -215,18 +214,10 @@ class InferenceServer:
         self._first_enqueue: Optional[float] = None
         self._last_completion: Optional[float] = None
         self._closed = False
+        self._zero_counts()
 
         if self.telemetry.enabled:
-            self.batcher.bind_metrics(self._metrics.flushes)
-            self.scheduler.bind_metrics(self._metrics.flush_rounds)
-            self.replicas.bind_metrics(
-                self._metrics.replica_failures,
-                self._metrics.replica_deaths,
-                self._metrics.supervisor_restarts,
-            )
-            if self.faults is not None:
-                self.faults.bind_metrics(self._metrics.faults)
-            self.telemetry.add_collector(self._collect_gauges)
+            self.telemetry.add_collector(lambda: self._metrics.collect(self))
 
         # Background ingress pump (ingress="thread"): started last so it can
         # never observe a half-built server.
@@ -438,20 +429,32 @@ class InferenceServer:
                 request._event = threading.Event()
             return request._event
 
+    def _zero_counts(self) -> None:
+        """The engine's ledger counts: terminal requests by status and shard
+        and by class and status, retried requests and failovers per shard,
+        and retry attempts."""
+        shards = len(self.shards)
+        self._status_counts = {status: [0] * shards for status in TERMINAL_STATUSES}
+        self._class_counts = {
+            name: dict.fromkeys(TERMINAL_STATUSES, 0) for name in _CLASS_WEIGHTS
+        }
+        self._retried = [0] * shards
+        self._failovers = [0] * shards
+        self._retry_attempts = 0
+
     def _terminal(self, requests: Sequence[InferenceRequest], status: str, now: float) -> None:
-        """Requests reach one terminal state: root spans + ledger counters.
+        """Requests reach one terminal state: root spans + ledger counts.
 
         Callers hold the engine lock (so a waiter's event cannot be created
-        mid-transition); ``request._finish`` enforces exactly-once.  The
-        counters move once per shard and once per class present.
+        mid-transition); ``request._finish`` enforces exactly-once.
         """
         tracer = self.tracer
-        shards: Dict[int, int] = {}
-        classes: Dict[str, int] = {}
+        counts = self._status_counts[status]
+        class_counts = self._class_counts
         for request in requests:
             request._finish(status, now)
-            shards[request.shard_id] = shards.get(request.shard_id, 0) + 1
-            classes[request.request_class] = classes.get(request.request_class, 0) + 1
+            counts[request.shard_id] += 1
+            class_counts[request.request_class][status] += 1
             if tracer is not None:
                 tracer.on_terminal(
                     request.request_id,
@@ -460,13 +463,6 @@ class InferenceServer:
                     worker_id=request.worker_id,
                     retries=request.retries,
                 )
-        counters = self._metrics.requests[status]
-        for shard_id, count in shards.items():
-            counters[shard_id].inc(count)
-        for class_name, count in classes.items():
-            class_children = self._metrics.class_requests.get(class_name)
-            if class_children is not None:
-                class_children[status].inc(count)
 
     def _admit(self, request: InferenceRequest) -> bool:
         """Apply the overload policy; returns False when ``request`` was rejected.
@@ -544,7 +540,6 @@ class InferenceServer:
         """Point-in-time view of where every request stands (DrainTimeout
         payload)."""
         with self._lock:
-            metrics = self._metrics
             return {
                 "pending": self.batcher.pending,
                 "queue_depths": {
@@ -553,8 +548,7 @@ class InferenceServer:
                 },
                 "inflight_flushes": self._inflight_flushes,
                 "terminal": {
-                    status: metrics.status_total(status)
-                    for status in (COMPLETED, REJECTED, SHED, EXPIRED, FAILED)
+                    status: sum(counts) for status, counts in self._status_counts.items()
                 },
             }
 
@@ -748,11 +742,10 @@ class InferenceServer:
                 survivors: List[InferenceRequest] = []
                 expired: List[InferenceRequest] = []
                 with self._lock:
-                    self._metrics.worker_failures.inc()
                     if attempt > self.config.max_retries:
                         self._terminal(live, FAILED, now)
                         return
-                    self._metrics.retry_attempts.inc()
+                    self._retry_attempts += 1
                     for request in live:
                         if request.deadline is not None and request.deadline <= now:
                             expired.append(request)
@@ -760,8 +753,7 @@ class InferenceServer:
                             request.retries += 1
                             survivors.append(request)
                     self._terminal(expired, EXPIRED, now)
-                    if survivors:
-                        self._metrics.retries[shard_id].inc(len(survivors))
+                    self._retried[shard_id] += len(survivors)
                 live = survivors
                 continue
 
@@ -779,7 +771,7 @@ class InferenceServer:
             with self._lock:
                 now = self.clock.now()
                 if tried and worker.worker_id not in tried:
-                    self._metrics.failovers[shard_id].inc()
+                    self._failovers[shard_id] += 1
                 size, worker_id = len(live), worker.worker_id
                 for request, prediction in zip(live, np.asarray(predictions).tolist()):
                     request.prediction = prediction
@@ -858,26 +850,6 @@ class InferenceServer:
 
     # -- introspection -----------------------------------------------------------
 
-    def _collect_gauges(self) -> None:
-        """Pull-hook run before every telemetry export.
-
-        Cache/halo counters and executor state live in their own
-        structs on the hot path; exports mirror them into gauges here
-        instead of paying per-event metric increments.
-        """
-        metrics = self._metrics
-        cache, halo = self._fleet_counters()
-        for event, value in cache.as_dict().items():
-            metrics.cache_gauge.labels(event).set(value)
-        if self.halo_store is not None:
-            for event, value in halo.as_dict().items():
-                metrics.halo_gauge.labels(event).set(value)
-        metrics.executor_peak.set(self.executor.peak_concurrency)
-        for shard_id in range(len(self.shards)):
-            metrics.queue_depth.labels(str(shard_id)).set(
-                self.batcher.queue_depth(shard_id)
-            )
-
     @property
     def swept_segments(self) -> tuple:
         """Stale shared-memory segments reclaimed at this server's startup
@@ -925,49 +897,51 @@ class InferenceServer:
             duration = self._last_completion - self._first_enqueue
         else:
             duration = 0.0
-        # ServerStats is a *view over the registry*: every ledger counter
-        # below reads the metric children the serving paths incremented (all
-        # zero under telemetry="off").  Healing numbers come from the
-        # ReplicaSet instead, so they survive telemetry="off" (the bench
-        # gates assert on them exactly).
-        metrics = self._metrics
+        # Every count below is read from its owner, in every telemetry mode;
+        # the export copies the same counts (ServingMetrics.collect).
         with self._lock:
             # Copied under the lock that extend() holds: an array exporting
             # its buffer to a copy in flight cannot be resized.
             latencies = np.array(self._latencies, dtype=np.float64)
             batch_sizes = np.array(self._batch_sizes, dtype=np.int64)
+            terminal = {status: sum(counts) for status, counts in self._status_counts.items()}
+            class_requests = {name: dict(counts) for name, counts in self._class_counts.items()}
+            flushes = {cause: sum(counts) for cause, counts in self.batcher.flushes.items()}
+            retried, failovers = sum(self._retried), sum(self._failovers)
+            retry_attempts = self._retry_attempts
         return ServerStats(
             stage_seconds=merge_stage_totals(worker.timings for worker in self.workers),
-            completed_requests=metrics.status_total(COMPLETED),
+            completed_requests=terminal[COMPLETED],
             latencies=latencies,
             batch_sizes=batch_sizes,
             cache=cache,
             workers=loads,
-            size_flushes=self.batcher.size_flushes,
-            delay_flushes=self.batcher.delay_flushes,
-            forced_flushes=self.batcher.forced_flushes,
+            size_flushes=flushes["size"],
+            delay_flushes=flushes["delay"],
+            forced_flushes=flushes["forced"],
             duration=duration,
             executor=self.config.executor,
             peak_concurrency=self.executor.peak_concurrency,
-            rejected_requests=metrics.status_total(REJECTED),
-            shed_requests=metrics.status_total(SHED),
-            expired_requests=metrics.status_total(EXPIRED),
-            failed_requests=metrics.status_total(FAILED),
-            retried_requests=metrics.retried_total(),
-            failovers=metrics.failover_total(),
-            worker_failures=metrics.worker_failures.value,
+            rejected_requests=terminal[REJECTED],
+            shed_requests=terminal[SHED],
+            expired_requests=terminal[EXPIRED],
+            failed_requests=terminal[FAILED],
+            retried_requests=retried,
+            failovers=failovers,
+            worker_failures=sum(replicas.failures),
             injected_faults=self.faults.total_injected if self.faults is not None else 0,
             halo=halo,
             halo_tier=self.halo_store is not None,
-            class_requests=metrics.class_totals(),
+            class_requests=class_requests,
             ingress=self.config.ingress,
             supervisor_restarts=replicas.restarts,
             prewarmed_rows=replicas.prewarmed_rows,
-            retry_attempts=metrics.retry_attempts.value,
+            retry_attempts=retry_attempts,
         )
 
     def reset_stats(self) -> None:
-        """Zero every counter while keeping cache *contents* (warm state).
+        """Zero every count at its owner, and the registry's histograms, while
+        keeping cache *contents* (warm state).
 
         Used to measure warm-cache behaviour separately from the cold pass
         that populated the caches.
@@ -975,18 +949,20 @@ class InferenceServer:
         with self._lock:
             self._latencies = array("d")
             self._batch_sizes.clear()
+            self._zero_counts()
+            self.batcher.reset_counts()
+            self.scheduler.rounds = 0
         self.telemetry.reset()
         self._first_enqueue = None
         self._last_completion = None
-        self.batcher.size_flushes = 0
-        self.batcher.delay_flushes = 0
-        self.batcher.forced_flushes = 0
         self.executor.reset_peak()
         for worker in self.workers:
             worker.reset_stats()
         if self.halo_store is not None:
             self.halo_store.stats = CacheStats()
         self.replicas.reset_counters()
+        if self.faults is not None:
+            self.faults.reset_counts()
 
     def describe(self) -> str:
         depth = (

@@ -175,21 +175,6 @@ class FaultPlan:
         self._dispatches: Dict[int, int] = {}
         self._dead: set = set()  # workers whose "die" fired and were not revived
         self.injected: Dict[str, int] = {kind: 0 for kind in FAULT_KINDS}
-        # Optional per-kind counter sinks (telemetry); a plan can be shared
-        # with at most one instrumented server at a time (last bind wins).
-        self._kind_counters: Dict[str, object] = {}
-
-    def bind_metrics(self, kind_family) -> None:
-        """Mirror injected faults into per-kind registry counters."""
-        with self._lock:
-            self._kind_counters = {kind: kind_family.labels(kind) for kind in FAULT_KINDS}
-
-    def _record(self, kind: str) -> None:
-        """Count one injected fault (caller holds the lock)."""
-        self.injected[kind] += 1
-        counter = self._kind_counters.get(kind)
-        if counter is not None:
-            counter.inc()
 
     @classmethod
     def replica_failures(
@@ -217,13 +202,19 @@ class FaultPlan:
         with self._lock:
             self._dead.discard(int(worker_id))
 
+    def reset_counts(self) -> None:
+        """Zero ``injected`` (a new stats window).  RNG streams, dispatch
+        counters and death marks stay, so the schedule carries on."""
+        with self._lock:
+            self.injected = {kind: 0 for kind in FAULT_KINDS}
+
     def reset(self) -> None:
         """Forget dispatch counters and RNG state (fresh, replayable plan)."""
         with self._lock:
             self._rngs.clear()
             self._dispatches.clear()
             self._dead.clear()
-            self.injected = {kind: 0 for kind in FAULT_KINDS}
+        self.reset_counts()
 
     def decide(self, worker_id: int, now: float) -> Optional[FaultDecision]:
         """The fault (if any) to inject into this dispatch of ``worker_id``."""
@@ -237,30 +228,30 @@ class FaultPlan:
                 self._rngs[worker_id] = rng
             if worker_id in self._dead:
                 # A corpse fails every dispatch, regardless of spec windows.
-                self._record("die")
+                self.injected["die"] += 1
                 return FaultDecision("die")
             for spec in self.specs:
                 if not spec.applies_to(worker_id) or not spec.active_at(now):
                     continue
                 if spec.flap_period and dispatch % spec.flap_period < spec.flap_down:
-                    self._record("raise")
+                    self.injected["raise"] += 1
                     return FaultDecision("raise")
                 draw = float(rng.random())
                 if draw < spec.die_rate:
                     self._dead.add(worker_id)
-                    self._record("die")
+                    self.injected["die"] += 1
                     return FaultDecision("die")
                 if draw < spec.die_rate + spec.fail_rate:
-                    self._record("raise")
+                    self.injected["raise"] += 1
                     return FaultDecision("raise")
                 if draw < spec.die_rate + spec.fail_rate + spec.hang_rate:
-                    self._record("hang")
+                    self.injected["hang"] += 1
                     return FaultDecision("hang", seconds=spec.hang_seconds)
                 # kill draws last so adding kill_rate never perturbs which
                 # dispatches an existing seeded plan fails with other kinds.
                 if draw < spec.die_rate + spec.fail_rate + spec.hang_rate + spec.kill_rate:
                     self._dead.add(worker_id)
-                    self._record("kill")
+                    self.injected["kill"] += 1
                     return FaultDecision("kill")
             return None
 

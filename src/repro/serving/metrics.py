@@ -1,12 +1,17 @@
-"""The serving plane's metric schema, pre-resolved for the hot path.
+"""The serving plane's metric schema and its export-time pull.
 
-One :class:`ServingMetrics` instance per server registers every metric family
-the engine, batcher, replica set, fault plan and workers emit, and
-resolves the labelled children **once at build time** — the hot path then
-increments plain child objects (one lock + one add each) instead of paying a
-label lookup per event.  With ``telemetry="off"`` the registry is the null
-registry and every child here is the shared no-op metric, so the same engine
-code runs with zero accounting.
+Every count lives in the object where its event happens: the engine (terminal
+requests, retries, failovers), the batcher (flush causes), the scheduler
+(rounds), the :class:`~repro.serving.replicas.ReplicaSet` (failures, deaths,
+the heal log), the fault plan (injected faults) and the caches.
+``ServerStats`` reads those owners directly, so its ledger balances in every
+telemetry mode.  :class:`ServingMetrics` registers the families and
+:meth:`ServingMetrics.collect` copies the owners' counts into the counter
+and gauge families just before each export — so a scrape and ``render()``
+read the same numbers.  Only histograms (latency, queue wait, batch size,
+stage seconds) are observed on the hot path; their children are resolved
+once at build time.  With ``telemetry="off"`` the registry is the null
+registry and every histogram child is the shared no-op metric.
 
 Naming follows Prometheus conventions: ``*_total`` counters,
 ``*_seconds`` histograms, base units, labels for the dimensions that fan out
@@ -19,52 +24,28 @@ from ..telemetry import default_latency_buckets
 
 __all__ = ["ServingMetrics"]
 
-#: Terminal statuses the per-shard request counter fans out over (matches
-#: :data:`repro.serving.batcher.TERMINAL_STATUSES`; imported lazily to keep
-#: this module importable on its own).
-_STATUSES = ("completed", "rejected", "shed", "expired", "failed")
-
-#: Flush causes of :class:`~repro.serving.batcher.MicroBatcher.pop_batch`.
-_FLUSH_CAUSES = ("size", "delay", "forced")
-
 #: Batch sizes are small integers; a tighter log grid than the latency
 #: default keeps single-request and full batches in distinct buckets.
 _BATCH_EDGES = default_latency_buckets(lo=1.0, hi=4096.0, per_decade=6)
 
 
 class ServingMetrics:
-    """Every serving metric family, with per-shard/replica children resolved."""
+    """Every serving metric family; histogram children resolved per shard."""
 
-    def __init__(
-        self, registry, num_shards: int, worker_ids, class_names=("standard",)
-    ) -> None:
+    def __init__(self, registry, num_shards: int, class_names=("standard",)) -> None:
         self.registry = registry
         shards = [str(shard_id) for shard_id in range(num_shards)]
 
-        requests = registry.counter(
+        self.requests = registry.counter(
             "serving_requests_total",
             "Requests by owning shard and terminal status",
             labels=("shard", "status"),
         )
-        #: status -> per-shard child list, indexed by shard id.
-        self.requests = {
-            status: [requests.labels(shard, status) for shard in shards]
-            for status in _STATUSES
-        }
-
-        class_requests = registry.counter(
+        self.class_requests = registry.counter(
             "serving_class_requests_total",
             "Requests by admission class and terminal status",
             labels=("request_class", "status"),
         )
-        #: class name -> {status -> child}; the per-class ledger.
-        self.class_requests = {
-            str(name): {
-                status: class_requests.labels(str(name), status)
-                for status in _STATUSES
-            }
-            for name in class_names
-        }
 
         class_queue_wait = registry.histogram(
             "serving_class_queue_wait_seconds",
@@ -97,37 +78,25 @@ class ServingMetrics:
         )
         self.batch_size = [batch_size.labels(shard) for shard in shards]
 
-        flushes = registry.counter(
+        self.flushes = registry.counter(
             "serving_flushes_total",
             "Batch flushes by shard and trigger cause",
             labels=("shard", "cause"),
         )
-        self.flushes = {
-            cause: [flushes.labels(shard, cause) for shard in shards]
-            for cause in _FLUSH_CAUSES
-        }
-
-        retries = registry.counter(
+        self.retries = registry.counter(
             "serving_retries_total",
             "Request-attempts retried after a dispatch failure",
             labels=("shard",),
         )
-        self.retries = [retries.labels(shard) for shard in shards]
-
-        failovers = registry.counter(
+        self.failovers = registry.counter(
             "serving_failovers_total",
             "Batches completed on a sibling replica after a failure",
             labels=("shard",),
         )
-        self.failovers = [failovers.labels(shard) for shard in shards]
-
-        retry_attempts = registry.counter(
+        self.retry_attempts = registry.counter(
             "serving_retry_attempts_total",
             "Batch retry attempts actually performed, engine-wide",
         )
-        self.retry_attempts = retry_attempts.labels()
-
-        #: per-replica failures, deaths and rebuilds (ReplicaSet sinks).
         self.supervisor_restarts = registry.counter(
             "serving_supervisor_restarts_total",
             "Replica rebuilds (on death or operator restart), per replica slot",
@@ -143,25 +112,19 @@ class ServingMetrics:
             "Replicas that reached the consecutive-failure threshold, per replica",
             labels=("replica",),
         )
-
-        #: per-kind injected faults (FaultPlan sink).
         self.faults = registry.counter(
             "serving_faults_injected_total",
             "Faults the plan actually fired, by kind",
             labels=("kind",),
         )
-
-        worker_failures = registry.counter(
+        self.worker_failures = registry.counter(
             "serving_worker_failures_total",
             "Dispatch attempts that raised (real or injected), engine-wide",
         )
-        self.worker_failures = worker_failures.labels()
-
-        rounds = registry.counter(
+        self.flush_rounds = registry.counter(
             "serving_flush_rounds_total",
             "Flush rounds the scheduler dispatched",
         )
-        self.flush_rounds = rounds.labels()
 
         #: per-(stage, worker) flush stage time; children are bound into
         #: each worker's StageTimer by the engine.
@@ -171,7 +134,6 @@ class ServingMetrics:
             labels=("stage", "worker"),
         )
 
-        #: mirrored state gauges (filled by the engine's export collector).
         self.cache_gauge = registry.gauge(
             "serving_cache_events",
             "Embedding-cache counters summed over workers, by event",
@@ -185,29 +147,55 @@ class ServingMetrics:
         self.executor_peak = registry.gauge(
             "serving_executor_peak_concurrency",
             "Maximum flush tasks observed in flight simultaneously",
-        ).labels()
+        )
         self.queue_depth = registry.gauge(
             "serving_queue_depth",
             "Requests waiting in each shard queue at collection time",
             labels=("shard",),
         )
 
-    # -- ledger reads (ServerStats is a view over these) -------------------------
+    def collect(self, server) -> None:
+        """The pull hook run before every export: copy each count from its
+        owner into the counter and gauge families."""
+        shards = [str(shard_id) for shard_id in range(len(server.shards))]
+        for status, counts in server._status_counts.items():
+            for shard, count in zip(shards, counts):
+                self.requests.labels(shard, status).set(count)
+        for name, counts in server._class_counts.items():
+            for status, count in counts.items():
+                self.class_requests.labels(name, status).set(count)
+        for cause, counts in server.batcher.flushes.items():
+            for shard, count in zip(shards, counts):
+                self.flushes.labels(shard, cause).set(count)
+        for shard, count in zip(shards, server._retried):
+            self.retries.labels(shard).set(count)
+        for shard, count in zip(shards, server._failovers):
+            self.failovers.labels(shard).set(count)
+        self.retry_attempts.labels().set(server._retry_attempts)
 
-    def status_total(self, status: str) -> int:
-        """Engine-wide terminal count for one status (sum over shards)."""
-        return sum(child.value for child in self.requests[status])
+        replicas = server.replicas
+        rebuilds = [0] * len(replicas.failures)
+        for event in replicas.event_log():
+            rebuilds[event["worker"]] += 1
+        for family, counts in (
+            (self.supervisor_restarts, rebuilds),
+            (self.replica_failures, replicas.failures),
+            (self.replica_deaths, replicas.deaths),
+        ):
+            for worker_id, count in enumerate(counts):
+                family.labels(str(worker_id)).set(count)
+        if server.faults is not None:
+            for kind, count in server.faults.injected.items():
+                self.faults.labels(kind).set(count)
+        self.worker_failures.labels().set(sum(replicas.failures))
+        self.flush_rounds.labels().set(server.scheduler.rounds)
 
-    def class_totals(self) -> dict:
-        """Per-class terminal counts: ``{class: {status: count}}``."""
-        return {
-            name: {status: child.value for status, child in children.items()}
-            for name, children in self.class_requests.items()
-        }
-
-    def retried_total(self) -> int:
-        return sum(child.value for child in self.retries)
-
-    def failover_total(self) -> int:
-        return sum(child.value for child in self.failovers)
-
+        cache, halo = server._fleet_counters()
+        for event, value in cache.as_dict().items():
+            self.cache_gauge.labels(event).set(value)
+        if server.halo_store is not None:
+            for event, value in halo.as_dict().items():
+                self.halo_gauge.labels(event).set(value)
+        self.executor_peak.labels().set(server.executor.peak_concurrency)
+        for shard_id, shard in enumerate(shards):
+            self.queue_depth.labels(shard).set(server.batcher.queue_depth(shard_id))

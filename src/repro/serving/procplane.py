@@ -5,10 +5,11 @@ C extension takes down one replica, not the server, and flushes escape the
 GIL:
 
 * :class:`SharedSlabArena` owns named ``multiprocessing.shared_memory``
-  segments — shard CSRs, feature matrices, embedding-cache slabs and the
+  segments — shard CSRs, feature matrices and the
   :class:`SharedHaloStore` all live in ``/dev/shm`` with a 16-byte
   magic+epoch header, so a respawned process re-attaches the same bytes
-  instead of re-pickling a graph.  Lifecycle is hardened three ways:
+  instead of re-pickling a graph.  A child's embedding cache is private
+  and lives in its own ordinary memory.  Lifecycle is hardened three ways:
   ``weakref.finalize`` per segment, an ``atexit`` sweep of live arenas, and
   a *startup stale-segment sweep* that unlinks segments whose creator pid is
   dead (a SIGKILL'd run cannot leak into the next one).
@@ -246,15 +247,6 @@ class SharedSlabArena:
                 pass
 
     @staticmethod
-    def unlink_prefix(prefix: str) -> List[str]:
-        """Unlink every segment whose name starts with ``prefix``."""
-        removed = []
-        for entry in list_segments(prefix):
-            if _unlink_by_name(entry):
-                removed.append(entry)
-        return removed
-
-    @staticmethod
     def sweep_stale(keep_pids=()) -> List[str]:
         """Unlink plane segments whose creator pid is dead (startup guard)."""
         removed = []
@@ -433,8 +425,8 @@ def _rss_bytes() -> Optional[int]:
 class WorkerSpec:
     """Everything a spawned child needs to rebuild its ShardWorker.
 
-    Big arrays (CSR, features, halo slabs, cache slabs) travel by segment
-    *name*; only the model and the small shard-index arrays are pickled.
+    Big arrays (CSR, features, halo slabs) travel by segment *name*; only
+    the model and the small shard-index arrays are pickled.
     """
 
     worker_id: int
@@ -455,8 +447,6 @@ class WorkerSpec:
     halo_publish_mask: Optional[np.ndarray]
     cache_capacity: int
     cache_num_nodes: int
-    #: prefix for the child-created embedding-cache slab segments.
-    cache_segment_base: str
 
 
 def _child_request_loop(conn, worker: ShardWorker) -> None:
@@ -524,7 +514,6 @@ def _child_control_loop(conn, worker: ShardWorker, halo, registry) -> None:
 
 def _child_main(spec: WorkerSpec, request_conn, control_conn) -> None:
     """Process entry point (spawn-safe: module top-level, arguments pickled)."""
-    created: List[SharedMemory] = []
     attached: List[SharedMemory] = []
     try:
         views = {}
@@ -550,22 +539,11 @@ def _child_main(spec: WorkerSpec, request_conn, control_conn) -> None:
             halo_hops=spec.halo_hops,
         )
         halo = SharedHaloStore.attach(spec.halo) if spec.halo is not None else None
-
-        def cache_allocator(layer: int, shape: Tuple[int, int]) -> np.ndarray:
-            shm_slab, slab = _create_segment(
-                f"{spec.cache_segment_base}cl{layer}", shape, np.float64, epoch=spec.epoch
-            )
-            created.append(shm_slab)
-            return slab
-
-        cache = EmbeddingCache(
-            spec.cache_capacity, num_nodes=spec.cache_num_nodes, allocator=cache_allocator
-        )
         worker = ShardWorker(
             spec.worker_id,
             shard,
             spec.model,
-            cache,
+            EmbeddingCache(spec.cache_capacity, num_nodes=spec.cache_num_nodes),
             halo_store=halo,
             halo_publish_mask=spec.halo_publish_mask,
             epoch=spec.epoch,
@@ -598,20 +576,10 @@ def _child_main(spec: WorkerSpec, request_conn, control_conn) -> None:
         _child_request_loop(request_conn, worker)
     except BaseException:
         traceback.print_exc()
-        for shm in created:
-            try:
-                shm.unlink()
-            except FileNotFoundError:
-                pass
         os._exit(1)
-    # Clean exit: unlink the slabs this child created, then leave without
-    # interpreter teardown — shared-memory views still reference the maps and
-    # a GC-ordered close() would raise spurious BufferErrors on stderr.
-    for shm in created:
-        try:
-            shm.unlink()
-        except FileNotFoundError:
-            pass
+    # Clean exit without interpreter teardown: shared-memory views still
+    # reference the maps and a GC-ordered close() would raise spurious
+    # BufferErrors on stderr.
     os._exit(0)
 
 
@@ -920,8 +888,6 @@ class ProcessWorkerHandle:
 
         Never hangs on a wedged child: the graceful join is bounded by
         ``timeout``, SIGTERM gets half a second, SIGKILL ends the matter.
-        Finally the child's cache-slab segments are swept, so a killed
-        worker's slabs cannot outlive its handle.
         """
         if self._closed:
             return
@@ -948,7 +914,6 @@ class ProcessWorkerHandle:
                 conn.close()
             except OSError:
                 pass
-        SharedSlabArena.unlink_prefix(self.spec.cache_segment_base)
 
 
 # ---------------------------------------------------------------------------
@@ -1047,7 +1012,6 @@ class ProcessPlane:
             halo_publish_mask=publish_mask,
             cache_capacity=cache_capacity,
             cache_num_nodes=self.graph.num_nodes,
-            cache_segment_base=f"{self.arena.base}-w{worker_id}-e{epoch}-",
         )
         request_parent, request_child = self._ctx.Pipe(duplex=True)
         control_parent, control_child = self._ctx.Pipe(duplex=True)
@@ -1076,9 +1040,8 @@ class ProcessPlane:
             worker.maybe_heartbeat()
 
     def shutdown(self) -> None:
-        """Unlink every segment (the arena's and any child stragglers)."""
+        """Unlink every segment of the arena (children create none)."""
         if self._closed:
             return
         self._closed = True
         self.arena.unlink_all()
-        SharedSlabArena.unlink_prefix(self.arena.base)

@@ -41,7 +41,7 @@ read, and a success on a ``healthy`` replica takes no lock.
 from __future__ import annotations
 
 import threading
-from typing import Callable, Dict, List, Optional, Protocol
+from typing import Callable, List, Optional, Protocol
 
 __all__ = ["Replica", "ReplicaSet"]
 
@@ -128,21 +128,6 @@ class ReplicaSet:
         self.prewarmed_rows = 0
         self._events: List[dict] = []
         self._lock = threading.Lock()
-        # Optional per-replica registry counters, resolved once at bind.
-        self._failure_counters: Dict[int, object] = {}
-        self._death_counters: Dict[int, object] = {}
-        self._restart_counters: Dict[int, object] = {}
-
-    def bind_metrics(self, failures_family, deaths_family, restarts_family) -> None:
-        """Mirror failures, deaths and rebuilds into per-replica counters."""
-        with self._lock:
-            for counters, family in (
-                (self._failure_counters, failures_family),
-                (self._death_counters, deaths_family),
-                (self._restart_counters, restarts_family),
-            ):
-                for worker_id in range(len(self.workers)):
-                    counters[worker_id] = family.labels(str(worker_id))
 
     # -------------------------------------------------------------- queries
 
@@ -197,9 +182,6 @@ class ReplicaSet:
         worker_id = worker.worker_id
         with self._lock:
             self.failures[worker_id] += 1
-            counter = self._failure_counters.get(worker_id)
-            if counter is not None:
-                counter.inc()
             if self._state[worker_id] == DEAD or self.workers[worker_id] is not worker:
                 return  # already dead, or a retired corpse's late attempt
             self._consecutive[worker_id] += 1
@@ -208,9 +190,6 @@ class ReplicaSet:
                 return
             self._state[worker_id] = DEAD
             self.deaths[worker_id] += 1
-            counter = self._death_counters.get(worker_id)
-            if counter is not None:
-                counter.inc()
             self._unhealed += 1
 
     # -------------------------------------------------------------- healing
@@ -277,9 +256,6 @@ class ReplicaSet:
             self._wire(worker)
         self.restarts += 1
         self.prewarmed_rows += prewarmed
-        counter = self._restart_counters.get(worker_id)
-        if counter is not None:
-            counter.inc()
         self._events.append(
             {
                 "time": now,
@@ -309,8 +285,7 @@ class ReplicaSet:
         """Zero the counters and the event log.
 
         Replica state and consecutive-failure counts are not counters and
-        stay as they are.  (The bound registry counters reset with the
-        registry.)
+        stay as they are.
         """
         with self._lock:
             count = len(self.workers)

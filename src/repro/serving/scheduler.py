@@ -69,11 +69,6 @@ class Scheduler:
         self.flush_on_submit = bool(flush_on_submit)
         self._supervise = supervise
         self.rounds = 0
-        # Optional registry counter (bound by the engine).
-        self._rounds_counter = None
-
-    def bind_metrics(self, rounds_counter) -> None:
-        self._rounds_counter = rounds_counter
 
     # -- the loop ---------------------------------------------------------------
 
@@ -104,8 +99,6 @@ class Scheduler:
         if not shard_ids:
             return 0
         self.rounds += 1
-        if self._rounds_counter is not None:
-            self._rounds_counter.inc()
         flushed = sum(
             self.executor.map(lambda shard_id: self._flush(shard_id, forced), shard_ids)
         )

@@ -195,7 +195,10 @@ class ShardWorker:
         return True
 
     def close(self, timeout: float = 5.0) -> None:
-        """No-op: an in-process replica holds nothing outside the server."""
+        """Free the cache slabs and the first-layer memo now, not when the
+        cyclic garbage collector next runs (the stats stay readable)."""
+        self.cache.clear()
+        self._memo = None
 
     def bind_telemetry(self, stage_seconds, registry) -> None:
         """Feed every flush stage into its ``(stage, worker)`` histogram."""

@@ -18,21 +18,21 @@ Three pieces, each usable on its own:
 
 ``"off"``
     Null registry, no tracer: every instrumentation call site degrades to a
-    no-op or an ``is not None`` check.  This is the measured baseline the
-    e2e ``telemetry.overhead_ratio`` row compares against — note the
-    engine's ``ServerStats`` counters read zero in this mode (they are views
-    over the registry).
+    no-op or an ``is not None`` check, and exports are empty.  This is the
+    measured baseline the e2e ``telemetry.overhead_ratio`` row compares
+    against.  The engine's ``ServerStats`` is unaffected: it reads each
+    count from the object that keeps it.
 ``"metrics"`` (default)
     Real registry, no tracer: labelled counters and histograms with no
     per-request record keeping.
 ``"trace"``
     Registry plus the request tracer.
 
-``collectors`` are pull hooks: components whose counters live elsewhere
-(embedding caches, halo store, executor peaks) register a
-callback that mirrors their state into registry gauges, and every export
-runs the callbacks first — so a scrape always sees fresh values without the
-hot path paying for gauge writes.
+``collectors`` are pull hooks: a component whose counts live in its own
+objects (the serving engine's ledger, batcher, replica set, fault plan,
+caches) registers a callback that copies them into registry counters and
+gauges, and every export runs the callbacks first — so a scrape always sees
+fresh values without the hot path paying for counter writes.
 """
 
 from __future__ import annotations

@@ -16,13 +16,16 @@ Design constraints (they all come from the serving plane's roadmap):
 * **Cheap on the hot path.**  A counter increment is one lock + one add;
   batched histogram observation (``observe_many``) is one vectorised
   ``searchsorted`` + ``bincount`` per flush, not one Python call per request.
+  The serving plane goes further: it feeds only histograms on the hot path
+  and keeps its counts in the objects that own them; an export-time pull
+  copies them into counters with :meth:`Counter.set`.
 * **Label-addressed.**  Every metric is a *family* (name, help, kind, label
   names); ``family.labels("0", "completed")`` resolves a child — per-shard /
   per-replica / per-stage series share one family and export together.
 
 ``NullRegistry`` (and its null metric objects) keeps every call site valid
 while compiling telemetry out: the serving engine built with
-``telemetry="off"`` runs the exact PR-6 hot path with only no-op calls left
+``telemetry="off"`` runs the same hot path with only no-op calls left
 behind — the baseline the e2e ``telemetry.overhead_ratio`` row measures
 against.
 """
@@ -87,6 +90,11 @@ class Counter:
             raise ValueError("counters only go up; use a Gauge for deltas")
         with self._lock:
             self.value += amount
+
+    def set(self, value: int) -> None:
+        """Copy a count its owner keeps (the export-time pull)."""
+        with self._lock:
+            self.value = value
 
     def get(self) -> int:
         return self.value

@@ -135,7 +135,7 @@ class TestMicroBatcher:
         assert batcher.due_shards(now=0.0) == [0]
         batch = batcher.pop_batch(0)
         assert [request.request_id for request in batch] == [0, 1, 2]
-        assert batcher.size_flushes == 1 and batcher.delay_flushes == 0
+        assert batcher.flushes == {"size": [1], "delay": [0], "forced": [0]}
 
     def test_delay_trigger_uses_oldest_request(self):
         batcher = MicroBatcher(num_shards=2, max_batch_size=10, max_delay=0.5)
@@ -144,14 +144,14 @@ class TestMicroBatcher:
         assert batcher.due_shards(now=1.2) == []
         assert batcher.due_shards(now=1.5) == [0]
         batcher.pop_batch(0)
-        assert batcher.delay_flushes == 1
+        assert batcher.flushes["delay"] == [1, 0]
         assert batcher.due_shards(now=1.9) == [1]
 
     def test_forced_flush_counts_separately(self):
         batcher = MicroBatcher(num_shards=1, max_batch_size=10, max_delay=10.0)
         batcher.enqueue(_request(0, 0, 0, at=0.0))
         batcher.pop_batch(0, forced=True)
-        assert batcher.forced_flushes == 1
+        assert batcher.flushes["forced"] == [1]
         assert batcher.pending == 0
 
     def test_pop_respects_max_batch_size(self):

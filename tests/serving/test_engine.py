@@ -361,6 +361,19 @@ class TestValidationAndStats:
         nodes = np.array([17, 3, 99, 3, 42, 0])
         assert np.array_equal(server.predict(nodes), reference[nodes])
 
+    def test_shutdown_frees_every_worker_cache_and_memo(self, small_graph):
+        # Teardown frees the cache slabs and the first-layer memo at once,
+        # not when the cyclic garbage collector next runs.
+        server = _server(_model(small_graph), small_graph, num_replicas=2)
+        server.predict(np.arange(64))
+        workers = list(server.workers)
+        assert all(len(worker.cache) and worker._memo is not None for worker in workers)
+        server.shutdown()
+        for worker in workers:
+            assert len(worker.cache) == 0 and not worker.cache._layers
+            assert worker._memo is None
+        assert server.stats().cache.misses > 0  # the counts stay readable
+
     def test_render_mentions_the_key_metrics(self, small_graph):
         server = _server(_model(small_graph), small_graph)
         server.predict(np.arange(10))

@@ -163,13 +163,20 @@ class TestFailover:
         assert stats.failed_requests == 16
         assert stats.submitted_requests == 16
 
-    def test_retry_counts_and_request_metadata(self, small_graph):
+    @pytest.mark.parametrize("window", ["first", "after_reset"])
+    def test_retry_counts_and_request_metadata(self, small_graph, window):
         model = _model(small_graph)
         plan = FaultPlan(FaultSpec(workers=(0,), fail_rate=1.0), seed=0)
         server = _server(
             model, small_graph, num_shards=1, num_replicas=2, fault_plan=plan
         )
         server.scheduler.flush_on_submit = False
+        if window == "after_reset":
+            # A faulty window, then reset_stats(): the plan's injected count
+            # starts over with the failure count it must equal.
+            server.submit_many(range(8, 24))  # two batches: worker 0 is next
+            server.drain()
+            server.reset_stats()
         requests = server.submit_many(range(8))
         server.drain()
         assert all(request.completed for request in requests)
@@ -181,6 +188,7 @@ class TestFailover:
         # Every failed attempt was retried at once: one retry per failure.
         stats = server.stats()
         assert stats.retry_attempts == stats.worker_failures > 0
+        assert stats.injected_faults == stats.worker_failures
 
     def test_hang_past_deadline_expires_requests_deadline_aware(self, small_graph):
         # The hang burns more clock than the deadline allows; the retry

@@ -162,7 +162,7 @@ class TestConfigKnobs:
         # carries a serving mode, a sampler or a retention policy.
         deleted = {"mode", "fanouts", "seed", "sampler", "policy", "pinned_nodes"}
         assert list(inspect.signature(EmbeddingCache).parameters) == [
-            "capacity", "num_nodes", "allocator",
+            "capacity", "num_nodes",
         ]
         assert not deleted & set(inspect.signature(ShardWorker).parameters)
         spec_fields = {field.name for field in dataclasses.fields(WorkerSpec)}

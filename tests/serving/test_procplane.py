@@ -389,9 +389,7 @@ class TestMalformedFrames:
         child.start()
         request_parent, request_child = Pipe()
         control_parent, control_child = Pipe()
-        spec = SimpleNamespace(
-            worker_id=0, shard_id=0, epoch=0, cache_segment_base="bgnn-frame-test-"
-        )
+        spec = SimpleNamespace(worker_id=0, shard_id=0, epoch=0)
         handle = ProcessWorkerHandle(
             spec, child, request_parent, control_parent, None, None, call_timeout=5.0
         )

@@ -42,7 +42,6 @@ from repro.serving import (
     ShardWorker,
     WorkerRetired,
 )
-from repro.telemetry import MetricsRegistry
 
 
 def _model(graph, block_size=1, seed=0):
@@ -300,23 +299,6 @@ class TestReplicaStateMachine:
         assert replicas.restarts == 0 and replicas.prewarmed_rows == 0
         assert replicas.event_log() == [] and replicas.last_event() is None
 
-    def test_bound_metric_counters_mirror_the_set(self):
-        registry = MetricsRegistry()
-        families = [
-            registry.counter(name, name, labels=("replica",))
-            for name in ("failures", "deaths", "restarts")
-        ]
-        replicas = _replica_set(failure_threshold=1)
-        replicas.bind_metrics(*families)
-        replicas.record_failure(replicas.workers[0])
-        replicas.record_failure(replicas.workers[1])
-        replicas.tick(now=0.0)
-        values = [
-            {labels[0]: child.value for labels, child in family.samples()}
-            for family in families
-        ]
-        assert values == [{"0": 1, "1": 1}] * 3
-
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
             _replica_set(failure_threshold=0)
@@ -505,6 +487,75 @@ class TestSupervisorRebuild:
         assert [worker.failures for worker in stats.workers] == [0, 0]
         # The replica's state is not a counter: worker 0 stays suspect.
         assert [worker.state for worker in stats.workers] == ["suspect", "healthy"]
+
+    def test_exported_counts_equal_their_owners_across_a_reset(self, small_graph):
+        # Each count has one home (engine, batcher, scheduler, replica set,
+        # fault plan) and the export copies it.  After a faulty window, a
+        # reset and a second faulty window, every counter family's total is
+        # its owner's count, and a telemetry="off" twin keeps the same ledger.
+        model = _model(small_graph)
+        servers = {}
+        for mode in ("metrics", "off"):
+            plan = FaultPlan(FaultSpec(fail_rate=0.2, hang_rate=0.05, die_rate=0.05), seed=4)
+            server = _server(
+                model,
+                small_graph,
+                num_replicas=2,
+                fault_plan=plan,
+                health_failure_threshold=2,
+                telemetry=mode,
+            )
+            rng = np.random.default_rng(2)
+            for request_class in ("standard", "premium"):
+                server.submit_many(
+                    rng.choice(small_graph.num_nodes, size=60), request_class=request_class
+                )
+                server.drain()
+                if request_class == "standard":
+                    server.reset_stats()
+            servers[mode] = server
+        server = servers["metrics"]
+        stats = server.stats()
+        assert stats.worker_failures > 0 and stats.supervisor_restarts > 0  # not vacuous
+        assert stats.injected_faults == stats.worker_failures  # every fault failed a dispatch
+        snapshot = server.telemetry.snapshot()
+        owners = {
+            "serving_requests_total": stats.submitted_requests,
+            "serving_class_requests_total": sum(
+                sum(counts.values()) for counts in stats.class_requests.values()
+            ),
+            "serving_flushes_total": stats.size_flushes + stats.delay_flushes
+            + stats.forced_flushes,
+            "serving_retries_total": stats.retried_requests,
+            "serving_failovers_total": stats.failovers,
+            "serving_retry_attempts_total": stats.retry_attempts,
+            "serving_supervisor_restarts_total": stats.supervisor_restarts,
+            "serving_replica_failures_total": stats.worker_failures,
+            "serving_replica_deaths_total": sum(load.deaths for load in stats.workers),
+            "serving_faults_injected_total": server.faults.total_injected,
+            "serving_worker_failures_total": sum(server.replicas.failures),
+            "serving_flush_rounds_total": server.scheduler.rounds,
+        }
+        totals = {
+            name: sum(sample["value"] for sample in snapshot[name]["samples"])
+            for name in owners
+        }
+        assert totals == owners
+        per_replica = {
+            sample["labels"][0]: sample["value"]
+            for sample in snapshot["serving_replica_failures_total"]["samples"]
+        }
+        assert per_replica == {str(i): n for i, n in enumerate(server.replicas.failures)}
+
+        off = servers["off"].stats()
+        for field in (
+            "completed_requests", "rejected_requests", "shed_requests",
+            "expired_requests", "failed_requests", "retried_requests", "failovers",
+            "worker_failures", "injected_faults", "class_requests",
+            "supervisor_restarts", "retry_attempts", "size_flushes",
+            "delay_flushes", "forced_flushes",
+        ):
+            assert getattr(off, field) == getattr(stats, field), field
 
 
 class TestDeletedResilienceKnobs:

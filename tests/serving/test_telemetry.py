@@ -1,10 +1,11 @@
-"""Engine ↔ telemetry integration: the stats view, tracing, overhead shape.
+"""Engine ↔ telemetry integration: one home per count, tracing, overhead shape.
 
 What is pinned down here:
 
-* ``ServerStats`` is a *view* over the metrics registry — the ledger the
-  hypothesis property balances reads the same numbers Prometheus would
-  scrape;
+* every count lives with its owner and the export copies it, so the
+  ``ServerStats`` ledger the hypothesis property balances and a Prometheus
+  scrape read the same numbers — and the ledger balances with telemetry
+  ``"off"`` too;
 * tracing under faults: failed attempt records match the
   :class:`HealthTracker`'s per-replica failure counts one for one, and the
   Chrome trace accounts for every terminal request;
@@ -44,6 +45,11 @@ def _model(graph, seed=0):
     )
 
 
+def _total(snapshot, name):
+    """Sum of one counter or gauge family's samples in a telemetry snapshot."""
+    return sum(sample["value"] for sample in snapshot[name]["samples"])
+
+
 def _server(model, graph, clock=None, **overrides):
     defaults = dict(num_shards=2, max_batch_size=8, max_delay=0.5, cache_capacity=1024, seed=0)
     defaults.update(overrides)
@@ -64,24 +70,23 @@ class TestConfig:
         assert config.telemetry == "metrics" and config.trace_capacity == 4096
 
 
-class TestStatsAsRegistryView:
-    def test_stats_counters_come_from_the_registry(self, small_graph):
+class TestStatsAndExportAgree:
+    def test_export_copies_the_stats_counts(self, small_graph):
         server = _server(_model(small_graph), small_graph)
         nodes = np.arange(24)
         server.predict(nodes)
         stats = server.stats()
         assert stats.completed_requests == 24
-        family = server.telemetry.registry.get("serving_requests_total")
+        snapshot = server.telemetry.snapshot()
         by_status = {}
-        for labels, child in family.samples():
-            by_status[labels[1]] = by_status.get(labels[1], 0) + child.value
-        assert by_status.get("completed", 0) == 24
-        flushes = server.telemetry.registry.get("serving_flushes_total")
-        assert sum(child.value for _, child in flushes.samples()) == (
+        for sample in snapshot["serving_requests_total"]["samples"]:
+            status = sample["labels"][1]
+            by_status[status] = by_status.get(status, 0) + sample["value"]
+        assert by_status["completed"] == 24
+        assert _total(snapshot, "serving_flushes_total") == (
             stats.size_flushes + stats.delay_flushes + stats.forced_flushes
         )
-        rounds = server.telemetry.registry.get("serving_flush_rounds_total")
-        assert rounds.labels().value == server.scheduler.rounds
+        assert _total(snapshot, "serving_flush_rounds_total") == server.scheduler.rounds > 0
 
     def test_latency_histogram_matches_exact_percentiles_to_one_bucket(self, small_graph):
         clock = ManualClock()
@@ -106,16 +111,17 @@ class TestStatsAsRegistryView:
             if exact > 0:
                 assert exact / bucket_ratio <= merged.quantile(q) <= exact * bucket_ratio
 
-    def test_off_mode_serves_identically_with_zero_counters(self, small_graph):
+    def test_off_mode_serves_identically_and_keeps_the_ledger(self, small_graph):
         model = _model(small_graph)
         nodes = np.arange(20)
         reference = _server(_model(small_graph), small_graph).predict(nodes)
         server = _server(model, small_graph, telemetry="off")
         assert np.array_equal(server.predict(nodes), reference)
         stats = server.stats()
-        # Documented: the registry is null in "off" mode, so the ledger
-        # counters read zero — but exact latency/batch records are kept.
-        assert stats.completed_requests == 0
+        # The registry is null in "off" mode, but the counts live with their
+        # owners, so the ledger still balances.
+        assert stats.completed_requests == 20
+        assert stats.class_requests["standard"]["completed"] == 20
         assert len(stats.latencies) == 20
         assert server.telemetry.snapshot() == {}
         assert not server.telemetry.enabled
@@ -125,8 +131,10 @@ class TestStatsAsRegistryView:
         server.predict(np.arange(10))
         server.reset_stats()
         assert server.stats().completed_requests == 0
+        assert _total(server.telemetry.snapshot(), "serving_flush_rounds_total") == 0
         server.predict(np.arange(10, 16))
         assert server.stats().completed_requests == 6
+        assert _total(server.telemetry.snapshot(), "serving_requests_total") == 6
 
     def test_exports_include_collected_gauges(self, small_graph, tmp_path):
         server = _server(_model(small_graph), small_graph)
@@ -211,9 +219,9 @@ class TestTracingUnderFaults:
             a["fault"] for a in server.tracer.attempts() if a["outcome"] == "error"
         ]
         assert all(fault is not None for fault in error_faults)
-        kinds = server.telemetry.registry.get("serving_faults_injected_total")
-        by_kind = {labels[0]: child.value for labels, child in kinds.samples()}
-        assert by_kind == {k: v for k, v in server.faults.injected.items()}
+        kinds = server.telemetry.snapshot()["serving_faults_injected_total"]
+        by_kind = {sample["labels"][0]: sample["value"] for sample in kinds["samples"]}
+        assert by_kind == server.faults.injected
 
     def test_chrome_trace_accounts_for_every_terminal_request(self, small_graph, tmp_path):
         server = self._faulty_server(small_graph, max_queue_depth=16, default_timeout=2.0)
