@@ -120,13 +120,21 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--replicas", type=int, default=1)
     serve.add_argument("--batch-size", type=int, default=32, help="micro-batch flush size")
     serve.add_argument("--max-delay-ms", type=float, default=2.0)
-    serve.add_argument("--cache", type=int, default=4096, help="embedding-cache entries per worker")
+    serve.add_argument(
+        "--cache",
+        type=int,
+        default=4096,
+        help="entries per worker of the private LRU embedding cache, the store that "
+        "serves when there is no shared tier (--halo-tier off, or one worker); "
+        "0 disables it",
+    )
     serve.add_argument(
         "--halo-tier",
         choices=["on", "off"],
         default="on",
-        help="share computed boundary (halo) embeddings between shards so cold "
-        "flushes stop recomputing each other's cut nodes",
+        help="on: with two or more workers, one shared embedding store is every "
+        "worker's only store, so no row is computed twice; off: each worker "
+        "serves from its private LRU cache",
     )
     serve.add_argument("--requests", type=int, default=512)
     serve.add_argument(
@@ -463,6 +471,9 @@ def _run_serve_bench(args: argparse.Namespace) -> str:
 
     rng = np.random.default_rng(args.seed)
     nodes = rng.choice(graph.num_nodes, size=args.requests, replace=True)
+    # Every served answer is checked against offline full-graph inference.
+    reference = model.full_forward(graph).data.argmax(axis=-1)
+    checked = wrong = 0
 
     # Fixed per-request class assignment (same across every server built
     # below, so the streams stay comparable).
@@ -505,6 +516,7 @@ def _run_serve_bench(args: argparse.Namespace) -> str:
         executor: str,
         faulty: bool = False,
         telemetry: str = "metrics",
+        halo: bool = args.halo_tier == "on",
     ) -> InferenceServer:
         return InferenceServer(
             model,
@@ -514,7 +526,7 @@ def _run_serve_bench(args: argparse.Namespace) -> str:
                 max_batch_size=batch_size,
                 max_delay=args.max_delay_ms / 1e3,
                 cache_capacity=cache,
-                halo_tier=args.halo_tier == "on",
+                halo_tier=halo,
                 num_replicas=args.replicas,
                 executor=executor,
                 max_queue_depth=args.max_queue_depth,
@@ -532,6 +544,7 @@ def _run_serve_bench(args: argparse.Namespace) -> str:
     def timed_stream(server: InferenceServer) -> float:
         # submit() returns RequestHandle futures; .completed/.result() read
         # the terminal state once drain() has settled the stream.
+        nonlocal checked, wrong
         start = time.perf_counter()
         if classes is None:
             handles = server.submit_many(nodes)
@@ -542,7 +555,10 @@ def _run_serve_bench(args: argparse.Namespace) -> str:
             ]
         server.drain()
         seconds = time.perf_counter() - start
-        incomplete = sum(1 for handle in handles if not handle.completed)
+        served = [handle for handle in handles if handle.completed]
+        checked += len(served)
+        wrong += sum(handle.prediction != reference[handle.node] for handle in served)
+        incomplete = len(handles) - len(served)
         if incomplete:
             print(
                 f"note: {incomplete}/{len(handles)} requests rejected/shed/expired/failed "
@@ -550,9 +566,9 @@ def _run_serve_bench(args: argparse.Namespace) -> str:
             )
         return seconds
 
-    # Naive baseline: one request per batch, no cache — what "no serving
-    # engine" looks like.  Then the engine with micro-batching + cache.
-    baseline = build_server(1, 0, args.executor)
+    # Naive baseline: one request per batch, no embedding store — what "no
+    # serving engine" looks like.  Then the engine with micro-batching + store.
+    baseline = build_server(1, 0, args.executor, halo=False)
     baseline_seconds = timed_stream(baseline)
     baseline.shutdown()
 
@@ -601,7 +617,7 @@ def _run_serve_bench(args: argparse.Namespace) -> str:
     # execution).
     executor_lines = []
     for executor in ("serial", "concurrent", "process"):
-        comparison = build_server(args.batch_size, 0, executor)
+        comparison = build_server(args.batch_size, 0, executor, halo=False)
         seconds = timed_stream(comparison)
         peak = comparison.stats().peak_concurrency
         comparison.shutdown()
@@ -637,7 +653,7 @@ def _run_serve_bench(args: argparse.Namespace) -> str:
         )
     cycle_lines = "\n".join(cycle_lines)
     executor_comparison = "\n".join(executor_lines)
-    return (
+    output = (
         f"{server.describe()}\n"
         f"--- cold pass ({args.requests} requests) ---\n{cold.render()}\n"
         f"--- warm pass (same requests) ---\n{warm.render()}\n"
@@ -654,7 +670,13 @@ def _run_serve_bench(args: argparse.Namespace) -> str:
         f"{executor_comparison}\n"
         f"--- perfmodel: predicted vs measured cost per request ---\n{cycle_lines}"
         + ("\n--- telemetry exports ---\n" + "\n".join(export_lines) if export_lines else "")
+        + f"\n--- correctness ---\n  {checked - wrong}/{checked} served predictions "
+        "equal full_forward"
     )
+    if wrong:
+        print(output)
+        raise SystemExit(f"serve-bench: {wrong} served predictions differ from full_forward")
+    return output
 
 
 def main(argv: Optional[List[str]] = None) -> int:

@@ -9,14 +9,14 @@ mode, exact: every answer equals offline ``full_forward`` for that node.
 * :func:`build_shards` / :class:`ShardWorker` split the graph into
   partitions with K-hop halos so each worker serves its core nodes from its
   own slice of memory, exactly reproducing full-graph inference results;
-* :class:`EmbeddingCache` memoises per-layer hidden states for hot nodes in
-  contiguous per-layer slabs (vectorised gather/scatter, exact-LRU
-  retention, invalidated by the model's ``weight_signature`` when training
-  bumps ``Parameter.version``);
-* a shared :class:`HaloStore` exchanges boundary (halo) embeddings between
-  shards — a row computed during one shard's flush is gathered, not
-  recomputed, by its neighbours — and every flush recomputes its misses
-  over a freshly built :class:`~repro.graph.Restriction` plan;
+* each worker memoises per-layer hidden states in exactly one store,
+  invalidated by the model's ``weight_signature`` when training bumps
+  ``Parameter.version``: with two or more workers and the halo tier on, the
+  fleet-shared :class:`HaloStore` (indexed by node id — a row computed by
+  any worker is written once and gathered, not recomputed, by the others);
+  otherwise a private exact-LRU :class:`EmbeddingCache` in contiguous
+  per-layer slabs.  Every flush recomputes its misses over a freshly built
+  :class:`~repro.graph.Restriction` plan;
 * a :class:`Scheduler` owns the flush loop, dispatching one flush task per
   due shard through a pluggable :class:`FlushExecutor` —
   :class:`SerialExecutor` (deterministic, default) or

@@ -1,35 +1,36 @@
-"""Versioned per-layer embedding caches: the slab-allocated per-shard cache and the halo tier.
+"""Versioned per-layer embedding stores: the shared halo tier and the per-worker LRU.
 
 Exact per-node inference recomputes the same hidden states over and over when
 requests' receptive fields overlap (the power-law access pattern GNNIE
 exploits with its degree-aware cache).  Both stores here memoise layer-``k``
 hidden vectors per *global* node id so a warm request touches only the layers
-whose inputs are not already known.
+whose inputs are not already known.  A worker serves from exactly one of
+them:
 
-:class:`EmbeddingCache` is the per-shard cache: an array-backed store with
-one contiguous ``(capacity, dim)`` float64 slab plus an int64 node→slot index
-map per layer, so a lookup is a single vectorised gather and an insert a
-single scatter — no per-row Python loop, no ``OrderedDict`` walking, no
-``np.stack`` of row lists.  Retention is exact least-recently-used via
-monotone access stamps: observationally equivalent to a per-row
-``OrderedDict`` LRU (same hits, misses, eviction victims and final contents
-on any take/insert sequence; the hypothesis suite in
-``tests/serving/test_cache_equivalence.py`` checks it against one).
-
-:class:`HaloStore` is the cross-shard companion: a shared, versioned slab
-tier holding per-layer embeddings of the *boundary* (halo) nodes held by more
-than one worker, so a row computed during shard A's flush is gathered — not
-recomputed — by shard B's.
+* :class:`HaloStore` — when the server builds a shared tier (``halo_tier``
+  on and at least two workers), it is every worker's only store, indexed
+  directly by global node id and shared by the whole fleet: a row any
+  worker computed is written once and gathered by every worker that needs
+  it — the same shard later, a neighbouring shard, or a sibling replica.
+* :class:`EmbeddingCache` — without a shared tier (``halo_tier`` off or a
+  single worker), each worker keeps this private, ``capacity``-bounded
+  store: one contiguous ``(capacity, dim)`` float64 slab plus an int64
+  node→slot index map per layer, so a lookup is a single vectorised gather
+  and an insert a single scatter.  Retention is exact least-recently-used
+  via monotone access stamps: observationally equivalent to a per-row
+  ``OrderedDict`` LRU (same hits, misses, eviction victims and final
+  contents on any take/insert sequence; the hypothesis suite in
+  ``tests/serving/test_cache_equivalence.py`` checks it against one).
 
 Invalidation (both classes) follows the discipline introduced with the
 spectral weight cache of :class:`repro.nn.BlockCirculantLinear`: every cached
 value is tied to the model's *weight signature* — the tuple of
 ``Parameter.version`` counters (see :meth:`repro.nn.Module.weight_signature`).
 A training step bumps the versions, the signature changes, and the whole
-cache is dropped on the next access, so serving can never return embeddings
-computed with stale weights.  The slab cache keeps its slabs allocated across
-invalidations — a weight update costs two ``fill`` calls per layer, not a
-re-allocation storm.
+store is dropped on the next access, so serving can never return embeddings
+computed with stale weights.  Both keep their slabs allocated across
+invalidations: a weight update resets index maps in place, it does not
+re-allocate.
 """
 
 from __future__ import annotations
@@ -140,11 +141,8 @@ class _LayerSlab:
         self._free_top += len(slots)
 
     def reset(self) -> None:
-        self.slot_nodes.fill(-1)
-        self.slot_of.fill(-1)
-        capacity = len(self.slot_nodes)
-        self._free = np.arange(capacity - 1, -1, -1, dtype=np.int64)
-        self._free_top = capacity
+        """Free every used slot: the stack is refilled in place, not rebuilt."""
+        self.release(np.flatnonzero(self.slot_nodes >= 0))
 
 
 class EmbeddingCache:
@@ -368,48 +366,47 @@ class EmbeddingCache:
 
 
 class HaloStore:
-    """Shared, versioned slab tier of boundary ("halo") embeddings.
+    """Shared, versioned embedding store indexed by global node id.
 
-    Neighbouring shards overlap: every node within K hops of a partition cut
-    is held — and, without exchange, independently recomputed — by each shard
-    whose halo contains it.  A single ``HaloStore`` is shared by all of a
-    server's workers; a worker *publishes* the layer-``k`` rows it computed
-    for boundary nodes and *gathers* boundary rows another shard already
-    computed, so a node computed by shard A is never recomputed by shard B.
+    Built by the server whenever two or more workers exist and ``halo_tier``
+    is on, and then every worker's *only* store: per layer a worker does one
+    :meth:`take_mask` over the nodes it needs and one :meth:`publish` of the
+    rows it computed.  Neighbouring shards overlap — every node within K hops
+    of a partition cut is held by each shard whose halo contains it — and
+    replicas of one shard hold the same nodes, so a row computed by any
+    worker is gathered, never recomputed, by the others.
 
-    Storage is a dense per-layer slab over the fixed eligible-node set (the
-    nodes held by two or more workers), with a presence bitmap instead of an
-    eviction policy: the set is known at server build, bounded by the cut
-    size, and every row in it is exact (bitwise equal to full-graph
-    inference), so nothing ever needs replacing — memory is
-    ``num_shared x dim`` floats per layer, allocated lazily on first publish.
+    Storage is a ``(num_nodes, dim)`` slab plus a ``(num_nodes,)`` presence
+    map per layer, allocated lazily on first publish: a node's row lives at
+    its id, so there is no slot map and no eviction.  Every row is exact
+    (bitwise equal to full-graph inference), so nothing ever needs
+    replacing.
 
     Versioning follows :class:`EmbeddingCache`: entries are tied to the
-    model's weight signature and dropped wholesale (two ``fill`` calls per
-    layer, slabs stay allocated) when a training step changes it.  Stats
-    count *eligible* lookups only — a non-boundary node can never be
-    exchanged, and counting it would misstate the tier's effectiveness.
+    model's weight signature and dropped wholesale (one ``fill`` per layer,
+    slabs stay allocated) when a training step changes it.
 
     Fault isolation: the store carries an *epoch* that the engine bumps
     whenever a replica fails mid-flush.  Workers capture the epoch before
     computing and pass it to :meth:`publish`; a publish whose epoch is stale
     is discarded (counted in ``stats.discarded``), so rows computed alongside
     a failure — possibly by a replica that is itself dying — can never enter
-    the shared tier after the failure was observed.  Together with the
-    complete-row filter (only fully computed boundary rows are ever offered)
-    this keeps the tier exact even under fault injection.
+    the store after the failure was observed.  Together with the
+    complete-row filter (workers offer only rows whose shard-CSR neighbour
+    list is complete) this keeps the store exact even under fault injection.
 
     Thread-safe: workers on different executor threads publish and gather
     concurrently under an internal ``RLock``.
     """
 
-    def __init__(self, num_nodes: int, shared_nodes: np.ndarray) -> None:
-        shared_nodes = np.unique(np.asarray(shared_nodes, dtype=np.int64))
-        if len(shared_nodes) and (shared_nodes[0] < 0 or shared_nodes[-1] >= num_nodes):
-            raise ValueError("shared nodes out of range")
-        self._slot_of = np.full(int(num_nodes), -1, dtype=np.int64)
-        self._slot_of[shared_nodes] = np.arange(len(shared_nodes), dtype=np.int64)
-        self._shared = shared_nodes
+    def __init__(self, num_nodes: int, shared_nodes: Optional[np.ndarray] = None) -> None:
+        self.num_nodes = int(num_nodes)
+        # ``shared_nodes`` is accepted only as the full cover the store always
+        # is; a subset would silently drop rows a worker expects to find.
+        if shared_nodes is not None and not np.array_equal(
+            np.unique(np.asarray(shared_nodes, dtype=np.int64)), np.arange(self.num_nodes)
+        ):
+            raise ValueError("the halo store holds every node; shared_nodes must cover all of them")
         self._layers: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
         self._signature: Optional[Hashable] = None
         self._lock = threading.RLock()
@@ -418,17 +415,7 @@ class HaloStore:
 
     def __len__(self) -> int:
         with self._lock:
-            return int(sum(present.sum() for _, present in self._layers.values()))
-
-    @property
-    def num_shared(self) -> int:
-        """Size of the eligible (boundary) node set."""
-        return len(self._shared)
-
-    @property
-    def shared_nodes(self) -> np.ndarray:
-        """Sorted global ids eligible for exchange (held by >= 2 workers)."""
-        return self._shared
+            return int(sum(np.count_nonzero(present) for _, present in self._layers.values()))
 
     @property
     def epoch(self) -> int:
@@ -471,30 +458,25 @@ class HaloStore:
         for _, present in self._layers.values():
             present.fill(False)
 
-    # -- exchange ---------------------------------------------------------------
+    # -- lookup / publish -------------------------------------------------------
 
     def take_mask(self, layer: int, nodes: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """``(hit_mask over nodes, hit_values)`` for ``layer``.
 
         ``hit_values`` rows correspond to the masked positions in order —
-        the same contract as :meth:`EmbeddingCache.take_mask`.  Only boundary
-        nodes can hit; lookups of non-eligible nodes are not counted.
+        the same contract as :meth:`EmbeddingCache.take_mask`.
         """
         nodes = np.asarray(nodes, dtype=np.int64)
         with self._lock:
-            slots = self._slot_of[nodes]
-            eligible = slots >= 0
-            n_eligible = int(eligible.sum())
             entry = self._layers.get(layer)
-            if entry is None or n_eligible == 0:
-                self.stats.misses += n_eligible
+            if entry is None:
+                self.stats.misses += len(nodes)
                 return np.zeros(len(nodes), dtype=bool), np.empty((0, 0), dtype=np.float64)
             slab, present = entry
-            hit = eligible.copy()
-            hit[eligible] = present[slots[eligible]]
-            values = slab[slots[hit]]  # single gather (fresh array)
+            hit = present[nodes]
+            values = slab[nodes[hit]]  # single gather (fresh array)
             self.stats.hits += len(values)
-            self.stats.misses += n_eligible - len(values)
+            self.stats.misses += len(nodes) - len(values)
             return hit, values
 
     def publish(
@@ -503,8 +485,8 @@ class HaloStore:
         nodes: Sequence[int],
         values: np.ndarray,
         epoch: Optional[int] = None,
-    ) -> None:
-        """Store freshly computed layer rows; non-boundary nodes are ignored.
+    ) -> int:
+        """Store freshly computed layer rows; returns how many were stored.
 
         ``epoch`` (when given) must match the store's current fault epoch —
         a mismatch means a replica failed while these rows were in flight,
@@ -517,16 +499,13 @@ class HaloStore:
         with self._lock:
             if epoch is not None and epoch != self._current_epoch():
                 self.stats.discarded += len(nodes)
-                return
-            slots = self._slot_of[nodes]
-            mask = slots >= 0
-            count = int(mask.sum())
-            if count == 0:
-                return
+                return 0
+            if not len(nodes):
+                return 0
             entry = self._layers.get(layer)
             if entry is None:
-                slab = np.empty((len(self._shared), values.shape[1]), dtype=np.float64)
-                present = np.zeros(len(self._shared), dtype=bool)
+                slab = np.empty((self.num_nodes, values.shape[1]), dtype=np.float64)
+                present = np.zeros(self.num_nodes, dtype=bool)
                 self._layers[layer] = (slab, present)
             else:
                 slab, present = entry
@@ -535,18 +514,16 @@ class HaloStore:
                         f"layer {layer} halo slab holds {slab.shape[1]}-dim vectors, "
                         f"got {values.shape[1]}"
                     )
-            slab[slots[mask]] = values[mask]
-            present[slots[mask]] = True
-            self.stats.insertions += count
+            slab[nodes] = values
+            present[nodes] = True
+            self.stats.insertions += len(nodes)
+            return len(nodes)
 
     def contains(self, layer: int, node: int) -> bool:
         """Membership check that does not touch stats."""
         with self._lock:
             entry = self._layers.get(layer)
-            if entry is None:
-                return False
-            slot = self._slot_of[int(node)]
-            return bool(slot >= 0 and entry[1][slot])
+            return entry is not None and bool(entry[1][int(node)])
 
     # -- bulk read-out (rebuilt-replica cache pre-warm) -------------------------
 
@@ -573,5 +550,5 @@ class HaloStore:
             if entry is None:
                 return np.empty(0, dtype=np.int64), np.empty((0, 0), dtype=np.float64)
             slab, present = entry
-            slots = np.flatnonzero(present)
-            return self._shared[slots], slab[slots].copy()
+            nodes = np.flatnonzero(present)
+            return nodes, slab[nodes]

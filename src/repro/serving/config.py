@@ -36,15 +36,19 @@ class ServingConfig:
         ``max_batch_size`` requests or its oldest request has waited
         ``max_delay`` (clock) seconds.
     cache_capacity:
-        Entries *per worker* of the exact-LRU embedding cache (0 disables
-        caching).
+        Entries *per worker* of the private exact-LRU
+        :class:`~repro.serving.cache.EmbeddingCache` — the store that serves
+        when there is no shared tier (``halo_tier=False`` or a single
+        worker).  0 disables it.  With a shared tier it bounds nothing.
     halo_tier:
-        Enable the shared :class:`~repro.serving.cache.HaloStore`: workers
-        publish the boundary (halo) rows they compute and gather boundary
-        rows a neighbouring shard (or a sibling replica) already computed,
-        so cold flushes stop recomputing each other's cut nodes.  Needs at
-        least two workers to exist.  Memory: one
-        ``num_boundary_nodes x dim`` slab per layer, shared server-wide.
+        With at least two workers, build the shared
+        :class:`~repro.serving.cache.HaloStore` and make it every worker's
+        only embedding store: each computed row is written once and
+        gathered by every worker that needs it (the same shard later, a
+        neighbouring shard across the cut, or a sibling replica), so no row
+        is computed twice.  Memory: one ``num_nodes x dim`` slab per layer,
+        shared server-wide.  Off (or one worker), each worker serves from
+        its private LRU of ``cache_capacity`` entries.
     partition_method:
         ``"bfs"`` (locality-aware) or ``"hash"`` — see
         :func:`repro.graph.partition_nodes`.
@@ -96,8 +100,8 @@ class ServingConfig:
         Consecutive failures after which a replica is ``dead``
         (:class:`~repro.serving.replicas.ReplicaSet`): it takes no more
         dispatches, and the next ``poll()``/``drain()`` tick rebuilds it in
-        place (fresh worker, cache pre-warmed from the halo tier, new
-        epoch).  Fewer failures leave it ``suspect`` but dispatchable, and a
+        place (fresh worker, private cache pre-warmed from the halo tier,
+        new epoch).  Fewer failures leave it ``suspect`` but dispatchable, and a
         success makes it ``healthy`` again.
     telemetry, trace_capacity:
         Observability mode (see :data:`repro.telemetry.TELEMETRY_MODES`):
@@ -153,7 +157,7 @@ class ServingConfig:
         if not self.max_delay >= 0:
             raise ValueError("max_delay must be non-negative")
         if self.cache_capacity < 0:
-            raise ValueError("cache_capacity must be non-negative (0 disables caching)")
+            raise ValueError("cache_capacity must be non-negative (0 disables the private LRU)")
         if self.executor not in ("serial", "concurrent", "process"):
             raise ValueError(
                 f"executor must be 'serial', 'concurrent' or 'process', got {self.executor!r}"

@@ -138,8 +138,8 @@ class InferenceServer:
         full_degrees = graph.degrees() if self.halo_store is not None else None
         # Shard-local masks of rows whose full neighbour list is inside the
         # shard (the subgraph relabelling is monotone, so induced row i is
-        # global node shard.nodes[i]).  Only those rows may be published to
-        # the shared halo tier.  Kept for rebuilds: a rebuilt replica needs
+        # global node shard.nodes[i]).  Only those rows may be stored in the
+        # shared store.  Kept for rebuilds: a rebuilt replica needs
         # the same mask its corpse was built with.
         self._publish_masks = [
             (
@@ -227,25 +227,13 @@ class InferenceServer:
             self.frontdoor.start()
 
     def _build_halo_store(self) -> Optional[HaloStore]:
-        """The shared boundary-embedding tier, when the config and topology
-        allow one.
-
-        Eligible nodes are those held by two or more *shards* (their layer
-        values would otherwise be recomputed on each side of the cut); with
-        replicated shards every held node is eligible, since a shard's
-        replicas keep independent embedding caches but compute identical
-        rows.
-        """
+        """The shared embedding store, when the config and topology allow
+        one (``halo_tier`` on, two or more workers).  It then covers every
+        node and is each worker's only store; without it each worker serves
+        from its private LRU."""
         if not self.config.halo_tier or len(self.shards) * self.config.num_replicas < 2:
             return None
-        counts = np.zeros(self.graph.num_nodes, dtype=np.int64)
-        for shard in self.shards:
-            counts[shard.nodes] += 1
-        threshold = 1 if self.config.num_replicas > 1 else 2
-        shared = np.where(counts >= threshold)[0]
-        if not len(shared):
-            return None
-        return self.plane.build_halo_store(shared)
+        return self.plane.build_halo_store()
 
     def _build_worker(self, shard_id: int, worker_id: int, epoch: int) -> Replica:
         """One replica from the shard spec (the :class:`ReplicaSet` factory:
@@ -970,17 +958,16 @@ class InferenceServer:
             if self.config.max_queue_depth is None
             else f"<= {self.config.max_queue_depth} ({self.config.overload_policy})"
         )
-        halo = (
-            f"halo tier over {self.halo_store.num_shared} boundary nodes"
+        store = (
+            f"shared embedding store over {self.graph.num_nodes} nodes (halo tier)"
             if self.halo_store is not None
-            else "halo tier off"
+            else f"private LRU cache {self.config.cache_capacity} entries/worker (halo tier off)"
         )
         lines = [
             f"InferenceServer over {self.graph.name}: "
             f"{len(self.shards)} shards x {self.config.num_replicas} replicas, "
             f"batch<= {self.config.max_batch_size}, delay<= {self.config.max_delay * 1e3:.1f} ms, "
-            f"LRU cache {self.config.cache_capacity} entries/worker, "
-            f"{halo}, "
+            f"{store}, "
             f"executor {self.config.executor}, queues {depth}, "
             f"ingress {self.config.ingress}, "
             f"classes {{{', '.join(f'{n}={w:g}' for n, w in DEFAULT_REQUEST_CLASSES)}}}"

@@ -8,8 +8,9 @@ GIL:
   segments — shard CSRs, feature matrices and the
   :class:`SharedHaloStore` all live in ``/dev/shm`` with a 16-byte
   magic+epoch header, so a respawned process re-attaches the same bytes
-  instead of re-pickling a graph.  A child's embedding cache is private
-  and lives in its own ordinary memory.  Lifecycle is hardened three ways:
+  instead of re-pickling a graph.  With the halo tier on, that store is
+  every child's only embedding store; a child's private LRU (halo tier off)
+  lives in its own ordinary memory.  Lifecycle is hardened three ways:
   ``weakref.finalize`` per segment, an ``atexit`` sweep of live arenas, and
   a *startup stale-segment sweep* that unlinks segments whose creator pid is
   dead (a SIGKILL'd run cannot leak into the next one).
@@ -274,7 +275,6 @@ class HaloSegmentSpec:
     """Everything a child needs to attach the shared halo tier by name."""
 
     num_nodes: int
-    shared_nodes: np.ndarray
     epoch_segment: str
     #: ``(layer, dim, slab segment, present-bitmap segment)`` per layer.
     layer_segments: Tuple[Tuple[int, int, str, str], ...]
@@ -283,12 +283,12 @@ class HaloSegmentSpec:
 class SharedHaloStore(HaloStore):
     """A :class:`~repro.serving.cache.HaloStore` over shared-memory slabs.
 
-    The slab/bitmap layout is byte-identical to the in-process store (the
-    PR-4/5 design was sized for exactly this move); only allocation changes:
-    every layer's slab and presence bitmap — and the fault-epoch cell — live
-    in named segments, pre-allocated for layers ``1..K`` at server build
-    (dims are known from the model), so parent and every worker process read
-    and write the same bytes.  The epoch is a shared int64 cell: only the
+    The slab/bitmap layout is byte-identical to the in-process store; only
+    allocation changes: every layer's ``(num_nodes, dim)`` slab and
+    ``(num_nodes,)`` presence map — and the fault-epoch cell — live in named
+    segments, pre-allocated for layers ``1..K`` at server build (dims are
+    known from the model), so parent and every worker process read and write
+    the same bytes.  The epoch is a shared int64 cell: only the
     parent bumps it (on observed failures), children read it before
     publishing, so the epoch guard spans the whole fleet.
 
@@ -301,13 +301,12 @@ class SharedHaloStore(HaloStore):
     def __init__(
         self,
         num_nodes: int,
-        shared_nodes: np.ndarray,
         epoch_cell: np.ndarray,
         layer_views: Dict[int, Tuple[np.ndarray, np.ndarray]],
         segments: List[SharedMemory],
         spec: HaloSegmentSpec,
     ) -> None:
-        super().__init__(num_nodes, shared_nodes)
+        super().__init__(num_nodes)
         self._epoch_cell = epoch_cell
         self._layers = dict(layer_views)
         self._segments = segments  # keeps the attached maps alive
@@ -327,27 +326,24 @@ class SharedHaloStore(HaloStore):
         cls,
         arena: SharedSlabArena,
         num_nodes: int,
-        shared_nodes: np.ndarray,
         layer_dims: Dict[int, int],
     ) -> "SharedHaloStore":
-        shared_nodes = np.unique(np.asarray(shared_nodes, dtype=np.int64))
         epoch_name, epoch_cell = arena.create("halo-epoch", (1,), np.int64)
         epoch_cell[0] = 0
         layer_views: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
         layer_segments = []
         for layer, dim in sorted(layer_dims.items()):
-            slab_name, slab = arena.create(f"halo-l{layer}", (len(shared_nodes), dim), np.float64)
-            present_name, present = arena.create(f"halo-p{layer}", (len(shared_nodes),), np.bool_)
+            slab_name, slab = arena.create(f"halo-l{layer}", (num_nodes, dim), np.float64)
+            present_name, present = arena.create(f"halo-p{layer}", (num_nodes,), np.bool_)
             present[:] = False
             layer_views[layer] = (slab, present)
             layer_segments.append((layer, dim, slab_name, present_name))
         spec = HaloSegmentSpec(
             num_nodes=int(num_nodes),
-            shared_nodes=shared_nodes,
             epoch_segment=epoch_name,
             layer_segments=tuple(layer_segments),
         )
-        return cls(num_nodes, shared_nodes, epoch_cell, layer_views, [], spec)
+        return cls(num_nodes, epoch_cell, layer_views, [], spec)
 
     @classmethod
     def attach(cls, spec: HaloSegmentSpec) -> "SharedHaloStore":
@@ -356,12 +352,12 @@ class SharedHaloStore(HaloStore):
         segments.append(shm)
         layer_views: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
         for layer, dim, slab_name, present_name in spec.layer_segments:
-            shape = (len(spec.shared_nodes), dim)
+            shape = (spec.num_nodes, dim)
             slab_shm, slab = _attach_segment(slab_name, shape, np.float64)
             present_shm, present = _attach_segment(present_name, (shape[0],), np.bool_)
             segments.extend((slab_shm, present_shm))
             layer_views[layer] = (slab, present)
-        return cls(spec.num_nodes, spec.shared_nodes, epoch_cell, layer_views, segments, spec)
+        return cls(spec.num_nodes, epoch_cell, layer_views, segments, spec)
 
 
 # ---------------------------------------------------------------------------
@@ -966,15 +962,13 @@ class ProcessPlane:
         self._shard_segments[shard.part_id] = segments
         return segments
 
-    def build_halo_store(self, shared_nodes: np.ndarray) -> SharedHaloStore:
-        """The fleet-shared halo tier, slabs pre-allocated for layers 1..K."""
+    def build_halo_store(self) -> SharedHaloStore:
+        """The fleet-shared store, slabs pre-allocated for layers 1..K."""
         layer_dims = {
             k: self.model.layers[k - 1].out_features
             for k in range(1, self.model.num_layers + 1)
         }
-        self.halo_store = SharedHaloStore.create(
-            self.arena, self.graph.num_nodes, shared_nodes, layer_dims
-        )
+        self.halo_store = SharedHaloStore.create(self.arena, self.graph.num_nodes, layer_dims)
         return self.halo_store
 
     def spawn_worker(

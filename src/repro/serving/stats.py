@@ -55,6 +55,9 @@ class ServerStats:
     completed_requests: int
     latencies: np.ndarray            # seconds, one entry per completed request
     batch_sizes: np.ndarray          # executed batch sizes, one per flush
+    #: the live workers' own lookups, whichever store served them (a
+    #: rebuilt replica's pre-warm copy is not counted; a retired one's
+    #: counts leave with it)
     cache: CacheStats
     workers: Tuple[WorkerLoad, ...]
     size_flushes: int
@@ -68,7 +71,7 @@ class ServerStats:
     expired_requests: int = 0        # flushed after their deadline passed
     #: wall-clock seconds per flush stage, summed over workers
     stage_seconds: Dict[str, float] = field(default_factory=dict)
-    #: cross-shard halo tier counters (eligible boundary lookups only)
+    #: the shared store's own counters (the workers' only store when on)
     halo: CacheStats = field(default_factory=CacheStats)
     halo_tier: bool = False          # was a shared HaloStore active for the run?
     failed_requests: int = 0         # retries exhausted / no dispatchable replica
@@ -143,7 +146,7 @@ class ServerStats:
 
     @property
     def halo_hit_rate(self) -> float:
-        """Hit rate of the cross-shard halo tier over its eligible lookups."""
+        """Hit rate of the shared store over its lookups."""
         return self.halo.hit_rate
 
     @property
@@ -206,7 +209,8 @@ class ServerStats:
             f"  admission: {self.rejected_requests} rejected, {self.shed_requests} shed, "
             f"{self.expired_requests} expired, {self.failed_requests} failed "
             f"({self.submitted_requests} requests accounted for)",
-            f"  embedding cache: {self.cache.hits} hits / {self.cache.lookups} lookups "
+            f"  embedding cache ({'shared store' if self.halo_tier else 'private LRU'}): "
+            f"{self.cache.hits} hits / {self.cache.lookups} lookups "
             f"({self._rate(self.cache.hits, self.cache.lookups)}), "
             f"{self.cache.evictions} evictions, "
             f"{self.cache.invalidations} invalidations",
@@ -237,9 +241,9 @@ class ServerStats:
                 )
         if self.halo_tier:
             lines.append(
-                f"  halo tier: {self.halo.hits} hits / {self.halo.lookups} boundary lookups "
+                f"  halo tier: {self.halo.hits} hits / {self.halo.lookups} lookups "
                 f"({self._rate(self.halo.hits, self.halo.lookups)}), "
-                f"{self.halo.insertions} published, "
+                f"{self.halo.insertions} stored, "
                 f"{self.halo.invalidations} invalidations"
                 + (f", {self.halo.discarded} discarded" if self.halo.discarded else "")
             )

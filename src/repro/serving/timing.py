@@ -1,13 +1,15 @@
 """Per-stage wall-clock accounting for the serving hot path.
 
-A flush spends its time in seven places: gathering cached rows, gathering
-boundary rows another shard already computed (the halo tier), building or
-patching the restriction plan, aggregating neighbour features, combining
-them through the (possibly FFT-based) weight matrices, scattering fresh rows
-back into the cache, and publishing boundary rows for the other shards.
-:class:`StageTimer` attributes worker time to those buckets so `serve-bench`
-(and future perf PRs) can see *where* a flush goes, not just how long it
-took.
+A flush spends its time in five places: gathering stored rows from the
+worker's embedding store (``cache_gather``), building the restriction plan,
+aggregating neighbour features, combining them through the (possibly
+FFT-based) weight matrices, and writing the fresh rows back into that store
+(``cache_scatter``).  The store is the shared halo tier when the server runs
+one and the private LRU otherwise.  ``halo_gather`` and ``halo_publish`` are
+never fed, since a worker has one store; they stay in :data:`STAGES` so
+readers that index them keep working.  :class:`StageTimer` attributes worker
+time to those buckets so `serve-bench` (and future perf PRs) can see *where*
+a flush goes, not just how long it took.
 
 The timer is deliberately dependency-free on the model side: layers receive
 it as an opaque object exposing ``stage(name)`` (see

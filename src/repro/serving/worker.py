@@ -3,23 +3,22 @@
 A :class:`ShardWorker` owns one :class:`~repro.serving.shard.GraphShard` and
 answers prediction requests for the shard's core nodes exactly, by layer-wise
 inference restricted to the batch's receptive field.  For each layer ``k``
-(output side first) the worker asks its LRU
-:class:`~repro.serving.cache.EmbeddingCache` which layer-``k`` hidden states it
-already knows; nodes it does not know are then offered to the shared
-:class:`~repro.serving.cache.HaloStore` (when the server runs one), which
-gathers boundary rows *another shard already computed*; only the remaining
-misses are recomputed.  Each miss set becomes a
-:class:`~repro.graph.Restriction` — a row slice of the frozen shard CSR with
-columns remapped into the batch-local index space, built fresh per flush —
-and the layer's ``forward_restricted`` runs a restricted SpMM / segment
-reduction against the shard's *precomputed* propagation operators (warmed
-once per worker at build time via ``prepare_full``).  No induced ``Graph`` is
-built and no operator is re-normalised per flush.  Because every miss row's
-full neighbourhood is inside the previous layer's needed set by construction,
-the restricted rows are exactly what :meth:`repro.models.GNNModel.full_forward`
-would produce on the whole graph — so served predictions match offline
-full-graph evaluation, and cached (and halo-exchanged) rows can be reused
-across batches and shards safely.
+(output side first) the worker asks its one embedding store which layer-``k``
+hidden states are already known — the fleet-shared
+:class:`~repro.serving.cache.HaloStore` when the server runs one, otherwise
+its private LRU :class:`~repro.serving.cache.EmbeddingCache` — and only the
+misses are recomputed, then written back to that same store once.  Each miss
+set becomes a :class:`~repro.graph.Restriction` — a row slice of the frozen
+shard CSR with columns remapped into the batch-local index space, built
+fresh per flush — and the layer's ``forward_restricted`` runs a restricted
+SpMM / segment reduction against the shard's *precomputed* propagation
+operators (warmed once per worker at build time via ``prepare_full``).  No
+induced ``Graph`` is built and no operator is re-normalised per flush.
+Because every miss row's full neighbourhood is inside the previous layer's
+needed set by construction, the restricted rows are exactly what
+:meth:`repro.models.GNNModel.full_forward` would produce on the whole graph —
+so served predictions match offline full-graph evaluation, and stored rows
+can be reused across batches, shards and replicas safely.
 
 One exception to "every miss set becomes a plan": when the first layer's
 aggregation reads no weight (``has_aggregation_weights`` is false — GCN's
@@ -226,6 +225,11 @@ class ShardWorker:
         computed with.  Copying the in-shard subset over means the
         replacement's first flushes hit instead of recomputing the whole
         receptive field.  Returns the number of rows pre-warmed.
+
+        A worker with a shared store reads only that store, so these copied
+        rows are never looked up (ROADMAP item 6).  The copy is maintenance,
+        not a lookup: it leaves ``cache.stats`` — the worker's own lookup
+        counts — untouched.
         """
         halo = self.halo_store
         cache = self.cache
@@ -234,18 +238,22 @@ class ShardWorker:
         signature = halo.signature
         if signature is None:
             return 0  # nothing was ever published: cold start is all there is
-        cache.ensure_signature(signature)
-        warmed = 0
-        shard_nodes = self.shard.nodes
-        for layer in halo.layers():
-            nodes, values = halo.resident(layer)
-            if not len(nodes):
-                continue
-            held = np.isin(nodes, shard_nodes, assume_unique=True)
-            if not held.any():
-                continue
-            cache.put(layer, nodes[held], values[held])
-            warmed += int(held.sum())
+        counts, cache.stats = cache.stats, CacheStats()
+        try:
+            cache.ensure_signature(signature)
+            warmed = 0
+            shard_nodes = self.shard.nodes
+            for layer in halo.layers():
+                nodes, values = halo.resident(layer)
+                if not len(nodes):
+                    continue
+                held = np.isin(nodes, shard_nodes, assume_unique=True)
+                if not held.any():
+                    continue
+                cache.put(layer, nodes[held], values[held])
+                warmed += int(held.sum())
+        finally:
+            cache.stats = counts
         return warmed
 
     # -- exact inference ---------------------------------------------------------
@@ -253,34 +261,63 @@ class ShardWorker:
     def _layer_dim(self, layer: int) -> int:
         return self.shard.graph.num_features if layer == 0 else self.model.layers[layer - 1].out_features
 
-    def _exact_logits(self, seeds_local: np.ndarray) -> np.ndarray:
-        """Compiled hot path: cache gathers + restricted SpMM, zero subgraphs.
+    def _lookup(self, layer: int, nodes: np.ndarray):
+        """``(hit mask over nodes, hit rows)`` from this worker's one store.
 
-        Works in shard-local node ids throughout; the cache (and the shared
-        halo tier) are keyed on global ids so their contents mean the same
-        thing across shards and restarts.  Per layer, a node's value comes
-        from — in order — this worker's embedding cache, the cross-shard
-        :class:`~repro.serving.cache.HaloStore` (boundary rows another shard
-        already computed; promoted into the local cache on the way through so
-        the next flush hits locally), or a restricted recompute over a freshly
-        built :class:`~repro.graph.Restriction`.  For a weight-free first
-        aggregation the layer-1 plan covers only the misses the memo does
-        not know; the others reuse their memoised aggregated rows and run
-        the combination alone.
+        The worker's own ``cache.stats`` counts the lookup whichever store
+        answers: hits are rows served, misses are rows it will recompute.
+        """
+        halo = self.halo_store
+        if halo is None:
+            return self.cache.take_mask(layer, nodes)
+        hit, rows = halo.take_mask(layer, nodes)
+        stats = self.cache.stats
+        stats.hits += len(rows)
+        stats.misses += len(nodes) - len(rows)
+        return hit, rows
+
+    def _store(self, layer: int, rows: np.ndarray, nodes: np.ndarray, values, epoch) -> None:
+        """Write the computed ``values`` (shard-local ``rows``, global
+        ``nodes``) once, into the store :meth:`_lookup` reads."""
+        halo = self.halo_store
+        if halo is None:
+            self.cache.put(layer, nodes, values)
+            return
+        if self._halo_publishable is not None:
+            complete = self._halo_publishable[rows]
+            if not complete.all():  # a row that fails the defence is not stored
+                nodes, values = nodes[complete], values[complete]
+        self.cache.stats.insertions += halo.publish(layer, nodes, values, epoch=epoch)
+
+    def _exact_logits(self, seeds_local: np.ndarray) -> np.ndarray:
+        """Compiled hot path: store gathers + restricted SpMM, zero subgraphs.
+
+        Works in shard-local node ids throughout; the stores are keyed on
+        global ids so their contents mean the same thing across shards and
+        restarts.  Per layer, a node's value comes from the worker's one
+        store (one :meth:`_lookup`) or a restricted recompute over a freshly
+        built :class:`~repro.graph.Restriction`, whose rows are then stored
+        once (one :meth:`_store`).  For a weight-free first aggregation the
+        layer-1 plan covers only the misses the memo does not know; the
+        others reuse their memoised aggregated rows and run the combination
+        alone.
         """
         graph = self.shard.graph
         num_layers = self.model.num_layers
         timer = self.timings
         halo = self.halo_store
         signature = self.weight_signature()
+        # The private cache also keeps the worker's invalidation count when
+        # the shared store serves (it then holds no rows to drop).
         self.cache.ensure_signature(signature)
+        epoch = None
         if halo is not None:
             halo.ensure_signature(signature)
             # Epoch capture for fault isolation: if a sibling replica fails
             # while this batch is in flight, the engine bumps the store's
             # epoch and every publish below is discarded — a possibly-dying
-            # replica must not write into the shared tier.
-            halo_epoch = halo.epoch
+            # replica must not write into the shared store.
+            epoch = halo.epoch
 
         # Sorted-unique seeds without np.unique's dispatch overhead (the
         # masked-array check alone costs more than this whole dedup).
@@ -295,13 +332,13 @@ class ShardWorker:
         # Top-down pass: which layer-k values are missing, and which layer-(k-1)
         # values computing them will require.  Each miss set's Restriction is
         # obtained here and reused below — its column set *is* the next needed
-        # set.  The caches report hits as positions into the lookup, so
-        # shard-local ids and global cache keys never need a searchsorted
+        # set.  The store reports hits as a mask over the lookup, so
+        # shard-local ids and global keys never need a searchsorted
         # round-trip between index spaces.
         empty = np.empty(0, dtype=np.int64)
         needed: List[np.ndarray] = [empty] * (num_layers + 1)
-        #: per layer: list of (positions-or-mask over needed[k], value rows)
-        hit_parts: List[list] = [[] for _ in range(num_layers + 1)]
+        #: per layer: (hit mask over needed[k], hit rows), when anything hit
+        hits: List[Optional[tuple]] = [None] * (num_layers + 1)
         miss_idx: List[np.ndarray] = [empty] * (num_layers + 1)
         miss_global: List[np.ndarray] = [empty] * (num_layers + 1)
         plans: List[Optional[Restriction]] = [None] * (num_layers + 1)
@@ -311,55 +348,37 @@ class ShardWorker:
                 continue
             nodes_global = self.shard.to_global(needed[k])
             with timer.stage("cache_gather"):
-                hit_mask, hit_values = self.cache.take_mask(k, nodes_global)
+                hit_mask, hit_values = self._lookup(k, nodes_global)
             if len(hit_values):
-                hit_parts[k].append((hit_mask, hit_values))
-            if len(hit_values) == len(needed[k]):
-                continue
-            missing = np.where(~hit_mask)[0]
-            if halo is not None:
-                with timer.stage("halo_gather"):
-                    halo_mask, halo_values = halo.take_mask(k, nodes_global[missing])
-                if len(halo_values):
-                    halo_positions = missing[halo_mask]
-                    hit_parts[k].append((halo_positions, halo_values))
-                    # Promote exchanged rows into the local cache: the next
-                    # flush for them should not leave the worker.
-                    with timer.stage("cache_scatter"):
-                        self.cache.put(k, nodes_global[halo_positions], halo_values)
-                    missing = missing[~halo_mask]
-            if len(missing):
-                miss_idx[k] = missing
-                miss_global[k] = nodes_global[missing]
-                rows = needed[k][missing]
-                if k == 1 and self._memo is not None:
-                    rows = rows[~self._memo_known[rows]]  # memoised rows need no features
-                if len(rows):
-                    with timer.stage("plan_build"):
-                        plans[k] = Restriction(graph, rows)
-                    needed[k - 1] = plans[k].cols
+                hits[k] = (hit_mask, hit_values)
+                if len(hit_values) == len(needed[k]):
+                    continue
+            missing = np.flatnonzero(~hit_mask)
+            miss_idx[k] = missing
+            miss_global[k] = nodes_global[missing]
+            rows = needed[k][missing]
+            if k == 1 and self._memo is not None:
+                rows = rows[~self._memo_known[rows]]  # memoised rows need no features
+            if len(rows):
+                with timer.stage("plan_build"):
+                    plans[k] = Restriction(graph, rows)
+                needed[k - 1] = plans[k].cols
 
         # Bottom-up pass: raw features feed layer 1; each layer recomputes its
         # misses through its restricted operators, scattering them straight
-        # into the assembly buffer the pre-gathered cache/halo rows already
-        # occupy (the layers' ``out=`` contract).
+        # into the assembly buffer the gathered rows already occupy (the
+        # layers' ``out=`` contract).
         h_prev = np.asarray(graph.features[needed[0]], dtype=np.float64)
         for k in range(1, num_layers + 1):
-            parts = hit_parts[k]
+            hit = hits[k]
             if not len(miss_idx[k]):
-                if len(parts) == 1:
-                    # Fully hit from one tier: the gathered block already *is*
-                    # this layer's output, in needed[k] order — no reassembly.
-                    h_prev = parts[0][1]
-                else:
-                    values = np.empty((len(needed[k]), self._layer_dim(k)))
-                    for positions, rows in parts:
-                        values[positions] = rows
-                    h_prev = values
+                # Fully hit: the gathered block already *is* this layer's
+                # output, in needed[k] order — no reassembly.
+                h_prev = hit[1] if hit is not None else np.empty((0, self._layer_dim(k)))
                 continue
             values = np.empty((len(needed[k]), self._layer_dim(k)))
-            for positions, rows in parts:
-                values[positions] = rows
+            if hit is not None:
+                values[hit[0]] = hit[1]
             layer = self.model.layers[k - 1]
             if k == 1 and self._memo is not None:
                 wanted = needed[1][miss_idx[1]]
@@ -380,19 +399,7 @@ class ShardWorker:
                     Tensor(h_prev), plans[k], timer=timer, out=(values, miss_idx[k])
                 ).data
             with timer.stage("cache_scatter"):
-                self.cache.put(k, miss_global[k], computed)
-            if halo is not None:
-                with timer.stage("halo_publish"):
-                    if self._halo_publishable is not None:
-                        publishable = self._halo_publishable[needed[k][miss_idx[k]]]
-                        halo.publish(
-                            k,
-                            miss_global[k][publishable],
-                            computed[publishable],
-                            epoch=halo_epoch,
-                        )
-                    else:
-                        halo.publish(k, miss_global[k], computed, epoch=halo_epoch)
+                self._store(k, needed[k][miss_idx[k]], miss_global[k], computed, epoch)
             h_prev = values
 
         return h_prev[np.searchsorted(unique_seeds, seeds_local)]
@@ -411,8 +418,8 @@ class LocalPlane:
         self.model = model
         self.halo_store: Optional[HaloStore] = None
 
-    def build_halo_store(self, shared_nodes: np.ndarray) -> HaloStore:
-        self.halo_store = HaloStore(self.graph.num_nodes, shared_nodes)
+    def build_halo_store(self) -> HaloStore:
+        self.halo_store = HaloStore(self.graph.num_nodes)
         return self.halo_store
 
     def spawn_worker(

@@ -120,6 +120,18 @@ class TestEmbeddingCache:
         cache.put(1, [3], np.ones((1, 3)))
         assert cache._layers[1].slab is slab_before  # no re-allocation storm
 
+    def test_invalidation_refills_the_free_stack_in_place(self):
+        cache = EmbeddingCache(capacity=4, num_nodes=8)
+        cache.ensure_signature((0,))
+        cache.put(1, [1, 2, 3], np.ones((3, 2)))
+        store = cache._layers[1]
+        free_before = store._free
+        assert cache.ensure_signature((1,))
+        assert store._free is free_before  # refilled, not reallocated
+        assert sorted(store._free[: store._free_top].tolist()) == [0, 1, 2, 3]
+        cache.put(1, [4, 5, 6, 7], np.ones((4, 2)))  # every slot is usable again
+        assert len(cache) == 4 and cache.stats.evictions == 0
+
 
 def _request(request_id: int, node: int, shard: int, at: float) -> InferenceRequest:
     return InferenceRequest(request_id=request_id, node=node, shard_id=shard, enqueue_time=at)

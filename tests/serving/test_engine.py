@@ -67,22 +67,34 @@ class TestExactServing:
         assert warm.cache_hit_rate == 1.0
         assert warm.cache.misses < cold_misses
 
-    def test_cache_disabled_still_exact(self, small_graph):
+    @pytest.mark.parametrize("halo_tier", [True, False])
+    def test_cache_disabled_still_exact(self, small_graph, halo_tier):
+        # cache_capacity=0 disables the private LRU, which is the only store
+        # with the halo tier off.  With it on, the shared store serves every
+        # hit and no private cache holds a row.
         model = _model(small_graph)
         reference = model.full_forward(small_graph).data.argmax(axis=-1)
-        server = _server(model, small_graph, cache_capacity=0)
+        server = _server(model, small_graph, cache_capacity=0, halo_tier=halo_tier)
         nodes = np.arange(20)
         assert np.array_equal(server.predict(nodes), reference[nodes])
-        assert server.stats().cache.hits == 0
+        stats = server.stats()
+        if halo_tier:
+            assert stats.cache.hits == stats.halo.hits > 0
+            assert all(len(worker.cache) == 0 for worker in server.workers)
+        else:
+            assert stats.cache.hits == 0
 
+    @pytest.mark.parametrize("halo_tier", [True, False])
     @pytest.mark.parametrize("name", MODELS)
-    def test_tiny_lru_cache_under_eviction_pressure_stays_exact(self, small_graph, name):
+    def test_tiny_lru_cache_under_eviction_pressure_stays_exact(self, small_graph, name, halo_tier):
+        # The LRU serves (and evicts) only without the shared store.
         model = _model(small_graph, name)
         reference = model.full_forward(small_graph).data.argmax(axis=-1)
-        server = _server(model, small_graph, cache_capacity=8)
+        server = _server(model, small_graph, cache_capacity=8, halo_tier=halo_tier)
         nodes = np.random.default_rng(3).choice(small_graph.num_nodes, size=80, replace=True)
         assert np.array_equal(server.predict(nodes), reference[nodes])
-        assert server.stats().cache.evictions > 0
+        if not halo_tier:
+            assert server.stats().cache.evictions > 0
 
 
 class TestDeterminism:
@@ -361,13 +373,17 @@ class TestValidationAndStats:
         nodes = np.array([17, 3, 99, 3, 42, 0])
         assert np.array_equal(server.predict(nodes), reference[nodes])
 
-    def test_shutdown_frees_every_worker_cache_and_memo(self, small_graph):
+    @pytest.mark.parametrize("halo_tier", [True, False])
+    def test_shutdown_frees_every_worker_cache_and_memo(self, small_graph, halo_tier):
         # Teardown frees the cache slabs and the first-layer memo at once,
-        # not when the cyclic garbage collector next runs.
-        server = _server(_model(small_graph), small_graph, num_replicas=2)
+        # not when the cyclic garbage collector next runs.  The private cache
+        # holds rows only where the LRU serves (halo tier off).
+        server = _server(_model(small_graph), small_graph, num_replicas=2, halo_tier=halo_tier)
         server.predict(np.arange(64))
         workers = list(server.workers)
-        assert all(len(worker.cache) and worker._memo is not None for worker in workers)
+        assert all(worker._memo is not None for worker in workers)
+        if not halo_tier:
+            assert all(len(worker.cache) for worker in workers)
         server.shutdown()
         for worker in workers:
             assert len(worker.cache) == 0 and not worker.cache._layers

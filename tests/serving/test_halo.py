@@ -6,6 +6,8 @@ The headline invariants:
   recomputed — by a neighbouring shard (or a sibling replica);
 * a miss set satisfied entirely from the halo tier short-circuits without
   building a restriction plan at all;
+* with the tier on it is every worker's only store: a computed row is
+  written once, looked up once, and never copied into a private cache;
 * predictions are bitwise identical with the tier on or off;
 * the tier is an exact-mode feature only.
 """
@@ -20,6 +22,7 @@ from repro.graph.restriction import Restriction
 from repro.models import GNNModel, create_model
 from repro.models.base import GNNLayer, apply_linear, emit_restricted
 from repro.serving import HaloStore, InferenceServer, ManualClock, ServingConfig
+from repro.serving.cache import CacheStats
 from repro.serving import worker as worker_module
 from repro.tensor.tensor import Tensor
 
@@ -51,26 +54,26 @@ def _server(model, graph, **overrides):
 
 
 class TestHaloStoreUnit:
-    def test_publish_then_gather_only_for_eligible_nodes(self):
-        store = HaloStore(num_nodes=10, shared_nodes=np.array([2, 5, 7]))
+    def test_publish_then_gather_every_node(self):
+        store = HaloStore(num_nodes=10)
         values = np.arange(2 * DIM, dtype=np.float64).reshape(2, DIM)
-        store.publish(1, np.array([2, 3]), values)  # node 3 is not boundary: ignored
-        assert len(store) == 1
+        store.publish(1, np.array([2, 3]), values)  # any node id is storable
+        assert len(store) == 2
         mask, rows = store.take_mask(1, np.array([2, 3, 5]))
-        assert mask.tolist() == [True, False, False]
-        assert np.array_equal(rows, values[:1])
-        # Stats count boundary-eligible lookups only (3 never counts).
-        assert store.stats.hits == 1 and store.stats.misses == 1
-        assert store.stats.insertions == 1
+        assert mask.tolist() == [True, True, False]
+        assert np.array_equal(rows, values)
+        # Every looked-up node counts: two hits, one miss.
+        assert store.stats.hits == 2 and store.stats.misses == 1
+        assert store.stats.insertions == 2
 
     def test_take_before_any_publish(self):
-        store = HaloStore(num_nodes=8, shared_nodes=np.array([1, 2]))
+        store = HaloStore(num_nodes=8)
         mask, rows = store.take_mask(0, np.array([1, 4]))
         assert not mask.any() and rows.size == 0
-        assert store.stats.misses == 1  # only the eligible node counts
+        assert store.stats.misses == 2
 
     def test_signature_invalidation_drops_entries_keeps_slabs(self):
-        store = HaloStore(num_nodes=8, shared_nodes=np.array([0, 1]))
+        store = HaloStore(num_nodes=8)
         assert not store.ensure_signature((0,))
         store.publish(1, np.array([0, 1]), np.ones((2, DIM)))
         assert not store.ensure_signature((0,))
@@ -82,14 +85,19 @@ class TestHaloStoreUnit:
         assert store.contains(1, 0)
 
     def test_dim_mismatch_and_bad_nodes_raise(self):
-        store = HaloStore(num_nodes=8, shared_nodes=np.array([0, 1]))
+        store = HaloStore(num_nodes=8)
         store.publish(1, np.array([0]), np.ones((1, DIM)))
         with pytest.raises(ValueError):
             store.publish(1, np.array([1]), np.ones((1, DIM + 1)))
         with pytest.raises(ValueError):
             store.publish(1, np.array([0]), np.ones(DIM))  # not 2-D
+
+    def test_shared_nodes_must_cover_every_node(self):
+        assert HaloStore(num_nodes=4, shared_nodes=np.arange(4)).num_nodes == 4
         with pytest.raises(ValueError):
-            HaloStore(num_nodes=4, shared_nodes=np.array([9]))
+            HaloStore(num_nodes=4, shared_nodes=np.array([0, 1]))  # a subset
+        with pytest.raises(ValueError):
+            HaloStore(num_nodes=4, shared_nodes=np.array([9]))  # out of range
 
 
 class TestEngineWiring:
@@ -100,8 +108,7 @@ class TestEngineWiring:
         assert _server(model, small_graph, num_shards=1).halo_store is None
         replicated = _server(model, small_graph, num_shards=1, num_replicas=2)
         assert replicated.halo_store is not None
-        # With replicas every held node is exchangeable, not just cut nodes.
-        assert replicated.halo_store.num_shared == small_graph.num_nodes
+        assert replicated.halo_store.num_nodes == small_graph.num_nodes
 
     def test_shard_b_reuses_rows_computed_by_shard_a(self, small_graph):
         model = _model(small_graph)
@@ -158,6 +165,74 @@ class TestEngineWiring:
         stats = server.stats()
         assert stats.halo.hits == 0 and stats.halo.insertions == 0
         assert len(server.halo_store) == contents  # warm rows survive
+
+
+class TestOneStore:
+    """One row, one write, one lookup: with the tier on, the shared store is
+    the only place a worker reads or writes embeddings."""
+
+    def test_every_computed_row_is_written_once_and_never_copied_back(
+        self, small_graph, monkeypatch
+    ):
+        model = _model(small_graph)
+        reference = model.full_forward(small_graph).data.argmax(axis=-1)
+        server = _server(model, small_graph)
+        writes = []
+        original = HaloStore.publish
+
+        def recording_publish(self, layer, nodes, values, epoch=None):
+            writes.extend((layer, int(node)) for node in nodes)
+            return original(self, layer, nodes, values, epoch)
+
+        monkeypatch.setattr(HaloStore, "publish", recording_publish)
+        nodes = np.random.default_rng(5).choice(small_graph.num_nodes, size=96, replace=True)
+        assert np.array_equal(server.predict(nodes), reference[nodes])
+        stats = server.stats()
+        assert stats.halo.hits > 0  # the shards did reuse each other's rows
+        computed = sum(worker.cache.stats.misses for worker in server.workers)
+        # Each recomputed row is stored exactly once, and nothing else is.
+        assert len(writes) == len(set(writes)) == computed
+        assert server.halo_store.stats.insertions == stats.cache.insertions == computed
+        assert all(len(worker.cache) == 0 for worker in server.workers)
+
+    def test_node_held_by_one_shard_is_a_store_hit_on_its_second_request(self, small_graph):
+        model = _model(small_graph)
+        server = _server(model, small_graph, partition_method="bfs")
+        held = np.zeros(small_graph.num_nodes, dtype=np.int64)
+        for shard in server.shards:
+            held[shard.nodes] += 1
+        node = int(np.flatnonzero(held == 1)[0])
+        server.predict([node])
+        assert server.halo_store.contains(model.num_layers, node)
+        before = server.stats()
+        server.predict([node])
+        after = server.stats()
+        assert after.halo.hits - before.halo.hits == 1
+        assert after.cache.hits - before.cache.hits == 1
+        assert after.cache.misses == before.cache.misses
+
+
+    def test_rebuild_prewarm_leaves_the_workers_counts_to_their_lookups(self, small_graph):
+        # The pre-warm copy into a rebuilt replica's private cache is neither
+        # a lookup nor a store write, so it must not show up in its
+        # cache.stats.  (A retired replica's counts leave ServerStats.cache
+        # with it, so the sums are compared over the flush after the rebuild.)
+        model = _model(small_graph)
+        reference = model.full_forward(small_graph).data.argmax(axis=-1)
+        server = _server(model, small_graph, num_replicas=2, cache_capacity=8)
+        nodes = np.arange(small_graph.num_nodes)
+        assert np.array_equal(server.predict(nodes), reference)
+        replacement = server.restart_replica(0, 0)
+        assert server.stats().prewarmed_rows > 0
+        assert replacement.cache.stats == CacheStats()
+        before = server.stats()
+        assert np.array_equal(server.predict(nodes), reference)
+        after = server.stats()
+        assert after.cache.evictions == 0
+        for count in ("hits", "misses", "insertions"):
+            assert getattr(after.cache, count) - getattr(before.cache, count) == (
+                getattr(after.halo, count) - getattr(before.halo, count)
+            ), count
 
 
 class TestRowsStayExactAfterWeightBumpAndSubsetFlush:
@@ -219,7 +294,7 @@ class TestRowsStayExactAfterWeightBumpAndSubsetFlush:
             layer1 = model.layers[0].forward_full(Tensor(graph.features), graph).data
         store = server.halo_store
         checked = 0
-        for node in store.shared_nodes:
+        for node in range(store.num_nodes):
             if store.contains(1, int(node)):
                 _, values = store.take_mask(1, np.array([node]))
                 assert np.array_equal(values[0], layer1[node]), f"stale/wrong row for {node}"

@@ -191,14 +191,17 @@ class TestProcessServing:
         for handle in _handles(server):
             assert not handle._proc.is_alive()
 
-    def test_tiny_cache_evicts_in_the_child_and_stays_exact(self):
+    @pytest.mark.parametrize("halo_tier", [True, False])
+    def test_tiny_cache_evicts_in_the_child_and_stays_exact(self, halo_tier):
+        # The child's LRU serves (and evicts) only without the shared store.
         expected = _reference_predictions()
-        server = _process_server(cache_capacity=8)
+        server = _process_server(cache_capacity=8, halo_tier=halo_tier)
         try:
             nodes = list(range(GRAPH.num_nodes))
             np.testing.assert_array_equal(server.predict(nodes), expected)
             np.testing.assert_array_equal(server.predict(nodes), expected)
-            assert server.stats().cache.evictions > 0  # shared-memory slabs churned
+            if not halo_tier:
+                assert server.stats().cache.evictions > 0
         finally:
             server.shutdown()
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -97,6 +99,26 @@ class TestExecution:
         assert "executor comparison" in output
         assert "concurrent" in output
         assert "flush stages" in output
+        assert re.search(r"\b(\d+)/\1 served predictions equal full_forward", output)
+
+    def test_serve_bench_exits_nonzero_on_a_wrong_answer(self, capsys, monkeypatch):
+        from repro.serving import ShardWorker
+
+        predict = ShardWorker.predict
+        monkeypatch.setattr(ShardWorker, "predict", lambda self, nodes: predict(self, nodes) + 1)
+        with pytest.raises(SystemExit, match="differ from full_forward"):
+            main(
+                [
+                    "serve-bench",
+                    "--dataset", "cora",
+                    "--scale", "0.05",
+                    "--hidden", "16",
+                    "--epochs", "1",
+                    "--requests", "16",
+                    "--halo-tier", "off",
+                ]
+            )
+        assert "served predictions equal full_forward" in capsys.readouterr().out
 
     def test_serve_bench_command_with_admission_control(self, capsys):
         assert main(
