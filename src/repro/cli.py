@@ -545,6 +545,7 @@ def _run_serve_bench(args: argparse.Namespace) -> str:
         # submit() returns RequestHandle futures; .completed/.result() read
         # the terminal state once drain() has settled the stream.
         nonlocal checked, wrong
+        settled_before = server.stats().submitted_requests
         start = time.perf_counter()
         if classes is None:
             handles = server.submit_many(nodes)
@@ -555,6 +556,16 @@ def _run_serve_bench(args: argparse.Namespace) -> str:
             ]
         server.drain()
         seconds = time.perf_counter() - start
+        # The ledger closes: after drain() every handle is terminal, and the
+        # pass's terminal counts add up to exactly the handles submitted.
+        pending = sum(not handle.done for handle in handles)
+        settled = server.stats().submitted_requests - settled_before
+        if pending or settled != len(handles):
+            raise SystemExit(
+                f"serve-bench: the ledger does not close: {pending} of {len(handles)} "
+                f"requests pending after drain(), {settled} terminal counts for "
+                f"{len(handles)} submitted"
+            )
         served = [handle for handle in handles if handle.completed]
         checked += len(served)
         wrong += sum(handle.prediction != reference[handle.node] for handle in served)

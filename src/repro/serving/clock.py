@@ -29,8 +29,10 @@ class Clock:
 class SystemClock(Clock):
     """Real wall-clock time via ``time.perf_counter``."""
 
-    def now(self) -> float:
-        return time.perf_counter()
+    # The builtin itself, not a method wrapping it: admission reads the
+    # clock once per request, and a Python frame per read would double
+    # that cost.
+    now = staticmethod(time.perf_counter)
 
     def sleep(self, seconds: float) -> None:
         if seconds > 0:

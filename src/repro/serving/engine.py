@@ -2,15 +2,18 @@
 
 Request lifecycle::
 
-    submit(node, request_class=...) ──▶ InferenceRequest, one object per
-                     │  request: the engine's record and the caller's future
+    submit_many(nodes, request_class=...) ──▶ ledger rows: a row per
+                     │  request in numpy columns (consecutive rows of the
+                     │  open block of its class);
+                     │  the caller gets one InferenceRequest view per row
                      │  (result(timeout=), done, typed terminal exceptions;
                      │  awaitable under ingress="thread", where a FrontDoor
                      │  pump thread drives the flush loop so arrivals land
                      │  mid-round)
                      ▼
-                     admission control (bounded per-shard queues:
-                     │  reject / shed (lightest class first))
+                     admission in chunks, one clock read per row; a chunk
+                     │  ends where a shard may come due (bounded queues:
+                     │  one row per chunk, reject / shed lightest class)
                      ▼
                      route by node id to the owning shard's queue
                      │  (MicroBatcher: flush at max_batch_size, max_delay,
@@ -18,17 +21,26 @@ Request lifecycle::
                      ▼
     Scheduler ──────▶ one flush task per due shard, dispatched through a
                      │  FlushExecutor (SerialExecutor inline, or
-                     │  ConcurrentExecutor over a thread pool)
+                     │  ConcurrentExecutor over a thread pool); a flush
+                     │  pops, expires, serves and settles its batch's rows
+                     │  with array operations
                      ▼
-    InferenceRequest.status ∈ {completed, rejected, shed, expired, failed}
+    status column ∈ {completed, rejected, shed, expired, failed}
     ServerStats (p50/p95/p99, hit rate, per-shard load, overload counters)
+
+The request ledger (:mod:`repro.serving.batcher`) is the only request
+state: the queues hold ledger rows, a flush settles rows, and a handle reads
+its row.  Per request the engine does one clock read and builds one view;
+everything else runs per chunk or per batch.  A block is freed once its
+rows are terminal, the caller has dropped their views and a newer block has
+replaced it as its class's open block.
 
 The :class:`~repro.serving.scheduler.Scheduler` owns the flush loop; it is
 the only caller of the engine's flush.  By
-default a ``submit``/``submit_many`` window polls after its first admitted
-request, then only when some shard's flush time (size, delay or deadline)
-has come, and once before returning — so size-triggered batches flush
-immediately, and the only polls skipped are those that would flush nothing.
+default a ``submit``/``submit_many`` window polls whenever some shard's flush
+time (size, delay or deadline) has come, and once before returning — so
+size-triggered batches flush immediately, and the only polls skipped are
+those that would flush nothing.
 Open-loop callers can set ``server.scheduler.flush_on_submit = False`` and
 call ``poll()`` themselves.
 All timing flows through a :class:`~repro.serving.clock.Clock`; with the
@@ -54,8 +66,6 @@ shards' results commit.
 from __future__ import annotations
 
 import contextlib
-import itertools
-import math
 import threading
 import time
 from array import array
@@ -70,11 +80,17 @@ from .batcher import (
     COMPLETED,
     EXPIRED,
     FAILED,
+    PENDING,
     REJECTED,
+    BLOCK_ROWS,
     SHED,
+    STATUS_NAMES,
     TERMINAL_STATUSES,
     InferenceRequest,
+    LedgerBlock,
+    LedgerRows,
     MicroBatcher,
+    WindowRows,
 )
 from ..telemetry import Telemetry
 from .cache import CacheStats, HaloStore
@@ -204,9 +220,12 @@ class InferenceServer:
         self._capacity = threading.Condition(self._lock)
         self._inflight_flushes = 0
         self._serving_depth = 0
-        # itertools.count: next() is atomic, so concurrent submitters can
-        # never share a request id.
-        self._request_ids = itertools.count()
+        # The next request id; a window reserves its ids under the lock, so
+        # concurrent submitters never share one.
+        self._next_request_id = 0
+        # (class, has deadlines) -> the ledger block windows take their rows
+        # from while it has room.
+        self._open_blocks: Dict[Tuple[str, bool], LedgerBlock] = {}
         # Completed-request latencies as packed doubles: 8 bytes a request
         # where a list of floats costs 32.
         self._latencies = array("d")
@@ -319,21 +338,28 @@ class InferenceServer:
         timeout: Optional[float] = None,
         request_class: Optional[str] = None,
     ) -> List[InferenceRequest]:
-        """Enqueue a window of requests, one request object per node, in order.
+        """Enqueue a window of requests; returns one request view per node,
+        in order.
 
         The window is validated as a whole before anything is admitted: a
         bad node, timeout or class raises and leaves every queue untouched.
-        Each request is then admitted like a :meth:`submit`.  The flush loop
-        runs after the first admission, then after an admission only when
+        It then takes consecutive ledger rows and is admitted in chunks:
+        each row is stamped with one clock read, and a chunk ends at the row
+        that fills a shard's batch or may make a shard's delay or deadline
+        due (:meth:`MicroBatcher.stamp`).  The flush loop (an inline round,
+        or a wake of the pump) runs after a chunk only when the batcher says
         some shard's flush time (size, delay or deadline) has come, and once
         before returning — skipping only rounds that would flush nothing, so
-        the batches are exactly those of one ``submit`` per node.
+        the batches are exactly those of one ``submit`` per node.  With
+        bounded queues every row is its own chunk, so the overload policy
+        sees each admission.
         """
         if self._closed:
             raise RuntimeError("server is shut down")
         nodes = np.asarray(nodes, dtype=np.int64).reshape(-1)
         num_nodes = self.graph.num_nodes
-        if len(nodes) and (nodes.min() < 0 or nodes.max() >= num_nodes):
+        # One reduction: as unsigned, a negative node is out of range too.
+        if len(nodes) and nodes.view(np.uint64).max() >= num_nodes:
             node = int(nodes[(nodes < 0) | (nodes >= num_nodes)][0])
             raise ValueError(f"node {node} is outside the graph (0..{num_nodes - 1})")
         if timeout is None:
@@ -347,6 +373,11 @@ class InferenceServer:
                 f"unknown request_class {class_name!r}; classes: {list(_CLASS_WEIGHTS)}"
             )
 
+        count = len(nodes)
+        shards = self._owner[nodes]
+        block, base = self._take_rows(nodes, shards, class_name, weight, timeout is not None)
+        requests = block.views(base, base + count)
+
         # How an admission reaches the flush loop: wake the pump, run a round
         # inline, or (flush_on_submit off) nothing.
         if self.frontdoor is not None:
@@ -355,46 +386,54 @@ class InferenceServer:
             kick = self.scheduler.poll
         else:
             kick = None
-        clock = self.clock
+        window = WindowRows(block, base, base + count, len(self.shards), kick is not None)
+        batcher = self.batcher
+        now = self.clock.now
         tracer = self.tracer
-        due_at = self.batcher.due_at
-        requests: List[InferenceRequest] = []
-        # Earliest time any shard must flush, as of the last kick and the
-        # admissions since; the first admission always kicks.
-        next_due = -math.inf
-        stale = False  # admissions since the last kick
-        for node, shard_id in zip(nodes.tolist(), self._owner[nodes].tolist()):
-            now = clock.now()
-            request = InferenceRequest(
-                request_id=next(self._request_ids),
-                node=node,
-                shard_id=shard_id,
-                enqueue_time=now,
-                deadline=None if timeout is None else now + timeout,
-                request_class=class_name,
-                weight=weight,
-                server=self,
-            )
+        start, end = base, base + count
+        while start < end:
+            stop = batcher.stamp(now, window, start, end, timeout)
             if self._first_enqueue is None:
-                self._first_enqueue = now
+                self._first_enqueue = float(block.enqueue[base])
             if tracer is not None:
                 # Before admission: rejected requests get a root span too.
-                tracer.on_submit(request.request_id, node, shard_id, now)
-            if self._admit(request) and kick is not None:
-                # An admission only moves its own shard's flush time, so
-                # skipping the kick while nothing is due skips an empty round.
-                due = due_at(shard_id)
-                if due < next_due:
-                    next_due = due
-                if clock.now() >= next_due:
-                    kick()
-                    next_due, stale = self.batcher.next_due(), False
-                else:
-                    stale = True
-            requests.append(request)
-        if stale:
+                for request_id, node, shard_id, stamp in zip(
+                    block.ids[start:stop].tolist(),
+                    block.node[start:stop].tolist(),
+                    block.shard[start:stop].tolist(),
+                    block.enqueue[start:stop].tolist(),
+                ):
+                    tracer.on_submit(request_id, node, shard_id, stamp)
+            if self._admit(window, start, stop):
+                kick()
+            start = stop
+        if window.stale:
             kick()
         return requests
+
+    def _take_rows(
+        self,
+        nodes: np.ndarray,
+        shards: np.ndarray,
+        class_name: str,
+        weight: float,
+        has_deadlines: bool,
+    ) -> Tuple[LedgerBlock, int]:
+        """Ledger rows for a window, with fresh request ids: the next rows of
+        the open block for its class, or of a new one (``BLOCK_ROWS``
+        rows, or the window's size if larger) when it lacks room.  Returns
+        the block and the window's first row."""
+        count = len(nodes)
+        key = (class_name, has_deadlines)
+        with self._lock:
+            first_id = self._next_request_id
+            self._next_request_id += count
+            block = self._open_blocks.get(key)
+            if block is None or block.free < count:
+                block = self._open_blocks[key] = LedgerBlock(
+                    self, max(count, BLOCK_ROWS), class_name, weight, has_deadlines
+                )
+            return block, block.take(first_id, nodes, shards)
 
     #: Lost-wakeup safety net for capacity waiters, in wall seconds.  Every
     #: settled flush notifies the condition, so the timeout should never be
@@ -407,15 +446,19 @@ class InferenceServer:
         request is terminal.
 
         Created under the engine lock, which every terminal transition also
-        holds: either the event exists before ``_finish`` (which sets it) or
-        the waiter sees the terminal status — no wakeup can be lost.
+        holds: either the event exists before the row settles (which sets
+        it) or the waiter sees the terminal status — no wakeup can be lost.
         """
+        block, row = request._block, request._row
         with self._lock:
-            if request.done:
+            if block.status[row] != PENDING:
                 return None
-            if request._event is None:
-                request._event = threading.Event()
-            return request._event
+            if block.events is None:
+                block.events = {}
+            event = block.events.get(row)
+            if event is None:
+                event = block.events[row] = threading.Event()
+            return event
 
     def _zero_counts(self) -> None:
         """The engine's ledger counts: terminal requests by status and shard
@@ -430,52 +473,71 @@ class InferenceServer:
         self._failovers = [0] * shards
         self._retry_attempts = 0
 
-    def _terminal(self, requests: Sequence[InferenceRequest], status: str, now: float) -> None:
-        """Requests reach one terminal state: root spans + ledger counts.
+    def _terminal(
+        self, rows: LedgerRows, status: int, now: float, shard_id: Optional[int] = None
+    ) -> None:
+        """Settle ledger rows in one terminal state: status columns, owner
+        counts, root spans.
 
-        Callers hold the engine lock (so a waiter's event cannot be created
-        mid-transition); ``request._finish`` enforces exactly-once.
+        ``shard_id`` names the one shard of a batch; without it the rows are
+        counted by their shard column.  Callers hold the engine lock (so a
+        waiter's event cannot be created mid-transition);
+        :meth:`LedgerRows.finish` enforces exactly-once.
         """
-        tracer = self.tracer
-        counts = self._status_counts[status]
+        if not rows:
+            return
+        rows.finish(status, now)
+        name = STATUS_NAMES[status]
+        counts = self._status_counts[name]
+        if shard_id is None:
+            shards = np.bincount(rows.column("shard"), minlength=len(counts)).tolist()
+            for shard_id, count in enumerate(shards):
+                counts[shard_id] += count
+        else:
+            counts[shard_id] += len(rows)
         class_counts = self._class_counts
-        for request in requests:
-            request._finish(status, now)
-            counts[request.shard_id] += 1
-            class_counts[request.request_class][status] += 1
-            if tracer is not None:
-                tracer.on_terminal(
-                    request.request_id,
-                    status,
-                    now,
-                    worker_id=request.worker_id,
-                    retries=request.retries,
-                )
+        for block, part in rows.runs:
+            class_counts[block.request_class][name] += len(part)
+        tracer = self.tracer
+        if tracer is not None:
+            for block, part in rows.runs:
+                for row in part.tolist():
+                    tracer.on_terminal(
+                        int(block.ids[row]),
+                        name,
+                        now,
+                        worker_id=int(block.worker[row]) if status == COMPLETED else None,
+                        retries=int(block.retries[row]),
+                    )
 
-    def _admit(self, request: InferenceRequest) -> bool:
-        """Apply the overload policy; returns False when ``request`` was rejected.
+    def _admit(self, window: WindowRows, start: int, stop: int) -> bool:
+        """Queue window rows ``start..stop`` under the overload policy;
+        returns True when the flush loop must run now
+        (:meth:`MicroBatcher.enqueue_rows`), never when nothing was admitted.
 
-        The full-check and the reject/shed/enqueue that follows it run under
-        one lock hold, so concurrent submitters cannot both see room and push
-        a queue past ``max_queue_depth``.
+        Unbounded queues take the chunk whole.  A bounded queue admits one
+        row at a time (:meth:`MicroBatcher.stamp` cuts single-row chunks): the full-check
+        and the reject/shed/enqueue that follows it run under one lock hold,
+        so concurrent submitters cannot both see room and push a queue past
+        ``max_queue_depth``.
         """
-        shard_id = request.shard_id
+        batcher = self.batcher
+        block = window.block
         with self._lock:
             if self._closed:
                 # Shut down mid-window: shutdown's final drain may already
                 # have run, so nothing may be queued any more.
-                self._terminal([request], REJECTED, self.clock.now())
+                self._terminal(LedgerRows.span(block, start, stop), REJECTED, self.clock.now())
                 return False
-            if not self.batcher.is_full(shard_id):
-                self.batcher.enqueue(request)
-                return True
-            if self.config.overload_policy == "reject":
-                self._terminal([request], REJECTED, self.clock.now())
-                return False
-            victim = self.batcher.shed_victim(shard_id)
-            self._terminal([victim], SHED, self.clock.now())
-            self.batcher.enqueue(request)
-            return True
+            shard_id = int(block.shard[start])
+            if batcher.is_full(shard_id):  # bounded: the chunk is this one row
+                now = self.clock.now()
+                if self.config.overload_policy == "reject":
+                    self._terminal(LedgerRows.span(block, start, stop), REJECTED, now, shard_id)
+                    return False
+                victim = batcher.shed_victim(shard_id)
+                self._terminal(LedgerRows.of(victim), SHED, now, shard_id)
+            return batcher.enqueue_rows(window, start, stop)
 
     # -- execution ---------------------------------------------------------------
 
@@ -549,14 +611,19 @@ class InferenceServer:
         """
         requests = self.submit_many(nodes)
         self.drain()
-        incomplete = sum(1 for request in requests if not request.completed)
+        if not requests:
+            return np.zeros(0, dtype=np.int64)
+        # A window's rows are consecutive rows of one ledger block.
+        block, base = requests[0]._block, requests[0]._row
+        rows = slice(base, base + len(requests))
+        incomplete = int((block.status[rows] != COMPLETED).sum())
         if incomplete:
             raise RuntimeError(
                 f"{incomplete} of {len(requests)} requests did not complete "
                 "(rejected/shed/expired by admission control, or failed); "
                 "use submit_many() + drain() and check request.status"
             )
-        return np.array([request.result() for request in requests], dtype=np.int64)
+        return block.prediction[rows].copy()
 
     def shutdown(self) -> None:
         """Deterministic teardown: every in-flight request reaches a terminal
@@ -600,26 +667,30 @@ class InferenceServer:
 
     @contextlib.contextmanager
     def _serving_mode(self) -> Iterator[None]:
-        """Hold the model in eval/no-grad for a whole flush round.
+        """Hold the model in eval/no-grad while it serves a batch.
 
-        The save/restore of ``model.training`` happens once, in the driving
-        thread, so concurrent flush tasks never observe (or cause) a
-        transition mid-batch.
+        Entered once per dispatch attempt, possibly from several flush
+        threads at once.  The module tree is walked only when the model is in
+        training mode: the outermost entry switches it to eval and the last
+        exit restores training mode.  A model already in eval mode (the
+        serving case) is never walked, so an attempt costs no ``train()``
+        calls.
         """
         with self._lock:
             first = self._serving_depth == 0
             self._serving_depth += 1
             if first:
                 self._was_training = self.model.training
-                self.model.eval()
+                if self._was_training:
+                    self.model.eval()
         try:
             with no_grad():
                 yield
         finally:
             with self._lock:
                 self._serving_depth -= 1
-                if self._serving_depth == 0:
-                    self.model.train(self._was_training)
+                if self._serving_depth == 0 and self._was_training:
+                    self.model.train(True)
 
     def _flush(self, shard_id: int, forced: bool = False) -> int:
         """Pop and serve one batch; crash-safe (never raises on worker failure).
@@ -635,27 +706,15 @@ class InferenceServer:
                 return 0
             now = self.clock.now()
             if self.telemetry.enabled:
-                waits = [now - request.enqueue_time for request in batch]
+                waits = now - batch.column("enqueue")
                 self._metrics.queue_wait[shard_id].observe_many(waits)
-                waits_by_class: Dict[str, List[float]] = {}
-                for request, wait in zip(batch, waits):
-                    waits_by_class.setdefault(request.request_class, []).append(wait)
-                for class_name, class_waits in waits_by_class.items():
+                for class_name, class_waits in batch.by_class(waits):
                     class_wait = self._metrics.class_queue_wait.get(class_name)
                     if class_wait is not None:
                         class_wait.observe_many(class_waits)
                 if self.tracer is not None:
-                    self.tracer.on_dequeue(
-                        [request.request_id for request in batch], now
-                    )
-            live: List[InferenceRequest] = []
-            expired: List[InferenceRequest] = []
-            for request in batch:
-                if request.deadline is not None and now >= request.deadline:
-                    expired.append(request)
-                else:
-                    live.append(request)
-            self._terminal(expired, EXPIRED, now)
+                    self.tracer.on_dequeue(batch.request_ids(), now)
+            live = self._expire(batch, shard_id, now)
             if not live:
                 return 1
             self._inflight_flushes += 1
@@ -666,8 +725,8 @@ class InferenceServer:
             # (KeyboardInterrupt and kin) reach here.  Even then, nothing may
             # stay stranded in "pending".
             with self._lock:
-                now = self.clock.now()
-                self._terminal([r for r in live if not r.done], FAILED, now)
+                pending = live.select(live.column("status") == PENDING)
+                self._terminal(pending, FAILED, self.clock.now(), shard_id)
             raise
         finally:
             with self._lock:
@@ -675,7 +734,18 @@ class InferenceServer:
                 self._capacity.notify_all()  # wake restart_replica, drain, shutdown
         return 1
 
-    def _serve_batch(self, shard_id: int, live: List[InferenceRequest]) -> None:
+    def _expire(self, rows: LedgerRows, shard_id: int, now: float) -> LedgerRows:
+        """Settle the rows whose deadline has passed at ``now`` as expired;
+        returns the rest.  Called under the engine lock."""
+        if not rows.has_deadlines:
+            return rows
+        expired = rows.column("deadline") <= now
+        if not expired.any():
+            return rows
+        self._terminal(rows.select(expired), EXPIRED, now, shard_id)
+        return rows.select(~expired)
+
+    def _serve_batch(self, shard_id: int, live: LedgerRows) -> None:
         """Serve a dequeued batch with failover.
 
         Attempt loop: the :class:`ReplicaSet` picks a dispatchable replica
@@ -693,7 +763,7 @@ class InferenceServer:
             if worker is None:
                 self._serve_degraded(shard_id, live)
                 return
-            nodes = np.array([request.node for request in live], dtype=np.int64)
+            nodes = live.column("node")
             start = self.clock.now()
             record = None
             fault_info: dict = {}
@@ -705,7 +775,7 @@ class InferenceServer:
                 record = tracer.attempt(
                     shard_id,
                     worker.worker_id,
-                    [request.request_id for request in live],
+                    live.request_ids(),
                     attempt,
                     self.replicas.state(worker.worker_id),
                     start,
@@ -727,22 +797,14 @@ class InferenceServer:
                     tracer.end_attempt(
                         record, now, "error", fault=fault_info.get("kind", type(exc).__name__)
                     )
-                survivors: List[InferenceRequest] = []
-                expired: List[InferenceRequest] = []
                 with self._lock:
                     if attempt > self.config.max_retries:
-                        self._terminal(live, FAILED, now)
+                        self._terminal(live, FAILED, now, shard_id)
                         return
                     self._retry_attempts += 1
-                    for request in live:
-                        if request.deadline is not None and request.deadline <= now:
-                            expired.append(request)
-                        else:
-                            request.retries += 1
-                            survivors.append(request)
-                    self._terminal(expired, EXPIRED, now)
-                    self._retried[shard_id] += len(survivors)
-                live = survivors
+                    live = self._expire(live, shard_id, now)
+                    live.count_retry()
+                    self._retried[shard_id] += len(live)
                 continue
 
             end = self.clock.now()
@@ -760,14 +822,11 @@ class InferenceServer:
                 now = self.clock.now()
                 if tried and worker.worker_id not in tried:
                     self._failovers[shard_id] += 1
-                size, worker_id = len(live), worker.worker_id
-                for request, prediction in zip(live, np.asarray(predictions).tolist()):
-                    request.prediction = prediction
-                    request.worker_id = worker_id
-                    request.batch_size = size
-                self._terminal(live, COMPLETED, now)
-                latencies = [now - request.enqueue_time for request in live]
-                self._latencies.extend(latencies)
+                size = len(live)
+                live.record_answers(np.asarray(predictions), worker.worker_id)
+                self._terminal(live, COMPLETED, now, shard_id)
+                latencies = now - live.column("enqueue")
+                self._latencies.frombytes(latencies.tobytes())
                 self._batch_sizes.append(size)
                 if self.telemetry.enabled:
                     self._metrics.latency[shard_id].observe_many(latencies)
@@ -820,20 +879,13 @@ class InferenceServer:
         with self._serving_mode():
             return worker.predict(nodes)
 
-    def _serve_degraded(self, shard_id: int, live: List[InferenceRequest]) -> None:
+    def _serve_degraded(self, shard_id: int, live: LedgerRows) -> None:
         """Zero dispatchable replicas: fail every request of the batch."""
         with self._lock:
             now = self.clock.now()
-            self._terminal(live, FAILED, now)
+            self._terminal(live, FAILED, now, shard_id)
         if self.tracer is not None:
-            record = self.tracer.attempt(
-                shard_id,
-                None,
-                [request.request_id for request in live],
-                0,
-                None,
-                now,
-            )
+            record = self.tracer.attempt(shard_id, None, live.request_ids(), 0, None, now)
             self.tracer.end_attempt(record, now, "degraded")
 
     # -- introspection -----------------------------------------------------------
@@ -888,8 +940,8 @@ class InferenceServer:
         # Every count below is read from its owner, in every telemetry mode;
         # the export copies the same counts (ServingMetrics.collect).
         with self._lock:
-            # Copied under the lock that extend() holds: an array exporting
-            # its buffer to a copy in flight cannot be resized.
+            # Copied under the lock that frombytes() holds: an array
+            # exporting its buffer to a copy in flight cannot be resized.
             latencies = np.array(self._latencies, dtype=np.float64)
             batch_sizes = np.array(self._batch_sizes, dtype=np.int64)
             terminal = {status: sum(counts) for status, counts in self._status_counts.items()}
@@ -899,7 +951,7 @@ class InferenceServer:
             retry_attempts = self._retry_attempts
         return ServerStats(
             stage_seconds=merge_stage_totals(worker.timings for worker in self.workers),
-            completed_requests=terminal[COMPLETED],
+            completed_requests=terminal["completed"],
             latencies=latencies,
             batch_sizes=batch_sizes,
             cache=cache,
@@ -910,10 +962,10 @@ class InferenceServer:
             duration=duration,
             executor=self.config.executor,
             peak_concurrency=self.executor.peak_concurrency,
-            rejected_requests=terminal[REJECTED],
-            shed_requests=terminal[SHED],
-            expired_requests=terminal[EXPIRED],
-            failed_requests=terminal[FAILED],
+            rejected_requests=terminal["rejected"],
+            shed_requests=terminal["shed"],
+            expired_requests=terminal["expired"],
+            failed_requests=terminal["failed"],
             retried_requests=retried,
             failovers=failovers,
             worker_failures=sum(replicas.failures),

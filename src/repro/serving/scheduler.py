@@ -10,11 +10,10 @@ concurrent execution deterministic per shard and lets a ``ManualClock`` stand
 still within a round).
 
 ``flush_on_submit`` preserves the old ergonomic default: a submit window
-polls after its first admission, then whenever some shard's flush time has
-come, and once before returning, so size-triggered batches flush
-immediately.  Open-loop benchmarks turn it off and drive :meth:`poll`
-themselves to let queues actually build up (the admission-control
-scenarios).
+polls whenever some shard's flush time has come, and once before returning,
+so size-triggered batches flush immediately.  Open-loop benchmarks turn it
+off and drive :meth:`poll` themselves to let queues actually build up (the
+admission-control scenarios).
 
 Rounds are crash-safe: the engine's ``_flush`` isolates worker failures
 (retry, failover, failing a dark shard — see :mod:`repro.serving.engine`), so a

@@ -195,12 +195,14 @@ class LogHistogram:
         values = np.asarray(values, dtype=np.float64)
         if values.size == 0:
             return
-        indices = np.searchsorted(self.edges, values, side="left")
-        binned = np.bincount(indices, minlength=len(self.counts))
+        # Methods and ufunc reductions, not the np.* wrappers: this runs a
+        # few times per flushed batch.
+        binned = np.bincount(self.edges.searchsorted(values), minlength=len(self.counts))
+        total = float(np.add.reduce(values))
         with self._lock:
             self.counts += binned
-            self.sum += float(values.sum())
-            self.count += int(values.size)
+            self.sum += total
+            self.count += values.size
 
     # -- reads -----------------------------------------------------------------
 

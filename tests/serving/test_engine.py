@@ -9,13 +9,18 @@ survive a weight update.
 from __future__ import annotations
 
 import dataclasses
+import gc
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
 from repro.compression import CompressionConfig
 from repro.models import Trainer, TrainingConfig, create_model
+from repro.nn.module import Module
 from repro.serving import InferenceServer, ManualClock, ServingConfig
+from repro.serving.batcher import BLOCK_ROWS
 
 MODELS = ["GCN", "GS-Pool", "G-GCN", "GAT"]
 
@@ -99,9 +104,10 @@ class TestExactServing:
 
 class TestDeterminism:
     @pytest.mark.parametrize("executor", ["serial", "concurrent"])
-    @pytest.mark.parametrize("max_delay", [0.0, 0.002])
+    # max_delay 0.01 outlasts the 4 ms timeout: deadlines come due first.
+    @pytest.mark.parametrize("max_delay", [0.0, 0.002, 0.01])
     @pytest.mark.parametrize("overload_policy", [None, "reject", "shed_oldest"])
-    @pytest.mark.parametrize("clock_step", [0.0, 0.0005])
+    @pytest.mark.parametrize("clock_step", [0.0, 0.0005, 0.002])
     def test_identical_runs_produce_identical_results(
         self, small_graph, executor, max_delay, overload_policy, clock_step
     ):
@@ -110,7 +116,7 @@ class TestDeterminism:
         # rule must cut exactly the batches of polling after every request.
         # The first window queues without flushing and piles onto shard 0,
         # so the second starts on a backlog one round cannot clear.  With a
-        # clock_step the clock also moves on every enqueue, so a shard's
+        # clock_step the clock also moves on every admitted row, so a shard's
         # delay or deadline can come due while the window admits into the
         # other shard.
         nodes = np.random.default_rng(1).choice(small_graph.num_nodes, size=40, replace=True)
@@ -132,13 +138,20 @@ class TestDeterminism:
             )
             with InferenceServer(_model(small_graph), small_graph, config, clock=clock) as server:
                 if clock_step:
-                    enqueue = server.batcher.enqueue
+                    # MicroBatcher.stamp reads the clock once per admitted
+                    # row: every row moves the clock before it is stamped.
+                    stamp = server.batcher.stamp
 
-                    def enqueue_and_tick(request, enqueue=enqueue):
-                        enqueue(request)
-                        clock.advance(clock_step)
+                    def tick_and_stamp(now, *args, stamp=stamp):
+                        def tick_then_now():
+                            clock.advance(clock_step)
+                            ticks.append(clock_step)
+                            return now()
 
-                    server.batcher.enqueue = enqueue_and_tick
+                        return stamp(tick_then_now, *args)
+
+                    server.batcher.stamp = tick_and_stamp
+                ticks = []
                 backlog = np.concatenate([server.shards[0].core_nodes[:10], nodes[:5]])
                 windows = [
                     ("premium", backlog), ("backfill", nodes[5:25]), ("premium", nodes[25:])
@@ -154,6 +167,8 @@ class TestDeterminism:
                         ]
                     clock.advance((0.001, 0.005)[index % 2])
                 server.drain()
+                # The clock moved once per row, inside the windows.
+                assert len(ticks) == (len(nodes) + 10 if clock_step else 0)
                 stats = server.stats()
                 outcomes.append((
                     [
@@ -396,3 +411,92 @@ class TestValidationAndStats:
         text = server.stats().render()
         assert "latency p50" in text and "embedding cache" in text and "worker" in text
         assert "shards" in server.describe()
+
+
+class TestServingMode:
+    def test_warm_window_on_an_eval_model_walks_no_module(self, small_graph, monkeypatch):
+        # Serving pins eval mode per dispatch attempt; a model already in
+        # eval mode must not be walked (train() recurses into every child).
+        model = _model(small_graph).eval()
+        server = _server(model, small_graph)
+        nodes = np.arange(small_graph.num_nodes)
+        server.predict(nodes)  # cold pass: every row now a cache hit
+        calls = []
+        train = Module.train
+
+        def counting_train(self, mode=True):
+            calls.append(mode)
+            return train(self, mode)
+
+        monkeypatch.setattr(Module, "train", counting_train)
+        server.predict(nodes)
+        assert server.stats().size_flushes + server.stats().forced_flushes > 1
+        assert calls == []
+        assert not any(module.training for _, module in model.named_modules())
+
+    def test_training_model_is_served_in_eval_then_restored(self, small_graph):
+        model = _model(small_graph).train()
+        reference = model.full_forward(small_graph).data.argmax(axis=-1)
+        model.train()
+        server = _server(model, small_graph, num_replicas=2)
+        modes = []
+        for worker in server.workers:
+            predict = worker.predict
+
+            def recording_predict(nodes, predict=predict):
+                modes.append([module.training for _, module in model.named_modules()])
+                return predict(nodes)
+
+            worker.predict = recording_predict
+        nodes = np.arange(small_graph.num_nodes)
+        assert np.array_equal(server.predict(nodes), reference[nodes])
+        assert modes and not any(any(mode) for mode in modes)
+        assert all(module.training for _, module in model.named_modules())
+
+
+class TestLedgerStorage:
+    # Windows below BLOCK_ROWS share a block; one of BLOCK_ROWS fills a
+    # block by itself.
+    @pytest.mark.parametrize("window_rows", [100, BLOCK_ROWS])
+    def test_settled_windows_keep_no_per_request_storage(self, small_graph, window_rows):
+        # A ledger block lives while its rows are queued, its handles are
+        # held, or it is its class's open block: served and dropped, it is
+        # freed by reference counting alone (no cycle for the collector to
+        # find).  What stays is the engine's 8-byte latency entry per
+        # request.
+        server = _server(_model(small_graph), small_graph, max_batch_size=32)
+        window = np.resize(np.arange(small_graph.num_nodes), window_rows)
+        server.predict(np.arange(small_graph.num_nodes))  # cold pass: then all warm
+
+        def serve_windows(count):
+            blocks = []
+            for _ in range(count):
+                handles = server.submit_many(window)
+                server.drain()
+                assert all(handle.completed for handle in handles)
+                blocks.append(weakref.ref(handles[0]._block))
+                del handles
+            return blocks
+
+        serve_windows(10)  # histogram and array growth settle first
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            gc.disable()
+            try:
+                blocks = serve_windows(200)
+                alive = {id(block()) for block in blocks if block() is not None}
+                assert alive <= {id(block) for block in server._open_blocks.values()}
+            finally:
+                gc.enable()
+            gc.collect()
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        requests = 200 * window_rows
+        batches = server.stats().batch_sizes.size
+        # 8 B of latency per request (plus the array's over-allocation), a
+        # list slot per batch size and the test's own weakrefs; a retained
+        # block would add ~100 B per request.
+        assert grown <= 10 * requests + 9 * batches + 32 * 1024

@@ -251,10 +251,13 @@ class TestRequestHandle:
         server.scheduler.flush_on_submit = False
         handles = server.submit_many(range(6))
         queued = [request for queue in server.batcher._queues for request in queue]
-        assert sorted(map(id, handles)) == sorted(map(id, queued))
+        # Handles are views of ledger rows, equal when they view one row:
+        # the queues hold the very rows the caller's handles read.
+        assert sorted(queued, key=lambda request: request.request_id) == handles
+        assert set(queued) == set(handles)
         assert all(handle.server is server for handle in handles)
         server.drain()
-        # The engine settles the very objects the caller holds.
+        # The engine settles the very rows the caller's handles read.
         assert [handle.result() for handle in handles] == [int(REFERENCE[n]) for n in range(6)]
         server.shutdown()
 
@@ -302,6 +305,18 @@ class TestRequestClasses:
         batcher.enqueue(_request(1, deadline=2.0))
         batch = batcher.pop_batch(0)
         assert [r.request_id for r in batch] == [1]
+
+    def test_rows_of_one_ledger_block_pop_earliest_deadline_first(self):
+        # Windows of one class take rows of one ledger block whatever their
+        # timeouts, so a block's deadlines need not ascend with its rows.
+        server = _server(num_shards=1, max_batch_size=2)
+        server.scheduler.flush_on_submit = False
+        late = server.submit_many([0, 1], timeout=9.0)
+        early = server.submit(2, timeout=2.0)
+        assert late[0]._block is early._block
+        assert list(server.batcher.pop_batch(0)) == [early, late[0]]
+        assert list(server.batcher.pop_batch(0)) == [late[1]]
+        server.shutdown()
 
     def test_shed_victim_picks_lightest_class_then_oldest(self):
         batcher = MicroBatcher(num_shards=1, max_batch_size=8, max_delay=0.0)

@@ -120,6 +120,25 @@ class TestExecution:
             )
         assert "served predictions equal full_forward" in capsys.readouterr().out
 
+    def test_serve_bench_exits_nonzero_when_a_request_is_left_pending(self, monkeypatch):
+        # A drain that leaves queued requests behind: the handles stay
+        # pending and the pass's terminal counts fall short of the stream.
+        from repro.serving import InferenceServer
+
+        monkeypatch.setattr(InferenceServer, "drain", lambda self, timeout=None: 0)
+        with pytest.raises(SystemExit, match="ledger does not close"):
+            main(
+                [
+                    "serve-bench",
+                    "--dataset", "cora",
+                    "--scale", "0.05",
+                    "--hidden", "16",
+                    "--epochs", "1",
+                    "--requests", "16",
+                    "--halo-tier", "off",
+                ]
+            )
+
     def test_serve_bench_command_with_admission_control(self, capsys):
         assert main(
             [
