@@ -541,11 +541,22 @@ def _run_serve_bench(args: argparse.Namespace) -> str:
             ),
         )
 
+    def histogram_counts(server: InferenceServer) -> tuple:
+        # Observations in the completed-latency and queue-wait histograms,
+        # summed over shards (the export folds the ledger first).
+        snapshot = server.telemetry.snapshot()
+        return tuple(
+            sum(sample["value"]["count"] for sample in snapshot[name]["samples"])
+            for name in ("serving_request_latency_seconds", "serving_queue_wait_seconds")
+        )
+
     def timed_stream(server: InferenceServer) -> float:
         # submit() returns RequestHandle futures; .completed/.result() read
         # the terminal state once drain() has settled the stream.
         nonlocal checked, wrong
         settled_before = server.stats().submitted_requests
+        if server.telemetry.enabled:
+            observed_before = histogram_counts(server)
         start = time.perf_counter()
         if classes is None:
             handles = server.submit_many(nodes)
@@ -567,6 +578,21 @@ def _run_serve_bench(args: argparse.Namespace) -> str:
                 f"{len(handles)} submitted"
             )
         served = [handle for handle in handles if handle.completed]
+        if server.telemetry.enabled:
+            # The request histograms are folded from the ledger: they must
+            # hold one latency per completed request and one queue wait per
+            # popped one.
+            latencies, waits = (
+                after - before
+                for after, before in zip(histogram_counts(server), observed_before)
+            )
+            popped = sum(handle.dequeue_time is not None for handle in handles)
+            if latencies != len(served) or waits != popped:
+                raise SystemExit(
+                    f"serve-bench: the request histograms disagree with the ledger: "
+                    f"{latencies} latencies for {len(served)} completed requests, "
+                    f"{waits} queue waits for {popped} popped"
+                )
         checked += len(served)
         wrong += sum(handle.prediction != reference[handle.node] for handle in served)
         incomplete = len(handles) - len(served)

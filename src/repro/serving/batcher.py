@@ -2,8 +2,10 @@
 
 Request state lives in a ledger of numpy columns, one row per request,
 held in :class:`LedgerBlock` storage: request id, node, shard, enqueue time,
-deadline, status, prediction, completion time, worker, batch size and
-retries are columns, and the request class and weight are block scalars.  A
+deadline, pop time, status, prediction, completion time, worker, batch size
+and retries are columns, and the request class and weight are block
+scalars.  The request histograms are folded from the enqueue, pop and
+completion columns (:meth:`LedgerBlock.unfolded`), not observed per batch.  A
 window (one ``submit`` is a window of one) takes consecutive rows of the open
 block for its class; when that block lacks room, a new one of
 :data:`BLOCK_ROWS` rows (or the window's size, if larger) replaces
@@ -16,7 +18,9 @@ record: it reads the row's terminal state, or waits on it with
 ``result(timeout=)`` / ``wait`` / ``exception``, or is ``await``-ed.  Nothing
 else keeps a block: the shard queues hold its rows while they are queued, a
 flush holds them while they are served, and the engine holds the open
-block of each class (with and without deadlines).  So a block is freed as
+block of each class (with and without deadlines) and, until they have all
+settled and been folded, every block with rows still queued or in flight.
+So a block is freed as
 soon as its rows are terminal, the caller drops its views and a newer block
 has replaced it; the engine keeps no per-request storage beyond its 8-byte
 latency record.
@@ -173,16 +177,21 @@ class LedgerBlock:
     their window is admitted: ``ids``, ``node``, ``shard``, ``enqueue`` and
     ``deadline`` (which stays ``inf``, and ``has_deadlines`` false, for
     requests without a timeout).  ``status`` starts at ``PENDING`` and the
-    engine writes the other columns under its lock: ``completion`` is valid
-    once a row is terminal, ``prediction``, ``worker`` and ``batch_size``
-    once it is completed.  ``events`` maps a row to the completion event its
-    first waiter created (``None`` until one does).
+    engine writes the other columns under its lock: ``dequeue`` (``nan``
+    until then) when the row's batch is popped, ``completion`` once a row is
+    terminal (``settled`` counts those rows), ``prediction``, ``worker`` and
+    ``batch_size`` once it is completed.  ``events`` maps a row to the
+    completion event its first waiter created (``None`` until one does).
+
+    ``folds`` and ``folded`` record what the request histograms have taken
+    from the rows (:meth:`unfolded`).
     """
 
     __slots__ = (
-        "server", "request_class", "weight", "has_deadlines", "used",
-        "ids", "node", "shard", "enqueue", "deadline", "status", "prediction",
-        "completion", "worker", "batch_size", "retries", "events", "__weakref__",
+        "server", "request_class", "weight", "has_deadlines", "used", "settled",
+        "folded", "ids", "node", "shard", "enqueue", "deadline", "times", "dequeue",
+        "completion", "status", "prediction", "worker", "batch_size", "retries", "folds",
+        "events", "__weakref__",
     )
 
     def __init__(
@@ -197,18 +206,23 @@ class LedgerBlock:
         self.request_class = request_class
         self.weight = weight
         self.has_deadlines = has_deadlines
-        self.used = 0
+        self.used = self.settled = self.folded = 0
         self.ids = np.empty(capacity, dtype=np.int64)
         self.node = np.empty(capacity, dtype=np.int64)
         self.shard = np.empty(capacity, dtype=np.int64)
         self.enqueue = np.empty(capacity)
         self.deadline = np.full(capacity, math.inf)
+        # Pop and completion times side by side, so the histograms' fold
+        # takes both intervals with one subtraction.
+        self.times = np.empty((2, capacity))
+        self.dequeue, self.completion = self.times
+        self.dequeue.fill(math.nan)
         self.status = np.zeros(capacity, dtype=np.int8)
         self.prediction = np.empty(capacity, dtype=np.int64)
-        self.completion = np.empty(capacity)
         self.worker = np.empty(capacity, dtype=np.int64)
         self.batch_size = np.empty(capacity, dtype=np.int64)
         self.retries = np.zeros(capacity, dtype=np.int64)
+        self.folds: Optional[np.ndarray] = None
         self.events: Optional[dict] = None
 
     @property
@@ -224,6 +238,43 @@ class LedgerBlock:
         self.node[start:stop] = nodes
         self.shard[start:stop] = shards
         return start
+
+    def unfolded(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """What the request histograms have not taken from the rows yet,
+        marked as taken: ``(values, shard, new)`` over the rows from
+        ``folded`` to ``used``.  ``values[0]`` is each row's queue wait (pop
+        minus enqueue time, ``nan`` if never popped) and ``values[1]`` its
+        latency (completion minus enqueue time); ``new[0]`` marks the popped
+        rows whose wait is new, ``new[1]`` the completed rows whose latency
+        is.
+
+        Rows before ``folded`` are terminal and taken.  When every row
+        handed out so far has settled, everything up to ``used`` is taken
+        and ``folded`` moves there.  Otherwise (an export or a reset while
+        rows are queued or in flight) ``folds`` records per row what was
+        taken — 1 the queue wait of a popped row, 2 everything of a terminal
+        one — until the range settles.  Called under the engine lock.
+        """
+        low, high = self.folded, self.used
+        status = self.status[low:high]
+        values = self.times[:, low:high] - self.enqueue[low:high]
+        new = np.empty(values.shape, dtype=bool)
+        np.equal(values[0], values[0], out=new[0])  # nan: never popped
+        np.equal(status, COMPLETED, out=new[1])
+        if self.folds is not None:
+            state = self.folds[low:high]
+            new[0] &= state == 0
+            new[1] &= state != 2
+        if self.settled == high:
+            self.folded = high
+            self.folds = None
+        else:
+            if self.folds is None:
+                self.folds = np.zeros(len(self.ids), dtype=np.int8)
+            state = self.folds[low:high]
+            state[new[0]] = 1
+            state[status != PENDING] = 2
+        return values, self.shard[low:high], new
 
     def views(self, start: int, stop: int) -> List["InferenceRequest"]:
         """One :class:`InferenceRequest` view per row, in row order."""
@@ -298,19 +349,12 @@ class LedgerRows:
             start = stop
         return LedgerRows(runs)
 
-    def by_class(self, values: np.ndarray) -> List[Tuple[str, np.ndarray]]:
-        """``values`` (aligned with this order) grouped by request class."""
-        if len(self.runs) == 1:
-            return [(self.runs[0][0].request_class, values)]
-        groups: dict = {}
-        start = 0
-        for block, rows in self.runs:
-            stop = start + len(rows)
-            groups.setdefault(block.request_class, []).append(values[start:stop])
-            start = stop
-        return [(name, np.concatenate(parts)) for name, parts in groups.items()]
-
     # -- transitions (the engine calls these under its lock) --------------------
+
+    def mark_dequeued(self, at: float) -> None:
+        """Write the pop time, once per run."""
+        for block, rows in self.runs:
+            block.dequeue[rows] = at
 
     def count_retry(self) -> None:
         for block, rows in self.runs:
@@ -338,6 +382,7 @@ class LedgerRows:
                 )
             block.completion[rows] = at
             block.status[rows] = status
+            block.settled += len(rows)
             events = block.events
             if events:
                 for row in rows.tolist():
@@ -462,6 +507,13 @@ class InferenceRequest:
     def completion_time(self) -> Optional[float]:
         block, row = self._block, self._row
         return None if block.status[row] == PENDING else float(block.completion[row])
+
+    @property
+    def dequeue_time(self) -> Optional[float]:
+        """When the request's batch was popped; ``None`` while it is queued,
+        and for a request never popped (rejected, shed)."""
+        dequeue = float(self._block.dequeue[self._row])
+        return None if math.isnan(dequeue) else dequeue
 
     @property
     def retries(self) -> int:

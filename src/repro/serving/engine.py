@@ -166,13 +166,15 @@ class InferenceServer:
             for shard in self.shards
         ]
 
-        # Telemetry plane: the hot path observes histograms only; every
-        # count stays with its owner (this engine, the batcher, the
-        # scheduler, the replica set, the fault plan) and the registry copies
-        # them at export.  The tracer (telemetry mode "trace") records
-        # per-request root spans and batch-level dispatch attempts.  With
-        # telemetry "off" the registry is null and the tracer is None, so the
-        # hot path degrades to no-op calls and `is not None` checks.
+        # Telemetry plane: every count stays with its owner (this engine,
+        # the batcher, the scheduler, the replica set, the fault plan) and
+        # the registry copies them at export; the request histograms are
+        # folded from the ledger (_fold_ledger), and only the batch-size and
+        # stage histograms are observed per batch.  The tracer (telemetry
+        # mode "trace") records per-request root spans and batch-level
+        # dispatch attempts.  With telemetry "off" the registry is null and
+        # the tracer is None, so the hot path degrades to no-op calls and
+        # `is not None` checks.
         self.telemetry = Telemetry(self.config.telemetry, self.config.trace_capacity)
         self.tracer = self.telemetry.tracer
         self._metrics = ServingMetrics(
@@ -226,6 +228,13 @@ class InferenceServer:
         # (class, has deadlines) -> the ledger block windows take their rows
         # from while it has room.
         self._open_blocks: Dict[Tuple[str, bool], LedgerBlock] = {}
+        # Blocks that have handed out rows not all settled yet, in the order
+        # they were first used (None with telemetry off: nothing is folded).
+        # Each is alive anyway, through its queued or in-flight rows or as
+        # an open block; it leaves once its rows are settled and folded.
+        self._folding: Optional[Dict[LedgerBlock, None]] = (
+            {} if self.telemetry.enabled else None
+        )
         # Completed-request latencies as packed doubles: 8 bytes a request
         # where a list of floats costs 32.
         self._latencies = array("d")
@@ -433,6 +442,8 @@ class InferenceServer:
                 block = self._open_blocks[key] = LedgerBlock(
                     self, max(count, BLOCK_ROWS), class_name, weight, has_deadlines
                 )
+            if self._folding is not None:
+                self._folding[block] = None
             return block, block.take(first_id, nodes, shards)
 
     #: Lost-wakeup safety net for capacity waiters, in wall seconds.  Every
@@ -477,16 +488,26 @@ class InferenceServer:
         self, rows: LedgerRows, status: int, now: float, shard_id: Optional[int] = None
     ) -> None:
         """Settle ledger rows in one terminal state: status columns, owner
-        counts, root spans.
+        counts, request histograms, root spans.
 
         ``shard_id`` names the one shard of a batch; without it the rows are
-        counted by their shard column.  Callers hold the engine lock (so a
-        waiter's event cannot be created mid-transition);
-        :meth:`LedgerRows.finish` enforces exactly-once.
+        counted by their shard column.  A block whose handed-out rows have
+        now all settled is folded into the request histograms.  Callers hold
+        the engine lock (so a waiter's event cannot be created
+        mid-transition); :meth:`LedgerRows.finish` enforces exactly-once.
         """
         if not rows:
             return
         rows.finish(status, now)
+        folding = self._folding
+        if folding is not None:
+            # A block listed twice (two runs of one batch) folds nothing
+            # the second time.
+            settled = [block for block, _ in rows.runs if block.settled == block.used]
+            if settled:
+                self._metrics.fold(settled)
+                for block in settled:
+                    folding.pop(block, None)
         name = STATUS_NAMES[status]
         counts = self._status_counts[name]
         if shard_id is None:
@@ -509,6 +530,21 @@ class InferenceServer:
                         worker_id=int(block.worker[row]) if status == COMPLETED else None,
                         retries=int(block.retries[row]),
                     )
+
+    def _fold_ledger(self) -> None:
+        """Fold every row settled or popped since the last fold into the
+        request histograms, and forget the blocks whose rows have all
+        settled."""
+        with self._lock:
+            folding = self._folding
+            if folding is None:
+                return
+            blocks = list(folding)
+            self._metrics.fold(blocks)
+            self._metrics.publish()
+            for block in blocks:
+                if block.settled == block.used:
+                    del folding[block]
 
     def _admit(self, window: WindowRows, start: int, stop: int) -> bool:
         """Queue window rows ``start..stop`` under the overload policy;
@@ -705,15 +741,9 @@ class InferenceServer:
             if not batch:
                 return 0
             now = self.clock.now()
-            if self.telemetry.enabled:
-                waits = now - batch.column("enqueue")
-                self._metrics.queue_wait[shard_id].observe_many(waits)
-                for class_name, class_waits in batch.by_class(waits):
-                    class_wait = self._metrics.class_queue_wait.get(class_name)
-                    if class_wait is not None:
-                        class_wait.observe_many(class_waits)
-                if self.tracer is not None:
-                    self.tracer.on_dequeue(batch.request_ids(), now)
+            batch.mark_dequeued(now)
+            if self.tracer is not None:
+                self.tracer.on_dequeue(batch.request_ids(), now)
             live = self._expire(batch, shard_id, now)
             if not live:
                 return 1
@@ -829,7 +859,6 @@ class InferenceServer:
                 self._latencies.frombytes(latencies.tobytes())
                 self._batch_sizes.append(size)
                 if self.telemetry.enabled:
-                    self._metrics.latency[shard_id].observe_many(latencies)
                     self._metrics.batch_size[shard_id].observe(size)
                 self._last_completion = now
             return
@@ -987,6 +1016,10 @@ class InferenceServer:
         that populated the caches.
         """
         with self._lock:
+            # Rows settled or popped before the reset belong to the old
+            # window: they are folded now, and the registry reset below
+            # drops them with the rest of it.
+            self._fold_ledger()
             self._latencies = array("d")
             self._batch_sizes.clear()
             self._zero_counts()

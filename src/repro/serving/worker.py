@@ -20,6 +20,14 @@ needed set by construction, the restricted rows are exactly what
 so served predictions match offline full-graph evaluation, and stored rows
 can be reused across batches, shards and replicas safely.
 
+Ids: the stores are keyed by global node id, and the worker takes the
+batch's global ids as they come.  It checks them once against a boolean
+mask of the nodes its shard holds (a node it does not hold raises
+``KeyError``, whether or not a store knows its row), probes the top layer
+with them, and translates to shard-local ids only the top-layer rows it must
+recompute; below the top, plans are built and read in shard-local ids.  A
+fully hit batch makes no translation at all.
+
 One exception to "every miss set becomes a plan": when the first layer's
 aggregation reads no weight (``has_aggregation_weights`` is false — GCN's
 ``Â·X``), its rows depend on the frozen shard graph alone.  The worker
@@ -96,6 +104,11 @@ class ShardWorker:
             else None
         )
         self.timings = StageTimer()
+        # The ownership guard: held[v] is true for every global id v the
+        # shard holds (core and halo), up to the largest; a batch's ids are
+        # checked with one gather before anything is looked up.
+        self._held = np.zeros(int(shard.nodes[-1]) + 1 if len(shard.nodes) else 0, dtype=bool)
+        self._held[shard.nodes] = True
         if shard.graph.num_nodes:
             # Shard operator plan: normalise every propagation operator the
             # model's inference needs once, at build time, so the first flush
@@ -142,14 +155,18 @@ class ShardWorker:
         self.retired = True
 
     def predict(self, global_nodes: np.ndarray) -> np.ndarray:
-        """Class predictions for a batch of (shard-core) global node ids."""
+        """Class predictions for a batch of (shard-core) global node ids.
+
+        Raises ``KeyError`` when the batch names a node the shard does not
+        hold, whether or not the store knows its row.
+        """
         if self.retired:
             raise WorkerRetired(
                 f"worker {self.worker_id} epoch {self.epoch} was retired by a rebuild"
             )
         if self.killed:
             raise ReplicaDead(f"worker {self.worker_id} died (kill fault, in-process replica)")
-        local = self.shard.to_local(np.asarray(global_nodes, dtype=np.int64))
+        nodes = np.asarray(global_nodes, dtype=np.int64)
         with self._gauge_lock:
             self._inflight += 1
             self.peak_inflight = max(self.peak_inflight, self._inflight)
@@ -165,12 +182,12 @@ class ShardWorker:
                     self.model.eval()
                 try:
                     with no_grad():
-                        logits = self._exact_logits(local)
+                        logits = self._exact_logits(nodes)
                 finally:
                     if was_training:
                         self.model.train(True)
                 self.batches_served += 1
-                self.nodes_served += len(local)
+                self.nodes_served += len(nodes)
         finally:
             with self._gauge_lock:
                 self._inflight -= 1
@@ -289,21 +306,53 @@ class ShardWorker:
                 nodes, values = nodes[complete], values[complete]
         self.cache.stats.insertions += halo.publish(layer, nodes, values, epoch=epoch)
 
-    def _exact_logits(self, seeds_local: np.ndarray) -> np.ndarray:
+    def _unique_held(self, seeds: np.ndarray) -> np.ndarray:
+        """The batch's distinct global ids, sorted; ``KeyError`` if the
+        shard does not hold one of them (one gather on the held mask)."""
+        # Sorted-unique seeds without np.unique's dispatch overhead (the
+        # masked-array check alone costs more than this whole dedup).
+        ordered = seeds.copy()
+        ordered.sort()
+        if len(ordered) > 1:
+            keep = np.empty(len(ordered), dtype=bool)
+            keep[0] = True
+            np.not_equal(ordered[1:], ordered[:-1], out=keep[1:])
+            ordered = ordered[keep]
+        if len(ordered):
+            held = self._held
+            # Sorted, so the ends bound every id: no reduction for the range.
+            inside = ordered[0] >= 0 and ordered[-1] < len(held)
+            if not (inside and held[ordered].all()):
+                in_range = (ordered >= 0) & (ordered < len(held))
+                in_range[in_range] = held[ordered[in_range]]
+                raise KeyError(
+                    f"nodes {ordered[~in_range].tolist()} are not held by shard "
+                    f"{self.shard.part_id}"
+                )
+        return ordered
+
+    def _exact_logits(self, seeds: np.ndarray) -> np.ndarray:
         """Compiled hot path: store gathers + restricted SpMM, zero subgraphs.
 
-        Works in shard-local node ids throughout; the stores are keyed on
-        global ids so their contents mean the same thing across shards and
-        restarts.  Per layer, a node's value comes from the worker's one
-        store (one :meth:`_lookup`) or a restricted recompute over a freshly
-        built :class:`~repro.graph.Restriction`, whose rows are then stored
-        once (one :meth:`_store`).  For a weight-free first aggregation the
-        layer-1 plan covers only the misses the memo does not know; the
-        others reuse their memoised aggregated rows and run the combination
-        alone.
+        Takes the batch's global ids.  The stores are keyed on global ids
+        (their contents mean the same thing across shards and restarts), so
+        the top layer is probed with the batch's ids as they come, and
+        shard-local ids are made only for the top-layer rows that missed;
+        below the top, the plans' columns are shard-local and are translated
+        to global ids for each lookup.  Per layer, a node's value comes from
+        the worker's one store (one :meth:`_lookup`) or a restricted
+        recompute over a freshly built :class:`~repro.graph.Restriction`,
+        whose rows are then stored once (one :meth:`_store`).  For a
+        weight-free first aggregation the layer-1 plan covers only the
+        misses the memo does not know; the others reuse their memoised
+        aggregated rows and run the combination alone.
         """
-        graph = self.shard.graph
+        unique_seeds = self._unique_held(seeds)
+        shard = self.shard
+        graph = shard.graph
         num_layers = self.model.num_layers
+        if not len(unique_seeds):
+            return np.empty((0, self._layer_dim(num_layers)))
         timer = self.timings
         halo = self.halo_store
         signature = self.weight_signature()
@@ -319,44 +368,43 @@ class ShardWorker:
             # replica must not write into the shared store.
             epoch = halo.epoch
 
-        # Sorted-unique seeds without np.unique's dispatch overhead (the
-        # masked-array check alone costs more than this whole dedup).
-        ordered = np.sort(seeds_local)
-        if len(ordered) > 1:
-            keep = np.empty(len(ordered), dtype=bool)
-            keep[0] = True
-            np.not_equal(ordered[1:], ordered[:-1], out=keep[1:])
-            unique_seeds = ordered[keep]
-        else:
-            unique_seeds = ordered
         # Top-down pass: which layer-k values are missing, and which layer-(k-1)
         # values computing them will require.  Each miss set's Restriction is
         # obtained here and reused below — its column set *is* the next needed
-        # set.  The store reports hits as a mask over the lookup, so
-        # shard-local ids and global keys never need a searchsorted
-        # round-trip between index spaces.
+        # set (shard-local).  The store reports hits as a mask over the
+        # lookup, so hits and misses split with plain mask indexing.  A
+        # fully hit layer needs nothing below it: the pass stops there
+        # (``lowest``).
         empty = np.empty(0, dtype=np.int64)
+        #: per layer below the top: the shard-local ids the layer needs
         needed: List[np.ndarray] = [empty] * (num_layers + 1)
-        #: per layer: (hit mask over needed[k], hit rows), when anything hit
+        #: per layer: how many values the layer needs, in lookup order
+        sizes = [0] * (num_layers + 1)
+        #: per layer: (hit mask over the lookup, hit rows), when anything hit
         hits: List[Optional[tuple]] = [None] * (num_layers + 1)
         miss_idx: List[np.ndarray] = [empty] * (num_layers + 1)
+        miss_local: List[np.ndarray] = [empty] * (num_layers + 1)
         miss_global: List[np.ndarray] = [empty] * (num_layers + 1)
         plans: List[Optional[Restriction]] = [None] * (num_layers + 1)
-        needed[num_layers] = unique_seeds
+        lowest = 1
         for k in range(num_layers, 0, -1):
-            if not len(needed[k]):  # everything above fully hit: nothing to do
+            nodes_global = unique_seeds if k == num_layers else shard.to_global(needed[k])
+            sizes[k] = len(nodes_global)
+            if not sizes[k]:  # the plan above needs no rows here
                 continue
-            nodes_global = self.shard.to_global(needed[k])
             with timer.stage("cache_gather"):
                 hit_mask, hit_values = self._lookup(k, nodes_global)
             if len(hit_values):
                 hits[k] = (hit_mask, hit_values)
-                if len(hit_values) == len(needed[k]):
-                    continue
+                if len(hit_values) == sizes[k]:
+                    lowest = k
+                    break
             missing = np.flatnonzero(~hit_mask)
             miss_idx[k] = missing
             miss_global[k] = nodes_global[missing]
-            rows = needed[k][missing]
+            rows = miss_local[k] = (
+                shard.to_local(miss_global[k]) if k == num_layers else needed[k][missing]
+            )
             if k == 1 and self._memo is not None:
                 rows = rows[~self._memo_known[rows]]  # memoised rows need no features
             if len(rows):
@@ -368,20 +416,21 @@ class ShardWorker:
         # misses through its restricted operators, scattering them straight
         # into the assembly buffer the gathered rows already occupy (the
         # layers' ``out=`` contract).
-        h_prev = np.asarray(graph.features[needed[0]], dtype=np.float64)
-        for k in range(1, num_layers + 1):
+        if lowest == 1:
+            h_prev = np.asarray(graph.features[needed[0]], dtype=np.float64)
+        for k in range(lowest, num_layers + 1):
             hit = hits[k]
             if not len(miss_idx[k]):
                 # Fully hit: the gathered block already *is* this layer's
-                # output, in needed[k] order — no reassembly.
+                # output, in lookup order — no reassembly.
                 h_prev = hit[1] if hit is not None else np.empty((0, self._layer_dim(k)))
                 continue
-            values = np.empty((len(needed[k]), self._layer_dim(k)))
+            values = np.empty((sizes[k], self._layer_dim(k)))
             if hit is not None:
                 values[hit[0]] = hit[1]
             layer = self.model.layers[k - 1]
             if k == 1 and self._memo is not None:
-                wanted = needed[1][miss_idx[1]]
+                wanted = miss_local[1]
                 plan = plans[1]
                 if plan is not None:  # rows the memo lacked: SpMM them in
                     aggregated = layer.aggregate_restricted(Tensor(h_prev), plan, timer)
@@ -399,10 +448,10 @@ class ShardWorker:
                     Tensor(h_prev), plans[k], timer=timer, out=(values, miss_idx[k])
                 ).data
             with timer.stage("cache_scatter"):
-                self._store(k, needed[k][miss_idx[k]], miss_global[k], computed, epoch)
+                self._store(k, miss_local[k], miss_global[k], computed, epoch)
             h_prev = values
 
-        return h_prev[np.searchsorted(unique_seeds, seeds_local)]
+        return h_prev[unique_seeds.searchsorted(seeds)]
 
 
 class LocalPlane:

@@ -204,6 +204,14 @@ class LogHistogram:
             self.sum += total
             self.count += values.size
 
+    def add_counts(self, counts: np.ndarray, total: float, count: int) -> None:
+        """Add observations binned elsewhere over these edges: ``counts``
+        per bucket, their ``total`` and ``count``."""
+        with self._lock:
+            self.counts += counts
+            self.sum += total
+            self.count += count
+
     # -- reads -----------------------------------------------------------------
 
     def quantile(self, q: float) -> float:

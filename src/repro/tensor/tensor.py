@@ -16,7 +16,6 @@ analytically rather than composed from these primitives.
 
 from __future__ import annotations
 
-import contextlib
 import threading
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple, Union
 
@@ -39,20 +38,25 @@ def is_grad_enabled() -> bool:
     return getattr(_GRAD_STATE, "enabled", True)
 
 
-@contextlib.contextmanager
-def no_grad():
+class no_grad:
     """Context manager that disables gradient recording.
 
-    Used during inference (e.g. accuracy evaluation and the functional
-    accelerator simulation) where building the autograd graph would only
-    waste memory.
+    Used during inference (e.g. accuracy evaluation, the functional
+    accelerator simulation and every served batch) where building the
+    autograd graph would only waste memory.  The calling thread's flag is
+    saved on entry and restored on exit, also when the block raises, so
+    blocks nest.  A slotted class rather than a generator-based context
+    manager: serving enters it twice per batch.
     """
-    previous = is_grad_enabled()
-    _GRAD_STATE.enabled = False
-    try:
-        yield
-    finally:
-        _GRAD_STATE.enabled = previous
+
+    __slots__ = ("_previous",)
+
+    def __enter__(self) -> None:
+        self._previous = getattr(_GRAD_STATE, "enabled", True)
+        _GRAD_STATE.enabled = False
+
+    def __exit__(self, *exc_info) -> None:
+        _GRAD_STATE.enabled = self._previous
 
 
 ArrayLike = Union["Tensor", np.ndarray, float, int, list, tuple]

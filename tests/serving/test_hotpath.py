@@ -21,9 +21,11 @@ import pytest
 
 from repro.compression import CompressionConfig
 from repro.graph import Graph, Restriction
+from repro.graph.datasets import synthetic_graph
 from repro.models import create_model
 from repro.serving import (
     EmbeddingCache,
+    GraphShard,
     InferenceServer,
     ManualClock,
     ServingConfig,
@@ -130,6 +132,99 @@ class TestHotPathEquivalence:
         server = _server(model, small_graph)
         nodes = np.arange(small_graph.num_nodes)
         assert np.array_equal(server.predict(nodes), reference[nodes])
+
+
+#: Sparse enough that each of two shards misses some nodes, halo included.
+SPARSE = synthetic_graph(
+    num_nodes=200, num_edges=300, num_features=8, num_classes=3, seed=7, name="sparse-graph"
+)
+
+
+def _foreign(shard):
+    """One node the shard does not hold."""
+    outside = np.setdiff1d(np.arange(SPARSE.num_nodes), shard.nodes)
+    assert len(outside)
+    return int(outside[0])
+
+
+class TestGlobalIdPath:
+    """The worker probes its store with the batch's global ids and makes
+    shard-local ids only for the top-layer rows it recomputes."""
+
+    def _count_to_local(self, monkeypatch):
+        calls = []
+        to_local = GraphShard.to_local
+
+        def counting(self, global_ids):
+            calls.append(len(global_ids))
+            return to_local(self, global_ids)
+
+        monkeypatch.setattr(GraphShard, "to_local", counting)
+        return calls
+
+    @pytest.mark.parametrize("halo_tier", [True, False])
+    def test_a_fully_hit_batch_makes_no_local_ids(self, monkeypatch, halo_tier):
+        model = _model(SPARSE)
+        reference = model.full_forward(SPARSE).data.argmax(axis=-1)
+        server = _server(model, SPARSE, halo_tier=halo_tier)
+        nodes = np.arange(SPARSE.num_nodes)
+        server.predict(nodes)
+        calls = self._count_to_local(monkeypatch)
+        assert np.array_equal(server.predict(nodes), reference)
+        assert calls == []
+        # Positive control: the patch intercepts the shards' translations.
+        server.shards[0].to_local(server.shards[0].core_nodes[:3])
+        assert calls == [3]
+
+    def test_only_the_top_layer_misses_are_translated(self, monkeypatch):
+        model = _model(SPARSE)
+        reference = model.full_forward(SPARSE).data.argmax(axis=-1)
+        server = _server(model, SPARSE, halo_tier=False)
+        warm, cold = np.arange(0, 100), np.arange(100, 120)
+        server.predict(warm)
+        calls = self._count_to_local(monkeypatch)
+        both = np.concatenate([warm, cold])
+        assert np.array_equal(server.predict(both), reference[both])
+        assert sum(calls) == len(cold)
+
+    @pytest.mark.parametrize("stored", [False, True])
+    def test_a_node_the_shard_does_not_hold_raises_key_error(self, stored):
+        model = _model(SPARSE)
+        reference = model.full_forward(SPARSE).data.argmax(axis=-1)
+        server = _server(model, SPARSE, halo_tier=True)
+        worker = server.workers[0]
+        foreign = _foreign(worker.shard)
+        if stored:  # the shared store then holds the foreign node's row
+            server.predict(np.arange(SPARSE.num_nodes))
+            assert server.halo_store.contains(model.num_layers, foreign)
+        own = worker.shard.core_nodes[:3]
+        served = worker.batches_served
+        with pytest.raises(KeyError, match=rf"\[{foreign}\] are not held by shard 0"):
+            worker.predict(np.append(own, foreign))
+        for outside in (-1, SPARSE.num_nodes):
+            with pytest.raises(KeyError, match="not held by shard 0"):
+                worker.predict(np.append(own, outside))
+        assert worker.batches_served == served
+        assert np.array_equal(worker.predict(own), reference[own])
+
+    def test_a_worker_process_raises_the_key_error_to_its_caller(self):
+        model = _model(SPARSE)
+        reference = model.full_forward(SPARSE).data.argmax(axis=-1)
+        server = InferenceServer(
+            model,
+            SPARSE,
+            ServingConfig(num_shards=2, executor="process", max_batch_size=8, max_delay=0.0),
+        )
+        try:
+            nodes = np.arange(SPARSE.num_nodes)
+            assert np.array_equal(server.predict(nodes), reference)  # every row stored
+            worker = server.workers[0]
+            own = worker.shard.core_nodes[:3]
+            with pytest.raises(KeyError, match="not held by shard 0"):
+                worker.predict(np.append(own, _foreign(worker.shard)))
+            assert np.array_equal(worker.predict(own), reference[own])
+        finally:
+            server.shutdown()
 
 
 class TestStageTimings:

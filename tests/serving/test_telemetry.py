@@ -99,6 +99,9 @@ class TestStatsAndExportAgree:
         server.drain()
         stats = server.stats()
         merged = None
+        # Histograms, like counts, are brought up to date by an export: it
+        # folds the ledger rows settled since the last one.
+        server.telemetry.snapshot()
         family = server.telemetry.registry.get("serving_request_latency_seconds")
         for _, child in family.samples():
             if merged is None:

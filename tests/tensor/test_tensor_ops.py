@@ -2,10 +2,20 @@
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 import pytest
 
-from repro.tensor import Tensor, concatenate, gradient_check, no_grad, stack, where
+from repro.tensor import (
+    Tensor,
+    concatenate,
+    gradient_check,
+    is_grad_enabled,
+    no_grad,
+    stack,
+    where,
+)
 
 
 class TestArithmetic:
@@ -194,6 +204,47 @@ class TestGraphOpsAndUtilities:
         with no_grad():
             out = a * 2.0
         assert not out.requires_grad
+
+    def test_no_grad_nests_and_restores_the_outer_state(self):
+        assert is_grad_enabled()
+        with no_grad():
+            with no_grad():
+                assert not is_grad_enabled()
+            assert not is_grad_enabled()
+        assert is_grad_enabled()
+
+    def test_no_grad_restores_the_flag_when_the_block_raises(self):
+        with pytest.raises(ValueError):
+            with no_grad():
+                raise ValueError("inside")
+        assert is_grad_enabled()
+        with no_grad():
+            with pytest.raises(KeyError):
+                with no_grad():
+                    raise KeyError("nested")
+            assert not is_grad_enabled()
+        assert is_grad_enabled()
+
+    def test_no_grad_is_per_thread(self):
+        inside, other_thread = threading.Event(), []
+        release = threading.Event()
+
+        def hold():
+            with no_grad():
+                inside.set()
+                release.wait(5.0)
+            other_thread.append(is_grad_enabled())
+
+        thread = threading.Thread(target=hold)
+        thread.start()
+        assert inside.wait(5.0)
+        # The other thread is inside its block; this one still records.
+        assert is_grad_enabled()
+        with no_grad():
+            release.set()
+            thread.join(5.0)
+            assert not is_grad_enabled()
+        assert is_grad_enabled() and other_thread == [True]
 
     def test_backward_requires_scalar_or_grad(self):
         a = Tensor(np.ones((2, 2)), requires_grad=True)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import re
 
+import numpy as np
 import pytest
 
 from repro.cli import build_parser, main
@@ -127,6 +128,34 @@ class TestExecution:
 
         monkeypatch.setattr(InferenceServer, "drain", lambda self, timeout=None: 0)
         with pytest.raises(SystemExit, match="ledger does not close"):
+            main(
+                [
+                    "serve-bench",
+                    "--dataset", "cora",
+                    "--scale", "0.05",
+                    "--hidden", "16",
+                    "--epochs", "1",
+                    "--requests", "16",
+                    "--halo-tier", "off",
+                ]
+            )
+
+    def test_serve_bench_exits_nonzero_when_a_fold_drops_a_row(self, monkeypatch):
+        # A fold that marks every row taken but bins one latency fewer: the
+        # histograms then fall one short of the completed requests.
+        from repro.serving.batcher import LedgerBlock
+
+        unfolded = LedgerBlock.unfolded
+
+        def dropping(self):
+            values, shards, new = unfolded(self)
+            completed = np.flatnonzero(new[1])
+            if len(completed):
+                new[1, completed[0]] = False
+            return values, shards, new
+
+        monkeypatch.setattr(LedgerBlock, "unfolded", dropping)
+        with pytest.raises(SystemExit, match="histograms disagree with the ledger"):
             main(
                 [
                     "serve-bench",
