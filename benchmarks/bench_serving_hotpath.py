@@ -2,7 +2,7 @@
 
 Served predictions equal offline full-graph inference bitwise, cold and warm,
 for all four models under both in-process executors (default 4-shard config,
-LRU embedding cache).
+one shared embedding store).
 
 Absolute serving throughput and latency (cold and warm caches) are measured
 end to end by ``benchmarks/e2e`` (workloads ``serve_cold`` and

@@ -15,8 +15,10 @@ workers over shared-memory slabs (the PR-10 process plane):
    kill must surface as a typed :class:`~repro.serving.ProcessDead`, fail
    over to the sibling replica with zero lost requests (ledger balances,
    every completion bitwise exact), and the next tick must respawn the
-   corpse under a bumped epoch with a halo-prewarmed cache
-   (``prewarmed_rows > 0``).  A timed pass on
+   corpse under a bumped epoch.  The respawned child copies nothing: its
+   first pass over nodes the fleet already served must read the shared
+   store (bitwise exact, only hits in its own lookups, no plan built).  A
+   timed pass on
    the healed fleet must reach >= ``STEADY_FLOOR`` x the pre-kill
    steady-state throughput of the same server (wall-clock — real processes —
    so the assertion follows ``BLOCKGNN_STRICT_PERF``; the trend gate tracks
@@ -235,8 +237,19 @@ def test_sigkill_heal_mid_stream_zero_lost(served_setup, save_result):
             assert replacement is not victim
             assert replacement.epoch == victim.epoch + 1
             assert replacement._proc.is_alive()
-        prewarmed = stats.prewarmed_rows
-        assert prewarmed > 0  # respawned children copied the fleet's halo rows
+        # Each respawned child reads the rows the fleet already computed.
+        served = np.unique(warm_nodes)
+        for victim in victims:
+            replacement = server.workers[victim.worker_id]
+            nodes = np.intersect1d(served, replacement.shard.core_nodes)
+            assert len(nodes) and replacement.sync(timeout=5.0)
+            hits, misses = replacement.cache_stats.hits, replacement.cache_stats.misses
+            planned = replacement.timings.totals["plan_build"]
+            np.testing.assert_array_equal(replacement.predict(nodes), reference[nodes])
+            assert replacement.sync(timeout=5.0)
+            assert replacement.cache_stats.misses == misses
+            assert replacement.cache_stats.hits >= hits + len(nodes)
+            assert replacement.timings.totals["plan_build"] == planned
 
         after = float("inf")
         for _ in range(REPEATS):
@@ -259,11 +272,9 @@ def test_sigkill_heal_mid_stream_zero_lost(served_setup, save_result):
         f"({total / after:7.0f} req/s, ratio {healed_steady_state_ratio:.2f}, "
         f"floor {STEADY_FLOOR:.1f})\n"
         f"  healing               : {stats.supervisor_restarts} respawns, "
-        f"{prewarmed} rows pre-warmed, 0 lost of {len(heal_requests)} "
-        f"mid-kill requests",
+        f"0 lost of {len(heal_requests)} mid-kill requests",
         healed_steady_state_ratio=healed_steady_state_ratio,
         supervisor_restarts=stats.supervisor_restarts,
-        prewarmed_rows=prewarmed,
         healed_req_per_s=total / after,
         pre_kill_req_per_s=total / before,
     )

@@ -7,7 +7,7 @@ server, exercising the self-healing layer end to end.
 ``kind="die"`` :class:`~repro.serving.FaultPlan` permanently kills one of
 the two replicas of every shard during a chaos pass.  The
 :class:`~repro.serving.ReplicaSet` must mark each corpse dead and rebuild it
-mid-stream (fresh worker, halo-prewarmed cache, new epoch), no
+mid-stream (fresh worker reading the shared store, new epoch), no
 request may be lost (the ledger balances to the submission count, every
 request completes) and every prediction stays bitwise equal to offline
 inference.  A second, timed pass after the fault window closes — all
@@ -199,10 +199,9 @@ def test_supervisor_rebuild_steady_state_gate(served_setup, save_result, results
         f"({rates['die']:7.0f} req/s, ratio {steady_state_ratio:.2f}, "
         f"floor {STEADY_FLOOR:.1f})\n"
         f"  healing                 : {stats.supervisor_restarts} rebuilds, "
-        f"{stats.prewarmed_rows} rows pre-warmed, event log -> {log_path.name}",
+        f"event log -> {log_path.name}",
         steady_state_ratio=steady_state_ratio,
         supervisor_restarts=stats.supervisor_restarts,
-        prewarmed_rows=stats.prewarmed_rows,
         healed_req_per_s=rates["die"],
         fault_free_req_per_s=rates["fault_free"],
     )

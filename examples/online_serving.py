@@ -52,7 +52,7 @@ def main() -> None:
     )
     Trainer(model, graph, TrainingConfig(epochs=2, fanouts=(10, 5), seed=0)).fit()
 
-    # 2. The server: 2 shards, 32-request micro-batches, per-worker LRU cache.
+    # 2. The server: 2 shards, 32-request micro-batches, one shared embedding store.
     server = InferenceServer(
         model,
         graph,

@@ -124,17 +124,17 @@ def build_parser() -> argparse.ArgumentParser:
         "--cache",
         type=int,
         default=4096,
-        help="entries per worker of the private LRU embedding cache, the store that "
-        "serves when there is no shared tier (--halo-tier off, or one worker); "
-        "0 disables it",
+        help="with --halo-tier off: 0 builds no embedding store, any positive value "
+        "gives each worker a private store (it bounds nothing: a store holds every "
+        "node); ignored with --halo-tier on",
     )
     serve.add_argument(
         "--halo-tier",
         choices=["on", "off"],
         default="on",
-        help="on: with two or more workers, one shared embedding store is every "
-        "worker's only store, so no row is computed twice; off: each worker "
-        "serves from its private LRU cache",
+        help="on: one embedding store shared by every worker (one worker included), "
+        "so no row is computed twice; off: each worker has a private store, or "
+        "none with --cache 0",
     )
     serve.add_argument("--requests", type=int, default=512)
     serve.add_argument(

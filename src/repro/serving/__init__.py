@@ -9,14 +9,14 @@ mode, exact: every answer equals offline ``full_forward`` for that node.
 * :func:`build_shards` / :class:`ShardWorker` split the graph into
   partitions with K-hop halos so each worker serves its core nodes from its
   own slice of memory, exactly reproducing full-graph inference results;
-* each worker memoises per-layer hidden states in exactly one store,
-  invalidated by the model's ``weight_signature`` when training bumps
-  ``Parameter.version``: with two or more workers and the halo tier on, the
-  fleet-shared :class:`HaloStore` (indexed by node id — a row computed by
-  any worker is written once and gathered, not recomputed, by the others);
-  otherwise a private exact-LRU :class:`EmbeddingCache` in contiguous
-  per-layer slabs.  Every flush recomputes its misses over a freshly built
-  :class:`~repro.graph.Restriction` plan;
+* each worker memoises per-layer hidden states in one :class:`HaloStore`
+  (a slab per layer indexed by node id, no eviction), invalidated by the
+  model's ``weight_signature`` when training bumps ``Parameter.version``:
+  with the halo tier on, one store is shared by every worker, so a row
+  computed by any worker is written once and gathered, not recomputed, by
+  the others; with it off, each worker has a private store
+  (``cache_capacity > 0``) or none.  Every flush recomputes its misses over
+  a freshly built :class:`~repro.graph.Restriction` plan;
 * a :class:`Scheduler` owns the flush loop, dispatching one flush task per
   due shard through a pluggable :class:`FlushExecutor` —
   :class:`SerialExecutor` (deterministic, default) or
@@ -44,8 +44,8 @@ mode, exact: every answer equals offline ``full_forward`` for that node.
   dead state machine: it picks the replica for each attempt, never
   dispatches a dead one, and on the next scheduler tick rebuilds each dead
   replica from the shard spec (fresh :class:`ShardWorker` under a bumped
-  epoch, embedding cache pre-warmed from the shared :class:`HaloStore`) —
-  also the machinery behind operator rolling restarts
+  epoch, reading the rows the fleet already put in the shared
+  :class:`HaloStore`) — also the machinery behind operator rolling restarts
   (``InferenceServer.restart_replica``);
 * :class:`InferenceServer` ties it together and exposes :class:`ServerStats`
   (p50/p95/p99/p99.9 latency, cache hit rate, per-shard load, overload
@@ -66,7 +66,7 @@ mode, exact: every answer equals offline ``full_forward`` for that node.
 """
 
 from .batcher import TERMINAL_STATUSES, InferenceRequest, MicroBatcher
-from .cache import CacheStats, EmbeddingCache, HaloStore
+from .cache import CacheStats, HaloStore
 from .clock import Clock, ManualClock, SystemClock
 from .config import INGRESS_MODES, ServingConfig
 from .engine import InferenceServer
@@ -112,7 +112,6 @@ __all__ = [
     "SystemClock",
     "ManualClock",
     "CacheStats",
-    "EmbeddingCache",
     "HaloStore",
     "StageTimer",
     "STAGES",

@@ -36,19 +36,19 @@ class ServingConfig:
         ``max_batch_size`` requests or its oldest request has waited
         ``max_delay`` (clock) seconds.
     cache_capacity:
-        Entries *per worker* of the private exact-LRU
-        :class:`~repro.serving.cache.EmbeddingCache` — the store that serves
-        when there is no shared tier (``halo_tier=False`` or a single
-        worker).  0 disables it.  With a shared tier it bounds nothing.
+        Read only with ``halo_tier=False``: ``0`` means no embedding store
+        (every row is recomputed), any positive value gives each worker a
+        private :class:`~repro.serving.cache.HaloStore`.  It bounds
+        nothing, since a store holds every node.
     halo_tier:
-        With at least two workers, build the shared
-        :class:`~repro.serving.cache.HaloStore` and make it every worker's
-        only embedding store: each computed row is written once and
-        gathered by every worker that needs it (the same shard later, a
-        neighbouring shard across the cut, or a sibling replica), so no row
-        is computed twice.  Memory: one ``num_nodes x dim`` slab per layer,
-        shared server-wide.  Off (or one worker), each worker serves from
-        its private LRU of ``cache_capacity`` entries.
+        Build one :class:`~repro.serving.cache.HaloStore` shared by the
+        whole server, for any number of workers (one included), and make it
+        every worker's only embedding store: each computed row is written
+        once and gathered by every worker that needs it (the same shard
+        later, a neighbouring shard across the cut, or a sibling replica),
+        so no row is computed twice.  Memory: one ``num_nodes x dim`` slab
+        per layer, shared server-wide.  Off, each worker reads and writes a
+        private store of the same layout (``cache_capacity > 0``) or none.
     partition_method:
         ``"bfs"`` (locality-aware) or ``"hash"`` — see
         :func:`repro.graph.partition_nodes`.
@@ -100,9 +100,10 @@ class ServingConfig:
         Consecutive failures after which a replica is ``dead``
         (:class:`~repro.serving.replicas.ReplicaSet`): it takes no more
         dispatches, and the next ``poll()``/``drain()`` tick rebuilds it in
-        place (fresh worker, private cache pre-warmed from the halo tier,
-        new epoch).  Fewer failures leave it ``suspect`` but dispatchable, and a
-        success makes it ``healthy`` again.
+        place (fresh worker, new epoch; on the shared store it reads the
+        rows the fleet already computed, a private store starts empty).
+        Fewer failures leave it ``suspect`` but dispatchable, and a success
+        makes it ``healthy`` again.
     telemetry, trace_capacity:
         Observability mode (see :data:`repro.telemetry.TELEMETRY_MODES`):
         ``"metrics"`` (default) records labelled counters/histograms into the
@@ -157,7 +158,7 @@ class ServingConfig:
         if not self.max_delay >= 0:
             raise ValueError("max_delay must be non-negative")
         if self.cache_capacity < 0:
-            raise ValueError("cache_capacity must be non-negative (0 disables the private LRU)")
+            raise ValueError("cache_capacity must be non-negative (0: no store without the halo tier)")
         if self.executor not in ("serial", "concurrent", "process"):
             raise ValueError(
                 f"executor must be 'serial', 'concurrent' or 'process', got {self.executor!r}"

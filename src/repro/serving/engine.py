@@ -255,21 +255,23 @@ class InferenceServer:
             self.frontdoor.start()
 
     def _build_halo_store(self) -> Optional[HaloStore]:
-        """The shared embedding store, when the config and topology allow
-        one (``halo_tier`` on, two or more workers).  It then covers every
-        node and is each worker's only store; without it each worker serves
-        from its private LRU."""
-        if not self.config.halo_tier or len(self.shards) * self.config.num_replicas < 2:
-            return None
-        return self.plane.build_halo_store()
+        """The shared embedding store when ``halo_tier`` is on, for any
+        number of workers: it covers every node and is each worker's only
+        store.  Without it each worker gets a private store, or none when
+        ``cache_capacity`` is 0 (:meth:`_build_worker`)."""
+        return self.plane.build_halo_store() if self.config.halo_tier else None
 
     def _build_worker(self, shard_id: int, worker_id: int, epoch: int) -> Replica:
         """One replica from the shard spec (the :class:`ReplicaSet` factory:
         initial build *and* rebuilds go through here, so a rebuilt worker is
-        constructed exactly like its corpse was — same shard, same publish
-        mask — plus a bumped epoch)."""
+        constructed exactly like its corpse was — same shard, same store
+        rule, same publish mask — plus a bumped epoch)."""
         return self.plane.spawn_worker(
-            shard_id, worker_id, epoch, self._publish_masks[shard_id], self.config.cache_capacity
+            shard_id,
+            worker_id,
+            epoch,
+            self._publish_masks[shard_id],
+            self.halo_store is None and self.config.cache_capacity > 0,
         )
 
     def _wire_telemetry(self, worker: Replica) -> None:
@@ -932,7 +934,7 @@ class InferenceServer:
         cache = halo = CacheStats()
         for worker in self.workers:
             worker.sync(timeout=1.0)
-            cache = cache.merge(worker.cache.stats)
+            cache = cache.merge(worker.cache_stats)
             halo = halo.merge(worker.halo_stats)
         if self.halo_store is not None:
             halo = halo.merge(self.halo_store.stats)
@@ -1004,7 +1006,6 @@ class InferenceServer:
             class_requests=class_requests,
             ingress=self.config.ingress,
             supervisor_restarts=replicas.restarts,
-            prewarmed_rows=replicas.prewarmed_rows,
             retry_attempts=retry_attempts,
         )
 
@@ -1043,11 +1044,12 @@ class InferenceServer:
             if self.config.max_queue_depth is None
             else f"<= {self.config.max_queue_depth} ({self.config.overload_policy})"
         )
-        store = (
-            f"shared embedding store over {self.graph.num_nodes} nodes (halo tier)"
-            if self.halo_store is not None
-            else f"private LRU cache {self.config.cache_capacity} entries/worker (halo tier off)"
-        )
+        if self.halo_store is not None:
+            store = f"shared embedding store over {self.graph.num_nodes} nodes (halo tier)"
+        elif self.config.cache_capacity > 0:
+            store = f"private embedding store over {self.graph.num_nodes} nodes per worker"
+        else:
+            store = "no embedding store"
         lines = [
             f"InferenceServer over {self.graph.name}: "
             f"{len(self.shards)} shards x {self.config.num_replicas} replicas, "

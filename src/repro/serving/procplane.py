@@ -9,16 +9,17 @@ GIL:
   :class:`SharedHaloStore` all live in ``/dev/shm`` with a 16-byte
   magic+epoch header, so a respawned process re-attaches the same bytes
   instead of re-pickling a graph.  With the halo tier on, that store is
-  every child's only embedding store; a child's private LRU (halo tier off)
-  lives in its own ordinary memory.  Lifecycle is hardened three ways:
-  ``weakref.finalize`` per segment, an ``atexit`` sweep of live arenas, and
-  a *startup stale-segment sweep* that unlinks segments whose creator pid is
-  dead (a SIGKILL'd run cannot leak into the next one).
+  every child's only embedding store; with it off, a child builds its
+  private store (``cache_capacity > 0``) in its own ordinary memory.
+  Lifecycle is hardened three ways: ``weakref.finalize`` per segment, an
+  ``atexit`` sweep of live arenas, and a *startup stale-segment sweep* that
+  unlinks segments whose creator pid is dead (a SIGKILL'd run cannot leak
+  into the next one).
 * :func:`_child_main` is the spawn-safe process entry point: it attaches
   the segments, rebuilds the :class:`~repro.serving.shard.GraphShard` over
   zero-copy views, and runs a real ``ShardWorker`` behind a length-prefixed
   request/response protocol over pipes.  A daemon *control* thread answers
-  heartbeats, stats syncs, pre-warms and resets while the main thread is
+  heartbeats, stats syncs and resets while the main thread is
   busy predicting — liveness stays observable independent of the request
   path, in the spirit of DGL KVStore's pull/push control channel.
 * :class:`ProcessWorkerHandle` is the parent-side proxy speaking that
@@ -56,14 +57,13 @@ import weakref
 from dataclasses import dataclass
 from multiprocessing import connection, get_context
 from multiprocessing.shared_memory import SharedMemory
-from types import SimpleNamespace
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from ..graph.graph import Graph
 from ..telemetry import MetricsRegistry
-from .cache import CacheStats, EmbeddingCache, HaloStore
+from .cache import CacheStats, HaloStore
 from .faults import ReplicaDead, ReplicaHung
 from .shard import GraphShard
 from .timing import StageTimer
@@ -295,7 +295,7 @@ class SharedHaloStore(HaloStore):
     Locks and the weight signature stay per-process: publishes of the same
     exact row are idempotent-identical, and weights are frozen while the
     process plane serves (the documented spawn-safety caveat), so each child
-    adopts its model's signature on the attached store at spawn.
+    adopts its model's signature on the attached store at its first predict.
     """
 
     def __init__(
@@ -369,7 +369,6 @@ _MSG_RESULT = 2
 _MSG_ERROR = 3
 _MSG_PING = 4
 _MSG_SYNC = 5
-_MSG_PREWARM = 6
 _MSG_RESET = 7
 _MSG_SHUTDOWN = 8
 _MSG_READY = 9
@@ -441,8 +440,9 @@ class WorkerSpec:
     halo_hops: int
     halo: Optional[HaloSegmentSpec]
     halo_publish_mask: Optional[np.ndarray]
-    cache_capacity: int
-    cache_num_nodes: int
+    #: Without a shared store: build a private one over ``num_nodes`` ids.
+    private_store: bool
+    num_nodes: int
 
 
 def _child_request_loop(conn, worker: ShardWorker) -> None:
@@ -482,15 +482,13 @@ def _child_control_loop(conn, worker: ShardWorker, halo, registry) -> None:
                 snapshot = registry.snapshot()
                 registry.reset()  # ship deltas: parent merges by addition
                 reply = {
-                    "cache_stats": worker.cache.stats,
+                    "cache_stats": worker.cache_stats,
                     "halo_stats": halo.stats if halo is not None else None,
                     "timings": dict(worker.timings.totals),
                     "registry": snapshot,
                     "rss": _rss_bytes(),
                     "pid": os.getpid(),
                 }
-            elif kind == _MSG_PREWARM:
-                reply = worker.prewarm_from_halo()
             elif kind == _MSG_RESET:
                 worker.reset_stats()
                 registry.reset()
@@ -535,21 +533,17 @@ def _child_main(spec: WorkerSpec, request_conn, control_conn) -> None:
             halo_hops=spec.halo_hops,
         )
         halo = SharedHaloStore.attach(spec.halo) if spec.halo is not None else None
+        store = halo
+        if store is None and spec.private_store:
+            store = HaloStore(spec.num_nodes)
         worker = ShardWorker(
             spec.worker_id,
             shard,
             spec.model,
-            EmbeddingCache(spec.cache_capacity, num_nodes=spec.cache_num_nodes),
-            halo_store=halo,
+            store,
             halo_publish_mask=spec.halo_publish_mask,
             epoch=spec.epoch,
         )
-        if halo is not None:
-            # The store's weight signature is per process and a fresh attach
-            # has none; adopting the model's now lets a PREWARM sent before
-            # the first predict copy the fleet's rows (weights are frozen
-            # while the plane serves).
-            halo.ensure_signature(worker.weight_signature())
         # The child feeds its own stage histograms; each SYNC ships them to
         # the parent as deltas.
         registry = MetricsRegistry()
@@ -589,7 +583,7 @@ class ProcessWorkerHandle:
     :class:`~repro.serving.replicas.Replica` surface).
 
     Request RPCs (``predict``) run on the request pipe under a per-call
-    timeout; control RPCs (heartbeat, stats sync, pre-warm, reset) run on a
+    timeout; control RPCs (heartbeat, stats sync, reset) run on a
     second pipe answered by the child's daemon control thread, so liveness
     is observable *while* a slow predict runs — heartbeat failure is a
     distinct signal from request-path failure.  Every receive waits on the
@@ -637,10 +631,10 @@ class ProcessWorkerHandle:
         self.nodes_served = 0
         self.peak_inflight = 0
         self._inflight = 0
-        # Mirrors of the child's stage totals and cache stats, replaced
+        # Mirrors of the child's stage totals and lookup counts, replaced
         # wholesale on every sync.
         self.timings = StageTimer()
-        self.cache = SimpleNamespace(stats=CacheStats())
+        self.cache_stats = CacheStats()
         self._halo_stats = CacheStats()
         #: The fleet registry the child's delta snapshots merge into.
         self._fleet_registry = None
@@ -790,13 +784,6 @@ class ProcessWorkerHandle:
             self.nodes_served += len(nodes)
         return payload
 
-    def prewarm_from_halo(self) -> int:
-        try:
-            warmed = self._control_rpc(_MSG_PREWARM)
-        except (ProcessDead, ProcessTimeout):
-            return 0
-        return int(warmed or 0)
-
     def retire(self) -> None:
         """Rebuild replacement: mark retired and tear the process down."""
         self.retired = True
@@ -835,7 +822,7 @@ class ProcessWorkerHandle:
         if not isinstance(payload, dict):
             return False
         if payload.get("cache_stats") is not None:
-            self.cache.stats = payload["cache_stats"]
+            self.cache_stats = payload["cache_stats"]
         if payload.get("halo_stats") is not None:
             self._halo_stats = payload["halo_stats"]
         if payload.get("timings"):
@@ -857,7 +844,7 @@ class ProcessWorkerHandle:
             self.batches_served = 0
             self.nodes_served = 0
             self.peak_inflight = self._inflight
-        self.cache.stats = CacheStats()
+        self.cache_stats = CacheStats()
         self._halo_stats = CacheStats()
         self.timings.reset()
         if not self.retired and not self._dead and self._ready:
@@ -977,7 +964,7 @@ class ProcessPlane:
         worker_id: int,
         epoch: int,
         publish_mask: Optional[np.ndarray],
-        cache_capacity: int,
+        private_store: bool,
     ) -> ProcessWorkerHandle:
         shard = self.shards[shard_id]
         segments = self._publish_shard(shard)
@@ -986,7 +973,7 @@ class ProcessPlane:
             # Children serve the weights pickled at their spawn, so a spawn
             # under a new weight signature is a model refresh: drop the rows
             # the fleet published under the old one before this child can
-            # prewarm from (or gather) them.
+            # gather them.
             self.halo_store.ensure_signature(self.model.weight_signature())
         spec = WorkerSpec(
             worker_id=worker_id,
@@ -1004,8 +991,8 @@ class ProcessPlane:
             halo_hops=shard.halo_hops,
             halo=self.halo_store.spec if self.halo_store is not None else None,
             halo_publish_mask=publish_mask,
-            cache_capacity=cache_capacity,
-            cache_num_nodes=self.graph.num_nodes,
+            private_store=private_store,
+            num_nodes=self.graph.num_nodes,
         )
         request_parent, request_child = self._ctx.Pipe(duplex=True)
         control_parent, control_child = self._ctx.Pipe(duplex=True)

@@ -25,8 +25,10 @@ replica an operator restart is not holding, and the slot returns to
 ``healthy``.  A rebuild retires the corpse (in-flight attempts against it
 raise :class:`~repro.serving.worker.WorkerRetired` into the retry path),
 bumps the halo epoch (publishes racing the swap are discarded), builds a
-fresh worker at ``epoch + 1``, pre-warms its cache from the halo tier,
-clears the fault plan's death mark, and rewires telemetry.  Each heal
+fresh worker at ``epoch + 1``, clears the fault plan's death mark, and
+rewires telemetry.  The fresh worker copies nothing: on the shared store it
+reads the rows the fleet already computed from its first batch on, and a
+private store starts empty.  Each heal
 appends one ``rebuild`` (or operator ``restart``) event to a structured log.
 
 Dispatch is round-robin over a shard's dispatchable replicas.  Replicas
@@ -51,7 +53,7 @@ HEALTHY, SUSPECT, DEAD = "healthy", "suspect", "dead"
 class Replica(Protocol):
     """One shard replica.  It also carries ``worker_id``, ``epoch``, ``shard``,
     ``retired``, ``batches_served``, ``nodes_served``, ``peak_inflight``,
-    ``cache.stats`` and ``timings``.  After ``kill`` (a SIGKILL, or a dead
+    ``cache_stats`` and ``timings``.  After ``kill`` (a SIGKILL, or a dead
     mark in-process) ``predict`` raises ``ProcessDead`` or ``ReplicaDead``."""
 
     @property
@@ -65,7 +67,6 @@ class Replica(Protocol):
     @property
     def halo_stats(self): ...
     def predict(self, global_nodes): ...
-    def prewarm_from_halo(self) -> int: ...
     def retire(self) -> None: ...
     def kill(self) -> None: ...
     def close(self, timeout: float = 5.0) -> None: ...
@@ -125,7 +126,6 @@ class ReplicaSet:
         #: Deaths the tick has not looked at yet: the idle-tick gate.
         self._unhealed = 0
         self.restarts = 0
-        self.prewarmed_rows = 0
         self._events: List[dict] = []
         self._lock = threading.Lock()
 
@@ -245,7 +245,6 @@ class ReplicaSet:
         if self.halo_store is not None:
             self.halo_store.bump_epoch()
         worker = self._build(shard_id, worker_id, corpse.epoch + 1)
-        prewarmed = worker.prewarm_from_halo()
         self.workers[worker_id] = worker
         self._state[worker_id] = HEALTHY
         self._consecutive[worker_id] = 0
@@ -255,7 +254,6 @@ class ReplicaSet:
         if self._wire is not None:
             self._wire(worker)
         self.restarts += 1
-        self.prewarmed_rows += prewarmed
         self._events.append(
             {
                 "time": now,
@@ -265,7 +263,6 @@ class ReplicaSet:
                 "worker": worker_id,
                 "epoch": worker.epoch,
                 "reason": reason,
-                "prewarmed_rows": prewarmed,
             }
         )
         return worker
@@ -292,5 +289,4 @@ class ReplicaSet:
             self.failures = [0] * count
             self.deaths = [0] * count
             self.restarts = 0
-            self.prewarmed_rows = 0
             self._events.clear()

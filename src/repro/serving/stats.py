@@ -56,8 +56,7 @@ class ServerStats:
     latencies: np.ndarray            # seconds, one entry per completed request
     batch_sizes: np.ndarray          # executed batch sizes, one per flush
     #: the live workers' own lookups, whichever store served them (a
-    #: rebuilt replica's pre-warm copy is not counted; a retired one's
-    #: counts leave with it)
+    #: retired replica's counts leave with it)
     cache: CacheStats
     workers: Tuple[WorkerLoad, ...]
     size_flushes: int
@@ -83,7 +82,6 @@ class ServerStats:
     class_requests: Dict[str, Dict[str, int]] = field(default_factory=dict)
     ingress: str = "sync"            # arrival path ("sync" or "thread")
     supervisor_restarts: int = 0     # replica rebuilds (on death + operator)
-    prewarmed_rows: int = 0          # cache rows pre-warmed from the halo tier on rebuild
     retry_attempts: int = 0          # batch retries actually performed
 
     # -- accounting --------------------------------------------------------------
@@ -209,10 +207,9 @@ class ServerStats:
             f"  admission: {self.rejected_requests} rejected, {self.shed_requests} shed, "
             f"{self.expired_requests} expired, {self.failed_requests} failed "
             f"({self.submitted_requests} requests accounted for)",
-            f"  embedding cache ({'shared store' if self.halo_tier else 'private LRU'}): "
+            f"  embedding cache ({'shared store' if self.halo_tier else 'per-worker stores'}): "
             f"{self.cache.hits} hits / {self.cache.lookups} lookups "
             f"({self._rate(self.cache.hits, self.cache.lookups)}), "
-            f"{self.cache.evictions} evictions, "
             f"{self.cache.invalidations} invalidations",
         ]
         if self.worker_failures or self.retried_requests or self.failovers or self.injected_faults:
@@ -222,10 +219,7 @@ class ServerStats:
                 f"{self.failovers} failovers"
             )
         if self.supervisor_restarts:
-            lines.append(
-                f"  self-healing: {self.supervisor_restarts} replica rebuilds, "
-                f"{self.prewarmed_rows} cache rows pre-warmed from the halo tier"
-            )
+            lines.append(f"  self-healing: {self.supervisor_restarts} replica rebuilds")
         active_classes = {
             name: counts
             for name, counts in self.class_requests.items()

@@ -5,7 +5,8 @@ worker's embedding store (``cache_gather``), building the restriction plan,
 aggregating neighbour features, combining them through the (possibly
 FFT-based) weight matrices, and writing the fresh rows back into that store
 (``cache_scatter``).  The store is the shared halo tier when the server runs
-one and the private LRU otherwise.  ``halo_gather`` and ``halo_publish`` are
+one and the worker's private store otherwise (a worker without a store
+records no ``cache_scatter``).  ``halo_gather`` and ``halo_publish`` are
 never fed, since a worker has one store; they stay in :data:`STAGES` so
 readers that index them keep working.  :class:`StageTimer` attributes worker
 time to those buckets so `serve-bench` (and future perf PRs) can see *where*

@@ -3,11 +3,12 @@
 A :class:`ShardWorker` owns one :class:`~repro.serving.shard.GraphShard` and
 answers prediction requests for the shard's core nodes exactly, by layer-wise
 inference restricted to the batch's receptive field.  For each layer ``k``
-(output side first) the worker asks its one embedding store which layer-``k``
-hidden states are already known — the fleet-shared
-:class:`~repro.serving.cache.HaloStore` when the server runs one, otherwise
-its private LRU :class:`~repro.serving.cache.EmbeddingCache` — and only the
-misses are recomputed, then written back to that same store once.  Each miss
+(output side first) the worker asks its embedding store — a
+:class:`~repro.serving.cache.HaloStore`, shared by the whole server when the
+halo tier is on, private to the worker otherwise — which layer-``k`` hidden
+states are already known, and only the misses are recomputed, then written
+back to that same store once.  A worker built without a store (halo tier
+off, ``cache_capacity=0``) recomputes every row.  Each miss
 set becomes a :class:`~repro.graph.Restriction` — a row slice of the frozen
 shard CSR with columns remapped into the batch-local index space, built
 fresh per flush — and the layer's ``forward_restricted`` runs a restricted
@@ -47,12 +48,15 @@ import numpy as np
 from ..graph.restriction import Restriction
 from ..models.base import GNNModel
 from ..tensor.tensor import Tensor, no_grad
-from .cache import CacheStats, EmbeddingCache, HaloStore
+from .cache import CacheStats, HaloStore
 from .faults import ReplicaDead
 from .shard import GraphShard
 from .timing import StageTimer
 
 __all__ = ["LocalPlane", "ShardWorker", "WorkerRetired"]
+
+#: The hit rows of a lookup without a store.
+_NO_ROWS = np.empty((0, 0), dtype=np.float64)
 
 
 class WorkerRetired(RuntimeError):
@@ -77,21 +81,25 @@ class ShardWorker:
         worker_id: int,
         shard: GraphShard,
         model: GNNModel,
-        cache,
-        halo_store=None,
+        store: Optional[HaloStore] = None,
         halo_publish_mask: Optional[np.ndarray] = None,
         epoch: int = 0,
     ) -> None:
         self.worker_id = worker_id
         self.shard = shard
         self.model = model
-        self.cache = cache
+        #: The one embedding store this worker reads and writes (``None``:
+        #: every row is recomputed).
+        self.store = store
+        #: This worker's own lookup counts, whichever store answers; the
+        #: invalidations are weight-signature changes it has seen.
+        self.cache_stats = CacheStats()
+        self._signature: Optional[tuple] = None
         #: Replica incarnation: 0 at server build, bumped by every rebuild of
         #: this worker slot.
         self.epoch = int(epoch)
         self.retired = False
         self.killed = False
-        self.halo_store = halo_store
         # Defence in depth for the shared tier: only rows whose shard-CSR
         # neighbour list is *complete* (shard-local mask supplied by the
         # engine — exactly the rows the serving recursion legitimately
@@ -99,9 +107,7 @@ class ShardWorker:
         # halo-edge row would corrupt one shard's batch, not propagate
         # server-wide.
         self._halo_publishable = (
-            np.asarray(halo_publish_mask, dtype=bool)
-            if self.halo_store is not None and halo_publish_mask is not None
-            else None
+            np.asarray(halo_publish_mask, dtype=bool) if halo_publish_mask is not None else None
         )
         self.timings = StageTimer()
         # The ownership guard: held[v] is true for every global id v the
@@ -130,7 +136,7 @@ class ShardWorker:
         self.batches_served = 0
         self.nodes_served = 0
         # A worker serves one batch at a time: the lock serialises concurrent
-        # flushes dispatched to the same worker (its cache must see batches
+        # flushes dispatched to the same worker (its store must see batches
         # in order), while distinct workers run in parallel.
         self._lock = threading.Lock()
         self._gauge_lock = threading.Lock()
@@ -149,8 +155,8 @@ class ShardWorker:
         """Mark this incarnation dead: every later ``predict`` raises.
 
         Called by the rebuild right before the replacement is registered,
-        so attempts racing the swap cannot serve from (or warm the caches of)
-        the corpse.
+        so attempts racing the swap cannot serve from (or publish into the
+        store of) the corpse.
         """
         self.retired = True
 
@@ -211,9 +217,10 @@ class ShardWorker:
         return True
 
     def close(self, timeout: float = 5.0) -> None:
-        """Free the cache slabs and the first-layer memo now, not when the
-        cyclic garbage collector next runs (the stats stay readable)."""
-        self.cache.clear()
+        """Drop the store and the first-layer memo now, not when the cyclic
+        garbage collector next runs: a private store's slabs are freed, a
+        shared one stays with the server (the stats stay readable)."""
+        self.store = None
         self._memo = None
 
     def bind_telemetry(self, stage_seconds, registry) -> None:
@@ -221,90 +228,49 @@ class ShardWorker:
         self.timings.bind_histograms(stage_seconds, self.worker_id)
 
     def reset_stats(self) -> None:
-        """Zero the load counters, cache stats and stage timings; the cache
-        contents stay (warm state)."""
+        """Zero the load counters, lookup counts and stage timings; the
+        store's contents stay (warm state)."""
         with self._gauge_lock:
             self.batches_served = 0
             self.nodes_served = 0
             self.peak_inflight = self._inflight
-        self.cache.stats = CacheStats()
+        self.cache_stats = CacheStats()
         self.timings.reset()
 
     def weight_signature(self) -> tuple:
         """Parameter versions: cached rows are valid only under this value."""
         return tuple(param.version for param in self._parameters)
 
-    def prewarm_from_halo(self) -> int:
-        """Seed the private embedding cache from the shared halo tier.
-
-        A rebuilt replica starts cold; the halo store still holds every exact
-        boundary row the fleet computed, under the weight signature it was
-        computed with.  Copying the in-shard subset over means the
-        replacement's first flushes hit instead of recomputing the whole
-        receptive field.  Returns the number of rows pre-warmed.
-
-        A worker with a shared store reads only that store, so these copied
-        rows are never looked up (ROADMAP item 6).  The copy is maintenance,
-        not a lookup: it leaves ``cache.stats`` — the worker's own lookup
-        counts — untouched.
-        """
-        halo = self.halo_store
-        cache = self.cache
-        if halo is None or not getattr(cache, "enabled", False):
-            return 0
-        signature = halo.signature
-        if signature is None:
-            return 0  # nothing was ever published: cold start is all there is
-        counts, cache.stats = cache.stats, CacheStats()
-        try:
-            cache.ensure_signature(signature)
-            warmed = 0
-            shard_nodes = self.shard.nodes
-            for layer in halo.layers():
-                nodes, values = halo.resident(layer)
-                if not len(nodes):
-                    continue
-                held = np.isin(nodes, shard_nodes, assume_unique=True)
-                if not held.any():
-                    continue
-                cache.put(layer, nodes[held], values[held])
-                warmed += int(held.sum())
-        finally:
-            cache.stats = counts
-        return warmed
-
     # -- exact inference ---------------------------------------------------------
 
     def _layer_dim(self, layer: int) -> int:
         return self.shard.graph.num_features if layer == 0 else self.model.layers[layer - 1].out_features
 
-    def _lookup(self, layer: int, nodes: np.ndarray):
-        """``(hit mask over nodes, hit rows)`` from this worker's one store.
+    def _lookup(self, store: Optional[HaloStore], layer: int, nodes: np.ndarray):
+        """``(hit mask over nodes, hit rows)`` from this worker's store
+        (nothing hits without one).
 
-        The worker's own ``cache.stats`` counts the lookup whichever store
-        answers: hits are rows served, misses are rows it will recompute.
+        The worker's own ``cache_stats`` counts the lookup: hits are rows
+        served, misses are rows it will recompute.
         """
-        halo = self.halo_store
-        if halo is None:
-            return self.cache.take_mask(layer, nodes)
-        hit, rows = halo.take_mask(layer, nodes)
-        stats = self.cache.stats
+        if store is None:
+            hit, rows = np.zeros(len(nodes), dtype=bool), _NO_ROWS
+        else:
+            hit, rows = store.take_mask(layer, nodes)
+        stats = self.cache_stats
         stats.hits += len(rows)
         stats.misses += len(nodes) - len(rows)
         return hit, rows
 
-    def _store(self, layer: int, rows: np.ndarray, nodes: np.ndarray, values, epoch) -> None:
+    def _store(self, store: HaloStore, layer: int, rows: np.ndarray, nodes: np.ndarray,
+               values, epoch) -> None:
         """Write the computed ``values`` (shard-local ``rows``, global
         ``nodes``) once, into the store :meth:`_lookup` reads."""
-        halo = self.halo_store
-        if halo is None:
-            self.cache.put(layer, nodes, values)
-            return
         if self._halo_publishable is not None:
             complete = self._halo_publishable[rows]
             if not complete.all():  # a row that fails the defence is not stored
                 nodes, values = nodes[complete], values[complete]
-        self.cache.stats.insertions += halo.publish(layer, nodes, values, epoch=epoch)
+        self.cache_stats.insertions += store.publish(layer, nodes, values, epoch=epoch)
 
     def _unique_held(self, seeds: np.ndarray) -> np.ndarray:
         """The batch's distinct global ids, sorted; ``KeyError`` if the
@@ -354,19 +320,20 @@ class ShardWorker:
         if not len(unique_seeds):
             return np.empty((0, self._layer_dim(num_layers)))
         timer = self.timings
-        halo = self.halo_store
+        store = self.store
         signature = self.weight_signature()
-        # The private cache also keeps the worker's invalidation count when
-        # the shared store serves (it then holds no rows to drop).
-        self.cache.ensure_signature(signature)
+        if signature != self._signature:
+            if self._signature is not None:
+                self.cache_stats.invalidations += 1
+            self._signature = signature
         epoch = None
-        if halo is not None:
-            halo.ensure_signature(signature)
+        if store is not None:
+            store.ensure_signature(signature)
             # Epoch capture for fault isolation: if a sibling replica fails
             # while this batch is in flight, the engine bumps the store's
             # epoch and every publish below is discarded — a possibly-dying
             # replica must not write into the shared store.
-            epoch = halo.epoch
+            epoch = store.epoch
 
         # Top-down pass: which layer-k values are missing, and which layer-(k-1)
         # values computing them will require.  Each miss set's Restriction is
@@ -393,7 +360,7 @@ class ShardWorker:
             if not sizes[k]:  # the plan above needs no rows here
                 continue
             with timer.stage("cache_gather"):
-                hit_mask, hit_values = self._lookup(k, nodes_global)
+                hit_mask, hit_values = self._lookup(store, k, nodes_global)
             if len(hit_values):
                 hits[k] = (hit_mask, hit_values)
                 if len(hit_values) == sizes[k]:
@@ -447,8 +414,9 @@ class ShardWorker:
                 computed = layer.forward_restricted(
                     Tensor(h_prev), plans[k], timer=timer, out=(values, miss_idx[k])
                 ).data
-            with timer.stage("cache_scatter"):
-                self._store(k, miss_local[k], miss_global[k], computed, epoch)
+            if store is not None:
+                with timer.stage("cache_scatter"):
+                    self._store(store, k, miss_local[k], miss_global[k], computed, epoch)
             h_prev = values
 
         return h_prev[unique_seeds.searchsorted(seeds)]
@@ -472,14 +440,18 @@ class LocalPlane:
         return self.halo_store
 
     def spawn_worker(
-        self, shard_id: int, worker_id: int, epoch: int, publish_mask, cache_capacity: int
+        self, shard_id: int, worker_id: int, epoch: int, publish_mask, private_store: bool
     ) -> ShardWorker:
+        """A worker on the shared store when there is one; otherwise on a
+        private store of its own (``private_store``) or on none."""
+        store = self.halo_store
+        if store is None and private_store:
+            store = HaloStore(self.graph.num_nodes)
         return ShardWorker(
             worker_id,
             self.shards[shard_id],
             self.model,
-            EmbeddingCache(cache_capacity, num_nodes=self.graph.num_nodes),
-            halo_store=self.halo_store,
+            store,
             halo_publish_mask=publish_mask,
             epoch=epoch,
         )

@@ -1,16 +1,11 @@
-"""Unit tests for the serving building blocks: clock, cache, micro-batcher."""
+"""Unit tests for the serving building blocks: clock and micro-batcher."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.serving import (
-    EmbeddingCache,
-    InferenceRequest,
-    ManualClock,
-    MicroBatcher,
-)
+from repro.serving import InferenceRequest, ManualClock, MicroBatcher
 from repro.serving.batcher import LedgerBlock, WindowRows
 
 
@@ -25,113 +20,6 @@ class TestManualClock:
     def test_rejects_negative_advance(self):
         with pytest.raises(ValueError):
             ManualClock().advance(-1.0)
-
-
-class TestEmbeddingCache:
-    def test_take_and_put_roundtrip(self):
-        cache = EmbeddingCache(capacity=8)
-        cache.ensure_signature((0,))
-        values = np.arange(6, dtype=np.float64).reshape(2, 3)
-        cache.put(1, [10, 20], values)
-        hit_nodes, hit_values, miss_nodes = cache.take(1, np.array([10, 15, 20]))
-        assert hit_nodes.tolist() == [10, 20]
-        assert miss_nodes.tolist() == [15]
-        assert np.array_equal(hit_values, values)
-        assert cache.stats.hits == 2 and cache.stats.misses == 1
-
-    def test_layers_are_distinct_keyspaces(self):
-        cache = EmbeddingCache(capacity=8)
-        cache.put(1, [5], np.ones((1, 2)))
-        assert cache.contains(1, 5)
-        assert not cache.contains(2, 5)
-
-    def test_lru_eviction_order(self):
-        cache = EmbeddingCache(capacity=2)
-        cache.put(1, [1], np.ones((1, 2)))
-        cache.put(1, [2], np.ones((1, 2)))
-        cache.take(1, np.array([1]))  # touch 1 -> 2 becomes LRU
-        cache.put(1, [3], np.ones((1, 2)))
-        assert cache.contains(1, 1) and cache.contains(1, 3)
-        assert not cache.contains(1, 2)
-        assert cache.stats.evictions == 1
-
-    def test_signature_change_invalidates_everything(self):
-        cache = EmbeddingCache(capacity=8)
-        assert not cache.ensure_signature((0, 0))
-        cache.put(1, [7], np.ones((1, 2)))
-        assert not cache.ensure_signature((0, 0))  # unchanged -> keep
-        assert cache.contains(1, 7)
-        assert cache.ensure_signature((1, 1))      # training step -> drop
-        assert len(cache) == 0
-        assert cache.stats.invalidations == 1
-
-    def test_capacity_zero_disables_caching(self):
-        cache = EmbeddingCache(capacity=0)
-        cache.put(1, [1], np.ones((1, 2)))
-        hit_nodes, _, miss_nodes = cache.take(1, np.array([1]))
-        assert len(hit_nodes) == 0 and miss_nodes.tolist() == [1]
-        assert not cache.enabled
-
-    def test_cached_rows_are_isolated_copies(self):
-        cache = EmbeddingCache(capacity=4)
-        source = np.ones((1, 3))
-        cache.put(1, [1], source)
-        source[:] = 99.0  # mutating the producer's buffer must not leak in
-        _, values, _ = cache.take(1, np.array([1]))
-        assert np.array_equal(values[0], np.ones(3))
-        values[0, 0] = 5.0  # the gathered array is a fresh copy, not a view
-        _, again, _ = cache.take(1, np.array([1]))
-        assert np.array_equal(again[0], np.ones(3))
-
-    def test_negative_capacity_rejected(self):
-        with pytest.raises(ValueError):
-            EmbeddingCache(capacity=-1)
-
-    def test_invalid_policy_rejected(self):
-        # The slab cache is exact LRU only; a retention policy is not a parameter.
-        for kwargs in (dict(policy="degree"), dict(pinned_nodes=np.array([0]))):
-            with pytest.raises(TypeError):
-                EmbeddingCache(capacity=4, **kwargs)
-
-    def test_mismatched_value_shapes_rejected(self):
-        cache = EmbeddingCache(capacity=4)
-        with pytest.raises(ValueError):
-            cache.put(1, [1, 2], np.ones((3, 2)))
-        cache.put(1, [1], np.ones((1, 2)))
-        with pytest.raises(ValueError):
-            cache.put(1, [2], np.ones((1, 5)))  # layer dim is fixed by first put
-
-    def test_unseen_large_node_ids_are_misses(self):
-        # Without num_nodes the index map grows on demand; lookups beyond it
-        # must report misses, not crash.
-        cache = EmbeddingCache(capacity=4)
-        cache.put(1, [2], np.ones((1, 2)))
-        hit_nodes, _, miss_nodes = cache.take(1, np.array([2, 10_000]))
-        assert hit_nodes.tolist() == [2] and miss_nodes.tolist() == [10_000]
-        cache.put(1, [10_000], np.ones((1, 2)))
-        assert cache.contains(1, 10_000)
-
-    def test_slabs_survive_invalidation(self):
-        cache = EmbeddingCache(capacity=4)
-        cache.ensure_signature((0,))
-        cache.put(1, [1, 2], np.ones((2, 3)))
-        slab_before = cache._layers[1].slab
-        assert cache.ensure_signature((1,))
-        assert len(cache) == 0 and not cache.contains(1, 1)
-        cache.put(1, [3], np.ones((1, 3)))
-        assert cache._layers[1].slab is slab_before  # no re-allocation storm
-
-    def test_invalidation_refills_the_free_stack_in_place(self):
-        cache = EmbeddingCache(capacity=4, num_nodes=8)
-        cache.ensure_signature((0,))
-        cache.put(1, [1, 2, 3], np.ones((3, 2)))
-        store = cache._layers[1]
-        free_before = store._free
-        assert cache.ensure_signature((1,))
-        assert store._free is free_before  # refilled, not reallocated
-        assert sorted(store._free[: store._free_top].tolist()) == [0, 1, 2, 3]
-        cache.put(1, [4, 5, 6, 7], np.ones((4, 2)))  # every slot is usable again
-        assert len(cache) == 4 and cache.stats.evictions == 0
 
 
 def _request(request_id: int, node: int, shard: int, at: float) -> InferenceRequest:

@@ -19,7 +19,7 @@ import pytest
 from repro.compression import CompressionConfig
 from repro.models import Trainer, TrainingConfig, create_model
 from repro.nn.module import Module
-from repro.serving import InferenceServer, ManualClock, ServingConfig
+from repro.serving import CacheStats, InferenceServer, ManualClock, ServingConfig
 from repro.serving.batcher import BLOCK_ROWS
 
 MODELS = ["GCN", "GS-Pool", "G-GCN", "GAT"]
@@ -72,34 +72,89 @@ class TestExactServing:
         assert warm.cache_hit_rate == 1.0
         assert warm.cache.misses < cold_misses
 
-    @pytest.mark.parametrize("halo_tier", [True, False])
-    def test_cache_disabled_still_exact(self, small_graph, halo_tier):
-        # cache_capacity=0 disables the private LRU, which is the only store
-        # with the halo tier off.  With it on, the shared store serves every
-        # hit and no private cache holds a row.
+    #: (halo_tier, cache_capacity, shards, replicas, executor) -> the store
+    #: every worker reads: one shared store, a private one each, or none.
+    STORE_RULE = [
+        (True, 1024, 1, 1, "serial", "shared"),
+        (True, 0, 2, 1, "serial", "shared"),
+        (True, 8, 2, 2, "concurrent", "shared"),
+        (False, 1024, 2, 1, "serial", "private"),
+        (False, 8, 3, 1, "concurrent", "private"),
+        (False, 0, 2, 1, "serial", "none"),
+        (False, 0, 1, 2, "serial", "none"),
+        (False, 1024, 2, 1, "process", "private"),
+    ]
+
+    @pytest.mark.parametrize(
+        "halo_tier, cache_capacity, num_shards, num_replicas, executor, store", STORE_RULE
+    )
+    def test_the_store_rule(
+        self, small_graph, halo_tier, cache_capacity, num_shards, num_replicas, executor, store
+    ):
         model = _model(small_graph)
         reference = model.full_forward(small_graph).data.argmax(axis=-1)
-        server = _server(model, small_graph, cache_capacity=0, halo_tier=halo_tier)
-        nodes = np.arange(20)
-        assert np.array_equal(server.predict(nodes), reference[nodes])
-        stats = server.stats()
-        if halo_tier:
-            assert stats.cache.hits == stats.halo.hits > 0
-            assert all(len(worker.cache) == 0 for worker in server.workers)
-        else:
-            assert stats.cache.hits == 0
+        settings = dict(
+            halo_tier=halo_tier,
+            cache_capacity=cache_capacity,
+            num_shards=num_shards,
+            num_replicas=num_replicas,
+            executor=executor,
+        )
+        server = _server(model, small_graph, **settings)
+        try:
+            assert (server.halo_store is not None) == (store == "shared")
+            stores = [getattr(worker, "store", None) for worker in server.workers]
+            if store == "shared":
+                assert all(each is server.halo_store for each in stores)
+            elif store == "private" and executor != "process":
+                assert all(each is not None for each in stores)
+                assert len({id(each) for each in stores}) == len(stores)
+            elif store == "none":
+                assert stores == [None] * len(stores)
+            nodes = np.arange(small_graph.num_nodes)
+            assert np.array_equal(server.predict(nodes), reference)
+            cold = server.stats()
+            cold_workers = [dataclasses.replace(worker.cache_stats) for worker in server.workers]
+            assert np.array_equal(server.predict(nodes), reference)
+            warm = server.stats()
+        finally:
+            server.shutdown()
+        assert warm.halo_tier == (store == "shared")
+        if store == "none":
+            assert warm.cache.hits == 0 and warm.cache.misses > cold.cache.misses
+            return
+        # One replica per shard, or one store for all: the second pass over
+        # the same nodes is all hits in the store each worker reads, and it
+        # builds no plan.
+        assert warm.cache.misses == cold.cache.misses
+        assert warm.cache.hits > cold.cache.hits
+        assert warm.stage_seconds["plan_build"] == cold.stage_seconds["plan_build"]
+        if store == "private":
+            assert warm.halo == CacheStats()  # no shared counts at all
+        if store == "private" and executor != "process":
+            # A boundary row computed on shard 0 is recomputed on shard 1 ...
+            first, second = stores[0], stores[1]
+            assert any(
+                first.contains(1, node) and second.contains(1, node)
+                for node in range(small_graph.num_nodes)
+            )
+            # ... so on the first pass each worker counted what it counts
+            # serving its own shard on a server of its own: no hit crosses
+            # workers.
+            for shard in server.shards:
+                alone = _server(model, small_graph, **settings)
+                alone.predict(shard.core_nodes)
+                alone.shutdown()
+                assert alone.workers[shard.part_id].cache_stats == cold_workers[shard.part_id]
 
     @pytest.mark.parametrize("halo_tier", [True, False])
     @pytest.mark.parametrize("name", MODELS)
-    def test_tiny_lru_cache_under_eviction_pressure_stays_exact(self, small_graph, name, halo_tier):
-        # The LRU serves (and evicts) only without the shared store.
+    def test_every_model_stays_exact_on_either_store(self, small_graph, name, halo_tier):
         model = _model(small_graph, name)
         reference = model.full_forward(small_graph).data.argmax(axis=-1)
         server = _server(model, small_graph, cache_capacity=8, halo_tier=halo_tier)
         nodes = np.random.default_rng(3).choice(small_graph.num_nodes, size=80, replace=True)
         assert np.array_equal(server.predict(nodes), reference[nodes])
-        if not halo_tier:
-            assert server.stats().cache.evictions > 0
 
 
 class TestDeterminism:
@@ -344,7 +399,7 @@ class TestValidationAndStats:
             ServingConfig(health_failure_threshold=0)
 
     def test_deleted_knobs_are_not_fields(self):
-        # Serving is exact with an LRU cache and a model-depth halo; the
+        # Serving is exact with one embedding store and a model-depth halo; the
         # heartbeat interval is a procplane constant; there is no hedged
         # dispatch and no work stealing; the flush pool has one thread per
         # replica and the front-door pump re-polls at its own default.
@@ -389,20 +444,20 @@ class TestValidationAndStats:
         assert np.array_equal(server.predict(nodes), reference[nodes])
 
     @pytest.mark.parametrize("halo_tier", [True, False])
-    def test_shutdown_frees_every_worker_cache_and_memo(self, small_graph, halo_tier):
-        # Teardown frees the cache slabs and the first-layer memo at once,
-        # not when the cyclic garbage collector next runs.  The private cache
-        # holds rows only where the LRU serves (halo tier off).
+    def test_shutdown_frees_every_worker_store_and_memo(self, small_graph, halo_tier):
+        # Teardown drops each worker's store and first-layer memo at once,
+        # not when the cyclic garbage collector next runs: a private store's
+        # slabs (halo tier off) are freed with it.
         server = _server(_model(small_graph), small_graph, num_replicas=2, halo_tier=halo_tier)
         server.predict(np.arange(64))
         workers = list(server.workers)
         assert all(worker._memo is not None for worker in workers)
-        if not halo_tier:
-            assert all(len(worker.cache) for worker in workers)
+        private = [weakref.ref(worker.store) for worker in workers if not halo_tier]
+        assert all(len(ref()) for ref in private)
         server.shutdown()
         for worker in workers:
-            assert len(worker.cache) == 0 and not worker.cache._layers
-            assert worker._memo is None
+            assert worker.store is None and worker._memo is None
+        assert all(ref() is None for ref in private)
         assert server.stats().cache.misses > 0  # the counts stay readable
 
     def test_render_mentions_the_key_metrics(self, small_graph):

@@ -433,7 +433,7 @@ class TestDarkShard:
 
 class TestHaloEpochGuard:
     def test_stale_epoch_publishes_are_discarded(self):
-        store = HaloStore(10, np.arange(10))
+        store = HaloStore(10)
         fresh = store.epoch
         store.publish(1, [0, 1], np.ones((2, 3)), epoch=fresh)
         assert store.contains(1, 0)

@@ -6,8 +6,11 @@ The headline invariants:
   recomputed — by a neighbouring shard (or a sibling replica);
 * a miss set satisfied entirely from the halo tier short-circuits without
   building a restriction plan at all;
-* with the tier on it is every worker's only store: a computed row is
-  written once, looked up once, and never copied into a private cache;
+* with the tier on it is every worker's only store, whatever the number of
+  workers: a computed row is written once and looked up once;
+* the store counts of a scripted run (``ServerStats.cache``/``.halo`` and
+  the ``serving_cache_events``/``serving_halo_events`` export lines) equal
+  the figures the two-store implementation gave;
 * predictions are bitwise identical with the tier on or off;
 * the tier is an exact-mode feature only.
 """
@@ -92,20 +95,13 @@ class TestHaloStoreUnit:
         with pytest.raises(ValueError):
             store.publish(1, np.array([0]), np.ones(DIM))  # not 2-D
 
-    def test_shared_nodes_must_cover_every_node(self):
-        assert HaloStore(num_nodes=4, shared_nodes=np.arange(4)).num_nodes == 4
-        with pytest.raises(ValueError):
-            HaloStore(num_nodes=4, shared_nodes=np.array([0, 1]))  # a subset
-        with pytest.raises(ValueError):
-            HaloStore(num_nodes=4, shared_nodes=np.array([9]))  # out of range
-
 
 class TestEngineWiring:
-    def test_halo_store_built_only_when_it_can_help(self, small_graph):
+    def test_halo_store_built_whenever_the_tier_is_on(self, small_graph):
         model = _model(small_graph)
         assert _server(model, small_graph).halo_store is not None
         assert _server(model, small_graph, halo_tier=False).halo_store is None
-        assert _server(model, small_graph, num_shards=1).halo_store is None
+        assert _server(model, small_graph, num_shards=1).halo_store is not None
         replicated = _server(model, small_graph, num_shards=1, num_replicas=2)
         assert replicated.halo_store is not None
         assert replicated.halo_store.num_nodes == small_graph.num_nodes
@@ -189,11 +185,11 @@ class TestOneStore:
         assert np.array_equal(server.predict(nodes), reference[nodes])
         stats = server.stats()
         assert stats.halo.hits > 0  # the shards did reuse each other's rows
-        computed = sum(worker.cache.stats.misses for worker in server.workers)
+        computed = sum(worker.cache_stats.misses for worker in server.workers)
         # Each recomputed row is stored exactly once, and nothing else is.
         assert len(writes) == len(set(writes)) == computed
         assert server.halo_store.stats.insertions == stats.cache.insertions == computed
-        assert all(len(worker.cache) == 0 for worker in server.workers)
+        assert all(worker.store is server.halo_store for worker in server.workers)
 
     def test_node_held_by_one_shard_is_a_store_hit_on_its_second_request(self, small_graph):
         model = _model(small_graph)
@@ -212,27 +208,79 @@ class TestOneStore:
         assert after.cache.misses == before.cache.misses
 
 
-    def test_rebuild_prewarm_leaves_the_workers_counts_to_their_lookups(self, small_graph):
-        # The pre-warm copy into a rebuilt replica's private cache is neither
-        # a lookup nor a store write, so it must not show up in its
-        # cache.stats.  (A retired replica's counts leave ServerStats.cache
-        # with it, so the sums are compared over the flush after the rebuild.)
+    def test_a_rebuilt_replica_counts_only_its_own_lookups(self, small_graph):
+        # A rebuilt replica starts with empty counts and copies nothing; its
+        # lookups then land in its cache_stats and the store's alike.  (A
+        # retired replica's counts leave ServerStats.cache with it, so the
+        # sums are compared over the flush after the rebuild.)
         model = _model(small_graph)
         reference = model.full_forward(small_graph).data.argmax(axis=-1)
         server = _server(model, small_graph, num_replicas=2, cache_capacity=8)
         nodes = np.arange(small_graph.num_nodes)
         assert np.array_equal(server.predict(nodes), reference)
         replacement = server.restart_replica(0, 0)
-        assert server.stats().prewarmed_rows > 0
-        assert replacement.cache.stats == CacheStats()
+        assert replacement.cache_stats == CacheStats()
         before = server.stats()
         assert np.array_equal(server.predict(nodes), reference)
         after = server.stats()
-        assert after.cache.evictions == 0
         for count in ("hits", "misses", "insertions"):
             assert getattr(after.cache, count) - getattr(before.cache, count) == (
                 getattr(after.halo, count) - getattr(before.halo, count)
             ), count
+
+
+def _events(name, counts):
+    return [f'{name}{{event="{event}"}} {value}' for event, value in counts.items()]
+
+
+def _counts(hits, misses, invalidations=0):
+    return dict(
+        hits=hits,
+        misses=misses,
+        insertions=misses,
+        evictions=0,
+        invalidations=invalidations,
+        discarded=0,
+    )
+
+
+#: Per checkpoint of the scripted run: (ServerStats.cache, ServerStats.halo),
+#: as the implementation with a private LRU beside the shared store exported
+#: them.  Every miss is a row computed and stored once.
+PINNED_STORE_COUNTS = [
+    (_counts(125, 154), _counts(125, 154)),
+    # Both workers count the weight change; the store drops its rows once.
+    (_counts(260, 311, invalidations=2), _counts(260, 311, invalidations=1)),
+    (_counts(185, 26), _counts(185, 26)),
+]
+
+
+class TestStoreCountsPinned:
+    def test_a_scripted_run_exports_the_pinned_counts(self, small_graph):
+        """Two shards on the shared store: a cold pass, a pass after one
+        ``bump_version()``, and a pass after one ``reset_stats()``."""
+        model = _model(small_graph)
+        server = _server(model, small_graph)
+        rng = np.random.default_rng(11)
+        seen = []
+        for step in ("cold", "bump", "reset"):
+            if step == "bump":
+                model.parameters()[0].bump_version()
+            elif step == "reset":
+                server.reset_stats()
+            server.predict(rng.integers(0, small_graph.num_nodes, 48))
+            stats = server.stats()
+            lines = [
+                line
+                for line in server.telemetry.prometheus_text().splitlines()
+                if line.startswith(("serving_cache_events{", "serving_halo_events{"))
+            ]
+            seen.append((stats.cache.as_dict(), stats.halo.as_dict(), lines))
+        server.shutdown()
+        assert seen == [
+            (cache, halo, _events("serving_cache_events", cache) + _events("serving_halo_events", halo))
+            for cache, halo in PINNED_STORE_COUNTS
+        ]
 
 
 class TestRowsStayExactAfterWeightBumpAndSubsetFlush:

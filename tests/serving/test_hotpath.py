@@ -24,7 +24,6 @@ from repro.graph import Graph, Restriction
 from repro.graph.datasets import synthetic_graph
 from repro.models import create_model
 from repro.serving import (
-    EmbeddingCache,
     GraphShard,
     InferenceServer,
     ManualClock,
@@ -253,12 +252,9 @@ class TestConfigKnobs:
             ServingConfig(executor_workers=0)
 
     def test_workers_take_no_mode_or_retention_arguments(self):
-        # Serving is exact over one LRU slab cache: no worker surface
+        # Serving is exact over one direct-mapped store: no worker surface
         # carries a serving mode, a sampler or a retention policy.
         deleted = {"mode", "fanouts", "seed", "sampler", "policy", "pinned_nodes"}
-        assert list(inspect.signature(EmbeddingCache).parameters) == [
-            "capacity", "num_nodes",
-        ]
         assert not deleted & set(inspect.signature(ShardWorker).parameters)
         spec_fields = {field.name for field in dataclasses.fields(WorkerSpec)}
         assert not (deleted | {"cache_policy", "cache_pinned", "cache_initial_pins"}) & spec_fields

@@ -11,8 +11,9 @@ The contract under test:
 * a worker process killed with a real ``SIGKILL`` mid-stream surfaces as a
   typed :class:`ProcessDead`, fails over to a sibling replica with zero lost
   requests, and is respawned under a bumped epoch on the next tick;
-* a respawned child pre-warms its cache from the shared halo tier before its
-  first predict;
+* a respawned child copies nothing: its first pass over nodes already
+  served reads the shared halo tier (exact, all hits, no plan built), and
+  with the tier off each child serves from a private store of its own;
 * a wedged (``SIGSTOP``'d) child can neither hang a predict past its
   per-call timeout nor hang ``shutdown()`` — teardown escalates
   terminate → kill and stays bounded;
@@ -42,7 +43,7 @@ from repro.graph.datasets import synthetic_graph
 from repro.models import create_model
 from repro.serving import (
     CacheStats,
-    EmbeddingCache,
+    HaloStore,
     InferenceServer,
     ProcessDead,
     ProcessTimeout,
@@ -192,16 +193,18 @@ class TestProcessServing:
             assert not handle._proc.is_alive()
 
     @pytest.mark.parametrize("halo_tier", [True, False])
-    def test_tiny_cache_evicts_in_the_child_and_stays_exact(self, halo_tier):
-        # The child's LRU serves (and evicts) only without the shared store.
+    def test_a_second_pass_hits_in_the_childs_store_and_stays_exact(self, halo_tier):
+        # Without the shared store each child builds a private one in its
+        # own memory; either way the second pass recomputes nothing.
         expected = _reference_predictions()
         server = _process_server(cache_capacity=8, halo_tier=halo_tier)
         try:
             nodes = list(range(GRAPH.num_nodes))
             np.testing.assert_array_equal(server.predict(nodes), expected)
+            cold = server.stats().cache
             np.testing.assert_array_equal(server.predict(nodes), expected)
-            if not halo_tier:
-                assert server.stats().cache.evictions > 0
+            warm = server.stats().cache
+            assert warm.misses == cold.misses and warm.hits > cold.hits
         finally:
             server.shutdown()
 
@@ -238,19 +241,22 @@ class TestProcessServing:
             server.shutdown()
         assert not list_segments(base)
 
-    def test_respawned_child_prewarms_from_the_shared_halo_tier(self):
-        """A fresh child has seen no predict yet, so the halo signature it
-        prewarms under must come from spawn, not from its first flush."""
+    def test_respawned_child_reads_the_shared_halo_tier(self):
+        """The replacement's first pass over nodes already served is exact,
+        counts only hits in its own lookups, and builds no plan."""
         expected = MODEL.full_forward(GRAPH).data.argmax(axis=-1)
         server = _process_server()
         base = server.plane.arena.base
         try:
             nodes = list(range(GRAPH.num_nodes))
             np.testing.assert_array_equal(server.predict(nodes), expected)
-            server.restart_replica(0)
-            stats = server.stats()
-            assert stats.supervisor_restarts == 1
-            assert stats.prewarmed_rows > 0
+            replacement = server.restart_replica(0)
+            assert server.stats().supervisor_restarts == 1
+            served = np.asarray(replacement.shard.core_nodes, dtype=np.int64)
+            np.testing.assert_array_equal(replacement.predict(served), expected[served])
+            assert replacement.sync(timeout=5.0)
+            assert replacement.cache_stats.misses == 0 < replacement.cache_stats.hits
+            assert replacement.timings.totals["plan_build"] == 0.0
             np.testing.assert_array_equal(server.predict(nodes), expected)
         finally:
             server.shutdown()
@@ -475,20 +481,20 @@ class TestReplicaSurface:
 
     def test_bare_shard_worker_hooks_reset_and_kill(self):
         shard = build_shards(GRAPH, 2, MODEL.num_layers)[0]
-        worker = ShardWorker(0, shard, MODEL, EmbeddingCache(1024, num_nodes=GRAPH.num_nodes))
+        worker = ShardWorker(0, shard, MODEL, HaloStore(GRAPH.num_nodes))
         assert worker.pid is None and worker.rss_bytes is None and worker.heartbeat_age is None
         assert worker.sync(timeout=1.0) and worker.halo_stats == CacheStats()
         nodes = np.asarray(shard.core_nodes[:4], dtype=np.int64)
         first = worker.predict(nodes)
         assert worker.batches_served == 1 and worker.nodes_served == len(nodes)
-        assert worker.cache.stats.misses > 0 and any(worker.timings.totals.values())
+        assert worker.cache_stats.misses > 0 and any(worker.timings.totals.values())
         worker.reset_stats()
         assert (worker.batches_served, worker.nodes_served, worker.peak_inflight) == (0, 0, 0)
-        assert worker.cache.stats == CacheStats()
+        assert worker.cache_stats == CacheStats()
         assert not any(worker.timings.totals.values())
-        # The cache contents survive the reset: the warm rows still hit.
+        # The store's contents survive the reset: the warm rows still hit.
         np.testing.assert_array_equal(worker.predict(nodes), first)
-        assert worker.cache.stats.hits > 0 and worker.cache.stats.misses == 0
+        assert worker.cache_stats.hits > 0 and worker.cache_stats.misses == 0
         worker.kill()
         with pytest.raises(ReplicaDead):
             worker.predict(nodes)

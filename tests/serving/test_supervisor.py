@@ -9,10 +9,11 @@ The contract under test:
   ``dead`` (never dispatched); dispatch is round-robin over the live ones,
   skipping replicas already tried for the batch;
 * the tick, driven from the scheduler, rebuilds every dead replica: fresh
-  worker, bumped epoch, halo-pre-warmed cache; in-flight attempts against
-  the retired corpse fail cleanly, and each heal logs one event;
+  worker, bumped epoch, nothing copied; in-flight attempts against the
+  retired corpse fail cleanly, and each heal logs one event;
 * ``restart_replica`` gives operators the same rebuild, draining in-flight
-  batches first;
+  batches first, and the replacement's first pass over nodes already served
+  reads the shared store: exact, all hits, no plan built;
 * a replica that hangs on every dispatch fails over to its sibling with
   predictions still exact;
 * ``drain(timeout=)`` raises :class:`DrainTimeout` with a ledger snapshot
@@ -103,10 +104,6 @@ class _FakeWorker:
     def retire(self):
         self.retired = True
         self._log.append(("retire", self.worker_id, self.epoch))
-
-    def prewarm_from_halo(self):
-        self._log.append(("prewarm", self.worker_id, self.epoch))
-        return 5
 
 
 class _Recorder:
@@ -233,13 +230,12 @@ class TestReplicaStateMachine:
             ("retire", 1, 0),
             ("bump_epoch",),
             ("build", 1, 1),
-            ("prewarm", 1, 1),
             ("revive", 1),
         ]
         fresh = replicas.workers[1]
         assert wired[-1] is fresh and fresh is not corpse and corpse.retired
         assert replicas.state(1) == "healthy"
-        assert (replicas.restarts, replicas.prewarmed_rows) == (1, 5)
+        assert replicas.restarts == 1
         assert replicas.event_log() == [
             {
                 "time": 2.5,
@@ -249,7 +245,6 @@ class TestReplicaStateMachine:
                 "worker": 1,
                 "epoch": 1,
                 "reason": "1 consecutive failures",
-                "prewarmed_rows": 5,
             }
         ]
 
@@ -296,7 +291,7 @@ class TestReplicaStateMachine:
         assert replicas.state(0) == "dead"
         assert replicas.tick(now=0.0) == 2
         replicas.reset_counters()
-        assert replicas.restarts == 0 and replicas.prewarmed_rows == 0
+        assert replicas.restarts == 0
         assert replicas.event_log() == [] and replicas.last_event() is None
 
     def test_rejects_bad_parameters(self):
@@ -444,7 +439,9 @@ class TestSupervisorRebuild:
         assert server.replicas.group(0)[0].epoch == corpse.epoch + 1
         assert server.workers[0] is server.replicas.group(0)[0]
 
-    def test_restart_replica_drains_and_prewarms_from_halo(self, small_graph):
+    def test_restart_replica_drains_and_the_replacement_reads_the_store(
+        self, small_graph, monkeypatch
+    ):
         model = _model(small_graph)
         reference = model.full_forward(small_graph).data.argmax(axis=-1)
         server = _server(model, small_graph, num_shards=2, num_replicas=2)
@@ -458,10 +455,19 @@ class TestSupervisorRebuild:
         assert old.retired
         assert replacement.epoch == 1
         assert replacement.worker_id == old.worker_id
-        stats = server.stats()
-        assert stats.supervisor_restarts == 1
-        assert stats.prewarmed_rows > 0  # halo rows seeded the fresh cache
+        assert server.stats().supervisor_restarts == 1
         assert server.replicas.last_event()["reason"] == "operator restart"
+        # The replacement's first pass over nodes already served is exact,
+        # counts only hits in its own lookups, and builds no plan.
+        plans = []
+        build = repro.serving.worker.Restriction
+        monkeypatch.setattr(
+            repro.serving.worker, "Restriction", lambda *args: plans.append(args) or build(*args)
+        )
+        served = replacement.shard.core_nodes
+        assert np.array_equal(replacement.predict(served), reference[served])
+        assert replacement.cache_stats.misses == 0 < replacement.cache_stats.hits
+        assert plans == [] and replacement.timings.totals["plan_build"] == 0.0
         # The rebuilt fleet still serves bitwise-exact answers.
         assert np.array_equal(server.predict(nodes), reference)
 

@@ -195,7 +195,7 @@ class TestExecution:
                 parser.parse_args(["serve-bench", *argv])
 
     def test_serve_bench_rejects_deleted_flags(self):
-        # Serving is exact over an LRU cache: no mode or retention flags,
+        # Serving is exact over one embedding store: no mode or retention flags,
         # no hedged dispatch, no work stealing and no executor pool sizing;
         # no slow faults, retry backoff or budget, stale reads or
         # supervisor window either.  Healing is always on and dispatch is
