@@ -17,6 +17,8 @@ The headline invariants:
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -94,6 +96,124 @@ class TestHaloStoreUnit:
             store.publish(1, np.array([1]), np.ones((1, DIM + 1)))
         with pytest.raises(ValueError):
             store.publish(1, np.array([0]), np.ones(DIM))  # not 2-D
+
+    def test_row_count_mismatch_raises_and_stores_nothing(self):
+        store = HaloStore(num_nodes=8)
+        with pytest.raises(ValueError):
+            store.publish(1, np.array([1, 2]), np.ones((3, DIM)))
+        assert len(store) == 0 and store.stats.insertions == 0
+
+    def test_layers_are_distinct_keyspaces(self):
+        store = HaloStore(num_nodes=8)
+        store.publish(1, np.array([5]), np.ones((1, DIM)))
+        assert store.contains(1, 5) and not store.contains(2, 5)
+        mask, rows = store.take_mask(2, np.array([5]))
+        assert not mask.any() and rows.size == 0
+
+    def test_gathered_rows_are_isolated_copies(self):
+        store = HaloStore(num_nodes=4)
+        source = np.ones((1, DIM))
+        store.publish(1, np.array([1]), source)
+        source[:] = 99.0  # mutating the producer's buffer must not leak in
+        _, rows = store.take_mask(1, np.array([1]))
+        assert np.array_equal(rows[0], np.ones(DIM))
+        rows[0, 0] = 5.0  # the gathered array is a fresh copy, not a view
+        _, again = store.take_mask(1, np.array([1]))
+        assert np.array_equal(again[0], np.ones(DIM))
+
+    def test_rows_follow_the_masked_positions_in_order(self):
+        store = HaloStore(num_nodes=10)
+        values = np.arange(3 * DIM, dtype=np.float64).reshape(3, DIM)
+        store.publish(0, np.array([7, 2, 4]), values)
+        mask, rows = store.take_mask(0, np.array([4, 9, 7, 4, 2]))
+        assert mask.tolist() == [True, False, True, True, True]
+        assert np.array_equal(rows, values[[2, 0, 2, 1]])
+        assert store.stats.hits == 4 and store.stats.misses == 1
+
+    def test_republish_overwrites_the_row_at_its_id(self):
+        store = HaloStore(num_nodes=4)
+        store.publish(1, np.array([2]), np.zeros((1, DIM)))
+        slab = store._layers[1][0]
+        store.publish(1, np.array([2]), np.full((1, DIM), 3.0))
+        assert len(store) == 1 and store._layers[1][0] is slab
+        _, rows = store.take_mask(1, np.array([2]))
+        assert np.array_equal(rows, np.full((1, DIM), 3.0))
+        assert store.stats.insertions == 2
+
+    def test_every_node_fits_and_nothing_is_evicted(self):
+        store = HaloStore(num_nodes=6)
+        for layer in (0, 1):
+            for node in range(6):
+                store.publish(layer, np.array([node]), np.full((1, DIM), float(node)))
+        assert len(store) == 12
+        mask, rows = store.take_mask(1, np.arange(6))
+        assert mask.all() and np.array_equal(rows[:, 0], np.arange(6.0))
+        assert store.stats.evictions == 0
+
+    def test_ids_outside_the_graph_are_rejected(self):
+        store = HaloStore(num_nodes=4)
+        store.publish(1, np.array([3]), np.ones((1, DIM)))  # the last id fits
+        with pytest.raises(IndexError):
+            store.publish(1, np.array([4]), np.ones((1, DIM)))
+        with pytest.raises(IndexError):
+            store.take_mask(1, np.array([4]))
+        assert len(store) == 1
+
+    def test_empty_publish_allocates_no_slab(self):
+        store = HaloStore(num_nodes=4)
+        assert store.publish(1, np.array([], dtype=np.int64), np.empty((0, DIM))) == 0
+        assert store._layers == {} and store.stats.insertions == 0
+        mask, _ = store.take_mask(1, np.array([0]))
+        assert not mask.any()
+
+    def test_invalidation_resets_presence_in_place(self):
+        store = HaloStore(num_nodes=4)
+        store.ensure_signature((0,))
+        store.publish(1, np.array([1, 2]), np.ones((2, DIM)))
+        slab, present = store._layers[1]
+        assert store.ensure_signature((1,))
+        mask, _ = store.take_mask(1, np.array([1, 2]))
+        assert not mask.any()  # rows of the old weights are misses
+        store.publish(1, np.array([3]), np.ones((1, DIM)))
+        assert store._layers[1][0] is slab and store._layers[1][1] is present
+        assert present.tolist() == [False, False, False, True]
+
+    def test_contains_does_not_touch_stats(self):
+        store = HaloStore(num_nodes=4)
+        store.publish(1, np.array([0]), np.ones((1, DIM)))
+        before = dict(store.stats.as_dict())
+        assert store.contains(1, 0) and not store.contains(1, 1) and not store.contains(3, 0)
+        assert store.stats.as_dict() == before
+
+    def test_capacity_and_retention_are_not_parameters(self):
+        # The store is direct-mapped over every node: there is nothing to size,
+        # evict or restrict to a subset of nodes.
+        for kwargs in (
+            dict(capacity=4),
+            dict(policy="lru"),
+            dict(shared_nodes=np.arange(4)),
+        ):
+            with pytest.raises(TypeError):
+                HaloStore(4, **kwargs)
+
+
+class TestCacheStats:
+    def test_merge_sums_every_field(self):
+        names = [field.name for field in dataclasses.fields(CacheStats)]
+        left = CacheStats(**{name: index + 1 for index, name in enumerate(names)})
+        right = CacheStats(**{name: 10 * (index + 1) for index, name in enumerate(names)})
+        merged = left.merge(right)
+        assert merged.as_dict() == {name: 11 * (index + 1) for index, name in enumerate(names)}
+        assert left.as_dict()["hits"] == 1  # operands untouched
+
+    def test_as_dict_names_every_field(self):
+        names = [field.name for field in dataclasses.fields(CacheStats)]
+        assert list(CacheStats().as_dict()) == names
+
+    def test_hit_rate_reads_zero_without_lookups(self):
+        assert CacheStats().lookups == 0 and CacheStats().hit_rate == 0.0
+        stats = CacheStats(hits=3, misses=1)
+        assert stats.lookups == 4 and stats.hit_rate == 0.75
 
 
 class TestEngineWiring:
