@@ -24,10 +24,13 @@ server with the concurrent executor:
 All runs use a ``ManualClock``: injected hangs advance simulated time only,
 so the ratios measure real work (recompute, dispatch, bookkeeping), not
 sleeping.  The ratios are computed over **CPU time**
-(``time.process_time``, summed across executor threads), best-of
-interleaved repeats: the retry/failover contract is about work
-amplification, and CPU time keeps the gate meaningful on throttled or
-noisy-neighbour CI runners where wall-clock of a ~30 ms pass can swing 5x.
+(``time.process_time``, summed across executor threads), the median of
+``REPEATS`` interleaved passes per variant: the retry/failover contract is
+about work amplification, and CPU time keeps the gate meaningful on
+throttled or noisy-neighbour CI runners where wall-clock of a ~30 ms pass
+can swing 5x.  A quick pass is ~20 ms of CPU with one injected fault: on
+a 2-vCPU host a best-of-3 ratio spanned 0.77–1.15 across runs of one tree,
+the median of 15 passes 0.88–1.03.
 ``BLOCKGNN_QUICK=1`` shrinks the graph and streams for CI;
 ``BLOCKGNN_CHAOS_SEED`` re-seeds the plan for the chaos-smoke job without
 touching the gates' fixed seed.
@@ -36,6 +39,7 @@ touching the gates' fixed seed.
 from __future__ import annotations
 
 import os
+import statistics
 import time
 
 import numpy as np
@@ -52,7 +56,7 @@ HIDDEN = 32 if QUICK else 64
 NUM_SHARDS = 4
 NUM_REPLICAS = 2
 BATCH_SIZE = 32
-REPEATS = 3 if QUICK else 5
+REPEATS = 15 if QUICK else 5
 STREAM = 4 if QUICK else 8  # batches per shard per pass
 
 FAIL_RATE = 0.10
@@ -159,13 +163,14 @@ def test_failover_throughput_gate(served_setup, save_result):
         "faulty": lambda: FaultPlan.replica_failures(FAIL_RATE, seed=CHAOS_SEED),
     }
     _timed_pass(model, graph, fault_plan=None)  # warm numpy/scipy paths once
-    best = dict.fromkeys(variants, float("inf"))
+    passes = {name: [] for name in variants}
     last = {}
     for _ in range(REPEATS):
         for name, make_plan in variants.items():  # interleaved: fair scheduler noise
             seconds, requests, stats = _timed_pass(model, graph, fault_plan=make_plan())
-            best[name] = min(best[name], seconds)
+            passes[name].append(seconds)
             last[name] = (requests, stats)
+    median = {name: statistics.median(seconds) for name, seconds in passes.items()}
 
     for name, (requests, _) in last.items():
         for request in requests:
@@ -173,22 +178,22 @@ def test_failover_throughput_gate(served_setup, save_result):
                 assert request.prediction == reference[request.node], name
 
     total = len(_stream(graph))
-    rates = {name: total / seconds for name, seconds in best.items()}
+    rates = {name: total / seconds for name, seconds in median.items()}
     throughput_ratio = rates["faulty"] / rates["fault_free"]
     idle_ratio = rates["idle_plan"] / rates["fault_free"]
     faulty_stats = last["faulty"][1]
 
     save_result(
         "serving_faults",
-        f"end-to-end serving under chaos (CPU time, best of {REPEATS}), GCN, "
+        f"end-to-end serving under chaos (CPU time, median of {REPEATS}), GCN, "
         f"{NUM_SHARDS} shards x {NUM_REPLICAS} replicas, batch {BATCH_SIZE}, "
         f"{total} requests on {graph.summary()}\n"
-        f"  fault-free : {best['fault_free'] * 1e3:8.1f} ms "
+        f"  fault-free : {median['fault_free'] * 1e3:8.1f} ms "
         f"({rates['fault_free']:7.0f} req/s)\n"
-        f"  idle plan  : {best['idle_plan'] * 1e3:8.1f} ms "
+        f"  idle plan  : {median['idle_plan'] * 1e3:8.1f} ms "
         f"({rates['idle_plan']:7.0f} req/s, ratio {idle_ratio:.2f}, "
         f"floor {IDLE_FLOOR:.1f})\n"
-        f"  10% faults : {best['faulty'] * 1e3:8.1f} ms "
+        f"  10% faults : {median['faulty'] * 1e3:8.1f} ms "
         f"({rates['faulty']:7.0f} req/s, ratio {throughput_ratio:.2f}, "
         f"floor {FAILOVER_FLOOR:.1f})\n"
         f"  chaos      : {faulty_stats.injected_faults} injected, "

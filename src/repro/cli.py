@@ -550,6 +550,10 @@ def _run_serve_bench(args: argparse.Namespace) -> str:
             for name in ("serving_request_latency_seconds", "serving_queue_wait_seconds")
         )
 
+    def traced_spans(server: InferenceServer) -> int:
+        # Spans settled since the tracer's window opened: kept plus dropped.
+        return len(server.tracer.finished()) + server.tracer.dropped_traces
+
     def timed_stream(server: InferenceServer) -> float:
         # submit() returns RequestHandle futures; .completed/.result() read
         # the terminal state once drain() has settled the stream.
@@ -557,6 +561,8 @@ def _run_serve_bench(args: argparse.Namespace) -> str:
         settled_before = server.stats().submitted_requests
         if server.telemetry.enabled:
             observed_before = histogram_counts(server)
+        if server.tracer is not None:
+            spans_before = traced_spans(server)
         start = time.perf_counter()
         if classes is None:
             handles = server.submit_many(nodes)
@@ -592,6 +598,27 @@ def _run_serve_bench(args: argparse.Namespace) -> str:
                     f"serve-bench: the request histograms disagree with the ledger: "
                     f"{latencies} latencies for {len(served)} completed requests, "
                     f"{waits} queue waits for {popped} popped"
+                )
+        if server.tracer is not None:
+            # Spans are read from the ledger: the pass's spans are its
+            # handles, with the same ids and statuses.  Once the ring has
+            # dropped spans it must be full, and the pass must have settled
+            # one span per handle.
+            tracer = server.tracer
+            spans = tracer.finished()
+            added = traced_spans(server) - spans_before
+            if tracer.dropped_traces:
+                agree = added == len(handles) and len(spans) == tracer.capacity
+            else:
+                traced = sorted(
+                    (span["request_id"], span["status"]) for span in spans[len(spans) - added:]
+                )
+                agree = traced == sorted((handle.request_id, handle.status) for handle in handles)
+            if not agree:
+                raise SystemExit(
+                    f"serve-bench: the trace disagrees with the ledger: {added} spans "
+                    f"settled for {len(handles)} requests ({len(spans)} kept of "
+                    f"capacity {tracer.capacity}, {tracer.dropped_traces} dropped)"
                 )
         checked += len(served)
         wrong += sum(handle.prediction != reference[handle.node] for handle in served)

@@ -57,8 +57,9 @@ mode, exact: every answer equals offline ``full_forward`` for that node.
   :class:`~repro.telemetry.MetricsRegistry` exports every serving count and
   histogram (:class:`ServingMetrics` names them), and — in
   ``telemetry="trace"`` mode — a :class:`~repro.telemetry.RequestTracer`
-  records per-request span trees (submit → queue → dispatch attempts with
-  replica-state/fault detail → terminal state) exportable as Prometheus
+  reads per-request spans (submit → queue → terminal state) from the
+  request ledger's settled rows and records dispatch attempts with
+  replica-state/fault detail per batch; all of it exports as Prometheus
   text, JSON snapshots, or Chrome ``traceEvents``.  Each count lives with
   the object whose event it counts; ``ServerStats`` reads those owners and
   each export copies them into the registry, so both show the same numbers

@@ -108,8 +108,9 @@ class ServingConfig:
         Observability mode (see :data:`repro.telemetry.TELEMETRY_MODES`):
         ``"metrics"`` (default) records labelled counters/histograms into the
         server's :class:`~repro.telemetry.MetricsRegistry`; ``"trace"``
-        additionally records one root span per request plus per-dispatch
-        attempt records into a ring of ``trace_capacity`` entries
+        additionally copies each settled request's ledger row into a
+        columnar span ring of ``trace_capacity`` rows, and per-dispatch
+        attempt records into a ring of as many entries
         (``InferenceServer.telemetry`` exposes the exporters); ``"off"``
         compiles telemetry out (null registry, no tracer, empty exports).
         ``ServerStats`` reads every count from its owner, so its ledger is

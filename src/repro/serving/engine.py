@@ -112,6 +112,15 @@ __all__ = ["ServingConfig", "InferenceServer", "RequestHandle", "DrainTimeout"]
 
 #: class name -> admission weight.
 _CLASS_WEIGHTS = dict(DEFAULT_REQUEST_CLASSES)
+#: Root-span field -> the ledger column a settle hands the tracer for it.
+_SPAN_COLUMNS = {
+    "request_id": "ids",
+    "node": "node",
+    "shard": "shard",
+    "submit": "enqueue",
+    "dequeue": "dequeue",
+    "retries": "retries",
+}
 
 
 class InferenceServer:
@@ -171,10 +180,10 @@ class InferenceServer:
         # the registry copies them at export; the request histograms are
         # folded from the ledger (_fold_ledger), and only the batch-size and
         # stage histograms are observed per batch.  The tracer (telemetry
-        # mode "trace") records per-request root spans and batch-level
-        # dispatch attempts.  With telemetry "off" the registry is null and
-        # the tracer is None, so the hot path degrades to no-op calls and
-        # `is not None` checks.
+        # mode "trace") reads request spans from the ledger's settled rows
+        # and records batch-level dispatch attempts.  With telemetry "off"
+        # the registry is null and the tracer is None, so the hot path
+        # degrades to no-op calls and `is not None` checks.
         self.telemetry = Telemetry(self.config.telemetry, self.config.trace_capacity)
         self.tracer = self.telemetry.tracer
         self._metrics = ServingMetrics(
@@ -246,6 +255,8 @@ class InferenceServer:
 
         if self.telemetry.enabled:
             self.telemetry.add_collector(lambda: self._metrics.collect(self))
+        if self.tracer is not None:
+            self.tracer.unsettled = self._unsettled_rows
 
         # Background ingress pump (ingress="thread"): started last so it can
         # never observe a half-built server.
@@ -400,21 +411,11 @@ class InferenceServer:
         window = WindowRows(block, base, base + count, len(self.shards), kick is not None)
         batcher = self.batcher
         now = self.clock.now
-        tracer = self.tracer
         start, end = base, base + count
         while start < end:
             stop = batcher.stamp(now, window, start, end, timeout)
             if self._first_enqueue is None:
                 self._first_enqueue = float(block.enqueue[base])
-            if tracer is not None:
-                # Before admission: rejected requests get a root span too.
-                for request_id, node, shard_id, stamp in zip(
-                    block.ids[start:stop].tolist(),
-                    block.node[start:stop].tolist(),
-                    block.shard[start:stop].tolist(),
-                    block.enqueue[start:stop].tolist(),
-                ):
-                    tracer.on_submit(request_id, node, shard_id, stamp)
             if self._admit(window, start, stop):
                 kick()
             start = stop
@@ -490,7 +491,8 @@ class InferenceServer:
         self, rows: LedgerRows, status: int, now: float, shard_id: Optional[int] = None
     ) -> None:
         """Settle ledger rows in one terminal state: status columns, owner
-        counts, request histograms, root spans.
+        counts, request histograms and, when tracing, one copy of the rows'
+        columns into the tracer's span ring.
 
         ``shard_id`` names the one shard of a batch; without it the rows are
         counted by their shard column.  A block whose handed-out rows have
@@ -521,17 +523,11 @@ class InferenceServer:
         class_counts = self._class_counts
         for block, part in rows.runs:
             class_counts[block.request_class][name] += len(part)
-        tracer = self.tracer
-        if tracer is not None:
-            for block, part in rows.runs:
-                for row in part.tolist():
-                    tracer.on_terminal(
-                        int(block.ids[row]),
-                        name,
-                        now,
-                        worker_id=int(block.worker[row]) if status == COMPLETED else None,
-                        retries=int(block.retries[row]),
-                    )
+        if self.tracer is not None:
+            columns = {field: rows.column(column) for field, column in _SPAN_COLUMNS.items()}
+            if status == COMPLETED:
+                columns["worker_id"] = rows.column("worker")
+            self.tracer.on_settled(name, now, columns)
 
     def _fold_ledger(self) -> None:
         """Fold every row settled or popped since the last fold into the
@@ -547,6 +543,11 @@ class InferenceServer:
             for block in blocks:
                 if block.settled == block.used:
                     del folding[block]
+
+    def _unsettled_rows(self) -> int:
+        """Rows handed out and not yet terminal (all in ``_folding`` blocks)."""
+        with self._lock:
+            return sum(block.used - block.settled for block in self._folding)
 
     def _admit(self, window: WindowRows, start: int, stop: int) -> bool:
         """Queue window rows ``start..stop`` under the overload policy;
@@ -744,8 +745,6 @@ class InferenceServer:
                 return 0
             now = self.clock.now()
             batch.mark_dequeued(now)
-            if self.tracer is not None:
-                self.tracer.on_dequeue(batch.request_ids(), now)
             live = self._expire(batch, shard_id, now)
             if not live:
                 return 1

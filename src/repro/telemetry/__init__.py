@@ -7,10 +7,10 @@ Three pieces, each usable on its own:
   :class:`MetricsRegistry`.  Histograms keep fixed log-spaced buckets, so
   p50/p95/p99/p99.9 come from O(buckets) state and two registries (two
   processes, eventually) merge by addition.
-* :mod:`repro.telemetry.tracer` — a :class:`RequestTracer` recording one
-  root span per request (submit → queue wait → terminal state) plus
-  batch-level dispatch-attempt records (replica, replica state, injected
-  fault, stage breakdown) into bounded rings.
+* :mod:`repro.telemetry.tracer` — a :class:`RequestTracer` copying one root
+  span per request (submit → queue wait → terminal state) from the request
+  ledger's settled rows, plus batch-level dispatch-attempt records (replica,
+  replica state, injected fault, stage breakdown), into bounded rings.
 * :mod:`repro.telemetry.exporters` — Prometheus text exposition, JSON
   metric snapshots, and Chrome trace-event JSON off those two.
 

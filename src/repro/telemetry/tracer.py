@@ -1,34 +1,52 @@
 """Per-request tracing: the span story behind every terminal state.
 
 The aggregate counters say *how many* requests expired or failed over; the
-tracer says *why this one did*.  Every :class:`~repro.serving.InferenceRequest`
-gets a root span from ``submit`` to its terminal state, annotated with its
-queue wait (dequeue time) and linked — through the batch it flushed in — to
-**attempt records**: one per dispatch attempt of the batch, carrying the
-replica id, the replica state at dispatch (healthy/suspect), the
-injected-fault kind (if any), and a per-stage time breakdown of successful
-attempts.  Attempts are recorded at *batch* granularity, exactly the
-granularity at which the engine consults the fault plan and the
-:class:`~repro.serving.replicas.ReplicaSet` — so failed attempt records and
-the set's per-replica failure counts match one for one.
+tracer says *why this one did*.  Every request gets a root span from submit
+to its terminal state, with its queue wait (dequeue time), and is linked —
+through the batch it flushed in — to **attempt records**: one per dispatch
+attempt of the batch, carrying the replica id, the replica state at dispatch
+(healthy/suspect), the injected-fault kind (if any), and a per-stage time
+breakdown of successful attempts.  Attempts are recorded at *batch*
+granularity, exactly the granularity at which the engine consults the fault
+plan and the :class:`~repro.serving.replicas.ReplicaSet` — so failed attempt
+records and the set's per-replica failure counts match one for one.
 
-Memory is bounded: finished traces and attempt records live in ring buffers
-of ``capacity`` entries (oldest dropped first, ``dropped_*`` counters say how
-many).  When tracing is off the engine holds ``tracer = None`` and every call
-site is a single ``is not None`` check — O(1), no allocation, no lock.
-
-Records are plain dicts (not dataclasses): they are built on the serving hot
-path, exported as JSON, and merged into Chrome trace events — a dict is the
-cheapest thing that does all three.
+Root spans are read from the serving engine's request ledger, the only
+per-request record: the engine hands settled rows' columns to
+:meth:`RequestTracer.on_settled` (one call per terminal transition), which
+copies them into a columnar ring, never holding a ledger block.  Spans and
+attempt records live in rings of ``capacity`` entries allocated up front
+(oldest overwritten first, ``dropped_*`` counters say how many).  When
+tracing is off the engine holds ``tracer = None``.
 """
 
 from __future__ import annotations
 
+import math
 import threading
 from collections import deque
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
+
+import numpy as np
 
 __all__ = ["RequestTracer"]
+
+#: One root span per ring row, its fields in the order of the dicts
+#: :meth:`RequestTracer.finished` returns.  ``dequeue`` is ``nan`` for a
+#: request never popped and ``worker_id`` -1 for one that did not complete.
+_SPAN = np.dtype(
+    [
+        ("request_id", np.int64),
+        ("node", np.int64),
+        ("shard", np.int64),
+        ("submit", np.float64),
+        ("dequeue", np.float64),
+        ("status", object),
+        ("end", np.float64),
+        ("worker_id", np.int64),
+        ("retries", np.int64),
+    ]
+)
 
 
 class RequestTracer:
@@ -39,65 +57,35 @@ class RequestTracer:
             raise ValueError("trace capacity must be >= 1")
         self.capacity = int(capacity)
         self._lock = threading.Lock()
-        self._active: Dict[int, dict] = {}
-        self._finished: deque = deque(maxlen=self.capacity)
+        self._spans = np.empty(self.capacity, dtype=_SPAN)
+        self._written = 0  # spans settled since the window opened
         self._attempts: deque = deque(maxlen=self.capacity)
         self.dropped_traces = 0
         self.dropped_attempts = 0
+        #: Requests handed out and not yet settled (the engine binds its ledger).
+        self.unsettled: Callable[[], int] = lambda: 0
 
-    # -- request lifecycle -------------------------------------------------------
+    def on_settled(self, status: str, end: float, columns: Dict[str, np.ndarray]) -> None:
+        """Copy the spans of rows that settled together in ``status`` at
+        ``end`` into the ring, in order.
 
-    def on_submit(self, request_id: int, node: int, shard_id: int, now: float) -> None:
-        """Open the root span (before admission — rejects are traced too).
-
-        Lock-free: one dict store, atomic under the GIL.  Request ids are
-        unique, so concurrent submitters never touch the same key, and the
-        span is invisible to readers until :meth:`on_terminal` closes it.
+        ``columns`` maps span fields to the rows' ledger columns: request
+        id, node, shard, submit, dequeue and retries, and ``worker_id`` when
+        the rows completed.
         """
-        self._active[request_id] = {
-            "request_id": request_id,
-            "node": node,
-            "shard": shard_id,
-            "submit": now,
-            "dequeue": None,
-            "status": None,
-            "end": None,
-            "worker_id": None,
-            "retries": 0,
-        }
-
-    def on_dequeue(self, request_ids: Sequence[int], now: float) -> None:
-        """The batch left its queue: close every member's queue-wait span.
-
-        Lock-free: each request is owned by exactly one in-flight batch, so
-        no other thread writes these traces concurrently.
-        """
-        active = self._active
-        for request_id in request_ids:
-            trace = active.get(request_id)
-            if trace is not None and trace["dequeue"] is None:
-                trace["dequeue"] = now
-
-    def on_terminal(
-        self,
-        request_id: int,
-        status: str,
-        now: float,
-        worker_id: Optional[int] = None,
-        retries: int = 0,
-    ) -> None:
-        """Close the root span with the request's one terminal state."""
-        trace = self._active.pop(request_id, None)  # atomic; exactly-once
-        if trace is None:
-            return  # submitted before tracing was enabled/reset
-        trace["status"] = status
-        trace["end"] = now
-        trace["worker_id"] = worker_id
-        trace["retries"] = retries
-        with self._lock:  # only the ring + its drop counter need the lock
-            if len(self._finished) == self._finished.maxlen:
-                self.dropped_traces += 1
-            self._finished.append(trace)
+        count = len(columns["request_id"])
+        skip = count - min(count, self.capacity)
+        with self._lock:
+            written = self._written
+            self._written = written + count
+            self.dropped_traces += max(min(count, written + count - self.capacity), 0)
+            slots = np.arange(written + skip, written + count) % self.capacity
+            spans = self._spans
+            spans["status"][slots] = status
+            spans["end"][slots] = end
+            spans["worker_id"][slots] = -1
+            for field, values in columns.items():
+                spans[field][slots] = values[skip:]
 
     # -- dispatch attempts (batch granularity) -----------------------------------
 
@@ -152,12 +140,22 @@ class RequestTracer:
 
     @property
     def active_count(self) -> int:
-        return len(self._active)
+        """Requests submitted and not yet terminal (read from the ledger)."""
+        return self.unsettled()
 
     def finished(self) -> List[dict]:
         """Closed root spans, oldest first (bounded by ``capacity``)."""
         with self._lock:
-            return list(self._finished)
+            written = self._written
+            slots = np.arange(max(written - self.capacity, 0), written) % self.capacity
+            rows = self._spans[slots].tolist()
+        spans = [dict(zip(_SPAN.names, row)) for row in rows]
+        for span in spans:
+            if math.isnan(span["dequeue"]):
+                span["dequeue"] = None
+            if span["worker_id"] < 0:
+                span["worker_id"] = None
+        return spans
 
     def attempts(self) -> List[dict]:
         """Closed attempt records, oldest first (bounded by ``capacity``)."""
@@ -178,10 +176,10 @@ class RequestTracer:
         return counts
 
     def reset(self) -> None:
-        """Drop finished rings and open spans (fresh measurement window)."""
+        """Empty both rings (fresh measurement window).  Requests still in
+        flight are traced in the new window when they settle."""
         with self._lock:
-            self._active.clear()
-            self._finished.clear()
+            self._written = 0
             self._attempts.clear()
             self.dropped_traces = 0
             self.dropped_attempts = 0

@@ -513,13 +513,23 @@ class TestLedgerStorage:
     # Windows below BLOCK_ROWS share a block; one of BLOCK_ROWS fills a
     # block by itself.
     @pytest.mark.parametrize("window_rows", [100, BLOCK_ROWS])
-    def test_settled_windows_keep_no_per_request_storage(self, small_graph, window_rows):
+    @pytest.mark.parametrize("telemetry", ["metrics", "trace"])
+    def test_settled_windows_keep_no_per_request_storage(
+        self, small_graph, window_rows, telemetry
+    ):
         # A ledger block lives while its rows are queued, its handles are
         # held, or it is its class's open block: served and dropped, it is
         # freed by reference counting alone (no cycle for the collector to
         # find).  What stays is the engine's 8-byte latency entry per
-        # request.
-        server = _server(_model(small_graph), small_graph, max_batch_size=32)
+        # request.  The tracer copies rows into fixed rings and holds no
+        # block: both rings are full before the measured windows.
+        server = _server(
+            _model(small_graph),
+            small_graph,
+            max_batch_size=32,
+            telemetry=telemetry,
+            trace_capacity=16,
+        )
         window = np.resize(np.arange(small_graph.num_nodes), window_rows)
         server.predict(np.arange(small_graph.num_nodes))  # cold pass: then all warm
 
@@ -534,6 +544,8 @@ class TestLedgerStorage:
             return blocks
 
         serve_windows(10)  # histogram and array growth settle first
+        if server.tracer is not None:
+            assert server.tracer.dropped_traces and server.tracer.dropped_attempts
         gc.collect()
         tracemalloc.start()
         try:

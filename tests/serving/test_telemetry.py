@@ -264,6 +264,28 @@ class TestTracingUnderFaults:
         assert {a["state"] for a in attempts} <= {"healthy", "suspect"}
 
 
+class TestTracingAcrossReset:
+    def test_a_request_settling_after_a_reset_is_traced_in_the_new_window(self, small_graph):
+        # Spans are read from the ledger, so the tracer's window is the
+        # latency histogram's: a request submitted before reset_stats() and
+        # settled after it belongs to the new window in both.
+        clock = ManualClock()
+        server = _server(_model(small_graph), small_graph, clock=clock, telemetry="trace")
+        server.predict([1])  # settled before the reset: the old window
+        server.scheduler.flush_on_submit = False
+        (request,) = server.submit_many([3])
+        assert server.tracer.active_count == 1
+        server.reset_stats()
+        assert server.tracer.finished() == []
+        clock.advance(0.25)
+        server.drain()
+        assert request.completed and server.tracer.active_count == 0
+        (span,) = server.tracer.finished()
+        assert span["request_id"] == request.request_id and span["status"] == "completed"
+        latency = server.telemetry.snapshot()["serving_request_latency_seconds"]
+        assert sum(sample["value"]["count"] for sample in latency["samples"]) == 1
+
+
 class TestStageAccountingAllocations:
     def test_warm_all_hit_flush_allocates_no_stage_scopes(self, small_graph, monkeypatch):
         server = _server(_model(small_graph), small_graph, num_shards=1)

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import json
+import math
 
+import numpy as np
 import pytest
 
 from repro.telemetry import (
@@ -16,12 +18,27 @@ from repro.telemetry import (
 )
 
 
+def _settle(tracer, request_ids, status="completed", end=0.2, worker_id=1, dequeue=0.1):
+    """Settle requests the way the engine does: their ledger columns, one call."""
+    ids = np.asarray(request_ids, dtype=np.int64)
+    count = len(ids)
+    columns = {
+        "request_id": ids,
+        "node": np.full(count, 5),
+        "shard": np.zeros(count, dtype=np.int64),
+        "submit": np.zeros(count),
+        "dequeue": np.full(count, dequeue),
+        "retries": np.zeros(count, dtype=np.int64),
+    }
+    if worker_id is not None:
+        columns["worker_id"] = np.full(count, worker_id)
+    tracer.on_settled(status, end, columns)
+
+
 def _run_one_request(tracer, request_id=0, worker_id=1, outcome="ok"):
-    tracer.on_submit(request_id, node=5, shard_id=0, now=0.0)
-    tracer.on_dequeue([request_id], now=0.1)
     record = tracer.attempt(0, worker_id, [request_id], 0, "healthy", 0.1)
     tracer.end_attempt(record, 0.2, outcome, stages={"gather": 0.05, "idle": 0.0})
-    tracer.on_terminal(request_id, "completed", 0.2, worker_id=worker_id)
+    _settle(tracer, [request_id], worker_id=worker_id)
 
 
 class TestRequestTracer:
@@ -30,16 +47,34 @@ class TestRequestTracer:
         _run_one_request(tracer)
         assert tracer.active_count == 0
         (trace,) = tracer.finished()
-        assert trace["status"] == "completed"
-        assert trace["submit"] == 0.0 and trace["dequeue"] == 0.1 and trace["end"] == 0.2
+        assert trace == {
+            "request_id": 0,
+            "node": 5,
+            "shard": 0,
+            "submit": 0.0,
+            "dequeue": 0.1,
+            "status": "completed",
+            "end": 0.2,
+            "worker_id": 1,
+            "retries": 0,
+        }
         (attempt,) = tracer.attempts()
         assert attempt["outcome"] == "ok" and attempt["state"] == "healthy"
         assert attempt["stages"] == {"gather": 0.05}  # zero stages filtered
 
-    def test_terminal_without_submit_is_silent(self):
+    def test_unpopped_and_uncompleted_rows_read_as_none(self):
         tracer = RequestTracer()
-        tracer.on_terminal(99, "completed", 1.0)
-        assert tracer.finished() == []
+        _settle(tracer, [7, 8], status="shed", end=1.0, worker_id=None, dequeue=math.nan)
+        spans = tracer.finished()
+        assert [span["request_id"] for span in spans] == [7, 8]
+        assert all(span["dequeue"] is None and span["worker_id"] is None for span in spans)
+        assert {span["status"] for span in spans} == {"shed"}
+
+    def test_active_count_reads_the_bound_ledger(self):
+        tracer = RequestTracer()
+        assert tracer.active_count == 0  # unbound: no ledger, nothing in flight
+        tracer.unsettled = lambda: 3
+        assert tracer.active_count == 3
 
     def test_ring_bound_and_dropped_counters(self):
         tracer = RequestTracer(capacity=2)
@@ -51,6 +86,19 @@ class TestRequestTracer:
         assert [t["request_id"] for t in tracer.finished()] == [3, 4]
         with pytest.raises(ValueError):
             RequestTracer(capacity=0)
+
+    def test_ring_wraps_in_settle_order(self):
+        # Settles of several rows wrap the ring mid-call; one larger than
+        # the ring keeps its newest rows.
+        tracer = RequestTracer(capacity=4)
+        _settle(tracer, [0, 1, 2])
+        _settle(tracer, [3, 4, 5], status="expired", worker_id=None)
+        assert [t["request_id"] for t in tracer.finished()] == [2, 3, 4, 5]
+        assert [t["status"] for t in tracer.finished()] == ["completed"] + ["expired"] * 3
+        assert tracer.dropped_traces == 2
+        _settle(tracer, list(range(10, 20)))
+        assert [t["request_id"] for t in tracer.finished()] == [16, 17, 18, 19]
+        assert tracer.dropped_traces == 12
 
     def test_failed_attempts_by_worker(self):
         tracer = RequestTracer()

@@ -168,6 +168,36 @@ class TestExecution:
                 ]
             )
 
+    def test_serve_bench_exits_nonzero_when_a_span_is_dropped(self, monkeypatch):
+        # A tracer that loses the first settled row without counting it as
+        # dropped: the pass's spans then fall one short of its handles.
+        from repro.telemetry import RequestTracer
+
+        on_settled = RequestTracer.on_settled
+        lost = []
+
+        def dropping(self, status, end, columns):
+            if not lost:
+                lost.append(int(columns["request_id"][0]))
+                columns = {field: values[1:] for field, values in columns.items()}
+            on_settled(self, status, end, columns)
+
+        monkeypatch.setattr(RequestTracer, "on_settled", dropping)
+        with pytest.raises(SystemExit, match="trace disagrees with the ledger"):
+            main(
+                [
+                    "serve-bench",
+                    "--dataset", "cora",
+                    "--scale", "0.05",
+                    "--hidden", "16",
+                    "--epochs", "1",
+                    "--requests", "16",
+                    "--halo-tier", "off",
+                    "--telemetry", "trace",
+                ]
+            )
+        assert lost
+
     def test_serve_bench_command_with_admission_control(self, capsys):
         assert main(
             [
