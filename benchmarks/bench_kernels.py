@@ -3,9 +3,9 @@
 These time the actual software kernels on this machine: dense mat-vec vs the
 FFT-based block-circulant mat-vec at several block sizes, the functional
 accelerator datapath, the edge-wise aggregation kernels
-(``segment_reduce``, ``weighted_segment_sum``, their core-slab variants) and
-the serving plan build
-(``Restriction``) in absolute terms.  They
+(``segment_reduce``, ``weighted_segment_sum``, their core-slab variants),
+the serving plan build (``Restriction``) and the serving worker's restricted
+combination and SpMM in absolute terms.  They
 demonstrate that the measured FLOP reduction follows the theoretical
 ``n / log2(n)`` trend (wall-clock gains on NumPy are smaller than on
 dedicated hardware, which is exactly the gap the CirCore architecture
@@ -40,6 +40,8 @@ from repro.hardware import BlockGNNAccelerator, CirCoreConfig
 from repro.models import Trainer, TrainingConfig, create_model
 from repro.models import base
 from repro.models.base import (
+    apply_linear,
+    combine_rows,
     edge_destinations,
     parallel_segment_reduce,
     parallel_spmm,
@@ -47,6 +49,7 @@ from repro.models.base import (
     weighted_segment_sum,
 )
 from repro.models.ggcn import _gated_messages, _node_gated_messages
+from repro.serving.shard import build_shards
 from repro.models.trainer import compare_inference_modes
 from repro.nn import BlockCirculantLinear
 from repro.tensor import Tensor, no_grad
@@ -484,6 +487,112 @@ def test_restriction_build_ledger(save_result):
     )
 
 
+#: Row counts of the restricted-combination ledger: a ``serve_cold`` window's
+#: two large layer-1 calls (2 837 and 1 169 rows) and the slab threshold's
+#: neighbourhood.
+COMBINATION_ROWS = (2837, 1169, 512, 256)
+#: Miss-set sizes of the restricted-SpMM ledger.
+SPMM_RESTRICTION_ROWS = (16, 64)
+
+
+def _restricted_grid() -> dict:
+    """``{"combination.<rows>": (serial_us, fused_us, slabs_us), "spmm.<rows>":
+    (serial_us, slabs_us, nnz), "cores": cores}`` at the ``serve_cold`` shapes.
+
+    The combination maps memo rows ``128 -> 128`` through a ``n = 8``
+    block-circulant layer: *serial* is the path before the fusion (gather
+    the memo rows, ``apply_linear``, bias, ReLU, scatter into the assembly
+    buffer), *fused* is :func:`combine_rows` on one core and *slabs* on
+    every core.  The SpMM multiplies restrictions of ``rd2``'s first shard
+    (the layer-1 aggregation the worker runs for memo misses), serially and
+    with :func:`parallel_spmm`.  Every variant must give the serial bytes.
+    """
+    rng = np.random.default_rng(0)
+    cores = base._core_count()
+    cells = {"cores": cores}
+    layer = BlockCirculantLinear(128, 128, 8, rng=rng)
+    layer.bias.data[...] = rng.standard_normal(128)
+    layer.bias.bump_version()
+    memo = rng.standard_normal((4659, 128))
+    with no_grad():
+        for rows in COMBINATION_ROWS:
+            wanted = rng.choice(len(memo), rows, replace=False)
+            positions = rng.permutation(rows + 64)[:rows]
+            buffer = np.zeros((rows + 64, 128))
+
+            def serial():
+                result = apply_linear(layer, Tensor(memo[wanted])).relu().data
+                buffer[positions] = result
+                return result
+
+            def fused():
+                return combine_rows(layer, memo, wanted, True, (buffer, positions))
+
+            expected, expected_buffer = serial().tobytes(), buffer.tobytes()
+            timings = [_best_of(serial) * 1e6]
+            for slab_cores in (1, cores):
+                base._core_count = lambda slab_cores=slab_cores: slab_cores
+                buffer[...] = 0.0
+                assert fused().tobytes() == expected, (rows, slab_cores)
+                assert buffer.tobytes() == expected_buffer, (rows, slab_cores)
+                timings.append(_best_of(fused) * 1e6)
+            base._core_count = lambda: cores
+            cells[f"combination.{rows}"] = timings
+
+    graph = load_dataset("reddit", scale=0.02, seed=0, num_features=128)
+    shard = build_shards(graph, 2, halo_hops=2, seed=0)[0].graph
+    shard.random_walk_adjacency(add_self_loops=True)
+    for rows in SPMM_RESTRICTION_ROWS:
+        plan = Restriction(shard, np.sort(rng.choice(shard.num_nodes, rows, replace=False)))
+        operator = plan.operator("random_walk", add_self_loops=True)
+        h = rng.standard_normal((len(plan.cols), 128))
+        serial = functools.partial(operator.__matmul__, h)
+        slabs = functools.partial(parallel_spmm, operator, h)
+        assert serial().tobytes() == slabs().tobytes(), rows
+        cells[f"spmm.{rows}"] = [
+            _best_of(serial, inner=10) * 1e6, _best_of(slabs, inner=10) * 1e6, operator.nnz
+        ]
+    return cells
+
+
+def test_restricted_combination_ledger(save_result):
+    """The serving worker's restricted kernels, serial against core slabs.
+
+    Runs :func:`_restricted_grid` in a child process with one BLAS thread,
+    like the end-to-end benchmark's workers.  The combination's three
+    variants and the SpMM's two must be byte-equal (the child asserts it);
+    the timings are a report only.  The SpMM rows record why
+    ``forward_restricted``'s SpMM stays serial: at served restriction sizes
+    the slab hand-off costs more than the second core saves.
+    """
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    child = subprocess.run(
+        [sys.executable, __file__, "restricted"], env=env, capture_output=True, text=True,
+        check=True,
+    )
+    cells = json.loads(child.stdout)
+    cores = cells.pop("cores")
+    lines = [f"restricted kernels at serve_cold shapes, one BLAS thread, {cores} core slabs"]
+    metrics = {"slab_cores": cores}
+    for rows in COMBINATION_ROWS:
+        serial_us, fused_us, slabs_us = cells[f"combination.{rows}"]
+        lines.append(
+            f"  combination {rows:>5} x 128 -> 128: serial {serial_us:7.0f} us, fused "
+            f"{fused_us:7.0f} us, slabs {slabs_us:7.0f} us"
+        )
+        metrics.update({f"combination{rows}_{name}_us": value for name, value in
+                        zip(("serial", "fused", "slabs"), (serial_us, fused_us, slabs_us))})
+    for rows in SPMM_RESTRICTION_ROWS:
+        serial_us, slabs_us, nnz = cells[f"spmm.{rows}"]
+        lines.append(
+            f"  restricted SpMM {rows:>3} rows ({nnz} nnz) x 128: serial {serial_us:6.0f} us, "
+            f"parallel_spmm {slabs_us:6.0f} us"
+        )
+        metrics.update({f"spmm{rows}_serial_us": serial_us, f"spmm{rows}_slabs_us": slabs_us,
+                        f"spmm{rows}_nnz": nnz})
+    save_result("kernels_restricted", "\n".join(lines), **metrics)
+
+
 def test_accelerator_functional_datapath(benchmark):
     rng = np.random.default_rng(2)
     layer = BlockCirculantLinear(DIM, DIM, 128, rng=rng)
@@ -498,5 +607,7 @@ def test_accelerator_functional_datapath(benchmark):
 
 
 if __name__ == "__main__":
-    # The crossover ledger's child process (see test_dense_rfft_crossover_ledger).
-    print(json.dumps(_crossover_grid()))
+    # The ledgers' child process (test_dense_rfft_crossover_ledger,
+    # test_restricted_combination_ledger).
+    grid = _restricted_grid if sys.argv[1:] == ["restricted"] else _crossover_grid
+    print(json.dumps(grid()))

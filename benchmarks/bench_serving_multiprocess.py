@@ -22,7 +22,8 @@ workers over shared-memory slabs (the PR-10 process plane):
    the healed fleet must reach >= ``STEADY_FLOOR`` x the pre-kill
    steady-state throughput of the same server (wall-clock — real processes —
    so the assertion follows ``BLOCKGNN_STRICT_PERF``; the trend gate tracks
-   the ratio).
+   the ratio).  Each steady state is the best of ``REPEATS`` passes, or in
+   quick mode the median of ``QUICK_PASSES``.
 3. **No leaked segments** (unconditional): after SIGKILLing *every* worker
    and draining, shutdown leaves no shared-memory segment behind, and a
    segment orphaned by a dead creator is reclaimed by the next server's
@@ -35,6 +36,7 @@ from __future__ import annotations
 
 import os
 import signal
+import statistics
 import time
 
 import numpy as np
@@ -53,6 +55,12 @@ SCALE = 0.0015 if QUICK else 0.004
 HIDDEN = 32 if QUICK else 64
 BATCH_SIZE = 16
 REPEATS = 3
+#: Quick steady-state passes timed on each side of the kill, summarised by
+#: their median.  A quick pass is 50-100 ms of wall clock; on a 2-vCPU host
+#: the best of 3 on each side gave ratios from 0.78 to 1.84 across runs of
+#: one tree, the median of 15 0.86-1.16 over 10 runs.  Neighbour load that
+#: shifts for seconds at a time still moves it (0.55-1.59 in a busy hour).
+QUICK_PASSES = 15
 STREAM = 3  # batches per shard per pass
 
 #: Gate 1 fleet: wide enough that flush parallelism is the signal.
@@ -104,6 +112,20 @@ def _timed_pass(server, nodes):
     requests = server.submit_many(nodes)
     server.drain()
     return time.perf_counter() - start, requests
+
+
+#: How a steady state is summarised: the median of the quick passes, the
+#: best of the full ones.
+STEADY_SUMMARY = f"median of {QUICK_PASSES}" if QUICK else f"best of {REPEATS}"
+
+
+def _steady_seconds(server, graph) -> float:
+    """Wall seconds of one steady-state pass of the heal gate's stream."""
+    seconds = [
+        _timed_pass(server, _stream(graph, HEAL_SHARDS, seed=2))[0]
+        for _ in range(QUICK_PASSES if QUICK else REPEATS)
+    ]
+    return statistics.median(seconds) if QUICK else min(seconds)
 
 
 def _assert_ledger_balances(requests, stats, reference):
@@ -197,10 +219,7 @@ def test_sigkill_heal_mid_stream_zero_lost(served_setup, save_result):
             server.predict(warm_nodes), reference[warm_nodes]
         )
 
-        before = float("inf")
-        for _ in range(REPEATS):
-            seconds, _ = _timed_pass(server, _stream(graph, HEAL_SHARDS, seed=2))
-            before = min(before, seconds)
+        before = _steady_seconds(server, graph)
 
         # One victim per shard: the first replica (shard-major layout).
         victims = [
@@ -251,10 +270,7 @@ def test_sigkill_heal_mid_stream_zero_lost(served_setup, save_result):
             assert replacement.cache_stats.hits >= hits + len(nodes)
             assert replacement.timings.totals["plan_build"] == planned
 
-        after = float("inf")
-        for _ in range(REPEATS):
-            seconds, _ = _timed_pass(server, _stream(graph, HEAL_SHARDS, seed=2))
-            after = min(after, seconds)
+        after = _steady_seconds(server, graph)
     finally:
         server.shutdown()
     assert not list_segments(base)  # gate 3's invariant holds here too
@@ -263,7 +279,7 @@ def test_sigkill_heal_mid_stream_zero_lost(served_setup, save_result):
     healed_steady_state_ratio = before / after
     save_result(
         "serving_multiprocess",
-        f"SIGKILL heal (wall-clock, best of {REPEATS}), GCN, {HEAL_SHARDS} "
+        f"SIGKILL heal (wall-clock, {STEADY_SUMMARY}), GCN, {HEAL_SHARDS} "
         f"shards x 2 replicas (processes), batch {BATCH_SIZE}, "
         f"{total} requests/pass on {graph.summary()}\n"
         f"  pre-kill steady state : {before * 1e3:8.1f} ms "

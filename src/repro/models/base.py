@@ -28,6 +28,7 @@ from ..compression.compress import CompressionConfig
 from ..graph.graph import Graph
 from ..graph.sampling import MiniBatch, SampledBlock
 from ..nn.dropout import Dropout
+from ..nn.linear import ROW_TILE, BlockCirculantLinear, row_tiled_matmul
 from ..nn.module import Module
 from ..tensor.tensor import Tensor
 
@@ -38,6 +39,7 @@ __all__ = [
     "create_model",
     "available_models",
     "apply_linear",
+    "combine_rows",
     "segment_reduce",
     "parallel_segment_reduce",
     "parallel_spmm",
@@ -236,8 +238,12 @@ def parallel_segment_reduce(
       slabbing it made the pass slower (10.6-12.6 to 11.5-14.2 ms), so it
       stays serial.  GAT's attention-weighted sum and GCN's propagation are
       CSR SpMMs and run on slabs through :func:`parallel_spmm`.
-    - ``forward_restricted`` (serving) stays serial for every model: there
-      the serving executors already own the cores.
+    - ``forward_restricted`` (serving) keeps its reductions serial: a
+      served restriction holds tens to a few hundred rows, and at those
+      sizes the slab hand-off costs more than the second core saves (see
+      :func:`parallel_spmm`).  What serving does slab is the restricted
+      combination's GEMM (:func:`combine_rows`), from
+      :data:`SLAB_MIN_ROWS` rows up.
     """
     indptr = np.asarray(indptr)
     cores = _core_count()
@@ -280,7 +286,15 @@ def parallel_spmm(matrix: sp.csr_matrix, x: np.ndarray) -> np.ndarray:
     attention-weighted sum of neighbour projections
     (``GATHead.forward_full``).  A one-column product got slower on slabs
     (0.06 to 0.11 ms), so GAT's softmax denominator stays a serial
-    :func:`weighted_segment_sum`, as does every ``forward_restricted``.
+    :func:`weighted_segment_sum`.
+
+    The served restricted SpMM stays serial too, by measurement: on
+    restrictions of an ``rd2`` shard at 128 features (one BLAS thread,
+    2-vCPU Intel Xeon VM, ``benchmarks/bench_kernels.py::test_restricted_combination_ledger``)
+    a 64-row plan (4 889 nnz) took 0.52-0.57 ms serially and 0.60-0.71 ms on
+    slabs, a 16-row plan (1 198 nnz) 0.09-0.10 against 0.41-0.48 ms.  The
+    served path slabs the restricted combination instead
+    (:func:`combine_rows`).
     """
     cores = _core_count()
     if cores <= 1:
@@ -300,6 +314,86 @@ def parallel_spmm(matrix: sp.csr_matrix, x: np.ndarray) -> np.ndarray:
 
     _run_slabs(multiply, _edge_slabs(indptr, cores), cores)
     return out
+
+
+#: Rows at or above which :func:`combine_rows` cuts its GEMM into slabs, one
+#: per core.  On the ``serve_cold`` configuration (rd2, GCN, hidden 128,
+#: ``n = 8``) a window's two large layer-1 calls have ~2.8k and ~1.2k rows
+#: and every other call 1-340 rows.  Fused, one core against two slabs (one
+#: BLAS thread, 2-vCPU Intel Xeon VM, best of 5 in three runs of
+#: ``benchmarks/bench_kernels.py::test_restricted_combination_ledger``):
+#: 256 rows 346-405 against 348-397 us (a tie: the pool hand-off costs what
+#: the second core saves), 512 rows 712-821 against 596-635 us, 1 169 rows
+#: 1.8-2.1 against 1.1-1.3 ms, 2 837 rows 5.0-6.2 against 2.7-5.9 ms.
+SLAB_MIN_ROWS = 512
+
+
+def _tile_slabs(rows: int, cores: int) -> List[Tuple[int, int]]:
+    """Cut ``rows`` into at most ``cores`` slabs of whole :data:`ROW_TILE`
+    tiles (only the last slab may end on a partial tile)."""
+    tiles = -(-rows // ROW_TILE)
+    step = -(-tiles // cores) * ROW_TILE
+    return [(lo, min(lo + step, rows)) for lo in range(0, rows, step)]
+
+
+def combine_rows(
+    linear: Module,
+    source: np.ndarray,
+    index: Optional[np.ndarray] = None,
+    activation: bool = True,
+    out=None,
+) -> np.ndarray:
+    """The restricted combination, fused: ``ReLU(x @ W^T + b)`` for the rows
+    ``x = source[index]`` (``source`` itself without ``index``).
+
+    ``out`` is :func:`emit_restricted`'s ``(buffer, positions)`` assembly
+    pair or ``None``; the computed rows are returned either way.  Bits equal
+    ``apply_linear`` → bias → ReLU → scatter on the whole row set.
+
+    For a :class:`~repro.nn.BlockCirculantLinear` (whose GEMM runs on
+    :data:`ROW_TILE`-row blocks, so a row's bits do not depend on the
+    others) every slab of rows gathers its own ``source`` rows, multiplies
+    them into its slice of the result (:func:`row_tiled_matmul` with
+    ``out=``), adds the bias and applies ReLU in place, and scatters the
+    slice into ``buffer`` — one pass, no whole-set temporaries.  From
+    :data:`SLAB_MIN_ROWS` rows up the slabs are cut at multiples of
+    ``ROW_TILE``, one per core, and run on :func:`_run_slabs`' pool (numpy's
+    gathers and BLAS release the GIL); below it, or with one core, the one
+    slab runs inline.  Any other linear layer (the dense
+    :class:`~repro.nn.Linear`, whose GEMM bits depend on the call shape)
+    runs as one :func:`apply_linear` call.
+    """
+    rows = len(source) if index is None else len(index)
+    buffer, positions = out if out is not None else (None, None)
+    if not isinstance(linear, BlockCirculantLinear):
+        x = source if index is None else source[index]
+        result = apply_linear(linear, Tensor(x)).data
+        if activation:
+            result = np.maximum(result, 0.0)
+        if buffer is not None:
+            buffer[positions] = result
+        return result
+
+    matrix = linear.dense_transposed()
+    bias = linear.bias.data if linear.bias is not None else None
+    result = np.empty((rows, matrix.shape[1]))
+
+    def combine(lo: int, hi: int) -> None:
+        block = result[lo:hi]
+        row_tiled_matmul(source[lo:hi] if index is None else source[index[lo:hi]], matrix, out=block)
+        if bias is not None:
+            np.add(block, bias, out=block)
+        if activation:
+            np.maximum(block, 0.0, out=block)
+        if buffer is not None:
+            buffer[positions[lo:hi]] = block
+
+    cores = _core_count() if rows >= SLAB_MIN_ROWS else 1
+    if cores <= 1:
+        combine(0, rows)
+    else:
+        _run_slabs(combine, _tile_slabs(rows, cores), cores)
+    return result
 
 
 def weighted_segment_sum(
@@ -401,8 +495,13 @@ class GNNLayer(Module):
         """
         raise NotImplementedError
 
-    def combine_restricted(self, aggregated: np.ndarray, timer=None, out=None) -> Tensor:  # pragma: no cover
-        """The combination half of :meth:`forward_restricted` over aggregated rows."""
+    def combine_restricted(
+        self, aggregated: np.ndarray, timer=None, out=None, index=None
+    ) -> Tensor:  # pragma: no cover
+        """The combination half of :meth:`forward_restricted` over the rows
+        ``aggregated[index]`` (every row of ``aggregated`` without
+        ``index``): the serving worker passes its first-layer memo and the
+        wanted rows, so no gathered copy of the memo is made first."""
         raise NotImplementedError
 
     def prepare_full(self, graph: Graph) -> None:

@@ -20,7 +20,7 @@ from .base import (
     GNNLayer,
     GNNModel,
     apply_linear,
-    emit_restricted,
+    combine_rows,
     parallel_spmm,
     register_model,
     stage_scope,
@@ -76,10 +76,9 @@ class GCNLayer(GNNLayer):
             operator = restriction.operator("random_walk", add_self_loops=True)
             return operator @ h.data
 
-    def combine_restricted(self, aggregated: np.ndarray, timer=None, out=None) -> Tensor:
+    def combine_restricted(self, aggregated: np.ndarray, timer=None, out=None, index=None) -> Tensor:
         with stage_scope(timer, "combination"):
-            result = apply_linear(self.fc, Tensor(aggregated))
-            return emit_restricted(result.relu() if self.activation else result, out)
+            return Tensor(combine_rows(self.fc, aggregated, index, self.activation, out))
 
     def forward_restricted(self, h: Tensor, restriction, timer=None, out=None) -> Tensor:
         return self.combine_restricted(self.aggregate_restricted(h, restriction, timer), timer, out)

@@ -73,12 +73,22 @@ class Linear(Module):
 ROW_TILE = 32
 
 
-def row_tiled_matmul(x: np.ndarray, matrix: np.ndarray) -> np.ndarray:
+def row_tiled_matmul(x: np.ndarray, matrix: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
     """``x @ matrix`` computed on :data:`ROW_TILE`-row blocks, so every row's
-    result is independent of the other rows in ``x``."""
+    result is independent of the other rows in ``x``.
+
+    ``out``, when given, is a C-contiguous ``(len(x), matrix.shape[1])``
+    float64 array the product is written into (and returned); a row slice
+    of a larger output qualifies, so callers can fill one output slab by
+    slab.  The bits do not depend on whether ``out`` is given.
+    """
     rows, cols = x.shape[0], matrix.shape[1]
     whole = rows - rows % ROW_TILE
-    out = np.empty((rows, cols))
+    if out is None:
+        out = np.empty((rows, cols))
+    elif out.shape != (rows, cols) or not out.flags.c_contiguous:
+        # A non-contiguous out would be reshaped into a copy and never written.
+        raise ValueError(f"out must be a C-contiguous ({rows}, {cols}) array")
     if whole:
         np.matmul(
             x[:whole].reshape(-1, ROW_TILE, x.shape[1]),

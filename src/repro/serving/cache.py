@@ -4,7 +4,9 @@ Exact per-node inference recomputes the same hidden states over and over when
 requests' receptive fields overlap (the power-law access pattern GNNIE
 exploits with its degree-aware cache).  :class:`HaloStore` memoises layer-``k``
 hidden vectors per *global* node id, so a warm request touches only the
-layers whose inputs are not already known.  Like BlockGNN's on-chip buffer,
+layers whose inputs are not already known, and a lookup copies each hit row
+once, from the slab straight into the worker's assembly buffer for the layer
+(:meth:`HaloStore.gather`).  Like BlockGNN's on-chip buffer,
 it keeps each node's row at a fixed address (its id) in one ``(num_nodes,
 dim)`` slab per layer: there is no slot map, no second copy and no
 replacement policy, because the slab holds every node and every row in it is
@@ -90,8 +92,9 @@ class CacheStats:
 class HaloStore:
     """Versioned embedding store indexed by global node id.
 
-    A worker's only store: per layer it does one :meth:`take_mask` over the
-    nodes it needs and one :meth:`publish` of the rows it computed.  Shared
+    A worker's only store: per layer it does one :meth:`gather` over the
+    nodes it needs, straight into the layer's assembly buffer, and one
+    :meth:`publish` of the rows it computed.  Shared
     by the whole server when ``halo_tier`` is on: neighbouring shards
     overlap — every node within K hops of a partition cut is held by each
     shard whose halo contains it — and replicas of one shard hold the same
@@ -169,26 +172,36 @@ class HaloStore:
 
     # -- lookup / publish -------------------------------------------------------
 
-    def take_mask(self, layer: int, nodes: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """``(hit_mask over nodes, hit_values)`` for ``layer``.
+    def gather(self, layer: int, nodes: np.ndarray, out: np.ndarray) -> Tuple[np.ndarray, int]:
+        """Copy ``layer``'s stored rows for ``nodes`` into ``out``; returns
+        ``(hit mask over nodes, hit count)``.
 
-        ``hit_values`` rows correspond to the masked positions in order, so
-        a caller that owns ``nodes`` in another index space (the worker's
-        shard-local ids) splits hits and misses with plain mask indexing.
-        The gathered rows are a fresh array.
+        ``out`` is the caller's ``(len(nodes), dim)`` float64 assembly
+        buffer: every hit row lands at its lookup position, ``out[i]`` for
+        ``nodes[i]``, so a hit is copied once, from the slab into the
+        buffer.  The rows at miss positions are unspecified (the one
+        contiguous ``take`` copies whatever the slab holds there) and are
+        the caller's to overwrite; with no hit, ``out`` is not touched.
         """
         nodes = np.asarray(nodes, dtype=np.int64)
         with self._lock:
             entry = self._layers.get(layer)
             if entry is None:
                 self.stats.misses += len(nodes)
-                return np.zeros(len(nodes), dtype=bool), np.empty((0, 0), dtype=np.float64)
+                return np.zeros(len(nodes), dtype=bool), 0
             slab, present = entry
-            hit = present[nodes]
-            values = slab[nodes[hit]]  # single gather (fresh array)
-            self.stats.hits += len(values)
-            self.stats.misses += len(nodes) - len(values)
-            return hit, values
+            hit = present[nodes]  # raises IndexError for an id past the graph
+            hits = int(np.count_nonzero(hit))
+            if hits:
+                # The default mode="raise" gathers into a temporary and then
+                # copies it into ``out`` (2.7x the time at 2 800 x 128); the
+                # presence gather above already range-checked the ids, and
+                # "wrap" reads a negative id's row from where its presence
+                # bit came from, as indexing does.
+                np.take(slab, nodes, axis=0, out=out, mode="wrap")
+            self.stats.hits += hits
+            self.stats.misses += len(nodes) - hits
+            return hit, hits
 
     def publish(
         self,

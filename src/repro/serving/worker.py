@@ -3,12 +3,14 @@
 A :class:`ShardWorker` owns one :class:`~repro.serving.shard.GraphShard` and
 answers prediction requests for the shard's core nodes exactly, by layer-wise
 inference restricted to the batch's receptive field.  For each layer ``k``
-(output side first) the worker asks its embedding store — a
-:class:`~repro.serving.cache.HaloStore`, shared by the whole server when the
-halo tier is on, private to the worker otherwise — which layer-``k`` hidden
-states are already known, and only the misses are recomputed, then written
-back to that same store once.  A worker built without a store (halo tier
-off, ``cache_capacity=0``) recomputes every row.  Each miss
+(output side first) the worker allocates the layer's assembly buffer and
+asks its embedding store — a :class:`~repro.serving.cache.HaloStore`, shared
+by the whole server when the halo tier is on, private to the worker
+otherwise — which layer-``k`` hidden states are already known.  The store
+copies each known row straight into the buffer, at its lookup position, so a
+hit is copied once; only the misses are recomputed, scattered into the same
+buffer, and written back to that same store once.  A worker built without a
+store (halo tier off, ``cache_capacity=0``) recomputes every row.  Each miss
 set becomes a :class:`~repro.graph.Restriction` — a row slice of the frozen
 shard CSR with columns remapped into the batch-local index space, built
 fresh per flush — and the layer's ``forward_restricted`` runs a restricted
@@ -35,7 +37,12 @@ aggregation reads no weight (``has_aggregation_weights`` is false — GCN's
 memoises them per incarnation and never drops them on a weight change, so
 the layer-1 plan covers only the miss rows the memo does not know yet, and
 every layer-1 miss then runs just the combination.  Memo rows come out of the
-same restricted SpMM, so they are bitwise the rows it would recompute.
+same restricted SpMM, so they are bitwise the rows it would recompute.  The
+combination reads the wanted rows from the memo itself, slab by slab
+(:func:`repro.models.base.combine_rows`: gather, GEMM, bias and ReLU in
+place, scatter into the buffer), on one slab per core from
+:data:`~repro.models.base.SLAB_MIN_ROWS` rows up, so a cold window's large
+layer-1 call uses every core.
 """
 
 from __future__ import annotations
@@ -54,10 +61,6 @@ from .shard import GraphShard
 from .timing import StageTimer
 
 __all__ = ["LocalPlane", "ShardWorker", "WorkerRetired"]
-
-#: The hit rows of a lookup without a store.
-_NO_ROWS = np.empty((0, 0), dtype=np.float64)
-
 
 class WorkerRetired(RuntimeError):
     """Dispatch against a worker a rebuild already replaced.
@@ -246,21 +249,22 @@ class ShardWorker:
     def _layer_dim(self, layer: int) -> int:
         return self.shard.graph.num_features if layer == 0 else self.model.layers[layer - 1].out_features
 
-    def _lookup(self, store: Optional[HaloStore], layer: int, nodes: np.ndarray):
-        """``(hit mask over nodes, hit rows)`` from this worker's store
-        (nothing hits without one).
+    def _lookup(self, store: Optional[HaloStore], layer: int, nodes: np.ndarray, out: np.ndarray):
+        """``(hit mask over nodes, hit count)``; the hit rows are copied
+        from this worker's store straight into ``out``, the layer's
+        assembly buffer (nothing hits without a store).
 
         The worker's own ``cache_stats`` counts the lookup: hits are rows
         served, misses are rows it will recompute.
         """
         if store is None:
-            hit, rows = np.zeros(len(nodes), dtype=bool), _NO_ROWS
+            hit, hits = np.zeros(len(nodes), dtype=bool), 0
         else:
-            hit, rows = store.take_mask(layer, nodes)
+            hit, hits = store.gather(layer, nodes, out)
         stats = self.cache_stats
-        stats.hits += len(rows)
-        stats.misses += len(nodes) - len(rows)
-        return hit, rows
+        stats.hits += hits
+        stats.misses += len(nodes) - hits
+        return hit, hits
 
     def _store(self, store: HaloStore, layer: int, rows: np.ndarray, nodes: np.ndarray,
                values, epoch) -> None:
@@ -296,6 +300,22 @@ class ShardWorker:
                     f"{self.shard.part_id}"
                 )
         return ordered
+
+    def _combine_memo(self, layer, h_prev: np.ndarray, plan: Optional[Restriction],
+                      wanted: np.ndarray, out) -> np.ndarray:
+        """Layer 1 over a weight-free aggregation: SpMM the rows the memo
+        lacks into it (``plan``), then combine the ``wanted`` rows, reading
+        them from the memo inside the combination's slabs."""
+        timer = self.timings
+        if plan is not None:
+            aggregated = layer.aggregate_restricted(Tensor(h_prev), plan, timer)
+            with timer.stage("aggregation"):
+                self._memo[plan.rows] = aggregated
+                self._memo_known[plan.rows] = True
+            # A plan over every wanted row already holds them in order.
+            if plan.num_rows == len(wanted):
+                return layer.combine_restricted(aggregated, timer, out=out).data
+        return layer.combine_restricted(self._memo, timer, out=out, index=wanted).data
 
     def _exact_logits(self, seeds: np.ndarray) -> np.ndarray:
         """Compiled hot path: store gathers + restricted SpMM, zero subgraphs.
@@ -338,17 +358,17 @@ class ShardWorker:
         # Top-down pass: which layer-k values are missing, and which layer-(k-1)
         # values computing them will require.  Each miss set's Restriction is
         # obtained here and reused below — its column set *is* the next needed
-        # set (shard-local).  The store reports hits as a mask over the
-        # lookup, so hits and misses split with plain mask indexing.  A
-        # fully hit layer needs nothing below it: the pass stops there
-        # (``lowest``).
+        # set (shard-local).  Each layer's assembly buffer is allocated here
+        # and the store copies the hits straight into it; it reports them as
+        # a mask over the lookup, so hits and misses split with plain mask
+        # indexing.  A fully hit layer needs nothing below it: the pass stops
+        # there (``lowest``).
         empty = np.empty(0, dtype=np.int64)
         #: per layer below the top: the shard-local ids the layer needs
         needed: List[np.ndarray] = [empty] * (num_layers + 1)
-        #: per layer: how many values the layer needs, in lookup order
-        sizes = [0] * (num_layers + 1)
-        #: per layer: (hit mask over the lookup, hit rows), when anything hit
-        hits: List[Optional[tuple]] = [None] * (num_layers + 1)
+        #: per layer: the assembly buffer, one row per needed value in
+        #: lookup order (hit rows already in place)
+        buffers: List[Optional[np.ndarray]] = [None] * (num_layers + 1)
         miss_idx: List[np.ndarray] = [empty] * (num_layers + 1)
         miss_local: List[np.ndarray] = [empty] * (num_layers + 1)
         miss_global: List[np.ndarray] = [empty] * (num_layers + 1)
@@ -356,16 +376,14 @@ class ShardWorker:
         lowest = 1
         for k in range(num_layers, 0, -1):
             nodes_global = unique_seeds if k == num_layers else shard.to_global(needed[k])
-            sizes[k] = len(nodes_global)
-            if not sizes[k]:  # the plan above needs no rows here
+            buffer = buffers[k] = np.empty((len(nodes_global), self._layer_dim(k)))
+            if not len(nodes_global):  # the plan above needs no rows here
                 continue
             with timer.stage("cache_gather"):
-                hit_mask, hit_values = self._lookup(store, k, nodes_global)
-            if len(hit_values):
-                hits[k] = (hit_mask, hit_values)
-                if len(hit_values) == sizes[k]:
-                    lowest = k
-                    break
+                hit_mask, hits = self._lookup(store, k, nodes_global, buffer)
+            if hits == len(nodes_global):
+                lowest = k
+                break
             missing = np.flatnonzero(~hit_mask)
             miss_idx[k] = missing
             miss_global[k] = nodes_global[missing]
@@ -382,41 +400,24 @@ class ShardWorker:
         # Bottom-up pass: raw features feed layer 1; each layer recomputes its
         # misses through its restricted operators, scattering them straight
         # into the assembly buffer the gathered rows already occupy (the
-        # layers' ``out=`` contract).
+        # layers' ``out=`` contract).  A fully hit layer's buffer already *is*
+        # its output, in lookup order.
         if lowest == 1:
             h_prev = np.asarray(graph.features[needed[0]], dtype=np.float64)
         for k in range(lowest, num_layers + 1):
-            hit = hits[k]
-            if not len(miss_idx[k]):
-                # Fully hit: the gathered block already *is* this layer's
-                # output, in lookup order — no reassembly.
-                h_prev = hit[1] if hit is not None else np.empty((0, self._layer_dim(k)))
-                continue
-            values = np.empty((sizes[k], self._layer_dim(k)))
-            if hit is not None:
-                values[hit[0]] = hit[1]
-            layer = self.model.layers[k - 1]
-            if k == 1 and self._memo is not None:
-                wanted = miss_local[1]
-                plan = plans[1]
-                if plan is not None:  # rows the memo lacked: SpMM them in
-                    aggregated = layer.aggregate_restricted(Tensor(h_prev), plan, timer)
-                with timer.stage("aggregation"):
-                    if plan is not None:
-                        self._memo[plan.rows] = aggregated
-                        self._memo_known[plan.rows] = True
-                    # A plan over every wanted row already holds them in order;
-                    # a second shard-sized copy would only raise peak memory.
-                    if plan is None or plan.num_rows < len(wanted):
-                        aggregated = self._memo[wanted]
-                computed = layer.combine_restricted(aggregated, timer, out=(values, miss_idx[1])).data
-            else:
-                computed = layer.forward_restricted(
-                    Tensor(h_prev), plans[k], timer=timer, out=(values, miss_idx[k])
-                ).data
-            if store is not None:
-                with timer.stage("cache_scatter"):
-                    self._store(store, k, miss_local[k], miss_global[k], computed, epoch)
+            values = buffers[k]
+            if len(miss_idx[k]):
+                layer = self.model.layers[k - 1]
+                assembly = (values, miss_idx[k])
+                if k == 1 and self._memo is not None:
+                    computed = self._combine_memo(layer, h_prev, plans[1], miss_local[1], assembly)
+                else:
+                    computed = layer.forward_restricted(
+                        Tensor(h_prev), plans[k], timer=timer, out=assembly
+                    ).data
+                if store is not None:
+                    with timer.stage("cache_scatter"):
+                        self._store(store, k, miss_local[k], miss_global[k], computed, epoch)
             h_prev = values
 
         return h_prev[unique_seeds.searchsorted(seeds)]

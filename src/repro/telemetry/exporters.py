@@ -13,7 +13,11 @@ Three formats, three consumers:
   complete (``"ph": "X"``) events on pid 0 with one row (tid) per shard,
   dispatch attempts are complete events on pid 1 with one row per replica,
   and metadata events name every row.  Timestamps are clock seconds scaled
-  to microseconds; with a ``ManualClock`` the trace is deterministic.
+  to microseconds.  A ``ManualClock`` fixes the timestamps but not the
+  whole trace: each attempt's ``stages_s`` comes from its worker's
+  :class:`~repro.serving.timing.StageTimer`, which reads
+  ``time.perf_counter`` unless it is given another clock, so two runs of
+  one script differ there.
 """
 
 from __future__ import annotations

@@ -58,23 +58,33 @@ def _server(model, graph, **overrides):
     return InferenceServer(model, graph, ServingConfig(**defaults), clock=ManualClock())
 
 
+def _gather(store, layer, nodes, dim=DIM):
+    """One lookup into a fresh NaN-filled assembly buffer:
+    ``(hit mask, hit count, buffer)``."""
+    nodes = np.asarray(nodes)
+    out = np.full((len(nodes), dim), np.nan)
+    mask, hits = store.gather(layer, nodes, out)
+    return mask, hits, out
+
+
 class TestHaloStoreUnit:
     def test_publish_then_gather_every_node(self):
         store = HaloStore(num_nodes=10)
         values = np.arange(2 * DIM, dtype=np.float64).reshape(2, DIM)
         store.publish(1, np.array([2, 3]), values)  # any node id is storable
         assert len(store) == 2
-        mask, rows = store.take_mask(1, np.array([2, 3, 5]))
-        assert mask.tolist() == [True, True, False]
-        assert np.array_equal(rows, values)
+        mask, hits, out = _gather(store, 1, [2, 3, 5])
+        assert mask.tolist() == [True, True, False] and hits == 2
+        assert np.array_equal(out[mask], values)
         # Every looked-up node counts: two hits, one miss.
         assert store.stats.hits == 2 and store.stats.misses == 1
         assert store.stats.insertions == 2
 
     def test_take_before_any_publish(self):
         store = HaloStore(num_nodes=8)
-        mask, rows = store.take_mask(0, np.array([1, 4]))
-        assert not mask.any() and rows.size == 0
+        mask, hits, out = _gather(store, 0, [1, 4])
+        assert not mask.any() and hits == 0
+        assert np.isnan(out).all()  # nothing hit: the buffer is not touched
         assert store.stats.misses == 2
 
     def test_signature_invalidation_drops_entries_keeps_slabs(self):
@@ -96,6 +106,8 @@ class TestHaloStoreUnit:
             store.publish(1, np.array([1]), np.ones((1, DIM + 1)))
         with pytest.raises(ValueError):
             store.publish(1, np.array([0]), np.ones(DIM))  # not 2-D
+        with pytest.raises(ValueError):  # a buffer of the wrong width
+            _gather(store, 1, [0], dim=DIM + 1)
 
     def test_row_count_mismatch_raises_and_stores_nothing(self):
         store = HaloStore(num_nodes=8)
@@ -107,28 +119,65 @@ class TestHaloStoreUnit:
         store = HaloStore(num_nodes=8)
         store.publish(1, np.array([5]), np.ones((1, DIM)))
         assert store.contains(1, 5) and not store.contains(2, 5)
-        mask, rows = store.take_mask(2, np.array([5]))
-        assert not mask.any() and rows.size == 0
+        mask, hits, out = _gather(store, 2, [5])
+        assert not mask.any() and hits == 0 and np.isnan(out).all()
 
     def test_gathered_rows_are_isolated_copies(self):
         store = HaloStore(num_nodes=4)
         source = np.ones((1, DIM))
         store.publish(1, np.array([1]), source)
         source[:] = 99.0  # mutating the producer's buffer must not leak in
-        _, rows = store.take_mask(1, np.array([1]))
-        assert np.array_equal(rows[0], np.ones(DIM))
-        rows[0, 0] = 5.0  # the gathered array is a fresh copy, not a view
-        _, again = store.take_mask(1, np.array([1]))
+        _, _, out = _gather(store, 1, [1])
+        assert np.array_equal(out[0], np.ones(DIM))
+        out[0, 0] = 5.0  # the buffer holds a copy, not a view of the slab
+        _, _, again = _gather(store, 1, [1])
         assert np.array_equal(again[0], np.ones(DIM))
 
     def test_rows_follow_the_masked_positions_in_order(self):
         store = HaloStore(num_nodes=10)
         values = np.arange(3 * DIM, dtype=np.float64).reshape(3, DIM)
         store.publish(0, np.array([7, 2, 4]), values)
-        mask, rows = store.take_mask(0, np.array([4, 9, 7, 4, 2]))
-        assert mask.tolist() == [True, False, True, True, True]
-        assert np.array_equal(rows, values[[2, 0, 2, 1]])
+        mask, hits, out = _gather(store, 0, [4, 9, 7, 4, 2])
+        assert mask.tolist() == [True, False, True, True, True] and hits == 4
+        assert np.array_equal(out[mask], values[[2, 0, 2, 1]])
         assert store.stats.hits == 4 and store.stats.misses == 1
+
+    def test_hit_rows_land_at_their_lookup_positions(self):
+        store = HaloStore(num_nodes=10)
+        values = np.arange(3 * DIM, dtype=np.float64).reshape(3, DIM) + 1.0
+        store.publish(1, np.array([7, 2, 4]), values)
+        nodes = np.array([4, 9, 7, 4, 2, 0])
+        out = np.full((len(nodes), DIM), np.nan)
+        view = out  # the caller's buffer is filled in place, not replaced
+        mask, hits = store.gather(1, nodes, out)
+        assert out is view and hits == 4
+        expected = {0: values[2], 2: values[0], 3: values[2], 4: values[1]}
+        for position, row in expected.items():
+            assert mask[position] and np.array_equal(out[position], row)
+        assert not mask[1] and not mask[5]  # miss rows are the caller's to fill
+
+    def test_counts_match_the_mask_and_the_stats(self):
+        store = HaloStore(num_nodes=12)
+        store.publish(1, np.arange(0, 12, 3), np.ones((4, DIM)))  # 0, 3, 6, 9
+        lookups = [[0, 1, 2, 3], [6, 9], [5, 7, 11], [], [9, 9, 10]]
+        expected_hits = [2, 2, 0, 0, 2]
+        for nodes, expected in zip(lookups, expected_hits):
+            mask, hits, _ = _gather(store, 1, nodes)
+            assert hits == expected == int(mask.sum())
+        total = sum(len(nodes) for nodes in lookups)
+        assert store.stats.as_dict() == dict(
+            hits=6, misses=total - 6, insertions=4, evictions=0, invalidations=0, discarded=0
+        )
+
+    def test_nothing_hits_after_a_signature_change(self):
+        store = HaloStore(num_nodes=6)
+        store.ensure_signature((0,))
+        store.publish(2, np.arange(6), np.ones((6, DIM)))
+        assert _gather(store, 2, np.arange(6))[1] == 6
+        assert store.ensure_signature((1,))
+        mask, hits, out = _gather(store, 2, np.arange(6))
+        assert not mask.any() and hits == 0 and np.isnan(out).all()
+        assert store.stats.hits == 6 and store.stats.misses == 6
 
     def test_republish_overwrites_the_row_at_its_id(self):
         store = HaloStore(num_nodes=4)
@@ -136,8 +185,8 @@ class TestHaloStoreUnit:
         slab = store._layers[1][0]
         store.publish(1, np.array([2]), np.full((1, DIM), 3.0))
         assert len(store) == 1 and store._layers[1][0] is slab
-        _, rows = store.take_mask(1, np.array([2]))
-        assert np.array_equal(rows, np.full((1, DIM), 3.0))
+        _, _, out = _gather(store, 1, [2])
+        assert np.array_equal(out, np.full((1, DIM), 3.0))
         assert store.stats.insertions == 2
 
     def test_every_node_fits_and_nothing_is_evicted(self):
@@ -146,8 +195,8 @@ class TestHaloStoreUnit:
             for node in range(6):
                 store.publish(layer, np.array([node]), np.full((1, DIM), float(node)))
         assert len(store) == 12
-        mask, rows = store.take_mask(1, np.arange(6))
-        assert mask.all() and np.array_equal(rows[:, 0], np.arange(6.0))
+        mask, _, out = _gather(store, 1, np.arange(6))
+        assert mask.all() and np.array_equal(out[:, 0], np.arange(6.0))
         assert store.stats.evictions == 0
 
     def test_ids_outside_the_graph_are_rejected(self):
@@ -155,15 +204,22 @@ class TestHaloStoreUnit:
         store.publish(1, np.array([3]), np.ones((1, DIM)))  # the last id fits
         with pytest.raises(IndexError):
             store.publish(1, np.array([4]), np.ones((1, DIM)))
-        with pytest.raises(IndexError):
-            store.take_mask(1, np.array([4]))
+        with pytest.raises(IndexError):  # the lookup does not clip an id
+            _gather(store, 1, [3, 4])
         assert len(store) == 1
+
+    def test_a_negative_id_reads_the_row_its_presence_bit_belongs_to(self):
+        store = HaloStore(num_nodes=4)
+        store.publish(1, np.array([0, 3]), np.array([[1.0] * DIM, [4.0] * DIM]))
+        mask, hits, out = _gather(store, 1, [-1, 1])
+        assert mask.tolist() == [True, False] and hits == 1
+        assert np.array_equal(out[0], np.full(DIM, 4.0))  # node 3, as indexing reads -1
 
     def test_empty_publish_allocates_no_slab(self):
         store = HaloStore(num_nodes=4)
         assert store.publish(1, np.array([], dtype=np.int64), np.empty((0, DIM))) == 0
         assert store._layers == {} and store.stats.insertions == 0
-        mask, _ = store.take_mask(1, np.array([0]))
+        mask, _, _ = _gather(store, 1, [0])
         assert not mask.any()
 
     def test_invalidation_resets_presence_in_place(self):
@@ -172,7 +228,7 @@ class TestHaloStoreUnit:
         store.publish(1, np.array([1, 2]), np.ones((2, DIM)))
         slab, present = store._layers[1]
         assert store.ensure_signature((1,))
-        mask, _ = store.take_mask(1, np.array([1, 2]))
+        mask, _, _ = _gather(store, 1, [1, 2])
         assert not mask.any()  # rows of the old weights are misses
         store.publish(1, np.array([3]), np.ones((1, DIM)))
         assert store._layers[1][0] is slab and store._layers[1][1] is present
@@ -184,6 +240,27 @@ class TestHaloStoreUnit:
         before = dict(store.stats.as_dict())
         assert store.contains(1, 0) and not store.contains(1, 1) and not store.contains(3, 0)
         assert store.stats.as_dict() == before
+
+    def test_a_shared_store_lookup_reads_the_creators_rows(self):
+        # The process plane builds the store over shared segments and each
+        # worker process attaches it by spec: a lookup through the attached
+        # view copies the rows the creator published into its own buffer.
+        from repro.serving.procplane import SharedHaloStore, SharedSlabArena
+
+        arena = SharedSlabArena(token="gather")
+        try:
+            creator = SharedHaloStore.create(arena, num_nodes=8, layer_dims={1: DIM})
+            values = np.arange(2 * DIM, dtype=np.float64).reshape(2, DIM)
+            creator.publish(1, np.array([6, 1]), values)
+            child = SharedHaloStore.attach(creator.spec)
+            mask, hits, out = _gather(child, 1, [1, 5, 6])
+            assert mask.tolist() == [True, False, True] and hits == 2
+            assert np.array_equal(out[[0, 2]], values[[1, 0]])
+            assert child.stats.hits == 2 and child.stats.misses == 1
+            assert creator.stats.hits == 0  # each process counts its own lookups
+            del child
+        finally:
+            arena.unlink_all()
 
     def test_capacity_and_retention_are_not_parameters(self):
         # The store is direct-mapped over every node: there is nothing to size,
@@ -464,7 +541,7 @@ class TestRowsStayExactAfterWeightBumpAndSubsetFlush:
         checked = 0
         for node in range(store.num_nodes):
             if store.contains(1, int(node)):
-                _, values = store.take_mask(1, np.array([node]))
+                _, _, values = _gather(store, 1, [node], dim=layer1.shape[1])
                 assert np.array_equal(values[0], layer1[node]), f"stale/wrong row for {node}"
                 checked += 1
         assert checked > 0

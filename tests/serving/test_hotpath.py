@@ -133,6 +133,51 @@ class TestHotPathEquivalence:
         assert np.array_equal(server.predict(nodes), reference[nodes])
 
 
+class TestSlabbedCombination:
+    """Served rows stay bitwise ``full_forward``'s with the restricted
+    combination cut into core slabs (forced with a patched core count, so a
+    one-CPU host runs the slab path too)."""
+
+    @pytest.mark.parametrize("cores", [2, 3])
+    def test_refresh_windows_serve_full_forward_rows(self, monkeypatch, cores):
+        from repro.models import base
+
+        graph = synthetic_graph(
+            num_nodes=900, num_edges=9000, num_features=16, num_classes=4, seed=11,
+            name="slab-graph",
+        )
+        model = _model(graph, "GCN", block_size=8)
+        monkeypatch.setattr(base, "_core_count", lambda: cores)
+        server = _server(model, graph, max_batch_size=64)
+        original, slabbed = base._run_slabs, []
+
+        def counting(work, slabs, pool_cores):
+            slabbed.append(len(slabs))
+            return original(work, slabs, pool_cores)
+
+        rng = np.random.default_rng(4)
+        for _ in range(3):
+            # A refresh: new weights, every stored row invalid; the worker's
+            # layer-1 memo (weight-free Â·X) is kept.
+            for parameter in model.parameters():
+                parameter.data[...] *= 1.0 + 0.1 * rng.standard_normal(parameter.data.shape)
+                parameter.bump_version()
+            with no_grad():
+                layer1 = model.layers[0].forward_full(Tensor(graph.features), graph).data
+                logits = model.layers[1].forward_full(Tensor(layer1), graph).data
+            nodes = rng.choice(graph.num_nodes, size=128, replace=False)
+            monkeypatch.setattr(base, "_run_slabs", counting)
+            served = server.predict(nodes)
+            monkeypatch.setattr(base, "_run_slabs", original)
+            assert np.array_equal(served, logits.argmax(axis=-1)[nodes])
+            store = server.halo_store
+            for layer, rows in ((1, layer1), (2, logits)):
+                known = np.flatnonzero(store._layers[layer][1])
+                assert len(known)
+                assert store._layers[layer][0][known].tobytes() == rows[known].tobytes()
+        assert slabbed and all(1 < count <= cores for count in slabbed)
+
+
 #: Sparse enough that each of two shards misses some nodes, halo included.
 SPARSE = synthetic_graph(
     num_nodes=200, num_edges=300, num_features=8, num_classes=3, seed=7, name="sparse-graph"
