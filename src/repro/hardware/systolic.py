@@ -61,10 +61,6 @@ class SystolicArray:
             )
         self._weights = spectral_weights
 
-    @property
-    def weights_loaded(self) -> bool:
-        return self._weights is not None
-
     # -- timing ----------------------------------------------------------------------
 
     def cycles_for(self, num_vectors: int, p: Optional[int] = None, q: Optional[int] = None) -> int:

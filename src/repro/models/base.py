@@ -28,7 +28,7 @@ from ..compression.compress import CompressionConfig
 from ..graph.graph import Graph
 from ..graph.sampling import MiniBatch, SampledBlock
 from ..nn.dropout import Dropout
-from ..nn.linear import ROW_TILE, BlockCirculantLinear, row_tiled_matmul
+from ..nn.linear import ROW_TILE, row_tiled_matmul
 from ..nn.module import Module
 from ..tensor.tensor import Tensor
 
@@ -46,7 +46,6 @@ __all__ = [
     "weighted_segment_sum",
     "edge_destinations",
     "stage_scope",
-    "emit_restricted",
 ]
 
 
@@ -61,23 +60,6 @@ def stage_scope(timer, name: str):
     hot path.
     """
     return timer.stage(name) if timer is not None else contextlib.nullcontext()
-
-
-def emit_restricted(result: Tensor, out) -> Tensor:
-    """Deliver a layer's freshly computed restricted rows.
-
-    ``out`` is either ``None`` (plain return) or an ``(buffer, positions)``
-    pair: the caller's assembly buffer for the layer's full needed set, whose
-    *other* rows already hold pre-gathered cache and halo hits.  The computed
-    rows are scattered into ``buffer[positions]`` here — inside the layer's
-    timed scope — so the caller assembles the layer output without a second
-    pass.  The computed rows are returned either way (the serving worker also
-    feeds them to the embedding cache and the halo tier).
-    """
-    if out is not None:
-        buffer, positions = out
-        buffer[positions] = result.data
-    return result
 
 
 def apply_linear(layer: Module, x: Tensor) -> Tensor:
@@ -344,36 +326,27 @@ def combine_rows(
     out=None,
 ) -> np.ndarray:
     """The restricted combination, fused: ``ReLU(x @ W^T + b)`` for the rows
-    ``x = source[index]`` (``source`` itself without ``index``).
+    ``x = source[index]`` (``source`` itself without ``index``), where
+    ``linear`` is a :class:`~repro.nn.Linear` or a
+    :class:`~repro.nn.BlockCirculantLinear`.
 
-    ``out`` is :func:`emit_restricted`'s ``(buffer, positions)`` assembly
-    pair or ``None``; the computed rows are returned either way.  Bits equal
+    ``out`` is the serving worker's ``(buffer, positions)`` assembly pair or
+    ``None``; the computed rows are returned either way.  Bits equal
     ``apply_linear`` → bias → ReLU → scatter on the whole row set.
 
-    For a :class:`~repro.nn.BlockCirculantLinear` (whose GEMM runs on
-    :data:`ROW_TILE`-row blocks, so a row's bits do not depend on the
-    others) every slab of rows gathers its own ``source`` rows, multiplies
-    them into its slice of the result (:func:`row_tiled_matmul` with
-    ``out=``), adds the bias and applies ReLU in place, and scatters the
-    slice into ``buffer`` — one pass, no whole-set temporaries.  From
+    Both layers run their GEMM on :data:`ROW_TILE`-row blocks of the cached
+    ``W^T`` (``linear.dense_transposed()``), so a row's bits do not depend
+    on the others.  Every slab of rows gathers its own ``source`` rows,
+    multiplies them into its slice of the result (:func:`row_tiled_matmul`
+    with ``out=``), adds the bias and applies ReLU in place, and scatters
+    the slice into ``buffer`` — one pass, no whole-set temporaries.  From
     :data:`SLAB_MIN_ROWS` rows up the slabs are cut at multiples of
     ``ROW_TILE``, one per core, and run on :func:`_run_slabs`' pool (numpy's
     gathers and BLAS release the GIL); below it, or with one core, the one
-    slab runs inline.  Any other linear layer (the dense
-    :class:`~repro.nn.Linear`, whose GEMM bits depend on the call shape)
-    runs as one :func:`apply_linear` call.
+    slab runs inline.
     """
     rows = len(source) if index is None else len(index)
     buffer, positions = out if out is not None else (None, None)
-    if not isinstance(linear, BlockCirculantLinear):
-        x = source if index is None else source[index]
-        result = apply_linear(linear, Tensor(x)).data
-        if activation:
-            result = np.maximum(result, 0.0)
-        if buffer is not None:
-            buffer[positions] = result
-        return result
-
     matrix = linear.dense_transposed()
     bias = linear.bias.data if linear.bias is not None else None
     result = np.empty((rows, matrix.shape[1]))
@@ -482,8 +455,8 @@ class GNNLayer(Module):
         attribute the layer's time to the serving breakdown.  ``out``, when
         given, is the serving worker's ``(buffer, positions)`` assembly pair
         — the buffer's other rows hold pre-gathered cache/halo hits and the
-        layer scatters its computed rows into ``buffer[positions]`` via
-        :func:`emit_restricted` before returning them.
+        layer scatters its computed rows into ``buffer[positions]`` before
+        returning them (:func:`combine_rows` does both).
         """
         raise NotImplementedError
 

@@ -16,6 +16,7 @@ import scipy.sparse as sp
 
 from ..compression.compress import CompressionConfig
 from ..graph.sampling import SampledBlock
+from ..nn.linear import row_tiled_matmul
 from ..nn.module import Module, Parameter
 from ..tensor import functional as F
 from ..tensor.tensor import Tensor, concatenate
@@ -24,7 +25,6 @@ from .base import (
     GNNModel,
     apply_linear,
     edge_destinations,
-    emit_restricted,
     parallel_spmm,
     register_model,
     segment_reduce,
@@ -73,6 +73,13 @@ class GATHead(Module):
         weighted = z_neigh * attention.reshape(num_dst, fanout, 1)
         return weighted.sum(axis=1)                                     # (D, H)
 
+    def _logits(self, z: np.ndarray):
+        """Both attention dot products of every row of ``z``, as one
+        row-tiled GEMM: a GEMV's bits depend on how many rows share it."""
+        vectors = np.stack([self.attention_self.data, self.attention_neighbor.data], axis=1)
+        logits = row_tiled_matmul(z, vectors)
+        return logits[:, 0], logits[:, 1]
+
     def forward_full(self, h: Tensor, graph, dst: Optional[np.ndarray] = None) -> Tensor:
         """Full-graph attention: softmax over each node's true neighbourhood.
 
@@ -86,8 +93,7 @@ class GATHead(Module):
         layers build the O(E) array once instead of once per head.
         """
         z = apply_linear(self.project, h).data                          # (N, H)
-        logit_self = z @ self.attention_self.data                       # (N,)
-        logit_neigh = z @ self.attention_neighbor.data                  # (N,)
+        logit_self, logit_neigh = self._logits(z)                       # (N,), (N,)
         src = graph.indices
         if dst is None:
             dst = edge_destinations(graph)
@@ -112,8 +118,7 @@ class GATHead(Module):
         per-row edge order matches the parent graph — same sums, same maxima.
         """
         z = apply_linear(self.project, h).data                          # (C, H)
-        logit_self = z @ self.attention_self.data                       # (C,)
-        logit_neigh = z @ self.attention_neighbor.data                  # (C,)
+        logit_self, logit_neigh = self._logits(z)                       # (C,), (C,)
         src = restriction.col_positions
         row_positions = restriction.row_positions
         dst = restriction.edge_rows()                                   # (E,) row ordinal per edge
@@ -177,7 +182,11 @@ class GATLayer(GNNLayer):
             outputs = [head.forward_restricted(h, restriction) for head in self.heads]
         with stage_scope(timer, "combination"):
             result = outputs[0] if len(outputs) == 1 else concatenate(outputs, axis=1)
-            return emit_restricted(result.elu() if self.activation else result, out)
+            result = result.elu() if self.activation else result
+            if out is not None:
+                buffer, positions = out
+                buffer[positions] = result.data
+            return result
 
 
 @register_model("gat")

@@ -20,8 +20,8 @@ from .base import (
     GNNLayer,
     GNNModel,
     apply_linear,
+    combine_rows,
     edge_destinations,
-    emit_restricted,
     parallel_segment_reduce,
     register_model,
     segment_reduce,
@@ -197,8 +197,7 @@ class GGCNLayer(GNNLayer):
                 own = row_positions[isolated]
                 aggregated[isolated] = _gate(neg_n[own] + neg_s[own], features[own])
         with stage_scope(timer, "combination"):
-            result = apply_linear(self.fc, Tensor(aggregated))
-            return emit_restricted(result.relu() if self.activation else result, out)
+            return Tensor(combine_rows(self.fc, aggregated, None, self.activation, out))
 
 
 @register_model("ggcn")

@@ -19,7 +19,7 @@ from .base import (
     GNNLayer,
     GNNModel,
     apply_linear,
-    emit_restricted,
+    combine_rows,
     parallel_segment_reduce,
     register_model,
     segment_reduce,
@@ -92,8 +92,7 @@ class GraphSAGEPoolLayer(GNNLayer):
             pooled[~nonempty] = projected[row_positions[~nonempty]]
             combined = np.concatenate([pooled, h.data[row_positions]], axis=1)       # (R, P + F)
         with stage_scope(timer, "combination"):
-            result = apply_linear(self.combine_fc, Tensor(combined))
-            return emit_restricted(result.relu() if self.activation else result, out)
+            return Tensor(combine_rows(self.combine_fc, combined, None, self.activation, out))
 
 
 @register_model("gs_pool")

@@ -4,12 +4,18 @@
 ``BlockCirculantLinear`` is the compressed layer at the heart of BlockGNN.
 Both compute ``y = x @ W^T + b`` so they are drop-in replacements for one
 another, which is what allows :mod:`repro.compression.compress` to convert a
-trained dense model layer-by-layer.
+trained dense model layer-by-layer.  They also share one kernel: each
+exposes its weight as the dense ``W^T`` (:meth:`~Linear.dense_transposed`,
+cached per weight version) and runs the product on
+:func:`row_tiled_matmul`, so a row's output has the same bits whatever the
+layer's weight format and whatever other rows share the call.  Only the
+weight gradient differs: ``Linear`` takes ``g^T x`` as it is, and
+``BlockCirculantLinear`` folds it onto its defining vectors.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -27,49 +33,15 @@ from .module import Module, Parameter
 __all__ = ["Linear", "BlockCirculantLinear"]
 
 
-class Linear(Module):
-    """Fully-connected layer ``y = x @ W^T + b`` with a dense weight matrix."""
-
-    def __init__(
-        self,
-        in_features: int,
-        out_features: int,
-        bias: bool = True,
-        rng: Optional[np.random.Generator] = None,
-    ) -> None:
-        super().__init__()
-        if in_features <= 0 or out_features <= 0:
-            raise ValueError("feature dimensions must be positive")
-        generator = rng if rng is not None else np.random.default_rng()
-        self.in_features = in_features
-        self.out_features = out_features
-        self.weight = Parameter(
-            init.glorot_uniform((out_features, in_features), in_features, out_features, generator),
-            name="weight",
-        )
-        self.bias = Parameter(init.zeros(out_features), name="bias") if bias else None
-
-    def forward(self, x: Tensor) -> Tensor:
-        out = x.matmul(self.weight.T)
-        if self.bias is not None:
-            out = out + self.bias
-        return out
-
-    def weight_matrix(self) -> np.ndarray:
-        """Dense weight matrix (``(out_features, in_features)``)."""
-        return self.weight.data
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"Linear(in={self.in_features}, out={self.out_features}, bias={self.bias is not None})"
-
-
-#: The dense path runs every GEMM on blocks of exactly this many rows (the
-#: last block zero-padded).  BLAS picks its kernel, and so its summation
-#: order, from the whole call shape: on OpenBLAS a 1-row product takes the
-#: GEMV kernel and a few-row product the small-matrix kernel, and both round
-#: differently from the kernel a full-graph pass takes.  With one call shape
-#: per layer, a row's output does not depend on how many other rows share
-#: the call, so a served row equals its ``full_forward`` row bit for bit.
+#: Every weight product runs on blocks of exactly this many rows (the last
+#: block zero-padded): both linear layers, the restricted combination
+#: (:func:`repro.models.base.combine_rows`) and GAT's attention logits.
+#: BLAS picks its kernel, and so its summation order, from the whole call
+#: shape: on OpenBLAS a 1-row product takes the GEMV kernel and a few-row
+#: product the small-matrix kernel, and both round differently from the
+#: kernel a full-graph pass takes.  With one call shape per product, a row's
+#: output does not depend on how many other rows share the call, so a served
+#: row equals its ``full_forward`` row bit for bit.
 ROW_TILE = 32
 
 
@@ -102,35 +74,117 @@ def row_tiled_matmul(x: np.ndarray, matrix: np.ndarray, out: Optional[np.ndarray
     return out
 
 
-def _expanded_linear(
-    x: Tensor, weights: Tensor, spec: BlockCirculantSpec, dense_t: np.ndarray
+def _row_tiled_linear(
+    x: Tensor, weight: Tensor, dense_t: np.ndarray, fold: Callable[[np.ndarray], np.ndarray]
 ) -> Tensor:
-    """``x @ W^T`` through the expanded matrix ``dense_t = W^T``, differentiable
-    in ``x`` and in the ``(p, q, n)`` defining vectors."""
+    """``x @ W^T`` through the dense ``dense_t = W^T``, differentiable in
+    ``x`` and in ``weight``, onto which ``fold`` maps the dense gradient
+    ``g^T x``.  ``x`` may have any leading dimensions."""
     x_data = x.data
-    squeeze = x_data.ndim == 1
-    if squeeze:
-        x_data = x_data[None, :]
-    if x_data.shape[-1] != spec.in_features:
+    in_features, out_features = dense_t.shape
+    if x_data.shape[-1] != in_features:
         raise ValueError(
-            f"input feature dimension {x_data.shape[-1]} does not match spec ({spec.in_features})"
+            f"input feature dimension {x_data.shape[-1]} does not match the layer's ({in_features})"
         )
-    out = row_tiled_matmul(x_data, dense_t)
+    flat = x_data.reshape(-1, in_features)
+    out = row_tiled_matmul(flat, dense_t)
 
     def backward(grad: np.ndarray) -> None:
-        grad = np.asarray(grad, dtype=np.float64)
-        if squeeze:
-            grad = grad[None, :]
+        grad = np.asarray(grad, dtype=np.float64).reshape(-1, out_features)
         if x.requires_grad:
-            gx = grad @ dense_t.T
-            x._accumulate(gx[0] if squeeze else gx)
-        if weights.requires_grad:
-            weights._accumulate(fold_block_circulant(grad.T @ x_data, spec))
+            x._accumulate((grad @ dense_t.T).reshape(x_data.shape))
+        if weight.requires_grad:
+            weight._accumulate(fold(grad.T @ flat))
 
-    return Tensor._make(out[0] if squeeze else out, (x, weights), backward)
+    return Tensor._make(out.reshape(x_data.shape[:-1] + (out_features,)), (x, weight), backward)
 
 
-class BlockCirculantLinear(Module):
+class _RowTiledLinear(Module):
+    """``y = x @ W^T + b`` on :func:`row_tiled_matmul`, with ``W^T`` derived
+    from the weight parameter once per weight version.
+
+    Sub-classes define ``weight`` and ``bias``; ``dense_transposed()``, the
+    C-contiguous ``(in_features, out_features)`` matrix ``W^T`` (from
+    :meth:`_derived`); and ``_fold(g)``, which maps a dense weight gradient
+    onto ``weight`` (the adjoint of the weight's expansion into ``W``).
+    """
+
+    def __init__(self) -> None:
+        super().__init__()
+        self._weight_caches: dict = {}
+
+    def _derived(self, kind, build) -> np.ndarray:
+        """``build(weight.data)``, cached per ``(weight identity, weight.version)``.
+
+        Identity so torch-style parameter replacement (``layer.weight =
+        Parameter(...)``, whose fresh version counter restarts at 0) cannot
+        serve the old parameter's derived arrays.  Any code path that mutates
+        ``weight.data`` in place must call ``weight.bump_version()`` (the
+        optimisers, ``load_state_dict`` and the quantisation utilities
+        already do) or :meth:`invalidate_weight_caches`.  The returned array
+        is shared and therefore frozen read-only — ``.copy()`` it before
+        editing.
+        """
+        weight = self.weight
+        cached = self._weight_caches.get(kind)
+        if cached is None or cached[0] is not weight or cached[1] != weight.version:
+            value = build(weight.data)
+            value.flags.writeable = False
+            cached = (weight, weight.version, value)
+            self._weight_caches[kind] = cached
+        return cached[2]
+
+    def invalidate_weight_caches(self) -> None:
+        """Drop the cached weight-derived arrays (for callers that mutated
+        ``weight.data`` without bumping the parameter version)."""
+        self._weight_caches.clear()
+
+    def forward(self, x: Tensor) -> Tensor:
+        out = _row_tiled_linear(ensure_tensor(x), self.weight, self.dense_transposed(), self._fold)
+        if self.bias is not None:
+            out = out + self.bias
+        return out
+
+
+class Linear(_RowTiledLinear):
+    """Fully-connected layer ``y = x @ W^T + b`` with a dense weight matrix."""
+
+    def __init__(
+        self,
+        in_features: int,
+        out_features: int,
+        bias: bool = True,
+        rng: Optional[np.random.Generator] = None,
+    ) -> None:
+        super().__init__()
+        if in_features <= 0 or out_features <= 0:
+            raise ValueError("feature dimensions must be positive")
+        generator = rng if rng is not None else np.random.default_rng()
+        self.in_features = in_features
+        self.out_features = out_features
+        self.weight = Parameter(
+            init.glorot_uniform((out_features, in_features), in_features, out_features, generator),
+            name="weight",
+        )
+        self.bias = Parameter(init.zeros(out_features), name="bias") if bias else None
+
+    def dense_transposed(self) -> np.ndarray:
+        """``W^T`` as a C-contiguous ``(in_features, out_features)`` copy,
+        cached per weight version."""
+        return self._derived("dense", lambda w: np.ascontiguousarray(w.T))
+
+    def _fold(self, dense_grad: np.ndarray) -> np.ndarray:
+        return dense_grad
+
+    def weight_matrix(self) -> np.ndarray:
+        """Dense weight matrix (``(out_features, in_features)``)."""
+        return self.weight.data
+
+    def __repr__(self) -> str:  # pragma: no cover
+        return f"Linear(in={self.in_features}, out={self.out_features}, bias={self.bias is not None})"
+
+
+class BlockCirculantLinear(_RowTiledLinear):
     """Fully-connected layer whose weight matrix is block-circulant.
 
     The weight is stored as the ``(p, q, n)`` defining vectors — ``N M / n``
@@ -177,28 +231,6 @@ class BlockCirculantLinear(Module):
             generator.normal(0.0, std, size=self.spec.weight_shape()), name="circulant_weight"
         )
         self.bias = Parameter(init.zeros(out_features), name="bias") if bias else None
-        self._weight_caches: dict = {}
-
-    def _derived(self, kind, build) -> np.ndarray:
-        """``build(weight.data)``, cached per ``(weight identity, weight.version)``.
-
-        Identity so torch-style parameter replacement (``layer.weight =
-        Parameter(...)``, whose fresh version counter restarts at 0) cannot
-        serve the old parameter's derived arrays.  Any code path that mutates
-        ``weight.data`` in place must call ``weight.bump_version()`` (the
-        optimisers, ``load_state_dict`` and the quantisation utilities
-        already do) or :meth:`invalidate_weight_caches`.  The returned array
-        is shared and therefore frozen read-only — ``.copy()`` it before
-        editing.
-        """
-        weight = self.weight
-        cached = self._weight_caches.get(kind)
-        if cached is None or cached[0] is not weight or cached[1] != weight.version:
-            value = build(weight.data)
-            value.flags.writeable = False
-            cached = (weight, weight.version, value)
-            self._weight_caches[kind] = cached
-        return cached[2]
 
     def spectral(self) -> np.ndarray:
         """The spectral weights ``FFT(W)`` (rFFT half-spectra unless
@@ -219,17 +251,8 @@ class BlockCirculantLinear(Module):
             "dense", lambda w: np.ascontiguousarray(expand_block_circulant(w, self.spec).T)
         )
 
-    def invalidate_weight_caches(self) -> None:
-        """Drop the cached ``FFT(W)`` and ``W^T`` (for callers that mutated
-        ``weight.data`` without bumping the parameter version)."""
-        self._weight_caches.clear()
-
-    def forward(self, x: Tensor) -> Tensor:
-        x = ensure_tensor(x)
-        out = _expanded_linear(x, self.weight, self.spec, self.dense_transposed())
-        if self.bias is not None:
-            out = out + self.bias
-        return out
+    def _fold(self, dense_grad: np.ndarray) -> np.ndarray:
+        return fold_block_circulant(dense_grad, self.spec)
 
     def forward_spectral(self, x: Tensor) -> Tensor:
         """The same product as :meth:`forward` through the FFT kernel of

@@ -152,16 +152,6 @@ class ServerStats:
         return 0.0  # every flush builds its Restriction fresh; kept for the e2e ledger row
 
     @property
-    def load_imbalance(self) -> float:
-        """Max over mean nodes served per worker (1.0 = perfectly balanced)."""
-        nodes = np.array([worker.nodes for worker in self.workers], dtype=np.float64)
-        busy = nodes[nodes > 0]
-        if len(busy) == 0:
-            return float("nan")
-        mean = nodes.mean()
-        return float(nodes.max() / mean) if mean > 0 else float("nan")
-
-    @property
     def stage_total(self) -> float:
         """Total seconds attributed to flush stages across all workers."""
         return float(sum(self.stage_seconds.values()))

@@ -59,9 +59,10 @@ class TestBytesEqualTheUnfusedPath:
     @pytest.mark.parametrize("rows", ROWS)
     @pytest.mark.parametrize("use_index", [False, True], ids=["rows", "memo-index"])
     @pytest.mark.parametrize("use_out", [False, True], ids=["return", "out"])
-    def test_circulant_layer(self, monkeypatch, cores, rows, use_index, use_out):
+    @pytest.mark.parametrize("kind", ["circulant", "dense"])
+    def test_circulant_layer(self, monkeypatch, kind, cores, rows, use_index, use_out):
         monkeypatch.setattr(base, "_core_count", lambda: cores)
-        layer = _layer()
+        layer = _layer(kind)
         source, index, positions = _case(rows, use_index)
         expected_buffer = np.full((rows + 9, OUT), -7.0)
         with no_grad():

@@ -12,6 +12,12 @@ from repro.nn.linear import ROW_TILE
 from repro.tensor import Tensor, gradient_check, no_grad
 
 
+def _layer(kind, in_features, out_features, block, rng):
+    if kind == "dense":
+        return nn.Linear(in_features, out_features, rng=rng)
+    return nn.BlockCirculantLinear(in_features, out_features, block, rng=rng)
+
+
 class TestLinear:
     def test_forward_matches_manual(self, rng):
         layer = nn.Linear(5, 3, rng=rng)
@@ -216,22 +222,33 @@ class TestSpectralWeightCache:
 
 
 class TestDenseWeightCache:
-    """The per-version ``W^T`` cache the dense path runs on."""
+    """The per-version ``W^T`` cache both layers run on."""
 
-    def test_cache_hit_returns_same_frozen_contiguous_array(self, rng):
-        layer = nn.BlockCirculantLinear(14, 10, 4, rng=rng)
+    @pytest.mark.parametrize("kind", ["circulant", "dense"])
+    def test_cache_hit_returns_same_frozen_contiguous_array(self, rng, kind):
+        layer = _layer(kind, 14, 10, 4, rng)
         first = layer.dense_transposed()
         layer(Tensor(rng.standard_normal((3, 14))))
         assert layer.dense_transposed() is first
         assert first.flags.c_contiguous and not first.flags.writeable
         assert np.array_equal(first, layer.weight_matrix().T)
 
-    def test_cache_refreshes_after_load_state_dict(self, rng):
-        layer = nn.BlockCirculantLinear(8, 6, 4, rng=rng)
-        donor = nn.BlockCirculantLinear(8, 6, 4, rng=rng)
+    @pytest.mark.parametrize("kind", ["circulant", "dense"])
+    def test_cache_refreshes_after_load_state_dict(self, rng, kind):
+        layer = _layer(kind, 8, 6, 4, rng)
+        donor = _layer(kind, 8, 6, 4, rng)
         layer.dense_transposed()
         layer.load_state_dict(donor.state_dict())
         assert np.array_equal(layer.dense_transposed(), donor.dense_transposed())
+
+    @pytest.mark.parametrize("kind", ["circulant", "dense"])
+    def test_forward_follows_an_optimizer_step(self, rng, kind):
+        layer = _layer(kind, 8, 6, 4, rng)
+        x = rng.standard_normal((3, 8))
+        layer(Tensor(x)).sum().backward()
+        nn.SGD(layer.parameters(), lr=0.1).step()
+        expected = x @ layer.weight_matrix().T + layer.bias.data
+        np.testing.assert_allclose(layer(Tensor(x)).data, expected, rtol=1e-12, atol=1e-12)
 
     def test_manual_invalidation_drops_both_caches(self, rng):
         layer = nn.BlockCirculantLinear(8, 8, 4, bias=False, rng=rng)
@@ -284,13 +301,14 @@ class TestDensePath:
         # version, so every evaluation re-expands W^T.
         assert gradient_check(lambda v, _w: layer(v), [x, layer.weight])
 
+    @pytest.mark.parametrize("kind", ["circulant", "dense"])
     @pytest.mark.parametrize("shape", [(128, 41, 8), (131, 3, 8), (128, 128, 8), (512, 512, 8)])
-    def test_rows_do_not_depend_on_the_rest_of_the_batch(self, rng, shape):
+    def test_rows_do_not_depend_on_the_rest_of_the_batch(self, rng, shape, kind):
         # A BLAS kernel picked by row count (GEMV for one row, a small-matrix
         # kernel for a few) rounds differently from the one a full pass
         # takes; a served row must still equal its full_forward row.
         in_features, out_features, block = shape
-        layer = nn.BlockCirculantLinear(in_features, out_features, block, rng=rng)
+        layer = _layer(kind, in_features, out_features, block, rng)
         x = rng.standard_normal((3 * ROW_TILE + 5, in_features))
         with no_grad():
             full = layer(Tensor(x)).data

@@ -25,7 +25,7 @@ import pytest
 from repro.compression import CompressionConfig
 from repro.graph.restriction import Restriction
 from repro.models import GNNModel, create_model
-from repro.models.base import GNNLayer, apply_linear, emit_restricted
+from repro.models.base import GNNLayer, apply_linear, combine_rows
 from repro.serving import HaloStore, InferenceServer, ManualClock, ServingConfig
 from repro.serving.cache import CacheStats
 from repro.serving import worker as worker_module
@@ -616,7 +616,7 @@ class TestFreshPlansPerFlush:
 
             def forward_restricted(self, h, restriction, timer=None, out=None):
                 operator = restriction.operator("random_walk", add_self_loops=True)
-                return emit_restricted(apply_linear(self.fc, Tensor(operator @ h.data)), out)
+                return Tensor(combine_rows(self.fc, operator @ h.data, None, False, out))
 
         rng = np.random.default_rng(0)
         model = GNNModel([

@@ -63,13 +63,7 @@ class TestForwardRestricted:
             h_cols = Tensor(small_graph.features[restriction.cols])
             restricted = model.layers[0].forward_restricted(h_cols, restriction).data
             full = model.layers[0].forward_full(Tensor(small_graph.features), small_graph).data
-        # A tolerance, not bitwise: the layer's matmuls over the column set
-        # may differ from the full-graph ones in the last ulp because BLAS
-        # blocks by row count.  The segment reduction itself is
-        # order-identical; tests/models/test_full_inference.py pins
-        # restricted == full bitwise over the full row set, and
-        # tests/models/test_segment_reduce.py pins the reduction order.
-        np.testing.assert_allclose(restricted, full[rows], rtol=1e-12, atol=1e-12)
+        np.testing.assert_array_equal(restricted, full[rows])
 
     def test_isolated_rows_fall_back_to_self(self):
         # Node 2 is isolated: every model must reproduce its full-graph value.
@@ -84,7 +78,7 @@ class TestForwardRestricted:
                 h_cols = Tensor(graph.features[restriction.cols])
                 restricted = model.layers[0].forward_restricted(h_cols, restriction).data
                 full = model.layers[0].forward_full(Tensor(graph.features), graph).data
-            np.testing.assert_allclose(restricted, full[rows], rtol=1e-12, atol=1e-12)
+            np.testing.assert_array_equal(restricted, full[rows])
 
 
 class TestZeroGraphConstruction:
@@ -176,6 +170,59 @@ class TestSlabbedCombination:
                 assert len(known)
                 assert store._layers[layer][0][known].tobytes() == rows[known].tobytes()
         assert slabbed and all(1 < count <= cores for count in slabbed)
+
+
+class TestBitwiseOracle:
+    """Every stored layer row and every served logit is byte-equal to the
+    full-graph layer outputs, for every model, dense and block-circulant
+    weights, and one or two combination slabs."""
+
+    @pytest.mark.parametrize("cores", [1, 2])
+    @pytest.mark.parametrize("block_size", [1, 8])
+    @pytest.mark.parametrize("name", MODELS)
+    def test_served_rows_equal_full_forward_rows(self, monkeypatch, name, block_size, cores):
+        from repro.models import base
+
+        graph = synthetic_graph(
+            num_nodes=900, num_edges=9000, num_features=16, num_classes=4, seed=11,
+            name="oracle-graph",
+        )
+        model = create_model(
+            name, in_features=16, hidden_features=64, num_classes=4,
+            compression=CompressionConfig(block_size=block_size), seed=0,
+        )
+        monkeypatch.setattr(base, "_core_count", lambda: cores)
+        server = _server(model, graph, max_batch_size=64)
+        served = []
+        exact_logits = ShardWorker._exact_logits
+
+        def recording(worker, seeds):
+            logits = exact_logits(worker, seeds)
+            served.append((np.array(seeds), logits))
+            return logits
+
+        monkeypatch.setattr(ShardWorker, "_exact_logits", recording)
+        rng = np.random.default_rng(4)
+        server.predict(rng.choice(graph.num_nodes, size=100, replace=False))
+        # A refresh: new weights, every stored row invalid.
+        for parameter in model.parameters():
+            parameter.data[...] *= 1.0 + 0.1 * rng.standard_normal(parameter.data.shape)
+            parameter.bump_version()
+        served.clear()
+        server.predict(rng.choice(graph.num_nodes, size=200, replace=False))
+        with no_grad():
+            outputs, h = [], Tensor(graph.features)
+            for layer in model.layers:
+                h = layer.forward_full(h, graph)
+                outputs.append(h.data)
+        assert served
+        for nodes, logits in served:
+            assert logits.tobytes() == outputs[-1][nodes].tobytes()
+        store = server.halo_store
+        for layer, rows in enumerate(outputs, start=1):
+            known = np.flatnonzero(store._layers[layer][1])
+            assert len(known)
+            assert store._layers[layer][0][known].tobytes() == rows[known].tobytes()
 
 
 #: Sparse enough that each of two shards misses some nodes, halo included.
