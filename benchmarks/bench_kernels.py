@@ -17,6 +17,7 @@ from __future__ import annotations
 import functools
 import json
 import os
+import resource
 import subprocess
 import sys
 import time
@@ -48,7 +49,8 @@ from repro.models.base import (
     segment_reduce,
     weighted_segment_sum,
 )
-from repro.models.ggcn import _gated_messages, _node_gated_messages
+from repro.models.ggcn import _gated_messages, _gated_sum, _node_gated_messages
+from repro.models.graphsage import _gather
 from repro.serving.shard import build_shards
 from repro.models.trainer import compare_inference_modes
 from repro.nn import BlockCirculantLinear
@@ -277,19 +279,32 @@ def test_full_graph_vs_sampled_inference(save_result):
         assert comparison.full_seconds < comparison.sampled_seconds
 
 
-def _expit_messages(gate_n, gate_s, features, src, dst):
+def _expit_messages(gate_n, features, src):
     """The G-GCN message in its former ``expit(gate_n[u] + gate_s[v]) * h_u``
-    form — the reference the exp-form gate is timed and checked against."""
+    form (``gate_s`` as the row operand) — the reference the exp-form gate is
+    timed and checked against."""
 
-    def messages(edges: np.ndarray) -> np.ndarray:
+    def messages(edges, out, gate_s, work):
         neighbours = src[edges]
-        x = gate_n[neighbours]
-        x += gate_s[dst[edges]]
-        expit(x, out=x)
-        x *= features[neighbours]
-        return x
+        np.take(gate_n, neighbours, axis=0, out=out, mode="wrap")
+        out += gate_s
+        expit(out, out=out)
+        out *= np.take(features, neighbours, axis=0, out=work, mode="wrap")
 
     return messages
+
+
+def _per_pass(fn):
+    """``(best wall-clock ms, median minor page faults)`` of ``fn`` over five
+    calls; the faults are this process's ``ru_minflt`` deltas."""
+    seconds, faults = [], []
+    for _ in range(5):
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        start = time.perf_counter()
+        fn()
+        seconds.append(time.perf_counter() - start)
+        faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+    return min(seconds) * 1e3, float(np.median(faults))
 
 
 def test_segment_reduce_ledger(save_result):
@@ -306,13 +321,15 @@ def test_segment_reduce_ledger(save_result):
     exp form at ``rtol=1e-14``; and GAT's attention-weighted neighbour sum as
     a ``segment_reduce`` sweep vs the ``weighted_segment_sum`` SpMM (bitwise).
     Then three model sweeps run serially and on one row slab per core
-    (``parallel_segment_reduce``, bitwise equal): G-GCN's per-node gated
-    sum, GS-Pool's max over projected neighbours and GAT's scalar softmax
-    max.  The last rows run GCN's propagation SpMM ``D̂^{-1}(A + I) @ x``
-    serially and on slabs (``parallel_spmm``, bitwise equal) for F = 128
-    and F = 64.  They record why G-GCN's and GS-Pool's sweeps and the
-    feature-wide SpMMs run on slabs and GAT's softmax max does not; no
-    timing is asserted.
+    (``parallel_segment_reduce``, bitwise equal): G-GCN's gated sum as the
+    layer runs it (``_gated_sum``, ``exp_s`` as the row operand), GS-Pool's
+    max over projected neighbours (gathered into the sweep's scratch) and
+    GAT's scalar softmax max, with the minor page faults of one pass of
+    each (``getrusage`` deltas of this process).  The last rows run GCN's
+    propagation SpMM ``D̂^{-1}(A + I) @ x`` serially and on slabs
+    (``parallel_spmm``, bitwise equal) for F = 128 and F = 64.  They record
+    why G-GCN's and GS-Pool's sweeps and the feature-wide SpMMs run on slabs
+    and GAT's softmax max does not; no timing is asserted.
     """
     graph = load_dataset("reddit", scale=0.01, seed=0, num_features=128)
     indptr = graph.indptr
@@ -330,31 +347,38 @@ def test_segment_reduce_ledger(save_result):
 
     src, dst = graph.indices, edge_destinations(graph)
     gate_n, gate_s, features = (rng.standard_normal((graph.num_nodes, 128)) for _ in range(3))
+    # Each form with its row operand: the row's own gate half.
     messages = {
-        "expit": _expit_messages(gate_n, gate_s, features, src, dst),
-        "exp": _gated_messages(-gate_n, -gate_s, features, src, dst),
-        "node": _node_gated_messages(np.exp(-gate_n), np.exp(-gate_s), features, src, dst),
+        "expit": (_expit_messages(gate_n, features, src), gate_s),
+        "exp": (_gated_messages(-gate_n, features, src), -gate_s),
+        "node": (_node_gated_messages(np.exp(-gate_n), features, src), np.exp(-gate_s)),
     }
+
+    def per_edge(name, edges):
+        fill, rows = messages[name]
+        out, work = np.empty((len(edges), 128)), np.empty((len(edges), 128))
+        fill(edges, out, rows[dst[edges]], work)
+        return out
+
     # Per edge, not per row sum: the sums cancel, so a relative bound on them
     # would measure the cancellation rather than the gate.
     for edges in np.array_split(np.arange(graph.num_edges), 16):
         for name in ("expit", "node"):
             np.testing.assert_allclose(
-                messages[name](edges), messages["exp"](edges), rtol=1e-14, atol=0
+                per_edge(name, edges), per_edge("exp", edges), rtol=1e-14, atol=0
             )
-    gated = {
-        name: functools.partial(segment_reduce, fn, indptr, np.add)
-        for name, fn in messages.items()
-    }
-    for name, fn in gated.items():
-        timings[f"gate_{name}"] = _best_of(fn, repeats=3, inner=1) * 1e3
+    for name, (fill, rows) in messages.items():
+        gated = functools.partial(segment_reduce, fill, indptr, np.add, rows, (128,))
+        timings[f"gate_{name}"] = _best_of(gated, repeats=3, inner=1) * 1e3
 
     attention = rng.random(graph.num_edges)
     z = features
+
+    def weighted_messages(edges, out):
+        np.multiply(z[src[edges]], attention[edges, None], out=out)
+
     weighted = {
-        "sweep": lambda: segment_reduce(
-            lambda edges: z[src[edges]] * attention[edges, None], indptr, np.add
-        )[0],
+        "sweep": lambda: segment_reduce(weighted_messages, indptr, np.add, None, (128,))[0],
         "spmm": lambda: weighted_segment_sum(attention, src, indptr, z),
     }
     assert np.array_equal(weighted["spmm"](), weighted["sweep"]())
@@ -364,16 +388,17 @@ def test_segment_reduce_ledger(save_result):
     projected = np.maximum(features, 0.0)
     logits = rng.standard_normal(graph.num_edges)
     sweeps = {
-        "ggcn": (messages["node"], np.add),
-        "sage": (lambda edges: projected.take(src[edges], axis=0), np.maximum),
-        "gat": (logits, np.maximum),
+        "ggcn": lambda reduce: _gated_sum(-gate_n, -gate_s, features, src, indptr, reduce),
+        "sage": lambda reduce: reduce(_gather(projected, src), indptr, np.maximum, None, (128,)),
+        "gat": lambda reduce: reduce(logits, indptr, np.maximum),
     }
-    for name, (operand, ufunc) in sweeps.items():
-        serial = functools.partial(segment_reduce, operand, indptr, ufunc)
-        slabs = functools.partial(parallel_segment_reduce, operand, indptr, ufunc)
+    faults = {}
+    for name, sweep in sweeps.items():
+        serial = functools.partial(sweep, segment_reduce)
+        slabs = functools.partial(sweep, parallel_segment_reduce)
         assert np.array_equal(serial()[0], slabs()[0]), name
-        timings[f"{name}_serial"] = _best_of(serial, repeats=5, inner=1) * 1e3
-        timings[f"{name}_slabs"] = _best_of(slabs, repeats=5, inner=1) * 1e3
+        for mode, fn in (("serial", serial), ("slabs", slabs)):
+            timings[f"{name}_{mode}"], faults[f"{name}_{mode}"] = _per_pass(fn)
 
     operator = graph.random_walk_adjacency(add_self_loops=True)
     for width in (128, 64):
@@ -396,9 +421,13 @@ def test_segment_reduce_ledger(save_result):
         f"exp form {timings['gate_exp']:.2f} ms, per-node exp form {timings['gate_node']:.2f} ms\n"
         f"GAT attention-weighted sum: segment_reduce sweep {timings['weighted_sweep']:.2f} ms, "
         f"weighted_segment_sum SpMM {timings['weighted_spmm']:.2f} ms\n"
-        f"serial vs {cores} core slabs: G-GCN gated sweep {timings['ggcn_serial']:.2f} -> "
-        f"{timings['ggcn_slabs']:.2f} ms, GS-Pool max sweep {timings['sage_serial']:.2f} -> "
-        f"{timings['sage_slabs']:.2f} ms, GAT softmax max {timings['gat_serial']:.2f} -> "
+        f"G-GCN gated sum (_gated_sum, exp_s as row operand): serial {timings['ggcn_serial']:.2f} ms, "
+        f"{cores} core slabs {timings['ggcn_slabs']:.2f} ms\n"
+        f"GS-Pool max sweep (gathered into the scratch): serial {timings['sage_serial']:.2f} ms, "
+        f"{cores} core slabs {timings['sage_slabs']:.2f} ms\n"
+        f"minor page faults per pass, serial / {cores} slabs: G-GCN {faults['ggcn_serial']:.0f} / "
+        f"{faults['ggcn_slabs']:.0f}, GS-Pool {faults['sage_serial']:.0f} / {faults['sage_slabs']:.0f}\n"
+        f"serial vs {cores} core slabs: GAT softmax max {timings['gat_serial']:.2f} -> "
         f"{timings['gat_slabs']:.2f} ms\n"
         f"serial vs {cores} core slabs: GCN SpMM F=128 {timings['spmm128_serial']:.2f} -> "
         f"{timings['spmm128_slabs']:.2f} ms, F=64 {timings['spmm64_serial']:.2f} -> "
@@ -412,6 +441,7 @@ def test_segment_reduce_ledger(save_result):
         weighted_spmm_ms=timings["weighted_spmm"],
         **{f"{name}_{mode}_ms": timings[f"{name}_{mode}"]
            for name in [*sweeps, "spmm128", "spmm64"] for mode in ("serial", "slabs")},
+        **{f"{name}_minflt": count for name, count in faults.items()},
         slab_cores=cores,
         num_edges=graph.num_edges,
         max_degree=max_degree,

@@ -78,22 +78,29 @@ def apply_linear(layer: Module, x: Tensor) -> Tensor:
 
 
 def segment_reduce(
-    values: Union[np.ndarray, Callable[[np.ndarray], np.ndarray]],
+    values: Union[np.ndarray, Callable[..., None]],
     indptr: np.ndarray,
     ufunc: np.ufunc,
+    row_values: Optional[np.ndarray] = None,
+    value_shape: Tuple[int, ...] = (),
 ):
     """Reduce per-edge values into per-node rows along CSR segments.
 
     Segment ``i`` spans edges ``indptr[i]:indptr[i + 1]``.  ``values`` is
     either an ``(num_edges, ...)`` array in CSR edge order or a callable
-    mapping an array of edge ids to a *new* ``(len(edges), ...)`` array of
-    those edges' values — the callable form lets a layer produce its
-    per-edge operand only for the edges being folded in, so no
-    ``(num_edges, features)`` array is ever built.  Returns ``(out,
-    nonempty)`` where ``out`` is ``(num_nodes, ...)`` and ``nonempty`` marks
-    nodes with at least one edge — empty segments are left as zeros and must
-    be filled by the caller (the models mirror the sampler's self-loop
-    fallback for isolated nodes).
+    ``values(edges, out)`` that writes the values of the edge ids ``edges``
+    into ``out``, a ``(len(edges),) + value_shape`` scratch array owned by
+    the sweep — the callable form lets a layer produce its per-edge operand
+    only for the edges being folded in, so no ``(num_edges, features)``
+    array is ever built.  ``row_values`` (callables only) is a per-row
+    operand, one entry per CSR row: the callable is then called as
+    ``values(edges, out, rows, work)``, where ``rows[i]`` is the
+    ``row_values`` entry of the row that owns ``edges[i]`` and ``work`` is
+    a second scratch of ``out``'s shape.  Returns ``(out, nonempty)`` where
+    ``out`` is ``(num_nodes, ...)`` and ``nonempty`` marks nodes with at
+    least one edge — empty segments are left as zeros and must be filled by
+    the caller (the models mirror the sampler's self-loop fallback for
+    isolated nodes).
 
     Order: every segment is combined sequentially in CSR edge order,
     ``ufunc(...ufunc(ufunc(v[s], v[s+1]), v[s+2])..., v[e-1])``, so a row's
@@ -103,35 +110,78 @@ def segment_reduce(
     Cost: the non-empty rows are sorted by degree, longest first, and the
     sweep runs ``max_degree - 1`` vectorised steps; step ``k`` folds the
     ``k``-th edge of every row that still has one into a contiguous prefix of
-    the accumulator, so each edge is gathered exactly once.
+    the accumulator, so each edge is gathered exactly once.  A step
+    allocates nothing of the feature width: the accumulator, the message
+    scratch and (with ``row_values``) the sorted row operand and ``work``
+    are allocated once per sweep, and every step writes into their
+    prefixes.  Array operands are read with ``np.take(..., out=,
+    mode="wrap")``: the default ``mode="raise"`` buffers the gather and took
+    2.7x as long as plain fancy indexing; the edge ids are in range, so
+    ``"wrap"`` changes no value.  The row operand is gathered once, in sweep
+    order, so step ``k`` reads it as the contiguous prefix of the rows still
+    active instead of gathering it once per edge.
     """
-    take = values if callable(values) else values.__getitem__
+    return _segment_reduce(values, indptr, ufunc, row_values, value_shape, cores=1)
+
+
+def _segment_reduce(values, indptr, ufunc, row_values, value_shape, cores: int):
+    """:func:`segment_reduce` on ``cores`` row slabs (:func:`_edge_slabs`),
+    each folded by :func:`_fold_segments` into its rows of one output."""
     indptr = np.asarray(indptr)
-    order, acc = _fold_segments(take, indptr, ufunc)
-    out = np.zeros((len(indptr) - 1,) + acc.shape[1:], dtype=np.float64)
-    out[order] = acc
+    shape = tuple(value_shape) if callable(values) else values.shape[1:]
+    out = np.zeros((len(indptr) - 1,) + shape, dtype=np.float64)
+
+    def fold(lo: int, hi: int) -> None:
+        rows = None if row_values is None else row_values[lo:hi]
+        _fold_segments(values, indptr[lo:hi + 1], ufunc, rows, out[lo:hi])
+
+    if cores <= 1:
+        fold(0, len(indptr) - 1)
+    else:
+        _run_slabs(fold, _edge_slabs(indptr, cores), cores)
     return out, np.diff(indptr) > 0
 
 
-def _fold_segments(take, indptr: np.ndarray, ufunc: np.ufunc):
+def _fold_segments(values, indptr: np.ndarray, ufunc: np.ufunc, row_values, out: np.ndarray) -> None:
     """The degree-sorted sweep of :func:`segment_reduce` over ``indptr``'s rows.
 
-    Returns ``(order, acc)``: ``acc[i]`` is the fold of row ``order[i]``, for
-    the non-empty rows only.  Edge ids are ``indptr``'s own, so a slice
-    ``indptr[lo:hi + 1]`` folds rows ``lo:hi`` with the caller's edge ids.
+    Writes the fold of every non-empty row ``i`` into ``out[i]`` and leaves
+    the other rows alone.  Edge ids are ``indptr``'s own, so a slice
+    ``indptr[lo:hi + 1]`` folds rows ``lo:hi`` with the caller's edge ids;
+    ``row_values`` then holds rows ``lo:hi``'s operand.  Every scratch array
+    is allocated here, once per call, so concurrent slabs and callers never
+    share one.
     """
     lengths = np.diff(indptr)
     rows = np.flatnonzero(lengths)
+    if not len(rows):
+        return
     order = rows[np.argsort(-lengths[rows], kind="stable")]
     sorted_lengths = lengths[order]
     starts = indptr[:-1][order].astype(np.intp)
-    max_degree = int(sorted_lengths[0]) if len(order) else 0
     # active[k - 1]: how many rows have a k-th edge (lengths sorted descending).
-    active = np.searchsorted(-sorted_lengths, -np.arange(1, max_degree), side="left")
-    acc = np.asarray(take(starts), dtype=np.float64)
+    active = np.searchsorted(-sorted_lengths, -np.arange(1, sorted_lengths[0]), side="left")
+    acc = np.empty((len(order),) + out.shape[1:])
+    message = np.empty_like(acc)
+    edges = np.empty(len(order), dtype=np.intp)
+    if not callable(values):
+        def fill(ids, into):
+            np.take(values, ids, axis=0, out=into, mode="wrap")
+    elif row_values is None:
+        fill = values
+    else:
+        own = np.take(row_values, order, axis=0)
+        work = np.empty_like(acc)
+
+        def fill(ids, into):
+            values(ids, into, own[:len(ids)], work[:len(ids)])
+
+    fill(starts, acc)
     for k, count in enumerate(active.tolist(), start=1):
-        ufunc(acc[:count], take(starts[:count] + k), out=acc[:count])
-    return order, acc
+        np.add(starts[:count], k, out=edges[:count])
+        fill(edges[:count], message[:count])
+        ufunc(acc[:count], message[:count], out=acc[:count])
+    out[order] = acc
 
 
 def _core_count() -> int:
@@ -191,9 +241,11 @@ def _run_slabs(work: Callable[[int, int], None], slabs: List[Tuple[int, int]], c
 
 
 def parallel_segment_reduce(
-    values: Union[np.ndarray, Callable[[np.ndarray], np.ndarray]],
+    values: Union[np.ndarray, Callable[..., None]],
     indptr: np.ndarray,
     ufunc: np.ufunc,
+    row_values: Optional[np.ndarray] = None,
+    value_shape: Tuple[int, ...] = (),
 ):
     """:func:`segment_reduce` with the rows cut into slabs, one per core.
 
@@ -202,24 +254,33 @@ def parallel_segment_reduce(
     The ``k`` slabs (``k`` = CPUs in this process's affinity mask) hold equal
     edge counts (:func:`_edge_slabs`).  The calling thread folds the first
     slab and a module-level pool of ``k - 1`` threads the others; every slab
-    writes its rows into one preallocated output.  With one core it is plain
+    writes its rows into one preallocated output.  Each slab allocates its
+    own scratch once (its rows' accumulator and message, and with
+    ``row_values`` its rows' slice of the operand and ``work``), so slabs
+    and concurrent callers share none.  With one core it is plain
     :func:`segment_reduce` and no pool is built.  The pool is built lazily
     and rebuilt in a forked child.
 
     Threads pay only where the fold spends its time in numpy calls that
-    release the GIL, so the callers are chosen by measurement (``rd1``, 128
-    features, 2-vCPU AMD EPYC VM; every slabbed result ``np.array_equal`` to
-    the serial one):
+    release the GIL, so the callers are chosen by measurement
+    (``benchmarks/bench_kernels.py::test_segment_reduce_ledger``: ``rd1``,
+    128 features, 2-vCPU Intel Xeon VM; every slabbed result
+    ``np.array_equal`` to the serial one):
 
-    - G-GCN's gated sweep (``GGCNLayer.forward_full``) runs a multiply and
-      a ``divide`` on every step: 2 slabs take it from 22 to 13.5 ms.
+    - G-GCN's gated sum (``GGCNLayer.forward_full``) runs two gathers, a
+      multiply, an add and a ``divide`` on every step: 2 slabs take it from
+      106 to 53 ms.
     - GS-Pool's max sweep (``GraphSAGEPoolLayer.forward_full``) is a
-      ``take`` plus ``maximum`` per step: 6.5 to 4.9 ms, and the pass from
-      15-16 to 12-13 ms.
+      ``take`` plus ``maximum`` per step: 33 to 16 ms.
     - GAT's softmax max folds one scalar per edge in under a millisecond;
-      slabbing it made the pass slower (10.6-12.6 to 11.5-14.2 ms), so it
-      stays serial.  GAT's attention-weighted sum and GCN's propagation are
-      CSR SpMMs and run on slabs through :func:`parallel_spmm`.
+      on slabs it took 0.8 to 4.0 ms, so it stays serial.  GAT's
+      attention-weighted sum and GCN's propagation are CSR SpMMs and run on
+      slabs through :func:`parallel_spmm`.
+    - Cutting a slab further into row blocks whose scratch fits the L2
+      cache sped the serial G-GCN sum up (100-117 to 85-95 ms at 512-row
+      blocks) but not 2 slabs (62-69 against 62-72 ms; 73-78 ms at 256
+      rows): more, shorter numpy calls hand the GIL between the threads
+      more often.  The slabs stay whole.
     - ``forward_restricted`` (serving) keeps its reductions serial: a
       served restriction holds tens to a few hundred rows, and at those
       sizes the slab hand-off costs more than the second core saves (see
@@ -227,20 +288,7 @@ def parallel_segment_reduce(
       combination's GEMM (:func:`combine_rows`), from
       :data:`SLAB_MIN_ROWS` rows up.
     """
-    indptr = np.asarray(indptr)
-    cores = _core_count()
-    if cores <= 1:
-        return segment_reduce(values, indptr, ufunc)
-    take = values if callable(values) else values.__getitem__
-    trailing = np.asarray(take(np.zeros(0, dtype=np.intp))).shape[1:]
-    out = np.zeros((len(indptr) - 1,) + trailing, dtype=np.float64)
-
-    def fold(lo: int, hi: int) -> None:
-        order, acc = _fold_segments(take, indptr[lo:hi + 1], ufunc)
-        out[lo:hi][order] = acc
-
-    _run_slabs(fold, _edge_slabs(indptr, cores), cores)
-    return out, np.diff(indptr) > 0
+    return _segment_reduce(values, indptr, ufunc, row_values, value_shape, _core_count())
 
 
 #: Rows per product inside a :func:`parallel_spmm` slab.  Each product's

@@ -21,7 +21,6 @@ from .base import (
     GNNModel,
     apply_linear,
     combine_rows,
-    edge_destinations,
     parallel_segment_reduce,
     register_model,
     segment_reduce,
@@ -49,43 +48,47 @@ def _gate(neg_logits: np.ndarray, h: np.ndarray) -> np.ndarray:
     return np.divide(h, neg_logits, out=neg_logits)
 
 
-def _gated_messages(neg_n, neg_s, features, src, dst):
+def _gated_messages(neg_n, features, src):
     """Per-edge ``sigma(gate_n[u] + gate_s[v]) * h_u`` for a slice of edges.
 
     ``neg_n`` / ``neg_s`` are the negated gate projections (negated once per
     node: ``(-a) + (-b) == -(a + b)`` exactly).  Handed to
-    :func:`segment_reduce` as its callable operand, so only the edges being
-    folded in are materialised — never an ``(E, F)`` array.  One ``exp`` per
-    edge and feature: :func:`_gated_sum` uses it only for the rows whose
-    per-node halves leave ``exp``'s normal range.
+    :func:`segment_reduce` as its callable operand with the rows' own
+    ``neg_s`` as the row operand, so only the edges being folded in are
+    materialised — never an ``(E, F)`` array — and each lands in the sweep's
+    scratch.  One ``exp`` per edge and feature: :func:`_gated_sum` uses it
+    only for the rows whose per-node halves leave ``exp``'s normal range.
     """
 
-    def messages(edges: np.ndarray) -> np.ndarray:
+    def messages(edges: np.ndarray, out: np.ndarray, neg_s: np.ndarray, work: np.ndarray) -> None:
         neighbours = src[edges]
-        x = neg_n[neighbours]
-        x += neg_s[dst[edges]]
-        return _gate(x, features[neighbours])
+        np.take(features, neighbours, axis=0, out=work, mode="wrap")
+        np.take(neg_n, neighbours, axis=0, out=out, mode="wrap")
+        out += neg_s
+        _gate(out, work)
 
     return messages
 
 
-def _node_gated_messages(exp_n, exp_s, features, src, dst):
+def _node_gated_messages(exp_n, features, src):
     """:func:`_gated_messages` from per-node exponentials: ``h_u / (1 + exp_n[u] * exp_s[v])``.
 
     ``exp_n = exp(-gate_n)`` and ``exp_s = exp(-gate_s)`` are computed once
-    per node, so the edge dimension runs a multiply in place of an ``exp``.
-    Both factors are finite and non-zero, so the product never gives
-    ``0 * inf``; a product beyond the float range overflows to ``inf`` and
-    gives ``h / inf = 0``, the same limit as the per-edge form.
+    per node, so the edge dimension runs a multiply in place of an ``exp``;
+    ``exp_s`` is the sweep's row operand, read once per row rather than once
+    per edge.  Both factors are finite and non-zero, so the product never
+    gives ``0 * inf``; a product beyond the float range overflows to ``inf``
+    and gives ``h / inf = 0``, the same limit as the per-edge form.
     """
 
-    def messages(edges: np.ndarray) -> np.ndarray:
+    def messages(edges: np.ndarray, out: np.ndarray, exp_s: np.ndarray, work: np.ndarray) -> None:
         neighbours = src[edges]
-        x = exp_n[neighbours]
+        np.take(features, neighbours, axis=0, out=work, mode="wrap")
+        np.take(exp_n, neighbours, axis=0, out=out, mode="wrap")
         with np.errstate(over="ignore"):
-            x *= exp_s[dst[edges]]
-        x += 1.0
-        return np.divide(features[neighbours], x, out=x)
+            out *= exp_s
+        out += 1.0
+        np.divide(work, out, out=out)
 
     return messages
 
@@ -97,13 +100,17 @@ def _node_exp(neg: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return np.exp(clipped, out=clipped), outside
 
 
-def _gated_sum(neg_n, neg_s, features, src, dst, indptr, reduce):
+def _gated_sum(neg_n, neg_s, features, src, indptr, reduce):
     """Per-row sums of ``sigma(gate_n[u] + gate_s[v]) * h_u`` over CSR ``indptr``.
 
+    ``neg_n`` and ``features`` are indexed by the neighbour ids in ``src``;
+    ``neg_s`` holds each CSR row's own half, one row per row of ``indptr``
+    (the full graph passes every node's, a restriction its rows').
     Returns ``reduce``'s ``(sums, nonempty)``; ``reduce`` is
     :func:`segment_reduce` or :func:`parallel_segment_reduce`.  Every row
-    folds :func:`_node_gated_messages` (2·N·F ``exp`` calls instead of
-    E·F), except the rows that touch a per-node half beyond
+    folds :func:`_node_gated_messages` with ``exp(neg_s)`` as the row
+    operand (2·N·F ``exp`` calls instead of E·F, and no per-edge gather of
+    the row's own half), except the rows that touch a per-node half beyond
     ``_NODE_EXP_LIMIT``: their own ``gate_s`` or any neighbour's ``gate_n``.
     Those rows are recomputed with the per-edge :func:`_gated_messages`, in
     the same edge order.  The rule reads only a row's own edges, so the
@@ -113,13 +120,18 @@ def _gated_sum(neg_n, neg_s, features, src, dst, indptr, reduce):
     """
     exp_n, outside_n = _node_exp(neg_n)
     exp_s, outside_s = _node_exp(neg_s)
-    sums, nonempty = reduce(_node_gated_messages(exp_n, exp_s, features, src, dst), indptr, np.add)
+    shape = features.shape[1:]
+    sums, nonempty = reduce(_node_gated_messages(exp_n, features, src), indptr, np.add, exp_s, shape)
     if outside_n.any() or outside_s.any():
-        edges = np.flatnonzero(outside_n[src] | outside_s[dst])
-        rows = np.unique(np.searchsorted(indptr, edges, side="right") - 1)
+        picked = outside_s & nonempty
+        picked[np.searchsorted(indptr, np.flatnonzero(outside_n[src]), side="right") - 1] = True
+        rows = np.flatnonzero(picked)
         row_indptr, row_edges = _row_slices(indptr, rows)
-        per_edge = _gated_messages(neg_n, neg_s, features, src, dst)
-        sums[rows] = segment_reduce(lambda local: per_edge(row_edges[local]), row_indptr, np.add)[0]
+        per_edge = _gated_messages(neg_n, features, src)
+        sums[rows] = segment_reduce(
+            lambda local, *scratch: per_edge(row_edges[local], *scratch),
+            row_indptr, np.add, neg_s[rows], shape,
+        )[0]
     return sums, nonempty
 
 
@@ -167,8 +179,7 @@ class GGCNLayer(GNNLayer):
         features = h.data
         # Row slabs across cores, bitwise equal to the serial sweep.
         aggregated, nonempty = _gated_sum(
-            neg_n, neg_s, features, graph.indices, edge_destinations(graph),
-            graph.indptr, parallel_segment_reduce,
+            neg_n, neg_s, features, graph.indices, graph.indptr, parallel_segment_reduce
         )
         aggregated /= np.maximum(np.diff(graph.indptr), 1)[:, None]
         if not nonempty.all():
@@ -180,22 +191,23 @@ class GGCNLayer(GNNLayer):
 
     def forward_restricted(self, h: Tensor, restriction, timer=None, out=None) -> Tensor:
         with stage_scope(timer, "aggregation"):
-            # Both gate projections over the column set only; the sliced edge
-            # dimension combines the cached projections exactly as the
-            # full-graph path does (same edge order, same per-row segments).
-            neg_n = -apply_linear(self.gate_neighbor, h).data                         # (C, F)
-            neg_s = -apply_linear(self.gate_self, h).data                             # (C, F)
+            # The neighbour half over the column set, the self half over the
+            # rows only (the GEMM is row-tiled, so a row's bits do not depend
+            # on the rows beside it); the sliced edge dimension combines them
+            # exactly as the full-graph path does (same edge order, same
+            # per-row segments).
             features = h.data
-            row_positions = restriction.row_positions
+            neg_n = -apply_linear(self.gate_neighbor, h).data                         # (C, F)
+            row_inputs = Tensor(features[restriction.row_positions])
+            neg_s = -apply_linear(self.gate_self, row_inputs).data                    # (R, F)
             aggregated, nonempty = _gated_sum(
-                neg_n, neg_s, features, restriction.col_positions,
-                row_positions[restriction.edge_rows()], restriction.indptr, segment_reduce,
+                neg_n, neg_s, features, restriction.col_positions, restriction.indptr, segment_reduce
             )
             aggregated /= np.maximum(restriction.row_degrees(), 1)[:, None]
             if not nonempty.all():
                 isolated = ~nonempty
-                own = row_positions[isolated]
-                aggregated[isolated] = _gate(neg_n[own] + neg_s[own], features[own])
+                own = restriction.row_positions[isolated]
+                aggregated[isolated] = _gate(neg_n[own] + neg_s[isolated], features[own])
         with stage_scope(timer, "combination"):
             return Tensor(combine_rows(self.fc, aggregated, None, self.activation, out))
 

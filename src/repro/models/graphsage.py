@@ -29,6 +29,17 @@ from .base import (
 __all__ = ["GraphSAGEPoolLayer", "GraphSAGEPool"]
 
 
+def _gather(table: np.ndarray, index: np.ndarray):
+    """The :func:`segment_reduce` operand ``table[index[e]]`` of edge ``e``,
+    gathered straight into the sweep's scratch (``index`` is in range, so
+    ``mode="wrap"`` changes nothing and skips ``"raise"``'s buffered copy)."""
+
+    def fill(edges: np.ndarray, out: np.ndarray) -> None:
+        np.take(table, index[edges], axis=0, out=out, mode="wrap")
+
+    return fill
+
+
 class GraphSAGEPoolLayer(GNNLayer):
     """One GS-Pool layer: per-neighbour FC + max pooling, then concat + FC."""
 
@@ -71,7 +82,7 @@ class GraphSAGEPoolLayer(GNNLayer):
         projected = apply_linear(self.pool_fc, h).relu().data                        # (N, P)
         src = graph.indices
         pooled, nonempty = parallel_segment_reduce(
-            lambda edges: projected.take(src[edges], axis=0), graph.indptr, np.maximum
+            _gather(projected, src), graph.indptr, np.maximum, value_shape=projected.shape[1:]
         )
         # Isolated nodes mirror the sampler's self-loop fallback.
         pooled[~nonempty] = projected[~nonempty]
@@ -86,7 +97,7 @@ class GraphSAGEPoolLayer(GNNLayer):
             projected = apply_linear(self.pool_fc, h).relu().data                    # (C, P)
             src = restriction.col_positions
             pooled, nonempty = segment_reduce(
-                lambda edges: projected.take(src[edges], axis=0), restriction.indptr, np.maximum
+                _gather(projected, src), restriction.indptr, np.maximum, value_shape=projected.shape[1:]
             )
             row_positions = restriction.row_positions
             pooled[~nonempty] = projected[row_positions[~nonempty]]

@@ -156,7 +156,7 @@ class InferenceServer:
         self.plane = (
             ProcessPlane(graph, self.shards, model)
             if self.config.executor == "process"
-            else LocalPlane(graph, self.shards, model)
+            else LocalPlane(graph, self.shards, model, self.clock.now)
         )
 
         self.halo_store = self._build_halo_store()

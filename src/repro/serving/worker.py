@@ -48,7 +48,8 @@ layer-1 call uses every core.
 from __future__ import annotations
 
 import threading
-from typing import List, Optional
+import time
+from typing import Callable, List, Optional
 
 import numpy as np
 
@@ -87,6 +88,7 @@ class ShardWorker:
         store: Optional[HaloStore] = None,
         halo_publish_mask: Optional[np.ndarray] = None,
         epoch: int = 0,
+        clock: Callable[[], float] = time.perf_counter,
     ) -> None:
         self.worker_id = worker_id
         self.shard = shard
@@ -112,7 +114,11 @@ class ShardWorker:
         self._halo_publishable = (
             np.asarray(halo_publish_mask, dtype=bool) if halo_publish_mask is not None else None
         )
-        self.timings = StageTimer()
+        # Stage seconds read ``clock``: the server's clock in process (so a
+        # ``ManualClock`` run traces the same stages every time), the
+        # default ``perf_counter`` in a worker process, which has no handle
+        # on the server's clock.
+        self.timings = StageTimer(clock)
         # The ownership guard: held[v] is true for every global id v the
         # shard holds (core and halo), up to the largest; a batch's ids are
         # checked with one gather before anything is looked up.
@@ -430,10 +436,15 @@ class LocalPlane:
 
     swept_stale: tuple = ()
 
-    def __init__(self, graph, shards: List[GraphShard], model: GNNModel) -> None:
+    def __init__(
+        self, graph, shards: List[GraphShard], model: GNNModel, clock: Callable[[], float]
+    ) -> None:
         self.graph = graph
         self.shards = shards
         self.model = model
+        #: What every spawned worker's :class:`StageTimer` reads: the
+        #: server's ``clock.now``.
+        self.clock = clock
         self.halo_store: Optional[HaloStore] = None
 
     def build_halo_store(self) -> HaloStore:
@@ -455,6 +466,7 @@ class LocalPlane:
             store,
             halo_publish_mask=publish_mask,
             epoch=epoch,
+            clock=self.clock,
         )
 
     def heartbeat(self, workers) -> None:

@@ -13,11 +13,11 @@ Three formats, three consumers:
   complete (``"ph": "X"``) events on pid 0 with one row (tid) per shard,
   dispatch attempts are complete events on pid 1 with one row per replica,
   and metadata events name every row.  Timestamps are clock seconds scaled
-  to microseconds.  A ``ManualClock`` fixes the timestamps but not the
-  whole trace: each attempt's ``stages_s`` comes from its worker's
-  :class:`~repro.serving.timing.StageTimer`, which reads
-  ``time.perf_counter`` unless it is given another clock, so two runs of
-  one script differ there.
+  to microseconds.  Each attempt's ``stages_s`` comes from its worker's
+  :class:`~repro.serving.timing.StageTimer`; in-process workers read the
+  server's clock, so on a ``ManualClock`` two runs of one script write the
+  same trace byte for byte.  Worker processes time their stages on their
+  own ``perf_counter``.
 """
 
 from __future__ import annotations

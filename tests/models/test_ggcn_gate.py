@@ -33,14 +33,20 @@ def test_extreme_logits_reach_the_limits_without_warnings():
     assert np.array_equal(open_, h)
 
 
+def _messages(fill, edges, rows):
+    """Run a gated-message operand on ``edges`` as the sweep does: into
+    fresh ``out`` / ``work`` scratch, with ``rows`` the edges' row halves."""
+    out, work = np.empty_like(rows), np.empty_like(rows)
+    fill(edges, out, rows, work)
+    return out
+
+
 def test_extreme_per_edge_logits_through_the_message_sweep():
     """Each half of the logit is moderate; their per-edge sum is +-800."""
     features = np.array([[1.0, -4.0], [2.0, 0.5]])
     neg_n = np.array([[400.0, -400.0], [-400.0, 400.0]])
     neg_s = neg_n.copy()
-    messages = _gated_messages(neg_n, neg_s, features, np.array([0, 1]), np.array([0, 1]))(
-        np.array([0, 1])
-    )
+    messages = _messages(_gated_messages(neg_n, features, np.array([0, 1])), np.array([0, 1]), neg_s)
     assert not np.isnan(messages).any()
     assert np.array_equal(messages, [[0.0, -4.0], [2.0, 0.0]])
 
@@ -52,9 +58,11 @@ def test_matches_expit_oracle_on_random_data():
     dst = rng.integers(0, 40, size=300)
     edges = rng.permutation(300)
     expected = expit(gate_n[src[edges]] + gate_s[dst[edges]]) * features[src[edges]]
-    per_edge = _gated_messages(-gate_n, -gate_s, features, src, dst)(edges)
+    per_edge = _messages(_gated_messages(-gate_n, features, src), edges, -gate_s[dst[edges]])
     np.testing.assert_allclose(per_edge, expected, rtol=1e-14, atol=0)
-    per_node = _node_gated_messages(np.exp(-gate_n), np.exp(-gate_s), features, src, dst)(edges)
+    per_node = _messages(
+        _node_gated_messages(np.exp(-gate_n), features, src), edges, np.exp(-gate_s)[dst[edges]]
+    )
     np.testing.assert_allclose(per_node, expected, rtol=1e-14, atol=0)
 
 
@@ -107,7 +115,7 @@ def test_extreme_halves_match_the_expit_oracle(monkeypatch, cores):
     gate_n, gate_s, features, src, dst, indptr = _planted_case()
     monkeypatch.setattr(base, "_core_count", lambda: cores)
     for reduce in (segment_reduce, base.parallel_segment_reduce):
-        sums, nonempty = _gated_sum(-gate_n, -gate_s, features, src, dst, indptr, reduce)
+        sums, nonempty = _gated_sum(-gate_n, -gate_s, features, src, indptr, reduce)
         assert not np.isnan(sums).any()
         expected = _expit_row_sums(gate_n, gate_s, features, src, dst, indptr)
         np.testing.assert_allclose(sums, expected, rtol=1e-14, atol=0)
@@ -117,15 +125,14 @@ def test_extreme_halves_match_the_expit_oracle(monkeypatch, cores):
 def test_only_rows_touching_an_extreme_half_take_the_per_edge_form():
     """Rows off the planted halves keep the per-node form's bits."""
     gate_n, gate_s, features, src, dst, indptr = _planted_case()
-    sums, _ = _gated_sum(-gate_n, -gate_s, features, src, dst, indptr, segment_reduce)
+    sums, _ = _gated_sum(-gate_n, -gate_s, features, src, indptr, segment_reduce)
     per_node, _ = segment_reduce(
-        _node_gated_messages(
-            np.exp(np.clip(-gate_n, -708.0, 708.0)), np.exp(np.clip(-gate_s, -708.0, 708.0)),
-            features, src, dst,
-        ),
-        indptr, np.add,
+        _node_gated_messages(np.exp(np.clip(-gate_n, -708.0, 708.0)), features, src),
+        indptr, np.add, np.exp(np.clip(-gate_s, -708.0, 708.0)), features.shape[1:],
     )
-    per_edge, _ = segment_reduce(_gated_messages(-gate_n, -gate_s, features, src, dst), indptr, np.add)
+    per_edge, _ = segment_reduce(
+        _gated_messages(-gate_n, features, src), indptr, np.add, -gate_s, features.shape[1:]
+    )
     outside_n = (np.abs(gate_n) > 708.0).any(axis=1)
     picked = np.zeros(len(indptr) - 1, dtype=bool)
     picked[dst[outside_n[src]]] = True

@@ -47,6 +47,34 @@ def sequential_oracle(values: np.ndarray, indptr: np.ndarray, ufunc: np.ufunc):
     return out, lengths > 0
 
 
+def _filling(values):
+    """``values`` as a callable operand: ``fill(edges, out)`` writes ``values[edges]`` into ``out``."""
+
+    def fill(edges, out):
+        out[...] = values[edges]
+
+    return fill
+
+
+def _shifting(values):
+    """A row-operand callable: edge ``e`` of row ``r`` gives ``values[e] + rows[r]``,
+    gathered into the ``work`` scratch first."""
+
+    def fill(edges, out, rows, work):
+        work[...] = values[edges]
+        np.add(work, rows, out=out)
+
+    return fill
+
+
+def _row_operand(indptr, trailing):
+    """A per-row operand for the segments of ``indptr`` and its edge-order
+    expansion (each edge gets its own row's entry)."""
+    lengths = np.diff(indptr)
+    rows = np.random.default_rng(len(lengths)).standard_normal((len(lengths),) + trailing)
+    return rows, np.repeat(rows, lengths, axis=0)
+
+
 @st.composite
 def csr_values(draw):
     """Random CSR segments (empty rows included) and per-edge values."""
@@ -76,16 +104,23 @@ def test_matches_sequential_oracle_bitwise(case, ufunc):
     assert np.array_equal(nonempty, expected_nonempty)
     assert np.array_equal(values, before)  # accumulation never writes into the input
 
-    from_callable, nonempty_callable = segment_reduce(lambda edges: values[edges], indptr, ufunc)
+    trailing = values.shape[1:]
+    from_callable, nonempty_callable = segment_reduce(_filling(values), indptr, ufunc, None, trailing)
     assert np.array_equal(from_callable, out)
     assert np.array_equal(nonempty_callable, nonempty)
+
+    rows, per_edge = _row_operand(indptr, trailing)
+    from_rows, nonempty_rows = segment_reduce(_shifting(values), indptr, ufunc, rows, trailing)
+    expected_rows, _ = sequential_oracle(values + per_edge, indptr, ufunc)
+    assert np.array_equal(from_rows, expected_rows)
+    assert np.array_equal(nonempty_rows, nonempty)
 
 
 def test_all_empty_segments_return_zeros_of_the_trailing_shape():
     indptr = np.zeros(5, dtype=np.int64)
     values = np.empty((0, 3))
-    for operand in (values, lambda edges: values[edges]):
-        out, nonempty = segment_reduce(operand, indptr, np.add)
+    for operand in (values, _filling(values)):
+        out, nonempty = segment_reduce(operand, indptr, np.add, None, (3,))
         assert out.shape == (4, 3) and not out.any()
         assert nonempty.shape == (4,) and not nonempty.any()
 
@@ -131,7 +166,12 @@ def test_slabs_equal_the_serial_sweep_bitwise(case, ufunc):
     ``e`` picks row ``e`` of ``values``, weighted) and must equal ``csr @ x``.
     """
     values, indptr = case
-    expected, expected_nonempty = segment_reduce(values, indptr, ufunc)
+    trailing = values.shape[1:]
+    rows, _ = _row_operand(indptr, trailing)
+    operands = [(values, None), (_filling(values), None), (_shifting(values), rows)]
+    serial = [
+        segment_reduce(operand, indptr, ufunc, row_values, trailing) for operand, row_values in operands
+    ]
     matrix = sp.csr_matrix(
         (np.linspace(-2.0, 2.0, len(values)), np.arange(len(values)), indptr),
         shape=(len(indptr) - 1, len(values)),
@@ -139,8 +179,8 @@ def test_slabs_equal_the_serial_sweep_bitwise(case, ufunc):
     product = matrix @ values
     for slabs in (1, 2, 7):
         with mock.patch.object(base, "_core_count", return_value=slabs):
-            for operand in (values, lambda edges: values[edges]):
-                out, nonempty = parallel_segment_reduce(operand, indptr, ufunc)
+            for (operand, row_values), (expected, expected_nonempty) in zip(operands, serial):
+                out, nonempty = parallel_segment_reduce(operand, indptr, ufunc, row_values, trailing)
                 assert out.shape == expected.shape
                 assert np.array_equal(out, expected), slabs
                 assert np.array_equal(nonempty, expected_nonempty)
@@ -160,15 +200,25 @@ def test_one_core_builds_no_slab_pool():
 def test_concurrent_callers_share_the_slab_pool():
     """More caller threads than cores, each cutting 7 slabs onto the one
     pool, under a short switch interval: every call returns (no pool task
-    waits on another) and equals the serial sweep bit for bit."""
+    waits on another) and equals the serial sweep bit for bit.  Every caller
+    folds its own operand, half of them with a row operand, so a scratch
+    shared between callers or between one caller's slabs mixes them up."""
     values, indptr = _case([5, 0, 40, 3, 1, 0, 9, 2] * 8)
-    expected, _ = segment_reduce(values, indptr, np.add)
+    rows, _ = _row_operand(indptr, (3,))
+    operands = [
+        (_shifting(values * slot), rows) if slot % 2 else (_filling(values * slot), None)
+        for slot in range(1, 9)
+    ]
+    expected = [
+        segment_reduce(operand, indptr, np.add, row_values, (3,))[0] for operand, row_values in operands
+    ]
     matches = [0] * 8
 
     def call(slot):
+        operand, row_values = operands[slot]
         for _ in range(25):
-            out, _ = parallel_segment_reduce(lambda edges: values[edges], indptr, np.add)
-            matches[slot] += np.array_equal(out, expected)
+            out, _ = parallel_segment_reduce(operand, indptr, np.add, row_values, (3,))
+            matches[slot] += np.array_equal(out, expected[slot])
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -236,7 +286,7 @@ def test_weighted_segment_sum_equals_the_segment_sweep():
     weights = rng.random(int(indptr[-1]))
     x = rng.standard_normal((50, 6))
     swept, nonempty = segment_reduce(
-        lambda edges: x[indices[edges]] * weights[edges, None], indptr, np.add
+        _filling(x[indices] * weights[:, None]), indptr, np.add, None, (6,)
     )
     assert not nonempty.all()
     assert np.array_equal(weighted_segment_sum(weights, indices, indptr, x), swept)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import dataclasses
 import inspect
+import time
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from repro.serving import (
     ManualClock,
     ServingConfig,
     ShardWorker,
+    SystemClock,
 )
 from repro.serving.procplane import WorkerSpec
 from repro.tensor.tensor import Tensor, no_grad
@@ -47,10 +49,10 @@ def _model(graph, name="GCN", block_size=1, seed=0):
     )
 
 
-def _server(model, graph, **overrides):
+def _server(model, graph, clock=None, **overrides):
     defaults = dict(num_shards=2, max_batch_size=8, max_delay=0.5, cache_capacity=1024, seed=0)
     defaults.update(overrides)
-    return InferenceServer(model, graph, ServingConfig(**defaults), clock=ManualClock())
+    return InferenceServer(model, graph, ServingConfig(**defaults), clock=clock or ManualClock())
 
 
 class TestForwardRestricted:
@@ -320,8 +322,11 @@ class TestGlobalIdPath:
 
 class TestStageTimings:
     def test_breakdown_populated_and_reset(self, small_graph):
-        model = _model(small_graph)
-        server = _server(model, small_graph)
+        # In-process workers time their stages on the server's clock, and a
+        # ManualClock does not move inside a stage: this one runs on wall
+        # time, which is perf_counter itself.
+        server = _server(_model(small_graph), small_graph, clock=SystemClock())
+        assert all(worker.timings._clock is time.perf_counter for worker in server.workers)
         server.predict(np.arange(small_graph.num_nodes))
         stats = server.stats()
         assert stats.stage_seconds["cache_gather"] > 0

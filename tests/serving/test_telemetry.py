@@ -29,6 +29,7 @@ from repro.serving import (
     ManualClock,
     ServingConfig,
     StageTimer,
+    SystemClock,
     merge_stage_totals,
 )
 from repro.serving.timing import _StageScope
@@ -166,7 +167,8 @@ class TestStatsAndExportAgree:
 
 class TestTracing:
     def test_every_completed_request_has_one_closed_root_span(self, small_graph):
-        server = _server(_model(small_graph), small_graph, telemetry="trace")
+        # Wall time: a ManualClock does not move inside a worker's stages.
+        server = _server(_model(small_graph), small_graph, clock=SystemClock(), telemetry="trace")
         nodes = np.arange(30)
         server.predict(nodes)
         tracer = server.tracer
@@ -248,6 +250,19 @@ class TestTracingUnderFaults:
         assert len(spans) == len(terminal)
         for request in terminal:
             assert spans[request.request_id] == request.status
+
+    def test_chrome_trace_is_byte_identical_across_runs(self, small_graph):
+        """In-process workers time their stages on the server's clock, so a
+        ``ManualClock`` fault script writes the same trace every time."""
+
+        def trace():
+            server = self._faulty_server(small_graph, max_queue_depth=16, default_timeout=2.0)
+            rng = np.random.default_rng(9)
+            server.submit_many(rng.choice(small_graph.num_nodes, size=60, replace=True))
+            server.drain()
+            return json.dumps(server.telemetry.chrome_trace())
+
+        assert trace() == trace()
 
     def test_retries_recorded_on_attempts(self, small_graph):
         server = self._faulty_server(small_graph)
