@@ -128,6 +128,8 @@ def _segment_reduce(values, indptr, ufunc, row_values, value_shape, cores: int):
     """:func:`segment_reduce` on ``cores`` row slabs (:func:`_edge_slabs`),
     each folded by :func:`_fold_segments` into its rows of one output."""
     indptr = np.asarray(indptr)
+    if not callable(values):
+        values = np.asarray(values, dtype=np.float64)  # the scratch is float64
     shape = tuple(value_shape) if callable(values) else values.shape[1:]
     out = np.zeros((len(indptr) - 1,) + shape, dtype=np.float64)
 

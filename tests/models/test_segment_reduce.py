@@ -138,6 +138,9 @@ def test_hub_row_among_degree_one_rows():
         expected, _ = sequential_oracle(values, indptr, ufunc)
         assert nonempty.all()
         assert np.array_equal(out, expected)
+    integers = np.arange(len(values)).reshape(-1, 1)  # folded as float64, like the oracle
+    expected, _ = sequential_oracle(integers, indptr, np.add)
+    assert np.array_equal(segment_reduce(integers, indptr, np.add)[0], expected)
 
 
 def _case(lengths, trailing=(3,)):
