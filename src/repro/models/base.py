@@ -273,7 +273,15 @@ def parallel_segment_reduce(
       multiply, an add and a ``divide`` on every step: 2 slabs take it from
       106 to 53 ms.
     - GS-Pool's max sweep (``GraphSAGEPoolLayer.forward_full``) is a
-      ``take`` plus ``maximum`` per step: 33 to 16 ms.
+      ``take`` plus ``maximum`` per step: 33 to 16 ms.  Gathering into the
+      sweep's scratch instead of a fresh ``take`` per step did not make it
+      faster, and may have cost a little: at the ledger's position, after
+      the G-GCN passes, 24 alternating process pairs read 32.8 ms with a
+      fresh ``take`` against 33.5 ms into the scratch serially (median
+      best of five; the scratch form won 8 of 24, median pair +0.8 ms) and
+      15.9 against 16.6 ms on 2 slabs (won 10 of 24, median pair
+      +0.05 ms).  The two loops tie when they alternate in one process
+      (26.9 against 27.1 ms, median of 60).
     - GAT's softmax max folds one scalar per edge in under a millisecond;
       on slabs it took 0.8 to 4.0 ms, so it stays serial.  GAT's
       attention-weighted sum and GCN's propagation are CSR SpMMs and run on

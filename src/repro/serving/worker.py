@@ -75,7 +75,13 @@ class WorkerRetired(RuntimeError):
 
 class ShardWorker:
     """Serves prediction requests for one shard (optionally one of R replicas):
-    the in-process :class:`~repro.serving.replicas.Replica`."""
+    the in-process :class:`~repro.serving.replicas.Replica`.
+
+    ``clock`` times the stages (:class:`StageTimer`); it is read twice per
+    stage, so a clock whose reads have side effects (a test clock that
+    steps on every read) moves that many more times per batch, and can
+    change which requests come due.
+    """
 
     #: ``None`` in-process: callers take a truthy ``pid`` for a worker process.
     pid = heartbeat_age = rss_bytes = None

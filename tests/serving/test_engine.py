@@ -16,6 +16,7 @@ import weakref
 import numpy as np
 import pytest
 
+import repro.serving.worker
 from repro.compression import CompressionConfig
 from repro.models import Trainer, TrainingConfig, create_model
 from repro.nn.module import Module
@@ -89,7 +90,8 @@ class TestExactServing:
         "halo_tier, cache_capacity, num_shards, num_replicas, executor, store", STORE_RULE
     )
     def test_the_store_rule(
-        self, small_graph, halo_tier, cache_capacity, num_shards, num_replicas, executor, store
+        self, monkeypatch, small_graph, halo_tier, cache_capacity, num_shards, num_replicas,
+        executor, store,
     ):
         model = _model(small_graph)
         reference = model.full_forward(small_graph).data.argmax(axis=-1)
@@ -115,19 +117,33 @@ class TestExactServing:
             assert np.array_equal(server.predict(nodes), reference)
             cold = server.stats()
             cold_workers = [dataclasses.replace(worker.cache_stats) for worker in server.workers]
-            assert np.array_equal(server.predict(nodes), reference)
+            # Count the plans the second pass builds in this process; a
+            # worker process builds its own, which only its stage seconds
+            # show (in process they read the server's ManualClock, which
+            # no stage moves).
+            plans = []
+            build = repro.serving.worker.Restriction
+            with monkeypatch.context() as patch:
+                patch.setattr(
+                    repro.serving.worker,
+                    "Restriction",
+                    lambda *args: plans.append(args) or build(*args),
+                )
+                assert np.array_equal(server.predict(nodes), reference)
             warm = server.stats()
         finally:
             server.shutdown()
         assert warm.halo_tier == (store == "shared")
         if store == "none":
             assert warm.cache.hits == 0 and warm.cache.misses > cold.cache.misses
+            assert plans  # the count sees every plan an in-process worker builds
             return
         # One replica per shard, or one store for all: the second pass over
         # the same nodes is all hits in the store each worker reads, and it
         # builds no plan.
         assert warm.cache.misses == cold.cache.misses
         assert warm.cache.hits > cold.cache.hits
+        assert plans == []
         assert warm.stage_seconds["plan_build"] == cold.stage_seconds["plan_build"]
         if store == "private":
             assert warm.halo == CacheStats()  # no shared counts at all

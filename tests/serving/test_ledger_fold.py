@@ -9,8 +9,7 @@ What is pinned down here:
   completed batch gives, across three ``reset_stats()`` calls: on a fresh
   server, between windows, and with rows settled while others of their
   block are still queued;
-* the same run's counts and sums equal the figures the per-batch
-  implementation exported;
+* the same run's counts and sums equal a regression snapshot of them;
 * every row is folded exactly once (an export in mid-window takes what was
   popped and settled so far, the next takes the rest), and a block leaves
   the fold's bookkeeping once its rows have settled.
@@ -41,13 +40,15 @@ _FAMILY_LINE = re.compile(
 )
 
 #: Per checkpoint of :func:`_script`: family -> {label: (count, sum)}
-#: (children with no observation left out).  The per-batch implementation
-#: exported these figures for the same script while the workers' stage
-#: timers read ``perf_counter``; they now read the server's clock, whose
-#: every read steps here, so the figures were re-pinned from the fold then
-#: (the sums grew, and more of the last window's rows expire).  The live
-#: per-batch replay in the test still rebuilds every histogram independently.
-PER_BATCH_FIGURES = [
+#: (children with no observation left out).  A regression snapshot of the
+#: fold, not figures of the per-batch implementation: those were taken
+#: while the workers' stage timers read ``perf_counter``.  In-process
+#: workers now time their stages on the server's clock, whose every read
+#: steps here, so the script's outcomes moved (the sums grew, and more of
+#: the last window's rows expire) and the figures were re-pinned.  The
+#: oracle is the live per-batch replay in the test, which rebuilds every
+#: histogram independently.
+SNAPSHOT_FIGURES = [
     {
         "serving_class_queue_wait_seconds": {"standard": (40, 0.2412109375)},
         "serving_request_latency_seconds": {"0": (17, 0.201171875), "1": (23, 0.28173828125)},
@@ -192,9 +193,9 @@ class TestFoldEqualsPerBatchObservation:
                 prometheus_text(expected)
             )
             assert _json(server.telemetry.metrics_json()) == _json(metrics_json(expected))
-            assert _figures(server.telemetry.snapshot()) == PER_BATCH_FIGURES[checkpoint]
+            assert _figures(server.telemetry.snapshot()) == SNAPSHOT_FIGURES[checkpoint]
             checkpoints += 1
-        assert checkpoints == len(PER_BATCH_FIGURES)
+        assert checkpoints == len(SNAPSHOT_FIGURES)
         server.shutdown()
 
     def test_the_script_reaches_every_status(self, small_graph):
