@@ -54,6 +54,7 @@ from repro.models.graphsage import _gather
 from repro.serving.shard import build_shards
 from repro.models.trainer import compare_inference_modes
 from repro.nn import BlockCirculantLinear
+from repro.nn.linear import row_tiled_matmul
 from repro.tensor import Tensor, no_grad
 
 DIM = 512
@@ -207,6 +208,17 @@ def _crossover_grid() -> dict:
     return cells
 
 
+def _child_grid(*args: str) -> dict:
+    """Run one of this file's grids (see ``__main__``) in a fresh child
+    process with one BLAS thread, like the end-to-end benchmark's workers,
+    and return its JSON result."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    child = subprocess.run(
+        [sys.executable, __file__, *args], env=env, capture_output=True, text=True, check=True
+    )
+    return json.loads(child.stdout)
+
+
 def test_dense_rfft_crossover_ledger(save_result):
     """Where the cached dense expansion stops beating the cached rFFT kernel.
 
@@ -217,11 +229,7 @@ def test_dense_rfft_crossover_ledger(save_result):
     thread, like the end-to-end benchmark's workers.  A report only: it
     asserts nothing about the timings.
     """
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
-    child = subprocess.run(
-        [sys.executable, __file__], env=env, capture_output=True, text=True, check=True
-    )
-    cells = json.loads(child.stdout)
+    cells = _child_grid("crossover")
     lines = [
         f"cached rFFT vs cached dense W^T, {CROSSOVER_ROWS} rows, one BLAS thread; "
         "ratio = rFFT / dense (> 1: dense faster)",
@@ -307,6 +315,35 @@ def _per_pass(fn):
     return min(seconds) * 1e3, float(np.median(faults))
 
 
+#: The model sweeps of the segment-reduce ledger, timed serially and on slabs.
+SWEEPS = ("ggcn", "sage", "gat")
+
+
+def _sweep_grid() -> dict:
+    """``{"timings": {"<sweep>_<mode>": ms}, "faults": {"<sweep>_<mode>":
+    minor faults}}`` of one pass of each model sweep, serially and on core
+    slabs (bitwise equal), at the ``rd1`` shape with 128 features."""
+    graph = load_dataset("reddit", scale=0.01, seed=0, num_features=128)
+    indptr, src = graph.indptr, graph.indices
+    rng = np.random.default_rng(0)
+    gate_n, gate_s, features = (rng.standard_normal((graph.num_nodes, 128)) for _ in range(3))
+    projected = np.maximum(features, 0.0)
+    logits = rng.standard_normal(graph.num_edges)
+    sweeps = {
+        "ggcn": lambda reduce: _gated_sum(-gate_n, -gate_s, features, src, indptr, reduce),
+        "sage": lambda reduce: reduce(_gather(projected, src), indptr, np.maximum, None, (128,)),
+        "gat": lambda reduce: reduce(logits, indptr, np.maximum),
+    }
+    timings, faults = {}, {}
+    for name in SWEEPS:
+        serial = functools.partial(sweeps[name], segment_reduce)
+        slabs = functools.partial(sweeps[name], parallel_segment_reduce)
+        assert np.array_equal(serial()[0], slabs()[0]), name
+        for mode, fn in (("serial", serial), ("slabs", slabs)):
+            timings[f"{name}_{mode}"], faults[f"{name}_{mode}"] = _per_pass(fn)
+    return {"timings": timings, "faults": faults}
+
+
 def test_segment_reduce_ledger(save_result):
     """Absolute timings of the edge-wise aggregation kernels at the ``rd1`` shape.
 
@@ -325,7 +362,9 @@ def test_segment_reduce_ledger(save_result):
     layer runs it (``_gated_sum``, ``exp_s`` as the row operand), GS-Pool's
     max over projected neighbours (gathered into the sweep's scratch) and
     GAT's scalar softmax max, with the minor page faults of one pass of
-    each (``getrusage`` deltas of this process).  The last rows run GCN's
+    each (:func:`_sweep_grid`, in a fresh child process: the counts depend
+    on the allocator's state, which the sweeps above leave behind here).
+    The last rows run GCN's
     propagation SpMM ``D̂^{-1}(A + I) @ x`` serially and on slabs
     (``parallel_spmm``, bitwise equal) for F = 128 and F = 64.  They record
     why G-GCN's and GS-Pool's sweeps and the feature-wide SpMMs run on slabs
@@ -385,20 +424,9 @@ def test_segment_reduce_ledger(save_result):
     for name, fn in weighted.items():
         timings[f"weighted_{name}"] = _best_of(fn, repeats=3, inner=1) * 1e3
 
-    projected = np.maximum(features, 0.0)
-    logits = rng.standard_normal(graph.num_edges)
-    sweeps = {
-        "ggcn": lambda reduce: _gated_sum(-gate_n, -gate_s, features, src, indptr, reduce),
-        "sage": lambda reduce: reduce(_gather(projected, src), indptr, np.maximum, None, (128,)),
-        "gat": lambda reduce: reduce(logits, indptr, np.maximum),
-    }
-    faults = {}
-    for name, sweep in sweeps.items():
-        serial = functools.partial(sweep, segment_reduce)
-        slabs = functools.partial(sweep, parallel_segment_reduce)
-        assert np.array_equal(serial()[0], slabs()[0]), name
-        for mode, fn in (("serial", serial), ("slabs", slabs)):
-            timings[f"{name}_{mode}"], faults[f"{name}_{mode}"] = _per_pass(fn)
+    sweeps = _child_grid("sweeps")
+    timings.update(sweeps["timings"])
+    faults = sweeps["faults"]
 
     operator = graph.random_walk_adjacency(add_self_loops=True)
     for width in (128, 64):
@@ -440,7 +468,7 @@ def test_segment_reduce_ledger(save_result):
         weighted_sweep_ms=timings["weighted_sweep"],
         weighted_spmm_ms=timings["weighted_spmm"],
         **{f"{name}_{mode}_ms": timings[f"{name}_{mode}"]
-           for name in [*sweeps, "spmm128", "spmm64"] for mode in ("serial", "slabs")},
+           for name in [*SWEEPS, "spmm128", "spmm64"] for mode in ("serial", "slabs")},
         **{f"{name}_minflt": count for name, count in faults.items()},
         slab_cores=cores,
         num_edges=graph.num_edges,
@@ -523,19 +551,30 @@ def test_restriction_build_ledger(save_result):
 COMBINATION_ROWS = (2837, 1169, 512, 256)
 #: Miss-set sizes of the restricted-SpMM ledger.
 SPMM_RESTRICTION_ROWS = (16, 64)
+#: ``rd2``'s classes: the width of the output layer's combine-first SpMM
+#: operand, and of the stored layer-1 rows that feed it.
+TOP_WIDTH = 41
+#: Rows of a ``serve_cold`` window's large layer-1 call, where the fused
+#: combination runs with and without the output layer's projection.
+PROJECTED_ROWS = 2920
 
 
 def _restricted_grid() -> dict:
-    """``{"combination.<rows>": (serial_us, fused_us, slabs_us), "spmm.<rows>":
-    (serial_us, slabs_us, nnz), "cores": cores}`` at the ``serve_cold`` shapes.
+    """``{"combination.<rows>": (serial_us, fused_us, slabs_us),
+    "projected.<cores>": (plain_us, projected_us), "spmm.<rows>": (serial_us,
+    slabs_us, nnz, top_us), "cores": cores}`` at the ``serve_cold`` shapes.
 
     The combination maps memo rows ``128 -> 128`` through a ``n = 8``
     block-circulant layer: *serial* is the path before the fusion (gather
     the memo rows, ``apply_linear``, bias, ReLU, scatter into the assembly
     buffer), *fused* is :func:`combine_rows` on one core and *slabs* on
-    every core.  The SpMM multiplies restrictions of ``rd2``'s first shard
-    (the layer-1 aggregation the worker runs for memo misses), serially and
-    with :func:`parallel_spmm`.  Every variant must give the serial bytes.
+    every core.  At :data:`PROJECTED_ROWS` rows it runs again with the
+    output layer's ``128 -> 41`` projection (``project=``, what the worker
+    runs when the output layer combines first), on one core and on slabs.
+    The SpMM multiplies restrictions of ``rd2``'s first shard (the layer-1
+    aggregation the worker runs for memo misses), serially and with
+    :func:`parallel_spmm`, and serially at the output layer's
+    :data:`TOP_WIDTH` columns.  Every variant must give the serial bytes.
     """
     rng = np.random.default_rng(0)
     cores = base._core_count()
@@ -569,6 +608,24 @@ def _restricted_grid() -> dict:
             base._core_count = lambda: cores
             cells[f"combination.{rows}"] = timings
 
+        top = BlockCirculantLinear(128, TOP_WIDTH, 8, rng=rng)
+        wanted = rng.choice(len(memo), PROJECTED_ROWS, replace=False)
+        positions = rng.permutation(PROJECTED_ROWS)
+        plain_buffer = np.zeros((PROJECTED_ROWS, 128))
+        top_buffer = np.zeros((PROJECTED_ROWS, TOP_WIDTH))
+        hidden = combine_rows(layer, memo, wanted)
+        expected = row_tiled_matmul(hidden, top.dense_transposed()).tobytes()
+        plain = functools.partial(combine_rows, layer, memo, wanted, True, (plain_buffer, positions))
+        projected = functools.partial(
+            combine_rows, layer, memo, wanted, True, (top_buffer, positions), top
+        )
+        for slab_cores in sorted({1, cores}):
+            base._core_count = lambda slab_cores=slab_cores: slab_cores
+            assert projected().tobytes() == expected, slab_cores
+            assert top_buffer[positions].tobytes() == expected, slab_cores
+            cells[f"projected.{slab_cores}"] = [_best_of(plain) * 1e6, _best_of(projected) * 1e6]
+        base._core_count = lambda: cores
+
     graph = load_dataset("reddit", scale=0.02, seed=0, num_features=128)
     shard = build_shards(graph, 2, halo_hops=2, seed=0)[0].graph
     shard.random_walk_adjacency(add_self_loops=True)
@@ -578,9 +635,11 @@ def _restricted_grid() -> dict:
         h = rng.standard_normal((len(plan.cols), 128))
         serial = functools.partial(operator.__matmul__, h)
         slabs = functools.partial(parallel_spmm, operator, h)
+        top = functools.partial(operator.__matmul__, np.ascontiguousarray(h[:, :TOP_WIDTH]))
         assert serial().tobytes() == slabs().tobytes(), rows
         cells[f"spmm.{rows}"] = [
-            _best_of(serial, inner=10) * 1e6, _best_of(slabs, inner=10) * 1e6, operator.nnz
+            _best_of(serial, inner=10) * 1e6, _best_of(slabs, inner=10) * 1e6, operator.nnz,
+            _best_of(top, inner=10) * 1e6,
         ]
     return cells
 
@@ -593,14 +652,12 @@ def test_restricted_combination_ledger(save_result):
     variants and the SpMM's two must be byte-equal (the child asserts it);
     the timings are a report only.  The SpMM rows record why
     ``forward_restricted``'s SpMM stays serial: at served restriction sizes
-    the slab hand-off costs more than the second core saves.
+    the slab hand-off costs more than the second core saves.  The
+    top-layer rows record what combining first trades: the output layer's
+    SpMM at 41 columns instead of 128, for a second GEMM in the layer-1
+    combination.
     """
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
-    child = subprocess.run(
-        [sys.executable, __file__, "restricted"], env=env, capture_output=True, text=True,
-        check=True,
-    )
-    cells = json.loads(child.stdout)
+    cells = _child_grid("restricted")
     cores = cells.pop("cores")
     lines = [f"restricted kernels at serve_cold shapes, one BLAS thread, {cores} core slabs"]
     metrics = {"slab_cores": cores}
@@ -612,14 +669,22 @@ def test_restricted_combination_ledger(save_result):
         )
         metrics.update({f"combination{rows}_{name}_us": value for name, value in
                         zip(("serial", "fused", "slabs"), (serial_us, fused_us, slabs_us))})
+    for slab_cores in sorted({1, cores}):
+        plain_us, projected_us = cells[f"projected.{slab_cores}"]
+        lines.append(
+            f"  layer-1 combination {PROJECTED_ROWS} x 128 -> 128 on {slab_cores} core(s): "
+            f"{plain_us:7.0f} us, with the 128 -> {TOP_WIDTH} projection {projected_us:7.0f} us"
+        )
+        metrics.update({f"projected{slab_cores}_plain_us": plain_us,
+                        f"projected{slab_cores}_with_projection_us": projected_us})
     for rows in SPMM_RESTRICTION_ROWS:
-        serial_us, slabs_us, nnz = cells[f"spmm.{rows}"]
+        serial_us, slabs_us, nnz, top_us = cells[f"spmm.{rows}"]
         lines.append(
             f"  restricted SpMM {rows:>3} rows ({nnz} nnz) x 128: serial {serial_us:6.0f} us, "
-            f"parallel_spmm {slabs_us:6.0f} us"
+            f"parallel_spmm {slabs_us:6.0f} us; x {TOP_WIDTH}: serial {top_us:6.0f} us"
         )
         metrics.update({f"spmm{rows}_serial_us": serial_us, f"spmm{rows}_slabs_us": slabs_us,
-                        f"spmm{rows}_nnz": nnz})
+                        f"spmm{rows}_nnz": nnz, f"spmm{rows}_top_us": top_us})
     save_result("kernels_restricted", "\n".join(lines), **metrics)
 
 
@@ -637,7 +702,6 @@ def test_accelerator_functional_datapath(benchmark):
 
 
 if __name__ == "__main__":
-    # The ledgers' child process (test_dense_rfft_crossover_ledger,
-    # test_restricted_combination_ledger).
-    grid = _restricted_grid if sys.argv[1:] == ["restricted"] else _crossover_grid
-    print(json.dumps(grid()))
+    # The ledgers' child process (_child_grid).
+    grids = {"crossover": _crossover_grid, "restricted": _restricted_grid, "sweeps": _sweep_grid}
+    print(json.dumps(grids[sys.argv[1]]()))

@@ -359,12 +359,16 @@ def parallel_spmm(matrix: sp.csr_matrix, x: np.ndarray) -> np.ndarray:
 #: Rows at or above which :func:`combine_rows` cuts its GEMM into slabs, one
 #: per core.  On the ``serve_cold`` configuration (rd2, GCN, hidden 128,
 #: ``n = 8``) a window's two large layer-1 calls have ~2.8k and ~1.2k rows
-#: and every other call 1-340 rows.  Fused, one core against two slabs (one
-#: BLAS thread, 2-vCPU Intel Xeon VM, best of 5 in three runs of
+#: and every other call 1-340 rows; the layer-1 calls run ``128 -> 128``
+#: and then the output layer's ``128 -> 41`` projection (it combines
+#: first), the output layer's own calls have no GEMM.  Fused ``128 -> 128``,
+#: one core against two slabs (one BLAS thread, 2-vCPU Intel Xeon VM, best
+#: of 5 in three runs of
 #: ``benchmarks/bench_kernels.py::test_restricted_combination_ledger``):
 #: 256 rows 346-405 against 348-397 us (a tie: the pool hand-off costs what
 #: the second core saves), 512 rows 712-821 against 596-635 us, 1 169 rows
-#: 1.8-2.1 against 1.1-1.3 ms, 2 837 rows 5.0-6.2 against 2.7-5.9 ms.
+#: 1.8-2.1 against 1.1-1.3 ms, 2 837 rows 5.0-6.2 against 2.7-5.9 ms.  The
+#: projection adds 0.2-0.5 ms at 2 920 rows.
 SLAB_MIN_ROWS = 512
 
 
@@ -382,40 +386,51 @@ def combine_rows(
     index: Optional[np.ndarray] = None,
     activation: bool = True,
     out=None,
+    project: Optional[Module] = None,
 ) -> np.ndarray:
     """The restricted combination, fused: ``ReLU(x @ W^T + b)`` for the rows
     ``x = source[index]`` (``source`` itself without ``index``), where
     ``linear`` is a :class:`~repro.nn.Linear` or a
     :class:`~repro.nn.BlockCirculantLinear`.
 
+    ``project``, when given, is the next layer's input projection (a
+    combine-first GCN layer's ``fc``): every row is then multiplied by its
+    ``W'^T`` too, without bias, and the products are what is scattered and
+    returned — the rows the next layer reads.
+
     ``out`` is the serving worker's ``(buffer, positions)`` assembly pair or
     ``None``; the computed rows are returned either way.  Bits equal
-    ``apply_linear`` → bias → ReLU → scatter on the whole row set.
+    ``apply_linear`` → bias → ReLU (→ ``row_tiled_matmul`` by ``W'^T``) →
+    scatter on the whole row set.
 
     Both layers run their GEMM on :data:`ROW_TILE`-row blocks of the cached
     ``W^T`` (``linear.dense_transposed()``), so a row's bits do not depend
     on the others.  Every slab of rows gathers its own ``source`` rows,
     multiplies them into its slice of the result (:func:`row_tiled_matmul`
-    with ``out=``), adds the bias and applies ReLU in place, and scatters
-    the slice into ``buffer`` — one pass, no whole-set temporaries.  From
-    :data:`SLAB_MIN_ROWS` rows up the slabs are cut at multiples of
-    ``ROW_TILE``, one per core, and run on :func:`_run_slabs`' pool (numpy's
-    gathers and BLAS release the GIL); below it, or with one core, the one
-    slab runs inline.
+    with ``out=``; with ``project``, into a slab-sized scratch that the
+    second GEMM reads), adds the bias and applies ReLU in place, and
+    scatters the slice into ``buffer`` — one pass, no whole-set
+    temporaries.  From :data:`SLAB_MIN_ROWS` rows up the slabs are cut at
+    multiples of ``ROW_TILE``, one per core, and run on :func:`_run_slabs`'
+    pool (numpy's gathers and BLAS release the GIL); below it, or with one
+    core, the one slab runs inline.
     """
     rows = len(source) if index is None else len(index)
     buffer, positions = out if out is not None else (None, None)
     matrix = linear.dense_transposed()
     bias = linear.bias.data if linear.bias is not None else None
-    result = np.empty((rows, matrix.shape[1]))
+    projection = project.dense_transposed() if project is not None else None
+    result = np.empty((rows, (matrix if projection is None else projection).shape[1]))
 
     def combine(lo: int, hi: int) -> None:
-        block = result[lo:hi]
+        block = result[lo:hi] if projection is None else np.empty((hi - lo, matrix.shape[1]))
         row_tiled_matmul(source[lo:hi] if index is None else source[index[lo:hi]], matrix, out=block)
         if bias is not None:
             np.add(block, bias, out=block)
         if activation:
             np.maximum(block, 0.0, out=block)
+        if projection is not None:
+            block = row_tiled_matmul(block, projection, out=result[lo:hi])
         if buffer is not None:
             buffer[positions[lo:hi]] = block
 
@@ -491,6 +506,14 @@ class GNNLayer(Module):
     #: gets no memo, never a stale one.
     has_aggregation_weights: bool = True
 
+    @property
+    def input_projection(self) -> Optional[Module]:
+        """The linear this layer's inference multiplies its input rows by
+        before aggregating (a combine-first GCN layer's ``fc``), or
+        ``None``.  When set, the serving store keeps the previous layer's
+        rows already multiplied by it (:meth:`GNNModel.stored_rows`)."""
+        return None
+
     def __init__(self, in_features: int, out_features: int, compression: CompressionConfig) -> None:
         super().__init__()
         self.in_features = in_features
@@ -503,11 +526,17 @@ class GNNLayer(Module):
     def forward_full(self, h: Tensor, graph: Graph) -> Tensor:  # pragma: no cover - interface
         raise NotImplementedError
 
-    def forward_restricted(self, h: Tensor, restriction, timer=None, out=None) -> Tensor:  # pragma: no cover
+    def forward_restricted(
+        self, h: Tensor, restriction, timer=None, out=None, project=None
+    ) -> Tensor:  # pragma: no cover
         """Outputs of :meth:`forward_full` for ``restriction.rows`` only.
 
         ``h`` holds the previous representations of ``restriction.cols`` (in
-        column order).  ``timer``, when given, is a
+        column order); a layer with an :attr:`input_projection` also takes
+        them already multiplied by it (told apart by their width,
+        ``out_features``).  ``project``, when given, is the next layer's
+        :attr:`input_projection`: the layer returns (and scatters) its rows
+        multiplied by it.  ``timer``, when given, is a
         :class:`~repro.serving.timing.StageTimer`-like object whose
         ``stage("aggregation")`` / ``stage("combination")`` context managers
         attribute the layer's time to the serving breakdown.  ``out``, when
@@ -527,12 +556,13 @@ class GNNLayer(Module):
         raise NotImplementedError
 
     def combine_restricted(
-        self, aggregated: np.ndarray, timer=None, out=None, index=None
+        self, aggregated: np.ndarray, timer=None, out=None, index=None, project=None
     ) -> Tensor:  # pragma: no cover
         """The combination half of :meth:`forward_restricted` over the rows
         ``aggregated[index]`` (every row of ``aggregated`` without
         ``index``): the serving worker passes its first-layer memo and the
-        wanted rows, so no gathered copy of the memo is made first."""
+        wanted rows, so no gathered copy of the memo is made first.
+        ``project`` is as in :meth:`forward_restricted`."""
         raise NotImplementedError
 
     def prepare_full(self, graph: Graph) -> None:
@@ -563,6 +593,26 @@ class GNNModel(Module):
     @property
     def num_layers(self) -> int:
         return len(self.layers)
+
+    def stored_projection(self, k: int) -> Optional[Module]:
+        """The linear the stored layer-``k`` rows are multiplied by: layer
+        ``k + 1``'s :attr:`~GNNLayer.input_projection` (``None`` for the
+        output layer ``k = K``)."""
+        return self.layers[k].input_projection if k < self.num_layers else None
+
+    def stored_width(self, k: int) -> int:
+        """Width of the layer-``k`` rows (``1 <= k <= K``) the serving
+        stores hold: what layer ``k + 1`` reads."""
+        if self.stored_projection(k) is not None:
+            return self.layers[k].out_features
+        return self.layers[k - 1].out_features
+
+    def stored_rows(self, k: int, h: np.ndarray) -> np.ndarray:
+        """The rows the serving stores hold for the layer-``k`` outputs
+        ``h``: ``h`` itself, or ``h`` times the next layer's
+        ``W^T`` (:meth:`stored_projection`) — bitwise what serving computes."""
+        projection = self.stored_projection(k)
+        return h if projection is None else row_tiled_matmul(h, projection.dense_transposed())
 
     def forward(self, batch: MiniBatch, features: Optional[np.ndarray] = None, graph: Optional[Graph] = None) -> Tensor:
         """Compute logits for the batch's seed nodes.

@@ -175,7 +175,7 @@ class GATLayer(GNNLayer):
         out = outputs[0] if len(outputs) == 1 else concatenate(outputs, axis=1)
         return out.elu() if self.activation else out
 
-    def forward_restricted(self, h: Tensor, restriction, timer=None, out=None) -> Tensor:
+    def forward_restricted(self, h: Tensor, restriction, timer=None, out=None, project=None) -> Tensor:
         # Attention (projection included) is the aggregation phase in the
         # paper's accounting; only the head concat + ELU count as combination.
         with stage_scope(timer, "aggregation"):
@@ -183,6 +183,8 @@ class GATLayer(GNNLayer):
         with stage_scope(timer, "combination"):
             result = outputs[0] if len(outputs) == 1 else concatenate(outputs, axis=1)
             result = result.elu() if self.activation else result
+            if project is not None:
+                result = Tensor(row_tiled_matmul(result.data, project.dense_transposed()))
             if out is not None:
                 buffer, positions = out
                 buffer[positions] = result.data

@@ -189,7 +189,7 @@ class GGCNLayer(GNNLayer):
         out = apply_linear(self.fc, Tensor(aggregated))
         return out.relu() if self.activation else out
 
-    def forward_restricted(self, h: Tensor, restriction, timer=None, out=None) -> Tensor:
+    def forward_restricted(self, h: Tensor, restriction, timer=None, out=None, project=None) -> Tensor:
         with stage_scope(timer, "aggregation"):
             # The neighbour half over the column set, the self half over the
             # rows only (the GEMM is row-tiled, so a row's bits do not depend
@@ -209,7 +209,7 @@ class GGCNLayer(GNNLayer):
                 own = restriction.row_positions[isolated]
                 aggregated[isolated] = _gate(neg_n[own] + neg_s[isolated], features[own])
         with stage_scope(timer, "combination"):
-            return Tensor(combine_rows(self.fc, aggregated, None, self.activation, out))
+            return Tensor(combine_rows(self.fc, aggregated, None, self.activation, out, project))
 
 
 @register_model("ggcn")

@@ -90,7 +90,7 @@ class GraphSAGEPoolLayer(GNNLayer):
         out = apply_linear(self.combine_fc, Tensor(combined))
         return out.relu() if self.activation else out
 
-    def forward_restricted(self, h: Tensor, restriction, timer=None, out=None) -> Tensor:
+    def forward_restricted(self, h: Tensor, restriction, timer=None, out=None, project=None) -> Tensor:
         with stage_scope(timer, "aggregation"):
             # Project the restriction's column set once (every pooled
             # neighbour is in it), then max-reduce along the sliced CSR rows.
@@ -103,7 +103,7 @@ class GraphSAGEPoolLayer(GNNLayer):
             pooled[~nonempty] = projected[row_positions[~nonempty]]
             combined = np.concatenate([pooled, h.data[row_positions]], axis=1)       # (R, P + F)
         with stage_scope(timer, "combination"):
-            return Tensor(combine_rows(self.combine_fc, combined, None, self.activation, out))
+            return Tensor(combine_rows(self.combine_fc, combined, None, self.activation, out, project))
 
 
 @register_model("gs_pool")

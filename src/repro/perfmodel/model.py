@@ -16,6 +16,12 @@ per node, the three CirCore stages and the VPU contribute:
 and, because the stages are pipelined, the per-node cycles of a layer are the
 *maximum* over the four stages of their summed work (the paper's
 ``cycle(k) = max(...)``).  The total is ``sum_k cycle(k) * |V|`` (Eq. 7).
+
+The model keeps the paper's aggregation-first layer order for every layer,
+GCN's narrowing output layer included, because it models the accelerator,
+which aggregates first.  The CPU inference path combines first in those
+layers (:class:`repro.models.gcn.GCNLayer`); its measured time is not what
+this model predicts.
 """
 
 from __future__ import annotations

@@ -951,10 +951,7 @@ class ProcessPlane:
 
     def build_halo_store(self) -> SharedHaloStore:
         """The fleet-shared store, slabs pre-allocated for layers 1..K."""
-        layer_dims = {
-            k: self.model.layers[k - 1].out_features
-            for k in range(1, self.model.num_layers + 1)
-        }
+        layer_dims = {k: self.model.stored_width(k) for k in range(1, self.model.num_layers + 1)}
         self.halo_store = SharedHaloStore.create(self.arena, self.graph.num_nodes, layer_dims)
         return self.halo_store
 

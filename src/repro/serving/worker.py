@@ -2,11 +2,17 @@
 
 A :class:`ShardWorker` owns one :class:`~repro.serving.shard.GraphShard` and
 answers prediction requests for the shard's core nodes exactly, by layer-wise
-inference restricted to the batch's receptive field.  For each layer ``k``
-(output side first) the worker allocates the layer's assembly buffer and
-asks its embedding store — a :class:`~repro.serving.cache.HaloStore`, shared
-by the whole server when the halo tier is on, private to the worker
-otherwise — which layer-``k`` hidden states are already known.  The store
+inference restricted to the batch's receptive field.  A layer's rows — in
+the store and in the assembly buffers — are what the next layer reads: its
+hidden states, or, when the next layer combines first (GCN's narrowing
+output layer, :attr:`~repro.models.base.GNNLayer.input_projection`), those
+states already multiplied by the next layer's ``Wᵀ``
+(:meth:`~repro.models.GNNModel.stored_rows`; 41 wide instead of 128 on
+``rd2``).  For each layer ``k`` (output side first) the worker allocates
+the layer's assembly buffer and asks its embedding store — a
+:class:`~repro.serving.cache.HaloStore`, shared by the whole server when the
+halo tier is on, private to the worker otherwise — which layer-``k`` rows
+are already known.  The store
 copies each known row straight into the buffer, at its lookup position, so a
 hit is copied once; only the misses are recomputed, scattered into the same
 buffer, and written back to that same store once.  A worker built without a
@@ -40,7 +46,8 @@ every layer-1 miss then runs just the combination.  Memo rows come out of the
 same restricted SpMM, so they are bitwise the rows it would recompute.  The
 combination reads the wanted rows from the memo itself, slab by slab
 (:func:`repro.models.base.combine_rows`: gather, GEMM, bias and ReLU in
-place, scatter into the buffer), on one slab per core from
+place, the next layer's projection GEMM when it combines first, scatter
+into the buffer), on one slab per core from
 :data:`~repro.models.base.SLAB_MIN_ROWS` rows up, so a cold window's large
 layer-1 call uses every core.
 """
@@ -141,7 +148,7 @@ class ShardWorker:
         # would dominate setup) and valid under every weight version.
         self._memo: Optional[np.ndarray] = None
         if shard.graph.num_nodes and not model.layers[0].has_aggregation_weights:
-            self._memo = np.empty((shard.graph.num_nodes, self._layer_dim(0)))
+            self._memo = np.empty((shard.graph.num_nodes, shard.graph.num_features))
             self._memo_known = np.zeros(shard.graph.num_nodes, dtype=bool)
         # Parameter list cached once: computing the weight signature per flush
         # must not re-walk the module tree (Parameter objects are stable; only
@@ -258,9 +265,6 @@ class ShardWorker:
 
     # -- exact inference ---------------------------------------------------------
 
-    def _layer_dim(self, layer: int) -> int:
-        return self.shard.graph.num_features if layer == 0 else self.model.layers[layer - 1].out_features
-
     def _lookup(self, store: Optional[HaloStore], layer: int, nodes: np.ndarray, out: np.ndarray):
         """``(hit mask over nodes, hit count)``; the hit rows are copied
         from this worker's store straight into ``out``, the layer's
@@ -317,8 +321,10 @@ class ShardWorker:
                       wanted: np.ndarray, out) -> np.ndarray:
         """Layer 1 over a weight-free aggregation: SpMM the rows the memo
         lacks into it (``plan``), then combine the ``wanted`` rows, reading
-        them from the memo inside the combination's slabs."""
+        them from the memo inside the combination's slabs (and projecting
+        them for layer 2 when it combines first)."""
         timer = self.timings
+        project = self.model.stored_projection(1)
         if plan is not None:
             aggregated = layer.aggregate_restricted(Tensor(h_prev), plan, timer)
             with timer.stage("aggregation"):
@@ -326,8 +332,10 @@ class ShardWorker:
                 self._memo_known[plan.rows] = True
             # A plan over every wanted row already holds them in order.
             if plan.num_rows == len(wanted):
-                return layer.combine_restricted(aggregated, timer, out=out).data
-        return layer.combine_restricted(self._memo, timer, out=out, index=wanted).data
+                return layer.combine_restricted(aggregated, timer, out=out, project=project).data
+        return layer.combine_restricted(
+            self._memo, timer, out=out, index=wanted, project=project
+        ).data
 
     def _exact_logits(self, seeds: np.ndarray) -> np.ndarray:
         """Compiled hot path: store gathers + restricted SpMM, zero subgraphs.
@@ -350,7 +358,7 @@ class ShardWorker:
         graph = shard.graph
         num_layers = self.model.num_layers
         if not len(unique_seeds):
-            return np.empty((0, self._layer_dim(num_layers)))
+            return np.empty((0, self.model.stored_width(num_layers)))
         timer = self.timings
         store = self.store
         signature = self.weight_signature()
@@ -388,7 +396,7 @@ class ShardWorker:
         lowest = 1
         for k in range(num_layers, 0, -1):
             nodes_global = unique_seeds if k == num_layers else shard.to_global(needed[k])
-            buffer = buffers[k] = np.empty((len(nodes_global), self._layer_dim(k)))
+            buffer = buffers[k] = np.empty((len(nodes_global), self.model.stored_width(k)))
             if not len(nodes_global):  # the plan above needs no rows here
                 continue
             with timer.stage("cache_gather"):
@@ -425,7 +433,8 @@ class ShardWorker:
                     computed = self._combine_memo(layer, h_prev, plans[1], miss_local[1], assembly)
                 else:
                     computed = layer.forward_restricted(
-                        Tensor(h_prev), plans[k], timer=timer, out=assembly
+                        Tensor(h_prev), plans[k], timer=timer, out=assembly,
+                        project=self.model.stored_projection(k),
                     ).data
                 if store is not None:
                     with timer.stage("cache_scatter"):

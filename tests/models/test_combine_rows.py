@@ -1,7 +1,7 @@
 """The fused restricted combination (``repro.models.base.combine_rows``).
 
-Its contract: byte-equal to the unfused ``apply_linear`` → bias → ReLU →
-scatter on the whole row set, for every core count and row count — the slab
+Its contract: byte-equal to the unfused ``apply_linear`` → bias → ReLU (→
+the next layer's projection) → scatter on the whole row set, for every core count and row count — the slab
 cuts fall on ``ROW_TILE`` multiples, so a row's GEMM block is the one the
 whole-set call gives it.  ``_core_count`` is patched so one-CPU hosts run the
 slab path too.
@@ -91,6 +91,27 @@ class TestBytesEqualTheUnfusedPath:
         with no_grad():
             expected = _reference(layer, source, index, activation, expected_buffer, positions)
             result = combine_rows(layer, source, index, activation, (buffer, positions))
+        assert result.tobytes() == expected.tobytes()
+        assert buffer.tobytes() == expected_buffer.tobytes()
+
+    @pytest.mark.parametrize("cores", CORES)
+    @pytest.mark.parametrize("rows", ROWS)
+    @pytest.mark.parametrize("kind", ["circulant", "dense"])
+    def test_projected_rows(self, monkeypatch, kind, cores, rows):
+        """With ``project`` every row is also multiplied by the next layer's
+        ``W'^T`` (no bias): the products are returned and scattered."""
+        monkeypatch.setattr(base, "_core_count", lambda: cores)
+        layer = _layer(kind)
+        project = BlockCirculantLinear(OUT, 5, 4, rng=np.random.default_rng(6))
+        source, index, positions = _case(rows, True)
+        with no_grad():
+            hidden = _reference(layer, source, index, True, None, None)
+        expected = row_tiled_matmul(hidden, project.dense_transposed())
+        buffer = np.full((rows + 9, 5), -7.0)
+        expected_buffer = buffer.copy()
+        expected_buffer[positions] = expected
+        with no_grad():
+            result = combine_rows(layer, source, index, True, (buffer, positions), project)
         assert result.tobytes() == expected.tobytes()
         assert buffer.tobytes() == expected_buffer.tobytes()
 

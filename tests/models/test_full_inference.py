@@ -150,6 +150,64 @@ class TestFullForwardEquivalence:
         assert predictions.dtype.kind == "i"
 
 
+class TestCombineFirst:
+    """GCN's narrowing layers after the first run ``Â·(H·Wᵀ) + b``: the same
+    logits as the aggregate-first formula up to rounding, and the serving
+    layers over every row reproduce them bit for bit."""
+
+    @pytest.mark.parametrize(
+        "hidden, classes, num_layers, combines_first, widths",
+        [
+            # The layer-1 rows are stored times layer 2's Wᵀ, 3 wide.
+            (16, 3, 2, [False, True], [3, 3]),
+            (16, 3, 3, [False, False, True], [16, 3, 3]),
+            (4, 8, 2, [False, False], [4, 8]),    # classes >= hidden: nothing reordered
+            (8, 3, 1, [False], [3]),              # the first layer never combines first
+        ],
+    )
+    def test_narrowing_layers_after_the_first_combine_first(
+        self, hidden, classes, num_layers, combines_first, widths
+    ):
+        model = create_model("GCN", 12, hidden, classes, num_layers=num_layers, seed=0)
+        assert [layer.combines_first for layer in model.layers] == combines_first
+        assert [model.stored_width(k) for k in range(1, num_layers + 1)] == widths
+
+    @pytest.mark.parametrize("num_layers", [2, 3])
+    @pytest.mark.parametrize("block_size", [1, 4])
+    def test_matches_the_aggregate_first_formula(self, hub_graph, num_layers, block_size):
+        model = create_model(
+            "GCN", hub_graph.num_features, 16, 3, num_layers=num_layers,
+            compression=CompressionConfig(block_size=block_size), seed=1,
+        )
+        assert model.layers[-1].combines_first
+        operator = hub_graph.random_walk_adjacency(add_self_loops=True)
+        h = Tensor(hub_graph.features)
+        with no_grad():
+            for layer in model.layers:
+                h = base.apply_linear(layer.fc, Tensor(operator @ h.data))
+                h = h.relu() if layer.activation else h
+            np.testing.assert_allclose(model.full_forward(hub_graph).data, h.data, rtol=1e-12)
+
+    @pytest.mark.parametrize("num_layers", [2, 3])
+    def test_restricted_layers_over_all_rows_equal_full_forward(self, hub_graph, num_layers):
+        """Fed its plain input rows, a combine-first layer multiplies them by
+        ``Wᵀ`` itself; fed the previous layer's ``project=`` rows, it runs the
+        SpMM alone.  Both give ``full_forward``'s bits."""
+        model = create_model("GCN", hub_graph.num_features, 16, 3, num_layers=num_layers, seed=1)
+        restriction = Restriction(hub_graph, np.arange(hub_graph.num_nodes))
+        expected = model.full_forward(hub_graph).data
+        plain = projected = Tensor(hub_graph.features)
+        with no_grad():
+            for k, layer in enumerate(model.layers, start=1):
+                plain = layer.forward_restricted(plain, restriction)
+                projected = layer.forward_restricted(
+                    projected, restriction, project=model.stored_projection(k)
+                )
+                assert projected.shape[1] == model.stored_width(k)
+        assert plain.data.tobytes() == expected.tobytes()
+        assert projected.data.tobytes() == expected.tobytes()
+
+
 class TestCoreSlabs:
     """G-GCN's and GS-Pool's full-graph sweeps (``parallel_segment_reduce``)
     and GCN's and GAT's full-graph SpMMs (``parallel_spmm``) run on one row

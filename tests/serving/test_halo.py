@@ -536,7 +536,10 @@ class TestRowsStayExactAfterWeightBumpAndSubsetFlush:
         model.parameters()[0].bump_version()      # drops embeddings and halo rows
         server.predict(cores[::2])                # subset flush
         with no_grad():
-            layer1 = model.layers[0].forward_full(Tensor(graph.features), graph).data
+            hidden = model.layers[0].forward_full(Tensor(graph.features), graph).data
+        # Layer 2 narrows 16 -> 3 and combines first: the store holds H·W2ᵀ.
+        assert model.layers[1].combines_first
+        layer1 = model.stored_rows(1, hidden)
         store = server.halo_store
         checked = 0
         for node in range(store.num_nodes):
@@ -614,9 +617,9 @@ class TestFreshPlansPerFlush:
                 operator = graph.random_walk_adjacency(add_self_loops=True)
                 return apply_linear(self.fc, Tensor(operator @ h.data))
 
-            def forward_restricted(self, h, restriction, timer=None, out=None):
+            def forward_restricted(self, h, restriction, timer=None, out=None, project=None):
                 operator = restriction.operator("random_walk", add_self_loops=True)
-                return Tensor(combine_rows(self.fc, operator @ h.data, None, False, out))
+                return Tensor(combine_rows(self.fc, operator @ h.data, None, False, out, project))
 
         rng = np.random.default_rng(0)
         model = GNNModel([

@@ -167,7 +167,7 @@ class TestSlabbedCombination:
             monkeypatch.setattr(base, "_run_slabs", original)
             assert np.array_equal(served, logits.argmax(axis=-1)[nodes])
             store = server.halo_store
-            for layer, rows in ((1, layer1), (2, logits)):
+            for layer, rows in ((1, model.stored_rows(1, layer1)), (2, logits)):
                 known = np.flatnonzero(store._layers[layer][1])
                 assert len(known)
                 assert store._layers[layer][0][known].tobytes() == rows[known].tobytes()
@@ -183,6 +183,26 @@ class TestBitwiseOracle:
     @pytest.mark.parametrize("block_size", [1, 8])
     @pytest.mark.parametrize("name", MODELS)
     def test_served_rows_equal_full_forward_rows(self, monkeypatch, name, block_size, cores):
+        self._check(monkeypatch, name, block_size, cores, hidden=64, classes=4, num_layers=2)
+
+    @pytest.mark.parametrize("cores", [1, 2])
+    @pytest.mark.parametrize("block_size", [1, 8])
+    @pytest.mark.parametrize(
+        "hidden, classes, num_layers, combines_first",
+        [
+            # 16 -> 128 -> 128 -> 4: layer 2 is no memo layer and projects
+            # its rows for layer 3, which combines first.
+            (128, 4, 3, [False, False, True]),
+            # 16 -> 4 -> 8: classes >= hidden, nothing is reordered.
+            (4, 8, 2, [False, False]),
+        ],
+    )
+    def test_gcn_shapes(self, monkeypatch, block_size, cores, hidden, classes, num_layers,
+                        combines_first):
+        model = self._check(monkeypatch, "GCN", block_size, cores, hidden, classes, num_layers)
+        assert [layer.combines_first for layer in model.layers] == combines_first
+
+    def _check(self, monkeypatch, name, block_size, cores, hidden, classes, num_layers):
         from repro.models import base
 
         graph = synthetic_graph(
@@ -190,8 +210,8 @@ class TestBitwiseOracle:
             name="oracle-graph",
         )
         model = create_model(
-            name, in_features=16, hidden_features=64, num_classes=4,
-            compression=CompressionConfig(block_size=block_size), seed=0,
+            name, in_features=16, hidden_features=hidden, num_classes=classes,
+            num_layers=num_layers, compression=CompressionConfig(block_size=block_size), seed=0,
         )
         monkeypatch.setattr(base, "_core_count", lambda: cores)
         server = _server(model, graph, max_batch_size=64)
@@ -224,7 +244,9 @@ class TestBitwiseOracle:
         for layer, rows in enumerate(outputs, start=1):
             known = np.flatnonzero(store._layers[layer][1])
             assert len(known)
-            assert store._layers[layer][0][known].tobytes() == rows[known].tobytes()
+            stored = model.stored_rows(layer, rows)
+            assert store._layers[layer][0][known].tobytes() == stored[known].tobytes()
+        return model
 
 
 #: Sparse enough that each of two shards misses some nodes, halo included.
